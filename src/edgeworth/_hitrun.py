@@ -22,11 +22,11 @@ _RANK_CUTOFF = 1e-12
 _POINT_EXTENT = 1e-9
 
 
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of A."""
+def _null_space(A: np.ndarray, max_rank: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of A, of rank <= max_rank."""
     _, sv, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(sv > (sv[0] if sv.size else 0.0) * _RANK_CUTOFF))
-    return vt[rank:].T
+    return vt[min(rank, max_rank):].T
 
 
 def _chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -74,7 +74,9 @@ def sample(
     eq_tol: float = 1e-11,
 ) -> np.ndarray:
     """One draw from the polytope's relative interior, deterministic given ``rng``."""
-    null_basis = _null_space(directions.T)
+    # Walras' law puts every direction orthogonal to the prices: rank <= L - 1,
+    # so a rounding-level singular value cannot cut a dimension off the polytope
+    null_basis = _null_space(directions.T, directions.shape[1] - 1)
     if null_basis.shape[1] == 0:
         raise SamplingError("trade-speed polytope has empty interior")
     vertices = _probe_vertices(directions, norms, null_basis, eq_tol)

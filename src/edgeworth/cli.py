@@ -331,25 +331,6 @@ def cmd_manifold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def write_contract_curve_csv(specs, aggregate, grid_size: int, path: Path) -> int:
-    """Export the 2x2 contract curve in the manifold CSV column style.
-
-    Rows carry one household-1 bundle per curve point next to the aggregate
-    it splits; household 2 holds the complement.
-    """
-    allocations = geometry.contract_curve_2x2(specs, aggregate, grid_size)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "aggregate_1", "aggregate_2", "y_1", "y_2"])
-        for alloc in allocations:
-            total = alloc.aggregate
-            first = alloc.bundle(0)
-            writer.writerow(
-                ["contract_curve"] + [_fmt(v) for v in total] + [_fmt(v) for v in first]
-            )
-    return len(allocations)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = verify.run_all(seed=args.seed, name_filter=args.filter, inject_fault=args.inject_fault)
     if not reports:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -23,7 +24,7 @@ from numpy.typing import NDArray
 from . import prefs, trade
 from .errors import SamplingError, SpecificationError
 from .prefs import Family, UtilitySpec
-from .trade import Allocation, Economy, SpeedPrior, SpeedVector
+from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
 
@@ -121,6 +122,12 @@ class SimConfig:
             raise SpecificationError("runs must be at least 1")
         if not self.pareto_tol > 0.0:
             raise SpecificationError("pareto_tol must be positive")
+        if self.pareto_tol < trade.PARETO_TOL and not _supports_fast_path(self):
+            # the generic step's price draw and LP decide trade at PARETO_TOL
+            raise SpecificationError(
+                f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
+                "(two serialized utilities and an angle price prior)"
+            )
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
@@ -144,11 +151,14 @@ class Trajectory:
 
     def terminal_q(self, economy: Economy) -> FloatArray:
         """Last drawn rates; at a frozen start, household 1's own rates."""
-        if self.prices:
-            return self.prices[-1]
-        return prefs.substitution_rates(
-            economy.households[0].spec, self.states[-1].bundle(0)
-        )
+        return _terminal_rates(economy, self.states[-1], self.prices[-1] if self.prices else None)
+
+
+def _terminal_rates(economy: Economy, final: Allocation, last_q: FloatArray | None) -> FloatArray:
+    """The run's last drawn rates, or household 1's own rates if it never moved."""
+    if last_q is not None:
+        return last_q
+    return prefs.substitution_rates(economy.specs[0], final.bundle(0))
 
 
 @dataclass(eq=False)
@@ -239,17 +249,37 @@ def q_density(prior: QPrior, q) -> float:
     return math.exp(-(angle * angle) / (2.0 * prior.sigma_angle**2)) * base
 
 
-def _draw_angle(q_prior: QPrior, a: float, b: float, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw of a price angle restricted to (a, b)."""
-    if isinstance(q_prior, UniformArc):
+def _angle_law(q_prior: ArctanNormal | UniformArc) -> NormalDist | None:
+    """The law of the price angle: normal for ArctanNormal, None for uniform."""
+    if isinstance(q_prior, ArctanNormal):
+        return NormalDist(math.atan(q_prior.center_rate), q_prior.sigma_angle)
+    return None
+
+
+def _draw_angle(law: NormalDist | None, a: float, b: float, rng: np.random.Generator) -> float:
+    """Inverse-CDF draw of a price angle restricted to (a, b).
+
+    ``NormalDist.cdf`` is ``(1 + erf) / 2``, whose tails cancel to nothing;
+    an interval on one side of the mean is drawn in the lower tail (mirrored
+    if above) through ``erfc``, which keeps full relative precision there.
+    """
+    if law is None:
         return a + (b - a) * float(rng.random())
-    nd = NormalDist(math.atan(q_prior.center_rate), q_prior.sigma_angle)
-    ca, cb = nd.cdf(a), nd.cdf(b)
+    mu = law.mean
+    mirror = a >= mu
+    lo, hi = (2.0 * mu - b, 2.0 * mu - a) if mirror else (a, b)
+    if hi > mu:
+        ca, cb = law.cdf(lo), law.cdf(hi)
+    else:
+        scale = law.stdev * math.sqrt(2.0)
+        ca, cb = 0.5 * math.erfc((mu - lo) / scale), 0.5 * math.erfc((mu - hi) / scale)
     if cb - ca < 1e-300:
         # interval so deep in the tail the conditional is numerically flat
         return a + (b - a) * float(rng.random())
     u = ca + (cb - ca) * float(rng.random())
-    theta = nd.inv_cdf(min(max(u, 1e-16), 1.0 - 1e-16))
+    theta = law.inv_cdf(min(max(u, sys.float_info.min), 1.0 - 1e-16))
+    if mirror:
+        theta = 2.0 * mu - theta
     return min(max(theta, a), b)
 
 
@@ -303,8 +333,9 @@ def draw_price(
             atoms = q_prior.grid[:, 0]
             return _draw_tabulated(e, y, q_prior, (atoms >= lo) & (atoms <= hi), rng)
         a, b = math.atan(lo), math.atan(hi)
+        law = _angle_law(q_prior)
         for _ in range(cap):
-            q = math.tan(_draw_angle(q_prior, a, b, rng))
+            q = math.tan(_draw_angle(law, a, b, rng))
             if trade.has_trade(e, y, [q, 1.0]):
                 return np.array([q])
         raise SamplingError(f"no trade-compatible price within {cap} draws")
@@ -374,17 +405,14 @@ def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
     rate1, target1 = _scalar_kernels(cfg.economy.specs[0])
     rate2, target2 = _scalar_kernels(cfg.economy.specs[1])
     (y11, y12), (y21, y22) = cfg.initial.bundles
-    q_prior = cfg.prior.q_prior
-    normal = None
-    if isinstance(q_prior, ArctanNormal):
-        normal = NormalDist(math.atan(q_prior.center_rate), q_prior.sigma_angle)
+    law = _angle_law(cfg.prior.q_prior)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     tol = cfg.pareto_tol
 
     states = [cfg.initial] if record else None
     prices: list[FloatArray] = []
     speeds: list[SpeedVector] = []
-    last_q = math.nan
+    last_q = None
     terminal = Terminal.STEP_CAP
     n_steps = 0
 
@@ -392,21 +420,12 @@ def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
         m1 = rate1(y11, y12)
         m2 = rate2(y21, y22)
         lo, hi = (m1, m2) if m1 <= m2 else (m2, m1)
-        if hi - lo <= tol * lo:
+        if _rates_agree(lo, hi, tol):
             terminal = Terminal.PARETO_REACHED
             break
         a, b = math.atan(lo), math.atan(hi)
         for _ in range(REJECTION_CAP):
-            if normal is None:
-                theta = a + (b - a) * float(rng.random())
-            else:
-                ca, cb = normal.cdf(a), normal.cdf(b)
-                if cb - ca < 1e-300:
-                    theta = a + (b - a) * float(rng.random())
-                else:
-                    u = ca + (cb - ca) * float(rng.random())
-                    theta = min(max(normal.inv_cdf(min(max(u, 1e-16), 1.0 - 1e-16)), a), b)
-            q = math.tan(theta)
+            q = math.tan(_draw_angle(law, a, b, rng))
             if lo < q < hi:
                 break
         else:
@@ -415,14 +434,7 @@ def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
         d21, d22 = target2(q, y21, y22)
         e11, e12 = d11 - y11, d12 - y12
         e21, e22 = d21 - y21, d22 - y22
-        n1 = math.hypot(e11, e12)
-        n2 = math.hypot(e21, e22)
-        ratio = n1 / n2
-        s1, s2 = (1.0, ratio) if ratio <= 1.0 else (1.0 / ratio, 1.0)
-        if not max_speed:
-            lam = 1.0 - float(rng.random())
-            s1 *= lam
-            s2 *= lam
+        s1, s2 = _ray_speeds(math.hypot(e11, e12), math.hypot(e21, e22), max_speed, rng)
         y11 += s1 * e11
         y12 += s1 * e12
         y21 += s2 * e21
@@ -439,10 +451,7 @@ def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
         if record
         else Allocation(np.array([[y11, y12], [y21, y22]]))
     )
-    if math.isnan(last_q):
-        last_arr = prefs.substitution_rates(cfg.economy.specs[0], final.bundle(0))
-    else:
-        last_arr = np.array([last_q])
+    last_arr = None if last_q is None else np.array([last_q])
     return states, prices, speeds, terminal, final, last_arr, n_steps
 
 
@@ -467,29 +476,25 @@ def _run_core_generic(cfg: SimConfig, run_index: int, record: bool):
             states.append(state)
             prices.append(q)
             speeds.append(sigma)
-    if last_q is None:
-        last_q = prefs.substitution_rates(cfg.economy.specs[0], state.bundle(0))
     return states, prices, speeds, terminal, state, last_q, n_steps
 
 
-def run_trajectory(cfg: SimConfig, run_index: int, _force_generic: bool = False) -> Trajectory:
+def _core(cfg: SimConfig):
+    return _run_core_2x2 if _supports_fast_path(cfg) else _run_core_generic
+
+
+def run_trajectory(cfg: SimConfig, run_index: int) -> Trajectory:
     """The full recorded path for one run index; bit-identical on repeats."""
-    core = (
-        _run_core_2x2
-        if _supports_fast_path(cfg) and not _force_generic
-        else _run_core_generic
-    )
-    states, prices, speeds, terminal, _, _, _ = core(cfg, run_index, record=True)
+    states, prices, speeds, terminal, _, _, _ = _core(cfg)(cfg, run_index, record=True)
     return Trajectory(states=states, prices=prices, speeds=speeds, terminal=terminal)
 
 
 def _terminal_only(cfg: SimConfig, run_index: int):
-    core = _run_core_2x2 if _supports_fast_path(cfg) else _run_core_generic
     try:
-        _, _, _, terminal, final, last_q, n_steps = core(cfg, run_index, record=False)
+        _, _, _, terminal, final, last_q, n_steps = _core(cfg)(cfg, run_index, record=False)
     except SamplingError as exc:
         raise SamplingError(f"run {run_index}: {exc}") from exc
-    return final.bundles, last_q, n_steps, terminal
+    return final.bundles, _terminal_rates(cfg.economy, final, last_q), n_steps, terminal
 
 
 def _terminal_batch(cfg: SimConfig, indices: list[int]):
@@ -506,17 +511,14 @@ def run_monte_carlo(
     order.  A failed run aborts the whole batch with its diagnostics.
     """
     runs = cfg.runs
-    results: list = [None] * runs
     if workers and workers > 1:
         chunk = max(64, runs // (workers * 8) + 1)
         batches = [list(range(s, min(s + chunk, runs))) for s in range(0, runs, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch, outs in zip(batches, pool.map(_terminal_batch, [cfg] * len(batches), batches)):
-                for i, out in zip(batch, outs):
-                    results[i] = out
+            outs = pool.map(_terminal_batch, [cfg] * len(batches), batches)
+            results = [out for batch in outs for out in batch]
     else:
-        for i in range(runs):
-            results[i] = _terminal_only(cfg, i)
+        results = _terminal_batch(cfg, list(range(runs)))
     samples = np.stack([r[0] for r in results])
     terminal_qs = np.stack([r[1] for r in results])
     steps = [r[2] for r in results]

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
 from .prefs import UtilityLike, as_bundle, as_price
-from .trade import Allocation, PARETO_TOL
+from .trade import PARETO_TOL, Allocation, _rates_agree
 
 FloatArray = NDArray[np.float64]
 
@@ -319,7 +319,7 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
             ]
         )
 
-    if (hi - lo) <= PARETO_TOL * lo:
+    if _rates_agree(lo, hi, PARETO_TOL):
         return lo, endowments  # already Pareto optimal: no-trade equilibrium
 
     def excess(q: float) -> float:

@@ -196,7 +196,9 @@ def has_trade(e: Economy, y: Allocation, p) -> bool:
     """LP feasibility of trade at prices p: is the speed polytope nontrivial?
 
     Maximizes total traded volume subject to aggregate cancellation and the
-    unit cube; trade exists iff the optimum clears a small threshold.
+    unit cube; trade exists iff the optimum clears a small threshold.  The
+    cancellation slack is relative to the longest direction, and so is the
+    volume it alone can buy, so the threshold scales with it too.
     """
     dirs = all_trade_directions(e, y, p)
     norms = np.linalg.norm(dirs, axis=1)
@@ -212,7 +214,20 @@ def has_trade(e: Economy, y: Allocation, p) -> bool:
         [np.full(2 * A.shape[0], _LP_EQ_TOL), np.ones(d_act.shape[0])]
     )
     _, value = _simplex.maximize(n_act, G, h)
-    return value > _LP_DECISION
+    return value > _LP_DECISION * scale
+
+
+def _rates_agree(lo, hi, tol):
+    """The Pareto test: extreme rates agree within relative tol (scalars or arrays)."""
+    return hi - lo <= tol * lo
+
+
+def household_rates(e: Economy, y: Allocation) -> FloatArray:
+    """(H, L - 1) substitution rates, one row per household."""
+    _check_state(e, y)
+    return np.stack(
+        [prefs.substitution_rates(hh.spec, b) for hh, b in zip(e.households, y.bundles)]
+    )
 
 
 def trade_interval_2x2(
@@ -220,17 +235,11 @@ def trade_interval_2x2(
 ) -> tuple[float, float] | None:
     """Open interval of trade-compatible price rates for a 2-household,
     2-good economy, or None when the substitution rates already agree."""
-    _check_state(e, y)
     if e.size != 2 or e.n_goods != 2:
         raise SpecificationError("trade_interval_2x2 requires H = L = 2")
-    r = [
-        float(prefs.substitution_rates(hh.spec, b)[0])
-        for hh, b in zip(e.households, y.bundles)
-    ]
-    lo, hi = min(r), max(r)
-    if (hi - lo) <= tol * lo:
-        return None
-    return lo, hi
+    r = household_rates(e, y)[:, 0]
+    lo, hi = float(r.min()), float(r.max())
+    return None if _rates_agree(lo, hi, tol) else (lo, hi)
 
 
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
@@ -270,6 +279,22 @@ def box_contains(b: BoxSet, q) -> bool:
     return True
 
 
+def _ray_speeds(
+    n_i: float, n_j: float, max_speed: bool, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j.
+
+    The faster one moves at 1 under the max-speed prior, uniform on (0, 1]
+    otherwise.
+    """
+    ratio = n_i / n_j  # sigma_j / sigma_i on the balance ray
+    s_i, s_j = (1.0, ratio) if ratio <= 1.0 else (1.0 / ratio, 1.0)
+    if max_speed:
+        return s_i, s_j
+    lam = 1.0 - float(rng.random())
+    return lam * s_i, lam * s_j
+
+
 def sample_speed(
     e: Economy,
     y: Allocation,
@@ -298,13 +323,8 @@ def sample_speed(
         cosine = float(dirs[i] @ dirs[j]) / (norms[i] * norms[j])
         if cosine > -1.0 + 1e-9:
             raise SamplingError("two-trader directions are not opposed; no feasible speeds")
-        ratio = norms[i] / norms[j]  # sigma_j / sigma_i on the balance ray
-        if ratio <= 1.0:
-            direction = np.array([1.0, ratio])
-        else:
-            direction = np.array([1.0 / ratio, 1.0])
-        lam = 1.0 if s_prior is SpeedPrior.MAX_SPEED else 1.0 - float(rng.random())
-        sigma[[i, j]] = lam * direction
+        max_speed = s_prior is SpeedPrior.MAX_SPEED
+        sigma[[i, j]] = _ray_speeds(float(norms[i]), float(norms[j]), max_speed, rng)
         return SpeedVector(sigma)
 
     idx = np.nonzero(active)[0]
@@ -330,22 +350,9 @@ def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
     return Allocation(y.bundles + sigma.sigma[:, None] * dirs)
 
 
-def mrs_gap(e: Economy, y: Allocation) -> float:
-    """Largest relative disagreement of substitution rates across households."""
-    _check_state(e, y)
-    rates = np.stack(
-        [
-            prefs.substitution_rates(hh.spec, b)
-            for hh, b in zip(e.households, y.bundles)
-        ]
-    )
-    lo = rates.min(axis=0)
-    hi = rates.max(axis=0)
-    return float(np.max((hi - lo) / lo))
-
-
 def is_pareto_optimal(e: Economy, y: Allocation, tol: float = PARETO_TOL) -> bool:
     """No common-price trade remains: all substitution rates agree within tol."""
     if tol <= 0.0:
         raise SpecificationError("tolerance must be positive")
-    return mrs_gap(e, y) <= tol
+    rates = household_rates(e, y)
+    return bool(np.all(_rates_agree(rates.min(axis=0), rates.max(axis=0), tol)))

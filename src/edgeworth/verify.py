@@ -4,9 +4,9 @@ Each suite hammers one cluster of analytic results with random draws and
 reports the worst violation seen: the demand-theory identities, the chart
 Jacobians against finite differences, the monotone attraction of
 substitution rates along joint trade paths, and the convergence-to-Pareto
-statistic together with its trade-interval cross-check.  Suites are
-deterministic given (spec, draws, seed) and single-threaded so the draw
-order is reproducible.
+statistic together with a cross-check of the closed-form trade interval
+against the LP.  Suites are deterministic given (spec, draws, seed) and
+single-threaded so the draw order is reproducible.
 """
 
 from __future__ import annotations
@@ -213,9 +213,7 @@ def weighted_clearing_rates(
     re-endowed at ``y``; any positive weights yield a trade-compatible price
     paired with speeds proportional to ``w``.
     """
-    rates = np.stack(
-        [prefs.substitution_rates(hh.spec, b) for hh, b in zip(e.households, y.bundles)]
-    )
+    rates = trade.household_rates(e, y)
     v = np.log((weights @ rates) / float(weights.sum()))
 
     def excess(logq: FloatArray) -> FloatArray:
@@ -253,11 +251,8 @@ def _feasible_price_and_speeds(
 ) -> tuple[FloatArray, FloatArray]:
     """A random trade-compatible price with matching feasible speeds."""
     if e.n_goods == 2:
-        rates = [
-            float(prefs.substitution_rates(hh.spec, b)[0])
-            for hh, b in zip(e.households, y.bundles)
-        ]
-        lo, hi = math.atan(min(rates)), math.atan(max(rates))
+        rates = trade.household_rates(e, y)[:, 0]
+        lo, hi = math.atan(rates.min()), math.atan(rates.max())
         width = hi - lo
         q = np.array([math.tan(lo + width * float(rng.uniform(0.05, 0.95)))])
         sigma = trade.sample_speed(
@@ -361,9 +356,10 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
     """Convergence-to-Pareto statistic plus the trade-interval cross-check.
 
     At least 99% of the configured trajectories must push the substitution
-    rate gap below 1e-3 within the step budget, and the Pareto predicate
-    must agree exactly with trade-interval emptiness on random allocations.
-    The violation is the convergence shortfall against the 99% bar.
+    rate gap below 1e-3 within the step budget, and on random allocations
+    with a nonempty closed-form trade interval the LP must find trade at the
+    interval's angle midpoint.  The violation is the convergence shortfall
+    against the 99% bar.
     """
     if cfg.economy.size != 2 or cfg.economy.n_goods != 2:
         raise SpecificationError("welfare suite is specified for 2x2 economies")
@@ -381,8 +377,11 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
     rng = _rng(seed)
     for _ in range(1000):
         y = Allocation(_draw_points(rng, (2, 2)))
-        empty = trade.trade_interval_2x2(cfg.economy, y) is None
-        if trade.is_pareto_optimal(cfg.economy, y) != empty:
+        interval = trade.trade_interval_2x2(cfg.economy, y)
+        if interval is None:
+            continue
+        mid = math.tan(0.5 * (math.atan(interval[0]) + math.atan(interval[1])))
+        if not trade.has_trade(cfg.economy, y, [mid, 1.0]):
             failures += 1
             shortfall = max(shortfall, 1.0)
     return CheckReport("welfare", cfg.runs + 1000, failures, shortfall, seed)

@@ -295,21 +295,6 @@ class TestManifold:
         assert rc == 2
 
 
-class TestContractCurveExport:
-    def test_writes_curve_rows(self, tmp_path):
-        from edgeworth.cli import write_contract_curve_csv
-        from edgeworth.prefs import UtilitySpec
-
-        cd = UtilitySpec.cobb_douglas_log([0.5, 0.5])
-        n = write_contract_curve_csv([cd, cd], [3.0, 3.0], 7, tmp_path / "curve.csv")
-        assert n == 7
-        rows = read_csv(tmp_path / "curve.csv")
-        assert len(rows) == 7
-        for row in rows:
-            assert row["kind"] == "contract_curve"
-            assert float(row["y_1"]) == pytest.approx(float(row["y_2"]), rel=1e-9)
-
-
 class TestSimulateBins:
     def test_bins_flag_changes_histogram(self, tmp_path):
         rc = main(

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kstest, truncnorm
 
 from edgeworth import engine, prefs, trade
 from edgeworth.engine import (
@@ -36,6 +38,20 @@ def shock() -> Allocation:
     return Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
+_SPEC_2 = st.one_of(
+    st.builds(lambda a: UtilitySpec.cobb_douglas_log([a, 1.0 - a]), st.floats(0.2, 0.8)),
+    st.builds(
+        lambda a, sigma: UtilitySpec.ces([a, 1.0 - a], sigma),
+        st.floats(0.2, 0.8),
+        st.floats(0.2, 0.8),
+    ),
+)
+_ANGLE_PRIOR = st.one_of(
+    st.just(UniformArc()),
+    st.builds(ArctanNormal, st.floats(0.3, 3.0), st.floats(0.05, 1.0)),
+)
+
+
 def make_config(economy, initial, q_prior, s_prior, **kw) -> SimConfig:
     defaults = dict(master_seed=1, runs=1, max_steps=500, pareto_tol=1e-8)
     defaults.update(kw)
@@ -61,6 +77,25 @@ class TestPriorTypes:
             SimConfig(cd_economy, shock, prior, master_seed=1, runs=0)
         with pytest.raises(SpecificationError):
             SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=0)
+
+
+    def test_fine_pareto_tol_needs_the_closed_form_path(self, mult_c1c2, shock):
+        # the generic step decides trade at trade.PARETO_TOL; a finer
+        # tolerance would end its runs mid-way in a configuration error
+        twins = Economy.of([mult_c1c2, mult_c1c2])
+        with pytest.raises(SpecificationError, match="pareto_tol below 1e-08"):
+            make_config(twins, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-12)
+        cfg = make_config(twins, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-8)
+        assert engine.run_trajectory(cfg, 0).terminal is Terminal.PARETO_REACHED
+
+    def test_fine_pareto_tol_on_the_closed_form_path(self, cd_economy, shock):
+        cfg = make_config(
+            cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-12
+        )
+        t = engine.run_trajectory(cfg, 0)
+        assert t.terminal is Terminal.PARETO_REACHED
+        rates = trade.household_rates(cd_economy, t.states[-1])[:, 0]
+        assert rates.max() - rates.min() <= 1e-12 * rates.min()
 
 
 class TestQDensity:
@@ -113,6 +148,23 @@ class TestDrawPrice:
         # (0.8, 1.25) is the +-2.21-sigma band; its mass is Phi(2.21)-Phi(-2.21)
         two_sigma_mass = float(np.mean((draws > 0.8) & (draws < 1.25)))
         assert two_sigma_mass == pytest.approx(0.9731, abs=0.015)
+
+    @pytest.mark.parametrize("center_rate", [0.1, 20.0])
+    def test_far_tail_arctan_normal_matches_truncated_law(self, cd_economy, shock, center_rate):
+        # the trade interval (0.5, 2) lies 12 (center 0.1) or 14 (center 20)
+        # sigmas out in the prior's tail, where a CDF that keeps only absolute
+        # precision rounds its mass to zero
+        sigma = 0.03
+        rng = engine.run_rng(11, 0)
+        prior = PriorSpec(ArctanNormal(center_rate, sigma), SpeedPrior.UNIFORM_CUBE)
+        angles = np.arctan(
+            [float(engine.draw_price(cd_economy, shock, prior, rng)[0]) for _ in range(2_000)]
+        )
+        mu = math.atan(center_rate)
+        law = truncnorm(
+            (math.atan(0.5) - mu) / sigma, (math.atan(2.0) - mu) / sigma, loc=mu, scale=sigma
+        )
+        assert kstest(angles, law.cdf).statistic < 0.04
 
     def test_accepted_draws_are_trade_compatible(self, cd_economy, shock):
         rng = engine.run_rng(5, 3)
@@ -217,18 +269,28 @@ class TestTrajectory:
             )
             np.testing.assert_allclose(replayed.bundles, t.states[k + 1].bundles, atol=1e-12)
 
-    def test_fast_and_generic_paths_agree(self, cd_economy, shock):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(_SPEC_2, min_size=2, max_size=2),
+        bundles=st.lists(st.floats(0.3, 3.0), min_size=4, max_size=4),
+        q_prior=_ANGLE_PRIOR,
+        s_prior=st.sampled_from(SpeedPrior),
+        run_index=st.integers(0, 10_000),
+    )
+    def test_fast_and_generic_paths_agree(self, specs, bundles, q_prior, s_prior, run_index):
         # coarse pareto_tol keeps direction norms far above the LP decision
         # floor, where the two acceptance tests provably coincide
+        initial = Allocation(np.reshape(bundles, (2, 2)))
         cfg = make_config(
-            cd_economy, shock, ArctanNormal(1.0, 0.3), SpeedPrior.UNIFORM_CUBE,
-            max_steps=60, pareto_tol=1e-3,
+            Economy.of(specs), initial, q_prior, s_prior, max_steps=60, pareto_tol=1e-3
         )
-        fast = engine.run_trajectory(cfg, 2)
-        slow = engine.run_trajectory(cfg, 2, _force_generic=True)
-        assert fast.terminal == slow.terminal
-        assert fast.steps == slow.steps
-        for a, b in zip(fast.states, slow.states):
+        fast = engine._run_core_2x2(cfg, run_index, record=True)
+        slow = engine._run_core_generic(cfg, run_index, record=True)
+        fast_states, _, _, fast_terminal, _, _, fast_steps = fast
+        slow_states, _, _, slow_terminal, _, _, slow_steps = slow
+        assert fast_terminal == slow_terminal
+        assert fast_steps == slow_steps
+        for a, b in zip(fast_states, slow_states):
             np.testing.assert_allclose(a.bundles, b.bundles, rtol=1e-9, atol=1e-12)
 
     def test_max_speed_converges_fast(self, cd_economy, shock):

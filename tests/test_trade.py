@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth import prefs, trade
 from edgeworth.errors import SamplingError, SpecificationError
@@ -117,6 +119,14 @@ class TestHasTrade:
         assert trade.has_trade(cd_economy, shock, [1.0, 1.0])
         assert not trade.has_trade(cd_economy, shock, [3.0, 1.0])
 
+    def test_long_directions_need_opposition(self, cd_economy):
+        # rates 1 and 2; direction norms near 100 must not let the LP's
+        # cancellation slack alone pass for trade
+        y = Allocation(np.array([[100.0, 100.0], [100.0, 200.0]]))
+        assert trade.has_trade(cd_economy, y, [1.5, 1.0])
+        for q in (0.5, 3.0, 30.0):
+            assert not trade.has_trade(cd_economy, y, [q, 1.0])
+
     def test_contract_curve_points_admit_no_trade(self, cd_economy):
         for t in (0.5, 1.5, 2.5):
             y = Allocation(np.array([[t, t], [3.0 - t, 3.0 - t]]))
@@ -131,6 +141,37 @@ class TestHasTrade:
         assert not trade.has_trade(ces_economy, shock, [hi, 1.0])
         assert not trade.has_trade(ces_economy, shock, [lo - 0.05, 1.0])
         assert not trade.has_trade(ces_economy, shock, [hi + 0.05, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        households=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        u=st.floats(0.0, 1.0),
+        outside=st.floats(1e-6, 1.0),
+        above=st.booleans(),
+    )
+    def test_closed_form_interval_matches_lp(self, households, seed, u, outside, above):
+        # L = 2: trade exists iff q lies strictly between the extreme rates
+        draw = np.random.default_rng(seed)
+        specs = [
+            UtilitySpec.cobb_douglas_log([a, 1.0 - a])
+            if draw.random() < 0.5
+            else UtilitySpec.ces([a, 1.0 - a], float(draw.uniform(0.2, 0.8)))
+            for a in draw.uniform(0.2, 0.8, households)
+        ]
+        e = Economy.of(specs)
+        y = Allocation(log_uniform(draw, (households, 2), 0.2, 5.0))
+        rates = [float(prefs.substitution_rates(s, b)[0]) for s, b in zip(specs, y.bundles)]
+        lo, hi = min(rates), max(rates)
+        inner_lo, inner_hi = lo * (1.0 + 1e-6), hi * (1.0 - 1e-6)
+        if inner_lo < inner_hi:
+            q = inner_lo + u * (inner_hi - inner_lo)
+            assert trade.has_trade(e, y, [q, 1.0])
+        if above:
+            q_out = hi * (1.0 + 1e-6) * (1.0 + outside)
+        else:
+            q_out = lo * (1.0 - 1e-6) / (1.0 + outside)
+        assert not trade.has_trade(e, y, [q_out, 1.0])
 
     def test_many_households_three_goods(self, rng):
         specs = [
@@ -279,6 +320,32 @@ class TestSampleSpeed:
                 assert sv.sigma[0] == pytest.approx(0.2 * sv.sigma[1], abs=1e-9)
                 if prior is SpeedPrior.MAX_SPEED:
                     assert sv.sigma[1] == pytest.approx(1.0)
+
+    def test_walras_rank_cap_keeps_polytope_dimension(self, rng):
+        # a 3x2 uniform-arc state where D^T's second singular value is
+        # rounding noise (2.7e-16 against 2.4e-4) but clears the relative rank
+        # cutoff; counted as rank, it cut the 2-D polytope down to a line
+        e = Economy.of(
+            [
+                UtilitySpec.ces([0.3, 0.7], 0.5),
+                UtilitySpec.ces([0.6, 0.4], 0.5),
+                UtilitySpec.ces([0.5, 0.5], 0.5),
+            ]
+        )
+        y = Allocation(
+            np.array(
+                [
+                    [0.5616510286561996, 1.9565416985566406],
+                    [2.7475470627398835, 0.7815315373977563],
+                    [1.1908019086039172, 0.761926764045603],
+                ]
+            )
+        )
+        p = [0.7998989802832516, 1.0]
+        for prior in (SpeedPrior.UNIFORM_CUBE, SpeedPrior.MAX_SPEED):
+            for _ in range(5):
+                sv = trade.sample_speed(e, y, p, prior, rng)
+                assert trade.speed_contains(e, y, p, sv)
 
     def test_deterministic_given_stream(self, cd_economy, shock):
         a = trade.sample_speed(
