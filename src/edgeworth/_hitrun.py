@@ -17,6 +17,9 @@ from .errors import LPError, SamplingError
 
 _DIRECTION_TRIES = 64
 _RANK_CUTOFF = 1e-12
+_BURN_IN = 64
+_CLEARANCE = 1e-12  # chord margin kept off the cube faces
+_EQ_TOL = 1e-11  # slack on D^T s = 0 in the vertex-probe LPs
 
 #: Polytope extent below this (in speed units) counts as a single point.
 _POINT_EXTENT = 1e-9
@@ -45,13 +48,13 @@ def _chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
 
 
 def _probe_vertices(
-    directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray, eq_tol: float
+    directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray
 ) -> list[np.ndarray]:
     """Vertices of the tolerance-relaxed polytope under probe objectives."""
     A = directions.T
     n = directions.shape[0]
     G = np.vstack([A, -A, np.eye(n)])
-    h = np.concatenate([np.full(2 * A.shape[0], eq_tol), np.ones(n)])
+    h = np.concatenate([np.full(2 * A.shape[0], _EQ_TOL), np.ones(n)])
     vertices = [_simplex.maximize(norms, G, h)[0]]
     probe = np.random.default_rng(0)  # fixed probe directions; not part of the stream
     for _ in range(null_basis.shape[1] + 1):
@@ -64,22 +67,14 @@ def _probe_vertices(
     return vertices
 
 
-def sample(
-    directions: np.ndarray,
-    norms: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    burn_in: int = 64,
-    clearance: float = 1e-12,
-    eq_tol: float = 1e-11,
-) -> np.ndarray:
+def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from the polytope's relative interior, deterministic given ``rng``."""
     # Walras' law puts every direction orthogonal to the prices: rank <= L - 1,
     # so a rounding-level singular value cannot cut a dimension off the polytope
     null_basis = _null_space(directions.T, directions.shape[1] - 1)
     if null_basis.shape[1] == 0:
         raise SamplingError("trade-speed polytope has empty interior")
-    vertices = _probe_vertices(directions, norms, null_basis, eq_tol)
+    vertices = _probe_vertices(directions, norms, null_basis)
     x = np.mean(vertices, axis=0)
     x = null_basis @ (null_basis.T @ x)  # exact equality (subspace is homogeneous)
     x = np.clip(x, 0.0, 1.0)
@@ -93,7 +88,7 @@ def sample(
     hull = null_basis @ vt[keep].T  # orthonormal columns spanning the hull
     dim = hull.shape[1]
 
-    for _ in range(burn_in):
+    for _ in range(_BURN_IN):
         for _ in range(_DIRECTION_TRIES):
             u = hull @ rng.standard_normal(dim)
             norm = float(np.linalg.norm(u))
@@ -101,10 +96,10 @@ def sample(
                 continue
             u /= norm
             lo, hi = _chord(x, u)
-            if hi - lo > 2.0 * clearance:
+            if hi - lo > 2.0 * _CLEARANCE:
                 break
         else:
             raise SamplingError("hit-and-run stalled: numerically degenerate polytope")
-        t = rng.uniform(lo + clearance, hi - clearance)
+        t = rng.uniform(lo + _CLEARANCE, hi - _CLEARANCE)
         x = np.clip(x + t * u, 0.0, 1.0)
     return x

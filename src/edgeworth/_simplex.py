@@ -15,9 +15,10 @@ from .errors import LPError
 
 _ENTER_TOL = 1e-10
 _PIVOT_TOL = 1e-11
+_MAX_ITER = 10_000
 
 
-def maximize(c, G, h, max_iter: int = 10_000) -> tuple[np.ndarray, float]:
+def maximize(c, G, h) -> tuple[np.ndarray, float]:
     """Return (argmax x, optimum) or raise :class:`LPError`."""
     c = np.asarray(c, dtype=np.float64)
     G = np.atleast_2d(np.asarray(G, dtype=np.float64))
@@ -36,7 +37,7 @@ def maximize(c, G, h, max_iter: int = 10_000) -> tuple[np.ndarray, float]:
     z = np.concatenate([c, np.zeros(m)])
     basis = np.arange(n, n + m)
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         reduced = z - z[basis] @ T[:, : n + m]
         candidates = np.nonzero(reduced > _ENTER_TOL)[0]
         if candidates.size == 0:
@@ -61,4 +62,4 @@ def maximize(c, G, h, max_iter: int = 10_000) -> tuple[np.ndarray, float]:
         T -= np.outer(factors, pivot_row)
         basis[leave] = enter
 
-    raise LPError(f"simplex did not terminate within {max_iter} pivots")
+    raise LPError(f"simplex did not terminate within {_MAX_ITER} pivots")

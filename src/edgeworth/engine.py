@@ -34,6 +34,8 @@ REJECTION_CAP = 100_000
 
 _HISTOGRAM_BINS = 64
 
+_ANGLE_PRIOR_NEEDS_L2 = "economies with more than two goods need a tabulated price prior"
+
 
 @dataclass(frozen=True)
 class ArctanNormal:
@@ -122,6 +124,16 @@ class SimConfig:
             raise SpecificationError("runs must be at least 1")
         if not self.pareto_tol > 0.0:
             raise SpecificationError("pareto_tol must be positive")
+        n_rates = self.economy.n_goods - 1
+        q_prior = self.prior.q_prior
+        if isinstance(q_prior, Tabulated):
+            if q_prior.grid.shape[1] != n_rates:
+                raise SpecificationError(
+                    f"tabulated price grid rows must have L - 1 = {n_rates} rates, "
+                    f"got {q_prior.grid.shape[1]}"
+                )
+        elif n_rates != 1:
+            raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
         if self.pareto_tol < trade.PARETO_TOL and not _supports_fast_path(self):
             # the generic step's price draw and LP decide trade at PARETO_TOL
             raise SpecificationError(
@@ -232,23 +244,6 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def q_density(prior: QPrior, q) -> float:
-    """Unnormalized prior density at a rate (vector)."""
-    if isinstance(prior, Tabulated):
-        q = np.atleast_1d(np.asarray(q, dtype=np.float64))
-        hits = np.all(np.abs(prior.grid - q) <= 1e-9 * np.maximum(1.0, np.abs(q)), axis=1)
-        idx = np.nonzero(hits)[0]
-        return float(prior.densities[idx[0]]) if idx.size else 0.0
-    qv = float(np.asarray(q, dtype=np.float64).reshape(()))
-    if qv <= 0.0:
-        raise SpecificationError("rates must be strictly positive")
-    base = 1.0 / (1.0 + qv * qv)
-    if isinstance(prior, UniformArc):
-        return base
-    angle = math.atan(qv) - math.atan(prior.center_rate)
-    return math.exp(-(angle * angle) / (2.0 * prior.sigma_angle**2)) * base
-
-
 def _angle_law(q_prior: ArctanNormal | UniformArc) -> NormalDist | None:
     """The law of the price angle: normal for ArctanNormal, None for uniform."""
     if isinstance(q_prior, ArctanNormal):
@@ -313,36 +308,30 @@ def draw_price(
     y: Allocation,
     prior: PriorSpec,
     rng: np.random.Generator,
-    cap: int = REJECTION_CAP,
 ) -> FloatArray:
     """One rate vector from the prior conditioned on trade compatibility.
 
-    Draws are taken from the prior restricted to the box superset (inverse
-    CDF on the angle when L = 2, atom filtering otherwise) and kept only if
-    trade is actually feasible there, which leaves the conditional law on
-    the trade-compatible set intact.
+    Draws are taken from the prior restricted to the box superset (atom
+    filtering for a tabulated prior, inverse CDF on the angle otherwise,
+    which needs L = 2) and kept only if trade is actually feasible there,
+    which leaves the conditional law on the trade-compatible set intact.
     """
     if trade.is_pareto_optimal(e, y):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
     box = trade.msr_extremes(e, y)
     q_prior = prior.q_prior
-    if e.n_goods == 2:
-        lo = float(box.lower_rates[0, 1])
-        hi = float(box.upper_rates[0, 1])
-        if isinstance(q_prior, Tabulated):
-            atoms = q_prior.grid[:, 0]
-            return _draw_tabulated(e, y, q_prior, (atoms >= lo) & (atoms <= hi), rng)
-        a, b = math.atan(lo), math.atan(hi)
-        law = _angle_law(q_prior)
-        for _ in range(cap):
-            q = math.tan(_draw_angle(law, a, b, rng))
-            if trade.has_trade(e, y, [q, 1.0]):
-                return np.array([q])
-        raise SamplingError(f"no trade-compatible price within {cap} draws")
-    if not isinstance(q_prior, Tabulated):
-        raise SpecificationError("economies with more than two goods need a tabulated price prior")
-    in_box = np.array([trade.box_contains(box, g) for g in q_prior.grid])
-    return _draw_tabulated(e, y, q_prior, in_box, rng)
+    if isinstance(q_prior, Tabulated):
+        return _draw_tabulated(e, y, q_prior, trade.box_contains(box, q_prior.grid), rng)
+    if e.n_goods != 2:
+        raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
+    a = math.atan(float(box.lower_rates[0, 1]))
+    b = math.atan(float(box.upper_rates[0, 1]))
+    law = _angle_law(q_prior)
+    for _ in range(REJECTION_CAP):
+        q = math.tan(_draw_angle(law, a, b, rng))
+        if trade.has_trade(e, y, [q, 1.0]):
+            return np.array([q])
+    raise SamplingError(f"no trade-compatible price within {REJECTION_CAP} draws")
 
 
 def sntp_step(

@@ -11,6 +11,7 @@ parameterization down to the 2x2 contract curve and Walras equilibrium.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .trade import PARETO_TOL, Allocation, _rates_agree
 FloatArray = NDArray[np.float64]
 
 _HESS_STEP = 1e-5  # relative central-difference step for the indirect-utility Hessian
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +41,7 @@ class FlatPoint:
         q = np.asarray(self.q, dtype=np.float64)
         if q.ndim != 1 or q.size < 1:
             raise SpecificationError("flat coordinates must form a nonempty vector")
-        if not (np.all(np.isfinite(q)) and np.all(q > 0.0)):
+        if not (q.min() > 0.0 and q.max() < math.inf):  # a NaN fails both
             raise SpecificationError("substitution rates must be strictly positive")
         if not np.isfinite(self.u):
             raise SpecificationError("utility coordinate must be finite")
@@ -97,9 +100,7 @@ def d_inverse(u: UtilityLike, p) -> FlatPoint:
     return FlatPoint(p[:-1] / p[-1], prefs.indirect_utility_normalized(u, p))
 
 
-def fixed_point(
-    u: UtilityLike, tol: float = 1e-12, max_iter: int = 10_000
-) -> FloatArray:
+def fixed_point(u: UtilityLike) -> FloatArray:
     """The unique fixed point of the normalized demand map.
 
     Runs a damped fixed-point iteration on the first-order condition
@@ -110,7 +111,7 @@ def fixed_point(
     c = np.full(n, 1.0 / np.sqrt(n))
     damping = 0.5
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         g = prefs.gradient(u, c)
         aligned = g / float(np.linalg.norm(g))
         new_residual = float(np.max(np.abs(aligned - c)))
@@ -123,8 +124,8 @@ def fixed_point(
         c /= float(np.linalg.norm(c))
     p = c
     if (
-        float(np.max(np.abs(prefs.normalized_demand(u, p) - p))) > tol
-        or abs(float(np.linalg.norm(p)) - 1.0) > tol
+        float(np.max(np.abs(prefs.normalized_demand(u, p) - p))) > _FIXED_POINT_TOL
+        or abs(float(np.linalg.norm(p)) - 1.0) > _FIXED_POINT_TOL
     ):
         raise ConvergenceError("fixed-point iteration did not converge")
     return p

@@ -36,6 +36,8 @@ POSITIVE_FLOOR = 1e-300
 
 _WEIGHT_SUM_TOL = 1e-12
 
+_ATTRACTIVE_TOL = 1e-10
+
 
 class Family(str, enum.Enum):
     """Supported utility families."""
@@ -305,8 +307,10 @@ def normalized_demand_jacobian(u: UtilityLike, p) -> FloatArray:
 
 
 def inverse_normalized_demand(u: UtilityLike, c) -> FloatArray:
-    """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c)."""
-    c = as_bundle(c)
+    """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c).
+
+    ``c`` is validated once, by :func:`gradient`.
+    """
     g = gradient(u, c)
     return _guard(g / float(g @ c), "inverse demand")
 
@@ -387,13 +391,13 @@ def check_sharp(u: UtilityLike, y, p) -> bool:
     return True
 
 
-def check_attractive(u: UtilityLike, y, p, i: int, j: int, tol: float = 1e-10) -> bool:
+def check_attractive(u: UtilityLike, y, p, i: int, j: int) -> bool:
     """Attractiveness bilinear form at (y, p) for the goods pair (i, j).
 
     The form couples the gap between MRS_ij(y) and the price ratio to the
     Hessian action on the trade direction; attractive preferences keep it
-    non-positive.  ``tol`` is absolute slack so that vacuous zeros are not
-    flipped by rounding.
+    non-positive, up to the absolute slack :data:`_ATTRACTIVE_TOL` so that
+    vacuous zeros are not flipped by rounding.
     """
     y = as_bundle(y)
     p = as_price(p)
@@ -408,4 +412,4 @@ def check_attractive(u: UtilityLike, y, p, i: int, j: int, tol: float = 1e-10) -
     row[j] = -inv[i]
     delta = normalized_demand(u, p / float(p @ y)) - y
     form = gap * float(row @ hessian(u, y) @ delta)
-    return form <= tol
+    return form <= _ATTRACTIVE_TOL

@@ -32,6 +32,9 @@ DEGENERATE_DIRECTION = 1e-12
 _LP_EQ_TOL = 1e-11
 _LP_DECISION = 1e-9
 
+#: Hit-and-run draws per speed sample before giving up.
+_SPEED_TRIES = 64
+
 
 class SpeedPrior(str, enum.Enum):
     """Priors over relative trade speeds supported by the engine."""
@@ -152,10 +155,7 @@ def _check_state(e: Economy, y: Allocation) -> None:
 
 def trade_direction(e: Economy, y: Allocation, p, h: int) -> FloatArray:
     """Derivative at t=0 of household h's linear path: x_n(p / p.y_h) - y_h."""
-    _check_state(e, y)
-    p = as_price(p, e.n_goods)
-    bundle = y.bundle(h)
-    return prefs.normalized_demand(e.households[h].spec, p / float(p @ bundle)) - bundle
+    return all_trade_directions(e, y, p)[h]
 
 
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
@@ -260,23 +260,26 @@ def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
     return BoxSet(lower, upper)
 
 
-def box_contains(b: BoxSet, q) -> bool:
-    """Whether p = (q, 1) satisfies the min/max rate sandwich for every good."""
+def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
+    """Whether p = (q, 1) satisfies the min/max rate sandwich for every good.
+
+    ``q`` is one rate vector of length L - 1, answered with a bool, or a
+    (G, L - 1) stack of them, answered with one bool per row.
+    """
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or np.any(q <= 0.0):
+    if q.ndim not in (1, 2) or np.any(q <= 0.0):
         raise SpecificationError("q must be a strictly positive vector")
     n = b.lower_rates.shape[0]
-    if q.size != n - 1:
+    if q.shape[-1] != n - 1:
         raise SpecificationError(f"q must have length {n - 1}")
-    p = np.append(q, 1.0)
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        lo = float(np.min(p[others] * b.lower_rates[i, others]))
-        hi = float(np.max(p[others] * b.upper_rates[i, others]))
-        # closed sandwich; relative slack so attained extremes survive rounding
-        if not lo * (1.0 - 1e-12) <= p[i] <= hi * (1.0 + 1e-12):
-            return False
-    return True
+    p = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
+    others = ~np.eye(n, dtype=bool)
+    cross = p[..., None, :]  # cross[..., i, j] pairs good i's row with p_j
+    lo = np.where(others, cross * b.lower_rates, np.inf).min(axis=-1)
+    hi = np.where(others, cross * b.upper_rates, -np.inf).max(axis=-1)
+    # closed sandwich; relative slack so attained extremes survive rounding
+    inside = np.all((lo * (1.0 - 1e-12) <= p) & (p <= hi * (1.0 + 1e-12)), axis=-1)
+    return bool(inside) if q.ndim == 1 else inside
 
 
 def _ray_speeds(
@@ -301,7 +304,6 @@ def sample_speed(
     p,
     s_prior: SpeedPrior,
     rng: np.random.Generator,
-    max_tries: int = 64,
 ) -> SpeedVector:
     """Draw relative speeds from the polytope under the given prior.
 
@@ -328,7 +330,7 @@ def sample_speed(
         return SpeedVector(sigma)
 
     idx = np.nonzero(active)[0]
-    for _ in range(max_tries):
+    for _ in range(_SPEED_TRIES):
         point = _hitrun.sample(dirs[idx], norms[idx], rng)
         if s_prior is SpeedPrior.MAX_SPEED:
             peak = float(point.max())
@@ -341,7 +343,7 @@ def sample_speed(
         candidate = SpeedVector(sigma)
         if speed_contains(e, y, p, candidate):
             return candidate
-    raise SamplingError(f"no valid speed draw within {max_tries} attempts")
+    raise SamplingError(f"no valid speed draw within {_SPEED_TRIES} attempts")
 
 
 def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:

@@ -34,6 +34,8 @@ _IDENTITY_THRESHOLD = 1e-8
 _JACOBIAN_RTOL = 1e-5
 _TANGENCY_TOL = 1e-6
 _PATH_GRID = 100
+_CLEARING_TOL = 1e-11
+_CLEARING_MAX_ITER = 200
 
 # random draws span two decades around the demand fixed point
 _DRAW_LO, _DRAW_HI = 0.1, 10.0
@@ -204,9 +206,7 @@ def jacobian_suite(spec: UtilityLike, draws: int = 1000, seed: int = 0) -> Check
     return CheckReport("jacobian", draws, failures, worst, seed)
 
 
-def weighted_clearing_rates(
-    e: Economy, y: Allocation, weights: FloatArray, tol: float = 1e-11, max_iter: int = 200
-) -> FloatArray:
+def weighted_clearing_rates(e: Economy, y: Allocation, weights: FloatArray) -> FloatArray:
     """Rates q with sum_h w_h * direction_h((q,1)) = 0, by damped Newton.
 
     With unit weights this is a competitive equilibrium of the economy
@@ -224,9 +224,9 @@ def weighted_clearing_rates(
         return total[:-1]
 
     f = excess(v)
-    for _ in range(max_iter):
+    for _ in range(_CLEARING_MAX_ITER):
         norm = float(np.max(np.abs(f)))
-        if norm < tol:
+        if norm < _CLEARING_TOL:
             return np.exp(v)
         jac = _fd_jacobian(lambda z: excess(np.log(z)), np.exp(v)) * np.exp(v)[None, :]
         try:
@@ -410,39 +410,22 @@ def run_all(seed: int = 0, name_filter: str | None = None, inject_fault: bool = 
     cd = UtilitySpec.cobb_douglas_log([0.5, 0.5])
     ces = UtilitySpec.ces([0.5, 0.5], 0.5)
     ces3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
+    ces3b = UtilitySpec.ces([0.4, 0.3, 0.3], 0.5)
     scale = 1.01 if inject_fault else 1.0
     configs = _bundled_configs()
+    # built per call: each suite is read from the module when run_all runs
     jobs = [
-        ("identity[cobb_douglas]", lambda: _named(identity_suite(cd, 1000, seed, scale), "identity[cobb_douglas]")),
-        ("identity[ces]", lambda: _named(identity_suite(ces, 1000, seed, scale), "identity[ces]")),
-        ("jacobian[cobb_douglas]", lambda: _named(jacobian_suite(cd, 1000, seed), "jacobian[cobb_douglas]")),
-        ("jacobian[ces]", lambda: _named(jacobian_suite(ces, 1000, seed), "jacobian[ces]")),
-        (
-            "attraction[2x2_cobb_douglas]",
-            lambda: _named(
-                attraction_suite(Economy.of([cd, cd]), 1000, seed), "attraction[2x2_cobb_douglas]"
-            ),
-        ),
-        (
-            "attraction[3good_ces]",
-            lambda: _named(
-                attraction_suite(Economy.of([ces3, UtilitySpec.ces([0.4, 0.3, 0.3], 0.5)]), 1000, seed),
-                "attraction[3good_ces]",
-            ),
-        ),
-        (
-            "welfare[cobb_douglas]",
-            lambda: _named(welfare_suite(configs["cobb_douglas"], seed), "welfare[cobb_douglas]"),
-        ),
-        ("welfare[ces]", lambda: _named(welfare_suite(configs["ces"], seed), "welfare[ces]")),
+        ("identity[cobb_douglas]", identity_suite, (cd, 1000, seed, scale)),
+        ("identity[ces]", identity_suite, (ces, 1000, seed, scale)),
+        ("jacobian[cobb_douglas]", jacobian_suite, (cd, 1000, seed)),
+        ("jacobian[ces]", jacobian_suite, (ces, 1000, seed)),
+        ("attraction[2x2_cobb_douglas]", attraction_suite, (Economy.of([cd, cd]), 1000, seed)),
+        ("attraction[3good_ces]", attraction_suite, (Economy.of([ces3, ces3b]), 1000, seed)),
+        ("welfare[cobb_douglas]", welfare_suite, (configs["cobb_douglas"], seed)),
+        ("welfare[ces]", welfare_suite, (configs["ces"], seed)),
     ]
-    reports = []
-    for name, job in jobs:
-        if name_filter and name_filter not in name:
-            continue
-        reports.append(job())
-    return reports
-
-
-def _named(report: CheckReport, name: str) -> CheckReport:
-    return dataclasses.replace(report, check_name=name)
+    return [
+        dataclasses.replace(suite(*args), check_name=name)
+        for name, suite, args in jobs
+        if not name_filter or name_filter in name
+    ]

@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms in the package: demand is recovered
 by projected gradient ascent on the budget simplex, Hicksian bundles by
 projected descent along the utility contour, derivatives by central finite
-differences.  Slow and simple on purpose; they guard the analytic paths.
+differences, the extreme-rate box test one good at a time.  Slow and simple
+on purpose; they guard the analytic and vectorized paths.
 """
 
 from __future__ import annotations
@@ -148,3 +149,16 @@ def clearing_price(economy, allocation, weights=None) -> np.ndarray:
     if not sol.success or float(np.max(np.abs(excess(sol.x)))) > 1e-10:
         raise RuntimeError(f"clearing-price oracle failed: {sol.message}")
     return np.exp(sol.x)
+
+
+def box_contains(box, q) -> bool:
+    """Reference box test for one rate vector: the rate sandwich one good at a time."""
+    p = np.append(np.asarray(q, dtype=np.float64), 1.0)
+    n = p.size
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        lo = float(np.min(p[others] * box.lower_rates[i, others]))
+        hi = float(np.max(p[others] * box.upper_rates[i, others]))
+        if not lo * (1.0 - 1e-12) <= p[i] <= hi * (1.0 + 1e-12):
+            return False
+    return True

@@ -175,6 +175,25 @@ class TestSimulate:
                 agg = sum(doc["economy"]["households"][i]["endowment"][g - 1] for i in range(4))
                 assert total == pytest.approx(agg, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "q_prior, goods",
+        [
+            ({"kind": "tabulated", "grid": [[1.0, 1.0]], "densities": [1.0]}, 2),
+            ({"kind": "uniform_arc"}, 3),
+        ],
+    )
+    def test_prior_that_cannot_fit_fails_at_load(self, tmp_path, capsys, q_prior, goods):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        for hh, e in zip(doc["economy"]["households"], ([2.0, 1.0, 1.0], [1.0, 2.0, 1.0])):
+            hh["utility"]["weights"] = [1.0 / goods] * goods
+            hh["endowment"] = e[:goods]
+        doc["prior"]["q_prior"] = q_prior
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejection_cap_is_sampling_failure(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_SCENARIO))
         doc["prior"]["q_prior"] = {"kind": "tabulated", "grid": [9.0], "densities": [1.0]}

@@ -97,26 +97,17 @@ class TestPriorTypes:
         rates = trade.household_rates(cd_economy, t.states[-1])[:, 0]
         assert rates.max() - rates.min() <= 1e-12 * rates.min()
 
+    def test_tabulated_grid_must_match_the_goods(self, cd_economy, shock):
+        # two rates per atom cannot price two goods; the run used to die at its first LP
+        grid = Tabulated(np.array([[1.0, 1.0], [0.8, 1.2]]), np.array([1.0, 1.0]))
+        with pytest.raises(SpecificationError, match="grid rows must have L - 1 = 1 rates, got 2"):
+            make_config(cd_economy, shock, grid, SpeedPrior.UNIFORM_CUBE)
 
-class TestQDensity:
-    def test_arctan_normal_peak(self):
-        assert engine.q_density(ArctanNormal(1.0, 0.1), 1.0) == pytest.approx(0.5)
-
-    def test_uniform_arc(self):
-        assert engine.q_density(UniformArc(), 1.0) == pytest.approx(0.5)
-
-    def test_uniform_arc_is_wide_sigma_limit(self):
-        wide = ArctanNormal(1.0, 1e3)
-        flat = UniformArc()
-        ratios = [
-            engine.q_density(wide, q) / engine.q_density(flat, q) for q in (0.6, 1.0, 1.8)
-        ]
-        assert max(ratios) - min(ratios) < 1e-6
-
-    def test_tabulated_atoms(self):
-        prior = Tabulated(np.array([0.8, 1.0, 1.2]), np.array([1.0, 2.0, 1.0]))
-        assert engine.q_density(prior, 1.0) == pytest.approx(2.0)
-        assert engine.q_density(prior, 0.9) == 0.0
+    def test_angle_prior_needs_two_goods(self):
+        specs = [UtilitySpec.ces([0.2, 0.3, 0.5], 0.5), UtilitySpec.ces([0.5, 0.3, 0.2], 0.5)]
+        y = Allocation(np.array([[1.1, 0.9, 1.3], [0.8, 1.4, 0.7]]))
+        with pytest.raises(SpecificationError, match="more than two goods need a tabulated"):
+            make_config(Economy.of(specs), y, UniformArc(), SpeedPrior.UNIFORM_CUBE)
 
 
 class TestDrawPrice:

@@ -378,6 +378,29 @@ class TestValidationErrors:
         with pytest.raises(SpecificationError):
             FlatPoint(np.array([-1.0]), 1.0)
 
+    @pytest.mark.parametrize(
+        "q", [[math.nan], [1.0, math.inf], [-math.inf, 1.0], [0.0], [2.0, -1.0], [-0.0]]
+    )
+    def test_flat_point_rate_messages(self, q):
+        with pytest.raises(SpecificationError, match="^substitution rates must be strictly positive$"):
+            FlatPoint(q, 1.0)
+
+    def test_flat_point_shape_and_level_messages(self):
+        with pytest.raises(SpecificationError, match="^flat coordinates must form a nonempty vector$"):
+            FlatPoint([], 1.0)
+        with pytest.raises(SpecificationError, match="^flat coordinates must form a nonempty vector$"):
+            FlatPoint([[1.0]], 1.0)
+        for u in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SpecificationError, match="^utility coordinate must be finite$"):
+                FlatPoint([1.0], u)
+
+    def test_flat_point_keeps_a_read_only_copy(self):
+        q = np.array([1.0, 2.0])
+        fp = FlatPoint(q, 0.5)
+        q[0] = 5.0
+        assert fp.q[0] == 1.0 and not fp.q.flags.writeable
+        assert isinstance(fp.u, float)
+
     def test_manifold_grid_dimension(self, cd):
         with pytest.raises(SpecificationError):
             geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], [np.array([1.0, 2.0])])

@@ -68,6 +68,11 @@ def _checked_utility(values):
     return prefs.utility(UtilitySpec.cobb_douglas_log([0.5, 0.5]), values)
 
 
+def _checked_inverse_demand(values):
+    """A public caller that validates through ``gradient``: two-good log Cobb-Douglas inverse demand."""
+    return prefs.inverse_normalized_demand(UtilitySpec.cobb_douglas_log([0.5, 0.5]), values)
+
+
 class TestInputContract:
     """Which error each bad input raises, in the documented check order."""
 
@@ -75,6 +80,7 @@ class TestInputContract:
         "as_bundle": (prefs.as_bundle, "bundle"),
         "as_price": (prefs.as_price, "price"),
         "utility": (_checked_utility, "bundle"),
+        "inverse_demand": (_checked_inverse_demand, "bundle"),
     }
 
     @pytest.fixture(params=sorted(CHECKERS))

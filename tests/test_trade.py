@@ -10,7 +10,46 @@ from edgeworth.errors import SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
+from oracles import box_contains as box_contains_reference
 from oracles import clearing_price, log_uniform
+
+
+def _random_state(draw: np.random.Generator, goods: int, households: int):
+    """A random CD/CES economy over ``goods`` goods and a state with bundles in [0.2, 5]."""
+    specs = []
+    for _ in range(households):
+        w = draw.uniform(0.2, 1.0, goods)
+        w = w / w.sum()
+        if draw.random() < 0.5:
+            specs.append(UtilitySpec.cobb_douglas_log(w))
+        else:
+            specs.append(UtilitySpec.ces(w, float(draw.uniform(0.2, 0.8))))
+    return Economy.of(specs), Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
+
+
+def _ulps(v: float, k: int) -> float:
+    for _ in range(abs(k)):
+        v = np.nextafter(v, np.inf if k > 0 else 0.0)
+    return v
+
+
+def _edge_atoms(box: BoxSet, base: np.ndarray) -> list[np.ndarray]:
+    """``base`` with one coordinate moved onto, or 1-4 ulps off, each of its rate bounds."""
+    n = box.lower_rates.shape[0]
+    p = np.append(base, 1.0)
+    atoms = [base]
+    for k in range(n - 1):
+        for j in range(n):
+            if j == k:
+                continue
+            lo = p[j] * box.lower_rates[k, j]
+            hi = p[j] * box.upper_rates[k, j]
+            for edge in (lo, hi, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)):
+                for k_ulps in range(-4, 5):
+                    q = base.copy()
+                    q[k] = _ulps(edge, k_ulps)
+                    atoms.append(q)
+    return atoms
 
 
 @pytest.fixture
@@ -247,6 +286,51 @@ class TestIntervalAndBox:
                 hits += 1
                 assert trade.box_contains(box, q)
         assert hits > 0  # the sweep actually exercised the implication
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        goods=st.sampled_from([2, 3]),
+        households=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_box_test_matches_reference(self, goods, households, seed):
+        draw = np.random.default_rng(seed)
+        e, y = _random_state(draw, goods, households)
+        box = trade.msr_extremes(e, y)
+        bases = [*trade.household_rates(e, y), log_uniform(draw, goods - 1, 0.2, 5.0)]
+        atoms = np.array([a for base in bases for a in _edge_atoms(box, base)])
+        got = trade.box_contains(box, atoms)
+        want = np.array([box_contains_reference(box, a) for a in atoms])
+        assert got.dtype == bool and got.shape == (len(atoms),)
+        np.testing.assert_array_equal(got, want)
+        assert want.any() and not want.all()  # the stack straddles the bounds
+        assert trade.box_contains(box, atoms[0]) is bool(want[0])
+
+    def test_box_slack_atoms_admit_no_trade(self, rng):
+        # L = 2: the box keeps atoms up to 1e-12 (relative) outside the
+        # extreme rates [lo, hi]; none of them may admit trade
+        kept_outside = 0
+        offsets = np.linspace(-1.2e-12, 1.2e-12, 25)
+        for households in (2, 3, 4):
+            for _ in range(10):
+                e, y = _random_state(rng, 2, households)
+                box = trade.msr_extremes(e, y)
+                lo, hi = box.lower_rates[0, 1], box.upper_rates[0, 1]
+                atoms = np.concatenate([lo * (1.0 + offsets), hi * (1.0 + offsets)])
+                keep = trade.box_contains(box, atoms[:, None])
+                for q in atoms[keep & ((atoms < lo) | (atoms > hi))]:
+                    kept_outside += 1
+                    assert not trade.has_trade(e, y, [q, 1.0])
+        assert kept_outside > 0
+
+    def test_stack_is_checked_like_one_vector(self, cd_economy, shock):
+        box = trade.msr_extremes(cd_economy, shock)
+        for bad in ([0.0], [[1.0], [0.0], [2.0]], [[1.0], [-2.0]], 1.0, [[[1.0]]]):
+            with pytest.raises(SpecificationError, match="^q must be a strictly positive vector$"):
+                trade.box_contains(box, bad)
+        for bad in ([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]]):
+            with pytest.raises(SpecificationError, match="^q must have length 1$"):
+                trade.box_contains(box, bad)
 
 
 class TestSampleSpeed:
