@@ -269,13 +269,24 @@ def _draw_angle(law: NormalDist | None, a: float, b: float, rng: np.random.Gener
         scale = law.stdev * math.sqrt(2.0)
         ca, cb = 0.5 * math.erfc((mu - lo) / scale), 0.5 * math.erfc((mu - hi) / scale)
     if cb - ca < 1e-300:
-        # interval so deep in the tail the conditional is numerically flat
-        return a + (b - a) * float(rng.random())
+        raise SamplingError(
+            f"no prior mass on price angles ({a!r}, {b!r}): mean {mu!r}, sigma {law.stdev!r}"
+        )
     u = ca + (cb - ca) * float(rng.random())
     theta = law.inv_cdf(min(max(u, sys.float_info.min), 1.0 - 1e-16))
     if mirror:
         theta = 2.0 * mu - theta
     return min(max(theta, a), b)
+
+
+def _draw_rate(law: NormalDist | None, lo: float, hi: float, rng: np.random.Generator) -> float:
+    """A price rate from the angle law conditioned on the open interval (lo, hi)."""
+    a, b = math.atan(lo), math.atan(hi)
+    for _ in range(REJECTION_CAP):
+        q = math.tan(_draw_angle(law, a, b, rng))
+        if lo < q < hi:
+            return q
+    raise SamplingError(f"no trade-compatible price within {REJECTION_CAP} draws")
 
 
 def _draw_tabulated(
@@ -311,10 +322,10 @@ def draw_price(
 ) -> FloatArray:
     """One rate vector from the prior conditioned on trade compatibility.
 
-    Draws are taken from the prior restricted to the box superset (atom
-    filtering for a tabulated prior, inverse CDF on the angle otherwise,
-    which needs L = 2) and kept only if trade is actually feasible there,
-    which leaves the conditional law on the trade-compatible set intact.
+    A tabulated prior keeps the atoms in the box superset at which the LP
+    finds trade.  An angle prior needs L = 2, where the trade-compatible
+    rates are exactly the open interval between the households' extreme
+    substitution rates; its draw is accepted by that interval, without an LP.
     """
     if trade.is_pareto_optimal(e, y):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
@@ -324,14 +335,8 @@ def draw_price(
         return _draw_tabulated(e, y, q_prior, trade.box_contains(box, q_prior.grid), rng)
     if e.n_goods != 2:
         raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
-    a = math.atan(float(box.lower_rates[0, 1]))
-    b = math.atan(float(box.upper_rates[0, 1]))
-    law = _angle_law(q_prior)
-    for _ in range(REJECTION_CAP):
-        q = math.tan(_draw_angle(law, a, b, rng))
-        if trade.has_trade(e, y, [q, 1.0]):
-            return np.array([q])
-    raise SamplingError(f"no trade-compatible price within {REJECTION_CAP} draws")
+    lo, hi = float(box.lower_rates[0, 1]), float(box.upper_rates[0, 1])
+    return np.array([_draw_rate(_angle_law(q_prior), lo, hi, rng)])
 
 
 def sntp_step(
@@ -412,13 +417,7 @@ def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
         if _rates_agree(lo, hi, tol):
             terminal = Terminal.PARETO_REACHED
             break
-        a, b = math.atan(lo), math.atan(hi)
-        for _ in range(REJECTION_CAP):
-            q = math.tan(_draw_angle(law, a, b, rng))
-            if lo < q < hi:
-                break
-        else:
-            raise SamplingError(f"no trade-compatible price within {REJECTION_CAP} draws")
+        q = _draw_rate(law, lo, hi, rng)
         d11, d12 = target1(q, y11, y12)
         d21, d22 = target2(q, y21, y22)
         e11, e12 = d11 - y11, d12 - y12

@@ -181,15 +181,17 @@ def _direction_scale(norms: FloatArray) -> float:
     return max(1.0, float(norms.max(initial=0.0)))
 
 
-def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
-    """Whether ``sigma`` cancels aggregate trade while moving someone."""
-    dirs = all_trade_directions(e, y, p)
-    norms = np.linalg.norm(dirs, axis=1)
-    s = sigma.sigma
-    if s.size != e.size:
-        raise SpecificationError("speed vector length must equal the household count")
+def _cancels_and_moves(dirs: FloatArray, norms: FloatArray, s: FloatArray) -> bool:
     residual = float(np.linalg.norm(s @ dirs))
     return residual <= 1e-9 * _direction_scale(norms) and float(s @ norms) > 1e-12
+
+
+def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
+    """Whether ``sigma`` cancels aggregate trade while moving someone."""
+    if sigma.sigma.size != e.size:
+        raise SpecificationError("speed vector length must equal the household count")
+    dirs = all_trade_directions(e, y, p)
+    return _cancels_and_moves(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma)
 
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
@@ -288,8 +290,10 @@ def _ray_speeds(
     """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j.
 
     The faster one moves at 1 under the max-speed prior, uniform on (0, 1]
-    otherwise.
+    otherwise.  A zero direction leaves no ray: at least one trader is idle.
     """
+    if n_i == 0.0 or n_j == 0.0:
+        raise SamplingError("fewer than two households can trade at these prices")
     ratio = n_i / n_j  # sigma_j / sigma_i on the balance ray
     s_i, s_j = (1.0, ratio) if ratio <= 1.0 else (1.0 / ratio, 1.0)
     if max_speed:
@@ -314,14 +318,14 @@ def sample_speed(
     """
     dirs = all_trade_directions(e, y, p)
     norms = np.linalg.norm(dirs, axis=1)
-    active = norms >= DEGENERATE_DIRECTION
-    if int(active.sum()) < 2:
+    idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
+    if idx.size < 2:
         raise SamplingError("fewer than two households can trade at these prices")
     s_prior = SpeedPrior(s_prior)
     sigma = np.zeros(e.size)
 
-    if int(active.sum()) == 2:
-        i, j = np.nonzero(active)[0]
+    if idx.size == 2:
+        i, j = idx
         cosine = float(dirs[i] @ dirs[j]) / (norms[i] * norms[j])
         if cosine > -1.0 + 1e-9:
             raise SamplingError("two-trader directions are not opposed; no feasible speeds")
@@ -329,7 +333,6 @@ def sample_speed(
         sigma[[i, j]] = _ray_speeds(float(norms[i]), float(norms[j]), max_speed, rng)
         return SpeedVector(sigma)
 
-    idx = np.nonzero(active)[0]
     for _ in range(_SPEED_TRIES):
         point = _hitrun.sample(dirs[idx], norms[idx], rng)
         if s_prior is SpeedPrior.MAX_SPEED:
@@ -337,12 +340,9 @@ def sample_speed(
             if peak < 1e-6:
                 continue  # rescaling would amplify the equality residual
             point = point / peak
-        if float(point @ norms[idx]) <= 1e-12:
-            continue
         sigma[idx] = point
-        candidate = SpeedVector(sigma)
-        if speed_contains(e, y, p, candidate):
-            return candidate
+        if _cancels_and_moves(dirs, norms, sigma):
+            return SpeedVector(sigma)
     raise SamplingError(f"no valid speed draw within {_SPEED_TRIES} attempts")
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ _ANGLE_PRIOR = st.one_of(
     st.just(UniformArc()),
     st.builds(ArctanNormal, st.floats(0.3, 3.0), st.floats(0.05, 1.0)),
 )
+
+
+# three CES traders over two goods; household 3's rate lies between the other
+# two, so the trade interval is set by households 1 and 2
+THREE_TRADERS = (
+    Economy.of([UtilitySpec.ces(w, 0.5) for w in ([0.3, 0.7], [0.6, 0.4], [0.5, 0.5])]),
+    Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]])),
+)
+
+
+def rate_bounds(e: Economy, y: Allocation) -> tuple[float, float]:
+    box = trade.msr_extremes(e, y)
+    return float(box.lower_rates[0, 1]), float(box.upper_rates[0, 1])
 
 
 def make_config(economy, initial, q_prior, s_prior, **kw) -> SimConfig:
@@ -126,6 +140,32 @@ class TestDrawPrice:
         assert stat < 0.02
         assert draws.min() > 0.5 and draws.max() < 2.0
 
+    def test_uniform_arc_law_on_three_traders(self):
+        e, y = THREE_TRADERS
+        lo, hi = rate_bounds(e, y)
+        rng = engine.run_rng(123, 0)
+        prior = PriorSpec(UniformArc(), SpeedPrior.UNIFORM_CUBE)
+        draws = np.array([float(engine.draw_price(e, y, prior, rng)[0]) for _ in range(10_000)])
+        a, b = math.atan(lo), math.atan(hi)
+        assert kstest(draws, lambda q: (np.arctan(q) - a) / (b - a)).statistic < 0.02
+        assert draws.min() > lo and draws.max() < hi
+
+    @pytest.mark.parametrize(
+        "q_prior", [UniformArc(), ArctanNormal(1.0, 0.3)], ids=["uniform_arc", "arctan_normal"]
+    )
+    def test_angle_draw_asks_no_lp(self, monkeypatch, q_prior):
+        # with two goods the open rate interval is the trade-compatible set
+        def no_lp(*args):
+            raise AssertionError("the angle draw solved an LP")
+
+        monkeypatch.setattr(trade, "has_trade", no_lp)
+        e, y = THREE_TRADERS
+        lo, hi = rate_bounds(e, y)
+        rng = engine.run_rng(17, 0)
+        prior = PriorSpec(q_prior, SpeedPrior.UNIFORM_CUBE)
+        draws = np.array([float(engine.draw_price(e, y, prior, rng)[0]) for _ in range(1_000)])
+        assert draws.min() > lo and draws.max() < hi
+
     def test_sticky_prior_concentrates(self, cd_economy, shock):
         rng = engine.run_rng(7, 0)
         prior = PriorSpec(ArctanNormal(1.0, 0.05), SpeedPrior.UNIFORM_CUBE)
@@ -156,6 +196,13 @@ class TestDrawPrice:
             (math.atan(0.5) - mu) / sigma, (math.atan(2.0) - mu) / sigma, loc=mu, scale=sigma
         )
         assert kstest(angles, law.cdf).statistic < 0.04
+
+    def test_angle_interval_beyond_the_tail_fails_loudly(self):
+        # 50 sigmas out erfc underflows to 0 at both ends: the law has no mass
+        with pytest.raises(
+            SamplingError, match=r"no prior mass on price angles \(0.5, 0.6\): mean 0.0, sigma 0.01"
+        ):
+            engine._draw_angle(NormalDist(0.0, 0.01), 0.5, 0.6, engine.run_rng(1, 0))
 
     def test_accepted_draws_are_trade_compatible(self, cd_economy, shock):
         rng = engine.run_rng(5, 3)

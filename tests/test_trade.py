@@ -444,6 +444,14 @@ class TestSampleSpeed:
         with pytest.raises(SamplingError):
             trade.sample_speed(cd_economy, shock, [3.0, 1.0], SpeedPrior.MAX_SPEED, rng)
 
+    @pytest.mark.parametrize("max_speed", [False, True])
+    @pytest.mark.parametrize("norms", [(0.0, 0.4), (0.4, 0.0)])
+    def test_zero_direction_has_no_ray(self, norms, max_speed, rng):
+        # the 2x2 kernel hands in exact hypot norms; one is 0 at a price that
+        # rounds onto a household's own rate, where only one trader can move
+        with pytest.raises(SamplingError, match="fewer than two households can trade"):
+            trade._ray_speeds(*norms, max_speed, rng)
+
 
 class TestAdvance:
     def test_full_speed_reaches_equilibrium(self, cd_economy, shock):
