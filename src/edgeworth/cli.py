@@ -147,6 +147,28 @@ def resolve_scenario(arg: str) -> dict:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
 
 
+#: Rows the CSV writers format and write at a time.
+_CSV_BLOCK = 4096
+
+
+def _write_csv(path: Path, header: list[str], rows: int, lines) -> None:
+    """A CSV file with the bytes ``csv.writer`` gives cells that need no quoting.
+
+    ``lines(start, stop)`` formats rows ``start:stop``, CRLF-terminated;
+    each block of ``_CSV_BLOCK`` rows goes out in one ``writelines``, so
+    the formatted text of a large trace is never held at once.
+    """
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, _CSV_BLOCK):
+            fh.writelines(lines(start, min(start + _CSV_BLOCK, rows)))
+
+
+def _floats(rows: np.ndarray) -> list[str]:
+    """Each row of a float matrix as comma-joined ``_fmt`` cells."""
+    return [",".join(map(repr, row)) for row in rows.tolist()]
+
+
 def _write_outcomes(path: Path, dist: OutcomeDistribution, economy: Economy) -> None:
     h, l = economy.size, economy.n_goods
     header = (
@@ -155,15 +177,14 @@ def _write_outcomes(path: Path, dist: OutcomeDistribution, economy: Economy) -> 
         + [f"h{i + 1}_g{j + 1}" for i in range(h) for j in range(l)]
         + ["steps", "terminal"]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(dist.runs):
-            row = [str(r)]
-            row += [_fmt(v) for v in dist.terminal_qs[r]]
-            row += [_fmt(v) for v in dist.samples[r].reshape(-1)]
-            row += [str(int(dist.steps[r])), dist.terminal_tags[r].value]
-            writer.writerow(row)
+    values = np.hstack([dist.terminal_qs, dist.samples.reshape(dist.runs, -1)])
+    ends = [f"{n},{t.value}\r\n" for n, t in zip(dist.steps.tolist(), dist.terminal_tags)]
+
+    def lines(start, stop):
+        cells = zip(range(start, stop), _floats(values[start:stop]), ends[start:stop])
+        return [f"{r},{v},{end}" for r, v, end in cells]
+
+    _write_csv(path, header, dist.runs, lines)
 
 
 def _write_summary(path: Path, dist: OutcomeDistribution) -> None:
@@ -188,27 +209,23 @@ def _write_summary(path: Path, dist: OutcomeDistribution) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trajectories(path: Path, cfg: SimConfig) -> None:
-    h, l = cfg.economy.size, cfg.economy.n_goods
+def _write_trajectories(path: Path, trace: np.ndarray, economy: Economy) -> None:
+    h, l = economy.size, economy.n_goods
     header = (
         ["run", "step"]
         + [f"q_{i + 1}" for i in range(l - 1)]
         + [f"sigma_{i + 1}" for i in range(h)]
         + [f"h{i + 1}_g{j + 1}" for i in range(h) for j in range(l)]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(cfg.runs):
-            t = engine.run_trajectory(cfg, r)
-            blank_q = [""] * (l - 1)
-            blank_s = [""] * h
-            for k, state in enumerate(t.states):
-                row = [str(r), str(k)]
-                row += [_fmt(v) for v in t.prices[k - 1]] if k else blank_q
-                row += [_fmt(v) for v in t.speeds[k - 1].sigma] if k else blank_s
-                row += [_fmt(v) for v in state.bundles.reshape(-1)]
-                writer.writerow(row)
+    blank = "," * (l - 2 + h)  # the start has no rates or speeds
+
+    def lines(start, stop):
+        block = trace[start:stop]
+        ids = block[:, :2].astype(np.int64).tolist()
+        cells = zip(ids, _floats(block[:, 2 : l + 1 + h]), _floats(block[:, l + 1 + h :]))
+        return [f"{r},{k},{d if k else blank},{b}\r\n" for (r, k), d, b in cells]
+
+    _write_csv(path, header, trace.shape[0], lines)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -234,11 +251,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ScenarioError("--bins must be at least 1")
     out_dir = Path(args.out or scenario_out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dist = engine.run_monte_carlo(cfg, bins=args.bins)
+    dist = engine.run_monte_carlo(cfg, bins=args.bins, trace=args.trace)
     _write_outcomes(out_dir / "outcomes.csv", dist, cfg.economy)
     _write_summary(out_dir / "summary.json", dist)
     if args.trace:
-        _write_trajectories(out_dir / "trajectories.csv", cfg)
+        _write_trajectories(out_dir / "trajectories.csv", dist.trace, cfg.economy)
     print(
         f"simulate: {dist.runs} runs, mean={dist.mean:.6f}, "
         f"band 5-95=({dist.bands['5-95'][0]:.6f}, {dist.bands['5-95'][1]:.6f}) -> {out_dir}"

@@ -15,6 +15,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 from typing import Union
 
@@ -24,13 +25,19 @@ from numpy.typing import NDArray
 from . import prefs, trade
 from .errors import SamplingError, SpecificationError
 from .prefs import Family, UtilitySpec
-from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _rates_agree, _ray_speeds
+from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
 
 #: Attempt cap for accept/reject price draws; exceeding it signals a
 #: near-degenerate trade-compatible set rather than inventing a fallback.
 REJECTION_CAP = 100_000
+
+#: Runs the 2x2 kernel advances together, and the unit ``workers`` map over.
+_CHUNK = 2048
+
+#: Uniforms read at a time from a run's stream.
+_BLOCK = 64
 
 _HISTOGRAM_BINS = 64
 
@@ -150,27 +157,33 @@ class Terminal(str, enum.Enum):
 
 @dataclass(eq=False)
 class Trajectory:
-    """One realized path: states plus the price and speed draws between them."""
+    """One realized path: states plus the price and speed draws between them.
 
-    states: list[Allocation]
-    prices: list[FloatArray]
-    speeds: list[SpeedVector]
+    ``table`` holds one row per state, laid out as ``OutcomeDistribution.trace``
+    for an economy of ``shape`` (H, L); the objects are built on first use.
+    """
+
+    table: FloatArray
+    shape: tuple[int, int]
     terminal: Terminal
 
     @property
     def steps(self) -> int:
-        return len(self.prices)
+        return self.table.shape[0] - 1
 
-    def terminal_q(self, economy: Economy) -> FloatArray:
-        """Last drawn rates; at a frozen start, household 1's own rates."""
-        return _terminal_rates(economy, self.states[-1], self.prices[-1] if self.prices else None)
+    @cached_property
+    def states(self) -> list[Allocation]:
+        h, l = self.shape
+        return [Allocation(b.reshape(h, l)) for b in self.table[:, l + 1 + h :]]
 
+    @cached_property
+    def prices(self) -> list[FloatArray]:
+        return list(self.table[1:, 2 : self.shape[1] + 1])
 
-def _terminal_rates(economy: Economy, final: Allocation, last_q: FloatArray | None) -> FloatArray:
-    """The run's last drawn rates, or household 1's own rates if it never moved."""
-    if last_q is not None:
-        return last_q
-    return prefs.substitution_rates(economy.specs[0], final.bundle(0))
+    @cached_property
+    def speeds(self) -> list[SpeedVector]:
+        h, l = self.shape
+        return [SpeedVector(s) for s in self.table[1:, l + 1 : l + 1 + h]]
 
 
 @dataclass(eq=False)
@@ -189,6 +202,10 @@ class OutcomeDistribution:
     mean_bin: int
     bands: dict[str, tuple[float, float]]
     household_means: FloatArray  # (H, L)
+    #: with run_monte_carlo(trace=True): one row per recorded state, in run
+    #: then step order, holding run, step, q (L - 1), sigma (H) and the
+    #: bundles (H * L); step 0 is the start, with NaN rates and speeds
+    trace: FloatArray | None = None
 
     @property
     def runs(self) -> int:
@@ -251,42 +268,54 @@ def _angle_law(q_prior: ArctanNormal | UniformArc) -> NormalDist | None:
     return None
 
 
-def _draw_angle(law: NormalDist | None, a: float, b: float, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw of a price angle restricted to (a, b).
+def _draw_rate(law: NormalDist | None, lo, hi, draw, fail=_raise_first) -> FloatArray:
+    """Price rates from the angle law conditioned on the open intervals (lo, hi), one per row.
 
-    ``NormalDist.cdf`` is ``(1 + erf) / 2``, whose tails cancel to nothing;
-    an interval on one side of the mean is drawn in the lower tail (mirrored
-    if above) through ``erfc``, which keeps full relative precision there.
+    Each attempt is an inverse-CDF draw of the angle on (atan lo, atan hi)
+    from one uniform of each row that ``draw(sub)`` is asked for (``sub`` is
+    a slice or an index array); a rate that rounds out of the open interval
+    is drawn again, up to ``REJECTION_CAP`` times.  The normal law is read in
+    its lower tail (an interval above the mean is mirrored below it), where
+    ``ndtr`` keeps full relative precision.  Rows that cannot be drawn are
+    passed to ``fail(rows, why)``, where ``why(row)`` is the reason, and come
+    back NaN.
     """
+    a, b = np.arctan(lo), np.arctan(hi)
+    todo = slice(None)
     if law is None:
-        return a + (b - a) * float(rng.random())
-    mu = law.mean
-    mirror = a >= mu
-    lo, hi = (2.0 * mu - b, 2.0 * mu - a) if mirror else (a, b)
-    if hi > mu:
-        ca, cb = law.cdf(lo), law.cdf(hi)
+        base, width = a, b - a  # the angle, uniform on (a, b)
     else:
-        scale = law.stdev * math.sqrt(2.0)
-        ca, cb = 0.5 * math.erfc((mu - lo) / scale), 0.5 * math.erfc((mu - hi) / scale)
-    if cb - ca < 1e-300:
-        raise SamplingError(
-            f"no prior mass on price angles ({a!r}, {b!r}): mean {mu!r}, sigma {law.stdev!r}"
-        )
-    u = ca + (cb - ca) * float(rng.random())
-    theta = law.inv_cdf(min(max(u, sys.float_info.min), 1.0 - 1e-16))
-    if mirror:
-        theta = 2.0 * mu - theta
-    return min(max(theta, a), b)
+        from scipy.special import ndtr, ndtri
 
-
-def _draw_rate(law: NormalDist | None, lo: float, hi: float, rng: np.random.Generator) -> float:
-    """A price rate from the angle law conditioned on the open interval (lo, hi)."""
-    a, b = math.atan(lo), math.atan(hi)
+        mu, sd = law.mean, law.stdev
+        mirror = a >= mu
+        base = ndtr((np.where(mirror, 2.0 * mu - b, a) - mu) / sd)  # the CDF, uniform on (base, top)
+        width = ndtr((np.where(mirror, 2.0 * mu - a, b) - mu) / sd) - base
+        empty = width < 1e-300
+        if np.count_nonzero(empty):
+            fail(np.flatnonzero(empty), lambda r: (
+                f"no prior mass on price angles ({float(a[r])!r}, {float(b[r])!r}): "
+                f"mean {mu!r}, sigma {sd!r}"
+            ))
+            todo = np.flatnonzero(~empty)
+    q = None
     for _ in range(REJECTION_CAP):
-        q = math.tan(_draw_angle(law, a, b, rng))
-        if lo < q < hi:
+        theta = base[todo] + width[todo] * draw(todo)
+        if law is not None:
+            theta = mu + sd * ndtri(np.clip(theta, sys.float_info.min, 1.0 - 1e-16))
+            theta = np.clip(np.where(mirror[todo], 2.0 * mu - theta, theta), a[todo], b[todo])
+        rate = np.tan(theta)
+        ok = (lo[todo] < rate) & (rate < hi[todo])
+        if q is None:
+            if np.count_nonzero(ok) == a.size:
+                return rate  # every row accepted at its first attempt
+            q, todo = np.full(a.size, np.nan), np.arange(a.size)[todo]
+        q[todo[ok]] = rate[ok]
+        todo = todo[~ok]
+        if not todo.size:
             return q
-    raise SamplingError(f"no trade-compatible price within {REJECTION_CAP} draws")
+    fail(todo, lambda r: f"no trade-compatible price within {REJECTION_CAP} draws")
+    return q
 
 
 def _draw_tabulated(
@@ -335,8 +364,8 @@ def draw_price(
         return _draw_tabulated(e, y, q_prior, trade.box_contains(box, q_prior.grid), rng)
     if e.n_goods != 2:
         raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
-    lo, hi = float(box.lower_rates[0, 1]), float(box.upper_rates[0, 1])
-    return np.array([_draw_rate(_angle_law(q_prior), lo, hi, rng)])
+    lo, hi = box.lower_rates[0, 1:], box.upper_rates[0, 1:]
+    return _draw_rate(_angle_law(q_prior), lo, hi, lambda sub: rng.random(1))  # one row
 
 
 def sntp_step(
@@ -355,15 +384,15 @@ def sntp_step(
     return trade.advance(e, y, p, sigma), q, sigma
 
 
-def _scalar_kernels(spec: UtilitySpec):
-    """Scalar substitution-rate and demand-target maps for the 2x2 hot loop."""
+def _closed_forms(spec: UtilitySpec):
+    """Substitution-rate and demand-target maps of a 2x2 household, on arrays."""
     a1, a2 = float(spec.weights[0]), float(spec.weights[1])
     if spec.family is Family.COBB_DOUGLAS_LOG:
 
-        def rate(c1: float, c2: float) -> float:
+        def rate(c1, c2):
             return (a1 * c2) / (a2 * c1)
 
-        def target(q: float, c1: float, c2: float) -> tuple[float, float]:
+        def target(q, c1, c2):
             w = q * c1 + c2
             return a1 * w / q, a2 * w
 
@@ -373,10 +402,10 @@ def _scalar_kernels(spec: UtilitySpec):
         ratio = a1 / a2
         a1e, a2e = a1**eta, a2**eta
 
-        def rate(c1: float, c2: float) -> float:
+        def rate(c1, c2):
             return ratio * (c2 / c1) ** (1.0 - sig)
 
-        def target(q: float, c1: float, c2: float) -> tuple[float, float]:
+        def target(q, c1, c2):
             w = q * c1 + c2
             total = a1e * q ** (1.0 - eta) + a2e
             return w * a1e * q**-eta / total, w * a2e / total
@@ -393,125 +422,163 @@ def _supports_fast_path(cfg: SimConfig) -> bool:
     )
 
 
-def _run_core_2x2(cfg: SimConfig, run_index: int, record: bool):
-    """Scalar trajectory loop for 2x2 economies with angle-based priors."""
-    rng = run_rng(cfg.master_seed, run_index)
-    rate1, target1 = _scalar_kernels(cfg.economy.specs[0])
-    rate2, target2 = _scalar_kernels(cfg.economy.specs[1])
-    (y11, y12), (y21, y22) = cfg.initial.bundles
+class _Streams:
+    """Each run's own stream of uniforms, read in blocks, with one cursor per run."""
+
+    def __init__(self, master_seed: int, indices: NDArray[np.int64]):
+        self._rngs = [run_rng(master_seed, int(i)) for i in indices]
+        self._buf = np.empty((indices.size, _BLOCK))
+        self._pos = np.full(indices.size, _BLOCK)
+
+    def take(self, rows: NDArray[np.int64]) -> FloatArray:
+        """The next uniform of each listed run (rows are distinct)."""
+        pos = self._pos[rows]
+        spent = pos == _BLOCK
+        if np.count_nonzero(spent):
+            for r in rows[spent]:
+                self._buf[r] = self._rngs[r].random(_BLOCK)
+            pos[spent] = 0
+        self._pos[rows] = pos + 1
+        return self._buf[rows, pos]
+
+
+def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
+    """Advance the runs ``indices`` of a 2x2 angle-prior config in lockstep.
+
+    The live runs are the columns of one array; a run leaves once its rates
+    agree or it fails, and the others go on.  Each run reads its own stream
+    in the order a lone run would (price attempts, then the speed draw), so
+    its path does not depend on the runs beside it.  Failures are raised
+    once the batch is done, for the lowest failing run index.
+    """
+    n = indices.size
+    streams = _Streams(cfg.master_seed, indices)
+    (rate1, target1), (rate2, target2) = map(_closed_forms, cfg.economy.specs)
     law = _angle_law(cfg.prior.q_prior)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
-    tol = cfg.pareto_tol
+    rows = np.arange(n)
+    live = np.empty((7, n))  # q, s1, s2 of the last epoch, then y11, y12, y21, y22
+    live[:3], live[3:] = np.nan, cfg.initial.bundles.reshape(4, 1)
+    last = np.empty((n, 9))  # each run's last table row
+    last[:, 0], last[:, 1] = indices, cfg.max_steps
+    log = [(rows, live)]
+    pareto = np.zeros(n, dtype=bool)
+    errors: dict[int, str] = {}
+    for k in range(1, cfg.max_steps + 1):
+        m1, m2 = rate1(live[3], live[4]), rate2(live[5], live[6])
+        lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
+        done = _rates_agree(lo, hi, cfg.pareto_tol)
+        if np.count_nonzero(done):
+            pareto[rows[done]], last[rows[done], 1] = True, k - 1
+            last[rows[done], 2:] = live[:, done].T
+            rows, live, lo, hi = rows[~done], live[:, ~done], lo[~done], hi[~done]
+            if not rows.size:
+                break
+        bad = []
 
-    states = [cfg.initial] if record else None
-    prices: list[FloatArray] = []
-    speeds: list[SpeedVector] = []
-    last_q = None
-    terminal = Terminal.STEP_CAP
-    n_steps = 0
+        def fail(failed, why):
+            bad.extend(failed)
+            for r in failed:
+                interval = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r})"
+                errors.setdefault(int(rows[r]), f"step {k}: {why(r)}; {interval}")
 
-    for _ in range(cfg.max_steps):
-        m1 = rate1(y11, y12)
-        m2 = rate2(y21, y22)
-        lo, hi = (m1, m2) if m1 <= m2 else (m2, m1)
-        if _rates_agree(lo, hi, tol):
-            terminal = Terminal.PARETO_REACHED
-            break
-        q = _draw_rate(law, lo, hi, rng)
+        def draw(sub):
+            return streams.take(rows[sub])
+
+        q = _draw_rate(law, lo, hi, draw, fail)
+        y11, y12, y21, y22 = live[3:]
         d11, d12 = target1(q, y11, y12)
         d21, d22 = target2(q, y21, y22)
-        e11, e12 = d11 - y11, d12 - y12
-        e21, e22 = d21 - y21, d22 - y22
-        s1, s2 = _ray_speeds(math.hypot(e11, e12), math.hypot(e21, e22), max_speed, rng)
-        y11 += s1 * e11
-        y12 += s1 * e12
-        y21 += s2 * e21
-        y22 += s2 * e22
-        last_q = q
-        n_steps += 1
+        e11, e12, e21, e22 = d11 - y11, d12 - y12, d21 - y21, d22 - y22
+        s1, s2 = _ray_speeds(np.hypot(e11, e12), np.hypot(e21, e22), max_speed, draw, fail)
+        live = np.array([q, s1, s2, y11 + s1 * e11, y12 + s1 * e12, y21 + s2 * e21, y22 + s2 * e22])
         if record:
-            states.append(Allocation(np.array([[y11, y12], [y21, y22]])))
-            prices.append(np.array([q]))
-            speeds.append(SpeedVector(np.array([s1, s2])))
-
-    final = (
-        states[-1]
-        if record
-        else Allocation(np.array([[y11, y12], [y21, y22]]))
-    )
-    last_arr = None if last_q is None else np.array([last_q])
-    return states, prices, speeds, terminal, final, last_arr, n_steps
-
-
-def _run_core_generic(cfg: SimConfig, run_index: int, record: bool):
-    rng = run_rng(cfg.master_seed, run_index)
-    state = cfg.initial
-    states = [state] if record else None
-    prices: list[FloatArray] = []
-    speeds: list[SpeedVector] = []
-    terminal = Terminal.STEP_CAP
-    last_q: FloatArray | None = None
-    n_steps = 0
-    for _ in range(cfg.max_steps):
-        step = sntp_step(cfg.economy, state, cfg.prior, rng, cfg.pareto_tol)
-        if step is None:
-            terminal = Terminal.PARETO_REACHED
-            break
-        state, q, sigma = step
-        last_q = q
-        n_steps += 1
-        if record:
-            states.append(state)
-            prices.append(q)
-            speeds.append(sigma)
-    return states, prices, speeds, terminal, state, last_q, n_steps
+            log.append((rows, live))
+        if bad:
+            keep = np.ones(rows.size, dtype=bool)
+            keep[bad] = False
+            rows, live = rows[keep], live[:, keep]
+    last[rows, 2:] = live.T
+    if errors:
+        first = min(errors)
+        raise SamplingError(f"run {indices[first]}: {errors[first]}")
+    if not record:
+        return last, pareto, None
+    runs, states = (np.concatenate(part, axis=-1) for part in zip(*log))
+    steps = np.repeat(np.arange(len(log)), [r.size for r, _ in log])
+    order = np.lexsort((steps, runs))
+    table = np.empty((order.size, 9))
+    table[:, 0], table[:, 1], table[:, 2:] = indices[runs[order]], steps[order], states[:, order].T
+    return last, pareto, table
 
 
-def _core(cfg: SimConfig):
-    return _run_core_2x2 if _supports_fast_path(cfg) else _run_core_generic
+def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
+    """The runs ``indices`` one after another, one ``sntp_step`` per epoch."""
+    undrawn = np.full(cfg.economy.n_goods - 1 + cfg.economy.size, np.nan)
+    last, pareto, log = [], [], []
+    for i in indices:
+        rng = run_rng(cfg.master_seed, int(i))
+        state, done = cfg.initial, False
+        row = np.concatenate([[i, 0], undrawn, state.bundles.ravel()])
+        log += [row] if record else []
+        for k in range(1, cfg.max_steps + 1):
+            try:
+                step = sntp_step(cfg.economy, state, cfg.prior, rng, cfg.pareto_tol)
+            except SamplingError as exc:
+                raise SamplingError(f"run {i}: step {k}: {exc}") from exc
+            if step is None:
+                done = True
+                break
+            state, q, sigma = step
+            row = np.concatenate([[i, k], q, sigma.sigma, state.bundles.ravel()])
+            log += [row] if record else []
+        last.append(row)
+        pareto.append(done)
+    return np.stack(last), np.array(pareto), np.stack(log) if record else None
+
+
+def _run_batch(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
+    """Each run's last table row and Pareto flag, and with ``record`` every row.
+
+    Table rows hold run, step, q, sigma and the bundles (see
+    ``OutcomeDistribution.trace``), in run then step order.
+    """
+    kernel = _run_2x2 if _supports_fast_path(cfg) else _run_generic
+    return kernel(cfg, indices, record)
 
 
 def run_trajectory(cfg: SimConfig, run_index: int) -> Trajectory:
     """The full recorded path for one run index; bit-identical on repeats."""
-    states, prices, speeds, terminal, _, _, _ = _core(cfg)(cfg, run_index, record=True)
-    return Trajectory(states=states, prices=prices, speeds=speeds, terminal=terminal)
-
-
-def _terminal_only(cfg: SimConfig, run_index: int):
-    try:
-        _, _, _, terminal, final, last_q, n_steps = _core(cfg)(cfg, run_index, record=False)
-    except SamplingError as exc:
-        raise SamplingError(f"run {run_index}: {exc}") from exc
-    return final.bundles, _terminal_rates(cfg.economy, final, last_q), n_steps, terminal
-
-
-def _terminal_batch(cfg: SimConfig, indices: list[int]):
-    return [_terminal_only(cfg, i) for i in indices]
+    _, pareto, table = _run_batch(cfg, np.array([run_index]), record=True)
+    terminal = Terminal.PARETO_REACHED if pareto[0] else Terminal.STEP_CAP
+    return Trajectory(table, (cfg.economy.size, cfg.economy.n_goods), terminal)
 
 
 def run_monte_carlo(
-    cfg: SimConfig, workers: int | None = None, bins: int = _HISTOGRAM_BINS
+    cfg: SimConfig, workers: int | None = None, bins: int = _HISTOGRAM_BINS, trace: bool = False
 ) -> OutcomeDistribution:
     """All runs of the configuration, folded into an outcome distribution.
 
-    ``workers`` > 1 fans the runs out over processes; per-run streams make
-    the aggregate independent of scheduling, and results are folded in run
-    order.  A failed run aborts the whole batch with its diagnostics.
+    Runs go in chunks of ``_CHUNK``; ``workers`` > 1 maps the chunks over
+    processes.  Per-run streams make every output independent of chunking
+    and scheduling, and chunks are folded in run order.  With ``trace`` the
+    distribution carries every recorded state.  A failed run aborts the
+    whole batch with its diagnostics.
     """
-    runs = cfg.runs
+    chunks = [np.arange(s, min(s + _CHUNK, cfg.runs)) for s in range(0, cfg.runs, _CHUNK)]
     if workers and workers > 1:
-        chunk = max(64, runs // (workers * 8) + 1)
-        batches = [list(range(s, min(s + chunk, runs))) for s in range(0, runs, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = pool.map(_terminal_batch, [cfg] * len(batches), batches)
-            results = [out for batch in outs for out in batch]
+            batches = list(pool.map(_run_batch, [cfg] * len(chunks), chunks, [trace] * len(chunks)))
     else:
-        results = _terminal_batch(cfg, list(range(runs)))
-    samples = np.stack([r[0] for r in results])
-    terminal_qs = np.stack([r[1] for r in results])
-    steps = [r[2] for r in results]
-    tags = [r[3] for r in results]
-    return summarize(samples, terminal_qs, steps, tags, bins=bins)
+        batches = [_run_batch(cfg, chunk, trace) for chunk in chunks]
+    last, pareto = (np.concatenate([batch[k] for batch in batches]) for k in (0, 1))
+    h, l = cfg.economy.size, cfg.economy.n_goods
+    qs, steps = last[:, 2 : l + 1], last[:, 1].astype(np.int64)
+    qs[steps == 0] = prefs.substitution_rates(cfg.economy.specs[0], cfg.initial.bundle(0))  # never moved
+    tags = [Terminal.PARETO_REACHED if p else Terminal.STEP_CAP for p in pareto]
+    dist = summarize(last[:, l + 1 + h :].reshape(-1, h, l), qs, steps, tags, bins=bins)
+    dist.trace = np.concatenate([batch[2] for batch in batches]) if trace else None
+    return dist
 
 
 def example3_ladder_value(j: int) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
 
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
@@ -272,6 +271,7 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     if grid_size < 1:
         raise SpecificationError("grid_size must be at least 1")
     s1, s2 = specs
+    from scipy.optimize import brentq
 
     def rate_mismatch(y11: float, y12: float) -> float:
         a = prefs.substitution_rates(s1, np.array([y11, y12]))[0]
@@ -322,6 +322,7 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
 
     if _rates_agree(lo, hi, PARETO_TOL):
         return lo, endowments  # already Pareto optimal: no-trade equilibrium
+    from scipy.optimize import brentq
 
     def excess(q: float) -> float:
         return float(demands(q)[:, 0].sum() - aggregate[0])

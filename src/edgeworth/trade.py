@@ -153,13 +153,9 @@ def _check_state(e: Economy, y: Allocation) -> None:
         )
 
 
-def trade_direction(e: Economy, y: Allocation, p, h: int) -> FloatArray:
-    """Derivative at t=0 of household h's linear path: x_n(p / p.y_h) - y_h."""
-    return all_trade_directions(e, y, p)[h]
-
-
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
-    """Stacked trade directions, one row per household."""
+    """Stacked trade directions, one row per household: row h is the
+    derivative at t = 0 of its linear path, x_n(p / p.y_h) - y_h."""
     _check_state(e, y)
     p = as_price(p, e.n_goods)
     return np.stack(
@@ -168,13 +164,6 @@ def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
             for hh, b in zip(e.households, y.bundles)
         ]
     )
-
-
-def linear_path_point(e: Economy, y: Allocation, p, h: int, t: float) -> FloatArray:
-    """Household h's bundle a fraction ``t`` of the way to its demand."""
-    if not 0.0 <= t <= 1.0:
-        raise SpecificationError("path parameter must lie in [0, 1]")
-    return y.bundle(h) + t * trade_direction(e, y, p, h)
 
 
 def _direction_scale(norms: FloatArray) -> float:
@@ -284,21 +273,34 @@ def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
     return bool(inside) if q.ndim == 1 else inside
 
 
-def _ray_speeds(
-    n_i: float, n_j: float, max_speed: bool, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j.
+def _raise_first(failed, why) -> None:
+    """Default ``fail`` of the row-wise draws: raise for the first failing row."""
+    raise SamplingError(why(int(failed[0])))
 
-    The faster one moves at 1 under the max-speed prior, uniform on (0, 1]
-    otherwise.  A zero direction leaves no ray: at least one trader is idle.
+
+_NO_RAY = "fewer than two households can trade at these prices"
+
+
+def _ray_speeds(
+    n_i, n_j, max_speed: bool, draw, fail=_raise_first
+) -> tuple[FloatArray, FloatArray]:
+    """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j, per row.
+
+    The faster one moves at 1 under the max-speed prior; otherwise both are
+    scaled by one uniform on (0, 1] per row, from ``draw(slice(None))``.  A
+    zero direction leaves no ray: at least one trader is idle, and
+    ``fail(rows, why)`` hears of those rows.
     """
-    if n_i == 0.0 or n_j == 0.0:
-        raise SamplingError("fewer than two households can trade at these prices")
+    n_i, n_j = np.asarray(n_i, dtype=np.float64), np.asarray(n_j, dtype=np.float64)
+    idle = np.minimum(n_i, n_j) == 0.0
+    if np.count_nonzero(idle):
+        fail(np.flatnonzero(idle), lambda r: _NO_RAY)
+        n_i, n_j = np.where(idle, 1.0, n_i), np.where(idle, 1.0, n_j)  # placeholders
     ratio = n_i / n_j  # sigma_j / sigma_i on the balance ray
-    s_i, s_j = (1.0, ratio) if ratio <= 1.0 else (1.0 / ratio, 1.0)
+    s_i, s_j = np.minimum(1.0 / ratio, 1.0), np.minimum(ratio, 1.0)
     if max_speed:
         return s_i, s_j
-    lam = 1.0 - float(rng.random())
+    lam = 1.0 - draw(slice(None))
     return lam * s_i, lam * s_j
 
 
@@ -320,7 +322,7 @@ def sample_speed(
     norms = np.linalg.norm(dirs, axis=1)
     idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
     if idx.size < 2:
-        raise SamplingError("fewer than two households can trade at these prices")
+        raise SamplingError(_NO_RAY)
     s_prior = SpeedPrior(s_prior)
     sigma = np.zeros(e.size)
 
@@ -330,7 +332,8 @@ def sample_speed(
         if cosine > -1.0 + 1e-9:
             raise SamplingError("two-trader directions are not opposed; no feasible speeds")
         max_speed = s_prior is SpeedPrior.MAX_SPEED
-        sigma[[i, j]] = _ray_speeds(float(norms[i]), float(norms[j]), max_speed, rng)
+        speeds = _ray_speeds(norms[[i]], norms[[j]], max_speed, lambda sub: rng.random(1))  # one row
+        sigma[[i, j]] = np.concatenate(speeds)
         return SpeedVector(sigma)
 
     for _ in range(_SPEED_TRIES):

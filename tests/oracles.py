@@ -3,15 +3,18 @@
 These deliberately avoid the closed forms in the package: demand is recovered
 by projected gradient ascent on the budget simplex, Hicksian bundles by
 projected descent along the utility contour, derivatives by central finite
-differences, the extreme-rate box test one good at a time.  Slow and simple
-on purpose; they guard the analytic and vectorized paths.
+differences, the extreme-rate box test one good at a time, CSV files through
+``csv.writer`` with each run re-simulated on its own.  Slow and simple on
+purpose; they guard the analytic and vectorized paths.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from edgeworth import prefs
+from edgeworth import engine, prefs
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -162,3 +165,49 @@ def box_contains(box, q) -> bool:
         if not lo * (1.0 - 1e-12) <= p[i] <= hi * (1.0 + 1e-12):
             return False
     return True
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def write_outcomes_csv(path, dist, economy) -> None:
+    """``outcomes.csv`` through ``csv.writer``, one cell at a time."""
+    h, l = economy.size, economy.n_goods
+    header = (
+        ["run"]
+        + [f"q_{i + 1}" for i in range(l - 1)]
+        + [f"h{i + 1}_g{j + 1}" for i in range(h) for j in range(l)]
+        + ["steps", "terminal"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in range(dist.runs):
+            row = [str(r)]
+            row += [_fmt(v) for v in dist.terminal_qs[r]]
+            row += [_fmt(v) for v in dist.samples[r].reshape(-1)]
+            row += [str(int(dist.steps[r])), dist.terminal_tags[r].value]
+            writer.writerow(row)
+
+
+def write_trajectories_csv(path, cfg) -> None:
+    """``trajectories.csv`` through ``csv.writer``, each run re-simulated alone."""
+    h, l = cfg.economy.size, cfg.economy.n_goods
+    header = (
+        ["run", "step"]
+        + [f"q_{i + 1}" for i in range(l - 1)]
+        + [f"sigma_{i + 1}" for i in range(h)]
+        + [f"h{i + 1}_g{j + 1}" for i in range(h) for j in range(l)]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in range(cfg.runs):
+            t = engine.run_trajectory(cfg, r)
+            for k, state in enumerate(t.states):
+                row = [str(r), str(k)]
+                row += [_fmt(v) for v in t.prices[k - 1]] if k else [""] * (l - 1)
+                row += [_fmt(v) for v in t.speeds[k - 1].sigma] if k else [""] * h
+                row += [_fmt(v) for v in state.bundles.reshape(-1)]
+                writer.writerow(row)

@@ -2,11 +2,21 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from edgeworth import cli, engine
 from edgeworth.cli import main
+from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Tabulated
+from edgeworth.prefs import UtilitySpec
+from edgeworth.trade import Allocation, Economy, SpeedPrior
+
+import oracles
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -359,3 +369,40 @@ class TestVerifyCommand:
     def test_unmatched_filter_is_config_error(self, capsys):
         rc = main(["verify", "--filter", "nonexistent"])
         assert rc == 2
+
+
+class TestWriters:
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_csv_bytes_match_the_reference_writer(self, tmp_path, goods):
+        if goods == 2:
+            specs = [UtilitySpec.cobb_douglas_log([0.5, 0.5]), UtilitySpec.ces([0.7, 0.3], 0.5)]
+            start = Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
+            prior = PriorSpec(ArctanNormal(1.0, 0.2), SpeedPrior.UNIFORM_CUBE)
+            cfg = SimConfig(Economy.of(specs), start, prior, master_seed=4, runs=40, max_steps=60)
+        else:
+            specs = [
+                UtilitySpec.ces([0.2, 0.3, 0.5], 0.5),
+                UtilitySpec.ces([0.5, 0.3, 0.2], 0.5),
+                UtilitySpec.cobb_douglas_log([0.3, 0.4, 0.3]),
+            ]
+            start = Allocation(np.array([[1.1, 0.9, 1.3], [0.8, 1.4, 0.7], [1.2, 1.0, 0.9]]))
+            grid = np.array([[0.95, 1.0], [1.0, 1.05], [1.05, 0.95], [1.0, 1.0]])
+            prior = PriorSpec(Tabulated(grid, np.ones(4)), SpeedPrior.UNIFORM_CUBE)
+            cfg = SimConfig(Economy.of(specs), start, prior, master_seed=2, runs=3, max_steps=4)
+        dist = engine.run_monte_carlo(cfg, trace=True)
+        cli._write_outcomes(tmp_path / "outcomes.csv", dist, cfg.economy)
+        cli._write_trajectories(tmp_path / "trajectories.csv", dist.trace, cfg.economy)
+        oracles.write_outcomes_csv(tmp_path / "ref_outcomes.csv", dist, cfg.economy)
+        oracles.write_trajectories_csv(tmp_path / "ref_trajectories.csv", cfg)
+        for name in ("outcomes.csv", "trajectories.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+
+
+def test_cli_import_leaves_scipy_solvers_out():
+    # simulate's 2x2 kernel imports scipy.special itself, and only for the
+    # ArctanNormal prior; the root finders load with the functions using them
+    code = "import sys, edgeworth.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -199,10 +199,13 @@ class TestDrawPrice:
 
     def test_angle_interval_beyond_the_tail_fails_loudly(self):
         # 50 sigmas out erfc underflows to 0 at both ends: the law has no mass
+        rng = engine.run_rng(1, 0)
         with pytest.raises(
             SamplingError, match=r"no prior mass on price angles \(0.5, 0.6\): mean 0.0, sigma 0.01"
         ):
-            engine._draw_angle(NormalDist(0.0, 0.01), 0.5, 0.6, engine.run_rng(1, 0))
+            engine._draw_rate(
+                NormalDist(0.0, 0.01), np.tan([0.5]), np.tan([0.6]), lambda sub: rng.random(1)
+            )
 
     def test_accepted_draws_are_trade_compatible(self, cd_economy, shock):
         rng = engine.run_rng(5, 3)
@@ -290,7 +293,7 @@ class TestTrajectory:
         assert t.steps == 0
         assert len(t.states) == 1
         np.testing.assert_array_equal(t.states[0].bundles, flat.bundles)
-        np.testing.assert_allclose(t.terminal_q(cd_economy), [1.0])
+        np.testing.assert_allclose(engine.run_monte_carlo(cfg).terminal_qs, [[1.0]])
 
     def test_aggregate_conserved_along_path(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE)
@@ -322,14 +325,12 @@ class TestTrajectory:
         cfg = make_config(
             Economy.of(specs), initial, q_prior, s_prior, max_steps=60, pareto_tol=1e-3
         )
-        fast = engine._run_core_2x2(cfg, run_index, record=True)
-        slow = engine._run_core_generic(cfg, run_index, record=True)
-        fast_states, _, _, fast_terminal, _, _, fast_steps = fast
-        slow_states, _, _, slow_terminal, _, _, slow_steps = slow
-        assert fast_terminal == slow_terminal
-        assert fast_steps == slow_steps
-        for a, b in zip(fast_states, slow_states):
-            np.testing.assert_allclose(a.bundles, b.bundles, rtol=1e-9, atol=1e-12)
+        fast_last, fast_pareto, fast_states = engine._run_2x2(cfg, np.array([run_index]), record=True)
+        slow_last, slow_pareto, slow_states = engine._run_generic(cfg, np.array([run_index]), record=True)
+        assert fast_pareto[0] == slow_pareto[0]
+        assert fast_last[0, 1] == slow_last[0, 1]  # steps
+        for a, b in zip(fast_states[:, 5:], slow_states[:, 5:]):  # bundles
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_max_speed_converges_fast(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.MAX_SPEED, max_steps=200, pareto_tol=1e-3)
@@ -377,6 +378,73 @@ class TestMonteCarlo:
         dist = engine.run_monte_carlo(cfg)
         assert dist.bin_counts.sum() == 200
         assert len(dist.terminal_tags) == 200
+
+
+def assert_same_outcomes(a, b) -> None:
+    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a.steps, b.steps)
+    np.testing.assert_array_equal(a.terminal_qs, b.terminal_qs)
+    assert a.terminal_tags == b.terminal_tags
+
+
+# the (0.5, 2) trade interval of the shock starts 36.9 sigmas out in the
+# prior's tail; as it narrows it drifts further out, and some runs cross the
+# ~37 sigmas where erfc underflows within ten steps
+FAR_TAIL = ArctanNormal(math.tan(math.atan(0.5) - 36.9 * 0.005), 0.005)
+
+
+class TestLockstepKernel:
+    @pytest.fixture(
+        params=[
+            (ArctanNormal(1.0, 0.2), SpeedPrior.UNIFORM_CUBE),
+            (UniformArc(), SpeedPrior.MAX_SPEED),
+        ],
+        ids=["arctan_uniform_cube", "uniform_arc_max_speed"],
+    )
+    def cfg64(self, request, cd, ces73, shock) -> SimConfig:
+        q_prior, s_prior = request.param
+        return make_config(Economy.of([cd, ces73]), shock, q_prior, s_prior, runs=64, max_steps=120)
+
+    def test_chunk_size_and_workers_are_invisible(self, monkeypatch, cfg64):
+        base = engine.run_monte_carlo(cfg64)
+        assert_same_outcomes(base, engine.run_monte_carlo(cfg64, workers=2))
+        for chunk in (1, 7):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            assert_same_outcomes(base, engine.run_monte_carlo(cfg64))
+        assert_same_outcomes(base, engine.run_monte_carlo(cfg64, workers=2))
+
+    def test_trajectory_is_its_monte_carlo_run(self, cfg64):
+        dist = engine.run_monte_carlo(cfg64, trace=True)
+        for i in range(cfg64.runs):
+            t = engine.run_trajectory(cfg64, i)
+            assert t.steps == dist.steps[i]
+            assert t.terminal is dist.terminal_tags[i]
+            np.testing.assert_array_equal(t.states[0].bundles, cfg64.initial.bundles)
+            np.testing.assert_array_equal(t.states[-1].bundles, dist.samples[i])
+            np.testing.assert_array_equal(t.prices[-1], dist.terminal_qs[i])
+            mine = dist.trace[dist.trace[:, 0] == i]
+            np.testing.assert_array_equal(mine[:, 1], np.arange(t.steps + 1))
+            np.testing.assert_array_equal(mine[:, 5:], [s.bundles.ravel() for s in t.states])
+
+    def test_failed_run_is_the_lowest_index_whatever_the_chunk(self, monkeypatch, cd_economy, shock):
+        cfg = make_config(
+            cd_economy, shock, FAR_TAIL, SpeedPrior.UNIFORM_CUBE, master_seed=3, runs=64, max_steps=10
+        )
+        failed = {}
+        for i in range(cfg.runs):
+            try:
+                engine.run_trajectory(cfg, i)
+            except SamplingError as exc:
+                failed[i] = str(exc)
+        assert 0 < len(failed) < cfg.runs
+        first = min(failed)
+        assert failed[first].startswith(f"run {first}: step ")
+        assert "rate interval (" in failed[first]
+        for chunk in (engine._CHUNK, 1):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            with pytest.raises(SamplingError, match="no prior mass on price angles") as info:
+                engine.run_monte_carlo(cfg)
+            assert str(info.value) == failed[first]
 
 
 class TestGenericPathThreeGoods:

@@ -93,44 +93,38 @@ class TestTypes:
 
 class TestTradeDirection:
     def test_worked_example(self, cd_economy, shock):
-        d = trade.trade_direction(cd_economy, shock, [1.0, 1.0], 0)
+        d = trade.all_trade_directions(cd_economy, shock, [1.0, 1.0])[0]
         np.testing.assert_allclose(d, [-0.5, 0.5], atol=1e-14)
 
     def test_zero_at_supporting_prices(self, cd_economy, shock, cd):
         p = prefs.inverse_normalized_demand(cd, shock.bundle(0))
-        d = trade.trade_direction(cd_economy, shock, p, 0)
+        d = trade.all_trade_directions(cd_economy, shock, p)[0]
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_budget_neutrality(self, ces_economy, rng):
         for _ in range(50):
             y = Allocation(log_uniform(rng, (2, 2)))
             p = log_uniform(rng, 2)
-            for h in range(2):
-                d = trade.trade_direction(ces_economy, y, p, h)
+            for d in trade.all_trade_directions(ces_economy, y, p):
                 assert abs(float(p @ d)) <= 1e-10 * max(1.0, float(np.linalg.norm(d)))
 
 
 class TestLinearPath:
     def test_endpoints(self, cd_economy, shock):
-        np.testing.assert_allclose(
-            trade.linear_path_point(cd_economy, shock, [1.0, 1.0], 0, 0.0), [2.0, 1.0]
-        )
-        np.testing.assert_allclose(
-            trade.linear_path_point(cd_economy, shock, [1.0, 1.0], 0, 1.0), [1.5, 1.5]
-        )
+        d = trade.all_trade_directions(cd_economy, shock, [1.0, 1.0])[0]
+        np.testing.assert_allclose(shock.bundle(0) + 0.0 * d, [2.0, 1.0])
+        np.testing.assert_allclose(shock.bundle(0) + 1.0 * d, [1.5, 1.5])
 
     def test_utility_strictly_increasing(self, ces_economy, rng):
         for _ in range(20):
             y = Allocation(log_uniform(rng, (2, 2)))
             p = log_uniform(rng, 2)
+            dirs = trade.all_trade_directions(ces_economy, y, p)
             for h, spec in enumerate(ces_economy.specs):
-                if np.linalg.norm(trade.trade_direction(ces_economy, y, p, h)) < 1e-9:
+                if np.linalg.norm(dirs[h]) < 1e-9:
                     continue
                 grid = np.linspace(0.0, 1.0, 100)
-                values = [
-                    prefs.utility(spec, trade.linear_path_point(ces_economy, y, p, h, t))
-                    for t in grid
-                ]
+                values = [prefs.utility(spec, y.bundle(h) + t * dirs[h]) for t in grid]
                 assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -450,7 +444,7 @@ class TestSampleSpeed:
         # the 2x2 kernel hands in exact hypot norms; one is 0 at a price that
         # rounds onto a household's own rate, where only one trader can move
         with pytest.raises(SamplingError, match="fewer than two households can trade"):
-            trade._ray_speeds(*norms, max_speed, rng)
+            trade._ray_speeds(*norms, max_speed, lambda sub: rng.random(1))
 
 
 class TestAdvance:
