@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from . import prefs, trade
 from .errors import SamplingError, SpecificationError
-from .prefs import Family, UtilitySpec
+from .prefs import UtilitySpec
 from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
@@ -384,35 +384,6 @@ def sntp_step(
     return trade.advance(e, y, p, sigma), q, sigma
 
 
-def _closed_forms(spec: UtilitySpec):
-    """Substitution-rate and demand-target maps of a 2x2 household, on arrays."""
-    a1, a2 = float(spec.weights[0]), float(spec.weights[1])
-    if spec.family is Family.COBB_DOUGLAS_LOG:
-
-        def rate(c1, c2):
-            return (a1 * c2) / (a2 * c1)
-
-        def target(q, c1, c2):
-            w = q * c1 + c2
-            return a1 * w / q, a2 * w
-
-    else:
-        sig = spec.elasticity
-        eta = 1.0 / (1.0 - sig)
-        ratio = a1 / a2
-        a1e, a2e = a1**eta, a2**eta
-
-        def rate(c1, c2):
-            return ratio * (c2 / c1) ** (1.0 - sig)
-
-        def target(q, c1, c2):
-            w = q * c1 + c2
-            total = a1e * q ** (1.0 - eta) + a2e
-            return w * a1e * q**-eta / total, w * a2e / total
-
-    return rate, target
-
-
 def _supports_fast_path(cfg: SimConfig) -> bool:
     return (
         cfg.economy.size == 2
@@ -446,14 +417,16 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     """Advance the runs ``indices`` of a 2x2 angle-prior config in lockstep.
 
     The live runs are the columns of one array; a run leaves once its rates
-    agree or it fails, and the others go on.  Each run reads its own stream
-    in the order a lone run would (price attempts, then the speed draw), so
-    its path does not depend on the runs beside it.  Failures are raised
-    once the batch is done, for the lowest failing run index.
+    agree or it fails, and the others go on.  Rates and demands come from
+    the ``prefs`` closed-form core on each household's ``(runs, 2)`` stack.
+    Each run reads its own stream in the order a lone run would (price
+    attempts, then the speed draw), so its path does not depend on the runs
+    beside it.  Failures are raised once the batch is done, for the lowest
+    failing run index.
     """
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
-    (rate1, target1), (rate2, target2) = map(_closed_forms, cfg.economy.specs)
+    u1, u2 = cfg.economy.specs
     law = _angle_law(cfg.prior.q_prior)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     rows = np.arange(n)
@@ -465,7 +438,8 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     pareto = np.zeros(n, dtype=bool)
     errors: dict[int, str] = {}
     for k in range(1, cfg.max_steps + 1):
-        m1, m2 = rate1(live[3], live[4]), rate2(live[5], live[6])
+        # live[3:5].T, household 1's stack, keeps goods apart: passes run along runs
+        m1, m2 = prefs._rates(u1, live[3:5].T)[:, 0], prefs._rates(u2, live[5:].T)[:, 0]
         lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
         done = _rates_agree(lo, hi, cfg.pareto_tol)
         if np.count_nonzero(done):
@@ -486,12 +460,11 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             return streams.take(rows[sub])
 
         q = _draw_rate(law, lo, hi, draw, fail)
-        y11, y12, y21, y22 = live[3:]
-        d11, d12 = target1(q, y11, y12)
-        d21, d22 = target2(q, y21, y22)
-        e11, e12, e21, e22 = d11 - y11, d12 - y12, d21 - y21, d22 - y22
-        s1, s2 = _ray_speeds(np.hypot(e11, e12), np.hypot(e21, e22), max_speed, draw, fail)
-        live = np.array([q, s1, s2, y11 + s1 * e11, y12 + s1 * e12, y21 + s2 * e21, y22 + s2 * e22])
+        p = np.array([q, np.ones_like(q)]).T
+        y1, y2 = live[3:5].T, live[5:].T
+        d1, d2 = trade._path_end(u1, y1, p) - y1, trade._path_end(u2, y2, p) - y2
+        s1, s2 = _ray_speeds(np.hypot(*d1.T), np.hypot(*d2.T), max_speed, draw, fail)
+        live = np.concatenate([[q, s1, s2], (y1 + s1[:, None] * d1).T, (y2 + s2[:, None] * d2).T])
         if record:
             log.append((rows, live))
         if bad:

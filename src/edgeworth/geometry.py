@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
 from .prefs import UtilityLike, as_bundle, as_price
-from .trade import PARETO_TOL, Allocation, _rates_agree
+from .trade import PARETO_TOL, Allocation, _each, _path_end, _rates_agree
 
 FloatArray = NDArray[np.float64]
 
@@ -312,13 +312,7 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
     aggregate = endowments.aggregate
 
     def demands(q: float) -> FloatArray:
-        p = np.array([q, 1.0])
-        return np.stack(
-            [
-                prefs.normalized_demand(s, p / float(p @ b))
-                for s, b in zip(specs, endowments.bundles)
-            ]
-        )
+        return prefs._guard(_each(_path_end, specs, endowments.bundles, np.array([q, 1.0])), "demand")
 
     if _rates_agree(lo, hi, PARETO_TOL):
         return lo, endowments  # already Pareto optimal: no-trade equilibrium

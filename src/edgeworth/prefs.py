@@ -5,11 +5,20 @@ families are the log Cobb-Douglas ``u(c) = sum_i a_i ln c_i`` and the CES
 ``u(c) = (sum_i a_i c_i^s)^(1/s)`` with ``s`` strictly inside (0, 1); both are
 attractive and sharp, which the trade and engine modules rely on.
 
+The closed-form core (``_gradient``, ``_demand``, ``_inverse_demand``,
+``_rates``) works on ``(..., L)`` stacks, goods on the last axis as in
+``Allocation.bundles``, and checks nothing.  Inputs are validated at the
+boundary: by the constructors, and by the public functions, which validate
+one vector, call the core and ``_guard`` the result.  Callers holding
+validated state (trade, the engine's 2x2 kernel, verify) call the core on
+whole stacks and guard once per stack.
+
 :class:`MultiplicativeCobbDouglas` (``u(c) = prod_i c_i^b_i``) is the
-monotone-transform companion of the log family.  It shares the same demand
-map and is exposed so monotone-transform invariance of the sharpness and
-attractiveness predicates can be exercised; it is not part of the scenario
-serialization format.
+monotone-transform companion of the log family: the core sees it as the log
+family with its normalized weights, and only functions of the utility level
+treat it apart.  It is exposed so monotone-transform invariance of the
+sharpness and attractiveness predicates can be exercised; it is not part of
+the scenario serialization format.
 """
 
 from __future__ import annotations
@@ -149,9 +158,14 @@ class MultiplicativeCobbDouglas:
         """Normalized exponents; the demand system sees only these."""
         return self.exponents / float(self.exponents.sum())
 
+    @property
+    def family(self) -> Family:
+        """The family whose demand system this shares."""
+        return Family.COBB_DOUGLAS_LOG
+
     @classmethod
     def from_log_spec(cls, spec: UtilitySpec) -> "MultiplicativeCobbDouglas":
-        if spec.family is not Family.COBB_DOUGLAS_LOG:
+        if not isinstance(spec, UtilitySpec) or spec.family is not Family.COBB_DOUGLAS_LOG:
             raise SpecificationError("only the log Cobb-Douglas family has a multiplicative twin")
         return cls(np.array(spec.weights))
 
@@ -235,6 +249,43 @@ def _eta(u: UtilitySpec) -> float:
     return 1.0 / (1.0 - u.elasticity)
 
 
+def _dot(a: FloatArray, b: FloatArray) -> FloatArray:
+    """Row-wise ``a . b`` over the goods axis, each row its own BLAS dot, so a row
+    does not depend on its stack; two vectors give ``a @ b``, a numpy scalar
+    whose powers take libm's path, as a Python float's do."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
+
+
+def _gradient(u: UtilityLike, c: FloatArray) -> FloatArray:
+    """Gradient of the utility (the log family's for the multiplicative one); no checks."""
+    w = u.weights
+    if u.family is Family.CES:
+        sig = u.elasticity
+        return (_dot(c**sig, w) ** (1.0 / sig - 1.0))[..., None] * w * c ** (sig - 1.0)
+    return w / c
+
+
+def _demand(u: UtilityLike, p: FloatArray) -> FloatArray:
+    """Normalized Walrasian demand; no checks."""
+    if u.family is Family.CES:
+        eta = _eta(u)
+        w_eta = u.weights**eta
+        return w_eta * p**-eta / _dot(p ** (1.0 - eta), w_eta)[..., None]
+    return u.weights / p
+
+
+def _inverse_demand(u: UtilityLike, c: FloatArray) -> FloatArray:
+    """Inverse normalized demand, grad u / (grad u . c); no checks."""
+    g = _gradient(u, c)
+    return g / _dot(g, c)[..., None]
+
+
+def _rates(u: UtilityLike, c: FloatArray) -> FloatArray:
+    """Substitution rates of the first L-1 goods against good L; no checks."""
+    g = _gradient(u, c)
+    return g[..., :-1] / g[..., -1:]
+
+
 def utility(u: UtilityLike, c) -> float:
     """Utility level at bundle ``c`` (may be negative for the log family)."""
     c = as_bundle(c)
@@ -253,11 +304,7 @@ def gradient(u: UtilityLike, c) -> FloatArray:
     _check_dim(u, c)
     if isinstance(u, MultiplicativeCobbDouglas):
         return _guard(utility(u, c) * u.exponents / c, "gradient")
-    if u.family is Family.COBB_DOUGLAS_LOG:
-        return _guard(u.weights / c, "gradient")
-    sig = u.elasticity
-    s = float(u.weights @ c**sig)
-    return _guard(s ** (1.0 / sig - 1.0) * u.weights * c ** (sig - 1.0), "gradient")
+    return _guard(_gradient(u, c), "gradient")
 
 
 def hessian(u: UtilityLike, c) -> FloatArray:
@@ -284,41 +331,32 @@ def normalized_demand(u: UtilityLike, p) -> FloatArray:
     """Walrasian demand at unit wealth; satisfies ``p @ x == 1``."""
     p = as_price(p)
     _check_dim(u, p)
-    if isinstance(u, MultiplicativeCobbDouglas):
-        return _guard(u.weights / p, "demand")
-    if u.family is Family.COBB_DOUGLAS_LOG:
-        return _guard(u.weights / p, "demand")
-    eta = _eta(u)
-    w_eta = u.weights**eta
-    g = w_eta * p**-eta
-    return _guard(g / float(w_eta @ p ** (1.0 - eta)), "demand")
+    return _guard(_demand(u, p), "demand")
 
 
 def normalized_demand_jacobian(u: UtilityLike, p) -> FloatArray:
     """Analytic Jacobian of :func:`normalized_demand` (row i = good i)."""
     p = as_price(p)
     _check_dim(u, p)
-    if isinstance(u, MultiplicativeCobbDouglas) or u.family is Family.COBB_DOUGLAS_LOG:
-        w = u.weights
-        return np.diag(-w / p**2)
+    if u.family is Family.COBB_DOUGLAS_LOG:
+        return np.diag(-u.weights / p**2)
     eta = _eta(u)
-    x = normalized_demand(u, p)
+    x = _guard(_demand(u, p), "demand")
     return np.diag(-eta * x / p) - (1.0 - eta) * np.outer(x, x)
 
 
 def inverse_normalized_demand(u: UtilityLike, c) -> FloatArray:
-    """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c).
-
-    ``c`` is validated once, by :func:`gradient`.
-    """
-    g = gradient(u, c)
-    return _guard(g / float(g @ c), "inverse demand")
+    """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c)."""
+    c = as_bundle(c)
+    _check_dim(u, c)
+    return _guard(_inverse_demand(u, c), "inverse demand")
 
 
 def substitution_rates(u: UtilityLike, c) -> FloatArray:
     """Marginal substitution rates of the first L-1 goods against good L."""
-    g = gradient(u, c)
-    return _guard(g[:-1] / g[-1], "substitution rates")
+    c = as_bundle(c)
+    _check_dim(u, c)
+    return _guard(_rates(u, c), "substitution rates")
 
 
 def utility_in_range(u: UtilityLike, level: float) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _hitrun, _simplex, prefs
-from .errors import SamplingError, SpecificationError
+from .errors import DomainDegeneracyError, SamplingError, SpecificationError
 from .prefs import UtilityLike, as_price
 
 FloatArray = NDArray[np.float64]
@@ -116,7 +116,7 @@ class SpeedVector:
         s = np.asarray(self.sigma, dtype=np.float64)
         if s.ndim != 1:
             raise SpecificationError("speeds must form a vector")
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):  # a NaN fails both
             raise SpecificationError("speeds must lie in [0, 1]")
         s = s.copy()
         s.setflags(write=False)
@@ -151,6 +151,19 @@ def _check_state(e: Economy, y: Allocation) -> None:
             f"allocation shape {y.bundles.shape} does not match economy "
             f"({e.size} households, {e.n_goods} goods)"
         )
+    if y.bundles.min() < prefs.POSITIVE_FLOOR:
+        raise DomainDegeneracyError("bundle coordinate below 1e-300")
+
+
+def _each(core, specs, bundles: FloatArray, *args) -> FloatArray:
+    """``core(u_h, b_h, *args)`` for each household h of an ``(..., H, L)`` stack, on axis -2."""
+    rows = [core(u, bundles[..., h, :], *args)[..., None, :] for h, u in enumerate(specs)]
+    return np.concatenate(rows, axis=-2)
+
+
+def _path_end(u: UtilityLike, b: FloatArray, p: FloatArray) -> FloatArray:
+    """x_n(p / p.b), where the linear path from ``b`` at prices ``p`` ends; no checks."""
+    return prefs._demand(u, p / prefs._dot(p, b)[..., None])
 
 
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
@@ -158,12 +171,7 @@ def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
     derivative at t = 0 of its linear path, x_n(p / p.y_h) - y_h."""
     _check_state(e, y)
     p = as_price(p, e.n_goods)
-    return np.stack(
-        [
-            prefs.normalized_demand(hh.spec, p / float(p @ b)) - b
-            for hh, b in zip(e.households, y.bundles)
-        ]
-    )
+    return prefs._guard(_each(_path_end, e.specs, y.bundles, p), "demand") - y.bundles
 
 
 def _direction_scale(norms: FloatArray) -> float:
@@ -216,9 +224,7 @@ def _rates_agree(lo, hi, tol):
 def household_rates(e: Economy, y: Allocation) -> FloatArray:
     """(H, L - 1) substitution rates, one row per household."""
     _check_state(e, y)
-    return np.stack(
-        [prefs.substitution_rates(hh.spec, b) for hh, b in zip(e.households, y.bundles)]
-    )
+    return prefs._guard(_each(prefs._rates, e.specs, y.bundles), "substitution rates")
 
 
 def trade_interval_2x2(
@@ -236,12 +242,7 @@ def trade_interval_2x2(
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
     """Elementwise min/max of households' substitution-rate ratios."""
     _check_state(e, y)
-    inv = np.stack(
-        [
-            prefs.inverse_normalized_demand(hh.spec, b)
-            for hh, b in zip(e.households, y.bundles)
-        ]
-    )
+    inv = prefs._guard(_each(prefs._inverse_demand, e.specs, y.bundles), "inverse demand")
     ratios = inv[:, :, None] / inv[:, None, :]  # (H, L, L), ratios[h, i, j]
     lower = ratios.min(axis=0)
     upper = ratios.max(axis=0)

@@ -217,11 +217,7 @@ def weighted_clearing_rates(e: Economy, y: Allocation, weights: FloatArray) -> F
     v = np.log((weights @ rates) / float(weights.sum()))
 
     def excess(logq: FloatArray) -> FloatArray:
-        p = np.append(np.exp(logq), 1.0)
-        total = np.zeros(e.n_goods)
-        for w, hh, b in zip(weights, e.households, y.bundles):
-            total += w * (prefs.normalized_demand(hh.spec, p / float(p @ b)) - b)
-        return total[:-1]
+        return (weights @ trade.all_trade_directions(e, y, np.append(np.exp(logq), 1.0)))[:-1]
 
     f = excess(v)
     for _ in range(_CLEARING_MAX_ITER):
@@ -296,11 +292,8 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
         dirs = trade.all_trade_directions(e, y, p)
 
         # household substitution-rate matrices along the path: (T, H, L, L)
-        inv = np.empty((_PATH_GRID, e.size, n))
-        for h in range(e.size):
-            for k, t in enumerate(ts):
-                point = y.bundles[h] + sigma[h] * t * dirs[h]
-                inv[k, h] = prefs.inverse_normalized_demand(e.households[h].spec, point)
+        paths = y.bundles + sigma[:, None] * ts[:, None, None] * dirs  # (T, H, L)
+        inv = prefs._guard(trade._each(prefs._inverse_demand, e.specs, paths), "inverse demand")
         ratios = inv[:, :, :, None] / inv[:, :, None, :]  # [t, h, i, j]
         price_ratio = p[:, None] / p[None, :]
 

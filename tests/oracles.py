@@ -6,6 +6,10 @@ projected descent along the utility contour, derivatives by central finite
 differences, the extreme-rate box test one good at a time, CSV files through
 ``csv.writer`` with each run re-simulated on its own.  Slow and simple on
 purpose; they guard the analytic and vectorized paths.
+
+The ``reference_*`` closed forms are the per-vector formulas ``prefs`` had
+before its stacked core, kept with their float order: the public functions
+must reproduce them bit for bit on one vector.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import csv
 import numpy as np
 
 from edgeworth import engine, prefs
+from edgeworth.prefs import Family, MultiplicativeCobbDouglas
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -80,6 +85,41 @@ def numeric_hicksian(u, p, target: float, iters: int = 20000, tol: float = 1e-12
         if not moved:
             break
     return c
+
+
+def reference_gradient(u, c) -> np.ndarray:
+    """Per-vector utility gradient; the multiplicative form through its level."""
+    c = np.asarray(c, dtype=np.float64)
+    if isinstance(u, MultiplicativeCobbDouglas):
+        return float(np.prod(c**u.exponents)) * u.exponents / c
+    if u.family is Family.COBB_DOUGLAS_LOG:
+        return u.weights / c
+    sig = u.elasticity
+    s = float(u.weights @ c**sig)
+    return s ** (1.0 / sig - 1.0) * u.weights * c ** (sig - 1.0)
+
+
+def reference_normalized_demand(u, p) -> np.ndarray:
+    """Per-vector Walrasian demand at unit wealth."""
+    p = np.asarray(p, dtype=np.float64)
+    if isinstance(u, MultiplicativeCobbDouglas) or u.family is Family.COBB_DOUGLAS_LOG:
+        return u.weights / p
+    eta = 1.0 / (1.0 - u.elasticity)
+    w_eta = u.weights**eta
+    g = w_eta * p**-eta
+    return g / float(w_eta @ p ** (1.0 - eta))
+
+
+def reference_inverse_normalized_demand(u, c) -> np.ndarray:
+    """Per-vector inverse demand, grad u / (grad u . c)."""
+    g = reference_gradient(u, c)
+    return g / float(g @ np.asarray(c, dtype=np.float64))
+
+
+def reference_substitution_rates(u, c) -> np.ndarray:
+    """Per-vector substitution rates against the last good."""
+    g = reference_gradient(u, c)
+    return g[:-1] / g[-1]
 
 
 def fd_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -15,6 +15,10 @@ from edgeworth.errors import (
 )
 from edgeworth.prefs import Family, MultiplicativeCobbDouglas, UtilitySpec
 
+from edgeworth import trade
+from edgeworth.trade import Allocation, Economy
+
+import oracles
 from oracles import fd_gradient, fd_hessian, fd_jacobian, log_uniform, numeric_demand, numeric_hicksian
 
 
@@ -69,7 +73,7 @@ def _checked_utility(values):
 
 
 def _checked_inverse_demand(values):
-    """A public caller that validates through ``gradient``: two-good log Cobb-Douglas inverse demand."""
+    """Another public caller of ``as_bundle``: two-good log Cobb-Douglas inverse demand."""
     return prefs.inverse_normalized_demand(UtilitySpec.cobb_douglas_log([0.5, 0.5]), values)
 
 
@@ -319,6 +323,89 @@ def test_demand_roundtrip_property(c1, c2):
         np.testing.assert_allclose(price_back, c, rtol=1e-9)
 
 
+_FAMILIES = ("cobb_douglas", "ces", "multiplicative")
+
+# public function -> its closed-form core
+_CORE = {
+    "gradient": prefs._gradient,
+    "normalized_demand": prefs._demand,
+    "inverse_normalized_demand": prefs._inverse_demand,
+    "substitution_rates": prefs._rates,
+}
+
+
+def _random_utility(rng: np.random.Generator, family: str, goods: int):
+    w = rng.dirichlet(np.ones(goods)) * 0.9 + 0.1 / goods
+    if family == "cobb_douglas":
+        return UtilitySpec.cobb_douglas_log(w)
+    if family == "ces":
+        return UtilitySpec.ces(w, float(rng.uniform(0.05, 0.95)))
+    return MultiplicativeCobbDouglas(rng.uniform(0.2, 3.0, goods))
+
+
+class TestStackedCore:
+    """The closed-form core against the per-vector reference formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), goods=st.sampled_from([2, 3, 4]), family=st.sampled_from(_FAMILIES))
+    def test_public_vector_results_match_the_reference_bitwise(self, seed, goods, family):
+        rng = np.random.default_rng(seed)
+        u = _random_utility(rng, family, goods)
+        for _ in range(5):
+            v = log_uniform(rng, goods, 1e-3, 1e3)
+            for name in _CORE:
+                got = getattr(prefs, name)(u, v)
+                want = getattr(oracles, f"reference_{name}")(u, v)
+                if family == "multiplicative" and name in ("inverse_normalized_demand", "substitution_rates"):
+                    # reached through the normalized weights as the log family,
+                    # not through the utility level as before
+                    twin = UtilitySpec.cobb_douglas_log(u.weights)
+                    np.testing.assert_array_equal(got, getattr(prefs, name)(twin, v))
+                    np.testing.assert_allclose(got, want, rtol=1e-14)
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        goods=st.sampled_from([2, 3, 4]),
+        family=st.sampled_from(_FAMILIES),
+        shape=st.sampled_from([(1,), (5,), (2, 3), (4, 1)]),
+    )
+    def test_stack_rows_match_vector_calls(self, seed, goods, family, shape):
+        rng = np.random.default_rng(seed)
+        u = _random_utility(rng, family, goods)
+        stack = log_uniform(rng, shape + (goods,), 1e-3, 1e3)
+        for name, core in _CORE.items():
+            public = getattr(prefs, name)
+            if family == "multiplicative" and name == "gradient":
+                continue  # the core's gradient is the log family's; the level enters only the public one
+            got = core(u, stack)
+            want = np.array([public(u, row) for row in stack.reshape(-1, goods)])
+            assert got.shape == shape + want.shape[1:]
+            np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        goods=st.sampled_from([2, 3, 4]),
+        households=st.integers(2, 4),
+        families=st.lists(st.sampled_from(_FAMILIES), min_size=4, max_size=4),
+    )
+    def test_one_degenerate_household_raises_through_trade_directions(self, seed, goods, households, families):
+        rng = np.random.default_rng(seed)
+        specs = [_random_utility(rng, f, goods) for f in families[:households]]
+        bundles = log_uniform(rng, (households, goods), 0.2, 5.0)
+        p = np.append(np.full(goods - 1, 1e-12), 1.0)
+        e = Economy.of(specs)
+        trade.all_trade_directions(e, Allocation(bundles), p)  # every row healthy
+        bad = int(rng.integers(households))
+        # wealth p . b near 1e299 puts its normalized prices near 1e-311: demand overflows
+        bundles[bad] = np.append(np.ones(goods - 1), 1e299)
+        with pytest.raises(DomainDegeneracyError), np.errstate(over="ignore", invalid="ignore"):
+            trade.all_trade_directions(e, Allocation(bundles), p)
+
+
 class TestInverseDemand:
     def test_example_values(self, mult_c1c2, cd):
         np.testing.assert_allclose(prefs.inverse_normalized_demand(mult_c1c2, [1.0, 1.0]), [0.5, 0.5])
@@ -493,6 +580,11 @@ class TestTransformInvariance:
                 a = prefs.check_attractive(cd, y, p, i, j)
                 assert a == prefs.check_attractive(twin, y, p, i, j)
                 assert a == prefs.check_attractive(scaled, y, p, i, j)
+
+    def test_only_a_log_spec_has_a_twin(self, ces, mult_c1c2):
+        for spec in (ces, mult_c1c2):
+            with pytest.raises(SpecificationError, match="^only the log Cobb-Douglas family has a multiplicative twin$"):
+                MultiplicativeCobbDouglas.from_log_spec(spec)
 
     def test_demand_map_is_shared(self, cd, mult_c1c2, rng):
         for _ in range(25):

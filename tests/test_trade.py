@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeworth import prefs, trade
-from edgeworth.errors import SamplingError, SpecificationError
+from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
@@ -85,6 +85,26 @@ class TestTypes:
     def test_speed_bounds(self):
         with pytest.raises(SpecificationError):
             SpeedVector(np.array([0.5, 1.2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_speed_bounds_reject_non_finite(self, bad):
+        with pytest.raises(SpecificationError, match=r"^speeds must lie in \[0, 1\]$"):
+            SpeedVector(np.array([bad, 0.5]))
+
+    def test_state_below_the_floor_is_domain_degenerate(self, cd_economy):
+        y = Allocation(np.array([[1e-305, 1.0], [1.0, 1.0]]))
+        for check in (trade.household_rates, trade.msr_extremes):
+            with pytest.raises(DomainDegeneracyError, match="^bundle coordinate below 1e-300$"):
+                check(cd_economy, y)
+        with pytest.raises(DomainDegeneracyError, match="^bundle coordinate below 1e-300$"):
+            trade.all_trade_directions(cd_economy, y, [1.0, 1.0])
+
+    def test_speed_vector_is_a_read_only_copy(self):
+        raw = np.array([0.0, 1.0])
+        sv = SpeedVector(raw)
+        raw[0] = 0.5
+        assert sv.sigma[0] == 0.0 and not sv.sigma.flags.writeable
+        assert SpeedVector(np.array([])).sigma.size == 0
 
     def test_boxset_reciprocity_enforced(self):
         with pytest.raises(SpecificationError):
