@@ -3,7 +3,7 @@
 All outputs are plain CSV/JSON data keyed to the scenario, flags, and seed;
 repeated invocations with the same inputs produce byte-identical files.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 sampling failure.
+3 sampling failure or numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .engine import (
 )
 from .errors import (
     ConvergenceError,
+    DomainDegeneracyError,
     EdgeworthError,
     LPError,
     SamplingError,
@@ -414,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (SamplingError, LPError, ConvergenceError) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
+    except DomainDegeneracyError as exc:
+        print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
 
 

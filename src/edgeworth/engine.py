@@ -125,6 +125,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.initial.bundles.shape != (self.economy.size, self.economy.n_goods):
             raise SpecificationError("initial allocation does not match the economy")
+        if self.initial.bundles.min() < prefs.POSITIVE_FLOOR:
+            raise SpecificationError("initial allocation has a coordinate below 1e-300")
         if self.max_steps < 1:
             raise SpecificationError("max_steps must be at least 1")
         if self.runs < 1:

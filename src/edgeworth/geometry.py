@@ -24,9 +24,7 @@ from .trade import PARETO_TOL, Allocation, _each, _path_end, _rates_agree
 
 FloatArray = NDArray[np.float64]
 
-_HESS_STEP = 1e-5  # relative central-difference step for the indirect-utility Hessian
 _FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,31 +100,18 @@ def d_inverse(u: UtilityLike, p) -> FlatPoint:
 def fixed_point(u: UtilityLike) -> FloatArray:
     """The unique fixed point of the normalized demand map.
 
-    Runs a damped fixed-point iteration on the first-order condition
-    ``grad u(c) = lambda c`` over the unit sphere; at the solution the point
-    is its own supporting price vector and has unit norm.
+    The demand is parallel to ``p`` on the ray ``v_i = w_i^(1/(2 - s))``
+    (``s`` the CES elasticity, 0 for the log families), and since it is
+    homogeneous of degree -1 with ``p . x_n(p) = 1`` the fixed point is the
+    unit vector on that ray.
     """
-    n = u.dimension
-    c = np.full(n, 1.0 / np.sqrt(n))
-    damping = 0.5
-    residual = np.inf
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        g = prefs.gradient(u, c)
-        aligned = g / float(np.linalg.norm(g))
-        new_residual = float(np.max(np.abs(aligned - c)))
-        if new_residual < 1e-14:
-            break
-        if new_residual > residual:
-            damping *= 0.5
-        residual = new_residual
-        c = c + damping * (aligned - c)
-        c /= float(np.linalg.norm(c))
-    p = c
+    v = prefs._fixed_point_ray(u)
+    p = v / float(np.linalg.norm(v))
     if (
         float(np.max(np.abs(prefs.normalized_demand(u, p) - p))) > _FIXED_POINT_TOL
         or abs(float(np.linalg.norm(p)) - 1.0) > _FIXED_POINT_TOL
     ):
-        raise ConvergenceError("fixed-point iteration did not converge")
+        raise ConvergenceError("fixed point misses the demand map")
     return p
 
 
@@ -171,28 +156,21 @@ def sample_manifold(u: UtilityLike, kind: ManifoldKind, anchor, q_grid) -> Manif
     return ManifoldSample(kind, anchor, tuple(points))
 
 
-def _indirect_utility_hessian(u: UtilityLike, p: FloatArray) -> FloatArray:
-    """Central finite differences of the closed-form indirect-utility gradient.
+def _indirect_utility_hessian(u: UtilityLike, p: FloatArray) -> tuple[FloatArray, float, FloatArray]:
+    """``x_n(p)``, ``lambda_n(p)`` and the closed-form Hessian of v_n at ``p``.
 
-    The gradient is ``grad v_n(p) = -lambda_n(p) * x_n(p)`` with
-    ``lambda_n(p) = grad u(x_n(p)) . x_n(p)``; each probe evaluates the
-    demand ``x_n`` once and reuses it for both factors.
+    With ``x = x_n(p)``, ``J`` its Jacobian, ``g = grad u(x)`` and
+    ``H = D^2 u(x)``: ``grad v_n = -lambda_n x`` with ``lambda_n = g . x``,
+    ``grad lambda_n = J^T (H x + g)``, and
+    ``D^2 v_n = -outer(x, grad lambda_n) - lambda_n J``.
     """
-
-    def grad(pp: FloatArray) -> FloatArray:
-        x = prefs.normalized_demand(u, pp)
-        return -float(prefs.gradient(u, x) @ x) * x
-
-    n = p.size
-    out = np.empty((n, n))
-    for k in range(n):
-        h = _HESS_STEP * p[k]
-        hi = p.copy()
-        lo = p.copy()
-        hi[k] += h
-        lo[k] -= h
-        out[:, k] = (grad(hi) - grad(lo)) / (2.0 * h)
-    return 0.5 * (out + out.T)
+    x = prefs.normalized_demand(u, p)
+    jac = prefs.normalized_demand_jacobian(u, p)
+    g = prefs.gradient(u, x)
+    lam = float(g @ x)
+    grad_lam = jac.T @ (prefs.hessian(u, x) @ x + g)
+    out = -np.outer(x, grad_lam) - lam * jac
+    return x, lam, 0.5 * (out + out.T)
 
 
 def jacobian_phi(u: UtilityLike, anchor, p) -> FloatArray:
@@ -200,12 +178,12 @@ def jacobian_phi(u: UtilityLike, anchor, p) -> FloatArray:
     anchor = as_bundle(anchor, u.dimension)
     p = as_price(p, u.dimension)
     level = prefs.utility(u, anchor)
-    e = prefs.expenditure(u, p, level)
     hd = prefs.hicksian_demand(u, p, level)
+    e = float(p @ hd)
     pt = p / e
     m = np.eye(p.size) - np.outer(pt, hd)
-    core = _indirect_utility_hessian(u, pt) / (e * prefs.lambda_n(u, pt))
-    return -(m.T @ core @ m)
+    _, lam, hess = _indirect_utility_hessian(u, pt)
+    return -(m.T @ (hess / (e * lam)) @ m)
 
 
 def jacobian_psi(u: UtilityLike, anchor, p) -> FloatArray:
@@ -214,11 +192,10 @@ def jacobian_psi(u: UtilityLike, anchor, p) -> FloatArray:
     p = as_price(p, u.dimension)
     wealth = float(p @ anchor)
     star = p / wealth
-    x = prefs.normalized_demand(u, star)
+    x, lam, hess = _indirect_utility_hessian(u, star)
     left = np.eye(p.size) - np.outer(x, star)
     right = np.eye(p.size) - np.outer(star, anchor)
-    core = _indirect_utility_hessian(u, star) / (wealth * prefs.lambda_n(u, star))
-    return -(left @ core @ right) - np.outer(x, x - anchor) / wealth
+    return -(left @ (hess / (wealth * lam)) @ right) - np.outer(x, x - anchor) / wealth
 
 
 def omega_contains(u: UtilityLike, anchor, p, slack: float = 1e-12) -> bool:

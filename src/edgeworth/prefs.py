@@ -249,19 +249,12 @@ def _eta(u: UtilitySpec) -> float:
     return 1.0 / (1.0 - u.elasticity)
 
 
-def _dot(a: FloatArray, b: FloatArray) -> FloatArray:
-    """Row-wise ``a . b`` over the goods axis, each row its own BLAS dot, so a row
-    does not depend on its stack; two vectors give ``a @ b``, a numpy scalar
-    whose powers take libm's path, as a Python float's do."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
-
-
 def _gradient(u: UtilityLike, c: FloatArray) -> FloatArray:
     """Gradient of the utility (the log family's for the multiplicative one); no checks."""
     w = u.weights
     if u.family is Family.CES:
         sig = u.elasticity
-        return (_dot(c**sig, w) ** (1.0 / sig - 1.0))[..., None] * w * c ** (sig - 1.0)
+        return (np.vecdot(c**sig, w) ** (1.0 / sig - 1.0))[..., None] * w * c ** (sig - 1.0)
     return w / c
 
 
@@ -270,14 +263,19 @@ def _demand(u: UtilityLike, p: FloatArray) -> FloatArray:
     if u.family is Family.CES:
         eta = _eta(u)
         w_eta = u.weights**eta
-        return w_eta * p**-eta / _dot(p ** (1.0 - eta), w_eta)[..., None]
+        return w_eta * p**-eta / np.vecdot(p ** (1.0 - eta), w_eta)[..., None]
     return u.weights / p
 
 
 def _inverse_demand(u: UtilityLike, c: FloatArray) -> FloatArray:
     """Inverse normalized demand, grad u / (grad u . c); no checks."""
     g = _gradient(u, c)
-    return g / _dot(g, c)[..., None]
+    return g / np.vecdot(g, c)[..., None]
+
+
+def _fixed_point_ray(u: UtilityLike) -> FloatArray:
+    """``w^(1/(2 - s))``, on which demand is parallel to prices (``s = 0`` for the log families)."""
+    return u.weights ** (1.0 / (2.0 - (u.elasticity if u.family is Family.CES else 0.0)))
 
 
 def _rates(u: UtilityLike, c: FloatArray) -> FloatArray:

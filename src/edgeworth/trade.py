@@ -163,7 +163,7 @@ def _each(core, specs, bundles: FloatArray, *args) -> FloatArray:
 
 def _path_end(u: UtilityLike, b: FloatArray, p: FloatArray) -> FloatArray:
     """x_n(p / p.b), where the linear path from ``b`` at prices ``p`` ends; no checks."""
-    return prefs._demand(u, p / prefs._dot(p, b)[..., None])
+    return prefs._demand(u, p / np.vecdot(p, b)[..., None])
 
 
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:

@@ -150,16 +150,15 @@ def identity_suite(
 
 
 def _fd_jacobian(f, x: FloatArray, rel_step: float = 1e-6) -> FloatArray:
-    f0 = f(x)
-    out = np.empty((f0.size, x.size))
+    columns = []
     for k in range(x.size):
         h = rel_step * x[k]
         hi = x.copy()
         lo = x.copy()
         hi[k] += h
         lo[k] -= h
-        out[:, k] = (f(hi) - f(lo)) / (2.0 * h)
-    return out
+        columns.append((f(hi) - f(lo)) / (2.0 * h))
+    return np.stack(columns, axis=1)
 
 
 def jacobian_suite(spec: UtilityLike, draws: int = 1000, seed: int = 0) -> CheckReport:
@@ -177,27 +176,17 @@ def jacobian_suite(spec: UtilityLike, draws: int = 1000, seed: int = 0) -> Check
 
         got_phi = geometry.jacobian_phi(spec, anchor, p)
         want_phi = _fd_jacobian(lambda z: prefs.hicksian_demand(spec, z, level), p)
-        err_phi = float(np.max(np.abs(got_phi - want_phi))) / max(
-            1.0, float(np.max(np.abs(want_phi)))
-        )
+        err_phi = _relative(float(np.max(np.abs(got_phi - want_phi))), float(np.max(np.abs(want_phi))))
 
         got_psi = geometry.jacobian_psi(spec, anchor, p)
         want_psi = _fd_jacobian(
             lambda z: prefs.normalized_demand(spec, z / float(z @ anchor)), p
         )
-        err_psi = float(np.max(np.abs(got_psi - want_psi))) / max(
-            1.0, float(np.max(np.abs(want_psi)))
-        )
+        err_psi = _relative(float(np.max(np.abs(got_psi - want_psi))), float(np.max(np.abs(want_psi))))
 
         support = prefs.inverse_normalized_demand(spec, anchor)
-        tangency = float(
-            np.max(
-                np.abs(
-                    geometry.jacobian_phi(spec, anchor, support)
-                    - geometry.jacobian_psi(spec, anchor, support)
-                )
-            )
-        )
+        gap = geometry.jacobian_phi(spec, anchor, support) - geometry.jacobian_psi(spec, anchor, support)
+        tangency = float(np.max(np.abs(gap)))
 
         bad = max(err_phi / _JACOBIAN_RTOL, err_psi / _JACOBIAN_RTOL, tangency / _TANGENCY_TOL)
         worst = max(worst, bad)
@@ -316,21 +305,18 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
         has_above = above.any(axis=0)
         dm = np.diff(m_path, axis=0)
         dbm = np.diff(big_m_path, axis=0)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if has_below[i, j]:
-                    violation = max(violation, float(np.max(-dm[:, i, j])) - MONOTONE_SLACK)
-                else:
-                    violation = max(violation, float(np.max(dm[:, i, j])) - MONOTONE_SLACK)
-                if has_above[i, j]:
-                    violation = max(violation, float(np.max(dbm[:, i, j])) - MONOTONE_SLACK)
-                else:
-                    violation = max(violation, float(np.max(-dbm[:, i, j])) - MONOTONE_SLACK)
+        off_diag = ~np.eye(n, dtype=bool)
+        # a household at or below the price ratio: the minimum may not fall (else not
+        # rise); one at or above: the maximum may not rise (else not fall)
+        sign_m = np.where(has_below, -1.0, 1.0)
+        sign_big_m = np.where(has_above, 1.0, -1.0)
+        violation = max(
+            violation,
+            float(np.max((sign_m * dm)[:, off_diag])) - MONOTONE_SLACK,
+            float(np.max((sign_big_m * dbm)[:, off_diag])) - MONOTONE_SLACK,
+        )
 
         # nested boxes under the below-price condition; the 2x2 interval net
-        off_diag = ~np.eye(n, dtype=bool)
         if has_below[off_diag].all():
             violation = max(violation, float(np.max(-dm[:, off_diag])) - MONOTONE_SLACK)
             violation = max(violation, float(np.max(dbm[:, off_diag])) - MONOTONE_SLACK)

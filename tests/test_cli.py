@@ -13,6 +13,7 @@ import pytest
 from edgeworth import cli, engine
 from edgeworth.cli import main
 from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Tabulated
+from edgeworth.errors import DomainDegeneracyError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
@@ -203,6 +204,34 @@ class TestSimulate:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "q_prior",
+        [{"kind": "uniform_arc"}, {"kind": "tabulated", "grid": [1.0], "densities": [1.0]}],
+        ids=["angle", "tabulated"],
+    )
+    def test_start_below_the_floor_is_config_error(self, tmp_path, capsys, q_prior):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        doc["economy"]["households"][0]["endowment"] = [1e-305, 1.0]
+        doc["prior"]["q_prior"] = q_prior
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: initial allocation has a coordinate below 1e-300\n"
+        )
+        assert not out.exists()
+
+    def test_degeneracy_mid_run_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DomainDegeneracyError("demand degenerated below the positive floor")
+
+        monkeypatch.setattr(engine, "run_monte_carlo", degenerate)
+        rc = main(["simulate", "--scenario", "example5_uniform", "--runs", "5", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric degeneracy: demand degenerated below the positive floor\n"
+        )
 
     def test_rejection_cap_is_sampling_failure(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_SCENARIO))

@@ -8,7 +8,7 @@ import pytest
 from edgeworth import geometry, prefs, trade
 from edgeworth.errors import SpecificationError
 from edgeworth.geometry import FlatPoint, ManifoldKind
-from edgeworth.prefs import UtilitySpec
+from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
 from edgeworth.trade import Allocation, Economy
 
 from oracles import fd_jacobian, log_uniform
@@ -93,10 +93,14 @@ class TestFixedPoint:
         spec = UtilitySpec.ces([0.2, 0.3, 0.5], 0.6)
         p = geometry.fixed_point(spec)
         np.testing.assert_allclose(prefs.normalized_demand(spec, p), p, atol=1e-10)
+        ray = np.array([0.2, 0.3, 0.5]) ** (1.0 / (2.0 - 0.6))
+        np.testing.assert_allclose(p, ray / np.linalg.norm(ray), rtol=1e-14)
 
     def test_log_weights_closed_form(self):
-        spec = UtilitySpec.cobb_douglas_log([0.25, 0.75])
-        np.testing.assert_allclose(geometry.fixed_point(spec), np.sqrt([0.25, 0.75]), atol=1e-12)
+        for spec in (UtilitySpec.cobb_douglas_log([0.25, 0.75]), MultiplicativeCobbDouglas([1.0, 3.0])):
+            p = geometry.fixed_point(spec)
+            np.testing.assert_allclose(p, np.sqrt([0.25, 0.75]), atol=1e-12)
+            np.testing.assert_allclose(prefs.normalized_demand(spec, p), p, atol=1e-12)
 
 
 class TestManifolds:
@@ -189,6 +193,28 @@ class TestJacobians:
                 lambda z: prefs.normalized_demand(spec, z / float(z @ anchor)), p
             )
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UtilitySpec.cobb_douglas_log([0.3, 0.7]),
+            UtilitySpec.ces([0.7, 0.3], 0.5),
+            UtilitySpec.ces([0.2, 0.5, 0.3], 0.5),
+            MultiplicativeCobbDouglas([1.0, 3.0]),
+        ],
+        ids=["log", "ces", "ces_3goods", "multiplicative"],
+    )
+    def test_indirect_utility_hessian_matches_finite_differences(self, spec, rng):
+        def grad_v(p):
+            return -prefs.lambda_n(spec, p) * prefs.normalized_demand(spec, p)
+
+        for _ in range(10):
+            p = log_uniform(rng, spec.dimension, 0.3, 3.0)
+            x, lam, hess = geometry._indirect_utility_hessian(spec, p)
+            np.testing.assert_array_equal(x, prefs.normalized_demand(spec, p))
+            assert lam == prefs.lambda_n(spec, p)
+            np.testing.assert_array_equal(hess, hess.T)
+            np.testing.assert_allclose(hess, fd_jacobian(grad_v, p), rtol=1e-6, atol=1e-8)
 
     def test_example1_closed_form(self, mult_c1c2):
         # at anchor (1,1), p = (1,1): Jphi = [[-1/2, 1/2], [1/2, -1/2]]
