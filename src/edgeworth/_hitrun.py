@@ -35,7 +35,7 @@ def _null_space(A: np.ndarray, max_rank: int) -> np.ndarray:
 def _chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     """Range of t with 0 <= x + t*u <= 1; contains t = 0 for x in the cube."""
     lo, hi = -np.inf, np.inf
-    for xi, ui in zip(x, u):
+    for xi, ui in zip(x.tolist(), u.tolist()):  # Python floats: the same IEEE operations, faster
         if abs(ui) < 1e-15:
             continue
         a = -xi / ui
@@ -101,5 +101,5 @@ def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) 
         else:
             raise SamplingError("hit-and-run stalled: numerically degenerate polytope")
         t = rng.uniform(lo + _CLEARANCE, hi - _CLEARANCE)
-        x = np.clip(x + t * u, 0.0, 1.0)
+        x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)  # np.clip, without its overhead
     return x

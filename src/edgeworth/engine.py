@@ -42,6 +42,7 @@ _BLOCK = 64
 _HISTOGRAM_BINS = 64
 
 _ANGLE_PRIOR_NEEDS_L2 = "economies with more than two goods need a tabulated price prior"
+_PARETO_STATE = "cannot draw trade prices at a Pareto-optimal state"
 
 
 @dataclass(frozen=True)
@@ -324,25 +325,50 @@ def _draw_tabulated(
     e: Economy,
     y: Allocation,
     prior: Tabulated,
-    in_box,
+    box: trade.BoxSet,
     rng: np.random.Generator,
 ) -> FloatArray:
     """Atom draw from the prior conditioned on trade compatibility.
 
-    Discrete support makes the conditioning exact: atoms are screened once
-    (box first, then the LP) and the draw is taken over the survivors, so a
-    prior with no mass on the trade-compatible set fails immediately.
+    Discrete support makes the conditioning exact: the atoms in the box with
+    prior mass are screened once, in one ``trade.screen_trade`` call (closed
+    form at L <= 3, the LP for the rows it leaves open and at L >= 4), and
+    the draw is taken over the survivors, so a prior with no mass on the
+    trade-compatible set fails at once, naming the box and the atoms.
     """
+    in_box = trade.box_contains(box, prior.grid)
     weights = np.where(in_box, prior.densities, 0.0)
-    for k in np.nonzero(weights > 0.0)[0]:
-        if not trade.has_trade(e, y, np.append(prior.grid[k], 1.0)):
-            weights[k] = 0.0
+    candidates = np.flatnonzero(weights > 0.0)
+    if candidates.size:
+        prices = np.concatenate([prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
+        weights[candidates[~trade.screen_trade(e, y, prices)]] = 0.0
     total = float(weights.sum())
     if total <= 0.0:
-        raise SamplingError("the price prior assigns zero mass to the trade-compatible set")
+        raise SamplingError(_exhausted(prior, box, int(np.count_nonzero(in_box)), candidates.size))
     cdf = np.cumsum(weights) / total
     idx = int(np.searchsorted(cdf, float(rng.random()), side="right"))
     return np.array(prior.grid[min(idx, prior.grid.shape[0] - 1)], dtype=np.float64)
+
+
+def _exhausted(prior: Tabulated, box: trade.BoxSet, in_box: int, rejected: int) -> str:
+    """Why a tabulated prior has no trade-compatible atom: the box, the counts
+    and, at L = 2, the atoms with prior mass nearest to the open rate interval
+    on its low and high side (split at its midpoint, since the atoms the
+    screen rejects at an end may lie a rounding inside it)."""
+    lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
+    why = "the price prior assigns zero mass to the trade-compatible set"
+    counts = f"atoms in the box: {in_box}, rejected by the trade screen: {rejected}"
+    if lo.size > 1:
+        return f"{why}: rate box from {lo.tolist()} to {hi.tolist()}; {counts}"
+    atoms = prior.grid[prior.densities > 0.0, 0]
+    mid = 0.5 * (lo[0] + hi[0])
+    low, high = atoms[atoms <= mid], atoms[atoms > mid]
+    low = repr(float(low.max())) if low.size else "none"
+    high = repr(float(high.min())) if high.size else "none"
+    return (
+        f"{why}: rate interval ({float(lo[0])!r}, {float(hi[0])!r}); {counts}; "
+        f"nearest atoms with prior mass: {low} on the low side, {high} on the high side"
+    )
 
 
 def draw_price(
@@ -353,17 +379,24 @@ def draw_price(
 ) -> FloatArray:
     """One rate vector from the prior conditioned on trade compatibility.
 
-    A tabulated prior keeps the atoms in the box superset at which the LP
-    finds trade.  An angle prior needs L = 2, where the trade-compatible
-    rates are exactly the open interval between the households' extreme
-    substitution rates; its draw is accepted by that interval, without an LP.
+    A tabulated prior keeps the atoms in the box superset at which
+    ``trade.screen_trade`` finds trade (closed-form certificates at L <= 3,
+    the LP where they leave an atom open and at L >= 4).  An angle prior
+    needs L = 2, where the trade-compatible rates are exactly the open
+    interval between the households' extreme substitution rates; its draw is
+    accepted by that interval, without an LP.
     """
     if trade.is_pareto_optimal(e, y):
-        raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
+        raise SpecificationError(_PARETO_STATE)
+    return _draw_price(e, y, prior, rng)
+
+
+def _draw_price(e: Economy, y: Allocation, prior: PriorSpec, rng: np.random.Generator) -> FloatArray:
+    """``draw_price`` at a state already known to admit trade."""
     box = trade.msr_extremes(e, y)
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
-        return _draw_tabulated(e, y, q_prior, trade.box_contains(box, q_prior.grid), rng)
+        return _draw_tabulated(e, y, q_prior, box, rng)
     if e.n_goods != 2:
         raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
     lo, hi = box.lower_rates[0, 1:], box.upper_rates[0, 1:]
@@ -377,13 +410,20 @@ def sntp_step(
     rng: np.random.Generator,
     pareto_tol: float = trade.PARETO_TOL,
 ) -> tuple[Allocation, FloatArray, SpeedVector] | None:
-    """One trade epoch, or None once no common-price trade remains."""
-    if trade.is_pareto_optimal(e, y, pareto_tol):
+    """One trade epoch, or None once no common-price trade remains.
+
+    The rates are built once, for the stop test and ``draw_price``'s own
+    check, and the directions once, for the speed draw and the move.
+    """
+    rates = trade.household_rates(e, y)
+    if trade._pareto(rates, pareto_tol):
         return None
-    q = draw_price(e, y, prior, rng)
-    p = np.append(q, 1.0)
-    sigma = trade.sample_speed(e, y, p, prior.s_prior, rng)
-    return trade.advance(e, y, p, sigma), q, sigma
+    if trade._pareto(rates, trade.PARETO_TOL):
+        raise SpecificationError(_PARETO_STATE)
+    q = _draw_price(e, y, prior, rng)
+    dirs = trade.all_trade_directions(e, y, np.append(q, 1.0))
+    sigma = trade._sample_speed(dirs, prior.s_prior, rng)
+    return trade._advance(y, dirs, sigma), q, sigma
 
 
 def _supports_fast_path(cfg: SimConfig) -> bool:

@@ -2,14 +2,20 @@
 
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
-linear trade directions while moving at least one household.  Membership is
-decided by a small dense LP; the box set built from extreme marginal
-substitution rates gives the cheap superset used for price draws.
+linear trade directions while moving at least one household.  The
+definition is a small dense LP (``has_trade``).  ``screen_trade`` answers
+it for a whole stack of prices: at L <= 3 closed-form certificates bound the
+LP's optimum on each side of its threshold, and only the prices they leave
+open, and every price at L >= 4, go to the LP.  The box set built from
+extreme marginal substitution rates gives the cheap superset used for price
+draws.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,10 @@ DEGENERATE_DIRECTION = 1e-12
 
 _LP_EQ_TOL = 1e-11
 _LP_DECISION = 1e-9
+
+#: ``screen_trade`` leaves a price to the LP when its bounds on the LP's
+#: optimum come within this relative distance of the decision threshold.
+_SCREEN_MARGIN = 1e-3
 
 #: Hit-and-run draws per speed sample before giving up.
 _SPEED_TRIES = 64
@@ -216,6 +226,119 @@ def has_trade(e: Economy, y: Allocation, p) -> bool:
     return value > _LP_DECISION * scale
 
 
+def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
+    """``has_trade`` at each row of a (G, L) stack of prices, one bool per row.
+
+    The directions of every row come from one pass of the ``prefs`` core.
+    At L <= 3, Walras' law puts them in the plane (L = 3) or on the line
+    (L = 2) orthogonal to the prices, and by Gordan's alternative trade
+    exists iff no open half-space there holds every active direction.  The
+    screen brackets the LP's optimum V between closed-form certificates
+    (``_volume_bracket``) and decides a row when the bracket clears
+    ``has_trade``'s threshold by ``_SCREEN_MARGIN``.  Rows it leaves open,
+    and every row at L >= 4, are asked of ``has_trade``, so each answer is
+    the LP's.
+    """
+    _check_state(e, y)
+    p = np.asarray(prices, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != e.n_goods or (p.size and not (p.min() > 0.0 and p.max() < math.inf)):
+        raise SpecificationError(
+            f"prices must be a stack of strictly positive rows of length {e.n_goods}"
+        )
+    dirs = prefs._guard(_each(_path_end, e.specs, y.bundles, p), "demand") - y.bundles
+    norms = np.linalg.norm(dirs, axis=-1)
+    active = norms >= DEGENERATE_DIRECTION
+    n_act = np.where(active, norms, 0.0)
+    scale = np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)  # has_trade's, row by row
+    count = np.count_nonzero(active, axis=-1)
+    verdict = np.zeros(p.shape[0], dtype=bool)
+    open_rows = count >= 2
+    if e.n_goods <= 3:
+        lo, hi = _volume_bracket(dirs, n_act, p, scale)
+        threshold = _LP_DECISION * scale
+        # the simplex stops once no reduced cost exceeds its entering
+        # tolerance, so it may fall short of the optimum by that much per speed
+        verdict = lo - count * _simplex._ENTER_TOL > threshold * (1.0 + _SCREEN_MARGIN)
+        open_rows &= ~verdict & ~(hi < threshold * (1.0 - _SCREEN_MARGIN))
+    for g in np.flatnonzero(open_rows):
+        verdict[g] = has_trade(e, y, p[g])
+    return verdict
+
+
+def _volume_bracket(
+    dirs: FloatArray, n_act: FloatArray, p: FloatArray, scale: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Bounds lo <= V <= hi on ``has_trade``'s optimum V at each price row, L <= 3.
+
+    ``dirs`` is the (G, H, L) stack of directions and ``n_act`` their norms,
+    zero for inactive households.  The LP keeps each coordinate of the
+    cancellation residual within ``slack``, so the residual's length is at
+    most sqrt(L) * slack.  lo is the volume of an explicit speed vector
+    (``_line_bracket``, ``_plane_bracket``) that cancels within half the
+    slack, or 0.  hi adds to the geometric bound what the directions' parts
+    along p (rounding, by Walras' law) can buy, and never exceeds the summed
+    norms.
+    """
+    slack = _LP_EQ_TOL * scale
+    unit = p / np.linalg.norm(p, axis=-1, keepdims=True)
+    leak = np.where(n_act > 0.0, np.abs(np.vecdot(dirs, unit[:, None, :])), 0.0).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no witness give NaN speeds
+        witness = _line_bracket if p.shape[1] == 2 else _plane_bracket
+        bound, speeds = witness(dirs, n_act, p, unit, slack)
+        volume = (speeds @ n_act[:, :, None])[..., 0]
+        cancels = np.abs(speeds @ dirs).max(axis=-1) <= 0.5 * slack[:, None]
+    lo = np.where(cancels, volume, 0.0).max(axis=-1, initial=0.0)
+    return lo, np.minimum(bound + leak, n_act.sum(axis=-1))
+
+
+def _line_bracket(dirs, n_act, p, unit, slack):
+    """L = 2: with P and N the active norms summed on each side of the line,
+    the sides differ by at most the residual, so V <= 2 min(P, N) + sqrt(2)
+    slack.  Witness: the shorter side at full speed, the longer one balancing
+    it (one candidate per row)."""
+    side = np.vecdot(dirs, np.stack([p[:, 1], -p[:, 0]], axis=-1)[:, None, :])
+    up, down = (n_act > 0.0) & (side > 0.0), (n_act > 0.0) & (side < 0.0)
+    n_up, n_down = (n_act * up).sum(axis=-1), (n_act * down).sum(axis=-1)
+    bound = 2.0 * np.minimum(n_up, n_down) + math.sqrt(2.0) * slack
+    up_speed, down_speed = np.minimum(n_down / n_up, 1.0), np.minimum(n_up / n_down, 1.0)
+    speeds = np.where(up, up_speed[:, None], 0.0) + np.where(down, down_speed[:, None], 0.0)
+    return bound, speeds[:, None, :]
+
+
+def _plane_bracket(dirs, n_act, p, unit, slack):
+    """L = 3: an angular gap g > pi between neighbouring active directions in
+    the plane leaves a unit w with w . d >= sin((g - pi) / 2) |d| for each of
+    them, so V <= sqrt(3) slack / sin((g - pi) / 2); with no such gap there is
+    no bound but the norms.  Witnesses: every triple of active directions
+    whose 2-D cross products c share a sign, at speeds proportional to
+    (c_jk, c_ki, c_ij), the largest at 1 (one candidate per triple)."""
+    active = n_act > 0.0
+    e1 = np.stack([p[:, 1], -p[:, 0], np.zeros(p.shape[0])], axis=-1)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    x, z = np.vecdot(dirs, e1[:, None, :]), np.vecdot(dirs, np.cross(unit, e1)[:, None, :])
+    theta = np.arctan2(z, x)
+    # ahead[g, h, k]: how far direction k lies ahead of h, counterclockwise;
+    # a direction at h's own angle does not close h's gap
+    ahead = np.mod(theta[:, None, :] - theta[:, :, None], 2.0 * math.pi)
+    ahead = np.where(active[:, None, :] & (ahead > 0.0), ahead, 2.0 * math.pi)
+    gap = np.where(active, ahead.min(axis=-1), 0.0).max(axis=-1)
+    bound = np.where(gap > math.pi, math.sqrt(3.0) * slack / np.sin((gap - math.pi) / 2.0), math.inf)
+
+    triples = np.array(list(itertools.combinations(range(dirs.shape[1]), 3)), dtype=np.intp)
+    i, j, k = triples.reshape(-1, 3).T
+    # c_jk d_i + c_ki d_j + c_ij d_k = 0 for any three vectors of the plane
+    c = np.stack([x[:, j] * z[:, k] - x[:, k] * z[:, j],
+                  x[:, k] * z[:, i] - x[:, i] * z[:, k],
+                  x[:, i] * z[:, j] - x[:, j] * z[:, i]], axis=-1)  # (G, T, 3)
+    same = np.all(c > 0.0, axis=-1) | np.all(c < 0.0, axis=-1)
+    same &= active[:, i] & active[:, j] & active[:, k]
+    w = np.where(same[..., None], np.abs(c) / np.abs(c).max(axis=-1, keepdims=True), 0.0)
+    speeds = np.zeros(w.shape[:2] + (dirs.shape[1],))
+    for m, h in enumerate((i, j, k)):
+        speeds[:, np.arange(h.size), h] = w[..., m]
+    return bound, speeds
+
+
 def _rates_agree(lo, hi, tol):
     """The Pareto test: extreme rates agree within relative tol (scalars or arrays)."""
     return hi - lo <= tol * lo
@@ -319,13 +442,17 @@ def sample_speed(
     LP-found interior start.  The prior is read on the polytope's intrinsic
     measure (the ray parameter when H = 2).
     """
-    dirs = all_trade_directions(e, y, p)
+    return _sample_speed(all_trade_directions(e, y, p), s_prior, rng)
+
+
+def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator) -> SpeedVector:
+    """``sample_speed`` on directions already built."""
     norms = np.linalg.norm(dirs, axis=1)
     idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
     if idx.size < 2:
         raise SamplingError(_NO_RAY)
     s_prior = SpeedPrior(s_prior)
-    sigma = np.zeros(e.size)
+    sigma = np.zeros(dirs.shape[0])
 
     if idx.size == 2:
         i, j = idx
@@ -352,13 +479,21 @@ def sample_speed(
 
 def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
     """End state of the joint linear path: household h moves t = sigma_h."""
-    dirs = all_trade_directions(e, y, p)
+    return _advance(y, all_trade_directions(e, y, p), sigma)
+
+
+def _advance(y: Allocation, dirs: FloatArray, sigma: SpeedVector) -> Allocation:
+    """``advance`` along directions already built."""
     return Allocation(y.bundles + sigma.sigma[:, None] * dirs)
 
 
 def is_pareto_optimal(e: Economy, y: Allocation, tol: float = PARETO_TOL) -> bool:
     """No common-price trade remains: all substitution rates agree within tol."""
+    return _pareto(household_rates(e, y), tol)
+
+
+def _pareto(rates: FloatArray, tol: float) -> bool:
+    """``is_pareto_optimal`` on (H, L - 1) rates already built."""
     if tol <= 0.0:
         raise SpecificationError("tolerance must be positive")
-    rates = household_rates(e, y)
     return bool(np.all(_rates_agree(rates.min(axis=0), rates.max(axis=0), tol)))

@@ -166,6 +166,52 @@ class TestDrawPrice:
         draws = np.array([float(engine.draw_price(e, y, prior, rng)[0]) for _ in range(1_000)])
         assert draws.min() > lo and draws.max() < hi
 
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_clear_cut_tabulated_draw_asks_no_lp(self, monkeypatch, goods):
+        # every in-box atom is well inside or well outside the trade set, so
+        # the closed-form certificates decide them all
+        from oracles import clearing_price
+
+        def no_lp(*args):
+            raise AssertionError("the tabulated draw solved an LP")
+
+        if goods == 2:
+            e, y = THREE_TRADERS
+            lo, hi = rate_bounds(e, y)
+            atoms = np.array([lo / 1.5, lo * 1.1, (lo + hi) / 2.0, hi * 0.9, hi * 1.5])[:, None]
+        else:
+            weights = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3])
+            e = Economy.of([UtilitySpec.ces(w, 0.5) for w in weights])
+            y = Allocation(np.array([[1.5, 0.8, 1.1], [0.7, 1.4, 0.9], [1.0, 1.0, 1.6]]))
+            shifts = [[0.0, 0.0], [0.05, -0.05], [-0.05, 0.05], [0.4, 0.4], [-0.4, 0.3]]
+            atoms = clearing_price(e, y) * np.exp(np.array(shifts))
+        screened = trade.box_contains(trade.msr_extremes(e, y), atoms)
+        assert screened.sum() >= 3
+        want = [trade.has_trade(e, y, np.append(q, 1.0)) for q in atoms[screened]]
+        assert any(want) and (goods == 2 or not all(want))
+        monkeypatch.setattr(trade, "has_trade", no_lp)
+        prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
+        rng = engine.run_rng(17, 0)
+        drawn = {tuple(engine.draw_price(e, y, prior, rng)) for _ in range(200)}
+        assert drawn == {tuple(q) for q, ok in zip(atoms[screened], want) if ok}
+
+    def test_four_goods_grid_goes_through_the_lp(self, monkeypatch):
+        from oracles import clearing_price
+
+        weights = ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25])
+        e = Economy.of([UtilitySpec.ces(w, 0.5) for w in weights])
+        y = Allocation(np.array([[1.5, 0.8, 1.1, 0.9], [0.7, 1.4, 0.9, 1.2], [1.0, 1.0, 1.6, 0.8]]))
+        shifts = [[0.0, 0.0, 0.0], [0.03, -0.03, 0.0], [0.0, 0.02, -0.02], [2.0, 2.0, 2.0]]
+        atoms = clearing_price(e, y) * np.exp(np.array(shifts))
+        in_box = trade.box_contains(trade.msr_extremes(e, y), atoms)
+        calls = []
+        lp = trade.has_trade
+        monkeypatch.setattr(trade, "has_trade", lambda *args: calls.append(args) or lp(*args))
+        prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
+        q = engine.draw_price(e, y, prior, engine.run_rng(3, 0))
+        assert len(calls) == int(in_box.sum()) >= 3
+        assert any(np.array_equal(q, a) for a in atoms[in_box])
+
     def test_sticky_prior_concentrates(self, cd_economy, shock):
         rng = engine.run_rng(7, 0)
         prior = PriorSpec(ArctanNormal(1.0, 0.05), SpeedPrior.UNIFORM_CUBE)
@@ -225,6 +271,36 @@ class TestDrawPrice:
         prior = PriorSpec(Tabulated(np.array([9.0]), np.array([1.0])), SpeedPrior.MAX_SPEED)
         with pytest.raises(SamplingError):
             engine.draw_price(cd_economy, shock, prior, rng)
+
+    def test_exhausted_prior_names_the_interval_and_the_atoms(self, cd_economy, shock):
+        # two atoms around the unit clearing rate: one max-speed epoch at 0.8
+        # leaves the interval (0.8, 1.236...), and neither atom inside it
+        prior = PriorSpec(Tabulated(np.array([0.8, 1.3]), np.ones(2)), SpeedPrior.MAX_SPEED)
+        cfg = SimConfig(cd_economy, shock, prior, master_seed=1)
+        with pytest.raises(SamplingError) as info:
+            engine.run_monte_carlo(cfg)
+        msg = str(info.value)
+        head = "run 0: step 2: the price prior assigns zero mass to the trade-compatible set: rate interval ("
+        assert msg.startswith(head)
+        lo, hi = (float(v) for v in msg[len(head) :].split(")")[0].split(", "))
+        assert lo == pytest.approx(0.8, rel=1e-12) and hi == pytest.approx(1.2363636363636363, rel=1e-12)
+        assert msg.endswith(
+            "; atoms in the box: 1, rejected by the trade screen: 1; "
+            "nearest atoms with prior mass: 0.8 on the low side, 1.3 on the high side"
+        )
+
+    def test_exhausted_prior_names_the_box_at_three_goods(self):
+        e = Economy.of([UtilitySpec.ces(w, 0.5) for w in ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2])])
+        y = Allocation(np.array([[1.5, 0.8, 1.1], [0.7, 1.4, 0.9]]))
+        box = trade.msr_extremes(e, y)
+        prior = PriorSpec(Tabulated(np.array([[9.0, 9.0], [0.01, 0.01]]), np.ones(2)), SpeedPrior.MAX_SPEED)
+        with pytest.raises(SamplingError) as info:
+            engine.draw_price(e, y, prior, engine.run_rng(1, 0))
+        assert str(info.value) == (
+            "the price prior assigns zero mass to the trade-compatible set: rate box from "
+            f"{box.lower_rates[:-1, -1].tolist()} to {box.upper_rates[:-1, -1].tolist()}; "
+            "atoms in the box: 0, rejected by the trade screen: 0"
+        )
 
     def test_three_goods_requires_tabulated(self, rng):
         specs = [

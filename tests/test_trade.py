@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from edgeworth import prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
-from edgeworth.prefs import UtilitySpec
+from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
@@ -33,8 +33,8 @@ def _ulps(v: float, k: int) -> float:
     return v
 
 
-def _edge_atoms(box: BoxSet, base: np.ndarray) -> list[np.ndarray]:
-    """``base`` with one coordinate moved onto, or 1-4 ulps off, each of its rate bounds."""
+def _edge_atoms(box: BoxSet, base: np.ndarray, offsets=range(-4, 5)) -> list[np.ndarray]:
+    """``base`` with one coordinate moved onto, or ``offsets`` ulps off, each of its rate bounds."""
     n = box.lower_rates.shape[0]
     p = np.append(base, 1.0)
     atoms = [base]
@@ -45,7 +45,7 @@ def _edge_atoms(box: BoxSet, base: np.ndarray) -> list[np.ndarray]:
             lo = p[j] * box.lower_rates[k, j]
             hi = p[j] * box.upper_rates[k, j]
             for edge in (lo, hi, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)):
-                for k_ulps in range(-4, 5):
+                for k_ulps in offsets:
                     q = base.copy()
                     q[k] = _ulps(edge, k_ulps)
                     atoms.append(q)
@@ -237,6 +237,57 @@ class TestHasTrade:
         y = Allocation(log_uniform(rng, (4, 3), 0.5, 2.0))
         q = clearing_price(e, y)
         assert trade.has_trade(e, y, np.append(q, 1.0))
+
+
+class TestScreenTrade:
+    @staticmethod
+    def _household(draw: np.random.Generator, goods: int):
+        w = draw.uniform(0.2, 1.0, goods)
+        family = draw.integers(3)
+        if family == 0:
+            return UtilitySpec.cobb_douglas_log(w / w.sum())
+        if family == 1:
+            return UtilitySpec.ces(w / w.sum(), float(draw.uniform(0.2, 0.8)))
+        return MultiplicativeCobbDouglas(w * draw.uniform(0.5, 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        goods=st.sampled_from([2, 3]),
+        households=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decisions_match_the_lp(self, goods, households, seed):
+        # atoms in the box, on each household's own rate and on the box's
+        # edges, each also 1-4 ulps off, where the LP's optimum sits nearest
+        # its threshold; the certificates must never answer otherwise
+        draw = np.random.default_rng(seed)
+        e = Economy.of([self._household(draw, goods) for _ in range(households)])
+        y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
+        box = trade.msr_extremes(e, y)
+        lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
+        inside = np.exp(draw.uniform(np.log(lo), np.log(hi), (8, goods - 1)))
+        bases = [*trade.household_rates(e, y), *inside[:2]]
+        atoms = [*inside]
+        for base in bases:
+            atoms += _edge_atoms(box, base, offsets=(-4, -1, 0, 1, 4))
+            for k in range(goods - 1):
+                for k_ulps in (-4, -2, -1, 1, 2, 3, 4):
+                    q = base.copy()
+                    q[k] = _ulps(q[k], k_ulps)
+                    atoms.append(q)
+        prices = np.concatenate([np.array(atoms), np.ones((len(atoms), 1))], axis=1)
+        got = trade.screen_trade(e, y, prices)
+        want = np.array([trade.has_trade(e, y, p) for p in prices])
+        assert got.dtype == bool and got.shape == (len(atoms),)
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty_stack(self, cd_economy, shock):
+        assert trade.screen_trade(cd_economy, shock, np.empty((0, 2))).shape == (0,)
+
+    def test_stack_is_checked(self, cd_economy, shock):
+        for bad in ([1.0, 1.0], [[1.0, 1.0, 1.0]], [[1.0, 0.0]], [[1.0, np.inf]], [[np.nan, 1.0]]):
+            with pytest.raises(SpecificationError, match="^prices must be a stack of strictly positive"):
+                trade.screen_trade(cd_economy, shock, bad)
 
 
 class TestIntervalAndBox:
