@@ -5,7 +5,9 @@ per-household trade directions.  The equality constraint is homogeneous, so
 ``P`` lives inside the null space of ``D^T``; cube faces can pin it to a
 lower-dimensional set still, so the walk runs in the affine hull recovered
 from LP-probed vertices.  Degenerate (numerically point-like) polytopes
-return their single point; slivers thinner than the chord clearance raise.
+return their single point; a chord thinner than the clearance raises.
+``polytope`` writes the tolerance-relaxed polytope as the LP constraints
+that ``trade``'s feasibility test solves too.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ import numpy as np
 from . import _simplex
 from .errors import LPError, SamplingError
 
-_DIRECTION_TRIES = 64
 _RANK_CUTOFF = 1e-12
 _BURN_IN = 64
 _CLEARANCE = 1e-12  # chord margin kept off the cube faces
-_EQ_TOL = 1e-11  # slack on D^T s = 0 in the vertex-probe LPs
+_EQ_TOL = 1e-11  # slack on each coordinate of D^T s = 0
 
 #: Polytope extent below this (in speed units) counts as a single point.
 _POINT_EXTENT = 1e-9
@@ -47,14 +48,20 @@ def _chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def _probe_vertices(
-    directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray
-) -> list[np.ndarray]:
-    """Vertices of the tolerance-relaxed polytope under probe objectives."""
+def polytope(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G s <= h``: |D^T s| <= ``_EQ_TOL`` coordinatewise and s <= 1, for s >= 0."""
     A = directions.T
     n = directions.shape[0]
     G = np.vstack([A, -A, np.eye(n)])
     h = np.concatenate([np.full(2 * A.shape[0], _EQ_TOL), np.ones(n)])
+    return G, h
+
+
+def _probe_vertices(
+    directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray
+) -> list[np.ndarray]:
+    """Vertices of the tolerance-relaxed polytope under probe objectives."""
+    G, h = polytope(directions)
     vertices = [_simplex.maximize(norms, G, h)[0]]
     probe = np.random.default_rng(0)  # fixed probe directions; not part of the stream
     for _ in range(null_basis.shape[1] + 1):
@@ -89,17 +96,11 @@ def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) 
     dim = hull.shape[1]
 
     for _ in range(_BURN_IN):
-        for _ in range(_DIRECTION_TRIES):
-            u = hull @ rng.standard_normal(dim)
-            norm = float(np.linalg.norm(u))
-            if norm < 1e-15:
-                continue
-            u /= norm
-            lo, hi = _chord(x, u)
-            if hi - lo > 2.0 * _CLEARANCE:
-                break
-        else:
-            raise SamplingError("hit-and-run stalled: numerically degenerate polytope")
+        u = hull @ rng.standard_normal(dim)
+        u /= float(np.linalg.norm(u))  # hull's columns are orthonormal
+        lo, hi = _chord(x, u)
+        if not hi - lo > 2.0 * _CLEARANCE:
+            raise SamplingError(f"hit-and-run stalled: chord {hi - lo!r} within the clearance")
         t = rng.uniform(lo + _CLEARANCE, hi - _CLEARANCE)
         x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)  # np.clip, without its overhead
     return x

@@ -24,7 +24,6 @@ from numpy.typing import NDArray
 
 from . import prefs, trade
 from .errors import SamplingError, SpecificationError
-from .prefs import UtilitySpec
 from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
@@ -148,7 +147,7 @@ class SimConfig:
             # the generic step's price draw and LP decide trade at PARETO_TOL
             raise SpecificationError(
                 f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
-                "(two serialized utilities and an angle price prior)"
+                "(two households, two goods and an angle price prior)"
             )
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
@@ -321,21 +320,17 @@ def _draw_rate(law: NormalDist | None, lo, hi, draw, fail=_raise_first) -> Float
     return q
 
 
-def _draw_tabulated(
-    e: Economy,
-    y: Allocation,
-    prior: Tabulated,
-    box: trade.BoxSet,
-    rng: np.random.Generator,
-) -> FloatArray:
+def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator) -> FloatArray:
     """Atom draw from the prior conditioned on trade compatibility.
 
-    Discrete support makes the conditioning exact: the atoms in the box with
-    prior mass are screened once, in one ``trade.screen_trade`` call (closed
-    form at L <= 3, the LP for the rows it leaves open and at L >= 4), and
-    the draw is taken over the survivors, so a prior with no mass on the
-    trade-compatible set fails at once, naming the box and the atoms.
+    Discrete support makes the conditioning exact: the atoms in the
+    ``trade.msr_extremes`` box with prior mass are screened once, in one
+    ``trade.screen_trade`` call (closed form at L <= 3, the LP for the rows
+    it leaves open and at L >= 4), and the draw is taken over the
+    survivors, so a prior with no mass on the trade-compatible set fails at
+    once, naming the box and the atoms.
     """
+    box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)
     weights = np.where(in_box, prior.densities, 0.0)
     candidates = np.flatnonzero(weights > 0.0)
@@ -386,20 +381,22 @@ def draw_price(
     interval between the households' extreme substitution rates; its draw is
     accepted by that interval, without an LP.
     """
-    if trade.is_pareto_optimal(e, y):
+    rates = trade.household_rates(e, y)
+    if trade._pareto(rates, trade.PARETO_TOL):
         raise SpecificationError(_PARETO_STATE)
-    return _draw_price(e, y, prior, rng)
+    return _draw_price(e, y, rates, prior, rng)
 
 
-def _draw_price(e: Economy, y: Allocation, prior: PriorSpec, rng: np.random.Generator) -> FloatArray:
-    """``draw_price`` at a state already known to admit trade."""
-    box = trade.msr_extremes(e, y)
+def _draw_price(
+    e: Economy, y: Allocation, rates: FloatArray, prior: PriorSpec, rng: np.random.Generator
+) -> FloatArray:
+    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates."""
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
-        return _draw_tabulated(e, y, q_prior, box, rng)
+        return _draw_tabulated(e, y, q_prior, rng)
     if e.n_goods != 2:
         raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
-    lo, hi = box.lower_rates[0, 1:], box.upper_rates[0, 1:]
+    lo, hi = rates.min(axis=0), rates.max(axis=0)
     return _draw_rate(_angle_law(q_prior), lo, hi, lambda sub: rng.random(1))  # one row
 
 
@@ -412,15 +409,16 @@ def sntp_step(
 ) -> tuple[Allocation, FloatArray, SpeedVector] | None:
     """One trade epoch, or None once no common-price trade remains.
 
-    The rates are built once, for the stop test and ``draw_price``'s own
-    check, and the directions once, for the speed draw and the move.
+    The rates are built once, for the stop test, ``draw_price``'s own check
+    and the angle draw's interval, and the directions once, for the speed
+    draw and the move.
     """
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, pareto_tol):
         return None
     if trade._pareto(rates, trade.PARETO_TOL):
         raise SpecificationError(_PARETO_STATE)
-    q = _draw_price(e, y, prior, rng)
+    q = _draw_price(e, y, rates, prior, rng)
     dirs = trade.all_trade_directions(e, y, np.append(q, 1.0))
     sigma = trade._sample_speed(dirs, prior.s_prior, rng)
     return trade._advance(y, dirs, sigma), q, sigma
@@ -430,7 +428,6 @@ def _supports_fast_path(cfg: SimConfig) -> bool:
     return (
         cfg.economy.size == 2
         and cfg.economy.n_goods == 2
-        and all(isinstance(s, UtilitySpec) for s in cfg.economy.specs)
         and isinstance(cfg.prior.q_prior, (ArctanNormal, UniformArc))
     )
 

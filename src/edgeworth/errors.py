@@ -28,7 +28,7 @@ class LPError(EdgeworthError, RuntimeError):
 
 
 class SamplingError(EdgeworthError, RuntimeError):
-    """Rejection or hit-and-run sampling exceeded its attempt cap."""
+    """A price or speed draw failed: no prior mass, the rejection cap, or a failed speed check."""
 
 
 class ScenarioError(EdgeworthError, ValueError):

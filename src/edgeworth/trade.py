@@ -3,12 +3,13 @@
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
 linear trade directions while moving at least one household.  The
-definition is a small dense LP (``has_trade``).  ``screen_trade`` answers
-it for a whole stack of prices: at L <= 3 closed-form certificates bound the
-LP's optimum on each side of its threshold, and only the prices they leave
-open, and every price at L >= 4, go to the LP.  The box set built from
-extreme marginal substitution rates gives the cheap superset used for price
-draws.
+definition is a small dense LP (``_lp_trade``).  ``screen_trade`` answers
+it for a whole stack of prices, and ``has_trade`` for one: at L <= 3
+closed-form certificates bound the LP's optimum on each side of its
+threshold, and only the prices they leave open, and every price at L >= 4,
+go to the LP.  A speed draw takes one candidate and raises if it fails.  The
+box set built from extreme marginal substitution rates gives the cheap
+superset used for tabulated price draws.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ PARETO_TOL = 1e-8
 #: non-trading at the current prices.
 DEGENERATE_DIRECTION = 1e-12
 
-_LP_EQ_TOL = 1e-11
 _LP_DECISION = 1e-9
 
 #: ``screen_trade`` leaves a price to the LP when its bounds on the LP's
 #: optimum come within this relative distance of the decision threshold.
 _SCREEN_MARGIN = 1e-3
-
-#: Hit-and-run draws per speed sample before giving up.
-_SPEED_TRIES = 64
 
 
 class SpeedPrior(str, enum.Enum):
@@ -188,9 +185,13 @@ def _direction_scale(norms: FloatArray) -> float:
     return max(1.0, float(norms.max(initial=0.0)))
 
 
-def _cancels_and_moves(dirs: FloatArray, norms: FloatArray, s: FloatArray) -> bool:
-    residual = float(np.linalg.norm(s @ dirs))
-    return residual <= 1e-9 * _direction_scale(norms) and float(s @ norms) > 1e-12
+def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray) -> str | None:
+    """Why ``s`` fails to cancel aggregate trade while moving someone, or None."""
+    residual, volume = float(np.linalg.norm(s @ dirs)), float(s @ norms)
+    bound = 1e-9 * _direction_scale(norms)
+    if residual <= bound and volume > 1e-12:
+        return None
+    return f"residual {residual!r} (bound {bound!r}), volume {volume!r} (floor 1e-12)"
 
 
 def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
@@ -198,46 +199,44 @@ def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
     if sigma.sigma.size != e.size:
         raise SpecificationError("speed vector length must equal the household count")
     dirs = all_trade_directions(e, y, p)
-    return _cancels_and_moves(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma)
+    return _cancel_and_move_failure(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma) is None
 
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
-    """LP feasibility of trade at prices p: is the speed polytope nontrivial?
+    """Whether trade exists at prices p: one row of ``screen_trade``, which answers as the LP does."""
+    _check_state(e, y)
+    return bool(screen_trade(e, y, as_price(p, e.n_goods)[None, :])[0])
+
+
+def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
+    """The LP that defines trade, on one price's (H, L) directions and their norms.
 
     Maximizes total traded volume subject to aggregate cancellation and the
     unit cube; trade exists iff the optimum clears a small threshold.  The
     cancellation slack is relative to the longest direction, and so is the
     volume it alone can buy, so the threshold scales with it too.
     """
-    dirs = all_trade_directions(e, y, p)
-    norms = np.linalg.norm(dirs, axis=1)
     active = norms >= DEGENERATE_DIRECTION
-    if int(active.sum()) < 2:
+    if np.count_nonzero(active) < 2:
         return False
-    d_act = dirs[active]
     n_act = norms[active]
     scale = _direction_scale(n_act)
-    A = d_act.T / scale
-    G = np.vstack([A, -A, np.eye(d_act.shape[0])])
-    h = np.concatenate(
-        [np.full(2 * A.shape[0], _LP_EQ_TOL), np.ones(d_act.shape[0])]
-    )
-    _, value = _simplex.maximize(n_act, G, h)
+    _, value = _simplex.maximize(n_act, *_hitrun.polytope(dirs[active] / scale))
     return value > _LP_DECISION * scale
 
 
 def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
-    """``has_trade`` at each row of a (G, L) stack of prices, one bool per row.
+    """Whether trade exists at each row of a (G, L) stack of prices, one bool per row.
 
     The directions of every row come from one pass of the ``prefs`` core.
     At L <= 3, Walras' law puts them in the plane (L = 3) or on the line
     (L = 2) orthogonal to the prices, and by Gordan's alternative trade
     exists iff no open half-space there holds every active direction.  The
     screen brackets the LP's optimum V between closed-form certificates
-    (``_volume_bracket``) and decides a row when the bracket clears
-    ``has_trade``'s threshold by ``_SCREEN_MARGIN``.  Rows it leaves open,
-    and every row at L >= 4, are asked of ``has_trade``, so each answer is
-    the LP's.
+    (``_volume_bracket``) and decides a row when the bracket clears the
+    LP's threshold by ``_SCREEN_MARGIN``.  Rows it leaves open, and every
+    row at L >= 4, go to the LP (``_lp_trade``) on their own directions, so
+    each answer is the LP's.
     """
     _check_state(e, y)
     p = np.asarray(prices, dtype=np.float64)
@@ -249,7 +248,7 @@ def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
     norms = np.linalg.norm(dirs, axis=-1)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
-    scale = np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)  # has_trade's, row by row
+    scale = np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)  # the LP's, row by row
     count = np.count_nonzero(active, axis=-1)
     verdict = np.zeros(p.shape[0], dtype=bool)
     open_rows = count >= 2
@@ -261,14 +260,14 @@ def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
         verdict = lo - count * _simplex._ENTER_TOL > threshold * (1.0 + _SCREEN_MARGIN)
         open_rows &= ~verdict & ~(hi < threshold * (1.0 - _SCREEN_MARGIN))
     for g in np.flatnonzero(open_rows):
-        verdict[g] = has_trade(e, y, p[g])
+        verdict[g] = _lp_trade(dirs[g], norms[g])
     return verdict
 
 
 def _volume_bracket(
     dirs: FloatArray, n_act: FloatArray, p: FloatArray, scale: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    """Bounds lo <= V <= hi on ``has_trade``'s optimum V at each price row, L <= 3.
+    """Bounds lo <= V <= hi on the LP's optimum V at each price row, L <= 3.
 
     ``dirs`` is the (G, H, L) stack of directions and ``n_act`` their norms,
     zero for inactive households.  The LP keeps each coordinate of the
@@ -279,7 +278,7 @@ def _volume_bracket(
     along p (rounding, by Walras' law) can buy, and never exceeds the summed
     norms.
     """
-    slack = _LP_EQ_TOL * scale
+    slack = _hitrun._EQ_TOL * scale
     unit = p / np.linalg.norm(p, axis=-1, keepdims=True)
     leak = np.where(n_act > 0.0, np.abs(np.vecdot(dirs, unit[:, None, :])), 0.0).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with no witness give NaN speeds
@@ -440,7 +439,8 @@ def sample_speed(
     Two active traders pin the polytope down to a ray, sampled in closed
     form; more traders go through hit-and-run over the polytope after an
     LP-found interior start.  The prior is read on the polytope's intrinsic
-    measure (the ray parameter when H = 2).
+    measure (the ray parameter when H = 2).  A candidate that fails a check
+    raises ``SamplingError``; there is no second attempt.
     """
     return _sample_speed(all_trade_directions(e, y, p), s_prior, rng)
 
@@ -464,17 +464,17 @@ def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generato
         sigma[[i, j]] = np.concatenate(speeds)
         return SpeedVector(sigma)
 
-    for _ in range(_SPEED_TRIES):
-        point = _hitrun.sample(dirs[idx], norms[idx], rng)
-        if s_prior is SpeedPrior.MAX_SPEED:
-            peak = float(point.max())
-            if peak < 1e-6:
-                continue  # rescaling would amplify the equality residual
-            point = point / peak
-        sigma[idx] = point
-        if _cancels_and_moves(dirs, norms, sigma):
-            return SpeedVector(sigma)
-    raise SamplingError(f"no valid speed draw within {_SPEED_TRIES} attempts")
+    point = _hitrun.sample(dirs[idx], norms[idx], rng)
+    if s_prior is SpeedPrior.MAX_SPEED:
+        peak = float(point.max())
+        if peak < 1e-6:  # rescaling would amplify the equality residual
+            raise SamplingError(f"max-speed draw peaks at {peak!r}, below 1e-06")
+        point = point / peak
+    sigma[idx] = point
+    why = _cancel_and_move_failure(dirs, norms, sigma)
+    if why is not None:
+        raise SamplingError(f"speed draw fails cancel-and-move: {why}")
+    return SpeedVector(sigma)
 
 
 def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:

@@ -18,7 +18,7 @@ import csv
 
 import numpy as np
 
-from edgeworth import engine, prefs
+from edgeworth import engine, prefs, trade
 from edgeworth.prefs import Family, MultiplicativeCobbDouglas
 
 
@@ -192,6 +192,12 @@ def clearing_price(economy, allocation, weights=None) -> np.ndarray:
     if not sol.success or float(np.max(np.abs(excess(sol.x)))) > 1e-10:
         raise RuntimeError(f"clearing-price oracle failed: {sol.message}")
     return np.exp(sol.x)
+
+
+def lp_trade(economy, allocation, p) -> bool:
+    """The trade LP itself on the directions at ``p``, with no screen in front of it."""
+    dirs = trade.all_trade_directions(economy, allocation, p)
+    return trade._lp_trade(dirs, np.linalg.norm(dirs, axis=1))
 
 
 def box_contains(box, q) -> bool:

@@ -105,7 +105,7 @@ def test_criterion_4_welfare_theorem_surrogate(capsys):
             4,
             ok,
             f"1000 max-speed trajectories reach gap<1e-3 within 200 steps "
-            f"(shortfall {reportobj.worst_violation:.4f}), {elapsed:.2f}s < 30s",
+            f"(non-converged share / 1%: {reportobj.worst_violation:.4f}), {elapsed:.2f}s < 30s",
         )
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, truncnorm
 
-from edgeworth import engine, prefs, trade
+from edgeworth import _simplex, engine, prefs, trade
 from edgeworth.engine import (
     ArctanNormal,
     PriorSpec,
@@ -23,7 +23,7 @@ from edgeworth.engine import (
     example3_process,
 )
 from edgeworth.errors import SamplingError, SpecificationError
-from edgeworth.prefs import UtilitySpec
+from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
 from oracles import log_uniform
@@ -45,6 +45,9 @@ _SPEC_2 = st.one_of(
         lambda a, sigma: UtilitySpec.ces([a, 1.0 - a], sigma),
         st.floats(0.2, 0.8),
         st.floats(0.2, 0.8),
+    ),
+    st.builds(
+        lambda a, b: MultiplicativeCobbDouglas([a, b]), st.floats(0.2, 3.0), st.floats(0.2, 3.0)
     ),
 )
 _ANGLE_PRIOR = st.one_of(
@@ -97,9 +100,13 @@ class TestPriorTypes:
         # the generic step decides trade at trade.PARETO_TOL; a finer
         # tolerance would end its runs mid-way in a configuration error
         twins = Economy.of([mult_c1c2, mult_c1c2])
-        with pytest.raises(SpecificationError, match="pareto_tol below 1e-08"):
-            make_config(twins, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-12)
-        cfg = make_config(twins, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-8)
+        grid = Tabulated(np.array([0.8, 1.0, 1.25]), np.ones(3))
+        with pytest.raises(SpecificationError, match="pareto_tol below 1e-08 needs the 2x2 closed-form"):
+            make_config(twins, shock, grid, SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-12)
+        make_config(twins, shock, grid, SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-8)
+        # any 2x2 economy with an angle prior runs on the closed-form kernel
+        cfg = make_config(twins, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-12)
+        assert engine._supports_fast_path(cfg)
         assert engine.run_trajectory(cfg, 0).terminal is Terminal.PARETO_REACHED
 
     def test_fine_pareto_tol_on_the_closed_form_path(self, cd_economy, shock):
@@ -154,13 +161,18 @@ class TestDrawPrice:
         "q_prior", [UniformArc(), ArctanNormal(1.0, 0.3)], ids=["uniform_arc", "arctan_normal"]
     )
     def test_angle_draw_asks_no_lp(self, monkeypatch, q_prior):
-        # with two goods the open rate interval is the trade-compatible set
+        # with two goods the open rate interval between the households' rates
+        # is the trade-compatible set: no LP and no box
         def no_lp(*args):
             raise AssertionError("the angle draw solved an LP")
 
-        monkeypatch.setattr(trade, "has_trade", no_lp)
+        def no_box(*args):
+            raise AssertionError("the angle draw built the rate box")
+
         e, y = THREE_TRADERS
         lo, hi = rate_bounds(e, y)
+        monkeypatch.setattr(_simplex, "maximize", no_lp)
+        monkeypatch.setattr(trade, "msr_extremes", no_box)
         rng = engine.run_rng(17, 0)
         prior = PriorSpec(q_prior, SpeedPrior.UNIFORM_CUBE)
         draws = np.array([float(engine.draw_price(e, y, prior, rng)[0]) for _ in range(1_000)])
@@ -170,7 +182,7 @@ class TestDrawPrice:
     def test_clear_cut_tabulated_draw_asks_no_lp(self, monkeypatch, goods):
         # every in-box atom is well inside or well outside the trade set, so
         # the closed-form certificates decide them all
-        from oracles import clearing_price
+        from oracles import clearing_price, lp_trade
 
         def no_lp(*args):
             raise AssertionError("the tabulated draw solved an LP")
@@ -187,9 +199,9 @@ class TestDrawPrice:
             atoms = clearing_price(e, y) * np.exp(np.array(shifts))
         screened = trade.box_contains(trade.msr_extremes(e, y), atoms)
         assert screened.sum() >= 3
-        want = [trade.has_trade(e, y, np.append(q, 1.0)) for q in atoms[screened]]
+        want = [lp_trade(e, y, np.append(q, 1.0)) for q in atoms[screened]]
         assert any(want) and (goods == 2 or not all(want))
-        monkeypatch.setattr(trade, "has_trade", no_lp)
+        monkeypatch.setattr(_simplex, "maximize", no_lp)
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
         rng = engine.run_rng(17, 0)
         drawn = {tuple(engine.draw_price(e, y, prior, rng)) for _ in range(200)}
@@ -205,8 +217,8 @@ class TestDrawPrice:
         atoms = clearing_price(e, y) * np.exp(np.array(shifts))
         in_box = trade.box_contains(trade.msr_extremes(e, y), atoms)
         calls = []
-        lp = trade.has_trade
-        monkeypatch.setattr(trade, "has_trade", lambda *args: calls.append(args) or lp(*args))
+        lp = _simplex.maximize
+        monkeypatch.setattr(_simplex, "maximize", lambda *args: calls.append(args) or lp(*args))
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
         q = engine.draw_price(e, y, prior, engine.run_rng(3, 0))
         assert len(calls) == int(in_box.sum()) >= 3

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeworth import prefs, trade
+from edgeworth import _hitrun, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
-from oracles import clearing_price, log_uniform
+from oracles import clearing_price, log_uniform, lp_trade
 
 
 def _random_state(draw: np.random.Generator, goods: int, households: int):
@@ -167,6 +167,13 @@ class TestSpeedSet:
         )
 
 
+def _has_trade(e: Economy, y: Allocation, p) -> bool:
+    """``has_trade``, checked against the LP it answers for."""
+    got = trade.has_trade(e, y, p)
+    assert got == lp_trade(e, y, p)
+    return got
+
+
 class TestHasTrade:
     def test_example3_interval_membership(self, cd_economy, shock):
         assert trade.has_trade(cd_economy, shock, [1.0, 1.0])
@@ -176,9 +183,9 @@ class TestHasTrade:
         # rates 1 and 2; direction norms near 100 must not let the LP's
         # cancellation slack alone pass for trade
         y = Allocation(np.array([[100.0, 100.0], [100.0, 200.0]]))
-        assert trade.has_trade(cd_economy, y, [1.5, 1.0])
+        assert _has_trade(cd_economy, y, [1.5, 1.0])
         for q in (0.5, 3.0, 30.0):
-            assert not trade.has_trade(cd_economy, y, [q, 1.0])
+            assert not _has_trade(cd_economy, y, [q, 1.0])
 
     def test_contract_curve_points_admit_no_trade(self, cd_economy):
         for t in (0.5, 1.5, 2.5):
@@ -219,12 +226,12 @@ class TestHasTrade:
         inner_lo, inner_hi = lo * (1.0 + 1e-6), hi * (1.0 - 1e-6)
         if inner_lo < inner_hi:
             q = inner_lo + u * (inner_hi - inner_lo)
-            assert trade.has_trade(e, y, [q, 1.0])
+            assert _has_trade(e, y, [q, 1.0])
         if above:
             q_out = hi * (1.0 + 1e-6) * (1.0 + outside)
         else:
             q_out = lo * (1.0 - 1e-6) / (1.0 + outside)
-        assert not trade.has_trade(e, y, [q_out, 1.0])
+        assert not _has_trade(e, y, [q_out, 1.0])
 
     def test_many_households_three_goods(self, rng):
         specs = [
@@ -259,7 +266,8 @@ class TestScreenTrade:
     def test_decisions_match_the_lp(self, goods, households, seed):
         # atoms in the box, on each household's own rate and on the box's
         # edges, each also 1-4 ulps off, where the LP's optimum sits nearest
-        # its threshold; the certificates must never answer otherwise
+        # its threshold; the certificates must never answer otherwise than
+        # the LP itself
         draw = np.random.default_rng(seed)
         e = Economy.of([self._household(draw, goods) for _ in range(households)])
         y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
@@ -277,7 +285,7 @@ class TestScreenTrade:
                     atoms.append(q)
         prices = np.concatenate([np.array(atoms), np.ones((len(atoms), 1))], axis=1)
         got = trade.screen_trade(e, y, prices)
-        want = np.array([trade.has_trade(e, y, p) for p in prices])
+        want = np.array([lp_trade(e, y, p) for p in prices])
         assert got.dtype == bool and got.shape == (len(atoms),)
         np.testing.assert_array_equal(got, want)
 
@@ -504,6 +512,34 @@ class TestSampleSpeed:
             cd_economy, shock, [0.8, 1.0], SpeedPrior.UNIFORM_CUBE, np.random.default_rng(11)
         )
         np.testing.assert_array_equal(a.sigma, b.sigma)
+
+    @pytest.mark.parametrize(
+        "s_prior,point,why",
+        [
+            (SpeedPrior.UNIFORM_CUBE, [1.0, 0.0, 0.0], r"cancel-and-move: residual 0\.7\d* \(bound 1e-09\)"),
+            (SpeedPrior.UNIFORM_CUBE, [0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.0 .*, volume 0\.0 \(floor 1e-12\)"),
+            (SpeedPrior.MAX_SPEED, [1e-7, 0.0, 1e-7], r"max-speed draw peaks at 1e-07, below 1e-06"),
+        ],
+        ids=["residual", "volume", "peak"],
+    )
+    def test_failed_candidate_raises_at_once(self, monkeypatch, cd, rng, s_prior, point, why):
+        # one hit-and-run candidate per draw: a failed check is not retried
+        e = Economy.of([cd, cd, cd])
+        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]]))
+        calls = []
+        monkeypatch.setattr(_hitrun, "sample", lambda *args: calls.append(args) or np.array(point))
+        with pytest.raises(SamplingError, match=why):
+            trade.sample_speed(e, y, [1.0, 1.0], s_prior, rng)
+        assert len(calls) == 1
+
+    def test_short_chord_raises_at_once(self, monkeypatch, cd, rng):
+        e = Economy.of([cd, cd, cd])
+        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]]))
+        calls = []
+        monkeypatch.setattr(_hitrun, "_chord", lambda *args: calls.append(args) or (0.0, 1e-12))
+        with pytest.raises(SamplingError, match=r"hit-and-run stalled: chord 1e-12 within the clearance"):
+            trade.sample_speed(e, y, [1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
+        assert len(calls) == 1
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
         with pytest.raises(SamplingError):

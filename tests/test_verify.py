@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,8 @@ class TestAttractionSuite:
     def test_2x2_cobb_douglas(self, cd):
         report = verify.attraction_suite(Economy.of([cd, cd]), draws=300, seed=1)
         assert report.passed
+        # the largest rounding-level increase, over MONOTONE_SLACK
+        assert 0.0 < report.worst_violation <= 1.0
 
     def test_three_good_ces_pair(self):
         specs = [
@@ -107,6 +111,16 @@ class TestWelfareSuite:
         cfg = verify._bundled_configs()["ces"]
         report = verify.welfare_suite(cfg, seed=0)
         assert report.passed
+
+    def test_worst_is_the_missed_share_over_one_percent(self, monkeypatch):
+        # three steps are too few for most runs: worst is 100x the missed share
+        cfg = dataclasses.replace(verify._bundled_configs()["ces"], runs=200, max_steps=3)
+        report = verify.welfare_suite(cfg, seed=0)
+        assert report.failures == 1 and 1.0 < report.worst_violation <= 100.0
+        # a missed trade interval has no finite margin
+        monkeypatch.setattr(trade, "has_trade", lambda *args: False)
+        report = verify.welfare_suite(dataclasses.replace(cfg, max_steps=200), seed=0)
+        assert report.failures > 0 and report.worst_violation == np.inf
 
     def test_already_optimal_start_counts_converged(self, cd):
         e = Economy.of([cd, cd])
