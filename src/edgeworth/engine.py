@@ -607,30 +607,25 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
     Prices climb q_t = 1 - 2^(-(t+1)) while a fair coin keeps landing on
     "continue"; the first "stop" trades out at q = 1 and freezes the state
     on the contract curve, so outcome j (the stop time) has mass 2^-j.
+    Every run climbs the same ladder, so each run draws only its coin flips
+    and the ladder is walked once, as far as the longest run climbs.
     """
     if runs < 1:
         raise SpecificationError("runs must be at least 1")
-    samples = np.empty((runs, 2, 2))
     steps = np.empty(runs, dtype=np.int64)
     for r in range(runs):
-        y11, y12, y21, y22 = 2.0, 1.0, 1.0, 2.0
         t = 1
         while t < 64 and rng.random() >= 0.5:
-            q = 1.0 - 2.0 ** -(t + 1)
-            w1 = q * y11 + y12
-            d11, d12 = w1 / (2.0 * q), w1 / 2.0
-            e11, e12 = d11 - y11, d12 - y12
-            w2 = q * y21 + y22
-            d21, d22 = w2 / (2.0 * q), w2 / 2.0
-            e21, e22 = d21 - y21, d22 - y22
-            g = math.hypot(e11, e12) / math.hypot(e21, e22)
-            y11, y12 = d11, d12
-            y21, y22 = y21 + g * e21, y22 + g * e22
             t += 1
-        s1 = y11 + y12
-        s2 = y21 + y22
-        samples[r] = [[0.5 * s1, 0.5 * s1], [0.5 * s2, 0.5 * s2]]
         steps[r] = t
+    specs = (prefs.UtilitySpec.cobb_douglas_log([0.5, 0.5]),) * 2
+    y = np.array([[2.0, 1.0], [1.0, 2.0]])
+    outcomes = [trade._each(trade._path_end, specs, y, np.ones(2))]  # [j - 1]: stop time j
+    for t in range(1, int(steps.max())):
+        dirs = trade._each(trade._path_end, specs, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
+        speeds = _ray_speeds(*np.linalg.norm(dirs, axis=1), max_speed=True, draw=None)
+        y = y + np.array(speeds)[:, None] * dirs
+        outcomes.append(trade._each(trade._path_end, specs, y, np.ones(2)))
     tags = [Terminal.PARETO_REACHED] * runs
     qs = np.ones((runs, 1))
-    return summarize(samples, qs, steps, tags)
+    return summarize(np.stack(outcomes)[steps - 1], qs, steps, tags)

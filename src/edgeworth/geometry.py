@@ -6,6 +6,12 @@ its utility level (the flattening map).  This module hosts those coordinate
 changes, the canonical manifolds through a bundle with their tangency
 Jacobians, the convex-set membership tests they induce, and the Pareto-set
 parameterization down to the 2x2 contract curve and Walras equilibrium.
+
+The chart Jacobians rely on homotheticity, which every shipped family has:
+demand at wealth ``w`` is ``w x_n(p)``, so each chart is a wealth times
+``x_n(p)`` and its Jacobian is the demand Jacobian plus a rank-one term.  A
+non-homothetic family would need the general formula through the Hessian of
+the normalized indirect utility.
 """
 
 from __future__ import annotations
@@ -156,46 +162,27 @@ def sample_manifold(u: UtilityLike, kind: ManifoldKind, anchor, q_grid) -> Manif
     return ManifoldSample(kind, anchor, tuple(points))
 
 
-def _indirect_utility_hessian(u: UtilityLike, p: FloatArray) -> tuple[FloatArray, float, FloatArray]:
-    """``x_n(p)``, ``lambda_n(p)`` and the closed-form Hessian of v_n at ``p``.
-
-    With ``x = x_n(p)``, ``J`` its Jacobian, ``g = grad u(x)`` and
-    ``H = D^2 u(x)``: ``grad v_n = -lambda_n x`` with ``lambda_n = g . x``,
-    ``grad lambda_n = J^T (H x + g)``, and
-    ``D^2 v_n = -outer(x, grad lambda_n) - lambda_n J``.
-    """
-    x = prefs.normalized_demand(u, p)
-    jac = prefs.normalized_demand_jacobian(u, p)
-    g = prefs.gradient(u, x)
-    lam = float(g @ x)
-    grad_lam = jac.T @ (prefs.hessian(u, x) @ x + g)
-    out = -np.outer(x, grad_lam) - lam * jac
-    return x, lam, 0.5 * (out + out.T)
-
-
 def jacobian_phi(u: UtilityLike, anchor, p) -> FloatArray:
-    """Jacobian of p -> h(p, u(anchor)), the indifference-surface chart."""
+    """Jacobian of p -> h(p, u(anchor)), the indifference-surface chart.
+
+    With ``h = e x_n(p)``, ``e = p . h`` and Shephard's lemma (grad e = h):
+    ``outer(x_n(p), h) + e J_n(p)``.
+    """
     anchor = as_bundle(anchor, u.dimension)
     p = as_price(p, u.dimension)
-    level = prefs.utility(u, anchor)
-    hd = prefs.hicksian_demand(u, p, level)
-    e = float(p @ hd)
-    pt = p / e
-    m = np.eye(p.size) - np.outer(pt, hd)
-    _, lam, hess = _indirect_utility_hessian(u, pt)
-    return -(m.T @ (hess / (e * lam)) @ m)
+    h = prefs.hicksian_demand(u, p, prefs.utility(u, anchor))
+    return np.outer(prefs.normalized_demand(u, p), h) + float(p @ h) * prefs.normalized_demand_jacobian(u, p)
 
 
 def jacobian_psi(u: UtilityLike, anchor, p) -> FloatArray:
-    """Jacobian of p -> x_n(p / p.anchor), the offer-surface chart."""
+    """Jacobian of p -> x_n(p / p.anchor), the offer-surface chart.
+
+    With ``x_n(p / w) = w x_n(p)`` at ``w = p . anchor``:
+    ``outer(x_n(p), anchor) + w J_n(p)``.
+    """
     anchor = as_bundle(anchor, u.dimension)
     p = as_price(p, u.dimension)
-    wealth = float(p @ anchor)
-    star = p / wealth
-    x, lam, hess = _indirect_utility_hessian(u, star)
-    left = np.eye(p.size) - np.outer(x, star)
-    right = np.eye(p.size) - np.outer(star, anchor)
-    return -(left @ (hess / (wealth * lam)) @ right) - np.outer(x, x - anchor) / wealth
+    return np.outer(prefs.normalized_demand(u, p), anchor) + float(p @ anchor) * prefs.normalized_demand_jacobian(u, p)
 
 
 def omega_contains(u: UtilityLike, anchor, p, slack: float = 1e-12) -> bool:
@@ -276,8 +263,8 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
     """Market-clearing rate and allocation for a 2-household, 2-good economy.
 
     Brackets the clearing rate with the households' extreme substitution
-    rates and bisects aggregate excess demand for the first good; Walras'
-    law clears the second good along with it.
+    rates and finds the root of aggregate excess demand for the first good
+    with Brent's method; Walras' law clears the second good along with it.
     """
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")

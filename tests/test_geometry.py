@@ -161,6 +161,18 @@ class TestManifolds:
             assert len(sample.points) >= 1
 
 
+_CHART_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        UtilitySpec.cobb_douglas_log([0.3, 0.7]),
+        UtilitySpec.ces([0.7, 0.3], 0.5),
+        UtilitySpec.ces([0.2, 0.5, 0.3], 0.5),
+        MultiplicativeCobbDouglas([1.0, 3.0]),
+    ],
+    ids=["cd", "ces", "ces_3goods", "multiplicative"],
+)
+
+
 class TestJacobians:
     @pytest.mark.parametrize("family", ["cd", "ces"])
     def test_tangency_equality(self, family, cd, ces):
@@ -171,50 +183,38 @@ class TestJacobians:
         jq = geometry.jacobian_psi(spec, anchor, p)
         assert float(np.max(np.abs(jp - jq))) <= 1e-6
 
-    @pytest.mark.parametrize("family", ["cd", "ces"])
-    def test_phi_matches_finite_differences(self, family, cd, ces, rng):
-        spec = cd if family == "cd" else ces
-        anchor = np.array([1.2, 0.9])
+    @_CHART_SPECS
+    def test_phi_matches_finite_differences(self, spec, rng):
+        anchor = np.linspace(1.2, 0.9, spec.dimension)
         level = prefs.utility(spec, anchor)
         for _ in range(10):
-            p = log_uniform(rng, 2, 0.3, 3.0)
+            p = log_uniform(rng, spec.dimension, 0.3, 3.0)
             got = geometry.jacobian_phi(spec, anchor, p)
             want = fd_jacobian(lambda z: prefs.hicksian_demand(spec, z, level), p)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize("family", ["cd", "ces"])
-    def test_psi_matches_finite_differences(self, family, cd, ces, rng):
-        spec = cd if family == "cd" else ces
-        anchor = np.array([1.2, 0.9])
+    @_CHART_SPECS
+    def test_psi_matches_finite_differences(self, spec, rng):
+        anchor = np.linspace(1.2, 0.9, spec.dimension)
         for _ in range(10):
-            p = log_uniform(rng, 2, 0.3, 3.0)
+            p = log_uniform(rng, spec.dimension, 0.3, 3.0)
             got = geometry.jacobian_psi(spec, anchor, p)
             want = fd_jacobian(
                 lambda z: prefs.normalized_demand(spec, z / float(z @ anchor)), p
             )
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            UtilitySpec.cobb_douglas_log([0.3, 0.7]),
-            UtilitySpec.ces([0.7, 0.3], 0.5),
-            UtilitySpec.ces([0.2, 0.5, 0.3], 0.5),
-            MultiplicativeCobbDouglas([1.0, 3.0]),
-        ],
-        ids=["log", "ces", "ces_3goods", "multiplicative"],
-    )
-    def test_indirect_utility_hessian_matches_finite_differences(self, spec, rng):
-        def grad_v(p):
-            return -prefs.lambda_n(spec, p) * prefs.normalized_demand(spec, p)
-
-        for _ in range(10):
-            p = log_uniform(rng, spec.dimension, 0.3, 3.0)
-            x, lam, hess = geometry._indirect_utility_hessian(spec, p)
-            np.testing.assert_array_equal(x, prefs.normalized_demand(spec, p))
-            assert lam == prefs.lambda_n(spec, p)
-            np.testing.assert_array_equal(hess, hess.T)
-            np.testing.assert_allclose(hess, fd_jacobian(grad_v, p), rtol=1e-6, atol=1e-8)
+    @_CHART_SPECS
+    def test_phi_is_a_slutsky_matrix(self, spec, rng):
+        # the Hicksian Jacobian is symmetric, negative semidefinite and annihilates p
+        anchor = np.linspace(1.2, 0.9, spec.dimension)
+        for _ in range(50):
+            p = log_uniform(rng, spec.dimension)
+            got = geometry.jacobian_phi(spec, anchor, p)
+            scale = float(np.max(np.abs(got)))
+            assert float(np.max(np.abs(got - got.T))) <= 1e-12 * scale
+            assert float(np.max(np.linalg.eigvalsh(0.5 * (got + got.T)))) <= 1e-12 * scale
+            assert float(np.max(np.abs(got @ p))) <= 1e-12 * scale * float(np.max(p))
 
     def test_example1_closed_form(self, mult_c1c2):
         # at anchor (1,1), p = (1,1): Jphi = [[-1/2, 1/2], [1/2, -1/2]]
