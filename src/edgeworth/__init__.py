@@ -3,7 +3,9 @@
 The package is organized around five layers:
 
 - :mod:`edgeworth.prefs`: closed-form Cobb-Douglas / CES demand systems and
-  the sharpness/attractiveness predicates.
+  the sharpness/attractiveness predicates, all on one ``UtilitySpec`` type
+  (``UtilitySpec.multiplicative`` writes ``prod_i c_i^b_i`` as the log
+  family with a level exponent).
 - :mod:`edgeworth.geometry`: the demand and flattening coordinate changes,
   canonical manifolds, Pareto-set parameterization, contract curve, and the
   2x2 Walras equilibrium.
@@ -39,7 +41,7 @@ from .errors import (
     UnreachableUtilityError,
 )
 from .geometry import FlatPoint, ManifoldKind, ManifoldSample, ParetoPoint
-from .prefs import Family, MultiplicativeCobbDouglas, UtilitySpec
+from .prefs import Family, UtilitySpec
 from .trade import Allocation, BoxSet, Economy, Household, SpeedPrior, SpeedVector
 
 __version__ = "0.1.0"
@@ -58,7 +60,6 @@ __all__ = [
     "LPError",
     "ManifoldKind",
     "ManifoldSample",
-    "MultiplicativeCobbDouglas",
     "OutcomeDistribution",
     "ParetoPoint",
     "PriorSpec",

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from importlib import resources
@@ -47,10 +46,6 @@ EXIT_CONFIG = 2
 EXIT_SAMPLING = 3
 
 BUNDLED_SCENARIOS = ("example4_sticky", "example5_uniform", "example5_maxspeed")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -166,7 +161,7 @@ def _write_csv(path: Path, header: list[str], rows: int, lines) -> None:
 
 
 def _floats(rows: np.ndarray) -> list[str]:
-    """Each row of a float matrix as comma-joined ``_fmt`` cells."""
+    """Each row of a float matrix as comma-joined ``repr`` cells."""
     return [",".join(map(repr, row)) for row in rows.tolist()]
 
 
@@ -269,17 +264,15 @@ def cmd_example3(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     max_j = int(dist.steps.max())
-    rows = []
-    for j in range(1, max_j + 1):
-        empirical = float(np.mean(dist.steps == j))
-        rows.append((j, engine.example3_ladder_value(j), empirical, 2.0**-j))
-    with (out_dir / "example3.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "value", "empirical_mass", "exact_mass"])
-        for j, value, emp, exact in rows:
-            writer.writerow([str(j), _fmt(value), _fmt(emp), _fmt(exact)])
+    js = range(1, max_j + 1)
+    rows = np.array([(engine.example3_ladder_value(j), np.mean(dist.steps == j), 2.0**-j) for j in js])
+
+    def lines(start, stop):
+        return [f"{j},{v}\r\n" for j, v in zip(js[start:stop], _floats(rows[start:stop]))]
+
+    _write_csv(out_dir / "example3.csv", ["j", "value", "empirical_mass", "exact_mass"], max_j, lines)
     print(f"{'j':>3s} {'value':>20s} {'empirical':>12s} {'exact':>12s}")
-    for j, value, emp, exact in rows:
+    for j, (value, emp, exact) in enumerate(rows.tolist(), 1):
         print(f"{j:>3d} {value:>20.12f} {emp:>12.6f} {exact:>12.6f}")
     return EXIT_OK
 
@@ -332,19 +325,16 @@ def cmd_manifold(args: argparse.Namespace) -> int:
         + [f"q_{j + 1}" for j in range(l - 1)]
         + ["u"]
     )
-    with (out_dir / "manifold.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for y in sample.points:
-            p = prefs.inverse_normalized_demand(spec, y)
-            fp = geometry.flatten(spec, y)
-            row = [kind.value]
-            row += [_fmt(v) for v in anchor]
-            row += [_fmt(v) for v in y]
-            row += [_fmt(v) for v in p]
-            row += [_fmt(v) for v in fp.q]
-            row.append(_fmt(fp.u))
-            writer.writerow(row)
+    rows = []
+    for y in sample.points:
+        fp = geometry.flatten(spec, y)
+        rows.append(np.concatenate([anchor, y, prefs.inverse_normalized_demand(spec, y), fp.q, [fp.u]]))
+    rows = np.reshape(rows, (-1, 4 * l))
+
+    def lines(start, stop):
+        return [f"{kind.value},{v}\r\n" for v in _floats(rows[start:stop])]
+
+    _write_csv(out_dir / "manifold.csv", header, rows.shape[0], lines)
     print(f"manifold: {len(sample.points)} points -> {out_dir / 'manifold.csv'}")
     return EXIT_OK
 

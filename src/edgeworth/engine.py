@@ -1,10 +1,12 @@
 """Monte Carlo engine for price-and-speed driven barter trajectories.
 
 Each trajectory is a sequence of joint linear trade steps: draw prices from
-a prior conditioned on the current trade-compatible set (by restriction to
-the cheap box superset plus accept/reject), draw relative speeds from the
-speed polytope, advance, and stop once substitution rates agree or the step
-cap fires.  Runs are reproducible under any parallelism: the stream for run
+a prior conditioned on the current trade-compatible set (an angle prior by
+its inverse CDF on the open interval between the households' extreme
+substitution rates; a tabulated prior by the extreme-rate box test, then
+``trade.screen_trade`` on the atoms in the box), draw relative speeds from
+the speed polytope, advance, and stop once substitution rates agree or the
+step cap fires.  Runs are reproducible under any parallelism: the stream for run
 ``i`` comes from a counter-based generator keyed by (master_seed, i).
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import prefs, trade
-from .errors import SamplingError, SpecificationError
+from .errors import DomainDegeneracyError, LPError, SamplingError, SpecificationError
 from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
@@ -536,8 +538,8 @@ def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
         for k in range(1, cfg.max_steps + 1):
             try:
                 step = sntp_step(cfg.economy, state, cfg.prior, rng, cfg.pareto_tol)
-            except SamplingError as exc:
-                raise SamplingError(f"run {i}: step {k}: {exc}") from exc
+            except (SamplingError, LPError, DomainDegeneracyError) as exc:
+                raise type(exc)(f"run {i}: step {k}: {exc}") from exc
             if step is None:
                 done = True
                 break
@@ -608,7 +610,9 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
     "continue"; the first "stop" trades out at q = 1 and freezes the state
     on the contract curve, so outcome j (the stop time) has mass 2^-j.
     Every run climbs the same ladder, so each run draws only its coin flips
-    and the ladder is walked once, as far as the longest run climbs.
+    and the ladder is walked once, as far as the longest run climbs.  Near
+    t = 52 the price rounds to within an ulp of 1 and a rung admits no
+    trade; the state is then frozen, and later stop times share its outcome.
     """
     if runs < 1:
         raise SpecificationError("runs must be at least 1")
@@ -623,9 +627,12 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
     outcomes = [trade._each(trade._path_end, specs, y, np.ones(2))]  # [j - 1]: stop time j
     for t in range(1, int(steps.max())):
         dirs = trade._each(trade._path_end, specs, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
-        speeds = _ray_speeds(*np.linalg.norm(dirs, axis=1), max_speed=True, draw=None)
+        norms = np.linalg.norm(dirs, axis=1)
+        if norms.min() == 0.0:
+            break
+        speeds = _ray_speeds(*norms, max_speed=True, draw=None)
         y = y + np.array(speeds)[:, None] * dirs
         outcomes.append(trade._each(trade._path_end, specs, y, np.ones(2)))
     tags = [Terminal.PARETO_REACHED] * runs
     qs = np.ones((runs, 1))
-    return summarize(np.stack(outcomes)[steps - 1], qs, steps, tags)
+    return summarize(np.stack(outcomes)[np.minimum(steps, len(outcomes)) - 1], qs, steps, tags)

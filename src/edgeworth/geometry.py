@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
-from .prefs import UtilityLike, as_bundle, as_price
+from .prefs import UtilitySpec, as_bundle, as_price
 from .trade import PARETO_TOL, Allocation, _each, _path_end, _rates_agree
 
 FloatArray = NDArray[np.float64]
@@ -78,32 +78,32 @@ class ParetoPoint:
     allocation: tuple[FloatArray, ...]
 
 
-def flatten(u: UtilityLike, c) -> FlatPoint:
+def flatten(u: UtilitySpec, c) -> FlatPoint:
     """Map a bundle to (substitution rates against good L, utility level)."""
     c = as_bundle(c, u.dimension)
     return FlatPoint(prefs.substitution_rates(u, c), prefs.utility(u, c))
 
 
-def unflatten(u: UtilityLike, fp: FlatPoint) -> FloatArray:
+def unflatten(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Inverse of :func:`flatten`: the Hicksian bundle at prices (q, 1)."""
     if fp.q.size != u.dimension - 1:
         raise SpecificationError("flat point dimension does not match the utility")
     return prefs.hicksian_demand(u, np.append(fp.q, 1.0), fp.u)
 
 
-def d_map(u: UtilityLike, fp: FlatPoint) -> FloatArray:
+def d_map(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Flat point to normalized prices: (q, 1) scaled by 1 / e((q, 1), u)."""
     p = np.append(fp.q, 1.0)
     return p / prefs.expenditure(u, p, fp.u)
 
 
-def d_inverse(u: UtilityLike, p) -> FlatPoint:
+def d_inverse(u: UtilitySpec, p) -> FlatPoint:
     """Normalized prices to flat point: price ratios plus indirect utility."""
     p = as_price(p, u.dimension)
     return FlatPoint(p[:-1] / p[-1], prefs.indirect_utility_normalized(u, p))
 
 
-def fixed_point(u: UtilityLike) -> FloatArray:
+def fixed_point(u: UtilitySpec) -> FloatArray:
     """The unique fixed point of the normalized demand map.
 
     The demand is parallel to ``p`` on the ray ``v_i = w_i^(1/(2 - s))``
@@ -121,7 +121,7 @@ def fixed_point(u: UtilityLike) -> FloatArray:
     return p
 
 
-def _defining_residual(u: UtilityLike, kind: ManifoldKind, anchor: FloatArray, y: FloatArray) -> float:
+def _defining_residual(u: UtilitySpec, kind: ManifoldKind, anchor: FloatArray, y: FloatArray) -> float:
     if kind is ManifoldKind.INDIFFERENCE:
         level = prefs.utility(u, anchor)
         return abs(prefs.utility(u, y) - level) / max(1.0, abs(level))
@@ -130,7 +130,7 @@ def _defining_residual(u: UtilityLike, kind: ManifoldKind, anchor: FloatArray, y
     return abs(float(prefs.inverse_normalized_demand(u, anchor) @ y) - 1.0)
 
 
-def sample_manifold(u: UtilityLike, kind: ManifoldKind, anchor, q_grid) -> ManifoldSample:
+def sample_manifold(u: UtilitySpec, kind: ManifoldKind, anchor, q_grid) -> ManifoldSample:
     """Sample one canonical manifold over a caller-supplied grid.
 
     The grid entries are rate vectors (scalars when L = 2) for the
@@ -162,7 +162,7 @@ def sample_manifold(u: UtilityLike, kind: ManifoldKind, anchor, q_grid) -> Manif
     return ManifoldSample(kind, anchor, tuple(points))
 
 
-def jacobian_phi(u: UtilityLike, anchor, p) -> FloatArray:
+def jacobian_phi(u: UtilitySpec, anchor, p) -> FloatArray:
     """Jacobian of p -> h(p, u(anchor)), the indifference-surface chart.
 
     With ``h = e x_n(p)``, ``e = p . h`` and Shephard's lemma (grad e = h):
@@ -174,7 +174,7 @@ def jacobian_phi(u: UtilityLike, anchor, p) -> FloatArray:
     return np.outer(prefs.normalized_demand(u, p), h) + float(p @ h) * prefs.normalized_demand_jacobian(u, p)
 
 
-def jacobian_psi(u: UtilityLike, anchor, p) -> FloatArray:
+def jacobian_psi(u: UtilitySpec, anchor, p) -> FloatArray:
     """Jacobian of p -> x_n(p / p.anchor), the offer-surface chart.
 
     With ``x_n(p / w) = w x_n(p)`` at ``w = p . anchor``:
@@ -185,20 +185,20 @@ def jacobian_psi(u: UtilityLike, anchor, p) -> FloatArray:
     return np.outer(prefs.normalized_demand(u, p), anchor) + float(p @ anchor) * prefs.normalized_demand_jacobian(u, p)
 
 
-def omega_contains(u: UtilityLike, anchor, p, slack: float = 1e-12) -> bool:
+def omega_contains(u: UtilitySpec, anchor, p, slack: float = 1e-12) -> bool:
     """Membership in the convex normalized-domain set below the anchor's level."""
     anchor = as_bundle(anchor, u.dimension)
     return prefs.indirect_utility_normalized(u, p) <= prefs.utility(u, anchor) + slack
 
 
-def gamma_contains(u: UtilityLike, anchor, fp: FlatPoint, slack: float = 1e-12) -> bool:
+def gamma_contains(u: UtilitySpec, anchor, fp: FlatPoint, slack: float = 1e-12) -> bool:
     """Membership in the flat-domain epigraph bounded by the offer surface."""
     anchor = as_bundle(anchor, u.dimension)
     p = np.append(fp.q, 1.0)
     return float(p @ anchor) <= prefs.expenditure(u, p, fp.u) + slack
 
 
-def k_c(u: UtilityLike, anchor, q) -> float:
+def k_c(u: UtilitySpec, anchor, q) -> float:
     """Indirect utility along the offer chart: v_n((q, 1) / (q, 1).anchor)."""
     anchor = as_bundle(anchor, u.dimension)
     q = np.atleast_1d(np.asarray(q, dtype=np.float64))

@@ -1,7 +1,7 @@
 """Closed-form demand systems for Cobb-Douglas and CES preferences.
 
-Everything here is a pure function of immutable inputs.  The two serialized
-families are the log Cobb-Douglas ``u(c) = sum_i a_i ln c_i`` and the CES
+Everything here is a pure function of immutable inputs.  The two families
+are the log Cobb-Douglas ``u(c) = sum_i a_i ln c_i`` and the CES
 ``u(c) = (sum_i a_i c_i^s)^(1/s)`` with ``s`` strictly inside (0, 1); both are
 attractive and sharp, which the trade and engine modules rely on.
 
@@ -13,11 +13,13 @@ one vector, call the core and ``_guard`` the result.  Callers holding
 validated state (trade, the engine's 2x2 kernel, verify) call the core on
 whole stacks and guard once per stack.
 
-:class:`MultiplicativeCobbDouglas` (``u(c) = prod_i c_i^b_i``) is the
-monotone-transform companion of the log family: the core sees it as the log
-family with its normalized weights, and only functions of the utility level
-treat it apart.  It is exposed so monotone-transform invariance of the
-sharpness and attractiveness predicates can be exercised; it is not part of
+``UtilitySpec.multiplicative(b)`` writes the log family with weights
+``b / B`` at the level ``exp(B u)``, ``B = sum_i b_i``: the multiplicative
+form ``u(c) = prod_i c_i^b_i`` of the worked examples.  Demand is ordinal,
+so the core never reads the level exponent; only the functions of the
+utility level (``utility``, ``gradient``, ``hessian``, ``hicksian_demand``,
+``utility_in_range``) do.  It lets monotone-transform invariance of the
+sharpness and attractiveness predicates be exercised, and it is not part of
 the scenario serialization format.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,12 +67,15 @@ class UtilitySpec:
 
     Weights must be strictly positive and sum to one.  ``elasticity`` is the
     CES exponent, required to lie strictly inside (0, 1) and present only for
-    the CES family.
+    the CES family.  ``exponent`` is a log-family level exponent ``B > 0``:
+    the level is then ``exp(B * sum_i w_i ln c_i)`` (see
+    :meth:`multiplicative`).
     """
 
     family: Family
     weights: FloatArray
     elasticity: float | None = None
+    exponent: float | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -91,6 +95,12 @@ class UtilitySpec:
             object.__setattr__(self, "elasticity", float(self.elasticity))
         elif self.elasticity is not None:
             raise SpecificationError("elasticity is only valid for the CES family")
+        if self.exponent is not None:
+            if self.family is not Family.COBB_DOUGLAS_LOG:
+                raise SpecificationError("a level exponent is only valid for the log Cobb-Douglas family")
+            if not 0.0 < float(self.exponent) < math.inf:
+                raise SpecificationError("the level exponent must be positive and finite")
+            object.__setattr__(self, "exponent", float(self.exponent))
 
     @property
     def dimension(self) -> int:
@@ -104,7 +114,18 @@ class UtilitySpec:
     def ces(cls, weights, elasticity: float) -> "UtilitySpec":
         return cls(Family.CES, np.asarray(weights, dtype=np.float64), elasticity)
 
+    @classmethod
+    def multiplicative(cls, exponents) -> "UtilitySpec":
+        """``u(c) = prod_i c_i^b_i``: the log family with weights ``b / B`` at level exponent ``B = sum(b)``."""
+        b = np.asarray(exponents, dtype=np.float64)
+        if b.ndim != 1 or b.size < 2 or not np.all((b > 0.0) & (b < math.inf)):
+            raise SpecificationError("exponents must be a vector of length >= 2, positive and finite")
+        total = float(b.sum())
+        return cls(Family.COBB_DOUGLAS_LOG, b / total, exponent=total)
+
     def to_dict(self) -> dict:
+        if self.exponent is not None:
+            raise SpecificationError("a multiplicative utility has no serialized form")
         d: dict = {"family": self.family.value, "weights": self.weights.tolist()}
         if self.family is Family.CES:
             d["sigma"] = self.elasticity
@@ -128,49 +149,6 @@ class UtilitySpec:
         if "sigma" in d:
             raise SpecificationError("'sigma' is only valid for the CES family")
         return cls(family, weights)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplicativeCobbDouglas:
-    """``u(c) = prod_i c_i^b_i`` with arbitrary positive exponents ``b``.
-
-    This is ``exp(B * u_log)`` for the log family with weights ``b / B``,
-    ``B = sum(b)``: the same preferences, hence the same demand system, under
-    a strictly increasing transform of the utility level.
-    """
-
-    exponents: FloatArray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.exponents, dtype=np.float64)
-        if b.ndim != 1 or b.size < 2:
-            raise SpecificationError("exponents must be a vector of length >= 2")
-        if not np.all(b > 0.0):
-            raise SpecificationError("exponents must be strictly positive")
-        object.__setattr__(self, "exponents", _read_only(b))
-
-    @property
-    def dimension(self) -> int:
-        return int(self.exponents.size)
-
-    @property
-    def weights(self) -> FloatArray:
-        """Normalized exponents; the demand system sees only these."""
-        return self.exponents / float(self.exponents.sum())
-
-    @property
-    def family(self) -> Family:
-        """The family whose demand system this shares."""
-        return Family.COBB_DOUGLAS_LOG
-
-    @classmethod
-    def from_log_spec(cls, spec: UtilitySpec) -> "MultiplicativeCobbDouglas":
-        if not isinstance(spec, UtilitySpec) or spec.family is not Family.COBB_DOUGLAS_LOG:
-            raise SpecificationError("only the log Cobb-Douglas family has a multiplicative twin")
-        return cls(np.array(spec.weights))
-
-
-UtilityLike = Union[UtilitySpec, MultiplicativeCobbDouglas]
 
 
 def as_bundle(values, dimension: int | None = None) -> FloatArray:
@@ -238,7 +216,7 @@ def _guard(values: FloatArray, what: str) -> FloatArray:
     return values
 
 
-def _check_dim(u: UtilityLike, v: FloatArray) -> None:
+def _check_dim(u: UtilitySpec, v: FloatArray) -> None:
     if v.size != u.dimension:
         raise SpecificationError(
             f"dimension mismatch: utility has {u.dimension} goods, vector has {v.size}"
@@ -249,8 +227,8 @@ def _eta(u: UtilitySpec) -> float:
     return 1.0 / (1.0 - u.elasticity)
 
 
-def _gradient(u: UtilityLike, c: FloatArray) -> FloatArray:
-    """Gradient of the utility (the log family's for the multiplicative one); no checks."""
+def _gradient(u: UtilitySpec, c: FloatArray) -> FloatArray:
+    """Gradient of the utility (of ``sum_i w_i ln c_i`` for the log family at any level exponent); no checks."""
     w = u.weights
     if u.family is Family.CES:
         sig = u.elasticity
@@ -258,7 +236,7 @@ def _gradient(u: UtilityLike, c: FloatArray) -> FloatArray:
     return w / c
 
 
-def _demand(u: UtilityLike, p: FloatArray) -> FloatArray:
+def _demand(u: UtilitySpec, p: FloatArray) -> FloatArray:
     """Normalized Walrasian demand; no checks."""
     if u.family is Family.CES:
         eta = _eta(u)
@@ -267,55 +245,54 @@ def _demand(u: UtilityLike, p: FloatArray) -> FloatArray:
     return u.weights / p
 
 
-def _inverse_demand(u: UtilityLike, c: FloatArray) -> FloatArray:
+def _inverse_demand(u: UtilitySpec, c: FloatArray) -> FloatArray:
     """Inverse normalized demand, grad u / (grad u . c); no checks."""
     g = _gradient(u, c)
     return g / np.vecdot(g, c)[..., None]
 
 
-def _fixed_point_ray(u: UtilityLike) -> FloatArray:
-    """``w^(1/(2 - s))``, on which demand is parallel to prices (``s = 0`` for the log families)."""
+def _fixed_point_ray(u: UtilitySpec) -> FloatArray:
+    """``w^(1/(2 - s))``, on which demand is parallel to prices (``s = 0`` for the log family)."""
     return u.weights ** (1.0 / (2.0 - (u.elasticity if u.family is Family.CES else 0.0)))
 
 
-def _rates(u: UtilityLike, c: FloatArray) -> FloatArray:
+def _rates(u: UtilitySpec, c: FloatArray) -> FloatArray:
     """Substitution rates of the first L-1 goods against good L; no checks."""
     g = _gradient(u, c)
     return g[..., :-1] / g[..., -1:]
 
 
-def utility(u: UtilityLike, c) -> float:
+def utility(u: UtilitySpec, c) -> float:
     """Utility level at bundle ``c`` (may be negative for the log family)."""
     c = as_bundle(c)
     _check_dim(u, c)
-    if isinstance(u, MultiplicativeCobbDouglas):
-        return float(np.prod(c ** u.exponents))
     if u.family is Family.COBB_DOUGLAS_LOG:
-        return float(u.weights @ np.log(c))
+        v = float(u.weights @ np.log(c))
+        return v if u.exponent is None else math.exp(u.exponent * v)
     s = float(u.weights @ c**u.elasticity)
     return s ** (1.0 / u.elasticity)
 
 
-def gradient(u: UtilityLike, c) -> FloatArray:
+def gradient(u: UtilitySpec, c) -> FloatArray:
     """Analytic gradient of the utility; strictly positive coordinatewise."""
     c = as_bundle(c)
     _check_dim(u, c)
-    if isinstance(u, MultiplicativeCobbDouglas):
-        return _guard(utility(u, c) * u.exponents / c, "gradient")
-    return _guard(_gradient(u, c), "gradient")
+    g = _gradient(u, c)
+    if u.family is Family.COBB_DOUGLAS_LOG and u.exponent is not None:
+        g = utility(u, c) * u.exponent * g  # the chain rule through exp(B v)
+    return _guard(g, "gradient")
 
 
-def hessian(u: UtilityLike, c) -> FloatArray:
-    """Analytic Hessian of the utility (symmetric, negative semidefinite)."""
+def hessian(u: UtilitySpec, c) -> FloatArray:
+    """Analytic Hessian of the utility (symmetric; negative semidefinite without a level exponent)."""
     c = as_bundle(c)
     _check_dim(u, c)
-    if isinstance(u, MultiplicativeCobbDouglas):
-        b = u.exponents
-        lvl = utility(u, c)
-        rates = b / c
-        return lvl * (np.outer(rates, rates) - np.diag(b / c**2))
     if u.family is Family.COBB_DOUGLAS_LOG:
-        return np.diag(-u.weights / c**2)
+        h = np.diag(-u.weights / c**2)
+        if u.exponent is None:
+            return h
+        g = u.exponent * u.weights / c  # the gradient of B v
+        return utility(u, c) * (np.outer(g, g) + u.exponent * h)
     sig = u.elasticity
     s = float(u.weights @ c**sig)
     theta = u.weights * c ** (sig - 1.0)
@@ -325,14 +302,14 @@ def hessian(u: UtilityLike, c) -> FloatArray:
     )
 
 
-def normalized_demand(u: UtilityLike, p) -> FloatArray:
+def normalized_demand(u: UtilitySpec, p) -> FloatArray:
     """Walrasian demand at unit wealth; satisfies ``p @ x == 1``."""
     p = as_price(p)
     _check_dim(u, p)
     return _guard(_demand(u, p), "demand")
 
 
-def normalized_demand_jacobian(u: UtilityLike, p) -> FloatArray:
+def normalized_demand_jacobian(u: UtilitySpec, p) -> FloatArray:
     """Analytic Jacobian of :func:`normalized_demand` (row i = good i)."""
     p = as_price(p)
     _check_dim(u, p)
@@ -343,41 +320,37 @@ def normalized_demand_jacobian(u: UtilityLike, p) -> FloatArray:
     return np.diag(-eta * x / p) - (1.0 - eta) * np.outer(x, x)
 
 
-def inverse_normalized_demand(u: UtilityLike, c) -> FloatArray:
+def inverse_normalized_demand(u: UtilitySpec, c) -> FloatArray:
     """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c)."""
     c = as_bundle(c)
     _check_dim(u, c)
     return _guard(_inverse_demand(u, c), "inverse demand")
 
 
-def substitution_rates(u: UtilityLike, c) -> FloatArray:
+def substitution_rates(u: UtilitySpec, c) -> FloatArray:
     """Marginal substitution rates of the first L-1 goods against good L."""
     c = as_bundle(c)
     _check_dim(u, c)
     return _guard(_rates(u, c), "substitution rates")
 
 
-def utility_in_range(u: UtilityLike, level: float) -> bool:
+def utility_in_range(u: UtilitySpec, level: float) -> bool:
     """Whether ``level`` is attainable on the interior consumption set."""
-    if isinstance(u, UtilitySpec) and u.family is Family.COBB_DOUGLAS_LOG:
+    if u.family is Family.COBB_DOUGLAS_LOG and u.exponent is None:
         return bool(np.isfinite(level))
     return bool(np.isfinite(level)) and level > 0.0
 
 
-def hicksian_demand(u: UtilityLike, p, target_u: float) -> FloatArray:
+def hicksian_demand(u: UtilitySpec, p, target_u: float) -> FloatArray:
     """Cheapest bundle reaching utility ``target_u`` at prices ``p``."""
     p = as_price(p)
     _check_dim(u, p)
     if not utility_in_range(u, target_u):
         raise UnreachableUtilityError(f"utility level {target_u!r} is outside the family's range")
-    if isinstance(u, MultiplicativeCobbDouglas):
-        b = u.exponents
-        total = float(b.sum())
-        e = target_u ** (1.0 / total) * float(np.prod((total * p / b) ** (b / total)))
-        return _guard(e * u.weights / p, "hicksian demand")
     if u.family is Family.COBB_DOUGLAS_LOG:
         w = u.weights
-        e = math.exp(target_u - float(w @ np.log(w / p)))
+        v = target_u if u.exponent is None else math.log(target_u) / u.exponent
+        e = math.exp(v - float(w @ np.log(w / p)))
         return _guard(e * w / p, "hicksian demand")
     eta = _eta(u)
     w_eta = u.weights**eta
@@ -386,24 +359,24 @@ def hicksian_demand(u: UtilityLike, p, target_u: float) -> FloatArray:
     return _guard(e * w_eta * p**-eta / a, "hicksian demand")
 
 
-def expenditure(u: UtilityLike, p, target_u: float) -> float:
+def expenditure(u: UtilitySpec, p, target_u: float) -> float:
     """Minimum cost of reaching ``target_u`` at prices ``p``: p . h(p, u)."""
     p = as_price(p)
     return float(p @ hicksian_demand(u, p, target_u))
 
 
-def indirect_utility_normalized(u: UtilityLike, p) -> float:
+def indirect_utility_normalized(u: UtilitySpec, p) -> float:
     """Utility of the normalized demand, u(x_n(p))."""
     return utility(u, normalized_demand(u, p))
 
 
-def lambda_n(u: UtilityLike, p) -> float:
+def lambda_n(u: UtilitySpec, p) -> float:
     """Marginal utility of wealth at unit wealth: grad u(x_n(p)) . x_n(p)."""
     x = normalized_demand(u, p)
     return float(gradient(u, x) @ x)
 
 
-def check_sharp(u: UtilityLike, y, p) -> bool:
+def check_sharp(u: UtilitySpec, y, p) -> bool:
     """Sharpness at (y, p): overpriced goods are offered, underpriced demanded.
 
     For each good i, when p_i strictly exceeds every cross-rate-implied price
@@ -427,7 +400,7 @@ def check_sharp(u: UtilityLike, y, p) -> bool:
     return True
 
 
-def check_attractive(u: UtilityLike, y, p, i: int, j: int) -> bool:
+def check_attractive(u: UtilitySpec, y, p, i: int, j: int) -> bool:
     """Attractiveness bilinear form at (y, p) for the goods pair (i, j).
 
     The form couples the gap between MRS_ij(y) and the price ratio to the

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from . import _hitrun, _simplex, prefs
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
-from .prefs import UtilityLike, as_price
+from .prefs import UtilitySpec, as_price
 
 FloatArray = NDArray[np.float64]
 
@@ -52,7 +52,7 @@ class SpeedPrior(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Household:
-    spec: UtilityLike
+    spec: UtilitySpec
     label: str
 
 
@@ -85,7 +85,7 @@ class Economy:
         return self.households[0].spec.dimension
 
     @property
-    def specs(self) -> tuple[UtilityLike, ...]:
+    def specs(self) -> tuple[UtilitySpec, ...]:
         return tuple(h.spec for h in self.households)
 
 
@@ -168,7 +168,7 @@ def _each(core, specs, bundles: FloatArray, *args) -> FloatArray:
     return np.concatenate(rows, axis=-2)
 
 
-def _path_end(u: UtilityLike, b: FloatArray, p: FloatArray) -> FloatArray:
+def _path_end(u: UtilitySpec, b: FloatArray, p: FloatArray) -> FloatArray:
     """x_n(p / p.b), where the linear path from ``b`` at prices ``p`` ends; no checks."""
     return prefs._demand(u, p / np.vecdot(p, b)[..., None])
 

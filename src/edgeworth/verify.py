@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from . import engine, geometry, prefs, trade
 from .engine import SimConfig, Terminal
 from .errors import ConvergenceError, SpecificationError
-from .prefs import Family, UtilityLike, UtilitySpec
+from .prefs import UtilitySpec
 from .trade import Allocation, Economy, SpeedPrior
 
 FloatArray = NDArray[np.float64]
@@ -79,7 +79,7 @@ def _relative(residual: float, scale: float) -> float:
 
 
 def identity_suite(
-    spec: UtilityLike, draws: int = 1000, seed: int = 0, demand_scale: float = 1.0
+    spec: UtilitySpec, draws: int = 1000, seed: int = 0, demand_scale: float = 1.0
 ) -> CheckReport:
     """Demand-theory identities plus inverse-demand and flat-chart roundtrips.
 
@@ -91,6 +91,7 @@ def identity_suite(
         raise SpecificationError("draws must be at least 1")
     rng = _rng(seed)
     n = spec.dimension
+    signed = prefs.utility_in_range(spec, -1.0)  # levels in (-2, 2), else in (0.2, 5)
     failures = 0
     worst = 0.0
 
@@ -100,7 +101,7 @@ def identity_suite(
     for _ in range(draws):
         p = _draw_points(rng, n)
         c = _draw_points(rng, n)
-        if isinstance(spec, UtilitySpec) and spec.family is Family.COBB_DOUGLAS_LOG:
+        if signed:
             u0 = float(rng.uniform(-2.0, 2.0))
         else:
             u0 = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
@@ -163,7 +164,7 @@ def _fd_jacobian(f, x: FloatArray) -> FloatArray:
     return np.stack([(4.0 * central(k, 5e-4) - central(k, 1e-3)) / 3.0 for k in range(x.size)], axis=1)
 
 
-def jacobian_suite(spec: UtilityLike, draws: int = 1000, seed: int = 0) -> CheckReport:
+def jacobian_suite(spec: UtilitySpec, draws: int = 1000, seed: int = 0) -> CheckReport:
     """Chart Jacobians against Richardson-combined central differences, plus tangency."""
     if draws < 1:
         raise SpecificationError("draws must be at least 1")
@@ -264,15 +265,12 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
     Checks, on a 100-point grid per path: squared rate gaps to the trading
     ratio never increase; the rate extremes move per their case split; the
     box bounds nest when every below-price set starts nonempty; and for 2x2
-    economies the trade interval net is non-increasing.  Requires the
-    supported (attractive and sharp) families.  The worst violation is the
+    economies the trade interval net is non-increasing; every supported
+    family is attractive and sharp.  The worst violation is the
     largest increase (or full-speed rate gap) over ``MONOTONE_SLACK``.
     """
     if draws < 1:
         raise SpecificationError("draws must be at least 1")
-    for spec in e.specs:
-        if not isinstance(spec, UtilitySpec):
-            raise SpecificationError("attraction suite requires the serialized families")
     rng = _rng(seed)
     ts = np.linspace(0.0, 1.0, _PATH_GRID)
     n = e.n_goods

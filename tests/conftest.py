@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
+from edgeworth.prefs import UtilitySpec
 
 
 @pytest.fixture
@@ -27,9 +27,9 @@ def ces73() -> UtilitySpec:
 
 
 @pytest.fixture
-def mult_c1c2() -> MultiplicativeCobbDouglas:
+def mult_c1c2() -> UtilitySpec:
     """The u(c) = c1*c2 representation used throughout the worked examples."""
-    return MultiplicativeCobbDouglas([1.0, 1.0])
+    return UtilitySpec.multiplicative([1.0, 1.0])
 
 
 @pytest.fixture

@@ -15,11 +15,12 @@ must reproduce them bit for bit on one vector.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
-from edgeworth import engine, prefs, trade
-from edgeworth.prefs import Family, MultiplicativeCobbDouglas
+from edgeworth import engine, geometry, prefs, trade
+from edgeworth.prefs import Family
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -88,11 +89,11 @@ def numeric_hicksian(u, p, target: float, iters: int = 20000, tol: float = 1e-12
 
 
 def reference_gradient(u, c) -> np.ndarray:
-    """Per-vector utility gradient; the multiplicative form through its level."""
+    """Per-vector utility gradient; a level exponent B enters through exp(B v)."""
     c = np.asarray(c, dtype=np.float64)
-    if isinstance(u, MultiplicativeCobbDouglas):
-        return float(np.prod(c**u.exponents)) * u.exponents / c
     if u.family is Family.COBB_DOUGLAS_LOG:
+        if u.exponent is not None:
+            return math.exp(u.exponent * float(u.weights @ np.log(c))) * u.exponent * (u.weights / c)
         return u.weights / c
     sig = u.elasticity
     s = float(u.weights @ c**sig)
@@ -102,7 +103,7 @@ def reference_gradient(u, c) -> np.ndarray:
 def reference_normalized_demand(u, p) -> np.ndarray:
     """Per-vector Walrasian demand at unit wealth."""
     p = np.asarray(p, dtype=np.float64)
-    if isinstance(u, MultiplicativeCobbDouglas) or u.family is Family.COBB_DOUGLAS_LOG:
+    if u.family is Family.COBB_DOUGLAS_LOG:
         return u.weights / p
     eta = 1.0 / (1.0 - u.elasticity)
     w_eta = u.weights**eta
@@ -257,3 +258,37 @@ def write_trajectories_csv(path, cfg) -> None:
                 row += [_fmt(v) for v in t.speeds[k - 1].sigma] if k else [""] * h
                 row += [_fmt(v) for v in state.bundles.reshape(-1)]
                 writer.writerow(row)
+
+
+def write_example3_csv(path, runs: int, seed: int) -> None:
+    """``example3.csv`` through ``csv.writer``, one cell at a time."""
+    dist = engine.example3_process(engine.run_rng(seed, 0), runs)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "value", "empirical_mass", "exact_mass"])
+        for j in range(1, int(dist.steps.max()) + 1):
+            empirical = float(np.mean(dist.steps == j))
+            writer.writerow([str(j), _fmt(engine.example3_ladder_value(j)), _fmt(empirical), _fmt(2.0**-j)])
+
+
+def write_manifold_csv(path, spec, kind, anchor, axis) -> None:
+    """``manifold.csv`` through ``csv.writer`` over the rate grid ``axis`` per good."""
+    l = spec.dimension
+    mesh = np.meshgrid(*([axis] * (l - 1)), indexing="ij")
+    grid = [np.array(point) for point in zip(*(m.reshape(-1) for m in mesh))]
+    sample = geometry.sample_manifold(spec, kind, anchor, grid)
+    header = (
+        ["kind"]
+        + [f"anchor_{j + 1}" for j in range(l)]
+        + [f"y_{j + 1}" for j in range(l)]
+        + [f"p_{j + 1}" for j in range(l)]
+        + [f"q_{j + 1}" for j in range(l - 1)]
+        + ["u"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for y in sample.points:
+            p = prefs.inverse_normalized_demand(spec, y)
+            fp = geometry.flatten(spec, y)
+            writer.writerow([kind.value] + [_fmt(v) for v in (*anchor, *y, *p, *fp.q, fp.u)])

@@ -14,6 +14,7 @@ from edgeworth import cli, engine
 from edgeworth.cli import main
 from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Tabulated
 from edgeworth.errors import DomainDegeneracyError
+from edgeworth.geometry import ManifoldKind
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
@@ -423,7 +424,16 @@ class TestWriters:
         cli._write_trajectories(tmp_path / "trajectories.csv", dist.trace, cfg.economy)
         oracles.write_outcomes_csv(tmp_path / "ref_outcomes.csv", dist, cfg.economy)
         oracles.write_trajectories_csv(tmp_path / "ref_trajectories.csv", cfg)
-        for name in ("outcomes.csv", "trajectories.csv"):
+        assert main(["example3", "--runs", "500", "--seed", str(goods), "--out", str(tmp_path)]) == 0
+        oracles.write_example3_csv(tmp_path / "ref_example3.csv", 500, goods)
+        spec, utility = specs[-1], specs[-1].to_dict()
+        anchor = np.linspace(0.8, 1.4, goods)
+        args = ["--family", utility["family"], "--weights", ",".join(map(repr, utility["weights"]))]
+        args += ["--sigma", repr(utility["sigma"])] if "sigma" in utility else []
+        args += ["--anchor", ",".join(map(repr, anchor.tolist())), "--kind", "offer", "--grid", "0.5:2:5"]
+        assert main(["manifold", *args, "--out", str(tmp_path)]) == 0
+        oracles.write_manifold_csv(tmp_path / "ref_manifold.csv", spec, ManifoldKind.OFFER, anchor, np.linspace(0.5, 2, 5))
+        for name in ("outcomes.csv", "trajectories.csv", "example3.csv", "manifold.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
 
 

@@ -22,8 +22,8 @@ from edgeworth.engine import (
     example3_ladder_value,
     example3_process,
 )
-from edgeworth.errors import SamplingError, SpecificationError
-from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
+from edgeworth.errors import DomainDegeneracyError, LPError, SamplingError, SpecificationError
+from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
 from oracles import log_uniform
@@ -47,7 +47,7 @@ _SPEC_2 = st.one_of(
         st.floats(0.2, 0.8),
     ),
     st.builds(
-        lambda a, b: MultiplicativeCobbDouglas([a, b]), st.floats(0.2, 3.0), st.floats(0.2, 3.0)
+        lambda a, b: UtilitySpec.multiplicative([a, b]), st.floats(0.2, 3.0), st.floats(0.2, 3.0)
     ),
 )
 _ANGLE_PRIOR = st.one_of(
@@ -467,6 +467,26 @@ class TestMonteCarlo:
         assert dist.bin_counts.sum() == 200
         assert len(dist.terminal_tags) == 200
 
+    def test_lp_failure_names_the_run_and_step(self, monkeypatch):
+        def fail(*args):
+            raise LPError("pivot broke down")
+
+        monkeypatch.setattr(_simplex, "maximize", fail)
+        cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=3)
+        with pytest.raises(LPError) as info:
+            engine.run_monte_carlo(cfg)
+        assert str(info.value) == "run 0: step 1: pivot broke down"
+
+    def test_degenerate_step_names_the_run_and_step(self, monkeypatch):
+        def fail(*args):
+            raise DomainDegeneracyError("demand degenerated below the positive floor")
+
+        monkeypatch.setattr(trade, "all_trade_directions", fail)
+        cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=3)
+        with pytest.raises(DomainDegeneracyError) as info:
+            engine.run_monte_carlo(cfg)
+        assert str(info.value) == "run 0: step 1: demand degenerated below the positive floor"
+
 
 def assert_same_outcomes(a, b) -> None:
     np.testing.assert_array_equal(a.samples, b.samples)
@@ -623,3 +643,22 @@ class TestExample3:
         dist = example3_process(engine.run_rng(9, 0), 1)
         assert dist.runs == 1
         assert dist.bin_counts.sum() == 1
+
+    def test_long_ladder_freezes_once_no_trade_remains(self):
+        class Coin:
+            """Lands "continue" t - 1 times, then "stop", for each stop time t in turn."""
+
+            def __init__(self, stops):
+                self.flips = [u for t in stops for u in [0.75] * (t - 1) + [0.25]]
+
+            def random(self):
+                return self.flips.pop(0)
+
+        # from about t = 52 the ladder price is within an ulp of 1 and a rung
+        # admits no trade, so every later stop time ends where 52 does
+        dist = example3_process(Coin([52, 53, 64]), 3)
+        np.testing.assert_array_equal(dist.steps, [52, 53, 64])
+        assert dist.coords[0] == pytest.approx(example3_ladder_value(52), rel=1e-12)
+        assert dist.coords[1] == dist.coords[2] == dist.coords[0]
+        for t in (53, 64):
+            assert example3_process(Coin([t]), 1).coords[0] == dist.coords[0]

@@ -8,7 +8,7 @@ import pytest
 from edgeworth import geometry, prefs, trade
 from edgeworth.errors import SpecificationError
 from edgeworth.geometry import FlatPoint, ManifoldKind
-from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
+from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy
 
 from oracles import fd_jacobian, log_uniform
@@ -97,7 +97,7 @@ class TestFixedPoint:
         np.testing.assert_allclose(p, ray / np.linalg.norm(ray), rtol=1e-14)
 
     def test_log_weights_closed_form(self):
-        for spec in (UtilitySpec.cobb_douglas_log([0.25, 0.75]), MultiplicativeCobbDouglas([1.0, 3.0])):
+        for spec in (UtilitySpec.cobb_douglas_log([0.25, 0.75]), UtilitySpec.multiplicative([1.0, 3.0])):
             p = geometry.fixed_point(spec)
             np.testing.assert_allclose(p, np.sqrt([0.25, 0.75]), atol=1e-12)
             np.testing.assert_allclose(prefs.normalized_demand(spec, p), p, atol=1e-12)
@@ -167,7 +167,7 @@ _CHART_SPECS = pytest.mark.parametrize(
         UtilitySpec.cobb_douglas_log([0.3, 0.7]),
         UtilitySpec.ces([0.7, 0.3], 0.5),
         UtilitySpec.ces([0.2, 0.5, 0.3], 0.5),
-        MultiplicativeCobbDouglas([1.0, 3.0]),
+        UtilitySpec.multiplicative([1.0, 3.0]),
     ],
     ids=["cd", "ces", "ces_3goods", "multiplicative"],
 )

@@ -13,7 +13,7 @@ from edgeworth.errors import (
     SpecificationError,
     UnreachableUtilityError,
 )
-from edgeworth.prefs import Family, MultiplicativeCobbDouglas, UtilitySpec
+from edgeworth.prefs import Family, UtilitySpec
 
 from edgeworth import trade
 from edgeworth.trade import Allocation, Economy
@@ -65,6 +65,26 @@ class TestValidation:
     def test_unknown_serialization_key_rejected(self):
         with pytest.raises(SpecificationError):
             UtilitySpec.from_dict({"family": "ces", "weights": [0.5, 0.5], "sigma": 0.5, "rho": 1})
+
+    def test_multiplicative_has_no_serialized_form(self, mult_c1c2):
+        with pytest.raises(SpecificationError, match="^a multiplicative utility has no serialized form$"):
+            mult_c1c2.to_dict()
+        with pytest.raises(SpecificationError, match="unknown utility keys"):
+            UtilitySpec.from_dict({"family": "cobb_douglas_log", "weights": [0.5, 0.5], "exponent": 2.0})
+
+    @pytest.mark.parametrize(
+        "exponents", [[1.0], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0], [1.0, math.inf], [1.0, math.nan]]
+    )
+    def test_multiplicative_rejects_bad_exponents(self, exponents):
+        with pytest.raises(SpecificationError, match="^exponents must be"):
+            UtilitySpec.multiplicative(exponents)
+
+    def test_level_exponent_only_on_the_log_family(self):
+        with pytest.raises(SpecificationError, match="only valid for the log Cobb-Douglas family"):
+            UtilitySpec(Family.CES, np.array([0.5, 0.5]), 0.5, exponent=2.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(SpecificationError, match="positive and finite"):
+                UtilitySpec(Family.COBB_DOUGLAS_LOG, np.array([0.5, 0.5]), exponent=bad)
 
 
 def _checked_utility(values):
@@ -340,7 +360,7 @@ def _random_utility(rng: np.random.Generator, family: str, goods: int):
         return UtilitySpec.cobb_douglas_log(w)
     if family == "ces":
         return UtilitySpec.ces(w, float(rng.uniform(0.05, 0.95)))
-    return MultiplicativeCobbDouglas(rng.uniform(0.2, 3.0, goods))
+    return UtilitySpec.multiplicative(rng.uniform(0.2, 3.0, goods))
 
 
 class TestStackedCore:
@@ -570,8 +590,8 @@ class TestAttractive:
 
 class TestTransformInvariance:
     def test_predicates_agree_between_representations(self, cd, rng):
-        twin = MultiplicativeCobbDouglas.from_log_spec(cd)
-        scaled = MultiplicativeCobbDouglas([1.0, 1.0])  # exp(2 u_log)
+        twin = UtilitySpec.multiplicative(cd.weights)
+        scaled = UtilitySpec.multiplicative([1.0, 1.0])  # exp(2 u_log)
         for _ in range(200):
             y = log_uniform(rng, 2)
             p = log_uniform(rng, 2)
@@ -581,10 +601,33 @@ class TestTransformInvariance:
                 assert a == prefs.check_attractive(twin, y, p, i, j)
                 assert a == prefs.check_attractive(scaled, y, p, i, j)
 
-    def test_only_a_log_spec_has_a_twin(self, ces, mult_c1c2):
-        for spec in (ces, mult_c1c2):
-            with pytest.raises(SpecificationError, match="^only the log Cobb-Douglas family has a multiplicative twin$"):
-                MultiplicativeCobbDouglas.from_log_spec(spec)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), goods=st.sampled_from([2, 3, 4]))
+    def test_multiplicative_is_its_log_twin_under_the_level_transform(self, seed, goods):
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.2, 3.0, goods)
+        big = float(b.sum())
+        mult = UtilitySpec.multiplicative(b)
+        twin = UtilitySpec.cobb_douglas_log(b / big)
+        np.testing.assert_array_equal(mult.weights, twin.weights)
+        assert mult.exponent == big and twin.exponent is None
+        for _ in range(5):
+            c = log_uniform(rng, goods, 0.2, 5.0)
+            p = log_uniform(rng, goods, 0.2, 5.0)
+            v = prefs.utility(twin, c)
+            level = math.exp(big * v)
+            assert prefs.utility(mult, c) == pytest.approx(level, rel=1e-12)
+            g = prefs.gradient(twin, c)
+            np.testing.assert_allclose(prefs.gradient(mult, c), level * big * g, rtol=1e-12)
+            want = level * (big**2 * np.outer(g, g) + big * prefs.hessian(twin, c))
+            np.testing.assert_allclose(prefs.hessian(mult, c), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            h = prefs.hicksian_demand(twin, p, v)
+            np.testing.assert_allclose(prefs.hicksian_demand(mult, p, level), h, rtol=1e-12)
+            assert prefs.expenditure(mult, p, level) == pytest.approx(prefs.expenditure(twin, p, v), rel=1e-12)
+            assert prefs.utility_in_range(mult, level) and prefs.utility_in_range(twin, v)
+            assert prefs.utility_in_range(twin, -level)
+            for out in (0.0, -level, math.inf, math.nan):
+                assert not prefs.utility_in_range(mult, out)
 
     def test_demand_map_is_shared(self, cd, mult_c1c2, rng):
         for _ in range(25):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from edgeworth import _hitrun, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
-from edgeworth.prefs import MultiplicativeCobbDouglas, UtilitySpec
+from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
@@ -255,7 +255,7 @@ class TestScreenTrade:
             return UtilitySpec.cobb_douglas_log(w / w.sum())
         if family == 1:
             return UtilitySpec.ces(w / w.sum(), float(draw.uniform(0.2, 0.8)))
-        return MultiplicativeCobbDouglas(w * draw.uniform(0.5, 3.0))
+        return UtilitySpec.multiplicative(w * draw.uniform(0.5, 3.0))
 
     @settings(max_examples=60, deadline=None)
     @given(

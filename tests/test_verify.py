@@ -95,9 +95,12 @@ class TestAttractionSuite:
         report = verify.attraction_suite(Economy.of([cd, ces73]), draws=200, seed=2)
         assert report.passed
 
-    def test_rejects_unserialized_families(self, mult_c1c2):
-        with pytest.raises(SpecificationError):
-            verify.attraction_suite(Economy.of([mult_c1c2, mult_c1c2]), draws=10, seed=0)
+    def test_multiplicative_economy_reads_as_its_log_twin(self):
+        specs = [UtilitySpec.multiplicative([1.0, 1.0]), UtilitySpec.multiplicative([0.5, 2.5])]
+        twins = [UtilitySpec.cobb_douglas_log(spec.weights) for spec in specs]
+        got = verify.attraction_suite(Economy.of(specs), draws=100, seed=3)
+        assert got.passed
+        assert got.line() == verify.attraction_suite(Economy.of(twins), draws=100, seed=3).line()
 
 
 class TestWelfareSuite:
