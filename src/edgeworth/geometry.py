@@ -12,6 +12,11 @@ demand at wealth ``w`` is ``w x_n(p)``, so each chart is a wealth times
 ``x_n(p)`` and its Jacobian is the demand Jacobian plus a rank-one term.  A
 non-homothetic family would need the general formula through the Hessian of
 the normalized indirect utility.
+
+As in ``prefs``, the chart Jacobians and the maps between the flat and
+normalized domains have cores on ``(..., L)`` stacks (``_jacobian_phi``,
+``_jacobian_psi``, ``_d_map``, ``_d_inverse``) that check nothing; the
+public functions validate one vector, call the core on it and guard.
 """
 
 from __future__ import annotations
@@ -91,16 +96,30 @@ def unflatten(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     return prefs.hicksian_demand(u, np.append(fp.q, 1.0), fp.u)
 
 
+def _d_map(u: UtilitySpec, q: FloatArray, level) -> FloatArray:
+    """``d_map`` on rates ``q`` and levels, one per row; no checks."""
+    p = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
+    return p / prefs._expenditure(u, p, level)[..., None]
+
+
+def _d_inverse(u: UtilitySpec, p: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """``d_inverse`` as (rates, levels), one per row; no checks."""
+    return p[..., :-1] / p[..., -1:], prefs._utility(u, prefs._demand(u, p))
+
+
 def d_map(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Flat point to normalized prices: (q, 1) scaled by 1 / e((q, 1), u)."""
-    p = np.append(fp.q, 1.0)
-    return p / prefs.expenditure(u, p, fp.u)
+    as_price(np.append(fp.q, 1.0), u.dimension)
+    prefs._check_level(u, fp.u)
+    return prefs._guard(_d_map(u, fp.q, fp.u), "normalized prices")
 
 
 def d_inverse(u: UtilitySpec, p) -> FlatPoint:
     """Normalized prices to flat point: price ratios plus indirect utility."""
     p = as_price(p, u.dimension)
-    return FlatPoint(p[:-1] / p[-1], prefs.indirect_utility_normalized(u, p))
+    prefs._guard(prefs._demand(u, p), "demand")
+    q, level = _d_inverse(u, p)
+    return FlatPoint(q, float(prefs._guard(level, "indirect utility", floor=0.0)))
 
 
 def fixed_point(u: UtilitySpec) -> FloatArray:
@@ -162,6 +181,17 @@ def sample_manifold(u: UtilitySpec, kind: ManifoldKind, anchor, q_grid) -> Manif
     return ManifoldSample(kind, anchor, tuple(points))
 
 
+def _jacobian_psi(u: UtilitySpec, anchor: FloatArray, p: FloatArray) -> FloatArray:
+    """``jacobian_psi`` on stacks, ``outer(x_n(p), anchor) + (p . anchor) J_n(p)``; no checks."""
+    x = prefs._demand(u, p)
+    return x[..., :, None] * anchor[..., None, :] + np.vecdot(p, anchor)[..., None, None] * prefs._demand_jacobian(u, p)
+
+
+def _jacobian_phi(u: UtilitySpec, anchor: FloatArray, p: FloatArray) -> FloatArray:
+    """``jacobian_phi`` on stacks: the offer chart's formula at the Hicksian bundle ``h``; no checks."""
+    return _jacobian_psi(u, prefs._hicksian(u, p, prefs._utility(u, anchor)), p)
+
+
 def jacobian_phi(u: UtilitySpec, anchor, p) -> FloatArray:
     """Jacobian of p -> h(p, u(anchor)), the indifference-surface chart.
 
@@ -169,9 +199,7 @@ def jacobian_phi(u: UtilitySpec, anchor, p) -> FloatArray:
     ``outer(x_n(p), h) + e J_n(p)``.
     """
     anchor = as_bundle(anchor, u.dimension)
-    p = as_price(p, u.dimension)
-    h = prefs.hicksian_demand(u, p, prefs.utility(u, anchor))
-    return np.outer(prefs.normalized_demand(u, p), h) + float(p @ h) * prefs.normalized_demand_jacobian(u, p)
+    return jacobian_psi(u, prefs.hicksian_demand(u, p, prefs.utility(u, anchor)), p)
 
 
 def jacobian_psi(u: UtilitySpec, anchor, p) -> FloatArray:
@@ -182,7 +210,8 @@ def jacobian_psi(u: UtilitySpec, anchor, p) -> FloatArray:
     """
     anchor = as_bundle(anchor, u.dimension)
     p = as_price(p, u.dimension)
-    return np.outer(prefs.normalized_demand(u, p), anchor) + float(p @ anchor) * prefs.normalized_demand_jacobian(u, p)
+    prefs._guard(prefs._demand(u, p), "demand")
+    return prefs._guard(_jacobian_psi(u, anchor, p), "offer chart jacobian", floor=0.0)
 
 
 def omega_contains(u: UtilitySpec, anchor, p, slack: float = 1e-12) -> bool:

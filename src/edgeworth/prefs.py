@@ -5,13 +5,19 @@ are the log Cobb-Douglas ``u(c) = sum_i a_i ln c_i`` and the CES
 ``u(c) = (sum_i a_i c_i^s)^(1/s)`` with ``s`` strictly inside (0, 1); both are
 attractive and sharp, which the trade and engine modules rely on.
 
-The closed-form core (``_gradient``, ``_demand``, ``_inverse_demand``,
-``_rates``) works on ``(..., L)`` stacks, goods on the last axis as in
-``Allocation.bundles``, and checks nothing.  Inputs are validated at the
-boundary: by the constructors, and by the public functions, which validate
-one vector, call the core and ``_guard`` the result.  Callers holding
-validated state (trade, the engine's 2x2 kernel, verify) call the core on
-whole stacks and guard once per stack.
+The closed-form core (``_gradient``, ``_level_gradient``, ``_demand``,
+``_demand_jacobian``, ``_inverse_demand``, ``_rates``, ``_utility``,
+``_hicksian``, ``_expenditure``) works on ``(..., L)`` stacks, goods on the
+last axis as in ``Allocation.bundles``, and checks nothing.  Inputs are
+validated at the boundary: by the constructors, and by the public functions,
+which validate one vector, call the core on it and ``_guard`` the result.
+Callers holding validated state (trade, the engine's 2x2 kernel, verify)
+call the core on whole stacks and guard once per stack.  Where a one-vector
+evaluation takes a power, exp or log of a scalar, the core uses the C
+library's (``np.float_power``, :func:`_libm`) on every row, since numpy's
+SIMD loops can differ from it by an ulp: one row of ``_utility``,
+``_hicksian``, ``_expenditure`` and ``_demand_jacobian`` has the bits of the
+public function on that row.
 
 ``UtilitySpec.multiplicative(b)`` writes the log family with weights
 ``b / B`` at the level ``exp(B u)``, ``B = sum_i b_i``: the multiplicative
@@ -203,16 +209,17 @@ def as_price(values, dimension: int | None = None) -> FloatArray:
         raise SpecificationError(str(exc).replace("bundle", "price")) from None
 
 
-def _guard(values: FloatArray, what: str) -> FloatArray:
+def _guard(values: FloatArray, what: str, floor: float = POSITIVE_FLOOR) -> FloatArray:
     """Return a computed output unchanged if every entry is finite and off the floor.
 
-    Any NaN, +-inf, or entry with ``|v| < POSITIVE_FLOOR`` (exact zeros
-    included) raises :class:`DomainDegeneracyError`; the sign is not
-    checked.  An empty array passes.
+    Any NaN, +-inf, or entry with ``|v| < floor`` (exact zeros included at
+    the default floor) raises :class:`DomainDegeneracyError`; the sign is
+    not checked.  Jacobians, whose entries may be exact zeros, are guarded
+    with ``floor=0.0``: finiteness only.  An empty array passes.
     """
     a = np.abs(values)
-    if a.size and not (a.min() >= POSITIVE_FLOOR and a.max() < math.inf):
-        raise DomainDegeneracyError(f"{what} degenerated below the positive floor")
+    if a.size and not (a.min() >= floor and a.max() < math.inf):
+        raise DomainDegeneracyError(f"{what} degenerated below the positive floor" if floor else f"{what} is not finite")
     return values
 
 
@@ -223,8 +230,26 @@ def _check_dim(u: UtilitySpec, v: FloatArray) -> None:
         )
 
 
+def _check_level(u: UtilitySpec, level: float) -> None:
+    if not utility_in_range(u, level):
+        raise UnreachableUtilityError(f"utility level {level!r} is outside the family's range")
+
+
 def _eta(u: UtilitySpec) -> float:
     return 1.0 / (1.0 - u.elasticity)
+
+
+def _libm(fn, x) -> FloatArray:
+    """``fn`` (``math.exp`` or ``math.log``) entry by entry, with the C library's bits."""
+    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=np.float64)
+
+
+def _utility(u: UtilitySpec, c: FloatArray) -> FloatArray:
+    """Utility level, one per row; no checks."""
+    if u.family is Family.CES:
+        return np.float_power(np.vecdot(c**u.elasticity, u.weights), 1.0 / u.elasticity)
+    v = np.vecdot(np.log(c), u.weights)
+    return v if u.exponent is None else _libm(math.exp, u.exponent * v)
 
 
 def _gradient(u: UtilitySpec, c: FloatArray) -> FloatArray:
@@ -236,6 +261,14 @@ def _gradient(u: UtilitySpec, c: FloatArray) -> FloatArray:
     return w / c
 
 
+def _level_gradient(u: UtilitySpec, c: FloatArray) -> FloatArray:
+    """Gradient of the utility level: ``_gradient``, times ``B exp(B v)`` at a level exponent; no checks."""
+    g = _gradient(u, c)
+    if u.exponent is None:
+        return g
+    return (_utility(u, c) * u.exponent)[..., None] * g  # the chain rule through exp(B v)
+
+
 def _demand(u: UtilitySpec, p: FloatArray) -> FloatArray:
     """Normalized Walrasian demand; no checks."""
     if u.family is Family.CES:
@@ -243,6 +276,35 @@ def _demand(u: UtilitySpec, p: FloatArray) -> FloatArray:
         w_eta = u.weights**eta
         return w_eta * p**-eta / np.vecdot(p ** (1.0 - eta), w_eta)[..., None]
     return u.weights / p
+
+
+def _demand_jacobian(u: UtilitySpec, p: FloatArray) -> FloatArray:
+    """Jacobian of the normalized demand (row i = good i), ``(..., L, L)``; no checks."""
+    diagonal = np.eye(p.shape[-1], dtype=bool)
+    if u.family is Family.COBB_DOUGLAS_LOG:
+        return np.where(diagonal, (-u.weights / p**2)[..., None, :], 0.0)
+    eta = _eta(u)
+    x = _demand(u, p)
+    return np.where(diagonal, (-eta * x / p)[..., None, :], 0.0) - (1.0 - eta) * (x[..., :, None] * x[..., None, :])
+
+
+def _hicksian(u: UtilitySpec, p: FloatArray, level) -> FloatArray:
+    """Cheapest bundle reaching ``level`` (one per row) at prices ``p``; no checks."""
+    w = u.weights
+    if u.family is Family.COBB_DOUGLAS_LOG:
+        v = level if u.exponent is None else _libm(math.log, level) / u.exponent
+        e = _libm(math.exp, v - np.vecdot(np.log(w / p), w))
+        return e[..., None] * w / p
+    eta = _eta(u)
+    w_eta = w**eta
+    a = np.vecdot(p ** (1.0 - eta), w_eta)
+    e = level * np.float_power(a, 1.0 / (1.0 - eta))
+    return e[..., None] * w_eta * p**-eta / a[..., None]
+
+
+def _expenditure(u: UtilitySpec, p: FloatArray, level) -> FloatArray:
+    """Minimum cost of reaching ``level`` at prices ``p``, p . h(p, level); no checks."""
+    return np.vecdot(p, _hicksian(u, p, level))
 
 
 def _inverse_demand(u: UtilitySpec, c: FloatArray) -> FloatArray:
@@ -266,21 +328,14 @@ def utility(u: UtilitySpec, c) -> float:
     """Utility level at bundle ``c`` (may be negative for the log family)."""
     c = as_bundle(c)
     _check_dim(u, c)
-    if u.family is Family.COBB_DOUGLAS_LOG:
-        v = float(u.weights @ np.log(c))
-        return v if u.exponent is None else math.exp(u.exponent * v)
-    s = float(u.weights @ c**u.elasticity)
-    return s ** (1.0 / u.elasticity)
+    return float(_utility(u, c))
 
 
 def gradient(u: UtilitySpec, c) -> FloatArray:
     """Analytic gradient of the utility; strictly positive coordinatewise."""
     c = as_bundle(c)
     _check_dim(u, c)
-    g = _gradient(u, c)
-    if u.family is Family.COBB_DOUGLAS_LOG and u.exponent is not None:
-        g = utility(u, c) * u.exponent * g  # the chain rule through exp(B v)
-    return _guard(g, "gradient")
+    return _guard(_level_gradient(u, c), "gradient")
 
 
 def hessian(u: UtilitySpec, c) -> FloatArray:
@@ -313,11 +368,8 @@ def normalized_demand_jacobian(u: UtilitySpec, p) -> FloatArray:
     """Analytic Jacobian of :func:`normalized_demand` (row i = good i)."""
     p = as_price(p)
     _check_dim(u, p)
-    if u.family is Family.COBB_DOUGLAS_LOG:
-        return np.diag(-u.weights / p**2)
-    eta = _eta(u)
-    x = _guard(_demand(u, p), "demand")
-    return np.diag(-eta * x / p) - (1.0 - eta) * np.outer(x, x)
+    _guard(_demand(u, p), "demand")
+    return _guard(_demand_jacobian(u, p), "demand jacobian", floor=0.0)
 
 
 def inverse_normalized_demand(u: UtilitySpec, c) -> FloatArray:
@@ -345,24 +397,14 @@ def hicksian_demand(u: UtilitySpec, p, target_u: float) -> FloatArray:
     """Cheapest bundle reaching utility ``target_u`` at prices ``p``."""
     p = as_price(p)
     _check_dim(u, p)
-    if not utility_in_range(u, target_u):
-        raise UnreachableUtilityError(f"utility level {target_u!r} is outside the family's range")
-    if u.family is Family.COBB_DOUGLAS_LOG:
-        w = u.weights
-        v = target_u if u.exponent is None else math.log(target_u) / u.exponent
-        e = math.exp(v - float(w @ np.log(w / p)))
-        return _guard(e * w / p, "hicksian demand")
-    eta = _eta(u)
-    w_eta = u.weights**eta
-    a = float(w_eta @ p ** (1.0 - eta))
-    e = target_u * a ** (1.0 / (1.0 - eta))
-    return _guard(e * w_eta * p**-eta / a, "hicksian demand")
+    _check_level(u, target_u)
+    return _guard(_hicksian(u, p, target_u), "hicksian demand")
 
 
 def expenditure(u: UtilitySpec, p, target_u: float) -> float:
     """Minimum cost of reaching ``target_u`` at prices ``p``: p . h(p, u)."""
     p = as_price(p)
-    return float(p @ hicksian_demand(u, p, target_u))
+    return float(np.vecdot(p, hicksian_demand(u, p, target_u)))
 
 
 def indirect_utility_normalized(u: UtilitySpec, p) -> float:

@@ -173,12 +173,16 @@ def _path_end(u: UtilitySpec, b: FloatArray, p: FloatArray) -> FloatArray:
     return prefs._demand(u, p / np.vecdot(p, b)[..., None])
 
 
+def _directions(e: Economy, bundles: FloatArray, p: FloatArray) -> FloatArray:
+    """``all_trade_directions`` of ``(..., H, L)`` bundles at ``(..., L)`` prices; only the demand is guarded."""
+    return prefs._guard(_each(_path_end, e.specs, bundles, p), "demand") - bundles
+
+
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
     """Stacked trade directions, one row per household: row h is the
     derivative at t = 0 of its linear path, x_n(p / p.y_h) - y_h."""
     _check_state(e, y)
-    p = as_price(p, e.n_goods)
-    return prefs._guard(_each(_path_end, e.specs, y.bundles, p), "demand") - y.bundles
+    return _directions(e, y.bundles, as_price(p, e.n_goods))
 
 
 def _direction_scale(norms: FloatArray) -> float:
@@ -244,7 +248,7 @@ def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
         raise SpecificationError(
             f"prices must be a stack of strictly positive rows of length {e.n_goods}"
         )
-    dirs = prefs._guard(_each(_path_end, e.specs, y.bundles, p), "demand") - y.bundles
+    dirs = _directions(e, y.bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)

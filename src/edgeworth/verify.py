@@ -7,8 +7,10 @@ substitution rates along joint trade paths, and the convergence-to-Pareto
 statistic together with a cross-check of the closed-form trade interval
 against the LP.  The identity suite reports its largest relative residual;
 the others report their measured quantity over its bound, so that they pass
-iff it is at most 1.  Suites are deterministic given (spec, draws, seed) and
-single-threaded so the draw order is reproducible.
+iff it is at most 1.  Suites are deterministic given (spec, draws, seed):
+the identity, jacobian and attraction suites draw first, in a fixed order,
+from one stream, and then check each claim once over the ``(draws, ...)``
+stack through the closed-form cores of ``prefs`` and ``geometry``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from numpy.typing import NDArray
 
 from . import engine, geometry, prefs, trade
 from .engine import SimConfig, Terminal
-from .errors import ConvergenceError, SpecificationError
+from .errors import ConvergenceError, SamplingError, SpecificationError
 from .prefs import UtilitySpec
 from .trade import Allocation, Economy, SpeedPrior
 
@@ -36,6 +38,8 @@ _IDENTITY_THRESHOLD = 1e-8
 _JACOBIAN_RTOL = 1e-5
 _TANGENCY_TOL = 1e-6
 _PATH_GRID = 100
+# draws per stack of path claims: (draws, T, H, L, L) ratio arrays stay small
+_PATH_CHUNK = 8
 _CLEARING_TOL = 1e-11
 _CLEARING_MAX_ITER = 200
 
@@ -74,8 +78,22 @@ def _draw_points(rng: np.random.Generator, size) -> FloatArray:
     return np.exp(rng.uniform(math.log(_DRAW_LO), math.log(_DRAW_HI), size=size))
 
 
-def _relative(residual: float, scale: float) -> float:
-    return abs(residual) / max(1.0, abs(scale))
+def _relative(residual: FloatArray, scale: FloatArray) -> FloatArray:
+    return np.abs(residual) / np.maximum(1.0, np.abs(scale))
+
+
+def _amax(a: FloatArray, axes=-1) -> FloatArray:
+    return np.max(np.abs(a), axis=axes)
+
+
+def _row_times(v: FloatArray, m: FloatArray) -> FloatArray:
+    """Row vector times matrix, ``v @ m``, per row of the stacks."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _checked(bad: FloatArray) -> FloatArray:
+    """Per-draw violations, which must be finite: a NaN would pass every comparison."""
+    return prefs._guard(bad, "a claim's violation", floor=0.0)
 
 
 def identity_suite(
@@ -92,76 +110,63 @@ def identity_suite(
     rng = _rng(seed)
     n = spec.dimension
     signed = prefs.utility_in_range(spec, -1.0)  # levels in (-2, 2), else in (0.2, 5)
-    failures = 0
-    worst = 0.0
-
-    def demand(p: FloatArray) -> FloatArray:
-        return demand_scale * prefs.normalized_demand(spec, p)
-
-    for _ in range(draws):
-        p = _draw_points(rng, n)
-        c = _draw_points(rng, n)
+    p, c, u0, flat_q = np.empty((draws, n)), np.empty((draws, n)), np.empty(draws), np.empty((draws, n - 1))
+    for k in range(draws):
+        p[k] = _draw_points(rng, n)
+        c[k] = _draw_points(rng, n)
         if signed:
-            u0 = float(rng.uniform(-2.0, 2.0))
+            u0[k] = rng.uniform(-2.0, 2.0)
         else:
-            u0 = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+            u0[k] = np.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        flat_q[k] = _draw_points(rng, n - 1)
 
-        x = demand(p)
-        x_true = prefs.normalized_demand(spec, p)
-        g_true = prefs.gradient(spec, x_true)
-        jac = prefs.normalized_demand_jacobian(spec, p)
-        lam = float(g_true @ x_true)
-        grad_v = g_true @ jac
-        v = prefs.utility(spec, x_true)
-        hx = prefs.hicksian_demand(spec, p, v)
-        h0 = prefs.hicksian_demand(spec, p, u0)
-        e0 = float(p @ h0)
-        fp = geometry.FlatPoint(_draw_points(rng, n - 1), u0)
+    def demand(prices: FloatArray) -> FloatArray:
+        return demand_scale * prefs._demand(spec, prices)
 
-        scale_x = float(np.max(np.abs(x)))
-        residuals = [
-            _relative(float(p @ x) - 1.0, 1.0),
-            _relative(float(np.max(np.abs(p @ jac + x))), scale_x),
-            _relative(float(np.max(np.abs(grad_v + lam * x))), float(np.max(np.abs(grad_v)))),
-            _relative(float(grad_v @ p) + lam, lam),
-            _relative(float(np.max(np.abs(hx - x))), scale_x),
-            _relative(
-                float(np.max(np.abs(h0 - demand(p / e0)))),
-                float(np.max(np.abs(h0))),
-            ),
-            _relative(prefs.expenditure(spec, p, v) - 1.0, 1.0),
-            _relative(
-                float(np.max(np.abs(demand(prefs.inverse_normalized_demand(spec, c)) - c))),
-                float(np.max(np.abs(c))),
-            ),
-            _relative(
-                float(np.max(np.abs(prefs.inverse_normalized_demand(spec, demand(p)) - p))),
-                float(np.max(np.abs(p))),
-            ),
-        ]
-        back = geometry.d_inverse(spec, geometry.d_map(spec, fp))
-        residuals.append(_relative(float(np.max(np.abs(back.q - fp.q))), float(np.max(fp.q))))
-        residuals.append(_relative(back.u - fp.u, fp.u))
-        p2 = geometry.d_map(spec, geometry.d_inverse(spec, p))
-        residuals.append(_relative(float(np.max(np.abs(p2 - p))), float(np.max(p))))
+    x_true = prefs._guard(prefs._demand(spec, p), "demand")
+    x = demand_scale * x_true
+    g_true = prefs._level_gradient(spec, x_true)
+    jac = prefs._demand_jacobian(spec, p)
+    lam = np.vecdot(g_true, x_true)
+    grad_v = _row_times(g_true, jac)
+    v = prefs._utility(spec, x_true)
+    hx = prefs._guard(prefs._hicksian(spec, p, v), "hicksian demand")
+    h0 = prefs._guard(prefs._hicksian(spec, p, u0), "hicksian demand")
+    e0 = np.vecdot(p, h0)
+    back_q, back_u = geometry._d_inverse(spec, geometry._d_map(spec, flat_q, u0))
+    p2 = geometry._d_map(spec, *geometry._d_inverse(spec, p))
 
-        bad = max(residuals)
-        worst = max(worst, bad)
-        if bad > _IDENTITY_THRESHOLD:
-            failures += 1
-    return CheckReport("identity", draws, failures, worst, seed)
+    scale_x = _amax(x)
+    residuals = [
+        _relative(np.vecdot(p, x) - 1.0, 1.0),
+        _relative(_amax(_row_times(p, jac) + x), scale_x),
+        _relative(_amax(grad_v + lam[:, None] * x), _amax(grad_v)),
+        _relative(np.vecdot(grad_v, p) + lam, lam),
+        _relative(_amax(hx - x), scale_x),
+        _relative(_amax(h0 - demand(p / e0[:, None])), _amax(h0)),
+        _relative(np.vecdot(p, hx) - 1.0, 1.0),
+        _relative(_amax(demand(prefs._inverse_demand(spec, c)) - c), _amax(c)),
+        _relative(_amax(prefs._inverse_demand(spec, x) - p), _amax(p)),
+        _relative(_amax(back_q - flat_q), np.max(flat_q, axis=-1)),
+        _relative(back_u - u0, u0),
+        _relative(_amax(p2 - p), np.max(p, axis=-1)),
+    ]
+    bad = _checked(np.max(residuals, axis=0))
+    return CheckReport("identity", draws, int(np.count_nonzero(bad > _IDENTITY_THRESHOLD)), float(bad.max()), seed)
 
 
 def _fd_jacobian(f, x: FloatArray) -> FloatArray:
     """Central differences D(r) at relative steps r = 1e-3 and 5e-4, combined
-    as (4 D(5e-4) - D(1e-3)) / 3 so that their O(r^2) error cancels."""
+    as (4 D(5e-4) - D(1e-3)) / 3 so that their O(r^2) error cancels; ``f``
+    maps an ``(..., L)`` stack row by row, and column k of each Jacobian is
+    the derivative along good k."""
 
     def central(k: int, rel: float) -> FloatArray:
         step = np.zeros_like(x)
-        step[k] = rel * x[k]
-        return (f(x + step) - f(x - step)) / (2.0 * step[k])
+        step[..., k] = rel * x[..., k]
+        return (f(x + step) - f(x - step)) / (2.0 * step[..., k, None])
 
-    return np.stack([(4.0 * central(k, 5e-4) - central(k, 1e-3)) / 3.0 for k in range(x.size)], axis=1)
+    return np.stack([(4.0 * central(k, 5e-4) - central(k, 1e-3)) / 3.0 for k in range(x.shape[-1])], axis=-1)
 
 
 def jacobian_suite(spec: UtilitySpec, draws: int = 1000, seed: int = 0) -> CheckReport:
@@ -170,32 +175,78 @@ def jacobian_suite(spec: UtilitySpec, draws: int = 1000, seed: int = 0) -> Check
         raise SpecificationError("draws must be at least 1")
     rng = _rng(seed)
     n = spec.dimension
-    failures = 0
-    worst = 0.0
-    for _ in range(draws):
-        anchor = _draw_points(rng, n)
-        p = _draw_points(rng, n)
-        level = prefs.utility(spec, anchor)
+    anchor, p = np.empty((2, draws, n))
+    for k in range(draws):
+        anchor[k], p[k] = _draw_points(rng, n), _draw_points(rng, n)
+    level = prefs._utility(spec, anchor)
 
-        got_phi = geometry.jacobian_phi(spec, anchor, p)
-        want_phi = _fd_jacobian(lambda z: prefs.hicksian_demand(spec, z, level), p)
-        err_phi = _relative(float(np.max(np.abs(got_phi - want_phi))), float(np.max(np.abs(want_phi))))
+    want_phi = _fd_jacobian(lambda z: prefs._hicksian(spec, z, level), p)
+    err_phi = _relative(_amax(geometry._jacobian_phi(spec, anchor, p) - want_phi, (-2, -1)), _amax(want_phi, (-2, -1)))
+    want_psi = _fd_jacobian(lambda z: prefs._demand(spec, z / np.vecdot(z, anchor)[:, None]), p)
+    err_psi = _relative(_amax(geometry._jacobian_psi(spec, anchor, p) - want_psi, (-2, -1)), _amax(want_psi, (-2, -1)))
 
-        got_psi = geometry.jacobian_psi(spec, anchor, p)
-        want_psi = _fd_jacobian(
-            lambda z: prefs.normalized_demand(spec, z / float(z @ anchor)), p
-        )
-        err_psi = _relative(float(np.max(np.abs(got_psi - want_psi))), float(np.max(np.abs(want_psi))))
+    support = prefs._guard(prefs._inverse_demand(spec, anchor), "inverse demand")
+    gap = geometry._jacobian_phi(spec, anchor, support) - geometry._jacobian_psi(spec, anchor, support)
+    tangency = _amax(gap, (-2, -1))
 
-        support = prefs.inverse_normalized_demand(spec, anchor)
-        gap = geometry.jacobian_phi(spec, anchor, support) - geometry.jacobian_psi(spec, anchor, support)
-        tangency = float(np.max(np.abs(gap)))
+    bad = _checked(np.max([err_phi / _JACOBIAN_RTOL, err_psi / _JACOBIAN_RTOL, tangency / _TANGENCY_TOL], axis=0))
+    return CheckReport("jacobian", draws, int(np.count_nonzero(bad > 1.0)), float(bad.max()), seed)
 
-        bad = max(err_phi / _JACOBIAN_RTOL, err_psi / _JACOBIAN_RTOL, tangency / _TANGENCY_TOL)
-        worst = max(worst, bad)
-        if bad > 1.0:
-            failures += 1
-    return CheckReport("jacobian", draws, failures, worst, seed)
+
+def _failure(error: type[Exception], why: str, k, bundles: FloatArray) -> Exception:
+    """``error`` naming draw ``k`` (an index into ``bundles``) and its bundles."""
+    return error(f"{why} at draw {int(k)} (bundles {bundles[k].tolist()})")
+
+
+def _clearing_rates(e: Economy, bundles: FloatArray, weights: FloatArray, rates: FloatArray) -> FloatArray:
+    """:func:`weighted_clearing_rates` for an ``(n, H, L)`` stack of states at once.
+
+    Each row runs its own damped Newton from its weighted mean rate
+    (``rates`` are the households' substitution rates, ``(n, H, L - 1)``):
+    the rows move in lockstep, each with its own convergence test and
+    backtracking scale, and leave the loop as they converge.  A singular
+    Jacobian or a stalled row raises :class:`ConvergenceError` naming its
+    row and bundles.
+    """
+
+    def excess(logq: FloatArray, rows: NDArray[np.intp]) -> FloatArray:
+        p = np.concatenate([np.exp(logq), np.ones((rows.size, 1))], axis=-1)
+        return _row_times(weights[rows], trade._directions(e, bundles[rows], p))[:, :-1]
+
+    live = np.arange(len(bundles))  # rows not yet converged
+    v = np.log(_row_times(weights, rates) / weights.sum(axis=-1)[:, None])
+    f = excess(v, live)
+    for _ in range(_CLEARING_MAX_ITER):
+        norm = _amax(f[live])
+        live, norm = live[norm >= _CLEARING_TOL], norm[norm >= _CLEARING_TOL]
+        if not live.size:
+            return np.exp(v)
+        p = np.concatenate([np.exp(v[live]), np.ones((live.size, 1))], axis=-1)
+        jac = sum(
+            weights[live, h][:, None, None] * geometry._jacobian_psi(u, bundles[live, h], p)[:, :-1, :-1]
+            for h, u in enumerate(e.specs)
+        ) * p[:, None, :-1]
+        try:
+            step = np.linalg.solve(jac, -f[live][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            # the LU factorization meets a zero pivot exactly where the determinant is zero
+            singular = live[np.linalg.det(jac) == 0.0]
+            raise _failure(ConvergenceError, "singular Jacobian in the clearing solver", singular[0], bundles) from exc
+        scale = np.ones(live.size)
+        pending = np.arange(live.size)  # rows of ``live`` still backtracking
+        for _ in range(40):
+            rows = live[pending]
+            trial = v[rows] + scale[pending, None] * step[pending]
+            f_trial = excess(trial, rows)
+            better = _amax(f_trial) < norm[pending]
+            v[rows[better]], f[rows[better]] = trial[better], f_trial[better]
+            pending = pending[~better]
+            if not pending.size:
+                break
+            scale[pending] *= 0.5
+        else:
+            raise _failure(ConvergenceError, "clearing solver stalled", live[pending[0]], bundles)
+    raise _failure(ConvergenceError, "clearing solver exhausted its iteration budget", live[0], bundles)
 
 
 def weighted_clearing_rates(e: Economy, y: Allocation, weights: FloatArray) -> FloatArray:
@@ -206,130 +257,118 @@ def weighted_clearing_rates(e: Economy, y: Allocation, weights: FloatArray) -> F
     paired with speeds proportional to ``w``.  Direction h is the offer
     chart minus ``y_h``, so the Newton step's Jacobian in log q is the
     analytic one, sum_h w_h * ``geometry.jacobian_psi(u_h, y_h, p)``
-    restricted to the first L - 1 goods and scaled by q per column.
+    restricted to the first L - 1 goods and scaled by q per column.  One row
+    of the stacked solver that the attraction suite runs on all its draws.
     """
     rates = trade.household_rates(e, y)
-    v = np.log((weights @ rates) / float(weights.sum()))
-
-    def excess(logq: FloatArray) -> FloatArray:
-        return (weights @ trade.all_trade_directions(e, y, np.append(np.exp(logq), 1.0)))[:-1]
-
-    f = excess(v)
-    for _ in range(_CLEARING_MAX_ITER):
-        norm = float(np.max(np.abs(f)))
-        if norm < _CLEARING_TOL:
-            return np.exp(v)
-        p = np.append(np.exp(v), 1.0)
-        jac = sum(
-            w * geometry.jacobian_psi(u, b, p)[:-1, :-1] for w, u, b in zip(weights, e.specs, y.bundles)
-        ) * p[None, :-1]
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Jacobian in the clearing solver") from exc
-        scale = 1.0
-        for _ in range(40):
-            trial = v + scale * step
-            f_trial = excess(trial)
-            if float(np.max(np.abs(f_trial))) < norm:
-                v, f = trial, f_trial
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError("clearing solver stalled")
-    raise ConvergenceError("clearing solver exhausted its iteration budget")
+    weights = np.asarray(weights, dtype=np.float64)
+    return _clearing_rates(e, y.bundles[None], weights[None], rates[None])[0]
 
 
-def _feasible_price_and_speeds(
-    e: Economy, y: Allocation, rng: np.random.Generator
-) -> tuple[FloatArray, FloatArray]:
-    """A random trade-compatible price with matching feasible speeds."""
-    if e.n_goods == 2:
-        rates = trade.household_rates(e, y)[:, 0]
-        lo, hi = math.atan(rates.min()), math.atan(rates.max())
-        width = hi - lo
-        q = np.array([math.tan(lo + width * float(rng.uniform(0.05, 0.95)))])
-        sigma = trade.sample_speed(
-            e, y, np.append(q, 1.0), SpeedPrior.UNIFORM_CUBE, rng
-        ).sigma
-        return q, sigma
-    weights = rng.uniform(0.2, 1.0, e.size)
-    q = weighted_clearing_rates(e, y, weights)
-    lam = 1.0 - float(rng.random())
-    return q, lam * weights / float(weights.max())
+def _path_violations(
+    e: Economy, bundles: FloatArray, p: FloatArray, dirs: FloatArray, sigma: FloatArray, ts: FloatArray
+) -> FloatArray:
+    """Per draw of a stack, the largest violation of the attraction claims along its path."""
+    n = e.n_goods
+    # household substitution-rate matrices along the paths: (draws, T, H, L, L)
+    paths = bundles[:, None] + sigma[:, None, :, None] * ts[None, :, None, None] * dirs[:, None]
+    inv = prefs._guard(trade._each(prefs._inverse_demand, e.specs, paths), "inverse demand")
+    ratios = inv[..., :, None] / inv[..., None, :]  # [k, t, h, i, j]
+    price_ratio = (p[:, :, None] / p[:, None, :])[:, None, None]
+
+    def largest(a: FloatArray) -> FloatArray:
+        return a.reshape(len(a), -1).max(axis=-1)
+
+    # squared gaps to the trading ratio are non-increasing; at full speed
+    # the rates land on it
+    increases = [largest(np.diff((ratios - price_ratio) ** 2, axis=1))]
+    full = np.abs(sigma - 1.0) < 1e-12
+    increases.append(largest(np.where(full[:, :, None, None], np.abs(ratios[:, -1] - price_ratio[:, 0]), -np.inf)))
+
+    # extreme-rate case split
+    m_path = ratios.min(axis=2)  # (draws, T, L, L)
+    big_m_path = ratios.max(axis=2)
+    has_below = (ratios[:, 0] <= price_ratio[:, 0]).any(axis=1)  # (draws, L, L)
+    has_above = (ratios[:, 0] >= price_ratio[:, 0]).any(axis=1)
+    dm = np.diff(m_path, axis=1)
+    dbm = np.diff(big_m_path, axis=1)
+    off_diag = ~np.eye(n, dtype=bool)
+    # a household at or below the price ratio: the minimum may not fall (else not
+    # rise); one at or above: the maximum may not rise (else not fall)
+    sign_m = np.where(has_below, -1.0, 1.0)[:, None]
+    sign_big_m = np.where(has_above, 1.0, -1.0)[:, None]
+    increases += [largest((sign_m * dm)[:, :, off_diag]), largest((sign_big_m * dbm)[:, :, off_diag])]
+
+    # nested boxes under the below-price condition; the 2x2 interval net
+    nested = has_below[:, off_diag].all(axis=-1)
+    increases += [
+        np.where(nested, largest(-dm[:, :, off_diag]), -np.inf),
+        np.where(nested, largest(dbm[:, :, off_diag]), -np.inf),
+    ]
+    if n == 2 and e.size == 2:
+        increases += [largest(-dm[:, :, 0, 1]), largest(dbm[:, :, 0, 1])]
+    return np.max(increases, axis=0)
 
 
 def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckReport:
     """Monotone substitution-rate dynamics along random joint linear paths.
 
-    Checks, on a 100-point grid per path: squared rate gaps to the trading
-    ratio never increase; the rate extremes move per their case split; the
-    box bounds nest when every below-price set starts nonempty; and for 2x2
-    economies the trade interval net is non-increasing; every supported
-    family is attractive and sharp.  The worst violation is the
-    largest increase (or full-speed rate gap) over ``MONOTONE_SLACK``.
+    Each draw is a non-Pareto allocation with a trade-compatible price and
+    feasible speeds: with two goods a rate inside the households' interval
+    and a ``trade.sample_speed`` draw, drawn as the allocation is; otherwise
+    a weighted clearing price, solved for all draws at once, with speeds
+    proportional to the weights.  Checks, on a 100-point grid per path:
+    squared rate gaps to the trading ratio never increase; the rate extremes
+    move per their case split; the box bounds nest when every below-price
+    set starts nonempty; and for 2x2 economies the trade interval net is
+    non-increasing; every supported family is attractive and sharp.  The
+    worst violation is the largest increase (or full-speed rate gap) over
+    ``MONOTONE_SLACK``.
     """
     if draws < 1:
         raise SpecificationError("draws must be at least 1")
     rng = _rng(seed)
-    ts = np.linspace(0.0, 1.0, _PATH_GRID)
     n = e.n_goods
-    failures = 0
-    worst = 0.0
-    done = 0
-    while done < draws:
+    bundles, rates = np.empty((draws, e.size, n)), np.empty((draws, e.size, n - 1))
+    q, sigma = np.empty((draws, n - 1)), np.empty((draws, e.size))
+    weights = np.empty((draws, e.size))  # clearing weights, when n > 2
+    k = 0
+    while k < draws:
         y = Allocation(_draw_points(rng, (e.size, n)))
-        if trade.is_pareto_optimal(e, y):
+        rates[k] = trade.household_rates(e, y)
+        if trade._pareto(rates[k], trade.PARETO_TOL):
             continue
-        q, sigma = _feasible_price_and_speeds(e, y, rng)
+        bundles[k] = y.bundles
+        if n == 2:
+            lo, hi = math.atan(rates[k].min()), math.atan(rates[k].max())
+            q[k] = math.tan(lo + (hi - lo) * float(rng.uniform(0.05, 0.95)))
+            try:
+                sigma[k] = trade.sample_speed(e, y, np.append(q[k], 1.0), SpeedPrior.UNIFORM_CUBE, rng).sigma
+            except SamplingError as exc:
+                raise _failure(SamplingError, str(exc), k, bundles) from exc
+        else:
+            weights[k] = rng.uniform(0.2, 1.0, e.size)
+            sigma[k] = (1.0 - float(rng.random())) * weights[k] / float(weights[k].max())
         if rng.random() < 0.5:
-            sigma = sigma / sigma.max()  # exercise the full-speed endpoint claim
-        p = np.append(q, 1.0)
-        dirs = trade.all_trade_directions(e, y, p)
+            sigma[k] /= sigma[k].max()  # exercise the full-speed endpoint claim
+        k += 1
 
-        # household substitution-rate matrices along the path: (T, H, L, L)
-        paths = y.bundles + sigma[:, None] * ts[:, None, None] * dirs  # (T, H, L)
-        inv = prefs._guard(trade._each(prefs._inverse_demand, e.specs, paths), "inverse demand")
-        ratios = inv[:, :, :, None] / inv[:, :, None, :]  # [t, h, i, j]
-        price_ratio = p[:, None] / p[None, :]
+    if n > 2:
+        q = _clearing_rates(e, bundles, weights, rates)
+    p = np.concatenate([q, np.ones((draws, 1))], axis=-1)
+    dirs = trade._directions(e, bundles, p)
 
-        increases = []
-
-        # squared gaps to the trading ratio are non-increasing; at full speed
-        # the rates land on it
-        increases.append(np.max(np.diff((ratios - price_ratio) ** 2, axis=0)))
-        full = np.nonzero(np.abs(sigma - 1.0) < 1e-12)[0]
-        if full.size:
-            increases.append(np.max(np.abs(ratios[-1, full] - price_ratio)))
-
-        # extreme-rate case split
-        m_path = ratios.min(axis=1)  # (T, L, L)
-        big_m_path = ratios.max(axis=1)
-        below = ratios[0] <= price_ratio[None, :, :]  # (H, L, L)
-        above = ratios[0] >= price_ratio[None, :, :]
-        has_below = below.any(axis=0)
-        has_above = above.any(axis=0)
-        dm = np.diff(m_path, axis=0)
-        dbm = np.diff(big_m_path, axis=0)
-        off_diag = ~np.eye(n, dtype=bool)
-        # a household at or below the price ratio: the minimum may not fall (else not
-        # rise); one at or above: the maximum may not rise (else not fall)
-        sign_m = np.where(has_below, -1.0, 1.0)
-        sign_big_m = np.where(has_above, 1.0, -1.0)
-        increases += [np.max((sign_m * dm)[:, off_diag]), np.max((sign_big_m * dbm)[:, off_diag])]
-
-        # nested boxes under the below-price condition; the 2x2 interval net
-        if has_below[off_diag].all():
-            increases += [np.max(-dm[:, off_diag]), np.max(dbm[:, off_diag])]
-        if n == 2 and e.size == 2:
-            increases += [np.max(-dm[:, 0, 1]), np.max(dbm[:, 0, 1])]
-
-        largest = float(max(increases))
-        worst = max(worst, largest / MONOTONE_SLACK)
-        if largest > MONOTONE_SLACK:
-            failures += 1
-        done += 1
-    return CheckReport("attraction", draws, failures, worst, seed)
+    ts = np.linspace(0.0, 1.0, _PATH_GRID)
+    largest = _checked(
+        np.concatenate(
+            [
+                _path_violations(e, *(a[k : k + _PATH_CHUNK] for a in (bundles, p, dirs, sigma)), ts)
+                for k in range(0, draws, _PATH_CHUNK)
+            ]
+        )
+    )
+    worst = max(0.0, float(largest.max()) / MONOTONE_SLACK)
+    return CheckReport("attraction", draws, int(np.count_nonzero(largest > MONOTONE_SLACK)), worst, seed)
 
 
 def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:

@@ -9,7 +9,10 @@ purpose; they guard the analytic and vectorized paths.
 
 The ``reference_*`` closed forms are the per-vector formulas ``prefs`` had
 before its stacked core, kept with their float order: the public functions
-must reproduce them bit for bit on one vector.
+must reproduce them bit for bit on one vector.  The ``reference_*_suite``
+loops are ``verify``'s suites as they ran before they were stacked, one draw
+at a time through the public one-vector functions: the stacked suites must
+report the same failures and the same worst violation, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import math
 
 import numpy as np
 
-from edgeworth import engine, geometry, prefs, trade
+from edgeworth import engine, geometry, prefs, trade, verify
+from edgeworth.errors import ConvergenceError
 from edgeworth.prefs import Family
+from edgeworth.trade import Allocation, SpeedPrior
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -292,3 +297,167 @@ def write_manifold_csv(path, spec, kind, anchor, axis) -> None:
             p = prefs.inverse_normalized_demand(spec, y)
             fp = geometry.flatten(spec, y)
             writer.writerow([kind.value] + [_fmt(v) for v in (*anchor, *y, *p, *fp.q, fp.u)])
+
+
+def _relative(residual: float, scale: float) -> float:
+    return abs(residual) / max(1.0, abs(scale))
+
+
+def reference_identity_suite(spec, draws: int, seed: int, demand_scale: float = 1.0) -> tuple[int, float]:
+    """``verify.identity_suite`` one draw at a time: (failures, worst)."""
+    rng = engine.run_rng(seed, 0)
+    n = spec.dimension
+    signed = prefs.utility_in_range(spec, -1.0)
+    failures, worst = 0, 0.0
+
+    def demand(p):
+        return demand_scale * prefs.normalized_demand(spec, p)
+
+    for _ in range(draws):
+        p = verify._draw_points(rng, n)
+        c = verify._draw_points(rng, n)
+        u0 = float(rng.uniform(-2.0, 2.0)) if signed else float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+        x = demand(p)
+        x_true = prefs.normalized_demand(spec, p)
+        g_true = prefs.gradient(spec, x_true)
+        jac = prefs.normalized_demand_jacobian(spec, p)
+        lam = float(g_true @ x_true)
+        grad_v = g_true @ jac
+        v = prefs.utility(spec, x_true)
+        hx = prefs.hicksian_demand(spec, p, v)
+        h0 = prefs.hicksian_demand(spec, p, u0)
+        e0 = float(p @ h0)
+        fp = geometry.FlatPoint(verify._draw_points(rng, n - 1), u0)
+        scale_x = float(np.max(np.abs(x)))
+        back = geometry.d_inverse(spec, geometry.d_map(spec, fp))
+        p2 = geometry.d_map(spec, geometry.d_inverse(spec, p))
+        bad = max(
+            _relative(float(p @ x) - 1.0, 1.0),
+            _relative(float(np.max(np.abs(p @ jac + x))), scale_x),
+            _relative(float(np.max(np.abs(grad_v + lam * x))), float(np.max(np.abs(grad_v)))),
+            _relative(float(grad_v @ p) + lam, lam),
+            _relative(float(np.max(np.abs(hx - x))), scale_x),
+            _relative(float(np.max(np.abs(h0 - demand(p / e0)))), float(np.max(np.abs(h0)))),
+            _relative(prefs.expenditure(spec, p, v) - 1.0, 1.0),
+            _relative(float(np.max(np.abs(demand(prefs.inverse_normalized_demand(spec, c)) - c))), float(np.max(c))),
+            _relative(float(np.max(np.abs(prefs.inverse_normalized_demand(spec, demand(p)) - p))), float(np.max(p))),
+            _relative(float(np.max(np.abs(back.q - fp.q))), float(np.max(fp.q))),
+            _relative(back.u - fp.u, fp.u),
+            _relative(float(np.max(np.abs(p2 - p))), float(np.max(p))),
+        )
+        worst = max(worst, bad)
+        failures += bad > verify._IDENTITY_THRESHOLD
+    return failures, worst
+
+
+def _reference_fd_jacobian(f, x):
+    def central(k, rel):
+        step = np.zeros_like(x)
+        step[k] = rel * x[k]
+        return (f(x + step) - f(x - step)) / (2.0 * step[k])
+
+    return np.stack([(4.0 * central(k, 5e-4) - central(k, 1e-3)) / 3.0 for k in range(x.size)], axis=1)
+
+
+def reference_jacobian_suite(spec, draws: int, seed: int) -> tuple[int, float]:
+    """``verify.jacobian_suite`` one draw at a time: (failures, worst)."""
+    rng = engine.run_rng(seed, 0)
+    n = spec.dimension
+    failures, worst = 0, 0.0
+    for _ in range(draws):
+        anchor = verify._draw_points(rng, n)
+        p = verify._draw_points(rng, n)
+        level = prefs.utility(spec, anchor)
+        want_phi = _reference_fd_jacobian(lambda z: prefs.hicksian_demand(spec, z, level), p)
+        got_phi = geometry.jacobian_phi(spec, anchor, p)
+        err_phi = _relative(float(np.max(np.abs(got_phi - want_phi))), float(np.max(np.abs(want_phi))))
+        want_psi = _reference_fd_jacobian(lambda z: prefs.normalized_demand(spec, z / float(z @ anchor)), p)
+        got_psi = geometry.jacobian_psi(spec, anchor, p)
+        err_psi = _relative(float(np.max(np.abs(got_psi - want_psi))), float(np.max(np.abs(want_psi))))
+        support = prefs.inverse_normalized_demand(spec, anchor)
+        gap = geometry.jacobian_phi(spec, anchor, support) - geometry.jacobian_psi(spec, anchor, support)
+        bad = max(err_phi / verify._JACOBIAN_RTOL, err_psi / verify._JACOBIAN_RTOL, float(np.max(np.abs(gap))) / verify._TANGENCY_TOL)
+        worst = max(worst, bad)
+        failures += bad > 1.0
+    return failures, worst
+
+
+def reference_clearing_rates(e, y, weights) -> np.ndarray:
+    """``verify.weighted_clearing_rates`` for one state: damped Newton in log q."""
+    rates = trade.household_rates(e, y)
+    v = np.log((weights @ rates) / float(weights.sum()))
+
+    def excess(logq):
+        return (weights @ trade.all_trade_directions(e, y, np.append(np.exp(logq), 1.0)))[:-1]
+
+    f = excess(v)
+    for _ in range(200):
+        norm = float(np.max(np.abs(f)))
+        if norm < 1e-11:
+            return np.exp(v)
+        p = np.append(np.exp(v), 1.0)
+        jac = sum(
+            w * geometry.jacobian_psi(u, b, p)[:-1, :-1] for w, u, b in zip(weights, e.specs, y.bundles)
+        ) * p[None, :-1]
+        step = np.linalg.solve(jac, -f)
+        scale = 1.0
+        for _ in range(40):
+            trial = v + scale * step
+            f_trial = excess(trial)
+            if float(np.max(np.abs(f_trial))) < norm:
+                v, f = trial, f_trial
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError("clearing solver stalled")
+    raise ConvergenceError("clearing solver exhausted its iteration budget")
+
+
+def reference_attraction_suite(e, draws: int, seed: int) -> tuple[int, float]:
+    """``verify.attraction_suite`` one draw at a time: (failures, worst)."""
+    rng = engine.run_rng(seed, 0)
+    ts = np.linspace(0.0, 1.0, verify._PATH_GRID)
+    n = e.n_goods
+    off_diag = ~np.eye(n, dtype=bool)
+    failures, worst, done = 0, 0.0, 0
+    while done < draws:
+        y = Allocation(verify._draw_points(rng, (e.size, n)))
+        if trade.is_pareto_optimal(e, y):
+            continue
+        if n == 2:
+            rates = trade.household_rates(e, y)[:, 0]
+            lo, hi = math.atan(rates.min()), math.atan(rates.max())
+            q = np.array([math.tan(lo + (hi - lo) * float(rng.uniform(0.05, 0.95)))])
+            sigma = trade.sample_speed(e, y, np.append(q, 1.0), SpeedPrior.UNIFORM_CUBE, rng).sigma
+        else:
+            weights = rng.uniform(0.2, 1.0, e.size)
+            q = reference_clearing_rates(e, y, weights)
+            sigma = (1.0 - float(rng.random())) * weights / float(weights.max())
+        if rng.random() < 0.5:
+            sigma = sigma / sigma.max()
+        p = np.append(q, 1.0)
+        dirs = trade.all_trade_directions(e, y, p)
+        paths = y.bundles + sigma[:, None] * ts[:, None, None] * dirs
+        inv = trade._each(prefs._inverse_demand, e.specs, paths)
+        ratios = inv[:, :, :, None] / inv[:, :, None, :]
+        price_ratio = p[:, None] / p[None, :]
+        increases = [np.max(np.diff((ratios - price_ratio) ** 2, axis=0))]
+        full = np.nonzero(np.abs(sigma - 1.0) < 1e-12)[0]
+        if full.size:
+            increases.append(np.max(np.abs(ratios[-1, full] - price_ratio)))
+        m_path, big_m_path = ratios.min(axis=1), ratios.max(axis=1)
+        has_below = (ratios[0] <= price_ratio[None]).any(axis=0)
+        has_above = (ratios[0] >= price_ratio[None]).any(axis=0)
+        dm, dbm = np.diff(m_path, axis=0), np.diff(big_m_path, axis=0)
+        sign_m = np.where(has_below, -1.0, 1.0)
+        sign_big_m = np.where(has_above, 1.0, -1.0)
+        increases += [np.max((sign_m * dm)[:, off_diag]), np.max((sign_big_m * dbm)[:, off_diag])]
+        if has_below[off_diag].all():
+            increases += [np.max(-dm[:, off_diag]), np.max(dbm[:, off_diag])]
+        if n == 2 and e.size == 2:
+            increases += [np.max(-dm[:, 0, 1]), np.max(dbm[:, 0, 1])]
+        largest = float(max(increases))
+        worst = max(worst, largest / verify.MONOTONE_SLACK)
+        failures += largest > verify.MONOTONE_SLACK
+        done += 1
+    return failures, worst

@@ -384,6 +384,8 @@ class TestVerifyCommand:
         assert out.count("PASS") == 8
         for name in ("identity", "jacobian", "attraction", "welfare"):
             assert name in out
+        # the report, byte for byte, as the suites gave it when they ran one draw at a time
+        assert out == (Path(__file__).parent / "data" / "verify_seed0.txt").read_text()
 
     def test_filtered_run_passes(self, capsys):
         rc = main(["verify", "--filter", "identity", "--seed", "0"])

@@ -15,7 +15,7 @@ from edgeworth.errors import (
 )
 from edgeworth.prefs import Family, UtilitySpec
 
-from edgeworth import trade
+from edgeworth import geometry, trade
 from edgeworth.trade import Allocation, Economy
 
 import oracles
@@ -191,6 +191,22 @@ class TestInputContract:
     def test_demand_underflow_is_domain_degenerate(self, cd):
         with pytest.raises(DomainDegeneracyError, match="^demand degenerated below the positive floor$"):
             prefs.normalized_demand(cd, [1e305, 1.0])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, p: prefs.normalized_demand_jacobian(u, p),
+            lambda u, p: geometry.jacobian_psi(u, [1.0, 1.0], p),
+            lambda u, p: geometry.jacobian_phi(u, [1.0, 1.0], p),
+            lambda u, p: geometry.d_inverse(u, p),
+        ],
+        ids=["normalized_demand_jacobian", "jacobian_psi", "jacobian_phi", "d_inverse"],
+    )
+    def test_outputs_built_on_an_underflowing_demand_are_domain_degenerate(self, call):
+        # x_0 = 0.5^10 * 1e40^-10 / (...) underflows to 0, while each output stays finite
+        u = UtilitySpec.ces([0.5, 0.5], 0.9)
+        with pytest.raises(DomainDegeneracyError, match="degenerated below the positive floor$"):
+            call(u, [1e40, 1.0])
 
     @pytest.mark.parametrize(
         "values",
@@ -404,6 +420,36 @@ class TestStackedCore:
             want = np.array([public(u, row) for row in stack.reshape(-1, goods)])
             assert got.shape == shape + want.shape[1:]
             np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        goods=st.sampled_from([2, 3, 4]),
+        family=st.sampled_from(_FAMILIES),
+        shape=st.sampled_from([(1,), (6,), (2, 3)]),
+    )
+    def test_public_functions_are_one_row_of_their_core_bitwise(self, seed, goods, family, shape):
+        rng = np.random.default_rng(seed)
+        u = _random_utility(rng, family, goods)
+        p = log_uniform(rng, shape + (goods,), 1e-2, 1e2)
+        c = log_uniform(rng, shape + (goods,), 1e-2, 1e2)
+        level = prefs._utility(u, c)
+        q, flat_level = geometry._d_inverse(u, p)
+        # public function of row k -> the stacked core's output
+        pairs = [
+            (lambda k: prefs.utility(u, c[k]), prefs._utility(u, c)),
+            (lambda k: prefs.hicksian_demand(u, p[k], float(level[k])), prefs._hicksian(u, p, level)),
+            (lambda k: prefs.expenditure(u, p[k], float(level[k])), prefs._expenditure(u, p, level)),
+            (lambda k: prefs.normalized_demand_jacobian(u, p[k]), prefs._demand_jacobian(u, p)),
+            (lambda k: geometry.jacobian_phi(u, c[k], p[k]), geometry._jacobian_phi(u, c, p)),
+            (lambda k: geometry.jacobian_psi(u, c[k], p[k]), geometry._jacobian_psi(u, c, p)),
+            (lambda k: geometry.d_inverse(u, p[k]).q, q),
+            (lambda k: geometry.d_inverse(u, p[k]).u, flat_level),
+            (lambda k: geometry.d_map(u, geometry.FlatPoint(q[k], float(flat_level[k]))), geometry._d_map(u, q, flat_level)),
+        ]
+        for public, stacked in pairs:
+            for k in np.ndindex(shape):
+                np.testing.assert_array_equal(public(k), stacked[k])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeworth import trade, verify
+from edgeworth import geometry, prefs, trade, verify
 from edgeworth.engine import PriorSpec, SimConfig, UniformArc
-from edgeworth.errors import SpecificationError
+from edgeworth.errors import ConvergenceError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
+import oracles
 from oracles import clearing_price, log_uniform
 
 
@@ -75,6 +76,76 @@ class TestClearingSolver:
             sigma = trade.SpeedVector(w / w.max())
             assert trade.speed_contains(e, y, np.append(q, 1.0), sigma)
 
+    def test_lockstep_rows_match_the_one_state_reference_bitwise(self, rng):
+        specs = [UtilitySpec.ces([0.2, 0.3, 0.5], 0.4), UtilitySpec.cobb_douglas_log([0.4, 0.3, 0.3])]
+        e = Economy.of(specs)
+        states = [Allocation(b) for b in log_uniform(rng, (20, 2, 3))]
+        weights = rng.uniform(0.2, 1.0, (20, 2))
+        rates = np.array([trade.household_rates(e, y) for y in states])
+        got = verify._clearing_rates(e, np.array([y.bundles for y in states]), weights, rates)
+        for k, y in enumerate(states):
+            np.testing.assert_array_equal(got[k], oracles.reference_clearing_rates(e, y, weights[k]))
+            np.testing.assert_array_equal(got[k], verify.weighted_clearing_rates(e, y, weights[k]))
+
+    def test_singular_row_names_its_draw(self, monkeypatch, rng):
+        specs = [UtilitySpec.ces([0.2, 0.3, 0.5], 0.5), UtilitySpec.ces([0.5, 0.3, 0.2], 0.4)]
+        e = Economy.of(specs)
+        bundles = log_uniform(rng, (3, 2, 3))
+        rates = trade._each(prefs._rates, specs, bundles)
+        real = geometry._jacobian_psi
+
+        def singular_second_row(u, anchor, p):
+            jac = real(u, anchor, p)
+            jac[1] = 0.0
+            return jac
+
+        monkeypatch.setattr(geometry, "_jacobian_psi", singular_second_row)
+        with pytest.raises(ConvergenceError, match=r"^singular Jacobian in the clearing solver at draw 1 \(bundles \[\["):
+            verify._clearing_rates(e, bundles, np.ones((3, 2)), rates)
+
+
+_SPECS = {
+    "cd": UtilitySpec.cobb_douglas_log([0.5, 0.5]),
+    "ces": UtilitySpec.ces([0.5, 0.5], 0.5),
+    "ces73": UtilitySpec.ces([0.7, 0.3], 0.5),
+    "ces_3goods": UtilitySpec.ces([0.2, 0.5, 0.3], 0.4),
+    "multiplicative": UtilitySpec.multiplicative([1.0, 2.0]),
+    "ces_3goods_a": UtilitySpec.ces([0.2, 0.5, 0.3], 0.5),
+    "ces_3goods_b": UtilitySpec.ces([0.4, 0.3, 0.3], 0.5),
+}
+
+
+class TestStackedSuitesMatchTheOneDrawReference:
+    """Failures and worst violations, bit for bit, against the suites run one draw at a time."""
+
+    DRAWS = 100
+
+    @pytest.mark.parametrize("name", ["cd", "ces", "ces_3goods", "multiplicative"])
+    def test_identity_with_corrupted_demand(self, name):
+        for seed in range(4):
+            got = verify.identity_suite(_SPECS[name], self.DRAWS, seed, demand_scale=1.01)
+            assert got.failures == self.DRAWS
+            assert (got.failures, got.worst_violation) == oracles.reference_identity_suite(
+                _SPECS[name], self.DRAWS, seed, demand_scale=1.01
+            )
+
+    @pytest.mark.parametrize("name", ["cd", "ces"])
+    def test_jacobian(self, name):
+        for seed in range(4):
+            got = verify.jacobian_suite(_SPECS[name], self.DRAWS, seed)
+            assert (got.failures, got.worst_violation) == oracles.reference_jacobian_suite(_SPECS[name], self.DRAWS, seed)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("cd", "cd"), ("ces_3goods_a", "ces_3goods_b"), ("cd", "ces73"), ("cd", "ces73", "ces")],
+        ids=["2x2_cd", "3good_ces", "mixed", "2goods_3households"],
+    )
+    def test_attraction(self, names):
+        e = Economy.of([_SPECS[name] for name in names])
+        for seed in range(4):
+            got = verify.attraction_suite(e, self.DRAWS, seed)
+            assert (got.failures, got.worst_violation) == oracles.reference_attraction_suite(e, self.DRAWS, seed)
+
 
 class TestAttractionSuite:
     def test_2x2_cobb_douglas(self, cd):
@@ -82,6 +153,19 @@ class TestAttractionSuite:
         assert report.passed
         # the largest rounding-level increase, over MONOTONE_SLACK
         assert 0.0 < report.worst_violation <= 1.0
+
+    def test_failed_speed_draw_names_its_draw(self, cd, monkeypatch):
+        real, calls = trade.sample_speed, []
+
+        def fail_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SamplingError("fewer than two households can trade at these prices")
+            return real(*args)
+
+        monkeypatch.setattr(trade, "sample_speed", fail_third)
+        with pytest.raises(SamplingError, match=r"^fewer than two households can trade at these prices at draw 2 \(bundles \[\["):
+            verify.attraction_suite(Economy.of([cd, cd]), draws=10, seed=1)
 
     def test_three_good_ces_pair(self):
         specs = [
