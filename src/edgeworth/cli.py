@@ -307,13 +307,9 @@ def cmd_manifold(args: argparse.Namespace) -> int:
     axis = _parse_grid(args.grid)
     if np.any(axis <= 0.0):
         raise ScenarioError("grid values must be strictly positive")
-    if spec.dimension == 2:
-        grid = [np.array([v]) for v in axis]
-    else:
-        mesh = np.meshgrid(*([axis] * (spec.dimension - 1)), indexing="ij")
-        grid = [np.array(point) for point in zip(*(m.reshape(-1) for m in mesh))]
+    mesh = np.meshgrid(*([axis] * (spec.dimension - 1)), indexing="ij")
     kind = ManifoldKind(args.kind)
-    sample = geometry.sample_manifold(spec, kind, anchor, grid)
+    sample = geometry.sample_manifold(spec, kind, anchor, np.stack([m.reshape(-1) for m in mesh], axis=-1))
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     l = spec.dimension
@@ -325,11 +321,12 @@ def cmd_manifold(args: argparse.Namespace) -> int:
         + [f"q_{j + 1}" for j in range(l - 1)]
         + ["u"]
     )
-    rows = []
-    for y in sample.points:
-        fp = geometry.flatten(spec, y)
-        rows.append(np.concatenate([anchor, y, prefs.inverse_normalized_demand(spec, y), fp.q, [fp.u]]))
-    rows = np.reshape(rows, (-1, 4 * l))
+    # one row of each core has the bits of inverse_normalized_demand and flatten
+    y = np.reshape(sample.points, (-1, l))
+    p = prefs._guard(prefs._inverse_demand(spec, y), "inverse demand")
+    q = prefs._guard(prefs._rates(spec, y), "substitution rates")
+    level = prefs._guard(prefs._utility(spec, y), "utility", floor=0.0)
+    rows = np.hstack([np.broadcast_to(anchor, y.shape), y, p, q, level[:, None]])
 
     def lines(start, stop):
         return [f"{kind.value},{v}\r\n" for v in _floats(rows[start:stop])]

@@ -82,14 +82,14 @@ class Tabulated:
         d = np.asarray(self.densities, dtype=np.float64)
         if g.ndim == 1:
             g = g[:, None]
-        if g.ndim != 2 or g.shape[0] == 0:
+        if g.ndim != 2 or g.size == 0:
             raise SpecificationError("tabulated grid must be a nonempty sequence of rate vectors")
-        if np.any(g <= 0.0):
-            raise SpecificationError("tabulated grid points must be strictly positive")
+        if not (g.min() > 0.0 and g.max() < math.inf):  # a NaN fails both
+            raise SpecificationError("tabulated grid points must be finite and strictly positive")
         if d.shape != (g.shape[0],):
             raise SpecificationError("one density per grid point is required")
-        if np.any(d < 0.0) or not np.any(d > 0.0):
-            raise SpecificationError("densities must be nonnegative and not all zero")
+        if not (d.min() >= 0.0 and 0.0 < d.max() < math.inf):  # a NaN fails too
+            raise SpecificationError("densities must be finite, nonnegative and not all zero")
         g.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "grid", g)
@@ -133,8 +133,8 @@ class SimConfig:
             raise SpecificationError("max_steps must be at least 1")
         if self.runs < 1:
             raise SpecificationError("runs must be at least 1")
-        if not self.pareto_tol > 0.0:
-            raise SpecificationError("pareto_tol must be positive")
+        if not 0.0 < self.pareto_tol < math.inf:
+            raise SpecificationError("pareto_tol must be positive and finite")
         n_rates = self.economy.n_goods - 1
         q_prior = self.prior.q_prior
         if isinstance(q_prior, Tabulated):

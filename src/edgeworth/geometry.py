@@ -16,7 +16,9 @@ the normalized indirect utility.
 As in ``prefs``, the chart Jacobians and the maps between the flat and
 normalized domains have cores on ``(..., L)`` stacks (``_jacobian_phi``,
 ``_jacobian_psi``, ``_d_map``, ``_d_inverse``) that check nothing; the
-public functions validate one vector, call the core on it and guard.
+public functions validate one vector, call the core on it and guard.  The
+manifold sampler and the 2x2 root finders also validate once, then run on
+the ``prefs`` cores.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from numpy.typing import NDArray
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
 from .prefs import UtilitySpec, as_bundle, as_price
-from .trade import PARETO_TOL, Allocation, _each, _path_end, _rates_agree
+from .trade import PARETO_TOL, Allocation, Economy, _each, _path_end, _rates_agree, household_rates
 
 FloatArray = NDArray[np.float64]
 
@@ -140,45 +142,41 @@ def fixed_point(u: UtilitySpec) -> FloatArray:
     return p
 
 
-def _defining_residual(u: UtilitySpec, kind: ManifoldKind, anchor: FloatArray, y: FloatArray) -> float:
-    if kind is ManifoldKind.INDIFFERENCE:
-        level = prefs.utility(u, anchor)
-        return abs(prefs.utility(u, y) - level) / max(1.0, abs(level))
-    if kind is ManifoldKind.OFFER:
-        return abs(float(prefs.inverse_normalized_demand(u, y) @ anchor) - 1.0)
-    return abs(float(prefs.inverse_normalized_demand(u, anchor) @ y) - 1.0)
-
-
 def sample_manifold(u: UtilitySpec, kind: ManifoldKind, anchor, q_grid) -> ManifoldSample:
     """Sample one canonical manifold over a caller-supplied grid.
 
     The grid entries are rate vectors (scalars when L = 2) for the
     indifference and offer hypersurfaces, and leading coordinates for the
     trade hyperplane, whose last coordinate is solved from the defining
-    equation (non-positive solutions are dropped).
+    equation (non-positive solutions are dropped).  The grid is checked
+    once; the points come from one pass of the ``prefs`` cores.
     """
     kind = ManifoldKind(kind)
     anchor = as_bundle(anchor, u.dimension)
-    points: list[FloatArray] = []
-    for entry in q_grid:
-        g = np.atleast_1d(np.asarray(entry, dtype=np.float64))
-        if g.size != u.dimension - 1 or np.any(g <= 0.0):
-            raise SpecificationError("grid entries must be positive vectors of length L - 1")
-        if kind is ManifoldKind.INDIFFERENCE:
-            y = prefs.hicksian_demand(u, np.append(g, 1.0), prefs.utility(u, anchor))
-        elif kind is ManifoldKind.OFFER:
-            p = np.append(g, 1.0)
-            y = prefs.normalized_demand(u, p / float(p @ anchor))
-        else:
-            star = prefs.inverse_normalized_demand(u, anchor)
-            last = (1.0 - float(star[:-1] @ g)) / star[-1]
-            if last <= 0.0:
-                continue
-            y = np.append(g, last)
-        if _defining_residual(u, kind, anchor, y) > 1e-8:
-            raise ConvergenceError("sampled point violates the manifold equation")
-        points.append(y)
-    return ManifoldSample(kind, anchor, tuple(points))
+    try:  # ragged or misshapen entries fail to convert or reshape
+        g = np.asarray(q_grid, dtype=np.float64)
+        g = g.reshape(g.shape[0], u.dimension - 1)
+        if not np.all((g > 0.0) & (g < math.inf)):
+            raise ValueError
+    except (ValueError, IndexError) as exc:
+        raise SpecificationError("grid entries must be finite positive vectors of length L - 1") from exc
+    p = np.concatenate([g, np.ones((g.shape[0], 1))], axis=1)
+    if kind is ManifoldKind.INDIFFERENCE:
+        level = float(prefs._utility(u, anchor))
+        prefs._check_level(u, level)
+        y = prefs._guard(prefs._hicksian(u, p, level), "hicksian demand")
+        residual = np.abs(prefs._utility(u, y) - level) / max(1.0, abs(level))
+    elif kind is ManifoldKind.OFFER:
+        y = prefs._guard(_path_end(u, anchor, p), "demand")
+        residual = np.abs(np.vecdot(prefs._inverse_demand(u, y), anchor) - 1.0)
+    else:
+        star = prefs._guard(prefs._inverse_demand(u, anchor), "inverse demand")
+        last = (1.0 - np.vecdot(g, star[:-1])) / star[-1]
+        y = np.concatenate([g, last[:, None]], axis=1)[last > 0.0]
+        residual = np.abs(np.vecdot(y, star) - 1.0)
+    if not np.all(residual <= 1e-8):  # a NaN fails too
+        raise ConvergenceError("sampled point violates the manifold equation")
+    return ManifoldSample(kind, anchor, tuple(y))
 
 
 def _jacobian_psi(u: UtilitySpec, anchor: FloatArray, p: FloatArray) -> FloatArray:
@@ -258,18 +256,17 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     second coordinate from rate equality; each output allocation splits the
     aggregate exactly.
     """
-    if len(specs) != 2:
-        raise SpecificationError("contract_curve_2x2 requires exactly two households")
+    if len(specs) != 2 or any(s.dimension != 2 for s in specs):
+        raise SpecificationError("contract_curve_2x2 requires two households over two goods")
     aggregate = as_bundle(aggregate, 2)
     if grid_size < 1:
         raise SpecificationError("grid_size must be at least 1")
-    s1, s2 = specs
     from scipy.optimize import brentq
 
     def rate_mismatch(y11: float, y12: float) -> float:
-        a = prefs.substitution_rates(s1, np.array([y11, y12]))[0]
-        b = prefs.substitution_rates(s2, np.array([aggregate[0] - y11, aggregate[1] - y12]))[0]
-        return np.log(a) - np.log(b)
+        first = np.array([y11, y12])
+        rates = prefs._guard(_each(prefs._rates, specs, np.stack([first, aggregate - first])), "substitution rates")
+        return np.log(rates[0, 0]) - np.log(rates[1, 0])
 
     out: list[Allocation] = []
     eps = 1e-12 * float(aggregate[1])
@@ -297,11 +294,8 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
     """
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")
-    rates = [
-        float(prefs.substitution_rates(s, b)[0])
-        for s, b in zip(specs, endowments.bundles)
-    ]
-    lo, hi = min(rates), max(rates)
+    rates = household_rates(Economy.of(specs), endowments)[:, 0]
+    lo, hi = float(rates.min()), float(rates.max())
     aggregate = endowments.aggregate
 
     def demands(q: float) -> FloatArray:

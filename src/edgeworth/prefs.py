@@ -12,12 +12,11 @@ last axis as in ``Allocation.bundles``, and checks nothing.  Inputs are
 validated at the boundary: by the constructors, and by the public functions,
 which validate one vector, call the core on it and ``_guard`` the result.
 Callers holding validated state (trade, the engine's 2x2 kernel, verify)
-call the core on whole stacks and guard once per stack.  Where a one-vector
+call the core on whole stacks and guard once per stack.  One row of every
+core has the bits of its public function on that row: where a one-vector
 evaluation takes a power, exp or log of a scalar, the core uses the C
 library's (``np.float_power``, :func:`_libm`) on every row, since numpy's
-SIMD loops can differ from it by an ulp: one row of ``_utility``,
-``_hicksian``, ``_expenditure`` and ``_demand_jacobian`` has the bits of the
-public function on that row.
+SIMD loops can differ from it by an ulp.
 
 ``UtilitySpec.multiplicative(b)`` writes the log family with weights
 ``b / B`` at the level ``exp(B u)``, ``B = sum_i b_i``: the multiplicative
@@ -257,7 +256,7 @@ def _gradient(u: UtilitySpec, c: FloatArray) -> FloatArray:
     w = u.weights
     if u.family is Family.CES:
         sig = u.elasticity
-        return (np.vecdot(c**sig, w) ** (1.0 / sig - 1.0))[..., None] * w * c ** (sig - 1.0)
+        return np.float_power(np.vecdot(c**sig, w), 1.0 / sig - 1.0)[..., None] * w * c ** (sig - 1.0)
     return w / c
 
 

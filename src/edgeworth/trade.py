@@ -385,7 +385,7 @@ def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
     (G, L - 1) stack of them, answered with one bool per row.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim not in (1, 2) or np.any(q <= 0.0):
+    if q.ndim not in (1, 2) or not np.all(q > 0.0):  # a NaN fails too
         raise SpecificationError("q must be a strictly positive vector")
     n = b.lower_rates.shape[0]
     if q.shape[-1] != n - 1:

@@ -13,6 +13,8 @@ must reproduce them bit for bit on one vector.  The ``reference_*_suite``
 loops are ``verify``'s suites as they ran before they were stacked, one draw
 at a time through the public one-vector functions: the stacked suites must
 report the same failures and the same worst violation, bit for bit.
+``reference_sample_manifold`` is the manifold sampler as it ran before it
+was stacked, one grid point at a time through the public functions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from edgeworth import engine, geometry, prefs, trade, verify
-from edgeworth.errors import ConvergenceError
+from edgeworth.errors import ConvergenceError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
 
@@ -276,12 +278,47 @@ def write_example3_csv(path, runs: int, seed: int) -> None:
             writer.writerow([str(j), _fmt(engine.example3_ladder_value(j)), _fmt(empirical), _fmt(2.0**-j)])
 
 
+def _defining_residual(u, kind, anchor, y) -> float:
+    if kind is geometry.ManifoldKind.INDIFFERENCE:
+        level = prefs.utility(u, anchor)
+        return abs(prefs.utility(u, y) - level) / max(1.0, abs(level))
+    if kind is geometry.ManifoldKind.OFFER:
+        return abs(float(prefs.inverse_normalized_demand(u, y) @ anchor) - 1.0)
+    return abs(float(prefs.inverse_normalized_demand(u, anchor) @ y) - 1.0)
+
+
+def reference_sample_manifold(u, kind, anchor, q_grid) -> list[np.ndarray]:
+    """``geometry.sample_manifold``'s points, one grid entry at a time through the public functions."""
+    kind = geometry.ManifoldKind(kind)
+    anchor = prefs.as_bundle(anchor, u.dimension)
+    points = []
+    for entry in q_grid:
+        g = np.atleast_1d(np.asarray(entry, dtype=np.float64))
+        if g.size != u.dimension - 1 or np.any(g <= 0.0):
+            raise SpecificationError("grid entries must be positive vectors of length L - 1")
+        if kind is geometry.ManifoldKind.INDIFFERENCE:
+            y = prefs.hicksian_demand(u, np.append(g, 1.0), prefs.utility(u, anchor))
+        elif kind is geometry.ManifoldKind.OFFER:
+            p = np.append(g, 1.0)
+            y = prefs.normalized_demand(u, p / float(p @ anchor))
+        else:
+            star = prefs.inverse_normalized_demand(u, anchor)
+            last = (1.0 - float(star[:-1] @ g)) / star[-1]
+            if last <= 0.0:
+                continue
+            y = np.append(g, last)
+        if _defining_residual(u, kind, anchor, y) > 1e-8:
+            raise ConvergenceError("sampled point violates the manifold equation")
+        points.append(y)
+    return points
+
+
 def write_manifold_csv(path, spec, kind, anchor, axis) -> None:
     """``manifold.csv`` through ``csv.writer`` over the rate grid ``axis`` per good."""
     l = spec.dimension
     mesh = np.meshgrid(*([axis] * (l - 1)), indexing="ij")
     grid = [np.array(point) for point in zip(*(m.reshape(-1) for m in mesh))]
-    sample = geometry.sample_manifold(spec, kind, anchor, grid)
+    points = reference_sample_manifold(spec, kind, anchor, grid)
     header = (
         ["kind"]
         + [f"anchor_{j + 1}" for j in range(l)]
@@ -293,7 +330,7 @@ def write_manifold_csv(path, spec, kind, anchor, axis) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for y in sample.points:
+        for y in points:
             p = prefs.inverse_normalized_demand(spec, y)
             fp = geometry.flatten(spec, y)
             writer.writerow([kind.value] + [_fmt(v) for v in (*anchor, *y, *p, *fp.q, fp.u)])

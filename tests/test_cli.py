@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -202,6 +203,26 @@ class TestSimulate:
         doc["prior"]["q_prior"] = q_prior
         out = tmp_path / "out"
         rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            (lambda doc: doc["prior"].update(q_prior={"kind": "tabulated", "grid": [0.3, 1.0, 1.5], "densities": [1.0, math.nan, 1.0]}), []),
+            (lambda doc: doc["prior"].update(q_prior={"kind": "tabulated", "grid": [0.3, 1.0, 1.5], "densities": [1.0, math.inf, 1.0]}), []),
+            (lambda doc: doc["prior"].update(q_prior={"kind": "tabulated", "grid": [0.3, math.nan, 1.5], "densities": [1.0, 1.0, 1.0]}), []),
+            (lambda doc: doc["engine"].update(pareto_tol=math.inf), []),
+            (lambda doc: None, ["--pareto-tol", "inf"]),
+        ],
+        ids=["nan_density", "inf_density", "nan_grid_point", "inf_pareto_tol", "inf_pareto_tol_flag"],
+    )
+    def test_non_finite_value_fails_at_load(self, tmp_path, capsys, edit, flags):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        edit(doc)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), *flags, "--out", str(out)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
@@ -428,15 +449,18 @@ class TestWriters:
         oracles.write_trajectories_csv(tmp_path / "ref_trajectories.csv", cfg)
         assert main(["example3", "--runs", "500", "--seed", str(goods), "--out", str(tmp_path)]) == 0
         oracles.write_example3_csv(tmp_path / "ref_example3.csv", 500, goods)
-        spec, utility = specs[-1], specs[-1].to_dict()
-        anchor = np.linspace(0.8, 1.4, goods)
-        args = ["--family", utility["family"], "--weights", ",".join(map(repr, utility["weights"]))]
-        args += ["--sigma", repr(utility["sigma"])] if "sigma" in utility else []
-        args += ["--anchor", ",".join(map(repr, anchor.tolist())), "--kind", "offer", "--grid", "0.5:2:5"]
-        assert main(["manifold", *args, "--out", str(tmp_path)]) == 0
-        oracles.write_manifold_csv(tmp_path / "ref_manifold.csv", spec, ManifoldKind.OFFER, anchor, np.linspace(0.5, 2, 5))
-        for name in ("outcomes.csv", "trajectories.csv", "example3.csv", "manifold.csv"):
+        for name in ("outcomes.csv", "trajectories.csv", "example3.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+        # CES away from s = 0.5 takes the scalar power whose stacked form once lost the bits
+        for spec in (specs[-1], UtilitySpec.ces(specs[0].weights, 0.4)):
+            utility = spec.to_dict()
+            anchor = np.linspace(0.8, 1.4, goods)
+            args = ["--family", utility["family"], "--weights", ",".join(map(repr, utility["weights"]))]
+            args += ["--sigma", repr(utility["sigma"])] if "sigma" in utility else []
+            args += ["--anchor", ",".join(map(repr, anchor.tolist())), "--kind", "offer", "--grid", "0.5:2:30"]
+            assert main(["manifold", *args, "--out", str(tmp_path)]) == 0
+            oracles.write_manifold_csv(tmp_path / "ref_manifold.csv", spec, ManifoldKind.OFFER, anchor, np.linspace(0.5, 2, 30))
+            assert (tmp_path / "manifold.csv").read_bytes() == (tmp_path / "ref_manifold.csv").read_bytes()
 
 
 def test_cli_import_leaves_scipy_solvers_out():

@@ -11,6 +11,7 @@ from edgeworth.geometry import FlatPoint, ManifoldKind
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy
 
+import oracles
 from oracles import fd_jacobian, log_uniform
 
 
@@ -151,6 +152,31 @@ class TestManifolds:
             mult_c1c2, ManifoldKind.TRADE_HYPERPLANE, [1.0, 1.0], [0.5, 1.0, 1.5, 2.0, 5.0]
         )
         assert len(sample.points) == 3
+
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["cobb_douglas", "ces_0.4", "ces_0.7", "multiplicative"])
+    def test_stacked_points_match_the_per_point_reference_bitwise(self, family, goods):
+        weights = np.arange(1.0, goods + 1.0) / (goods * (goods + 1) / 2)
+        spec = {
+            "cobb_douglas": UtilitySpec.cobb_douglas_log(weights),
+            "ces_0.4": UtilitySpec.ces(weights, 0.4),
+            "ces_0.7": UtilitySpec.ces(weights, 0.7),
+            "multiplicative": UtilitySpec.multiplicative(2.0 * weights + 0.5),
+        }[family]
+        anchor = np.linspace(1.4, 0.6, goods)
+        axis = np.geomspace(0.1, 3.0, {2: 60, 3: 12, 4: 6}[goods])
+        grid = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * (goods - 1)), indexing="ij")], axis=-1)
+        for kind in ManifoldKind:
+            got = geometry.sample_manifold(spec, kind, anchor, grid).points
+            want = oracles.reference_sample_manifold(spec, kind, anchor, grid)
+            assert len(got) == len(want) > 0
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+
+    def test_grid_is_checked_once_for_shape_and_finite_positive_entries(self, cd):
+        for grid in ([np.array([1.0, 2.0])], [[1.0], [1.0, 2.0]], [0.5, math.nan], [0.5, math.inf], [0.5, -1.0]):
+            with pytest.raises(SpecificationError, match="^grid entries must be finite positive vectors of length L - 1$"):
+                geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], grid)
+        assert geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], []).points == ()
 
     def test_three_goods_grids(self):
         spec = UtilitySpec.ces([0.2, 0.3, 0.5], 0.5)
@@ -434,3 +460,11 @@ class TestValidationErrors:
     def test_contract_curve_needs_two_specs(self, cd):
         with pytest.raises(SpecificationError):
             geometry.contract_curve_2x2([cd], [3.0, 3.0], 3)
+
+    def test_two_by_two_solvers_reject_three_good_specs(self, cd):
+        three = UtilitySpec.cobb_douglas_log([0.2, 0.3, 0.5])
+        with pytest.raises(SpecificationError, match="^contract_curve_2x2 requires two households over two goods$"):
+            geometry.contract_curve_2x2([cd, three], [3.0, 3.0], 3)
+        for specs in ([cd, three], [three, three]):
+            with pytest.raises(SpecificationError):
+                geometry.walras_equilibrium_2x2(specs, Allocation(np.array([[2.0, 1.0], [1.0, 2.0]])))

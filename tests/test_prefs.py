@@ -419,7 +419,7 @@ class TestStackedCore:
             got = core(u, stack)
             want = np.array([public(u, row) for row in stack.reshape(-1, goods)])
             assert got.shape == shape + want.shape[1:]
-            np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got.reshape(want.shape), want)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -438,6 +438,10 @@ class TestStackedCore:
         # public function of row k -> the stacked core's output
         pairs = [
             (lambda k: prefs.utility(u, c[k]), prefs._utility(u, c)),
+            (lambda k: prefs.gradient(u, c[k]), prefs._level_gradient(u, c)),
+            (lambda k: prefs.normalized_demand(u, p[k]), prefs._demand(u, p)),
+            (lambda k: prefs.inverse_normalized_demand(u, c[k]), prefs._inverse_demand(u, c)),
+            (lambda k: prefs.substitution_rates(u, c[k]), prefs._rates(u, c)),
             (lambda k: prefs.hicksian_demand(u, p[k], float(level[k])), prefs._hicksian(u, p, level)),
             (lambda k: prefs.expenditure(u, p[k], float(level[k])), prefs._expenditure(u, p, level)),
             (lambda k: prefs.normalized_demand_jacobian(u, p[k]), prefs._demand_jacobian(u, p)),

@@ -328,6 +328,12 @@ class TestIntervalAndBox:
         assert trade.box_contains(box, [1.0])
         assert not trade.box_contains(box, [3.0])
 
+    def test_box_contains_rejects_a_nan_rate(self, cd_economy, shock):
+        box = trade.msr_extremes(cd_economy, shock)
+        for q in ([np.nan], [[1.0], [np.nan]]):
+            with pytest.raises(SpecificationError, match="^q must be a strictly positive vector$"):
+                trade.box_contains(box, q)
+
     def test_own_rate_always_inside(self, ces_economy, rng, ces):
         for _ in range(25):
             y = Allocation(log_uniform(rng, (2, 2)))
@@ -552,6 +558,25 @@ class TestSampleSpeed:
         # rounds onto a household's own rate, where only one trader can move
         with pytest.raises(SamplingError, match="fewer than two households can trade"):
             trade._ray_speeds(*norms, max_speed, lambda sub: rng.random(1))
+
+
+class TestHitRunDegenerate:
+    def test_no_null_space_is_an_empty_interior(self, rng):
+        # three independent directions in four goods: D^T s = 0 only at s = 0
+        dirs = np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.raises(SamplingError, match="^trade-speed polytope has empty interior$"):
+            _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
+
+    def test_point_polytope_returns_its_point(self):
+        # e1, e2 and e1 + e2 in the plane orthogonal to p = (1, 1, 1): the
+        # null space is the line (1, 1, -1), which meets the cube only at 0
+        e1, e2 = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
+        dirs = np.stack([e1, e2, e1 + e2])
+        rng = np.random.default_rng(5)
+        point = _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
+        assert point.shape == (3,) and point.min() >= 0.0 and point.max() < _hitrun._POINT_EXTENT
+        assert np.abs(point @ dirs).max() <= _hitrun._EQ_TOL  # within the LP's slack
+        assert rng.random() == np.random.default_rng(5).random()  # no walk: the stream is untouched
 
 
 class TestAdvance:
