@@ -42,7 +42,7 @@ from .errors import (
 )
 from .geometry import FlatPoint, ManifoldKind, ManifoldSample, ParetoPoint
 from .prefs import Family, UtilitySpec
-from .trade import Allocation, BoxSet, Economy, Household, SpeedPrior, SpeedVector
+from .trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "EdgeworthError",
     "Family",
     "FlatPoint",
-    "Household",
     "LPError",
     "ManifoldKind",
     "ManifoldSample",

@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
@@ -35,7 +37,7 @@ from .errors import (
     SpecificationError,
 )
 from .geometry import ManifoldKind
-from .prefs import UtilitySpec
+from .prefs import Family, UtilitySpec
 from .trade import Allocation, Economy, SpeedPrior
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -48,99 +50,162 @@ EXIT_SAMPLING = 3
 BUNDLED_SCENARIOS = ("example4_sticky", "example5_uniform", "example5_maxspeed")
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _show(value) -> str:
+    """A scenario value as its JSON text, or its JSON type if it is a list or an object."""
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "a list"
+    return json.dumps(value)
+
+
+def _object(obj, where: str, required, optional=()) -> dict:
+    """``obj`` if it is a JSON object with every ``required`` key and no key outside ``optional``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {_show(obj)}")
+    unknown = obj.keys() - {*required, *optional}
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = {*required} - obj.keys()
     if missing:
         raise ScenarioError(f"missing keys in {where}: {sorted(missing)}")
+    return obj
 
 
-def _parse_q_prior(obj: dict):
-    _require_keys(obj, {"kind", "center_rate", "sigma_angle", "grid", "densities"}, {"kind"}, "prior.q_prior")
-    kind = obj["kind"]
-    if kind == "arctan_normal":
-        _require_keys(obj, {"kind", "center_rate", "sigma_angle"}, {"kind", "center_rate", "sigma_angle"}, "prior.q_prior")
-        return ArctanNormal(float(obj["center_rate"]), float(obj["sigma_angle"]))
-    if kind == "uniform_arc":
-        _require_keys(obj, {"kind"}, {"kind"}, "prior.q_prior")
-        return UniformArc()
-    if kind == "tabulated":
-        _require_keys(obj, {"kind", "grid", "densities"}, {"kind", "grid", "densities"}, "prior.q_prior")
-        return Tabulated(np.asarray(obj["grid"], dtype=np.float64), np.asarray(obj["densities"], dtype=np.float64))
-    raise ScenarioError(f"unknown price prior kind: {kind!r}")
+def _is_number(value) -> bool:
+    """A JSON number that a float holds; ``true`` and ``false`` are not numbers."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
-def _parse_s_prior(obj: dict) -> SpeedPrior:
-    _require_keys(obj, {"kind"}, {"kind"}, "prior.s_prior")
+def _number(value, where: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(f"{where} must be a number, got {_show(value)}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise ScenarioError(f"{where} must be an integer, got {_show(value)}")
+    return value
+
+
+def _numbers(value, where: str, rows: bool = False) -> np.ndarray:
+    """A list of numbers, or with ``rows`` also a list of equal-length lists of numbers."""
+    flat = isinstance(value, list) and all(map(_is_number, value))
+    nested = rows and isinstance(value, list) and all(
+        isinstance(r, list) and len(r) == len(value[0]) and all(map(_is_number, r)) for r in value
+    )
+    if not (flat or nested):
+        shape = " or of equal-length lists of numbers" if rows else ""
+        raise ScenarioError(f"{where} must be a list of numbers{shape}")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _choice(value, where: str, choices) -> str:
+    """``value`` if it is one of the strings ``choices``."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ScenarioError(f"{where} must be one of {sorted(choices)}, got {_show(value)}")
+
+
+def _read_utility(obj, where: str) -> UtilitySpec:
+    _object(obj, where, {"family", "weights"}, {"sigma"})
+    family = _choice(obj["family"], f"{where}.family", [f.value for f in Family])
+    weights = _numbers(obj["weights"], f"{where}.weights")
+    sigma = _number(obj["sigma"], f"{where}.sigma") if "sigma" in obj else None
     try:
-        return SpeedPrior(obj["kind"])
-    except ValueError as exc:
-        raise ScenarioError(f"unknown speed prior kind: {obj['kind']!r}") from exc
+        return UtilitySpec(family, weights, sigma)
+    except SpecificationError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def load_scenario(data: dict) -> tuple[SimConfig, str | None]:
-    """Validate a parsed scenario document and build the simulation config."""
-    _require_keys(data, {"economy", "prior", "engine", "output_dir"}, {"economy", "prior", "engine"}, "scenario")
-    econ = data["economy"]
-    _require_keys(econ, {"households"}, {"households"}, "economy")
-    if not isinstance(econ["households"], list) or len(econ["households"]) < 2:
+#: Each price prior kind: its type, and a reader for each key of its object besides ``kind``.
+_Q_PRIORS = {
+    "arctan_normal": (ArctanNormal, {"center_rate": _number, "sigma_angle": _number}),
+    "uniform_arc": (UniformArc, {}),
+    "tabulated": (Tabulated, {"grid": functools.partial(_numbers, rows=True), "densities": _numbers}),
+}
+
+
+def _read_q_prior(obj, where: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {_show(obj)}")
+    make, fields = _Q_PRIORS[_choice(obj.get("kind"), f"{where}.kind", _Q_PRIORS)]
+    _object(obj, where, {"kind", *fields})
+    return make(**{key: read(obj[key], f"{where}.{key}") for key, read in fields.items()})
+
+
+def load_scenario(data) -> tuple[SimConfig, str | None]:
+    """Validate a parsed scenario document and build the simulation config.
+
+    This is the one reader of the scenario format.  Each object's keys are
+    checked once, each value must have its JSON type (``runs``,
+    ``max_steps`` and ``master_seed`` are integers), and any fault raises
+    :class:`ScenarioError`, naming the key of a value of the wrong type.  A
+    household's ``label`` is accepted and unused: outputs name households
+    ``h1...hH`` by position.
+    """
+    doc = _object(data, "scenario", {"economy", "prior", "engine"}, {"output_dir"})
+    households = _object(doc["economy"], "economy", {"households"})["households"]
+    if not isinstance(households, list) or len(households) < 2:
         raise ScenarioError("economy.households must list at least two households")
     specs = []
-    labels = []
     endowments = []
-    for k, hh in enumerate(econ["households"]):
-        _require_keys(hh, {"label", "utility", "endowment"}, {"utility", "endowment"}, f"household {k}")
-        try:
-            specs.append(UtilitySpec.from_dict(hh["utility"]))
-        except SpecificationError as exc:
-            raise ScenarioError(f"household {k}: {exc}") from exc
-        labels.append(str(hh.get("label", f"h{k + 1}")))
-        endowments.append(np.asarray(hh["endowment"], dtype=np.float64))
-    prior_obj = data["prior"]
-    _require_keys(prior_obj, {"q_prior", "s_prior"}, {"q_prior", "s_prior"}, "prior")
-    eng = data["engine"]
-    _require_keys(
-        eng,
-        {"runs", "max_steps", "pareto_tol", "master_seed"},
-        {"runs", "master_seed"},
-        "engine",
-    )
+    for k, hh in enumerate(households):
+        _object(hh, f"household {k}", {"utility", "endowment"}, {"label"})
+        specs.append(_read_utility(hh["utility"], f"household {k}.utility"))
+        endowments.append(_numbers(hh["endowment"], f"household {k}.endowment"))
+        if endowments[-1].size != specs[-1].dimension:
+            raise ScenarioError(
+                f"household {k}.endowment has {endowments[-1].size} goods, its utility {specs[-1].dimension}"
+            )
+    prior = _object(doc["prior"], "prior", {"q_prior", "s_prior"})
+    s_kind = _object(prior["s_prior"], "prior.s_prior", {"kind"})["kind"]
+    eng = _object(doc["engine"], "engine", {"runs", "master_seed"}, {"max_steps", "pareto_tol"})
+    out_dir = doc.get("output_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ScenarioError(f"output_dir must be a string, got {_show(out_dir)}")
     try:
-        economy = Economy.of(specs, labels)
-        initial = Allocation(np.stack(endowments))
-        prior = PriorSpec(_parse_q_prior(prior_obj["q_prior"]), _parse_s_prior(prior_obj["s_prior"]))
         cfg = SimConfig(
-            economy,
-            initial,
-            prior,
-            master_seed=int(eng["master_seed"]),
-            runs=int(eng.get("runs", 1)),
-            max_steps=int(eng.get("max_steps", 500)),
-            pareto_tol=float(eng.get("pareto_tol", 1e-8)),
+            Economy.of(specs),
+            Allocation(np.stack(endowments)),
+            PriorSpec(
+                _read_q_prior(prior["q_prior"], "prior.q_prior"),
+                SpeedPrior(_choice(s_kind, "prior.s_prior.kind", [s.value for s in SpeedPrior])),
+            ),
+            master_seed=_integer(eng["master_seed"], "engine.master_seed"),
+            runs=_integer(eng["runs"], "engine.runs"),
+            max_steps=_integer(eng.get("max_steps", 500), "engine.max_steps"),
+            pareto_tol=_number(eng.get("pareto_tol", 1e-8), "engine.pareto_tol"),
         )
     except SpecificationError as exc:
         raise ScenarioError(str(exc)) from exc
-    out_dir = data.get("output_dir")
     return cfg, out_dir
 
 
 def resolve_scenario(arg: str) -> dict:
     """Read a scenario document from a path or a bundled name."""
     path = Path(arg)
-    if path.exists():
-        text = path.read_text()
-    elif arg in BUNDLED_SCENARIOS:
-        text = resources.files("edgeworth.scenarios").joinpath(f"{arg}.json").read_text()
-    else:
-        raise ScenarioError(
-            f"scenario {arg!r} is neither a readable file nor one of {BUNDLED_SCENARIOS}"
-        )
+    if not path.exists():
+        if arg not in BUNDLED_SCENARIOS:
+            raise ScenarioError(
+                f"scenario {arg!r} is neither a readable file nor one of {BUNDLED_SCENARIOS}"
+            )
+        path = resources.files("edgeworth.scenarios").joinpath(f"{arg}.json")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+        return json.loads(path.read_bytes())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario {arg!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON, or text that is not UTF-8
+        raise ScenarioError(f"scenario {arg!r} is not valid JSON: {exc}") from exc
+
+
+def _out_dir(arg: str | None) -> Path:
+    """The output directory ``arg`` (default: cwd), made with its parents if missing."""
+    path = Path(arg or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot make output directory {str(path)!r}: {exc.strerror}") from exc
+    return path
 
 
 #: Rows the CSV writers format and write at a time.
@@ -237,16 +302,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.pareto_tol is not None:
         overrides["pareto_tol"] = args.pareto_tol
     if overrides:
-        import dataclasses
-
-        try:
-            cfg = dataclasses.replace(cfg, **overrides)
-        except SpecificationError as exc:
-            raise ScenarioError(str(exc)) from exc
+        cfg = dataclasses.replace(cfg, **overrides)
     if args.bins < 1:
         raise ScenarioError("--bins must be at least 1")
-    out_dir = Path(args.out or scenario_out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out or scenario_out)
     dist = engine.run_monte_carlo(cfg, bins=args.bins, trace=args.trace)
     _write_outcomes(out_dir / "outcomes.csv", dist, cfg.economy)
     _write_summary(out_dir / "summary.json", dist)
@@ -261,8 +320,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_example3(args: argparse.Namespace) -> int:
     dist = engine.example3_process(engine.run_rng(args.seed, 0), args.runs)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     max_j = int(dist.steps.max())
     js = range(1, max_j + 1)
     rows = np.array([(engine.example3_ladder_value(j), np.mean(dist.steps == j), 2.0**-j) for j in js])
@@ -296,13 +354,10 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_manifold(args: argparse.Namespace) -> int:
-    utility = {"family": args.family, "weights": _parse_vector(args.weights, "weights").tolist()}
-    if args.sigma is not None:
-        utility["sigma"] = args.sigma
     try:
-        spec = UtilitySpec.from_dict(utility)
+        spec = UtilitySpec(args.family, _parse_vector(args.weights, "weights"), args.sigma)
         anchor = prefs.as_bundle(_parse_vector(args.anchor, "anchor"), spec.dimension)
-    except (SpecificationError, EdgeworthError) as exc:
+    except EdgeworthError as exc:
         raise ScenarioError(str(exc)) from exc
     axis = _parse_grid(args.grid)
     if np.any(axis <= 0.0):
@@ -310,8 +365,7 @@ def cmd_manifold(args: argparse.Namespace) -> int:
     mesh = np.meshgrid(*([axis] * (spec.dimension - 1)), indexing="ij")
     kind = ManifoldKind(args.kind)
     sample = geometry.sample_manifold(spec, kind, anchor, np.stack([m.reshape(-1) for m in mesh], axis=-1))
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     l = spec.dimension
     header = (
         ["kind"]

@@ -24,8 +24,8 @@ form ``u(c) = prod_i c_i^b_i`` of the worked examples.  Demand is ordinal,
 so the core never reads the level exponent; only the functions of the
 utility level (``utility``, ``gradient``, ``hessian``, ``hicksian_demand``,
 ``utility_in_range``) do.  It lets monotone-transform invariance of the
-sharpness and attractiveness predicates be exercised, and it is not part of
-the scenario serialization format.
+sharpness and attractiveness predicates be exercised; a scenario document
+cannot state it.
 """
 
 from __future__ import annotations
@@ -127,33 +127,6 @@ class UtilitySpec:
             raise SpecificationError("exponents must be a vector of length >= 2, positive and finite")
         total = float(b.sum())
         return cls(Family.COBB_DOUGLAS_LOG, b / total, exponent=total)
-
-    def to_dict(self) -> dict:
-        if self.exponent is not None:
-            raise SpecificationError("a multiplicative utility has no serialized form")
-        d: dict = {"family": self.family.value, "weights": self.weights.tolist()}
-        if self.family is Family.CES:
-            d["sigma"] = self.elasticity
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UtilitySpec":
-        known = {"family", "weights", "sigma"}
-        unknown = set(d) - known
-        if unknown:
-            raise SpecificationError(f"unknown utility keys: {sorted(unknown)}")
-        try:
-            family = Family(d["family"])
-        except (KeyError, ValueError) as exc:
-            raise SpecificationError(f"bad utility family: {d.get('family')!r}") from exc
-        weights = np.asarray(d.get("weights", ()), dtype=np.float64)
-        if family is Family.CES:
-            if "sigma" not in d:
-                raise SpecificationError("CES utility requires 'sigma'")
-            return cls(family, weights, float(d["sigma"]))
-        if "sigma" in d:
-            raise SpecificationError("'sigma' is only valid for the CES family")
-        return cls(family, weights)
 
 
 def as_bundle(values, dimension: int | None = None) -> FloatArray:

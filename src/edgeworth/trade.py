@@ -50,43 +50,30 @@ class SpeedPrior(str, enum.Enum):
     MAX_SPEED = "max_speed"
 
 
-@dataclass(frozen=True)
-class Household:
-    spec: UtilitySpec
-    label: str
-
-
 @dataclass(frozen=True, eq=False)
 class Economy:
-    """A pure-exchange economy: two or more households over the same goods."""
+    """A pure-exchange economy: two or more households' utilities over the same goods."""
 
-    households: tuple[Household, ...]
+    specs: tuple[UtilitySpec, ...]
 
     def __post_init__(self) -> None:
-        if len(self.households) < 2:
+        if len(self.specs) < 2:
             raise SpecificationError("an economy needs at least two households")
-        dims = {h.spec.dimension for h in self.households}
-        if len(dims) != 1:
+        if len({u.dimension for u in self.specs}) != 1:
             raise SpecificationError("all households must trade the same goods")
-        object.__setattr__(self, "households", tuple(self.households))
+        object.__setattr__(self, "specs", tuple(self.specs))
 
     @classmethod
-    def of(cls, specs, labels=None) -> "Economy":
-        if labels is None:
-            labels = [f"h{i + 1}" for i in range(len(specs))]
-        return cls(tuple(Household(s, l) for s, l in zip(specs, labels)))
+    def of(cls, specs) -> "Economy":
+        return cls(tuple(specs))
 
     @property
     def size(self) -> int:
-        return len(self.households)
+        return len(self.specs)
 
     @property
     def n_goods(self) -> int:
-        return self.households[0].spec.dimension
-
-    @property
-    def specs(self) -> tuple[UtilitySpec, ...]:
-        return tuple(h.spec for h in self.households)
+        return self.specs[0].dimension
 
 
 @dataclass(frozen=True, eq=False)

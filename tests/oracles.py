@@ -183,8 +183,8 @@ def clearing_price(economy, allocation, weights=None) -> np.ndarray:
     w = np.ones(h) if weights is None else np.asarray(weights, dtype=np.float64)
     rates = np.stack(
         [
-            prefs.substitution_rates(hh.spec, b)
-            for hh, b in zip(economy.households, allocation.bundles)
+            prefs.substitution_rates(u, b)
+            for u, b in zip(economy.specs, allocation.bundles)
         ]
     )
     start = np.log((w @ rates) / w.sum())
@@ -192,8 +192,8 @@ def clearing_price(economy, allocation, weights=None) -> np.ndarray:
     def excess(v: np.ndarray) -> np.ndarray:
         p = np.append(np.exp(v), 1.0)
         total = np.zeros_like(p)
-        for wh, hh, b in zip(w, economy.households, allocation.bundles):
-            total += wh * (prefs.normalized_demand(hh.spec, p / float(p @ b)) - b)
+        for wh, u, b in zip(w, economy.specs, allocation.bundles):
+            total += wh * (prefs.normalized_demand(u, p / float(p @ b)) - b)
         return total[:-1]
 
     sol = root(excess, start, tol=1e-13)

@@ -263,6 +263,141 @@ class TestSimulate:
         assert "sampling failure" in capsys.readouterr().err
 
 
+def _sticky_with(edit):
+    """The bundled example4_sticky document, edited in place or replaced by ``edit``."""
+    doc = cli.resolve_scenario("example4_sticky")
+    return edit(doc) or doc
+
+
+def _household(doc, k=0) -> dict:
+    return doc["economy"]["households"][k]
+
+
+class TestScenarioFormat:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d["prior"]["q_prior"].update(center_rate="abc"), 'prior.q_prior.center_rate must be a number, got "abc"'),
+            (lambda d: d["engine"].update(pareto_tol="x"), 'engine.pareto_tol must be a number, got "x"'),
+            (lambda d: _household(d)["utility"].update(weights=[0.5, "ab"]), "household 0.utility.weights"),
+            (lambda d: _household(d).update(endowment=[2.0, "abc"]), "household 0.endowment"),
+            (lambda d: d["engine"].update(runs="ten"), 'engine.runs must be an integer, got "ten"'),
+            (lambda d: d["engine"].update(master_seed=None), "engine.master_seed must be an integer, got null"),
+            (lambda d: _household(d).update(endowment=[[2.0, 1.0], [1.0]]), "household 0.endowment"),
+            (lambda d: _household(d).update(endowment=[2.0, 1.0, 1.0]), "household 0.endowment has 3 goods"),
+            (lambda d: _household(d).update(utility=3), "household 0.utility must be an object, got 3"),
+            (lambda d: [d], "scenario must be an object, got a list"),
+            (lambda d: d["engine"].update(runs=2.7), "engine.runs must be an integer, got 2.7"),
+            (lambda d: d["engine"].update(runs=True), "engine.runs must be an integer, got true"),
+            (lambda d: d["engine"].update(master_seed=1.5), "engine.master_seed must be an integer, got 1.5"),
+            (lambda d: d["engine"].update(max_steps=10.9), "engine.max_steps must be an integer, got 10.9"),
+            (lambda d: d["economy"]["households"].__setitem__(0, "x"), 'household 0 must be an object, got "x"'),
+        ],
+        ids=[
+            "string_center_rate", "string_pareto_tol", "string_weight", "string_endowment",
+            "string_runs", "null_master_seed", "ragged_endowment", "endowments_of_3_and_2_goods",
+            "number_utility", "top_level_list", "fractional_runs", "boolean_runs",
+            "fractional_master_seed", "fractional_max_steps", "string_household",
+        ],
+    )
+    def test_malformed_value_is_one_line_exit_2(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, _sticky_with(edit))
+        rc = main(["simulate", "--scenario", str(path), "--runs", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "utility, spec",
+        [
+            ({"family": "cobb_douglas_log", "weights": [0.3, 0.7]}, UtilitySpec.cobb_douglas_log([0.3, 0.7])),
+            ({"family": "ces", "weights": [0.7, 0.3], "sigma": 0.4}, UtilitySpec.ces([0.7, 0.3], 0.4)),
+            ({"family": "ces", "weights": [0.2, 0.3, 0.5], "sigma": 0.5}, UtilitySpec.ces([0.2, 0.3, 0.5], 0.5)),
+        ],
+        ids=["cobb_douglas", "ces", "three_good_ces"],
+    )
+    def test_utility_loads_to_the_constructors_spec(self, utility, spec):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        for hh in doc["economy"]["households"]:
+            hh["utility"] = utility
+            hh["endowment"] = [1.0] * spec.dimension
+        doc["prior"]["q_prior"] = {"kind": "tabulated", "grid": [[1.0] * (spec.dimension - 1)], "densities": [1.0]}
+        cfg, _ = cli.load_scenario(doc)
+        for got in cfg.economy.specs:
+            assert got.family is spec.family
+            assert got.weights.tolist() == spec.weights.tolist()
+            assert got.elasticity == spec.elasticity
+
+    @pytest.mark.parametrize("key", ["rho", "exponent"])
+    def test_unknown_utility_key_names_the_household(self, tmp_path, capsys, key):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        doc["economy"]["households"][0]["utility"][key] = 2.0
+        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown keys in household 0.utility: ['{key}']\n"
+        )
+
+    def test_label_is_optional_and_unread(self, tmp_path):
+        outs = []
+        for label in ("h1", None, ["any", 3]):
+            doc = json.loads(json.dumps(BASE_SCENARIO))
+            for hh in doc["economy"]["households"]:
+                hh.pop("label")
+                if label is not None:
+                    hh["label"] = label
+            outs.append(tmp_path / str(len(outs)))
+            path = write_scenario(tmp_path, doc)
+            assert main(["simulate", "--scenario", str(path), "--runs", "5", "--out", str(outs[-1])]) == 0
+        for out in outs[1:]:
+            assert (out / "outcomes.csv").read_bytes() == (outs[0] / "outcomes.csv").read_bytes()
+
+
+class TestUnusablePaths:
+    def test_scenario_directory(self, tmp_path, capsys):
+        rc = main(["simulate", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot read scenario {str(tmp_path)!r}")
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(BASE_SCENARIO).replace('"h1"', '"h\u00e9"').encode("latin-1"))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: scenario {str(path)!r} is not valid JSON")
+
+    def test_output_dir_not_a_string(self, tmp_path, capsys, monkeypatch):
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        doc["output_dir"] = 3
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc))])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: output_dir must be a string, got 3\n"
+        assert not (tmp_path / "outcomes.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "example5_uniform", "--runs", "5"],
+            ["example3", "--runs", "5"],
+            ["manifold", "--family", "cobb_douglas_log", "--weights", "0.5,0.5", "--anchor", "1,1", "--kind", "offer"],
+        ],
+        ids=["simulate", "example3", "manifold"],
+    )
+    def test_out_is_an_existing_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "taken"
+        path.write_text("")
+        rc = main([*argv, "--out", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot make output directory {str(path)!r}"
+        )
+        assert path.read_text() == ""
+
+
 class TestExample3:
     def test_masses_and_values(self, tmp_path, capsys):
         rc = main(["example3", "--runs", "10000", "--seed", "1", "--out", str(tmp_path)])
@@ -375,6 +510,25 @@ class TestManifold:
         assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["example3", "--runs", "300", "--seed", "5"], "example3.csv"),
+        (
+            ["manifold", "--family", "ces", "--weights", "0.3,0.7", "--sigma", "0.4", "--anchor", "1,2",
+             "--kind", "offer", "--grid", "0.5:2:20"],
+            "manifold.csv",
+        ),
+    ],
+    ids=["example3", "manifold"],
+)
+def test_byte_identical_reruns(tmp_path, argv, name):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main([*argv, "--out", str(out)]) == 0
+    assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestSimulateBins:
     def test_bins_flag_changes_histogram(self, tmp_path):
         rc = main(
@@ -453,10 +607,9 @@ class TestWriters:
             assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
         # CES away from s = 0.5 takes the scalar power whose stacked form once lost the bits
         for spec in (specs[-1], UtilitySpec.ces(specs[0].weights, 0.4)):
-            utility = spec.to_dict()
             anchor = np.linspace(0.8, 1.4, goods)
-            args = ["--family", utility["family"], "--weights", ",".join(map(repr, utility["weights"]))]
-            args += ["--sigma", repr(utility["sigma"])] if "sigma" in utility else []
+            args = ["--family", spec.family.value, "--weights", ",".join(map(repr, spec.weights.tolist()))]
+            args += ["--sigma", repr(spec.elasticity)] if spec.elasticity is not None else []
             args += ["--anchor", ",".join(map(repr, anchor.tolist())), "--kind", "offer", "--grid", "0.5:2:30"]
             assert main(["manifold", *args, "--out", str(tmp_path)]) == 0
             oracles.write_manifold_csv(tmp_path / "ref_manifold.csv", spec, ManifoldKind.OFFER, anchor, np.linspace(0.5, 2, 30))

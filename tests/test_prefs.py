@@ -56,22 +56,6 @@ class TestValidation:
         with pytest.raises(DomainDegeneracyError):
             prefs.utility(cd, [1.0, 1e-305])
 
-    def test_serialization_roundtrip(self, ces73):
-        again = UtilitySpec.from_dict(ces73.to_dict())
-        assert again.family is Family.CES
-        assert again.elasticity == ces73.elasticity
-        np.testing.assert_allclose(again.weights, ces73.weights)
-
-    def test_unknown_serialization_key_rejected(self):
-        with pytest.raises(SpecificationError):
-            UtilitySpec.from_dict({"family": "ces", "weights": [0.5, 0.5], "sigma": 0.5, "rho": 1})
-
-    def test_multiplicative_has_no_serialized_form(self, mult_c1c2):
-        with pytest.raises(SpecificationError, match="^a multiplicative utility has no serialized form$"):
-            mult_c1c2.to_dict()
-        with pytest.raises(SpecificationError, match="unknown utility keys"):
-            UtilitySpec.from_dict({"family": "cobb_douglas_log", "weights": [0.5, 0.5], "exponent": 2.0})
-
     @pytest.mark.parametrize(
         "exponents", [[1.0], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0], [1.0, math.inf], [1.0, math.nan]]
     )
