@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
@@ -129,8 +128,8 @@ class SimConfig:
             raise SpecificationError("initial allocation does not match the economy")
         if self.initial.bundles.min() < prefs.POSITIVE_FLOOR:
             raise SpecificationError("initial allocation has a coordinate below 1e-300")
-        if self.max_steps < 1:
-            raise SpecificationError("max_steps must be at least 1")
+        if not 1 <= self.max_steps <= 2**53:  # the tables hold step counts as floats
+            raise SpecificationError("max_steps must be from 1 to 2**53")
         if self.runs < 1:
             raise SpecificationError("runs must be at least 1")
         if not 0.0 < self.pareto_tol < math.inf:
@@ -435,10 +434,28 @@ def _supports_fast_path(cfg: SimConfig) -> bool:
 
 
 class _Streams:
-    """Each run's own stream of uniforms, read in blocks, with one cursor per run."""
+    """Each run's own stream of uniforms, read in blocks, with one cursor per run.
+
+    Run ``i`` reads the uniforms of ``run_rng(master_seed, i).random()``.
+    Philox is counter-based, so a block of that stream is a pure function of
+    the key (master_seed, i) and the counter of Philox blocks before it: one
+    generator, rekeyed and set to the run's counter before each refill, reads
+    every run's stream without building a generator per run.
+    """
 
     def __init__(self, master_seed: int, indices: NDArray[np.int64]):
-        self._rngs = [run_rng(master_seed, int(i)) for i in indices]
+        self._gen = run_rng(master_seed, 0)
+        # the state set before each refill: key[0] is the masked master seed,
+        # key[1] the run, counter[0] the Philox blocks the run has read, and
+        # the spent buffer makes the next draw start a block there; lists,
+        # which the state setter reads faster than arrays
+        key = self._gen.bit_generator.state["state"]["key"].tolist()
+        self._state = {
+            "bit_generator": "Philox", "state": {"key": key, "counter": [0, 0, 0, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        self._runs = np.zeros((indices.size, 2), dtype=np.uint64)  # each run's key[1] and counter[0]
+        self._runs[:, 0] = indices.astype(np.uint64)  # run_rng's mask for a negative index
         self._buf = np.empty((indices.size, _BLOCK))
         self._pos = np.full(indices.size, _BLOCK)
 
@@ -447,8 +464,14 @@ class _Streams:
         pos = self._pos[rows]
         spent = pos == _BLOCK
         if np.count_nonzero(spent):
-            for r in rows[spent]:
-                self._buf[r] = self._rngs[r].random(_BLOCK)
+            refill = rows[spent]
+            key, counter = self._state["state"]["key"], self._state["state"]["counter"]
+            philox = self._gen.bit_generator
+            for r, (run_key, blocks) in zip(refill.tolist(), self._runs[refill].tolist()):
+                key[1], counter[0] = run_key, blocks
+                philox.state = self._state
+                self._buf[r] = self._gen.random(_BLOCK)
+            self._runs[refill, 1] += _BLOCK // 4  # each Philox block holds four draws
             pos[spent] = 0
         self._pos[rows] = pos + 1
         return self._buf[rows, pos]
@@ -581,6 +604,8 @@ def run_monte_carlo(
     """
     chunks = [np.arange(s, min(s + _CHUNK, cfg.runs)) for s in range(0, cfg.runs, _CHUNK)]
     if workers and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import costs ~20 ms
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_batch, [cfg] * len(chunks), chunks, [trace] * len(chunks)))
     else:

@@ -219,6 +219,21 @@ def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
 def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
     """Whether trade exists at each row of a (G, L) stack of prices, one bool per row.
 
+    ``_screen`` on the validated state and prices.
+    """
+    _check_state(e, y)
+    p = np.asarray(prices, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != e.n_goods or (p.size and not (p.min() > 0.0 and p.max() < math.inf)):
+        raise SpecificationError(
+            f"prices must be a stack of strictly positive rows of length {e.n_goods}"
+        )
+    return _screen(e, y.bundles, p)
+
+
+def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
+    """``screen_trade`` at ``(G, L)`` prices, each row at its own ``(G, H, L)``
+    bundles or all at one ``(H, L)`` state; only the demand is guarded.
+
     The directions of every row come from one pass of the ``prefs`` core.
     At L <= 3, Walras' law puts them in the plane (L = 3) or on the line
     (L = 2) orthogonal to the prices, and by Gordan's alternative trade
@@ -229,13 +244,7 @@ def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
     row at L >= 4, go to the LP (``_lp_trade``) on their own directions, so
     each answer is the LP's.
     """
-    _check_state(e, y)
-    p = np.asarray(prices, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != e.n_goods or (p.size and not (p.min() > 0.0 and p.max() < math.inf)):
-        raise SpecificationError(
-            f"prices must be a stack of strictly positive rows of length {e.n_goods}"
-        )
-    dirs = _directions(e, y.bundles, p)
+    dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
@@ -347,9 +356,17 @@ def trade_interval_2x2(
     2-good economy, or None when the substitution rates already agree."""
     if e.size != 2 or e.n_goods != 2:
         raise SpecificationError("trade_interval_2x2 requires H = L = 2")
-    r = household_rates(e, y)[:, 0]
-    lo, hi = float(r.min()), float(r.max())
-    return None if _rates_agree(lo, hi, tol) else (lo, hi)
+    _check_state(e, y)
+    lo, hi, open_ = _intervals(e, y.bundles, tol)
+    return (float(lo), float(hi)) if open_ else None
+
+
+def _intervals(e: Economy, bundles: FloatArray, tol: float) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
+    """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
+    whether the interval between them is open; only the rates are guarded."""
+    r = prefs._guard(_each(prefs._rates, e.specs, bundles), "substitution rates")[..., 0]
+    lo, hi = r.min(axis=-1), r.max(axis=-1)
+    return lo, hi, ~_rates_agree(lo, hi, tol)
 
 
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:

@@ -376,9 +376,11 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
 
     At least 99% of the configured trajectories must push the substitution
     rate gap below 1e-3 within the step budget, and on random allocations
-    with a nonempty closed-form trade interval the LP must find trade at the
-    interval's angle midpoint.  The worst violation is the non-converged
-    share over its 1% bound, or infinite once the LP misses an interval.
+    with a nonempty closed-form trade interval (``trade_interval_2x2`` on the
+    stack) the trade screen, which answers as the LP does, must find trade
+    at the interval's angle midpoint.  The worst violation is the
+    non-converged share over its 1% bound, or infinite once the screen
+    misses an interval.
     """
     if cfg.economy.size != 2 or cfg.economy.n_goods != 2:
         raise SpecificationError("welfare suite is specified for 2x2 economies")
@@ -393,16 +395,14 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
     worst = missed / 0.01
     failures = 1 if missed > 0.01 else 0
 
-    rng = _rng(seed)
-    for _ in range(1000):
-        y = Allocation(_draw_points(rng, (2, 2)))
-        interval = trade.trade_interval_2x2(cfg.economy, y)
-        if interval is None:
-            continue
-        mid = math.tan(0.5 * (math.atan(interval[0]) + math.atan(interval[1])))
-        if not trade.has_trade(cfg.economy, y, [mid, 1.0]):
-            failures += 1
-            worst = math.inf
+    # the interval's angle midpoint at every allocation whose rates differ
+    y = _draw_points(_rng(seed), (1000, 2, 2))
+    lo, hi, open_ = trade._intervals(cfg.economy, y, trade.PARETO_TOL)
+    mid = np.tan(0.5 * (np.arctan(lo[open_]) + np.arctan(hi[open_])))
+    prices = np.stack([mid, np.ones_like(mid)], axis=-1)
+    misses = np.count_nonzero(~trade._screen(cfg.economy, y[open_], prices))
+    failures += misses
+    worst = math.inf if misses else worst
     return CheckReport("welfare", cfg.runs + 1000, failures, worst, seed)
 
 

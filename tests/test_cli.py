@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,13 +293,15 @@ class TestScenarioFormat:
             (lambda d: d["engine"].update(runs=True), "engine.runs must be an integer, got true"),
             (lambda d: d["engine"].update(master_seed=1.5), "engine.master_seed must be an integer, got 1.5"),
             (lambda d: d["engine"].update(max_steps=10.9), "engine.max_steps must be an integer, got 10.9"),
+            (lambda d: d["engine"].update(max_steps=10**400), "max_steps must be from 1 to 2**53"),
             (lambda d: d["economy"]["households"].__setitem__(0, "x"), 'household 0 must be an object, got "x"'),
         ],
         ids=[
             "string_center_rate", "string_pareto_tol", "string_weight", "string_endowment",
             "string_runs", "null_master_seed", "ragged_endowment", "endowments_of_3_and_2_goods",
             "number_utility", "top_level_list", "fractional_runs", "boolean_runs",
-            "fractional_master_seed", "fractional_max_steps", "string_household",
+            "fractional_master_seed", "fractional_max_steps", "max_steps_beyond_float_range",
+            "string_household",
         ],
     )
     def test_malformed_value_is_one_line_exit_2(self, tmp_path, capsys, edit, named):
@@ -529,6 +533,53 @@ def test_byte_identical_reruns(tmp_path, argv, name):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _is_float(token: str) -> bool:
+    return "." in token or "e" in token
+
+
+def _fingerprint(path: Path) -> tuple[str, float]:
+    """The sha256 of an output file's text with every float written ``#``,
+    and the sum of ``(k + 1) * x_k`` over its floats ``x_k`` in file order.
+
+    The text keeps the layout, run ids, step counts, terminal kinds and
+    histogram counts exactly.  The floats are only held to the sum: they come
+    from numpy's SIMD-dispatched tan, arctan and log, which may differ by an
+    ulp across CPUs and numpy releases, and near the contract curve a trace's
+    speeds scale with the inverse length of a nearly vanishing trade
+    direction, so one ulp there moves them by up to 2e-4 relative.
+    """
+    text = path.read_text()
+    floats = [float(m[0]) for m in _NUMBER.finditer(text) if _is_float(m[0])]
+    skeleton = _NUMBER.sub(lambda m: "#" if _is_float(m[0]) else m[0], text)
+    return hashlib.sha256(skeleton.encode()).hexdigest(), math.fsum((k + 1) * x for k, x in enumerate(floats))
+
+
+def test_simulate_outputs_match_the_golden_fingerprints(tmp_path):
+    """The bundled scenarios' outputs at 500 runs, seed 1, pinned by ``_fingerprint``.
+
+    Reruns agreeing with each other cannot catch a stream change that stays
+    self-consistent; these pin the outputs themselves.  A changed draw moves
+    a step count or the weighted sum far beyond its 1e-9 tolerance, which
+    perturbing tan, arctan and log by an ulp on half their values moved by
+    at most 7e-12.
+    """
+    lines = (Path(__file__).parent / "data" / "simulate_seed1_runs500.txt").read_text().splitlines()
+    golden = {path: (digest, float(total)) for digest, total, path in
+              (line.split("  ") for line in lines if not line.startswith("#"))}
+    for name in ("example4_sticky", "example5_maxspeed", "example5_uniform", "example4_sticky_trace"):
+        scenario, trace = name.removesuffix("_trace"), name.endswith("_trace")
+        argv = ["simulate", "--scenario", scenario, "--runs", "500", "--seed", "1"]
+        assert main([*argv, *(["--trace"] if trace else []), "--out", str(tmp_path / name)]) == 0
+    for path, (digest, total) in golden.items():
+        mine = _fingerprint(tmp_path / path)
+        assert mine[0] == digest, path
+        assert math.isclose(mine[1], total, rel_tol=1e-9), (path, mine[1], total)
+    assert len(golden) == 7
+
+
 class TestSimulateBins:
     def test_bins_flag_changes_histogram(self, tmp_path):
         rc = main(
@@ -616,10 +667,12 @@ class TestWriters:
             assert (tmp_path / "manifold.csv").read_bytes() == (tmp_path / "ref_manifold.csv").read_bytes()
 
 
-def test_cli_import_leaves_scipy_solvers_out():
+def test_cli_import_leaves_scipy_solvers_and_the_process_pool_out():
     # simulate's 2x2 kernel imports scipy.special itself, and only for the
-    # ArctanNormal prior; the root finders load with the functions using them
-    code = "import sys, edgeworth.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+    # ArctanNormal prior; the root finders load with the functions using them,
+    # and the process pool only for workers > 1
+    lazy = ("scipy.optimize", "scipy.special", "concurrent.futures.process")
+    code = f"import sys, edgeworth.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -94,6 +95,9 @@ class TestPriorTypes:
             SimConfig(cd_economy, shock, prior, master_seed=1, runs=0)
         with pytest.raises(SpecificationError):
             SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=0)
+        with pytest.raises(SpecificationError, match="2\\*\\*53"):
+            SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=2**53 + 1)
+        assert SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=2**53).max_steps == 2**53
 
 
     def test_fine_pareto_tol_needs_the_closed_form_path(self, mult_c1c2, shock):
@@ -499,6 +503,37 @@ def assert_same_outcomes(a, b) -> None:
 # prior's tail; as it narrows it drifts further out, and some runs cross the
 # ~37 sigmas where erfc underflows within ten steps
 FAR_TAIL = ArctanNormal(math.tan(math.atan(0.5) - 36.9 * 0.005), 0.005)
+
+
+class TestStreams:
+    """``_Streams`` reads run ``i``'s uniforms exactly as ``run_rng(seed, i).random()``."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1, 2**70], ids=["0", "2**63+5", "-1", "2**70"])
+    def test_interleaved_rows_read_each_runs_own_stream(self, seed):
+        indices = np.array([0, 3, 2**33 + 1, 17, 2**32])
+        streams = engine._Streams(seed, indices)
+        picks = np.random.default_rng(5)
+        read = [[] for _ in indices]
+        for _ in range(4 * engine._BLOCK + 9):  # cursors diverge over three or more refills
+            rows = np.flatnonzero(picks.random(indices.size) < 0.8)
+            for r, u in zip(rows, streams.take(rows)):
+                read[r].append(u)
+        for i, mine in zip(indices, read):
+            assert len(mine) > 3 * engine._BLOCK
+            np.testing.assert_array_equal(mine, engine.run_rng(seed, int(i)).random(len(mine)))
+
+    def test_one_row_batch(self):
+        streams = engine._Streams(2**63 + 5, np.array([2**40]))
+        mine = [streams.take(np.array([0]))[0] for _ in range(3 * engine._BLOCK + 1)]
+        np.testing.assert_array_equal(mine, engine.run_rng(2**63 + 5, 2**40).random(len(mine)))
+
+    def test_bundled_runs_read_the_pinned_uniforms(self):
+        # Philox and its doubles, (raw >> 11) * 2**-53, are integer-exact, so
+        # these bytes are the same on every platform
+        streams = engine._Streams(1, np.arange(500))
+        u = np.stack([streams.take(np.arange(500)) for _ in range(3 * engine._BLOCK + 1)], axis=1)
+        digest = hashlib.sha256(u.astype("<f8").tobytes()).hexdigest()
+        assert digest == "8ec5af32f6a520e383bc33c8b37cb3fe462387838211a106524ed4860ff9898e"
 
 
 class TestLockstepKernel:

@@ -289,6 +289,23 @@ class TestScreenTrade:
         assert got.dtype == bool and got.shape == (len(atoms),)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_paired_bundles_decide_as_one_state_each(self, goods):
+        # each price at its own allocation: at a household's rates (the LP's
+        # hardest rows), 1-3 ulps off them, or within 10% of them
+        draw = np.random.default_rng(goods)
+        e = Economy.of([self._household(draw, goods) for _ in range(3)])
+        bundles = log_uniform(draw, (90, 3, goods), 0.2, 5.0)
+        rates = np.stack([trade.household_rates(e, Allocation(b))[g % 3] for g, b in enumerate(bundles)])
+        rates[::3] *= draw.uniform(0.9, 1.1, rates[::3].shape)
+        for g in range(1, 90, 3):
+            rates[g] = [_ulps(v, int(draw.integers(-3, 4))) for v in rates[g]]
+        prices = np.concatenate([rates, np.ones((90, 1))], axis=1)
+        got = trade._screen(e, bundles, prices)
+        want = [trade.screen_trade(e, Allocation(b), p[None])[0] for b, p in zip(bundles, prices)]
+        np.testing.assert_array_equal(got, want)
+        assert 0 < np.count_nonzero(got) < got.size
+
     def test_empty_stack(self, cd_economy, shock):
         assert trade.screen_trade(cd_economy, shock, np.empty((0, 2))).shape == (0,)
 

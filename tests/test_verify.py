@@ -205,7 +205,7 @@ class TestWelfareSuite:
         report = verify.welfare_suite(cfg, seed=0)
         assert report.failures == 1 and 1.0 < report.worst_violation <= 100.0
         # a missed trade interval has no finite margin
-        monkeypatch.setattr(trade, "has_trade", lambda *args: False)
+        monkeypatch.setattr(trade, "_screen", lambda e, bundles, p: np.zeros(p.shape[0], dtype=bool))
         report = verify.welfare_suite(dataclasses.replace(cfg, max_steps=200), seed=0)
         assert report.failures > 0 and report.worst_violation == np.inf
 
