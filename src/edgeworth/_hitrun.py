@@ -5,17 +5,22 @@ per-household trade directions.  The equality constraint is homogeneous, so
 ``P`` lives inside the null space of ``D^T``; cube faces can pin it to a
 lower-dimensional set still, so the walk runs in the affine hull recovered
 from LP-probed vertices.  Degenerate (numerically point-like) polytopes
-return their single point; a chord thinner than the clearance raises.
-``polytope`` writes the tolerance-relaxed polytope as the LP constraints
-that ``trade``'s feasibility test solves too.
+return their single point and read nothing from the stream.  Otherwise the
+walk reads all its draws first, in the order a step-by-step walk would, and
+then steps through them; a chord thinner than the clearance raises, after
+every step's draws have been read.  ``polytope`` writes the
+tolerance-relaxed polytope as the LP constraints that ``trade``'s
+feasibility test solves too.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import _simplex
-from .errors import LPError, SamplingError
+from .errors import SamplingError
 
 _RANK_CUTOFF = 1e-12
 _BURN_IN = 64
@@ -33,18 +38,20 @@ def _null_space(A: np.ndarray, max_rank: int) -> np.ndarray:
     return vt[min(rank, max_rank):].T
 
 
-def _chord(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+def _chord(x: list[float], u: list[float]) -> tuple[float, float]:
     """Range of t with 0 <= x + t*u <= 1; contains t = 0 for x in the cube."""
     lo, hi = -np.inf, np.inf
-    for xi, ui in zip(x.tolist(), u.tolist()):  # Python floats: the same IEEE operations, faster
-        if abs(ui) < 1e-15:
+    for xi, ui in zip(x, u):
+        if -1e-15 < ui < 1e-15:
             continue
         a = -xi / ui
         b = (1.0 - xi) / ui
         if a > b:
             a, b = b, a
-        lo = max(lo, a)
-        hi = min(hi, b)
+        if a > lo:  # max(lo, a)
+            lo = a
+        if b < hi:  # min(hi, b)
+            hi = b
     return lo, hi
 
 
@@ -57,25 +64,35 @@ def polytope(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G, h
 
 
-def _probe_vertices(
-    directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray
-) -> list[np.ndarray]:
-    """Vertices of the tolerance-relaxed polytope under probe objectives."""
-    G, h = polytope(directions)
-    vertices = [_simplex.maximize(norms, G, h)[0]]
-    probe = np.random.default_rng(0)  # fixed probe directions; not part of the stream
-    for _ in range(null_basis.shape[1] + 1):
-        obj = null_basis @ probe.standard_normal(null_basis.shape[1])
-        try:
-            vertices.append(_simplex.maximize(obj, G, h)[0])
-            vertices.append(_simplex.maximize(-obj, G, h)[0])
-        except LPError:
-            continue
-    return vertices
+@cache
+def _probe_normals(k: int) -> np.ndarray:
+    """k + 1 fixed standard-normal probe coordinates in k dimensions; not part of the stream."""
+    normals = np.random.default_rng(0).standard_normal((k + 1, k))
+    normals.flags.writeable = False
+    return normals
+
+
+def _probe_vertices(directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray) -> np.ndarray:
+    """Vertices of the tolerance-relaxed polytope under 2k + 3 probe objectives:
+    ``norms``, then each probe direction in the k-dimensional null space and
+    its negation."""
+    # one gemv per probe, the bits of null_basis @ normal (a gemm may round differently)
+    probes = np.matmul(null_basis, _probe_normals(null_basis.shape[1])[:, :, None])[..., 0]
+    objectives = np.empty((2 * len(probes) + 1, len(norms)))
+    objectives[0] = norms
+    objectives[1::2] = probes
+    objectives[2::2] = -probes
+    return _simplex.maximize(objectives, *polytope(directions))[0]
 
 
 def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the polytope's relative interior, deterministic given ``rng``."""
+    """One draw from the polytope's relative interior, deterministic given ``rng``.
+
+    A point-like polytope returns its point without touching ``rng``.
+    Otherwise the walk reads ``_BURN_IN`` steps' draws (per step, the
+    direction's standard normals, then one uniform) before its first step,
+    so a walk that stalls has read them all when it raises.
+    """
     # Walras' law puts every direction orthogonal to the prices: rank <= L - 1,
     # so a rounding-level singular value cannot cut a dimension off the polytope
     null_basis = _null_space(directions.T, directions.shape[1] - 1)
@@ -87,7 +104,7 @@ def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) 
     x = np.clip(x, 0.0, 1.0)
 
     # affine hull of the polytope, from the probed vertex spread
-    coords = (np.stack(vertices) - x) @ null_basis
+    coords = (vertices - x) @ null_basis
     _, sv, vt = np.linalg.svd(coords, full_matrices=False)
     keep = sv > _POINT_EXTENT
     if not np.any(keep):
@@ -95,12 +112,24 @@ def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) 
     hull = null_basis @ vt[keep].T  # orthonormal columns spanning the hull
     dim = hull.shape[1]
 
-    for _ in range(_BURN_IN):
-        u = hull @ rng.standard_normal(dim)
-        u /= float(np.linalg.norm(u))  # hull's columns are orthonormal
-        lo, hi = _chord(x, u)
+    normals = np.empty((_BURN_IN, dim))
+    uniforms = []
+    for row in normals:
+        rng.standard_normal(out=row)  # reads the stream as standard_normal(dim) does
+        uniforms.append(rng.random())
+    steps = np.matmul(hull, normals[:, :, None])[..., 0]  # per row the gemv of hull @ g
+    steps /= np.sqrt(np.vecdot(steps, steps))[:, None]  # unit rows: hull's columns are orthonormal
+
+    # Python floats from here: the same IEEE operations as numpy's, without its dispatch
+    point = x.tolist()
+    for u, r in zip(steps.tolist(), uniforms):
+        lo, hi = _chord(point, u)
         if not hi - lo > 2.0 * _CLEARANCE:
             raise SamplingError(f"hit-and-run stalled: chord {hi - lo!r} within the clearance")
-        t = rng.uniform(lo + _CLEARANCE, hi - _CLEARANCE)
-        x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)  # np.clip, without its overhead
-    return x
+        a, b = lo + _CLEARANCE, hi - _CLEARANCE
+        t = a + (b - a) * r  # Generator.uniform(a, b) reading the uniform r
+        for i, ui in enumerate(u):
+            v = point[i] + t * ui
+            # np.minimum(np.maximum(v, 0.0), 1.0), which also maps -0.0 to 0.0
+            point[i] = 0.0 if v <= 0.0 else (1.0 if v >= 1.0 else v)
+    return np.array(point)

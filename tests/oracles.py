@@ -15,6 +15,11 @@ at a time through the public one-vector functions: the stacked suites must
 report the same failures and the same worst violation, bit for bit.
 ``reference_sample_manifold`` is the manifold sampler as it ran before it
 was stacked, one grid point at a time through the public functions.
+``reference_maximize`` and ``reference_hitrun_sample`` are the probe LP and
+the hit-and-run walk as they ran before the walk read its draws in one pass:
+one tableau per objective with array ratio tests, and per step one
+``standard_normal`` and one ``uniform`` call.  Generic-path runs through
+them must give the same bytes as through the package.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import math
 
 import numpy as np
 
-from edgeworth import engine, geometry, prefs, trade, verify
-from edgeworth.errors import ConvergenceError, SpecificationError
+from edgeworth import _hitrun, _simplex, engine, geometry, prefs, trade, verify
+from edgeworth.errors import ConvergenceError, LPError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
 
@@ -498,3 +503,64 @@ def reference_attraction_suite(e, draws: int, seed: int) -> tuple[int, float]:
         failures += largest > verify.MONOTONE_SLACK
         done += 1
     return failures, worst
+
+
+def reference_maximize(c, G, h) -> tuple[np.ndarray, float]:
+    """``_simplex.maximize`` for one objective, its ratio test on arrays."""
+    c, G, h = (np.asarray(a, dtype=np.float64) for a in (c, np.atleast_2d(G), h))
+    m, n = G.shape
+    if c.size != n or h.size != m:
+        raise LPError("inconsistent LP dimensions")
+    if np.any(h < 0):
+        raise LPError("rhs must be nonnegative (origin must be feasible)")
+    T = np.hstack([G, np.eye(m), h[:, None]])
+    z = np.concatenate([c, np.zeros(m)])
+    basis = np.arange(n, n + m)
+    for _ in range(_simplex._MAX_ITER):
+        candidates = np.nonzero(z - z[basis] @ T[:, : n + m] > _simplex._ENTER_TOL)[0]
+        if candidates.size == 0:
+            x = np.zeros(n + m)
+            x[basis] = np.maximum(T[:, -1], 0.0)
+            return x[:n], float(c @ x[:n])
+        enter = int(candidates[0])
+        rows = np.nonzero(T[:, enter] > _simplex._PIVOT_TOL)[0]
+        if rows.size == 0:
+            raise LPError("LP unbounded; the trade polytope should be boxed")
+        ratios = T[rows, -1] / T[rows, enter]
+        ties = rows[ratios <= ratios.min() + 1e-15]
+        leave = int(ties[np.argmin(basis[ties])])
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        T -= np.outer(factors, T[leave])
+        basis[leave] = enter
+    raise LPError(f"simplex did not terminate within {_simplex._MAX_ITER} pivots")
+
+
+def reference_hitrun_sample(directions, norms, rng) -> np.ndarray:
+    """``_hitrun.sample`` one probe LP and one walk step at a time."""
+    null_basis = _hitrun._null_space(directions.T, directions.shape[1] - 1)
+    if null_basis.shape[1] == 0:
+        raise SamplingError("trade-speed polytope has empty interior")
+    G, h = _hitrun.polytope(directions)
+    vertices = [reference_maximize(norms, G, h)[0]]
+    probe = np.random.default_rng(0)
+    for _ in range(null_basis.shape[1] + 1):
+        obj = null_basis @ probe.standard_normal(null_basis.shape[1])
+        vertices += [reference_maximize(obj, G, h)[0], reference_maximize(-obj, G, h)[0]]
+    x = np.mean(vertices, axis=0)
+    x = np.clip(null_basis @ (null_basis.T @ x), 0.0, 1.0)
+    _, sv, vt = np.linalg.svd((np.stack(vertices) - x) @ null_basis, full_matrices=False)
+    keep = sv > _hitrun._POINT_EXTENT
+    if not np.any(keep):
+        return x
+    hull = null_basis @ vt[keep].T
+    for _ in range(_hitrun._BURN_IN):
+        u = hull @ rng.standard_normal(hull.shape[1])
+        u /= float(np.linalg.norm(u))
+        lo, hi = _hitrun._chord(x.tolist(), u.tolist())
+        if not hi - lo > 2.0 * _hitrun._CLEARANCE:
+            raise SamplingError(f"hit-and-run stalled: chord {hi - lo!r} within the clearance")
+        t = rng.uniform(lo + _hitrun._CLEARANCE, hi - _hitrun._CLEARANCE)
+        x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)
+    return x

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, truncnorm
 
-from edgeworth import _simplex, engine, prefs, trade
+from edgeworth import _hitrun, _simplex, engine, prefs, trade
 from edgeworth.engine import (
     ArctanNormal,
     PriorSpec,
@@ -27,7 +27,7 @@ from edgeworth.errors import DomainDegeneracyError, LPError, SamplingError, Spec
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
-from oracles import log_uniform
+from oracles import log_uniform, reference_hitrun_sample, reference_maximize
 
 
 @pytest.fixture
@@ -656,6 +656,53 @@ class TestGenericPathThreeGoods:
         assert dist.terminal_qs.shape == (4, 2)
         # higher-dimensional outcomes are summarized over the first rate
         np.testing.assert_array_equal(dist.coords, dist.terminal_qs[:, 0])
+
+
+def _generic_runs() -> list[tuple]:
+    """Per run: the case, the run index and either the run's table bytes and
+    terminal tag or its error type and text."""
+    weights = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4])
+    four_by_three = (
+        Economy.of([UtilitySpec.ces(w, 0.5) for w in weights]),
+        Allocation(np.array([[1.5, 1.5, 1.0], [0.75, 0.5, 0.85], [0.9, 0.5, 0.5], [2.0, 1.25, 0.7]])),
+    )
+    axis = 0.25 * 16.0 ** (np.arange(14) / 13)  # log-spaced on [0.25, 4]
+    grid = np.array([[a, b] for a in axis for b in axis])
+    tabulated = Tabulated(grid, np.random.default_rng(4).uniform(0.5, 1.5, len(grid)))
+    cases = {
+        "3x2_arc_cube": (*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE),
+        "3x2_arc_max": (*THREE_TRADERS, UniformArc(), SpeedPrior.MAX_SPEED),
+        "4x3_tabulated": (*four_by_three, tabulated, SpeedPrior.UNIFORM_CUBE),
+    }
+    runs = []
+    for name, (e, y, q_prior, s_prior) in cases.items():
+        cfg = make_config(e, y, q_prior, s_prior, runs=5, max_steps=30)
+        for i in range(cfg.runs):
+            try:
+                t = engine.run_trajectory(cfg, i)
+            except (SamplingError, LPError, DomainDegeneracyError) as exc:
+                runs.append((name, i, type(exc).__name__, str(exc)))
+            else:
+                runs.append((name, i, t.table.tobytes(), t.terminal))
+    return runs
+
+
+def test_generic_runs_match_the_step_by_step_walk(monkeypatch):
+    """Generic-path runs give the same bytes through the package's walk and
+    probe LPs as through ``reference_hitrun_sample`` and
+    ``reference_maximize``, which read the stream one step and one objective
+    at a time: the price draw, the screens, the probe LPs and the walk all
+    feed the tables, and some runs end in the exhausted price prior.
+
+    Both sides run on the same host.  A committed golden could not pin these
+    runs across hosts: the walk's null-space basis comes from an SVD with a
+    repeated zero singular value, so one ulp of difference in a kernel can
+    rotate the basis and move a draw by O(1).
+    """
+    mine = _generic_runs()
+    monkeypatch.setattr(_simplex, "maximize", reference_maximize)
+    monkeypatch.setattr(_hitrun, "sample", reference_hitrun_sample)
+    assert mine == _generic_runs()
 
 
 class TestExample3:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from edgeworth import _simplex
+from edgeworth import _hitrun, _simplex
 from edgeworth.errors import LPError
+
+import oracles
 
 
 def test_matches_scipy_on_random_instances():
@@ -62,3 +64,54 @@ def test_unbounded_raises():
 def test_negative_rhs_rejected():
     with pytest.raises(LPError):
         _simplex.maximize(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+
+def _random_boxed(rng):
+    m, n, k = int(rng.integers(1, 8)), int(rng.integers(1, 8)), int(rng.integers(1, 9))
+    G = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+    h = np.concatenate([rng.uniform(0.0, 2.0, size=m), np.ones(n)])
+    return rng.normal(size=(k, n)), G, h
+
+
+def _degenerate_boxed(rng):
+    # zero right-hand sides and every row twice: ratio tests tie, so pivots
+    # reach Bland's tie-break
+    c, G, h = _random_boxed(rng)
+    h[: len(h) - G.shape[1] : 2] = 0.0
+    return c, np.vstack([G, G]), np.concatenate([h, h])
+
+
+def _speed_polytope(rng):
+    # the hit-and-run probe shape: norms, then directions in the null space of
+    # D^T and their negations, over the tolerance-relaxed polytope
+    households, goods = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+    prices = rng.uniform(0.5, 2.0, goods)
+    dirs = rng.normal(size=(households, goods))
+    dirs -= np.outer(dirs @ prices / (prices @ prices), prices)  # Walras: d . p = 0
+    null_basis = _hitrun._null_space(dirs.T, goods - 1)
+    probes = null_basis @ rng.normal(size=(null_basis.shape[1], 3))
+    return np.vstack([np.linalg.norm(dirs, axis=1), probes.T, -probes.T]), *_hitrun.polytope(dirs)
+
+
+@pytest.mark.parametrize("draw", [_random_boxed, _degenerate_boxed, _speed_polytope])
+def test_stacked_rows_are_their_solo_solves(draw):
+    """Each row of a stacked solve, and the one-objective form, give the bytes
+    of ``oracles.reference_maximize``, which runs its ratio test on arrays."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        c, G, h = draw(rng)
+        xs, values = _simplex.maximize(c, G, h)
+        solo = [oracles.reference_maximize(ck, G, h) for ck in c]
+        assert [(x.tobytes(), float(v).hex()) for x, v in zip(xs, values)] == [
+            (x.tobytes(), v.hex()) for x, v in solo
+        ]
+        x, value = _simplex.maximize(c[0], G, h)
+        assert (x.tobytes(), value.hex()) == (solo[0][0].tobytes(), solo[0][1].hex())
+
+
+def test_stack_shape_is_checked():
+    G, h = np.eye(2), np.ones(2)
+    with pytest.raises(LPError, match="inconsistent LP dimensions"):
+        _simplex.maximize(np.ones((2, 3)), G, h)
+    with pytest.raises(LPError, match="inconsistent LP dimensions"):
+        _simplex.maximize(np.ones((1, 1, 2)), G, h)

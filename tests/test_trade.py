@@ -595,6 +595,38 @@ class TestHitRunDegenerate:
         assert np.abs(point @ dirs).max() <= _hitrun._EQ_TOL  # within the LP's slack
         assert rng.random() == np.random.default_rng(5).random()  # no walk: the stream is untouched
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_point_polytope_has_no_speed_draw(self):
+        # the same point polytope {0}: the relaxed LP's slack lets the walk
+        # return (2.7e-12, 2.7e-12, 0), and cancel-and-move accepts it
+        e1, e2 = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
+        dirs = np.stack([e1, e2, e1 + e2])
+        with pytest.raises(SamplingError):
+            trade._sample_speed(dirs, SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5))
+
+
+class TestHitRunStream:
+    # at p = (1, 1) the plane sum_h a_h s_h = 0 cuts the unit cube in a polygon: d = 2
+    DIRS = np.array([[1.0, -1.0], [-0.5, 0.5], [-0.7, 0.7]])
+
+    @pytest.mark.parametrize("stall", [False, True], ids=["walk", "stall"])
+    def test_walk_reads_every_steps_draws(self, monkeypatch, stall):
+        # per step, d standard normals and then one uniform; a stalled walk
+        # has read all of them too, since the draws come before the steps
+        if stall:
+            monkeypatch.setattr(_hitrun, "_chord", lambda x, u: (0.0, 1e-12))
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        try:
+            point = _hitrun.sample(self.DIRS, np.linalg.norm(self.DIRS, axis=1), rng)
+        except SamplingError:
+            assert stall
+        else:
+            assert not stall and np.abs(point @ self.DIRS).max() <= 1e-15
+        for _ in range(_hitrun._BURN_IN):
+            reference.standard_normal(2)
+            reference.random()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
 
 class TestAdvance:
     def test_full_speed_reaches_equilibrium(self, cd_economy, shock):
