@@ -1,16 +1,18 @@
 """Hit-and-run sampling over the relative trade-speed polytope.
 
 The polytope is ``P = {s in [0,1]^H : D^T s = 0}`` for the matrix ``D`` of
-per-household trade directions.  The equality constraint is homogeneous, so
-``P`` lives inside the null space of ``D^T``; cube faces can pin it to a
-lower-dimensional set still, so the walk runs in the affine hull recovered
-from LP-probed vertices.  Degenerate (numerically point-like) polytopes
-return their single point and read nothing from the stream.  Otherwise the
-walk reads all its draws first, in the order a step-by-step walk would, and
-then steps through them; a chord thinner than the clearance raises, after
-every step's draws have been read.  ``polytope`` writes the
-tolerance-relaxed polytope as the LP constraints that ``trade``'s
-feasibility test solves too.
+per-household trade directions.  ``trade`` draws the two-trader ray and the
+three-trader polygon at L = 2 in closed form; the walk serves every other
+case: L >= 3, or four or more active traders at L = 2.  The equality
+constraint is homogeneous, so ``P`` lives inside the null space of ``D^T``;
+cube faces can pin it to a lower-dimensional set still, so the walk runs in
+the affine hull recovered from LP-probed vertices.  Degenerate (numerically
+point-like) polytopes return their single point and read nothing from the
+stream.  Otherwise the walk reads all its draws first, in the order a
+step-by-step walk would, and then steps through them; a chord thinner than
+the clearance raises, after every step's draws have been read.
+``polytope`` writes the tolerance-relaxed polytope as the LP constraints
+that ``trade``'s feasibility test solves too.
 """
 
 from __future__ import annotations

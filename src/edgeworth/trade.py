@@ -7,13 +7,16 @@ definition is a small dense LP (``_lp_trade``).  ``screen_trade`` answers
 it for a whole stack of prices, and ``has_trade`` for one: at L <= 3
 closed-form certificates bound the LP's optimum on each side of its
 threshold, and only the prices they leave open, and every price at L >= 4,
-go to the LP.  A speed draw takes one candidate and raises if it fails.  The
-box set built from extreme marginal substitution rates gives the cheap
+go to the LP.  A speed draw takes one candidate and raises if it fails: two
+active traders move on a ray, three at L = 2 on a polygon, both drawn in
+closed form, and every other case goes through hit-and-run (``_hitrun``).
+The box set built from extreme marginal substitution rates gives the cheap
 superset used for tabulated price draws.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -435,6 +438,49 @@ def _ray_speeds(
     return lam * s_i, lam * s_j
 
 
+def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray:
+    """A uniform point of the polygon {s in [0, 1]^3 : a . s = 0}, from ``rng.random(3)``.
+
+    ``lengths`` are the three traders' signed lengths a along the price line.
+    The vertices are the origin and the plane's crossings of the cube's
+    edges, where two speeds sit at 0 or 1 and the third balances them.  The
+    two traders on the same side of the line chart the polygon at a constant
+    area factor; ordered by angle around their centroid in that chart, the
+    other vertices fan into triangles from the origin.  The first uniform
+    picks a triangle by area, the other two a uniform point in it.  The chart
+    depends only on the signs of a and the order changes only where vertices
+    meet, so the draw moves continuously with a.
+    """
+    a = lengths.tolist()
+    up = [h for h in range(3) if a[h] > 0.0]
+    if len(up) not in (1, 2):
+        raise SamplingError(
+            "three-trader directions all point one way along the price line; no feasible speeds"
+        )
+    j, k = up if len(up) == 2 else [h for h in range(3) if h not in up]  # the chart's traders
+    others = []
+    for i in range(3):
+        m, n = (h for h in range(3) if h != i)
+        for b_m, b_n in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            s = -(a[m] * b_m + a[n] * b_n) / a[i]
+            if 0.0 <= s <= 1.0:
+                v = [0.0, 0.0, 0.0]
+                v[i], v[m], v[n] = s, b_m, b_n
+                others.append(v)
+    cx = sum(v[j] for v in others) / len(others)
+    cy = sum(v[k] for v in others) / len(others)
+    others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
+    cum, total = [], 0.0
+    for v, w in zip(others, others[1:]):
+        total += abs(v[j] * w[k] - w[j] * v[k])  # twice the area of (0, v, w)
+        cum.append(total)
+    u = rng.random(3).tolist()
+    t = min(bisect.bisect_right(cum, u[0] * total), len(cum) - 1)
+    r, f = math.sqrt(u[1]), u[2]  # a uniform point of the triangle (0, v, w)
+    v, w = others[t], others[t + 1]
+    return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
+
+
 def sample_speed(
     e: Economy,
     y: Allocation,
@@ -444,10 +490,11 @@ def sample_speed(
 ) -> SpeedVector:
     """Draw relative speeds from the polytope under the given prior.
 
-    Two active traders pin the polytope down to a ray, sampled in closed
-    form; more traders go through hit-and-run over the polytope after an
-    LP-found interior start.  The prior is read on the polytope's intrinsic
-    measure (the ray parameter when H = 2).  A candidate that fails a check
+    Two active traders pin the polytope down to a ray, and three at L = 2
+    to a polygon; both are sampled in closed form.  Every other case goes
+    through hit-and-run over the polytope after an LP-found interior start.
+    The prior is read on the polytope's intrinsic measure (the ray parameter
+    when H = 2, the area on a polygon).  A candidate that fails a check
     raises ``SamplingError``; there is no second attempt.
     """
     return _sample_speed(all_trade_directions(e, y, p), s_prior, rng)
@@ -472,7 +519,12 @@ def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generato
         sigma[[i, j]] = np.concatenate(speeds)
         return SpeedVector(sigma)
 
-    point = _hitrun.sample(dirs[idx], norms[idx], rng)
+    if dirs.shape[1] == 2 and idx.size == 3:
+        # Walras' law puts every direction on the line orthogonal to the
+        # prices, whose unit with a positive first coordinate signs the lengths
+        point = _polygon_speeds(np.copysign(norms[idx], dirs[idx, 0]), rng)
+    else:
+        point = _hitrun.sample(dirs[idx], norms[idx], rng)
     if s_prior is SpeedPrior.MAX_SPEED:
         peak = float(point.max())
         if peak < 1e-6:  # rescaling would amplify the equality residual

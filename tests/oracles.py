@@ -20,6 +20,8 @@ the hit-and-run walk as they ran before the walk read its draws in one pass:
 one tableau per objective with array ratio tests, and per step one
 ``standard_normal`` and one ``uniform`` call.  Generic-path runs through
 them must give the same bytes as through the package.
+``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
+on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
 """
 
 from __future__ import annotations
@@ -564,3 +566,32 @@ def reference_hitrun_sample(directions, norms, rng) -> np.ndarray:
         t = rng.uniform(lo + _hitrun._CLEARANCE, hi - _hitrun._CLEARANCE)
         x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)
     return x
+
+
+def reference_polygon_sample(lengths, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` speed draws from {s in [0, 1]^3 : a . s = 0} for signed lengths a, by rejection.
+
+    The two speeds other than the one with the longest |a| chart the polygon
+    linearly, so uniform proposals on their bounding box, kept where the third
+    speed lands in [0, 1], are uniform on the polygon.  Each speed's range is
+    an LP.  The max-speed prior divides each draw by its largest speed.
+    """
+    from scipy.optimize import linprog
+
+    a = np.asarray(lengths, dtype=np.float64)
+    top = [
+        -linprog(-np.eye(3)[h], A_eq=a[None, :], b_eq=[0.0], bounds=[(0.0, 1.0)] * 3).fun
+        for h in range(3)
+    ]
+    o = int(np.argmax(np.abs(a)))
+    j, k = (h for h in range(3) if h != o)
+    kept = np.empty((0, 3))
+    while len(kept) < n:
+        s = np.zeros((4 * n, 3))
+        s[:, j], s[:, k] = rng.uniform(0.0, top[j], 4 * n), rng.uniform(0.0, top[k], 4 * n)
+        s[:, o] = -(a[j] * s[:, j] + a[k] * s[:, k]) / a[o]
+        kept = np.concatenate([kept, s[(s[:, o] >= 0.0) & (s[:, o] <= 1.0)]])
+    kept = kept[:n]
+    if SpeedPrior(s_prior) is SpeedPrior.MAX_SPEED:
+        kept /= kept.max(axis=1, keepdims=True)
+    return kept

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import time
@@ -62,6 +63,18 @@ _ANGLE_PRIOR = st.one_of(
 THREE_TRADERS = (
     Economy.of([UtilitySpec.ces(w, 0.5) for w in ([0.3, 0.7], [0.6, 0.4], [0.5, 0.5])]),
     Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]])),
+)
+
+
+# four CES traders over three goods under a 196-atom tabulated prior
+# log-spaced on [0.25, 4]^2: every step screens atoms, probes LPs and walks
+_AXIS = 0.25 * 16.0 ** (np.arange(14) / 13)
+_GRID = np.array([[a, b] for a in _AXIS for b in _AXIS])
+_WEIGHTS_4X3 = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4])
+FOUR_BY_THREE = (
+    Economy.of([UtilitySpec.ces(w, 0.5) for w in _WEIGHTS_4X3]),
+    Allocation(np.array([[1.5, 1.5, 1.0], [0.75, 0.5, 0.85], [0.9, 0.5, 0.5], [2.0, 1.25, 0.7]])),
+    Tabulated(_GRID, np.random.default_rng(4).uniform(0.5, 1.5, len(_GRID))),
 )
 
 
@@ -476,7 +489,7 @@ class TestMonteCarlo:
             raise LPError("pivot broke down")
 
         monkeypatch.setattr(_simplex, "maximize", fail)
-        cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=3)
+        cfg = make_config(*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE, runs=3)
         with pytest.raises(LPError) as info:
             engine.run_monte_carlo(cfg)
         assert str(info.value) == "run 0: step 1: pivot broke down"
@@ -661,18 +674,9 @@ class TestGenericPathThreeGoods:
 def _generic_runs() -> list[tuple]:
     """Per run: the case, the run index and either the run's table bytes and
     terminal tag or its error type and text."""
-    weights = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4])
-    four_by_three = (
-        Economy.of([UtilitySpec.ces(w, 0.5) for w in weights]),
-        Allocation(np.array([[1.5, 1.5, 1.0], [0.75, 0.5, 0.85], [0.9, 0.5, 0.5], [2.0, 1.25, 0.7]])),
-    )
-    axis = 0.25 * 16.0 ** (np.arange(14) / 13)  # log-spaced on [0.25, 4]
-    grid = np.array([[a, b] for a in axis for b in axis])
-    tabulated = Tabulated(grid, np.random.default_rng(4).uniform(0.5, 1.5, len(grid)))
     cases = {
-        "3x2_arc_cube": (*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE),
-        "3x2_arc_max": (*THREE_TRADERS, UniformArc(), SpeedPrior.MAX_SPEED),
-        "4x3_tabulated": (*four_by_three, tabulated, SpeedPrior.UNIFORM_CUBE),
+        "4x3_tabulated_cube": (*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE),
+        "4x3_tabulated_max": (*FOUR_BY_THREE, SpeedPrior.MAX_SPEED),
     }
     runs = []
     for name, (e, y, q_prior, s_prior) in cases.items():
@@ -688,11 +692,13 @@ def _generic_runs() -> list[tuple]:
 
 
 def test_generic_runs_match_the_step_by_step_walk(monkeypatch):
-    """Generic-path runs give the same bytes through the package's walk and
-    probe LPs as through ``reference_hitrun_sample`` and
+    """L = 3 runs under both speed priors give the same bytes through the
+    package's walk and probe LPs as through ``reference_hitrun_sample`` and
     ``reference_maximize``, which read the stream one step and one objective
     at a time: the price draw, the screens, the probe LPs and the walk all
-    feed the tables, and some runs end in the exhausted price prior.
+    feed the tables, and some runs end in the exhausted price prior.  (At
+    L = 2 three traders draw from the closed-form polygon, which neither
+    walks nor solves an LP.)
 
     Both sides run on the same host.  A committed golden could not pin these
     runs across hosts: the walk's null-space basis comes from an SVD with a
@@ -703,6 +709,36 @@ def test_generic_runs_match_the_step_by_step_walk(monkeypatch):
     monkeypatch.setattr(_simplex, "maximize", reference_maximize)
     monkeypatch.setattr(_hitrun, "sample", reference_hitrun_sample)
     assert mine == _generic_runs()
+
+
+def test_three_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
+    """Every speed draw of the 3x2 uniform-arc runs at seed 1, redrawn under
+    either prior from the same stream with one entry of its directions moved
+    one ulp either way, moves by at most 1e-9: the polygon draw has no basis
+    or ordering that a rounding difference can flip."""
+    recorded = []
+    sample_speed = trade._sample_speed
+
+    def record(dirs, s_prior, rng):
+        recorded.append((dirs, copy.deepcopy(rng)))
+        return sample_speed(dirs, s_prior, rng)
+
+    monkeypatch.setattr(trade, "_sample_speed", record)
+    cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=15)
+    for i in range(cfg.runs):
+        engine.run_trajectory(cfg, i)
+    assert len(recorded) > 600
+    worst = 0.0
+    for dirs, rng in recorded:
+        for s_prior in SpeedPrior:
+            base = sample_speed(dirs, s_prior, copy.deepcopy(rng)).sigma
+            for index in np.ndindex(dirs.shape):
+                for toward in (-np.inf, np.inf):
+                    moved = dirs.copy()
+                    moved[index] = np.nextafter(moved[index], toward)
+                    sigma = sample_speed(moved, s_prior, copy.deepcopy(rng)).sigma
+                    worst = max(worst, float(np.abs(sigma - base).max()))
+    assert worst <= 1e-9
 
 
 class TestExample3:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from edgeworth import _hitrun, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
@@ -11,7 +12,7 @@ from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
-from oracles import clearing_price, log_uniform, lp_trade
+from oracles import clearing_price, log_uniform, lp_trade, reference_polygon_sample
 
 
 def _random_state(draw: np.random.Generator, goods: int, households: int):
@@ -50,6 +51,28 @@ def _edge_atoms(box: BoxSet, base: np.ndarray, offsets=range(-4, 5)) -> list[np.
                     q[k] = _ulps(edge, k_ulps)
                     atoms.append(q)
     return atoms
+
+
+# four traders over three goods at p = (1, 1, 1), every direction shorter
+# than 1: a speed draw probes LPs and walks
+FOUR_BY_THREE = (
+    Economy.of(
+        [
+            UtilitySpec.ces(np.array([0.2, 0.3, 0.5]), 0.5),
+            UtilitySpec.ces(np.array([0.5, 0.3, 0.2]), 0.5),
+            UtilitySpec.cobb_douglas_log(np.array([0.3, 0.4, 0.3])),
+            UtilitySpec.cobb_douglas_log(np.array([0.4, 0.2, 0.4])),
+        ]
+    ),
+    Allocation(np.array([[0.6, 0.4, 0.45], [0.4, 0.6, 0.55], [0.55, 0.4, 0.45], [0.4, 0.55, 0.6]])),
+)
+
+# three Cobb-Douglas traders over two goods at p = (1, 1): the speed
+# polytope is a polygon in R^3, drawn in closed form
+THREE_BY_TWO = (
+    Economy.of([UtilitySpec.cobb_douglas_log([0.5, 0.5])] * 3),
+    Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]])),
+)
 
 
 @pytest.fixture
@@ -452,10 +475,9 @@ class TestSampleSpeed:
             sv = trade.sample_speed(ces_economy, shock, [1.1, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
             assert trade.speed_contains(ces_economy, shock, [1.1, 1.0], sv)
 
-    def test_postcondition_hit_and_run(self, cd, rng):
-        e = Economy.of([cd, cd, cd])
-        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]]))
-        p = [1.0, 1.0]
+    def test_postcondition_hit_and_run(self, rng):
+        e, y = FOUR_BY_THREE
+        p = [1.0, 1.0, 1.0]
         assert trade.has_trade(e, y, p)
         for prior in (SpeedPrior.UNIFORM_CUBE, SpeedPrior.MAX_SPEED):
             for _ in range(25):
@@ -526,6 +548,11 @@ class TestSampleSpeed:
             for _ in range(5):
                 sv = trade.sample_speed(e, y, p, prior, rng)
                 assert trade.speed_contains(e, y, p, sv)
+        # three traders at L = 2 draw from the closed-form polygon; the walk
+        # still has to keep the dimension on these directions
+        dirs = trade.all_trade_directions(e, y, p)
+        point = _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
+        assert trade.speed_contains(e, y, p, SpeedVector(point))
 
     def test_deterministic_given_stream(self, cd_economy, shock):
         a = trade.sample_speed(
@@ -537,31 +564,36 @@ class TestSampleSpeed:
         np.testing.assert_array_equal(a.sigma, b.sigma)
 
     @pytest.mark.parametrize(
-        "s_prior,point,why",
+        "state,p,draw,s_prior,point,why",
         [
-            (SpeedPrior.UNIFORM_CUBE, [1.0, 0.0, 0.0], r"cancel-and-move: residual 0\.7\d* \(bound 1e-09\)"),
-            (SpeedPrior.UNIFORM_CUBE, [0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.0 .*, volume 0\.0 \(floor 1e-12\)"),
-            (SpeedPrior.MAX_SPEED, [1e-7, 0.0, 1e-7], r"max-speed draw peaks at 1e-07, below 1e-06"),
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.UNIFORM_CUBE,
+             [1.0, 0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.67\d* \(bound 1e-09\)"),
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.UNIFORM_CUBE,
+             [0.0, 0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.0 .*, volume 0\.0 \(floor 1e-12\)"),
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.MAX_SPEED,
+             [1e-7, 0.0, 1e-7, 0.0], r"max-speed draw peaks at 1e-07, below 1e-06"),
+            (THREE_BY_TWO, [1.0, 1.0], (trade, "_polygon_speeds"), SpeedPrior.UNIFORM_CUBE,
+             [1.0, 0.0, 0.0], r"cancel-and-move: residual 0\.7\d* \(bound 1e-09\)"),
+            (THREE_BY_TWO, [1.0, 1.0], (trade, "_polygon_speeds"), SpeedPrior.UNIFORM_CUBE,
+             [0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.0 .*, volume 0\.0 \(floor 1e-12\)"),
+            (THREE_BY_TWO, [1.0, 1.0], (trade, "_polygon_speeds"), SpeedPrior.MAX_SPEED,
+             [1e-7, 0.0, 1e-7], r"max-speed draw peaks at 1e-07, below 1e-06"),
         ],
-        ids=["residual", "volume", "peak"],
+        ids=["residual", "volume", "peak", "polygon_residual", "polygon_volume", "polygon_peak"],
     )
-    def test_failed_candidate_raises_at_once(self, monkeypatch, cd, rng, s_prior, point, why):
-        # one hit-and-run candidate per draw: a failed check is not retried
-        e = Economy.of([cd, cd, cd])
-        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]]))
+    def test_failed_candidate_raises_at_once(self, monkeypatch, rng, state, p, draw, s_prior, point, why):
+        # one candidate per draw, from hit-and-run or the polygon: a failed check is not retried
         calls = []
-        monkeypatch.setattr(_hitrun, "sample", lambda *args: calls.append(args) or np.array(point))
+        monkeypatch.setattr(*draw, lambda *args: calls.append(args) or np.array(point))
         with pytest.raises(SamplingError, match=why):
-            trade.sample_speed(e, y, [1.0, 1.0], s_prior, rng)
+            trade.sample_speed(*state, p, s_prior, rng)
         assert len(calls) == 1
 
-    def test_short_chord_raises_at_once(self, monkeypatch, cd, rng):
-        e = Economy.of([cd, cd, cd])
-        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.8]]))
+    def test_short_chord_raises_at_once(self, monkeypatch, rng):
         calls = []
         monkeypatch.setattr(_hitrun, "_chord", lambda *args: calls.append(args) or (0.0, 1e-12))
         with pytest.raises(SamplingError, match=r"hit-and-run stalled: chord 1e-12 within the clearance"):
-            trade.sample_speed(e, y, [1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
+            trade.sample_speed(*FOUR_BY_THREE, [1.0, 1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
         assert len(calls) == 1
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
@@ -626,6 +658,55 @@ class TestHitRunStream:
             reference.standard_normal(2)
             reference.random()
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _line_directions(lengths, q: float = 1.0) -> np.ndarray:
+    """Directions with signed lengths ``lengths`` along the line orthogonal to
+    p = (q, 1), whose unit has a positive first coordinate."""
+    unit = np.array([1.0, -q]) / np.hypot(q, 1.0)
+    return np.asarray(lengths, dtype=np.float64)[:, None] * unit
+
+
+def _random_lengths(seed: int) -> tuple[list[float], float]:
+    """Three signed lengths split two to one along the line, and a price rate."""
+    draw = np.random.default_rng(seed)
+    signs = draw.permutation([1.0, 1.0, -1.0]) * draw.choice([-1.0, 1.0])
+    return (signs * log_uniform(draw, 3, 0.05, 2.0)).tolist(), float(log_uniform(draw, (), 0.25, 4.0))
+
+
+class TestPolygonDraw:
+    """Three traders at L = 2: a uniform point of the speed polygon, in closed form."""
+
+    def test_draw_reads_three_uniforms(self):
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        trade._sample_speed(_line_directions([1.0, -0.5, -0.7]), SpeedPrior.UNIFORM_CUBE, rng)
+        reference.random(3)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("lengths", [[1.0, 0.5, 0.7], [-1.0, -0.5, -0.7]], ids=["up", "down"])
+    def test_one_sided_directions_have_no_speeds(self, lengths, rng):
+        # every trader on one side: the polytope is {0}
+        with pytest.raises(SamplingError, match="^three-trader directions all point one way"):
+            trade._sample_speed(_line_directions(lengths), SpeedPrior.UNIFORM_CUBE, rng)
+
+    @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
+    @pytest.mark.parametrize(
+        "lengths,q",
+        [_random_lengths(seed) for seed in range(6)]
+        + [([1.0, 0.5, -1.5e-6], 1.0), ([1.0, -1.0, 0.5], 0.5)],
+        ids=[f"random{seed}" for seed in range(6)] + ["sliver", "cube_vertex"],
+    )
+    def test_coordinates_follow_the_rejection_oracle(self, lengths, q, s_prior):
+        # per-coordinate two-sample KS at about the 0.1% level; the sliver's
+        # negative side is 1e-6 of its positive one, and (1, -1, 0.5) puts the
+        # cube vertex (1, 1, 0) on the plane, where two edge crossings meet
+        n, rng = 3000, np.random.default_rng(17)
+        dirs = _line_directions(lengths, q)
+        mine = np.stack([trade._sample_speed(dirs, s_prior, rng).sigma for _ in range(n)])
+        reference = reference_polygon_sample(lengths, s_prior, n, rng)
+        assert np.abs(mine @ np.asarray(lengths)).max() <= 1e-12
+        for h in range(3):
+            assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
 
 
 class TestAdvance:
