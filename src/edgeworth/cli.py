@@ -348,9 +348,12 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ScenarioError("grid must look like lo:hi:count") from exc
+    if n < 1:
+        raise ScenarioError("grid count must be at least 1")
+    return np.linspace(lo, hi, n)
 
 
 def cmd_manifold(args: argparse.Namespace) -> int:

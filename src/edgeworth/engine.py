@@ -145,12 +145,12 @@ class SimConfig:
         elif n_rates != 1:
             raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
         if self.pareto_tol < trade.PARETO_TOL and not _supports_fast_path(self):
-            # the generic step's price draw and LP decide trade at PARETO_TOL
+            # the generic step's price draw and trade screen decide trade at PARETO_TOL
             raise SpecificationError(
                 f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
                 "(two households, two goods and an angle price prior)"
             )
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
 
 
 class Terminal(str, enum.Enum):
@@ -258,9 +258,16 @@ def summarize(
     )
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int if it lies in [0, 2**64): one Philox key word, so no two seeds alias."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise SpecificationError(f"master seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
+    return int(seed)
+
+
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Counter-based stream for one run, independent of scheduling."""
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, run_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([_check_seed(master_seed), run_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -326,10 +333,10 @@ def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.
 
     Discrete support makes the conditioning exact: the atoms in the
     ``trade.msr_extremes`` box with prior mass are screened once, in one
-    ``trade.screen_trade`` call (closed form at L <= 3, the LP for the rows
-    it leaves open and at L >= 4), and the draw is taken over the
-    survivors, so a prior with no mass on the trade-compatible set fails at
-    once, naming the box and the atoms.
+    ``trade.screen_trade`` call (in closed form at L = 2; certificates and
+    the LP beyond), and the draw is taken over the survivors, so a prior
+    with no mass on the trade-compatible set fails at once, naming the box
+    and the atoms.
     """
     box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)
@@ -376,11 +383,11 @@ def draw_price(
     """One rate vector from the prior conditioned on trade compatibility.
 
     A tabulated prior keeps the atoms in the box superset at which
-    ``trade.screen_trade`` finds trade (closed-form certificates at L <= 3,
-    the LP where they leave an atom open and at L >= 4).  An angle prior
-    needs L = 2, where the trade-compatible rates are exactly the open
-    interval between the households' extreme substitution rates; its draw is
-    accepted by that interval, without an LP.
+    ``trade.screen_trade`` finds trade (in closed form at L = 2; certificates
+    and the LP beyond).  An angle prior needs L = 2, where the
+    trade-compatible rates are exactly the open interval between the
+    households' extreme substitution rates; its draw is accepted by that
+    interval, without an LP.
     """
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, trade.PARETO_TOL):
@@ -445,7 +452,7 @@ class _Streams:
 
     def __init__(self, master_seed: int, indices: NDArray[np.int64]):
         self._gen = run_rng(master_seed, 0)
-        # the state set before each refill: key[0] is the masked master seed,
+        # the state set before each refill: key[0] is the master seed,
         # key[1] the run, counter[0] the Philox blocks the run has read, and
         # the spent buffer makes the next draw start a block there; lists,
         # which the state setter reads faster than arrays

@@ -4,14 +4,14 @@ An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
 linear trade directions while moving at least one household.  The
 definition is a small dense LP (``_lp_trade``).  ``screen_trade`` answers
-it for a whole stack of prices, and ``has_trade`` for one: at L <= 3
-closed-form certificates bound the LP's optimum on each side of its
-threshold, and only the prices they leave open, and every price at L >= 4,
-go to the LP.  A speed draw takes one candidate and raises if it fails: two
-active traders move on a ray, three at L = 2 on a polygon, both drawn in
-closed form, and every other case goes through hit-and-run (``_hitrun``).
-The box set built from extreme marginal substitution rates gives the cheap
-superset used for tabulated price draws.
+it for a whole stack of prices, and ``has_trade`` for one: in closed form
+at L = 2; at L = 3 certificates bound the LP's optimum, and only the prices
+they leave open, and every price at L >= 4, go to the LP.  A speed draw
+takes one candidate and raises if it fails: two active traders move on a
+ray, three at L = 2 on a polygon, both drawn in closed form, and every other
+case goes through hit-and-run (``_hitrun``).  The box set built from extreme
+marginal substitution rates gives the cheap superset used for tabulated
+price draws.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ DEGENERATE_DIRECTION = 1e-12
 
 _LP_DECISION = 1e-9
 
-#: ``screen_trade`` leaves a price to the LP when its bounds on the LP's
-#: optimum come within this relative distance of the decision threshold.
+#: At L = 3 ``screen_trade`` leaves a price to the LP when its bounds on the
+#: LP's optimum come within this relative distance of the decision threshold.
 _SCREEN_MARGIN = 1e-3
 
 
@@ -197,7 +197,7 @@ def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
 
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
-    """Whether trade exists at prices p: one row of ``screen_trade``, which answers as the LP does."""
+    """Whether trade exists at prices p: one row of ``screen_trade``."""
     _check_state(e, y)
     return bool(screen_trade(e, y, as_price(p, e.n_goods)[None, :])[0])
 
@@ -222,7 +222,8 @@ def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
 def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
     """Whether trade exists at each row of a (G, L) stack of prices, one bool per row.
 
-    ``_screen`` on the validated state and prices.
+    ``_screen`` on the validated state and prices: exact in closed form at
+    L = 2, the LP's answer at L >= 3.
     """
     _check_state(e, y)
     p = np.asarray(prices, dtype=np.float64)
@@ -237,27 +238,31 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]
     """``screen_trade`` at ``(G, L)`` prices, each row at its own ``(G, H, L)``
     bundles or all at one ``(H, L)`` state; only the demand is guarded.
 
-    The directions of every row come from one pass of the ``prefs`` core.
-    At L <= 3, Walras' law puts them in the plane (L = 3) or on the line
-    (L = 2) orthogonal to the prices, and by Gordan's alternative trade
-    exists iff no open half-space there holds every active direction.  The
-    screen brackets the LP's optimum V between closed-form certificates
-    (``_volume_bracket``) and decides a row when the bracket clears the
-    LP's threshold by ``_SCREEN_MARGIN``.  Rows it leaves open, and every
-    row at L >= 4, go to the LP (``_lp_trade``) on their own directions, so
-    each answer is the LP's.
+    The directions of every row come from one pass of the ``prefs`` core,
+    and a row admits trade when cancelling speeds can move a volume above
+    ``_LP_DECISION`` times its longest active direction (at least 1).  At
+    L = 2 Walras' law puts the directions on the line orthogonal to the
+    prices, each on the side its first coordinate's sign names (as for the
+    speed draw), and the largest volume is exactly 2 min(P, N) for P and N
+    the active norms summed on each side.  At L = 3 a row is decided when
+    ``_plane_bracket`` clears the threshold by ``_SCREEN_MARGIN``; rows it
+    leaves open, and every row at L >= 4, go to the LP (``_lp_trade``).
     """
     dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
     scale = np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)  # the LP's, row by row
+    threshold = _LP_DECISION * scale
+    if e.n_goods == 2:
+        signed = np.copysign(n_act, dirs[..., 0])
+        up, down = np.maximum(signed, 0.0).sum(axis=-1), np.maximum(-signed, 0.0).sum(axis=-1)
+        return 2.0 * np.minimum(up, down) > threshold
     count = np.count_nonzero(active, axis=-1)
     verdict = np.zeros(p.shape[0], dtype=bool)
     open_rows = count >= 2
-    if e.n_goods <= 3:
-        lo, hi = _volume_bracket(dirs, n_act, p, scale)
-        threshold = _LP_DECISION * scale
+    if e.n_goods == 3:
+        lo, hi = _plane_bracket(dirs, n_act, p, scale)
         # the simplex stops once no reduced cost exceeds its entering
         # tolerance, so it may fall short of the optimum by that much per speed
         verdict = lo - count * _simplex._ENTER_TOL > threshold * (1.0 + _SCREEN_MARGIN)
@@ -267,54 +272,26 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]
     return verdict
 
 
-def _volume_bracket(
+def _plane_bracket(
     dirs: FloatArray, n_act: FloatArray, p: FloatArray, scale: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    """Bounds lo <= V <= hi on the LP's optimum V at each price row, L <= 3.
+    """Bounds lo <= V <= hi on the LP's optimum V at each price row, L = 3.
 
-    ``dirs`` is the (G, H, L) stack of directions and ``n_act`` their norms,
+    ``dirs`` is the (G, H, 3) stack of directions and ``n_act`` their norms,
     zero for inactive households.  The LP keeps each coordinate of the
-    cancellation residual within ``slack``, so the residual's length is at
-    most sqrt(L) * slack.  lo is the volume of an explicit speed vector
-    (``_line_bracket``, ``_plane_bracket``) that cancels within half the
-    slack, or 0.  hi adds to the geometric bound what the directions' parts
-    along p (rounding, by Walras' law) can buy, and never exceeds the summed
-    norms.
+    cancellation residual within ``slack``.  An angular gap g > pi between
+    neighbouring active directions in the plane leaves a unit w with
+    w . d >= sin((g - pi) / 2) |d| for each of them, so V <= sqrt(3) slack /
+    sin((g - pi) / 2); hi adds what the directions' parts along p (rounding,
+    by Walras' law) can buy, and never exceeds the summed norms.  lo is the
+    largest volume of a witness that cancels within half the slack, or 0:
+    every triple of active directions whose 2-D cross products c share a
+    sign, at speeds proportional to (c_jk, c_ki, c_ij), the largest at 1.
     """
     slack = _hitrun._EQ_TOL * scale
     unit = p / np.linalg.norm(p, axis=-1, keepdims=True)
-    leak = np.where(n_act > 0.0, np.abs(np.vecdot(dirs, unit[:, None, :])), 0.0).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no witness give NaN speeds
-        witness = _line_bracket if p.shape[1] == 2 else _plane_bracket
-        bound, speeds = witness(dirs, n_act, p, unit, slack)
-        volume = (speeds @ n_act[:, :, None])[..., 0]
-        cancels = np.abs(speeds @ dirs).max(axis=-1) <= 0.5 * slack[:, None]
-    lo = np.where(cancels, volume, 0.0).max(axis=-1, initial=0.0)
-    return lo, np.minimum(bound + leak, n_act.sum(axis=-1))
-
-
-def _line_bracket(dirs, n_act, p, unit, slack):
-    """L = 2: with P and N the active norms summed on each side of the line,
-    the sides differ by at most the residual, so V <= 2 min(P, N) + sqrt(2)
-    slack.  Witness: the shorter side at full speed, the longer one balancing
-    it (one candidate per row)."""
-    side = np.vecdot(dirs, np.stack([p[:, 1], -p[:, 0]], axis=-1)[:, None, :])
-    up, down = (n_act > 0.0) & (side > 0.0), (n_act > 0.0) & (side < 0.0)
-    n_up, n_down = (n_act * up).sum(axis=-1), (n_act * down).sum(axis=-1)
-    bound = 2.0 * np.minimum(n_up, n_down) + math.sqrt(2.0) * slack
-    up_speed, down_speed = np.minimum(n_down / n_up, 1.0), np.minimum(n_up / n_down, 1.0)
-    speeds = np.where(up, up_speed[:, None], 0.0) + np.where(down, down_speed[:, None], 0.0)
-    return bound, speeds[:, None, :]
-
-
-def _plane_bracket(dirs, n_act, p, unit, slack):
-    """L = 3: an angular gap g > pi between neighbouring active directions in
-    the plane leaves a unit w with w . d >= sin((g - pi) / 2) |d| for each of
-    them, so V <= sqrt(3) slack / sin((g - pi) / 2); with no such gap there is
-    no bound but the norms.  Witnesses: every triple of active directions
-    whose 2-D cross products c share a sign, at speeds proportional to
-    (c_jk, c_ki, c_ij), the largest at 1 (one candidate per triple)."""
     active = n_act > 0.0
+    leak = np.where(active, np.abs(np.vecdot(dirs, unit[:, None, :])), 0.0).sum(axis=-1)
     e1 = np.stack([p[:, 1], -p[:, 0], np.zeros(p.shape[0])], axis=-1)
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     x, z = np.vecdot(dirs, e1[:, None, :]), np.vecdot(dirs, np.cross(unit, e1)[:, None, :])
@@ -324,21 +301,24 @@ def _plane_bracket(dirs, n_act, p, unit, slack):
     ahead = np.mod(theta[:, None, :] - theta[:, :, None], 2.0 * math.pi)
     ahead = np.where(active[:, None, :] & (ahead > 0.0), ahead, 2.0 * math.pi)
     gap = np.where(active, ahead.min(axis=-1), 0.0).max(axis=-1)
-    bound = np.where(gap > math.pi, math.sqrt(3.0) * slack / np.sin((gap - math.pi) / 2.0), math.inf)
-
-    triples = np.array(list(itertools.combinations(range(dirs.shape[1]), 3)), dtype=np.intp)
-    i, j, k = triples.reshape(-1, 3).T
-    # c_jk d_i + c_ki d_j + c_ij d_k = 0 for any three vectors of the plane
-    c = np.stack([x[:, j] * z[:, k] - x[:, k] * z[:, j],
-                  x[:, k] * z[:, i] - x[:, i] * z[:, k],
-                  x[:, i] * z[:, j] - x[:, j] * z[:, i]], axis=-1)  # (G, T, 3)
-    same = np.all(c > 0.0, axis=-1) | np.all(c < 0.0, axis=-1)
-    same &= active[:, i] & active[:, j] & active[:, k]
-    w = np.where(same[..., None], np.abs(c) / np.abs(c).max(axis=-1, keepdims=True), 0.0)
-    speeds = np.zeros(w.shape[:2] + (dirs.shape[1],))
-    for m, h in enumerate((i, j, k)):
-        speeds[:, np.arange(h.size), h] = w[..., m]
-    return bound, speeds
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no witness give NaN speeds
+        bound = np.where(gap > math.pi, math.sqrt(3.0) * slack / np.sin((gap - math.pi) / 2.0), math.inf)
+        triples = np.array(list(itertools.combinations(range(dirs.shape[1]), 3)), dtype=np.intp)
+        i, j, k = triples.reshape(-1, 3).T
+        # c_jk d_i + c_ki d_j + c_ij d_k = 0 for any three vectors of the plane
+        c = np.stack([x[:, j] * z[:, k] - x[:, k] * z[:, j],
+                      x[:, k] * z[:, i] - x[:, i] * z[:, k],
+                      x[:, i] * z[:, j] - x[:, j] * z[:, i]], axis=-1)  # (G, T, 3)
+        same = np.all(c > 0.0, axis=-1) | np.all(c < 0.0, axis=-1)
+        same &= active[:, i] & active[:, j] & active[:, k]
+        w = np.where(same[..., None], np.abs(c) / np.abs(c).max(axis=-1, keepdims=True), 0.0)
+        speeds = np.zeros(w.shape[:2] + (dirs.shape[1],))
+        for m, h in enumerate((i, j, k)):
+            speeds[:, np.arange(h.size), h] = w[..., m]
+        volume = (speeds @ n_act[:, :, None])[..., 0]
+        cancels = np.abs(speeds @ dirs).max(axis=-1) <= 0.5 * slack[:, None]
+    lo = np.where(cancels, volume, 0.0).max(axis=-1, initial=0.0)
+    return lo, np.minimum(bound + leak, n_act.sum(axis=-1))
 
 
 def _rates_agree(lo, hi, tol):

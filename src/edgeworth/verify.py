@@ -5,7 +5,7 @@ reports the worst violation seen: the demand-theory identities, the chart
 Jacobians against finite differences, the monotone attraction of
 substitution rates along joint trade paths, and the convergence-to-Pareto
 statistic together with a cross-check of the closed-form trade interval
-against the LP.  The identity suite reports its largest relative residual;
+against the trade screen's exact two-good decision.  The identity suite reports its largest relative residual;
 the others report their measured quantity over its bound, so that they pass
 iff it is at most 1.  Suites are deterministic given (spec, draws, seed):
 the identity, jacobian and attraction suites draw first, in a fixed order,
@@ -377,8 +377,8 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
     At least 99% of the configured trajectories must push the substitution
     rate gap below 1e-3 within the step budget, and on random allocations
     with a nonempty closed-form trade interval (``trade_interval_2x2`` on the
-    stack) the trade screen, which answers as the LP does, must find trade
-    at the interval's angle midpoint.  The worst violation is the
+    stack) the trade screen, which decides two goods by the speed polytope's
+    largest volume, must find trade at the interval's angle midpoint.  The worst violation is the
     non-converged share over its 1% bound, or infinite once the screen
     misses an interval.
     """

@@ -22,6 +22,8 @@ one tableau per objective with array ratio tests, and per step one
 them must give the same bytes as through the package.
 ``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
 on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
+``exact_volume_l2`` is the largest traded volume of the exact speed polytope
+at L = 2, summed household by household, with no LP and no slack.
 """
 
 from __future__ import annotations
@@ -213,6 +215,29 @@ def lp_trade(economy, allocation, p) -> bool:
     """The trade LP itself on the directions at ``p``, with no screen in front of it."""
     dirs = trade.all_trade_directions(economy, allocation, p)
     return trade._lp_trade(dirs, np.linalg.norm(dirs, axis=1))
+
+
+def exact_volume_l2(economy, allocation, p) -> tuple[float, float]:
+    """The largest volume that cancelling speeds can move at L = 2, and the decision threshold.
+
+    Every direction lies on the line orthogonal to the prices; speeds in the
+    unit cube cancel when the lengths they move on the two sides balance, so
+    at most twice the shorter side's summed length moves.  A side is the sign
+    of a direction's first coordinate.  Trade exists iff the volume exceeds
+    the threshold, 1e-9 times the longest active direction (at least 1).
+    """
+    up = down = 0.0
+    longest = 1.0
+    for d in trade.all_trade_directions(economy, allocation, p):
+        n = float(np.linalg.norm(d))
+        if n < trade.DEGENERATE_DIRECTION:
+            continue
+        if math.copysign(1.0, float(d[0])) > 0.0:
+            up += n
+        else:
+            down += n
+        longest = max(longest, n)
+    return 2.0 * min(up, down), 1e-9 * longest
 
 
 def box_contains(box, q) -> bool:

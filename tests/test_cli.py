@@ -295,13 +295,15 @@ class TestScenarioFormat:
             (lambda d: d["engine"].update(max_steps=10.9), "engine.max_steps must be an integer, got 10.9"),
             (lambda d: d["engine"].update(max_steps=10**400), "max_steps must be from 1 to 2**53"),
             (lambda d: d["economy"]["households"].__setitem__(0, "x"), 'household 0 must be an object, got "x"'),
+            (lambda d: d["engine"].update(master_seed=-1), "master seed must be an integer from 0 to 2**64 - 1, got -1"),
+            (lambda d: d["engine"].update(master_seed=2**64), "from 0 to 2**64 - 1, got 18446744073709551616"),
         ],
         ids=[
             "string_center_rate", "string_pareto_tol", "string_weight", "string_endowment",
             "string_runs", "null_master_seed", "ragged_endowment", "endowments_of_3_and_2_goods",
             "number_utility", "top_level_list", "fractional_runs", "boolean_runs",
             "fractional_master_seed", "fractional_max_steps", "max_steps_beyond_float_range",
-            "string_household",
+            "string_household", "negative_master_seed", "master_seed_beyond_64_bits",
         ],
     )
     def test_malformed_value_is_one_line_exit_2(self, tmp_path, capsys, edit, named):
@@ -495,6 +497,15 @@ class TestManifold:
             # anchor (1,1): supporting prices (1/2, 1/2), so y1/2 + y2/2 = 1
             assert 0.5 * float(row["y_1"]) + 0.5 * float(row["y_2"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_grid_without_points_is_config_error(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        rc = main(["manifold", "--family", "ces", "--weights", "0.3,0.7", "--sigma", "0.4", "--anchor", "1,2",
+                   "--kind", "offer", "--grid", f"1:2:{count}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: grid count must be at least 1\n"
+        assert not out.exists()
+
     def test_invalid_anchor_is_config_error(self, tmp_path, capsys):
         rc = main(
             [
@@ -600,6 +611,26 @@ class TestSimulateBins:
             ]
         )
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "example5_maxspeed", "--runs", "5", "--seed", "-1"],
+        ["simulate", "--scenario", "example5_maxspeed", "--runs", "5", "--seed", str(2**64 + 1)],
+        ["example3", "--runs", "5", "--seed", "-1"],
+        ["verify", "--filter", "identity[ces]", "--seed", str(2**64)],
+    ],
+    ids=["simulate_negative", "simulate_aliasing_seed_1", "example3_negative", "verify_beyond_64_bits"],
+)
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, argv):
+    # a seed is one Philox key word; masking it would rerun another seed's outputs
+    out = tmp_path / "out"
+    rc = main(argv + (["--out", str(out)] if argv[0] != "verify" else []))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("configuration error: master seed must be an integer from 0 to 2**64 - 1")
+    assert captured.out == "" and not out.exists()
 
 
 class TestVerifyCommand:

@@ -111,6 +111,14 @@ class TestPriorTypes:
         with pytest.raises(SpecificationError, match="2\\*\\*53"):
             SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=2**53 + 1)
         assert SimConfig(cd_economy, shock, prior, master_seed=1, max_steps=2**53).max_steps == 2**53
+        # a seed is one Philox key word: any other value would alias a seed in range or truncate
+        for seed in (-1, 2**64, 2**64 + 1, 1.5, "1", None):
+            with pytest.raises(SpecificationError, match="^master seed must be an integer from 0 to 2\\*\\*64 - 1"):
+                SimConfig(cd_economy, shock, prior, master_seed=seed)
+            with pytest.raises(SpecificationError, match="^master seed must be an integer"):
+                engine.run_rng(seed, 0)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert SimConfig(cd_economy, shock, prior, master_seed=seed).master_seed == int(seed)
 
 
     def test_fine_pareto_tol_needs_the_closed_form_path(self, mult_c1c2, shock):
@@ -521,7 +529,7 @@ FAR_TAIL = ArctanNormal(math.tan(math.atan(0.5) - 36.9 * 0.005), 0.005)
 class TestStreams:
     """``_Streams`` reads run ``i``'s uniforms exactly as ``run_rng(seed, i).random()``."""
 
-    @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1, 2**70], ids=["0", "2**63+5", "-1", "2**70"])
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1, 2**32], ids=["0", "2**63+5", "2**64-1", "2**32"])
     def test_interleaved_rows_read_each_runs_own_stream(self, seed):
         indices = np.array([0, 3, 2**33 + 1, 17, 2**32])
         streams = engine._Streams(seed, indices)

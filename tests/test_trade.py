@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from edgeworth import _hitrun, prefs, trade
+from edgeworth import _hitrun, _simplex, engine, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
-from oracles import clearing_price, log_uniform, lp_trade, reference_polygon_sample
+from oracles import clearing_price, exact_volume_l2, log_uniform, lp_trade, reference_polygon_sample
 
 
 def _random_state(draw: np.random.Generator, goods: int, households: int):
@@ -190,10 +190,25 @@ class TestSpeedSet:
         )
 
 
+def _reference_trade(e: Economy, y: Allocation, p) -> bool:
+    """The exact polytope's answer at L = 2, and the LP's at L >= 3.
+
+    At L = 2 the LP must agree wherever 2 min(P, N) lies outside 2% of its
+    threshold: within it, the LP's cancellation slack alone can buy the
+    missing volume.
+    """
+    if e.n_goods != 2:
+        return lp_trade(e, y, p)
+    volume, threshold = exact_volume_l2(e, y, p)
+    if not 0.98 <= volume / threshold <= 1.02:
+        assert lp_trade(e, y, p) == (volume > threshold)
+    return volume > threshold
+
+
 def _has_trade(e: Economy, y: Allocation, p) -> bool:
-    """``has_trade``, checked against the LP it answers for."""
+    """``has_trade``, checked against the decision it answers for."""
     got = trade.has_trade(e, y, p)
-    assert got == lp_trade(e, y, p)
+    assert got == _reference_trade(e, y, p)
     return got
 
 
@@ -256,6 +271,18 @@ class TestHasTrade:
             q_out = lo * (1.0 - 1e-6) / (1.0 + outside)
         assert not _has_trade(e, y, [q_out, 1.0])
 
+    def test_lp_sliver_is_no_trade(self):
+        # a bench atom (generic seed 3, run 2) where the largest exact volume
+        # 2 min(P, N) is 0.99897 of the threshold and the LP's 1e-11
+        # cancellation slack alone lifts its optimum over it
+        e = Economy.of([UtilitySpec.ces([0.5, 0.5], 0.5), UtilitySpec.ces([0.7, 0.3], 0.5)])
+        y = Allocation(np.array([[1.1513410004144027, 2.3089701583740565], [1.8486589995855987, 0.691029841625944]]))
+        p = [1.4265821370411313, 1.0]
+        volume, threshold = exact_volume_l2(e, y, p)
+        assert volume / threshold == pytest.approx(0.99897, abs=1e-5)
+        assert lp_trade(e, y, p)
+        assert not trade.has_trade(e, y, p)
+
     def test_many_households_three_goods(self, rng):
         specs = [
             UtilitySpec.ces(np.array([0.2, 0.3, 0.5]), 0.5),
@@ -289,8 +316,8 @@ class TestScreenTrade:
     def test_decisions_match_the_lp(self, goods, households, seed):
         # atoms in the box, on each household's own rate and on the box's
         # edges, each also 1-4 ulps off, where the LP's optimum sits nearest
-        # its threshold; the certificates must never answer otherwise than
-        # the LP itself
+        # its threshold; the screen must answer as the exact polytope at
+        # L = 2 and as the LP itself at L = 3
         draw = np.random.default_rng(seed)
         e = Economy.of([self._household(draw, goods) for _ in range(households)])
         y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
@@ -308,7 +335,7 @@ class TestScreenTrade:
                     atoms.append(q)
         prices = np.concatenate([np.array(atoms), np.ones((len(atoms), 1))], axis=1)
         got = trade.screen_trade(e, y, prices)
-        want = np.array([lp_trade(e, y, p) for p in prices])
+        want = np.array([_reference_trade(e, y, p) for p in prices])
         assert got.dtype == bool and got.shape == (len(atoms),)
         np.testing.assert_array_equal(got, want)
 
@@ -328,6 +355,33 @@ class TestScreenTrade:
         want = [trade.screen_trade(e, Allocation(b), p[None])[0] for b, p in zip(bundles, prices)]
         np.testing.assert_array_equal(got, want)
         assert 0 < np.count_nonzero(got) < got.size
+
+    def test_no_lp_runs_at_two_goods(self, monkeypatch):
+        # three households on a tabulated prior, with atoms near the extreme
+        # rates where the exact volume 2 min(P, N) lies within 0.5% of the
+        # threshold: the screen decides every atom in closed form, and the
+        # speed draw is the ray or the polygon
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP ran at L = 2")
+
+        monkeypatch.setattr(_simplex, "maximize", refuse)
+        e = Economy.of([UtilitySpec.ces(w, 0.5) for w in ([0.3, 0.7], [0.6, 0.4], [0.5, 0.5])])
+        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]]))
+        rates = trade.household_rates(e, y)[:, 0]
+        atoms = list(np.geomspace(0.25, 4.0, 200))
+        for r in (rates.min(), rates.max()):
+            q = r * (1.0 + 1e-7 * np.sign(rates.mean() - r))
+            volume, threshold = exact_volume_l2(e, y, [q, 1.0])
+            step = (q - r) * threshold / volume  # the volume meets the threshold there, to first order
+            atoms += [r + step * (1.0 + k * 1e-3) for k in range(-5, 6)]
+        prices = np.stack([atoms, np.ones(len(atoms))], axis=1)
+        got = trade.screen_trade(e, y, prices)
+        want = [volume > threshold for volume, threshold in (exact_volume_l2(e, y, p) for p in prices)]
+        np.testing.assert_array_equal(got, want)
+        assert 0 < np.count_nonzero(got[200:]) < 22
+        prior = engine.PriorSpec(engine.Tabulated(np.array(atoms), np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
+        traj = engine.run_trajectory(engine.SimConfig(e, y, prior, master_seed=3, max_steps=20), 0)
+        assert traj.steps > 0
 
     def test_empty_stack(self, cd_economy, shock):
         assert trade.screen_trade(cd_economy, shock, np.empty((0, 2))).shape == (0,)
