@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -303,8 +304,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides["pareto_tol"] = args.pareto_tol
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    if args.bins < 1:
-        raise ScenarioError("--bins must be at least 1")
+    if not 1 <= args.bins <= _MAX_BINS:
+        raise ScenarioError(f"--bins must be from 1 to {_MAX_BINS}")
     out_dir = _out_dir(args.out or scenario_out)
     dist = engine.run_monte_carlo(cfg, bins=args.bins, trace=args.trace)
     _write_outcomes(out_dir / "outcomes.csv", dist, cfg.economy)
@@ -345,14 +346,24 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
     return vec
 
 
-def _parse_grid(text: str) -> np.ndarray:
+#: The most points ``manifold`` meshes, and the most histogram bins ``simulate`` counts.
+_MAX_MESH = 10**7
+_MAX_BINS = 10**6
+
+
+def _parse_grid(text: str, axes: int) -> np.ndarray:
+    """The rate axis ``lo:hi:count``, meshed over ``axes`` rates by the caller."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ScenarioError("grid must look like lo:hi:count") from exc
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ScenarioError("grid ends must be finite and strictly positive")
     if n < 1:
         raise ScenarioError("grid count must be at least 1")
+    if n**axes > _MAX_MESH:
+        raise ScenarioError(f"grid of {n}^{axes} points exceeds the {_MAX_MESH} point cap")
     return np.linspace(lo, hi, n)
 
 
@@ -362,9 +373,7 @@ def cmd_manifold(args: argparse.Namespace) -> int:
         anchor = prefs.as_bundle(_parse_vector(args.anchor, "anchor"), spec.dimension)
     except EdgeworthError as exc:
         raise ScenarioError(str(exc)) from exc
-    axis = _parse_grid(args.grid)
-    if np.any(axis <= 0.0):
-        raise ScenarioError("grid values must be strictly positive")
+    axis = _parse_grid(args.grid, spec.dimension - 1)
     mesh = np.meshgrid(*([axis] * (spec.dimension - 1)), indexing="ij")
     kind = ManifoldKind(args.kind)
     sample = geometry.sample_manifold(spec, kind, anchor, np.stack([m.reshape(-1) for m in mesh], axis=-1))

@@ -128,6 +128,13 @@ class SimConfig:
             raise SpecificationError("initial allocation does not match the economy")
         if self.initial.bundles.min() < prefs.POSITIVE_FLOOR:
             raise SpecificationError("initial allocation has a coordinate below 1e-300")
+        try:  # the 2x2 kernel checks no rates after this: its rate interval only shrinks along a path
+            with np.errstate(all="ignore"):
+                trade.household_rates(self.economy, self.initial)
+        except DomainDegeneracyError:
+            raise SpecificationError(
+                "initial allocation has substitution rates that are not finite or fall below 1e-300"
+            ) from None
         if not 1 <= self.max_steps <= 2**53:  # the tables hold step counts as floats
             raise SpecificationError("max_steps must be from 1 to 2**53")
         if self.runs < 1:
@@ -333,10 +340,11 @@ def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.
 
     Discrete support makes the conditioning exact: the atoms in the
     ``trade.msr_extremes`` box with prior mass are screened once, in one
-    ``trade.screen_trade`` call (in closed form at L = 2; certificates and
-    the LP beyond), and the draw is taken over the survivors, so a prior
-    with no mass on the trade-compatible set fails at once, naming the box
-    and the atoms.
+    ``trade._screen`` call (in closed form at L = 2; certificates and the LP
+    beyond), and the draw is taken over the survivors, so a prior with no
+    mass on the trade-compatible set fails at once, naming the box and the
+    atoms.  The state was checked by the epoch's ``household_rates`` and the
+    atoms by ``Tabulated``, so neither is checked again here.
     """
     box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)
@@ -344,7 +352,7 @@ def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.
     candidates = np.flatnonzero(weights > 0.0)
     if candidates.size:
         prices = np.concatenate([prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
-        weights[candidates[~trade.screen_trade(e, y, prices)]] = 0.0
+        weights[candidates[~trade._screen(e, y.bundles, prices)]] = 0.0
     total = float(weights.sum())
     if total <= 0.0:
         raise SamplingError(_exhausted(prior, box, int(np.count_nonzero(in_box)), candidates.size))

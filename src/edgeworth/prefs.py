@@ -10,7 +10,8 @@ The closed-form core (``_gradient``, ``_level_gradient``, ``_demand``,
 ``_hicksian``, ``_expenditure``) works on ``(..., L)`` stacks, goods on the
 last axis as in ``Allocation.bundles``, and checks nothing.  Inputs are
 validated at the boundary: by the constructors, and by the public functions,
-which validate one vector, call the core on it and ``_guard`` the result.
+which check each argument once, with the utility's dimension, through
+``as_bundle``/``as_price``, call the core on it and ``_guard`` the result.
 Callers holding validated state (trade, the engine's 2x2 kernel, verify)
 call the core on whole stacks and guard once per stack.  One row of every
 core has the bits of its public function on that row: where a one-vector
@@ -195,13 +196,6 @@ def _guard(values: FloatArray, what: str, floor: float = POSITIVE_FLOOR) -> Floa
     return values
 
 
-def _check_dim(u: UtilitySpec, v: FloatArray) -> None:
-    if v.size != u.dimension:
-        raise SpecificationError(
-            f"dimension mismatch: utility has {u.dimension} goods, vector has {v.size}"
-        )
-
-
 def _check_level(u: UtilitySpec, level: float) -> None:
     if not utility_in_range(u, level):
         raise UnreachableUtilityError(f"utility level {level!r} is outside the family's range")
@@ -298,22 +292,19 @@ def _rates(u: UtilitySpec, c: FloatArray) -> FloatArray:
 
 def utility(u: UtilitySpec, c) -> float:
     """Utility level at bundle ``c`` (may be negative for the log family)."""
-    c = as_bundle(c)
-    _check_dim(u, c)
+    c = as_bundle(c, u.dimension)
     return float(_utility(u, c))
 
 
 def gradient(u: UtilitySpec, c) -> FloatArray:
     """Analytic gradient of the utility; strictly positive coordinatewise."""
-    c = as_bundle(c)
-    _check_dim(u, c)
+    c = as_bundle(c, u.dimension)
     return _guard(_level_gradient(u, c), "gradient")
 
 
 def hessian(u: UtilitySpec, c) -> FloatArray:
     """Analytic Hessian of the utility (symmetric; negative semidefinite without a level exponent)."""
-    c = as_bundle(c)
-    _check_dim(u, c)
+    c = as_bundle(c, u.dimension)
     if u.family is Family.COBB_DOUGLAS_LOG:
         h = np.diag(-u.weights / c**2)
         if u.exponent is None:
@@ -331,30 +322,26 @@ def hessian(u: UtilitySpec, c) -> FloatArray:
 
 def normalized_demand(u: UtilitySpec, p) -> FloatArray:
     """Walrasian demand at unit wealth; satisfies ``p @ x == 1``."""
-    p = as_price(p)
-    _check_dim(u, p)
+    p = as_price(p, u.dimension)
     return _guard(_demand(u, p), "demand")
 
 
 def normalized_demand_jacobian(u: UtilitySpec, p) -> FloatArray:
     """Analytic Jacobian of :func:`normalized_demand` (row i = good i)."""
-    p = as_price(p)
-    _check_dim(u, p)
+    p = as_price(p, u.dimension)
     _guard(_demand(u, p), "demand")
     return _guard(_demand_jacobian(u, p), "demand jacobian", floor=0.0)
 
 
 def inverse_normalized_demand(u: UtilitySpec, c) -> FloatArray:
     """Prices leading the consumer to pick ``c`` at unit wealth: grad u / (grad u . c)."""
-    c = as_bundle(c)
-    _check_dim(u, c)
+    c = as_bundle(c, u.dimension)
     return _guard(_inverse_demand(u, c), "inverse demand")
 
 
 def substitution_rates(u: UtilitySpec, c) -> FloatArray:
     """Marginal substitution rates of the first L-1 goods against good L."""
-    c = as_bundle(c)
-    _check_dim(u, c)
+    c = as_bundle(c, u.dimension)
     return _guard(_rates(u, c), "substitution rates")
 
 
@@ -367,16 +354,15 @@ def utility_in_range(u: UtilitySpec, level: float) -> bool:
 
 def hicksian_demand(u: UtilitySpec, p, target_u: float) -> FloatArray:
     """Cheapest bundle reaching utility ``target_u`` at prices ``p``."""
-    p = as_price(p)
-    _check_dim(u, p)
+    p = as_price(p, u.dimension)
     _check_level(u, target_u)
     return _guard(_hicksian(u, p, target_u), "hicksian demand")
 
 
 def expenditure(u: UtilitySpec, p, target_u: float) -> float:
     """Minimum cost of reaching ``target_u`` at prices ``p``: p . h(p, u)."""
-    p = as_price(p)
-    return float(np.vecdot(p, hicksian_demand(u, p, target_u)))
+    h = hicksian_demand(u, p, target_u)
+    return float(np.vecdot(np.asarray(p, dtype=np.float64), h))
 
 
 def indirect_utility_normalized(u: UtilitySpec, p) -> float:
@@ -398,10 +384,8 @@ def check_sharp(u: UtilitySpec, y, p) -> bool:
     negative; when it falls strictly below all of them, positive.  Vacuously
     true when no antecedent triggers.
     """
-    y = as_bundle(y)
-    p = as_price(p)
-    _check_dim(u, y)
-    _check_dim(u, p)
+    y = as_bundle(y, u.dimension)
+    p = as_price(p, u.dimension)
     inv = inverse_normalized_demand(u, y)
     delta = normalized_demand(u, p / float(p @ y)) - y
     n = y.size
@@ -422,10 +406,8 @@ def check_attractive(u: UtilitySpec, y, p, i: int, j: int) -> bool:
     non-positive, up to the absolute slack :data:`_ATTRACTIVE_TOL` so that
     vacuous zeros are not flipped by rounding.
     """
-    y = as_bundle(y)
-    p = as_price(p)
-    _check_dim(u, y)
-    _check_dim(u, p)
+    y = as_bundle(y, u.dimension)
+    p = as_price(p, u.dimension)
     if i == j:
         raise SpecificationError("goods indices must differ")
     inv = inverse_normalized_demand(u, y)

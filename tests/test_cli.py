@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,16 +235,25 @@ class TestSimulate:
         [{"kind": "uniform_arc"}, {"kind": "tabulated", "grid": [1.0], "densities": [1.0]}],
         ids=["angle", "tabulated"],
     )
-    def test_start_below_the_floor_is_config_error(self, tmp_path, capsys, q_prior):
+    @pytest.mark.parametrize(
+        "endowment, message",
+        [
+            ([1e-305, 1.0], "initial allocation has a coordinate below 1e-300"),
+            # the substitution rate 1e600 overflows: caught at the start, not mid-run
+            ([1e-300, 1e300], "initial allocation has substitution rates that are not finite or fall below 1e-300"),
+        ],
+        ids=["coordinate", "rates"],
+    )
+    def test_start_below_the_floor_is_config_error(self, tmp_path, capsys, q_prior, endowment, message):
         doc = json.loads(json.dumps(BASE_SCENARIO))
-        doc["economy"]["households"][0]["endowment"] = [1e-305, 1.0]
+        doc["economy"]["households"][0]["endowment"] = endowment
         doc["prior"]["q_prior"] = q_prior
         out = tmp_path / "out"
-        rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "configuration error: initial allocation has a coordinate below 1e-300\n"
-        )
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     def test_degeneracy_mid_run_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -497,13 +507,36 @@ class TestManifold:
             # anchor (1,1): supporting prices (1/2, 1/2), so y1/2 + y2/2 = 1
             assert 0.5 * float(row["y_1"]) + 0.5 * float(row["y_2"]) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_grid_without_points_is_config_error(self, tmp_path, capsys, count):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1:2:0", "grid count must be at least 1"),
+            ("1:2:-3", "grid count must be at least 1"),
+            ("1:inf:3", "grid ends must be finite and strictly positive"),
+            ("nan:2:3", "grid ends must be finite and strictly positive"),
+            ("0:2:3", "grid ends must be finite and strictly positive"),
+            ("1:-2:3", "grid ends must be finite and strictly positive"),
+            ("1:2:100000000000", "grid of 100000000000^1 points exceeds the 10000000 point cap"),
+        ],
+        ids=["count_0", "count_-3", "inf_end", "nan_end", "zero_end", "negative_end", "mesh_over_cap"],
+    )
+    def test_grid_without_points_is_config_error(self, tmp_path, capsys, grid, message):
         out = tmp_path / "out"
-        rc = main(["manifold", "--family", "ces", "--weights", "0.3,0.7", "--sigma", "0.4", "--anchor", "1,2",
-                   "--kind", "offer", "--grid", f"1:2:{count}", "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["manifold", "--family", "ces", "--weights", "0.3,0.7", "--sigma", "0.4", "--anchor", "1,2",
+                       "--kind", "offer", "--grid", grid, "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "configuration error: grid count must be at least 1\n"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_mesh_cap_counts_every_rate(self, tmp_path, capsys):
+        # 4000 points a rate are within the cap at two goods, 16 million at three goods are not
+        out = tmp_path / "out"
+        rc = main(["manifold", "--family", "cobb_douglas_log", "--weights", "0.2,0.3,0.5", "--anchor", "1,1,1",
+                   "--kind", "offer", "--grid", "1:2:4000", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: grid of 4000^2 points exceeds the 10000000 point cap\n"
         assert not out.exists()
 
     def test_invalid_anchor_is_config_error(self, tmp_path, capsys):
@@ -603,14 +636,19 @@ class TestSimulateBins:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert len(summary["histogram"]["counts"]) == 16
 
-    def test_invalid_bins_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("bins", ["0", "100000000000"])
+    def test_invalid_bins_is_config_error(self, tmp_path, capsys, bins):
+        # refused before any run, so no histogram allocation fails at the end
+        out = tmp_path / "out"
         rc = main(
             [
                 "simulate", "--scenario", "example5_uniform", "--runs", "10",
-                "--bins", "0", "--out", str(tmp_path),
+                "--bins", bins, "--out", str(out),
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().err == "configuration error: --bins must be from 1 to 1000000\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

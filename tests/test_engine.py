@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import time
+import warnings
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -119,6 +120,14 @@ class TestPriorTypes:
                 engine.run_rng(seed, 0)
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             assert SimConfig(cd_economy, shock, prior, master_seed=seed).master_seed == int(seed)
+        # a start whose substitution rate overflows (1e600) is refused without a RuntimeWarning
+        overflowing = Allocation(np.array([[1e-300, 1e300], [1.0, 1.0]]))
+        tabulated = PriorSpec(Tabulated(np.array([0.5, 1.0, 2.0]), np.ones(3)), SpeedPrior.UNIFORM_CUBE)
+        for p in (prior, tabulated):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(SpecificationError, match="^initial allocation has substitution rates that are not finite"):
+                    SimConfig(cd_economy, overflowing, p, master_seed=1)
 
 
     def test_fine_pareto_tol_needs_the_closed_form_path(self, mult_c1c2, shock):

@@ -147,15 +147,35 @@ class TestInputContract:
         with pytest.raises(SpecificationError, match="^expected 3 goods, got 2$"):
             check([math.nan, -1.0], 3)
 
-    def test_dimension_mismatch_in_public_caller(self, cd):
-        with pytest.raises(
-            SpecificationError, match="^dimension mismatch: utility has 2 goods, vector has 3$"
-        ):
-            prefs.utility(cd, [1.0, 1.0, 1.0])
-        with pytest.raises(
-            SpecificationError, match="^dimension mismatch: utility has 2 goods, vector has 3$"
-        ):
-            prefs.normalized_demand(cd, [1.0, 1.0, 1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, v: prefs.utility(u, v),
+            lambda u, v: prefs.gradient(u, v),
+            lambda u, v: prefs.hessian(u, v),
+            lambda u, v: prefs.normalized_demand(u, v),
+            lambda u, v: prefs.normalized_demand_jacobian(u, v),
+            lambda u, v: prefs.inverse_normalized_demand(u, v),
+            lambda u, v: prefs.substitution_rates(u, v),
+            lambda u, v: prefs.hicksian_demand(u, v, 0.0),
+            lambda u, v: prefs.expenditure(u, v, 0.0),
+            lambda u, v: prefs.check_sharp(u, v, [1.0, 1.0]),
+            lambda u, v: prefs.check_sharp(u, [1.0, 1.0], v),
+            lambda u, v: prefs.check_attractive(u, v, [1.0, 1.0], 0, 1),
+            lambda u, v: prefs.check_attractive(u, [1.0, 1.0], v, 0, 1),
+        ],
+        ids=[
+            "utility", "gradient", "hessian", "normalized_demand", "normalized_demand_jacobian",
+            "inverse_normalized_demand", "substitution_rates", "hicksian_demand", "expenditure",
+            "check_sharp_bundle", "check_sharp_price", "check_attractive_bundle", "check_attractive_price",
+        ],
+    )
+    def test_dimension_mismatch_in_public_caller(self, cd, call):
+        # one check, as_bundle's or as_price's, and it runs before the finiteness check
+        with pytest.raises(SpecificationError, match="^expected 2 goods, got 3$"):
+            call(cd, [1.0, 1.0, 1.0])
+        with pytest.raises(SpecificationError, match="^expected 2 goods, got 3$"):
+            call(cd, [math.nan, 1.0, 1.0])
 
     def test_price_caller_messages(self, cd):
         with pytest.raises(SpecificationError, match="^price coordinates must be finite$"):
