@@ -4,7 +4,7 @@ Each trajectory is a sequence of joint linear trade steps: draw prices from
 a prior conditioned on the current trade-compatible set (an angle prior by
 its inverse CDF on the open interval between the households' extreme
 substitution rates; a tabulated prior by the extreme-rate box test, then
-``trade.screen_trade`` on the atoms in the box), draw relative speeds from
+the trade screen on the atoms in the box), draw relative speeds from
 the speed polytope, advance, and stop once substitution rates agree or the
 step cap fires.  Runs are reproducible under any parallelism: the stream for run
 ``i`` comes from a counter-based generator keyed by (master_seed, i).
@@ -391,7 +391,7 @@ def draw_price(
     """One rate vector from the prior conditioned on trade compatibility.
 
     A tabulated prior keeps the atoms in the box superset at which
-    ``trade.screen_trade`` finds trade (in closed form at L = 2; certificates
+    ``trade._screen`` finds trade (in closed form at L = 2; certificates
     and the LP beyond).  An angle prior needs L = 2, where the
     trade-compatible rates are exactly the open interval between the
     households' extreme substitution rates; its draw is accepted by that
@@ -500,8 +500,10 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     the ``prefs`` closed-form core on each household's ``(runs, 2)`` stack.
     Each run reads its own stream in the order a lone run would (price
     attempts, then the speed draw), so its path does not depend on the runs
-    beside it.  Failures are raised once the batch is done, for the lowest
-    failing run index.
+    beside it.  A run fails when its price or speed draw fails, or when a
+    path end is not finite or falls below the positive floor.  Failures are
+    raised once the batch is done, for the lowest failing run index, each
+    with its own error class.
     """
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
@@ -515,7 +517,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     last[:, 0], last[:, 1] = indices, cfg.max_steps
     log = [(rows, live)]
     pareto = np.zeros(n, dtype=bool)
-    errors: dict[int, str] = {}
+    errors: dict[int, tuple[type[Exception], str]] = {}
     for k in range(1, cfg.max_steps + 1):
         # live[3:5].T, household 1's stack, keeps goods apart: passes run along runs
         m1, m2 = prefs._rates(u1, live[3:5].T)[:, 0], prefs._rates(u2, live[5:].T)[:, 0]
@@ -529,11 +531,11 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
                 break
         bad = []
 
-        def fail(failed, why):
+        def fail(failed, why, kind=SamplingError):
             bad.extend(failed)
             for r in failed:
                 interval = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r})"
-                errors.setdefault(int(rows[r]), f"step {k}: {why(r)}; {interval}")
+                errors.setdefault(int(rows[r]), (kind, f"step {k}: {why(r)}; {interval}"))
 
         def draw(sub):
             return streams.take(rows[sub])
@@ -541,7 +543,15 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
         q = _draw_rate(law, lo, hi, draw, fail)
         p = np.array([q, np.ones_like(q)]).T
         y1, y2 = live[3:5].T, live[5:].T
-        d1, d2 = trade._path_end(u1, y1, p) - y1, trade._path_end(u2, y2, p) - y2
+        with np.errstate(all="ignore"):  # a path end off the floor fails its run below
+            x1, x2 = trade._path_end(u1, y1, p), trade._path_end(u2, y2, p)
+        ends = np.concatenate([x1, x2], axis=1)
+        if not (ends.min() >= prefs.POSITIVE_FLOOR and ends.max() < math.inf):  # some run is live here
+            on = np.all((ends >= prefs.POSITIVE_FLOOR) & (ends < math.inf), axis=1)  # a NaN is off
+            why = "demand degenerated below the positive floor"  # the generic step's wording
+            fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
+            x1, x2 = np.where(on[:, None], x1, y1), np.where(on[:, None], x2, y2)  # idle placeholders
+        d1, d2 = x1 - y1, x2 - y2
         s1, s2 = _ray_speeds(np.hypot(*d1.T), np.hypot(*d2.T), max_speed, draw, fail)
         live = np.concatenate([[q, s1, s2], (y1 + s1[:, None] * d1).T, (y2 + s2[:, None] * d2).T])
         if record:
@@ -550,10 +560,13 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             keep = np.ones(rows.size, dtype=bool)
             keep[bad] = False
             rows, live = rows[keep], live[:, keep]
+            if not rows.size:  # every run failed: the error is raised below
+                break
     last[rows, 2:] = live.T
     if errors:
         first = min(errors)
-        raise SamplingError(f"run {indices[first]}: {errors[first]}")
+        kind, why = errors[first]
+        raise kind(f"run {indices[first]}: {why}")
     if not record:
         return last, pareto, None
     runs, states = (np.concatenate(part, axis=-1) for part in zip(*log))

@@ -3,7 +3,7 @@
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
 linear trade directions while moving at least one household.  The
-definition is a small dense LP (``_lp_trade``).  ``screen_trade`` answers
+definition is a small dense LP (``_lp_trade``).  ``_screen`` answers
 it for a whole stack of prices, and ``has_trade`` for one: in closed form
 at L = 2; at L = 3 certificates bound the LP's optimum, and only the prices
 they leave open, and every price at L >= 4, go to the LP.  A speed draw
@@ -41,7 +41,7 @@ DEGENERATE_DIRECTION = 1e-12
 
 _LP_DECISION = 1e-9
 
-#: At L = 3 ``screen_trade`` leaves a price to the LP when its bounds on the
+#: At L = 3 ``_screen`` leaves a price to the LP when its bounds on the
 #: LP's optimum come within this relative distance of the decision threshold.
 _SCREEN_MARGIN = 1e-3
 
@@ -188,18 +188,22 @@ def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray)
     return f"residual {residual!r} (bound {bound!r}), volume {volume!r} (floor 1e-12)"
 
 
-def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
-    """Whether ``sigma`` cancels aggregate trade while moving someone."""
+def _check_speeds(e: Economy, sigma: SpeedVector) -> None:
     if sigma.sigma.size != e.size:
         raise SpecificationError("speed vector length must equal the household count")
+
+
+def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
+    """Whether ``sigma`` cancels aggregate trade while moving someone."""
+    _check_speeds(e, sigma)
     dirs = all_trade_directions(e, y, p)
     return _cancel_and_move_failure(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma) is None
 
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
-    """Whether trade exists at prices p: one row of ``screen_trade``."""
+    """Whether trade exists at prices p: one row of ``_screen``."""
     _check_state(e, y)
-    return bool(screen_trade(e, y, as_price(p, e.n_goods)[None, :])[0])
+    return bool(_screen(e, y.bundles, as_price(p, e.n_goods)[None, :])[0])
 
 
 def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
@@ -219,24 +223,10 @@ def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
     return value > _LP_DECISION * scale
 
 
-def screen_trade(e: Economy, y: Allocation, prices) -> NDArray[np.bool_]:
-    """Whether trade exists at each row of a (G, L) stack of prices, one bool per row.
-
-    ``_screen`` on the validated state and prices: exact in closed form at
-    L = 2, the LP's answer at L >= 3.
-    """
-    _check_state(e, y)
-    p = np.asarray(prices, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != e.n_goods or (p.size and not (p.min() > 0.0 and p.max() < math.inf)):
-        raise SpecificationError(
-            f"prices must be a stack of strictly positive rows of length {e.n_goods}"
-        )
-    return _screen(e, y.bundles, p)
-
-
 def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
-    """``screen_trade`` at ``(G, L)`` prices, each row at its own ``(G, H, L)``
-    bundles or all at one ``(H, L)`` state; only the demand is guarded.
+    """Whether trade exists at each row of ``(G, L)`` prices, one bool per row,
+    each row at its own ``(G, H, L)`` bundles or all at one ``(H, L)`` state;
+    only the demand is guarded.
 
     The directions of every row come from one pass of the ``prefs`` core,
     and a row admits trade when cancelling speeds can move a volume above
@@ -332,24 +322,22 @@ def household_rates(e: Economy, y: Allocation) -> FloatArray:
     return prefs._guard(_each(prefs._rates, e.specs, y.bundles), "substitution rates")
 
 
-def trade_interval_2x2(
-    e: Economy, y: Allocation, tol: float = PARETO_TOL
-) -> tuple[float, float] | None:
+def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
     """Open interval of trade-compatible price rates for a 2-household,
     2-good economy, or None when the substitution rates already agree."""
     if e.size != 2 or e.n_goods != 2:
         raise SpecificationError("trade_interval_2x2 requires H = L = 2")
     _check_state(e, y)
-    lo, hi, open_ = _intervals(e, y.bundles, tol)
+    lo, hi, open_ = _intervals(e, y.bundles)
     return (float(lo), float(hi)) if open_ else None
 
 
-def _intervals(e: Economy, bundles: FloatArray, tol: float) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
+def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
     """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
     whether the interval between them is open; only the rates are guarded."""
     r = prefs._guard(_each(prefs._rates, e.specs, bundles), "substitution rates")[..., 0]
     lo, hi = r.min(axis=-1), r.max(axis=-1)
-    return lo, hi, ~_rates_agree(lo, hi, tol)
+    return lo, hi, ~_rates_agree(lo, hi, PARETO_TOL)
 
 
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
@@ -477,16 +465,15 @@ def sample_speed(
     when H = 2, the area on a polygon).  A candidate that fails a check
     raises ``SamplingError``; there is no second attempt.
     """
-    return _sample_speed(all_trade_directions(e, y, p), s_prior, rng)
+    return _sample_speed(all_trade_directions(e, y, p), SpeedPrior(s_prior), rng)
 
 
 def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator) -> SpeedVector:
-    """``sample_speed`` on directions already built."""
+    """``sample_speed`` on directions already built, under a ``SpeedPrior`` member."""
     norms = np.linalg.norm(dirs, axis=1)
     idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
     if idx.size < 2:
         raise SamplingError(_NO_RAY)
-    s_prior = SpeedPrior(s_prior)
     sigma = np.zeros(dirs.shape[0])
 
     if idx.size == 2:
@@ -519,17 +506,18 @@ def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generato
 
 def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
     """End state of the joint linear path: household h moves t = sigma_h."""
+    _check_speeds(e, sigma)
     return _advance(y, all_trade_directions(e, y, p), sigma)
 
 
 def _advance(y: Allocation, dirs: FloatArray, sigma: SpeedVector) -> Allocation:
-    """``advance`` along directions already built."""
-    return Allocation(y.bundles + sigma.sigma[:, None] * dirs)
+    """``advance`` along directions already built; only the new bundles are guarded."""
+    return Allocation(prefs._guard(y.bundles + sigma.sigma[:, None] * dirs, "bundles"))
 
 
-def is_pareto_optimal(e: Economy, y: Allocation, tol: float = PARETO_TOL) -> bool:
-    """No common-price trade remains: all substitution rates agree within tol."""
-    return _pareto(household_rates(e, y), tol)
+def is_pareto_optimal(e: Economy, y: Allocation) -> bool:
+    """No common-price trade remains: all substitution rates agree within ``PARETO_TOL``."""
+    return _pareto(household_rates(e, y), PARETO_TOL)
 
 
 def _pareto(rates: FloatArray, tol: float) -> bool:

@@ -397,7 +397,7 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
 
     # the interval's angle midpoint at every allocation whose rates differ
     y = _draw_points(_rng(seed), (1000, 2, 2))
-    lo, hi, open_ = trade._intervals(cfg.economy, y, trade.PARETO_TOL)
+    lo, hi, open_ = trade._intervals(cfg.economy, y)
     mid = np.tan(0.5 * (np.arctan(lo[open_]) + np.arctan(hi[open_])))
     prices = np.stack([mid, np.ones_like(mid)], axis=-1)
     misses = np.count_nonzero(~trade._screen(cfg.economy, y[open_], prices))

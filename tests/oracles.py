@@ -1,11 +1,11 @@
 """Independent numeric oracles used by the tests.
 
 These deliberately avoid the closed forms in the package: demand is recovered
-by projected gradient ascent on the budget simplex, Hicksian bundles by
-projected descent along the utility contour, derivatives by central finite
-differences, the extreme-rate box test one good at a time, CSV files through
-``csv.writer`` with each run re-simulated on its own.  Slow and simple on
-purpose; they guard the analytic and vectorized paths.
+by projected gradient ascent on the budget simplex, Hicksian bundles as a
+root of the tangency condition along the utility contour, derivatives by
+central finite differences, the extreme-rate box test one good at a time,
+CSV files through ``csv.writer`` with each run re-simulated on its own.
+Slow and simple on purpose; they guard the analytic and vectorized paths.
 
 The ``reference_*`` closed forms are the per-vector formulas ``prefs`` had
 before its stacked core, kept with their float order: the public functions
@@ -65,43 +65,32 @@ def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
     return c / float(p @ c)
 
 
-def numeric_hicksian(u, p, target: float, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
-    """Minimize p . c on {c > 0 : u(c) = target} by projected gradient descent."""
+def numeric_hicksian(u, p, target: float) -> np.ndarray:
+    """Minimize p . c on {c > 0 : u(c) = target} over two goods.
+
+    The contour point on the ray at angle theta solves u(r (cos theta,
+    sin theta)) = target in log r, and the cheapest one is where the
+    gradient is parallel to p: a root in theta of g_1 p_2 - g_2 p_1, which
+    runs from negative near the c_1 axis to positive near the c_2 axis.
+    Both roots are bracketed, so no step size or stopping rule limits the
+    answer: it lands within a few ulps of the closed form away from the axes.
+    """
+    from scipy.optimize import brentq
+
     p = np.asarray(p, dtype=np.float64)
-    n = p.size
+    if p.size != 2:
+        raise ValueError("numeric_hicksian handles two goods")
 
-    def pull_to_contour(c: np.ndarray) -> np.ndarray:
-        for _ in range(200):
-            err = prefs.utility(u, c) - target
-            if abs(err) < 1e-14 * max(1.0, abs(target)):
-                break
-            g = prefs.gradient(u, c)
-            c = c - err * g / float(g @ g)
-            c = np.maximum(c, 1e-12)
-        return c
+    def on_contour(theta: float) -> np.ndarray:
+        ray = np.array([math.cos(theta), math.sin(theta)])
+        log_r = brentq(lambda s: prefs.utility(u, math.exp(s) * ray) - target, -50.0, 50.0, xtol=1e-15)
+        return math.exp(log_r) * ray
 
-    c = pull_to_contour(np.full(n, 1.0))
-    step = 0.1
-    for _ in range(iters):
-        g = prefs.gradient(u, c)
-        d = -(p - (float(p @ g) / float(g @ g)) * g)
-        if float(np.max(np.abs(d))) < tol:
-            break
-        trial = step
-        base = float(p @ c)
-        moved = False
-        while trial > 1e-18:
-            cand = c + trial * d
-            if np.all(cand > 0):
-                cand = pull_to_contour(cand)
-                if float(p @ cand) < base - 1e-16:
-                    c = cand
-                    moved = True
-                    break
-            trial *= 0.5
-        if not moved:
-            break
-    return c
+    def tilt(theta: float) -> float:
+        g = prefs.gradient(u, on_contour(theta))
+        return float(g[0] * p[1] - g[1] * p[0])
+
+    return on_contour(brentq(tilt, 1e-9, 0.5 * math.pi - 1e-9, xtol=1e-15))
 
 
 def reference_gradient(u, c) -> np.ndarray:

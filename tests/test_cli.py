@@ -274,6 +274,42 @@ class TestSimulate:
         assert rc == 3
         assert "sampling failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_steps", [1, 60])
+    def test_demand_overflow_on_the_2x2_kernel_is_exit_3(self, tmp_path, capsys, max_steps):
+        # eta = 1 / (1 - 0.999) = 1000: the CES demand's powers overflow at
+        # step 1's price, which the kernel must catch before the NaN reaches
+        # the rates or the histogram
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        _household(doc)["utility"] = {"family": "ces", "weights": [0.3, 0.7], "sigma": 0.999}
+        doc["engine"].update(runs=3, max_steps=max_steps, master_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert re.fullmatch(
+            r"numeric degeneracy: run 0: step 1: demand degenerated below the positive floor; "
+            r"rate interval \(\S+, \S+\)\n",
+            capsys.readouterr().err,
+        )
+
+    def test_zero_coordinate_on_the_generic_path_is_exit_3(self, tmp_path, capsys):
+        # household 1's path end in good 1 is under half an ulp of its
+        # holding, so a full-speed move lands on exactly 0.0
+        doc = json.loads(json.dumps(BASE_SCENARIO))
+        _household(doc)["utility"]["weights"] = [1e-17, 1.0 - 1e-17]
+        doc["prior"] = {
+            "q_prior": {"kind": "tabulated", "grid": np.geomspace(1e-3, 1e3, 400).tolist(), "densities": [1.0] * 400},
+            "s_prior": {"kind": "max_speed"},
+        }
+        doc["engine"].update(runs=30, max_steps=100, master_seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric degeneracy: run 0: step 1: bundles degenerated below the positive floor\n"
+        )
+
 
 def _sticky_with(edit):
     """The bundled example4_sticky document, edited in place or replaced by ``edit``."""

@@ -619,6 +619,18 @@ class TestLockstepKernel:
                 engine.run_monte_carlo(cfg)
             assert str(info.value) == failed[first]
 
+    def test_batch_stops_once_every_run_failed(self, monkeypatch, cd_economy, shock):
+        # every run fails at step 1; an empty batch must not step on to max_steps
+        draws = []
+        draw_rate = engine._draw_rate
+        monkeypatch.setattr(engine, "_draw_rate", lambda *args: draws.append(args) or draw_rate(*args))
+        cfg = make_config(
+            cd_economy, shock, ArctanNormal(1e-200, 1e-3), SpeedPrior.UNIFORM_CUBE, runs=8, max_steps=1000
+        )
+        with pytest.raises(SamplingError, match="^run 0: step 1: no prior mass on price angles"):
+            engine.run_monte_carlo(cfg)
+        assert len(draws) == 1
+
 
 class TestGenericPathThreeGoods:
     @pytest.fixture

@@ -189,6 +189,12 @@ class TestSpeedSet:
             cd_economy, shock, [0.75, 1.0], SpeedVector(np.array([1.0, 0.8]))
         )
 
+    @pytest.mark.parametrize("use", [trade.speed_contains, trade.advance], ids=["speed_contains", "advance"])
+    def test_speed_length_must_match_the_households(self, cd_economy, shock, use):
+        # a one-speed vector would broadcast over both households
+        with pytest.raises(SpecificationError, match="^speed vector length must equal the household count$"):
+            use(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([0.5])))
+
 
 def _reference_trade(e: Economy, y: Allocation, p) -> bool:
     """The exact polytope's answer at L = 2, and the LP's at L >= 3.
@@ -295,6 +301,27 @@ class TestHasTrade:
         q = clearing_price(e, y)
         assert trade.has_trade(e, y, np.append(q, 1.0))
 
+    def test_state_is_checked_once(self, cd_economy, shock, monkeypatch):
+        calls = []
+        check_state = trade._check_state
+        monkeypatch.setattr(trade, "_check_state", lambda e, y: calls.append(y) or check_state(e, y))
+        assert trade.has_trade(cd_economy, shock, [1.0, 1.0])
+        assert calls == [shock]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, 1.0, 1.0], "expected 2 goods, got 3"),
+            ([[1.0, 1.0]], "a price must be a vector"),
+            ([1.0, 0.0], "price coordinates must be strictly positive"),
+            ([1.0, np.inf], "price coordinates must be finite"),
+            ([np.nan, 1.0], "price coordinates must be finite"),
+        ],
+    )
+    def test_price_is_checked(self, cd_economy, shock, bad, message):
+        with pytest.raises(SpecificationError, match=f"^{message}"):
+            trade.has_trade(cd_economy, shock, bad)
+
 
 class TestScreenTrade:
     @staticmethod
@@ -334,7 +361,7 @@ class TestScreenTrade:
                     q[k] = _ulps(q[k], k_ulps)
                     atoms.append(q)
         prices = np.concatenate([np.array(atoms), np.ones((len(atoms), 1))], axis=1)
-        got = trade.screen_trade(e, y, prices)
+        got = trade._screen(e, y.bundles, prices)
         want = np.array([_reference_trade(e, y, p) for p in prices])
         assert got.dtype == bool and got.shape == (len(atoms),)
         np.testing.assert_array_equal(got, want)
@@ -352,7 +379,7 @@ class TestScreenTrade:
             rates[g] = [_ulps(v, int(draw.integers(-3, 4))) for v in rates[g]]
         prices = np.concatenate([rates, np.ones((90, 1))], axis=1)
         got = trade._screen(e, bundles, prices)
-        want = [trade.screen_trade(e, Allocation(b), p[None])[0] for b, p in zip(bundles, prices)]
+        want = [trade.has_trade(e, Allocation(b), p) for b, p in zip(bundles, prices)]
         np.testing.assert_array_equal(got, want)
         assert 0 < np.count_nonzero(got) < got.size
 
@@ -375,7 +402,7 @@ class TestScreenTrade:
             step = (q - r) * threshold / volume  # the volume meets the threshold there, to first order
             atoms += [r + step * (1.0 + k * 1e-3) for k in range(-5, 6)]
         prices = np.stack([atoms, np.ones(len(atoms))], axis=1)
-        got = trade.screen_trade(e, y, prices)
+        got = trade._screen(e, y.bundles, prices)
         want = [volume > threshold for volume, threshold in (exact_volume_l2(e, y, p) for p in prices)]
         np.testing.assert_array_equal(got, want)
         assert 0 < np.count_nonzero(got[200:]) < 22
@@ -384,12 +411,7 @@ class TestScreenTrade:
         assert traj.steps > 0
 
     def test_empty_stack(self, cd_economy, shock):
-        assert trade.screen_trade(cd_economy, shock, np.empty((0, 2))).shape == (0,)
-
-    def test_stack_is_checked(self, cd_economy, shock):
-        for bad in ([1.0, 1.0], [[1.0, 1.0, 1.0]], [[1.0, 0.0]], [[1.0, np.inf]], [[np.nan, 1.0]]):
-            with pytest.raises(SpecificationError, match="^prices must be a stack of strictly positive"):
-                trade.screen_trade(cd_economy, shock, bad)
+        assert trade._screen(cd_economy, shock.bundles, np.empty((0, 2))).shape == (0,)
 
 
 class TestIntervalAndBox:
@@ -804,10 +826,8 @@ class TestAdvance:
 
 class TestPareto:
     def test_examples(self, cd_economy, shock):
-        assert trade.is_pareto_optimal(
-            cd_economy, Allocation(np.array([[1.5, 1.5], [1.5, 1.5]])), 1e-8
-        )
-        assert not trade.is_pareto_optimal(cd_economy, shock, 1e-8)
+        assert trade.is_pareto_optimal(cd_economy, Allocation(np.array([[1.5, 1.5], [1.5, 1.5]])))
+        assert not trade.is_pareto_optimal(cd_economy, shock)
 
     def test_agrees_with_interval_emptiness(self, ces_economy, rng):
         for _ in range(1000):
