@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 from typing import Union
 
 import numpy as np
@@ -40,9 +39,9 @@ _CHUNK = 2048
 _BLOCK = 64
 
 _HISTOGRAM_BINS = 64
+_MAX_BINS = 10**6  # the most histogram bins run_monte_carlo counts
 
 _ANGLE_PRIOR_NEEDS_L2 = "economies with more than two goods need a tabulated price prior"
-_PARETO_STATE = "cannot draw trade prices at a Pareto-optimal state"
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ class SimConfig:
             raise SpecificationError("max_steps must be from 1 to 2**53")
         if self.runs < 1:
             raise SpecificationError("runs must be at least 1")
-        if not 0.0 < self.pareto_tol < math.inf:
-            raise SpecificationError("pareto_tol must be positive and finite")
+        _check_pareto_tol(self.pareto_tol, _supports_fast_path(self))
         n_rates = self.economy.n_goods - 1
         q_prior = self.prior.q_prior
         if isinstance(q_prior, Tabulated):
@@ -151,12 +149,6 @@ class SimConfig:
                 )
         elif n_rates != 1:
             raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
-        if self.pareto_tol < trade.PARETO_TOL and not _supports_fast_path(self):
-            # the generic step's price draw and trade screen decide trade at PARETO_TOL
-            raise SpecificationError(
-                f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
-                "(two households, two goods and an angle price prior)"
-            )
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
 
 
@@ -265,46 +257,53 @@ def summarize(
     )
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as an int if it lies in [0, 2**64): one Philox key word, so no two seeds alias."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise SpecificationError(f"master seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
-    return int(seed)
+def _check_pareto_tol(tol, closed_form: bool) -> None:
+    """The stop tolerance's rule: positive and finite, and below ``PARETO_TOL`` only if ``closed_form``."""
+    if not 0.0 < tol < math.inf:  # a NaN fails too
+        raise SpecificationError("pareto_tol must be positive and finite")
+    if tol < trade.PARETO_TOL and not closed_form:
+        # the generic step's price draw and trade screen decide trade at PARETO_TOL
+        raise SpecificationError(
+            f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
+            "(two households, two goods and an angle price prior)"
+        )
+
+
+def _check_seed(value, what: str = "master seed") -> int:
+    """``value`` as an int if it lies in [0, 2**64): one Philox key word, so no two values alias."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
+        raise SpecificationError(f"{what} must be an integer from 0 to 2**64 - 1, got {value!r}")
+    return int(value)
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Counter-based stream for one run, independent of scheduling."""
-    key = np.array([_check_seed(master_seed), run_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Counter-based stream for one run, independent of scheduling; both key words lie in [0, 2**64)."""
+    key = np.array([_check_seed(master_seed), _check_seed(run_index, "run index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _angle_law(q_prior: ArctanNormal | UniformArc) -> NormalDist | None:
-    """The law of the price angle: normal for ArctanNormal, None for uniform."""
-    if isinstance(q_prior, ArctanNormal):
-        return NormalDist(math.atan(q_prior.center_rate), q_prior.sigma_angle)
-    return None
-
-
-def _draw_rate(law: NormalDist | None, lo, hi, draw, fail=_raise_first) -> FloatArray:
-    """Price rates from the angle law conditioned on the open intervals (lo, hi), one per row.
+def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_first) -> FloatArray:
+    """Price rates from the angle prior conditioned on the open intervals (lo, hi), one per row.
 
     Each attempt is an inverse-CDF draw of the angle on (atan lo, atan hi)
     from one uniform of each row that ``draw(sub)`` is asked for (``sub`` is
     a slice or an index array); a rate that rounds out of the open interval
-    is drawn again, up to ``REJECTION_CAP`` times.  The normal law is read in
-    its lower tail (an interval above the mean is mirrored below it), where
-    ``ndtr`` keeps full relative precision.  Rows that cannot be drawn are
-    passed to ``fail(rows, why)``, where ``why(row)`` is the reason, and come
-    back NaN.
+    is drawn again, up to ``REJECTION_CAP`` times.  ``UniformArc`` draws the
+    angle uniformly; ``ArctanNormal`` draws it from the normal law of mean
+    ``atan(center_rate)`` and deviation ``sigma_angle``, read in its lower
+    tail (an interval above the mean is mirrored below it), where ``ndtr``
+    keeps full relative precision.  Rows that cannot be drawn are passed to
+    ``fail(rows, why)``, where ``why(row)`` is the reason, and come back NaN.
     """
     a, b = np.arctan(lo), np.arctan(hi)
     todo = slice(None)
-    if law is None:
+    normal = isinstance(q_prior, ArctanNormal)
+    if not normal:
         base, width = a, b - a  # the angle, uniform on (a, b)
     else:
         from scipy.special import ndtr, ndtri
 
-        mu, sd = law.mean, law.stdev
+        mu, sd = math.atan(q_prior.center_rate), float(q_prior.sigma_angle)
         mirror = a >= mu
         base = ndtr((np.where(mirror, 2.0 * mu - b, a) - mu) / sd)  # the CDF, uniform on (base, top)
         width = ndtr((np.where(mirror, 2.0 * mu - a, b) - mu) / sd) - base
@@ -318,7 +317,7 @@ def _draw_rate(law: NormalDist | None, lo, hi, draw, fail=_raise_first) -> Float
     q = None
     for _ in range(REJECTION_CAP):
         theta = base[todo] + width[todo] * draw(todo)
-        if law is not None:
+        if normal:
             theta = mu + sd * ndtri(np.clip(theta, sys.float_info.min, 1.0 - 1e-16))
             theta = np.clip(np.where(mirror[todo], 2.0 * mu - theta, theta), a[todo], b[todo])
         rate = np.tan(theta)
@@ -399,7 +398,7 @@ def draw_price(
     """
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, trade.PARETO_TOL):
-        raise SpecificationError(_PARETO_STATE)
+        raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
     return _draw_price(e, y, rates, prior, rng)
 
 
@@ -413,7 +412,7 @@ def _draw_price(
     if e.n_goods != 2:
         raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
     lo, hi = rates.min(axis=0), rates.max(axis=0)
-    return _draw_rate(_angle_law(q_prior), lo, hi, lambda sub: rng.random(1))  # one row
+    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1))  # one row
 
 
 def sntp_step(
@@ -425,15 +424,15 @@ def sntp_step(
 ) -> tuple[Allocation, FloatArray, SpeedVector] | None:
     """One trade epoch, or None once no common-price trade remains.
 
-    The rates are built once, for the stop test, ``draw_price``'s own check
-    and the angle draw's interval, and the directions once, for the speed
-    draw and the move.
+    ``pareto_tol`` follows ``SimConfig``'s rule for the generic path, so a
+    state it does not stop at admits trade.  The rates are built once, for
+    the stop test and the angle draw's interval, and the directions once,
+    for the speed draw and the move.
     """
+    _check_pareto_tol(pareto_tol, closed_form=False)
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, pareto_tol):
         return None
-    if trade._pareto(rates, trade.PARETO_TOL):
-        raise SpecificationError(_PARETO_STATE)
     q = _draw_price(e, y, rates, prior, rng)
     dirs = trade.all_trade_directions(e, y, np.append(q, 1.0))
     sigma = trade._sample_speed(dirs, prior.s_prior, rng)
@@ -451,11 +450,12 @@ def _supports_fast_path(cfg: SimConfig) -> bool:
 class _Streams:
     """Each run's own stream of uniforms, read in blocks, with one cursor per run.
 
-    Run ``i`` reads the uniforms of ``run_rng(master_seed, i).random()``.
-    Philox is counter-based, so a block of that stream is a pure function of
-    the key (master_seed, i) and the counter of Philox blocks before it: one
-    generator, rekeyed and set to the run's counter before each refill, reads
-    every run's stream without building a generator per run.
+    Run ``i``, an index ``run_rng`` accepts, reads the uniforms of
+    ``run_rng(master_seed, i).random()``.  Philox is counter-based, so a block
+    of that stream is a pure function of the key (master_seed, i) and the
+    counter of Philox blocks before it: one generator, rekeyed and set to the
+    run's counter before each refill, reads every run's stream without
+    building a generator per run.
     """
 
     def __init__(self, master_seed: int, indices: NDArray[np.int64]):
@@ -470,7 +470,7 @@ class _Streams:
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         self._runs = np.zeros((indices.size, 2), dtype=np.uint64)  # each run's key[1] and counter[0]
-        self._runs[:, 0] = indices.astype(np.uint64)  # run_rng's mask for a negative index
+        self._runs[:, 0] = indices
         self._buf = np.empty((indices.size, _BLOCK))
         self._pos = np.full(indices.size, _BLOCK)
 
@@ -508,7 +508,6 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
     u1, u2 = cfg.economy.specs
-    law = _angle_law(cfg.prior.q_prior)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     rows = np.arange(n)
     live = np.empty((7, n))  # q, s1, s2 of the last epoch, then y11, y12, y21, y22
@@ -540,7 +539,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
         def draw(sub):
             return streams.take(rows[sub])
 
-        q = _draw_rate(law, lo, hi, draw, fail)
+        q = _draw_rate(cfg.prior.q_prior, lo, hi, draw, fail)
         p = np.array([q, np.ones_like(q)]).T
         y1, y2 = live[3:5].T, live[5:].T
         with np.errstate(all="ignore"):  # a path end off the floor fails its run below
@@ -582,7 +581,7 @@ def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     undrawn = np.full(cfg.economy.n_goods - 1 + cfg.economy.size, np.nan)
     last, pareto, log = [], [], []
     for i in indices:
-        rng = run_rng(cfg.master_seed, int(i))
+        rng = run_rng(cfg.master_seed, i)
         state, done = cfg.initial, False
         row = np.concatenate([[i, 0], undrawn, state.bundles.ravel()])
         log += [row] if record else []
@@ -613,8 +612,8 @@ def _run_batch(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
 
 
 def run_trajectory(cfg: SimConfig, run_index: int) -> Trajectory:
-    """The full recorded path for one run index; bit-identical on repeats."""
-    _, pareto, table = _run_batch(cfg, np.array([run_index]), record=True)
+    """The full recorded path for one run index (as ``run_rng`` takes it); bit-identical on repeats."""
+    _, pareto, table = _run_batch(cfg, np.array([_check_seed(run_index, "run index")]), record=True)
     terminal = Terminal.PARETO_REACHED if pareto[0] else Terminal.STEP_CAP
     return Trajectory(table, (cfg.economy.size, cfg.economy.n_goods), terminal)
 
@@ -628,8 +627,10 @@ def run_monte_carlo(
     processes.  Per-run streams make every output independent of chunking
     and scheduling, and chunks are folded in run order.  With ``trace`` the
     distribution carries every recorded state.  A failed run aborts the
-    whole batch with its diagnostics.
+    whole batch with its diagnostics; a bad ``bins`` fails before any run.
     """
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or not 1 <= bins <= _MAX_BINS:
+        raise SpecificationError(f"bins must be an integer from 1 to {_MAX_BINS}")
     chunks = [np.arange(s, min(s + _CHUNK, cfg.runs)) for s in range(0, cfg.runs, _CHUNK)]
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import costs ~20 ms

@@ -408,8 +408,8 @@ def check_attractive(u: UtilitySpec, y, p, i: int, j: int) -> bool:
     """
     y = as_bundle(y, u.dimension)
     p = as_price(p, u.dimension)
-    if i == j:
-        raise SpecificationError("goods indices must differ")
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < y.size for k in (i, j)) or i == j:
+        raise SpecificationError(f"goods indices must be two different integers from 0 to {y.size - 1}, got {i!r}, {j!r}")
     inv = inverse_normalized_demand(u, y)
     gap = inv[i] / inv[j] - p[i] / p[j]
     row = np.zeros(y.size)

@@ -521,7 +521,5 @@ def is_pareto_optimal(e: Economy, y: Allocation) -> bool:
 
 
 def _pareto(rates: FloatArray, tol: float) -> bool:
-    """``is_pareto_optimal`` on (H, L - 1) rates already built."""
-    if tol <= 0.0:
-        raise SpecificationError("tolerance must be positive")
+    """``is_pareto_optimal`` on (H, L - 1) rates already built, at a tolerance its caller checked."""
     return bool(np.all(_rates_agree(rates.min(axis=0), rates.max(axis=0), tol)))

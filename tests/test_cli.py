@@ -282,15 +282,17 @@ class TestSimulate:
         doc = json.loads(json.dumps(BASE_SCENARIO))
         _household(doc)["utility"] = {"family": "ces", "weights": [0.3, 0.7], "sigma": 0.999}
         doc["engine"].update(runs=3, max_steps=max_steps, master_seed=1)
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "out")])
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
         assert rc == 3
         assert re.fullmatch(
             r"numeric degeneracy: run 0: step 1: demand degenerated below the positive floor; "
             r"rate interval \(\S+, \S+\)\n",
             capsys.readouterr().err,
         )
+        assert not out.exists()
 
     def test_zero_coordinate_on_the_generic_path_is_exit_3(self, tmp_path, capsys):
         # household 1's path end in good 1 is under half an ulp of its
@@ -302,13 +304,31 @@ class TestSimulate:
             "s_prior": {"kind": "max_speed"},
         }
         doc["engine"].update(runs=30, max_steps=100, master_seed=5)
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "out")])
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == (
             "numeric degeneracy: run 0: step 1: bundles degenerated below the positive floor\n"
         )
+        assert not out.exists()
+
+    def test_far_tail_price_prior_is_exit_3_without_output(self, tmp_path, capsys):
+        # the trade interval (0.5, 2) lies far beyond the prior's tail; the
+        # directory is made only once every run has succeeded
+        doc = cli.resolve_scenario("example5_uniform")
+        doc["prior"]["q_prior"] = {"kind": "arctan_normal", "center_rate": 1e-200, "sigma_angle": 0.001}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--runs", "10", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "sampling failure: run 0: step 1: no prior mass on price angles "
+            "(0.4636476090008061, 1.1071487177940904): mean 1e-200, sigma 0.001; rate interval (0.5, 2.0)\n"
+        )
+        assert not out.exists()
 
 
 def _sticky_with(edit):
@@ -674,7 +694,7 @@ class TestSimulateBins:
 
     @pytest.mark.parametrize("bins", ["0", "100000000000"])
     def test_invalid_bins_is_config_error(self, tmp_path, capsys, bins):
-        # refused before any run, so no histogram allocation fails at the end
+        # run_monte_carlo refuses the count before any run, so no histogram allocation fails at the end
         out = tmp_path / "out"
         rc = main(
             [
@@ -683,7 +703,7 @@ class TestSimulateBins:
             ]
         )
         assert rc == 2
-        assert capsys.readouterr().err == "configuration error: --bins must be from 1 to 1000000\n"
+        assert capsys.readouterr().err == "configuration error: bins must be an integer from 1 to 1000000\n"
         assert not out.exists()
 
 

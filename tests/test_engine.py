@@ -6,7 +6,6 @@ import math
 import time
 import warnings
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -293,10 +292,10 @@ class TestDrawPrice:
         # 50 sigmas out erfc underflows to 0 at both ends: the law has no mass
         rng = engine.run_rng(1, 0)
         with pytest.raises(
-            SamplingError, match=r"no prior mass on price angles \(0.5, 0.6\): mean 0.0, sigma 0.01"
+            SamplingError, match=r"no prior mass on price angles \(0.5, 0.6\): mean 1e-300, sigma 0.01"
         ):
             engine._draw_rate(
-                NormalDist(0.0, 0.01), np.tan([0.5]), np.tan([0.6]), lambda sub: rng.random(1)
+                ArctanNormal(1e-300, 0.01), np.tan([0.5]), np.tan([0.6]), lambda sub: rng.random(1)
             )
 
     def test_accepted_draws_are_trade_compatible(self, cd_economy, shock):
@@ -367,6 +366,24 @@ class TestStep:
         flat = Allocation(np.array([[1.5, 1.5], [1.5, 1.5]]))
         prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
         assert engine.sntp_step(cd_economy, flat, prior, engine.run_rng(1, 0)) is None
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_stop_tolerance_must_be_positive_and_finite(self, cd_economy, tol):
+        # refused at the door, before the Pareto test: a NaN used to reach the
+        # price draw at a Pareto state and never stop elsewhere
+        flat = Allocation(np.array([[1.5, 1.5], [1.5, 1.5]]))
+        prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
+        rng = engine.run_rng(1, 0)
+        with pytest.raises(SpecificationError, match="^pareto_tol must be positive and finite$"):
+            engine.sntp_step(cd_economy, flat, prior, rng, tol)
+        assert rng.random() == engine.run_rng(1, 0).random()  # nothing was read
+
+    def test_fine_stop_tolerance_needs_the_closed_form_path(self, cd_economy, shock):
+        prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
+        rng = engine.run_rng(1, 0)
+        with pytest.raises(SpecificationError, match="^pareto_tol below 1e-08 needs the 2x2 closed-form path"):
+            engine.sntp_step(cd_economy, shock, prior, rng, 1e-12)
+        assert rng.random() == engine.run_rng(1, 0).random()  # nothing was read
 
     def test_forced_unit_price_max_speed_reaches_equilibrium(self, cd_economy, shock):
         prior = PriorSpec(Tabulated(np.array([1.0]), np.array([1.0])), SpeedPrior.MAX_SPEED)
@@ -564,6 +581,44 @@ class TestStreams:
         u = np.stack([streams.take(np.arange(500)) for _ in range(3 * engine._BLOCK + 1)], axis=1)
         digest = hashlib.sha256(u.astype("<f8").tobytes()).hexdigest()
         assert digest == "8ec5af32f6a520e383bc33c8b37cb3fe462387838211a106524ed4860ff9898e"
+
+
+class TestRunIndex:
+    """A run index is the second Philox key word: an integer from 0 to 2**64 - 1."""
+
+    @pytest.fixture(params=["2x2", "generic"])
+    def cfg(self, request, cd_economy, shock) -> SimConfig:
+        q_prior = UniformArc() if request.param == "2x2" else Tabulated(np.array([0.8, 1.0, 1.25]), np.ones(3))
+        cfg = make_config(cd_economy, shock, q_prior, SpeedPrior.UNIFORM_CUBE, max_steps=20)
+        assert engine._supports_fast_path(cfg) is (request.param == "2x2")
+        return cfg
+
+    @pytest.mark.parametrize("index", [-1, 2**64, 1.5, True], ids=["-1", "2**64", "1.5", "True"])
+    def test_index_outside_64_bits_is_refused(self, cfg, index):
+        message = "^run index must be an integer from 0 to 2\\*\\*64 - 1"
+        with pytest.raises(SpecificationError, match=message):
+            engine.run_rng(cfg.master_seed, index)
+        with pytest.raises(SpecificationError, match=message):
+            engine.run_trajectory(cfg, index)
+
+    def test_last_index_has_a_float_table(self, cfg):
+        t = engine.run_trajectory(cfg, 2**64 - 1)
+        assert t.table.dtype == np.float64
+        assert t.table[0, 0] == 2.0**64
+
+
+class TestHistogramBins:
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, True, 10**6 + 1])
+    def test_bin_count_is_refused_before_any_run(self, monkeypatch, cd_economy, shock, bins):
+        calls = []
+        run_batch = engine._run_batch
+        monkeypatch.setattr(engine, "_run_batch", lambda *args: calls.append(args) or run_batch(*args))
+        cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=4)
+        with pytest.raises(SpecificationError, match="^bins must be an integer from 1 to 1000000$"):
+            engine.run_monte_carlo(cfg, bins=bins)
+        assert not calls
+        assert engine.run_monte_carlo(cfg, bins=np.int64(3)).bin_counts.size == 3
+        assert len(calls) == 1
 
 
 class TestLockstepKernel:

@@ -618,9 +618,17 @@ class TestAttractive:
     def test_worked_example(self, cd):
         assert prefs.check_attractive(cd, [2.0, 1.0], [1.0, 1.0], 0, 1)
 
-    def test_equal_indices_rejected(self, cd):
-        with pytest.raises(SpecificationError):
-            prefs.check_attractive(cd, [1.0, 1.0], [1.0, 1.0], 1, 1)
+    @pytest.mark.parametrize(
+        "i, j",
+        [(1, 1), (5, 0), (0, 3), (0, 1.0), (True, 0), (-1, 0), (np.int64(2), np.int64(2))],
+        ids=["equal", "beyond_L", "at_L", "float", "bool", "negative", "equal_numpy"],
+    )
+    def test_goods_indices_are_two_different_goods(self, i, j):
+        # a negative index used to wrap round to the last good
+        spec = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
+        with pytest.raises(SpecificationError, match="^goods indices must be two different integers from 0 to 2, got "):
+            prefs.check_attractive(spec, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], i, j)
+        assert prefs.check_attractive(spec, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], np.int64(2), 0)
 
     @pytest.mark.parametrize("family", ["cd", "ces"])
     def test_randomized_sweep_all_pairs(self, family, cd, ces, rng):
