@@ -160,7 +160,8 @@ def load_scenario(data) -> tuple[SimConfig, str | None]:
             )
     prior = _object(doc["prior"], "prior", {"q_prior", "s_prior"})
     s_kind = _object(prior["s_prior"], "prior.s_prior", {"kind"})["kind"]
-    eng = _object(doc["engine"], "engine", {"runs", "master_seed"}, {"max_steps", "pareto_tol"})
+    optional = {"max_steps": _integer, "pareto_tol": _number}  # read if present; SimConfig holds the defaults
+    eng = _object(doc["engine"], "engine", {"runs", "master_seed"}, optional)
     out_dir = doc.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError(f"output_dir must be a string, got {_show(out_dir)}")
@@ -174,8 +175,7 @@ def load_scenario(data) -> tuple[SimConfig, str | None]:
             ),
             master_seed=_integer(eng["master_seed"], "engine.master_seed"),
             runs=_integer(eng["runs"], "engine.runs"),
-            max_steps=_integer(eng.get("max_steps", 500), "engine.max_steps"),
-            pareto_tol=_number(eng.get("pareto_tol", 1e-8), "engine.pareto_tol"),
+            **{key: read(eng[key], f"engine.{key}") for key, read in optional.items() if key in eng},
         )
     except SpecificationError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -355,10 +355,8 @@ def _parse_grid(text: str, axes: int) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ScenarioError("grid must look like lo:hi:count") from exc
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise ScenarioError("grid ends must be finite and strictly positive")
-    if n < 1:
-        raise ScenarioError("grid count must be at least 1")
+    lo, hi = (prefs._check_real(end, "grid end", 0, math.inf) for end in (lo, hi))
+    n = prefs._check_int(n, "grid count", 1)
     if n**axes > _MAX_MESH:
         raise ScenarioError(f"grid of {n}^{axes} points exceeds the {_MAX_MESH} point cap")
     return np.linspace(lo, hi, n)
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-steps", type=int, default=None)
     sim.add_argument("--pareto-tol", type=float, default=None)
     sim.add_argument("--trace", action="store_true", help="also write full trajectories.csv")
-    sim.add_argument("--bins", type=int, default=64, help="histogram bin count (default: 64)")
+    sim.add_argument("--bins", type=int, default=engine._HISTOGRAM_BINS, help="histogram bins (default: %(default)s)")
     sim.add_argument("--out", default=None, help="output directory (default: cwd)")
     sim.set_defaults(func=cmd_simulate)
 

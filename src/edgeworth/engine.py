@@ -39,7 +39,8 @@ _CHUNK = 2048
 _BLOCK = 64
 
 _HISTOGRAM_BINS = 64
-_MAX_BINS = 10**6  # the most histogram bins run_monte_carlo counts
+_MAX_BINS = 10**6  # the most histogram bins summarize counts
+_MAX_KEY = 2**64 - 1  # the largest Philox key word: seeds and run indices lie in [0, 2**64), so none alias
 
 _ANGLE_PRIOR_NEEDS_L2 = "economies with more than two goods need a tabulated price prior"
 
@@ -57,10 +58,8 @@ class ArctanNormal:
     sigma_angle: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.center_rate) and self.center_rate > 0.0):
-            raise SpecificationError("center_rate must be strictly positive")
-        if not (np.isfinite(self.sigma_angle) and self.sigma_angle > 0.0):
-            raise SpecificationError("sigma_angle must be strictly positive")
+        object.__setattr__(self, "center_rate", prefs._check_real(self.center_rate, "center_rate", 0, math.inf))
+        object.__setattr__(self, "sigma_angle", prefs._check_real(self.sigma_angle, "sigma_angle", 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -134,11 +133,9 @@ class SimConfig:
             raise SpecificationError(
                 "initial allocation has substitution rates that are not finite or fall below 1e-300"
             ) from None
-        if not 1 <= self.max_steps <= 2**53:  # the tables hold step counts as floats
-            raise SpecificationError("max_steps must be from 1 to 2**53")
-        if self.runs < 1:
-            raise SpecificationError("runs must be at least 1")
-        _check_pareto_tol(self.pareto_tol, _supports_fast_path(self))
+        object.__setattr__(self, "runs", prefs._check_int(self.runs, "runs", 1))
+        object.__setattr__(self, "max_steps", prefs._check_int(self.max_steps, "max_steps", 1, 2**53))  # float-exact
+        object.__setattr__(self, "pareto_tol", _check_pareto_tol(self.pareto_tol, _supports_fast_path(self)))
         n_rates = self.economy.n_goods - 1
         q_prior = self.prior.q_prior
         if isinstance(q_prior, Tabulated):
@@ -149,7 +146,7 @@ class SimConfig:
                 )
         elif n_rates != 1:
             raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
-        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
+        object.__setattr__(self, "master_seed", prefs._check_int(self.master_seed, "master seed", 0, _MAX_KEY))
 
 
 class Terminal(str, enum.Enum):
@@ -226,6 +223,7 @@ def summarize(
     The contract-curve coordinate is household 1's first good for 2x2
     economies; larger economies are summarized over the first terminal rate.
     """
+    bins = prefs._check_int(bins, "bins", 1, _MAX_BINS)
     samples = np.asarray(samples, dtype=np.float64)
     terminal_qs = np.atleast_2d(np.asarray(terminal_qs, dtype=np.float64))
     runs, households, goods = samples.shape
@@ -257,28 +255,22 @@ def summarize(
     )
 
 
-def _check_pareto_tol(tol, closed_form: bool) -> None:
-    """The stop tolerance's rule: positive and finite, and below ``PARETO_TOL`` only if ``closed_form``."""
-    if not 0.0 < tol < math.inf:  # a NaN fails too
-        raise SpecificationError("pareto_tol must be positive and finite")
+def _check_pareto_tol(tol, closed_form: bool) -> float:
+    """The stop tolerance as a float: positive and finite, and below ``PARETO_TOL`` only if ``closed_form``."""
+    tol = prefs._check_real(tol, "pareto_tol", 0, math.inf)
     if tol < trade.PARETO_TOL and not closed_form:
         # the generic step's price draw and trade screen decide trade at PARETO_TOL
         raise SpecificationError(
             f"pareto_tol below {trade.PARETO_TOL:g} needs the 2x2 closed-form path "
             "(two households, two goods and an angle price prior)"
         )
-
-
-def _check_seed(value, what: str = "master seed") -> int:
-    """``value`` as an int if it lies in [0, 2**64): one Philox key word, so no two values alias."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
-        raise SpecificationError(f"{what} must be an integer from 0 to 2**64 - 1, got {value!r}")
-    return int(value)
+    return tol
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Counter-based stream for one run, independent of scheduling; both key words lie in [0, 2**64)."""
-    key = np.array([_check_seed(master_seed), _check_seed(run_index, "run index")], dtype=np.uint64)
+    seed = prefs._check_int(master_seed, "master seed", 0, _MAX_KEY)
+    key = np.array([seed, prefs._check_int(run_index, "run index", 0, _MAX_KEY)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -303,7 +295,7 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     else:
         from scipy.special import ndtr, ndtri
 
-        mu, sd = math.atan(q_prior.center_rate), float(q_prior.sigma_angle)
+        mu, sd = math.atan(q_prior.center_rate), q_prior.sigma_angle
         mirror = a >= mu
         base = ndtr((np.where(mirror, 2.0 * mu - b, a) - mu) / sd)  # the CDF, uniform on (base, top)
         width = ndtr((np.where(mirror, 2.0 * mu - a, b) - mu) / sd) - base
@@ -429,7 +421,7 @@ def sntp_step(
     the stop test and the angle draw's interval, and the directions once,
     for the speed draw and the move.
     """
-    _check_pareto_tol(pareto_tol, closed_form=False)
+    pareto_tol = _check_pareto_tol(pareto_tol, closed_form=False)
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, pareto_tol):
         return None
@@ -503,7 +495,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     beside it.  A run fails when its price or speed draw fails, or when a
     path end is not finite or falls below the positive floor.  Failures are
     raised once the batch is done, for the lowest failing run index, each
-    with its own error class.
+    with its own error class and the step's rate interval and input state.
     """
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
@@ -532,9 +524,9 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
 
         def fail(failed, why, kind=SamplingError):
             bad.extend(failed)
-            for r in failed:
-                interval = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r})"
-                errors.setdefault(int(rows[r]), (kind, f"step {k}: {why(r)}; {interval}"))
+            for r in failed:  # live still holds the state before step k
+                ctx = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r}); state {live[3:, r].reshape(2, 2).tolist()}"
+                errors.setdefault(int(rows[r]), (kind, f"step {k}: {why(r)}; {ctx}"))
 
         def draw(sub):
             return streams.take(rows[sub])
@@ -589,7 +581,7 @@ def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             try:
                 step = sntp_step(cfg.economy, state, cfg.prior, rng, cfg.pareto_tol)
             except (SamplingError, LPError, DomainDegeneracyError) as exc:
-                raise type(exc)(f"run {i}: step {k}: {exc}") from exc
+                raise type(exc)(f"run {i}: step {k}: {exc}; state {state.bundles.tolist()}") from exc
             if step is None:
                 done = True
                 break
@@ -613,7 +605,7 @@ def _run_batch(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
 
 def run_trajectory(cfg: SimConfig, run_index: int) -> Trajectory:
     """The full recorded path for one run index (as ``run_rng`` takes it); bit-identical on repeats."""
-    _, pareto, table = _run_batch(cfg, np.array([_check_seed(run_index, "run index")]), record=True)
+    _, pareto, table = _run_batch(cfg, np.array([prefs._check_int(run_index, "run index", 0, _MAX_KEY)]), record=True)
     terminal = Terminal.PARETO_REACHED if pareto[0] else Terminal.STEP_CAP
     return Trajectory(table, (cfg.economy.size, cfg.economy.n_goods), terminal)
 
@@ -627,12 +619,11 @@ def run_monte_carlo(
     processes.  Per-run streams make every output independent of chunking
     and scheduling, and chunks are folded in run order.  With ``trace`` the
     distribution carries every recorded state.  A failed run aborts the
-    whole batch with its diagnostics; a bad ``bins`` fails before any run.
+    whole batch with its diagnostics; a bad ``bins`` or ``workers`` fails first.
     """
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or not 1 <= bins <= _MAX_BINS:
-        raise SpecificationError(f"bins must be an integer from 1 to {_MAX_BINS}")
+    bins = prefs._check_int(bins, "bins", 1, _MAX_BINS)
     chunks = [np.arange(s, min(s + _CHUNK, cfg.runs)) for s in range(0, cfg.runs, _CHUNK)]
-    if workers and workers > 1:
+    if workers is not None and prefs._check_int(workers, "workers", 1) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import costs ~20 ms
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -668,8 +659,7 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
     t = 52 the price rounds to within an ulp of 1 and a rung admits no
     trade; the state is then frozen, and later stop times share its outcome.
     """
-    if runs < 1:
-        raise SpecificationError("runs must be at least 1")
+    runs = prefs._check_int(runs, "runs", 1)
     steps = np.empty(runs, dtype=np.int64)
     for r in range(runs):
         t = 1

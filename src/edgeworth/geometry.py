@@ -48,17 +48,14 @@ class FlatPoint:
     u: float
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
+        q = np.array(self.q, dtype=np.float64)  # a copy
         if q.ndim != 1 or q.size < 1:
             raise SpecificationError("flat coordinates must form a nonempty vector")
         if not (q.min() > 0.0 and q.max() < math.inf):  # a NaN fails both
             raise SpecificationError("substitution rates must be strictly positive")
-        if not np.isfinite(self.u):
-            raise SpecificationError("utility coordinate must be finite")
-        q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "u", prefs._check_real(self.u, "utility coordinate", -math.inf, math.inf))
 
 
 class ManifoldKind(str, enum.Enum):
@@ -259,8 +256,7 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     if len(specs) != 2 or any(s.dimension != 2 for s in specs):
         raise SpecificationError("contract_curve_2x2 requires two households over two goods")
     aggregate = as_bundle(aggregate, 2)
-    if grid_size < 1:
-        raise SpecificationError("grid_size must be at least 1")
+    grid_size = prefs._check_int(grid_size, "grid_size", 1)
     from scipy.optimize import brentq
 
     def rate_mismatch(y11: float, y12: float) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +97,13 @@ class UtilitySpec:
         if self.family is Family.CES:
             if self.elasticity is None:
                 raise SpecificationError("CES requires an elasticity")
-            if not 0.0 < float(self.elasticity) < 1.0:
-                raise SpecificationError("CES elasticity must lie strictly in (0, 1)")
-            object.__setattr__(self, "elasticity", float(self.elasticity))
+            object.__setattr__(self, "elasticity", _check_real(self.elasticity, "elasticity", 0, 1))
         elif self.elasticity is not None:
             raise SpecificationError("elasticity is only valid for the CES family")
         if self.exponent is not None:
             if self.family is not Family.COBB_DOUGLAS_LOG:
                 raise SpecificationError("a level exponent is only valid for the log Cobb-Douglas family")
-            if not 0.0 < float(self.exponent) < math.inf:
-                raise SpecificationError("the level exponent must be positive and finite")
-            object.__setattr__(self, "exponent", float(self.exponent))
+            object.__setattr__(self, "exponent", _check_real(self.exponent, "exponent", 0, math.inf))
 
     @property
     def dimension(self) -> int:
@@ -128,6 +125,26 @@ class UtilitySpec:
             raise SpecificationError("exponents must be a vector of length >= 2, positive and finite")
         total = float(b.sum())
         return cls(Family.COBB_DOUGLAS_LOG, b / total, exponent=total)
+
+
+_POWERS = {2**53: "2**53", 2**64 - 1: "2**64 - 1"}  # bounds messages write as powers of two: step counts, key words
+
+
+def _check_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, in [lo, hi] (no upper bound if ``hi`` is None)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and lo <= value <= (math.inf if hi is None else hi)):
+        span = f"of at least {lo}" if hi is None else f"from {lo} to {_POWERS.get(hi, hi)}"
+        raise SpecificationError(f"{what} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, what: str, lo: float, hi: float) -> float:
+    """``value`` as a float: a Python or numpy real number that a float holds, not a bool, strictly inside (lo, hi)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and lo < value < hi and -sys.float_info.max <= value <= sys.float_info.max):
+        raise SpecificationError(f"{what} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    return float(value)
 
 
 def as_bundle(values, dimension: int | None = None) -> FloatArray:
@@ -408,8 +425,9 @@ def check_attractive(u: UtilitySpec, y, p, i: int, j: int) -> bool:
     """
     y = as_bundle(y, u.dimension)
     p = as_price(p, u.dimension)
-    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < y.size for k in (i, j)) or i == j:
-        raise SpecificationError(f"goods indices must be two different integers from 0 to {y.size - 1}, got {i!r}, {j!r}")
+    i, j = _check_int(i, "goods index i", 0, y.size - 1), _check_int(j, "goods index j", 0, y.size - 1)
+    if i == j:
+        raise SpecificationError(f"goods indices must name two different goods, got {i}, {j}")
     inv = inverse_normalized_demand(u, y)
     gap = inv[i] / inv[j] - p[i] / p[j]
     row = np.zeros(y.size)

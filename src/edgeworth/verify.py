@@ -105,8 +105,7 @@ def identity_suite(
     corrupts the demand map seen by the checks, and the suite must then fail
     on every draw (the harness's own sensitivity is part of the contract).
     """
-    if draws < 1:
-        raise SpecificationError("draws must be at least 1")
+    draws = prefs._check_int(draws, "draws", 1)
     rng = _rng(seed)
     n = spec.dimension
     signed = prefs.utility_in_range(spec, -1.0)  # levels in (-2, 2), else in (0.2, 5)
@@ -171,8 +170,7 @@ def _fd_jacobian(f, x: FloatArray) -> FloatArray:
 
 def jacobian_suite(spec: UtilitySpec, draws: int = 1000, seed: int = 0) -> CheckReport:
     """Chart Jacobians against Richardson-combined central differences, plus tangency."""
-    if draws < 1:
-        raise SpecificationError("draws must be at least 1")
+    draws = prefs._check_int(draws, "draws", 1)
     rng = _rng(seed)
     n = spec.dimension
     anchor, p = np.empty((2, draws, n))
@@ -325,8 +323,7 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
     worst violation is the largest increase (or full-speed rate gap) over
     ``MONOTONE_SLACK``.
     """
-    if draws < 1:
-        raise SpecificationError("draws must be at least 1")
+    draws = prefs._check_int(draws, "draws", 1)
     rng = _rng(seed)
     n = e.n_goods
     bundles, rates = np.empty((draws, e.size, n)), np.empty((draws, e.size, n - 1))

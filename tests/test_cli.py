@@ -289,7 +289,7 @@ class TestSimulate:
         assert rc == 3
         assert re.fullmatch(
             r"numeric degeneracy: run 0: step 1: demand degenerated below the positive floor; "
-            r"rate interval \(\S+, \S+\)\n",
+            r"rate interval \(\S+, \S+\); state \[\[2\.0, 1\.0\], \[1\.0, 2\.0\]\]\n",
             capsys.readouterr().err,
         )
         assert not out.exists()
@@ -310,7 +310,8 @@ class TestSimulate:
             rc = main(["simulate", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "numeric degeneracy: run 0: step 1: bundles degenerated below the positive floor\n"
+            "numeric degeneracy: run 0: step 1: bundles degenerated below the positive floor; "
+            "state [[2.0, 1.0], [1.0, 2.0]]\n"
         )
         assert not out.exists()
 
@@ -326,7 +327,8 @@ class TestSimulate:
         assert rc == 3
         assert capsys.readouterr().err == (
             "sampling failure: run 0: step 1: no prior mass on price angles "
-            "(0.4636476090008061, 1.1071487177940904): mean 1e-200, sigma 0.001; rate interval (0.5, 2.0)\n"
+            "(0.4636476090008061, 1.1071487177940904): mean 1e-200, sigma 0.001; rate interval (0.5, 2.0); "
+            "state [[2.0, 1.0], [1.0, 2.0]]\n"
         )
         assert not out.exists()
 
@@ -359,7 +361,7 @@ class TestScenarioFormat:
             (lambda d: d["engine"].update(runs=True), "engine.runs must be an integer, got true"),
             (lambda d: d["engine"].update(master_seed=1.5), "engine.master_seed must be an integer, got 1.5"),
             (lambda d: d["engine"].update(max_steps=10.9), "engine.max_steps must be an integer, got 10.9"),
-            (lambda d: d["engine"].update(max_steps=10**400), "max_steps must be from 1 to 2**53"),
+            (lambda d: d["engine"].update(max_steps=10**400), "max_steps must be an integer from 1 to 2**53, got 10000"),
             (lambda d: d["economy"]["households"].__setitem__(0, "x"), 'household 0 must be an object, got "x"'),
             (lambda d: d["engine"].update(master_seed=-1), "master seed must be an integer from 0 to 2**64 - 1, got -1"),
             (lambda d: d["engine"].update(master_seed=2**64), "from 0 to 2**64 - 1, got 18446744073709551616"),
@@ -566,12 +568,12 @@ class TestManifold:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ("1:2:0", "grid count must be at least 1"),
-            ("1:2:-3", "grid count must be at least 1"),
-            ("1:inf:3", "grid ends must be finite and strictly positive"),
-            ("nan:2:3", "grid ends must be finite and strictly positive"),
-            ("0:2:3", "grid ends must be finite and strictly positive"),
-            ("1:-2:3", "grid ends must be finite and strictly positive"),
+            ("1:2:0", "grid count must be an integer of at least 1, got 0"),
+            ("1:2:-3", "grid count must be an integer of at least 1, got -3"),
+            ("1:inf:3", "grid end must be a number in (0, inf), got inf"),
+            ("nan:2:3", "grid end must be a number in (0, inf), got nan"),
+            ("0:2:3", "grid end must be a number in (0, inf), got 0.0"),
+            ("1:-2:3", "grid end must be a number in (0, inf), got -2.0"),
             ("1:2:100000000000", "grid of 100000000000^1 points exceeds the 10000000 point cap"),
         ],
         ids=["count_0", "count_-3", "inf_end", "nan_end", "zero_end", "negative_end", "mesh_over_cap"],
@@ -703,7 +705,7 @@ class TestSimulateBins:
             ]
         )
         assert rc == 2
-        assert capsys.readouterr().err == "configuration error: bins must be an integer from 1 to 1000000\n"
+        assert capsys.readouterr().err == f"configuration error: bins must be an integer from 1 to 1000000, got {bins}\n"
         assert not out.exists()
 
 

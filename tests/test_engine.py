@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import copy
+import dataclasses
 import hashlib
 import math
 import time
@@ -331,7 +333,8 @@ class TestDrawPrice:
         assert lo == pytest.approx(0.8, rel=1e-12) and hi == pytest.approx(1.2363636363636363, rel=1e-12)
         assert msg.endswith(
             "; atoms in the box: 1, rejected by the trade screen: 1; "
-            "nearest atoms with prior mass: 0.8 on the low side, 1.3 on the high side"
+            "nearest atoms with prior mass: 0.8 on the low side, 1.3 on the high side; "
+            "state [[1.625, 1.3], [1.375, 1.7]]"
         )
 
     def test_exhausted_prior_names_the_box_at_three_goods(self):
@@ -374,7 +377,7 @@ class TestStep:
         flat = Allocation(np.array([[1.5, 1.5], [1.5, 1.5]]))
         prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
         rng = engine.run_rng(1, 0)
-        with pytest.raises(SpecificationError, match="^pareto_tol must be positive and finite$"):
+        with pytest.raises(SpecificationError, match=rf"^pareto_tol must be a number in \(0, inf\), got {tol!r}$"):
             engine.sntp_step(cd_economy, flat, prior, rng, tol)
         assert rng.random() == engine.run_rng(1, 0).random()  # nothing was read
 
@@ -526,7 +529,10 @@ class TestMonteCarlo:
         cfg = make_config(*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE, runs=3)
         with pytest.raises(LPError) as info:
             engine.run_monte_carlo(cfg)
-        assert str(info.value) == "run 0: step 1: pivot broke down"
+        assert str(info.value) == (
+            "run 0: step 1: pivot broke down; "
+            "state [[1.5, 1.5, 1.0], [0.75, 0.5, 0.85], [0.9, 0.5, 0.5], [2.0, 1.25, 0.7]]"
+        )
 
     def test_degenerate_step_names_the_run_and_step(self, monkeypatch):
         def fail(*args):
@@ -536,7 +542,9 @@ class TestMonteCarlo:
         cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=3)
         with pytest.raises(DomainDegeneracyError) as info:
             engine.run_monte_carlo(cfg)
-        assert str(info.value) == "run 0: step 1: demand degenerated below the positive floor"
+        assert str(info.value) == (
+            "run 0: step 1: demand degenerated below the positive floor; state [[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]]"
+        )
 
 
 def assert_same_outcomes(a, b) -> None:
@@ -614,7 +622,7 @@ class TestHistogramBins:
         run_batch = engine._run_batch
         monkeypatch.setattr(engine, "_run_batch", lambda *args: calls.append(args) or run_batch(*args))
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=4)
-        with pytest.raises(SpecificationError, match="^bins must be an integer from 1 to 1000000$"):
+        with pytest.raises(SpecificationError, match=rf"^bins must be an integer from 1 to 1000000, got {bins!r}$"):
             engine.run_monte_carlo(cfg, bins=bins)
         assert not calls
         assert engine.run_monte_carlo(cfg, bins=np.int64(3)).bin_counts.size == 3
@@ -682,9 +690,33 @@ class TestLockstepKernel:
         cfg = make_config(
             cd_economy, shock, ArctanNormal(1e-200, 1e-3), SpeedPrior.UNIFORM_CUBE, runs=8, max_steps=1000
         )
-        with pytest.raises(SamplingError, match="^run 0: step 1: no prior mass on price angles"):
+        with pytest.raises(SamplingError, match="^run 0: step 1: no prior mass on price angles") as info:
             engine.run_monte_carlo(cfg)
+        assert str(info.value).endswith("; rate interval (0.5, 2.0); state [[2.0, 1.0], [1.0, 2.0]]")
         assert len(draws) == 1
+
+    @pytest.mark.parametrize(
+        "q_prior, s_prior, seed",
+        [
+            (Tabulated(np.array([0.8, 1.3]), np.ones(2)), SpeedPrior.MAX_SPEED, 1),
+            (FAR_TAIL, SpeedPrior.UNIFORM_CUBE, 3),
+        ],
+        ids=["exhausted_tabulated_generic", "far_tail_2x2"],
+    )
+    def test_printed_state_replays_the_failure(self, cd_economy, shock, q_prior, s_prior, seed):
+        # a failure's message holds the state before the failing step: started
+        # there, every run fails at step 1 for the same reason
+        cfg = make_config(cd_economy, shock, q_prior, s_prior, master_seed=seed, runs=64, max_steps=10)
+        with pytest.raises(SamplingError) as info:
+            engine.run_monte_carlo(cfg)
+        head, state = str(info.value).split("; state ")
+        _, step, reason = head.split(": ", 2)
+        assert step != "step 1"  # the printed state is not the start
+        replay = dataclasses.replace(cfg, initial=Allocation(np.array(ast.literal_eval(state))), runs=4)
+        for i in range(replay.runs):
+            with pytest.raises(SamplingError) as again:
+                engine.run_trajectory(replay, i)
+            assert str(again.value) == f"run {i}: step 1: {reason}; state {state}"
 
 
 class TestGenericPathThreeGoods:

@@ -443,7 +443,7 @@ class TestValidationErrors:
         with pytest.raises(SpecificationError, match="^flat coordinates must form a nonempty vector$"):
             FlatPoint([[1.0]], 1.0)
         for u in (math.nan, math.inf, -math.inf):
-            with pytest.raises(SpecificationError, match="^utility coordinate must be finite$"):
+            with pytest.raises(SpecificationError, match=rf"^utility coordinate must be a number in \(-inf, inf\), got {u!r}$"):
                 FlatPoint([1.0], u)
 
     def test_flat_point_keeps_a_read_only_copy(self):

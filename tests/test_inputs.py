@@ -1,0 +1,131 @@
+"""The scalar input rule: every count and every real that a public door takes.
+
+A count is a Python or numpy integer, never a bool, in its closed range; a
+real is a Python or numpy int or float, never a bool or a string, strictly
+inside its open interval.  Each door refuses anything else with one
+:class:`SpecificationError` message form, and stores the converted value.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from edgeworth import engine, geometry, prefs, verify
+from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Terminal, UniformArc
+from edgeworth.errors import SpecificationError
+from edgeworth.prefs import Family, UtilitySpec
+from edgeworth.trade import Allocation, Economy, SpeedPrior
+
+CD = UtilitySpec.cobb_douglas_log([0.5, 0.5])
+CES3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
+ECONOMY = Economy.of([CD, CD])
+SHOCK = Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
+PRIOR = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
+
+
+def _config(**kw) -> SimConfig:
+    return SimConfig(ECONOMY, SHOCK, PRIOR, **{"master_seed": 1, "runs": 2, "max_steps": 5, **kw})
+
+
+CFG = _config()
+KEY = "from 0 to 2**64 - 1"
+ATTRACTIVE = (CES3, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
+
+def _summarize(bins):
+    return engine.summarize(np.ones((3, 2, 2)), np.ones((3, 1)), [1, 1, 1], [Terminal.STEP_CAP] * 3, bins=bins)
+
+
+#: door: (call, what, range text, values out of range, a numpy value in range, the field that stores it)
+COUNTS = {
+    "SimConfig.runs": (lambda v: _config(runs=v), "runs", "of at least 1", (0,), np.int64(3), "runs"),
+    "SimConfig.max_steps": (
+        lambda v: _config(max_steps=v), "max_steps", "from 1 to 2**53", (2**53 + 1,), np.int64(4), "max_steps"
+    ),
+    "SimConfig.master_seed": (
+        lambda v: _config(master_seed=v), "master seed", KEY, (-1,), np.uint64(2**64 - 1), "master_seed"
+    ),
+    "run_rng.master_seed": (lambda v: engine.run_rng(v, 0), "master seed", KEY, (2**64,), np.int64(7), None),
+    "run_rng.run_index": (lambda v: engine.run_rng(1, v), "run index", KEY, (-1,), np.int64(7), None),
+    "run_trajectory.run_index": (
+        lambda v: engine.run_trajectory(CFG, v), "run index", KEY, (2**64,), np.int64(1), None
+    ),
+    "run_monte_carlo.bins": (
+        lambda v: engine.run_monte_carlo(CFG, bins=v), "bins", "from 1 to 1000000", (0,), np.int64(3), None
+    ),
+    # no value refused here may start a process
+    "run_monte_carlo.workers": (
+        lambda v: engine.run_monte_carlo(CFG, workers=v), "workers", "of at least 1", (0, -1), np.int64(1), None
+    ),
+    "summarize.bins": (_summarize, "bins", "from 1 to 1000000", (10**6 + 1,), np.int64(3), None),
+    "example3_process.runs": (
+        lambda v: engine.example3_process(engine.run_rng(1, 0), v), "runs", "of at least 1", (0,), np.int64(5), None
+    ),
+    "identity_suite.draws": (lambda v: verify.identity_suite(CD, v), "draws", "of at least 1", (0,), np.int64(2), None),
+    "jacobian_suite.draws": (
+        lambda v: verify.jacobian_suite(CD, v), "draws", "of at least 1", (-5,), np.int64(2), None
+    ),
+    "attraction_suite.draws": (
+        lambda v: verify.attraction_suite(ECONOMY, v), "draws", "of at least 1", (0,), np.int64(2), None
+    ),
+    "contract_curve_2x2.grid_size": (
+        lambda v: geometry.contract_curve_2x2((CD, CD), [3.0, 3.0], v), "grid_size", "of at least 1", (0,),
+        np.int64(2), None,
+    ),
+    "check_attractive.i": (
+        lambda v: prefs.check_attractive(*ATTRACTIVE, v, 0), "goods index i", "from 0 to 2", (3,), np.int64(2), None
+    ),
+    "check_attractive.j": (
+        lambda v: prefs.check_attractive(*ATTRACTIVE, 0, v), "goods index j", "from 0 to 2", (-1,), np.int64(1), None
+    ),
+}
+
+REALS = {
+    "SimConfig.pareto_tol": (
+        lambda v: _config(pareto_tol=v), "pareto_tol", "(0, inf)", (0.0,), np.float64(1e-6), "pareto_tol"
+    ),
+    "sntp_step.pareto_tol": (
+        lambda v: engine.sntp_step(ECONOMY, SHOCK, PRIOR, engine.run_rng(1, 0), v),
+        "pareto_tol", "(0, inf)", (-1.0,), np.float64(1e-6), None,
+    ),
+    "ArctanNormal.center_rate": (
+        lambda v: ArctanNormal(v, 0.1), "center_rate", "(0, inf)", (0,), np.float64(1.5), "center_rate"
+    ),
+    "ArctanNormal.sigma_angle": (
+        lambda v: ArctanNormal(1.0, v), "sigma_angle", "(0, inf)", (math.inf,), np.float64(0.1), "sigma_angle"
+    ),
+    "UtilitySpec.elasticity": (
+        lambda v: UtilitySpec.ces([0.5, 0.5], v), "elasticity", "(0, 1)", (1.0,), np.float64(0.5), "elasticity"
+    ),
+    "UtilitySpec.exponent": (
+        lambda v: UtilitySpec(Family.COBB_DOUGLAS_LOG, np.array([0.5, 0.5]), exponent=v),
+        "exponent", "(0, inf)", (10**400,), np.float64(2.0), "exponent",  # an int no float holds
+    ),
+    "FlatPoint.u": (
+        lambda v: geometry.FlatPoint([1.0], v), "utility coordinate", "(-inf, inf)", (math.nan,), np.float64(-3.0), "u"
+    ),
+}
+
+# SimConfig's rows hold runs=2.5, max_steps=2.5, runs=True and pareto_tol="x": each
+# used to construct and fail later inside the runs, run once, or raise TypeError
+DOORS = [(name, int, row) for name, row in COUNTS.items()] + [(name, float, row) for name, row in REALS.items()]
+
+
+@pytest.mark.parametrize("kind, row", [door[1:] for door in DOORS], ids=[door[0] for door in DOORS])
+def test_scalar_door_has_one_rule(kind, row):
+    call, what, span, out, accepted, field = row
+    if kind is int:
+        refused, form = (2.5, True, "3", *out), f"{what} must be an integer {span}, got {{!r}}"
+    else:
+        refused, form = (True, "3", "x", *out), f"{what} must be a number in {span}, got {{!r}}"
+    for value in refused:
+        with pytest.raises(SpecificationError) as info:
+            call(value)
+        assert str(info.value) == form.format(value)
+    result = call(accepted)
+    if field is not None:
+        stored = getattr(result, field)
+        assert type(stored) is kind and stored == accepted
