@@ -274,6 +274,80 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Cephes's erf (Moshier, ndtr.c) on |z| < 1: erf(z) = z T(z^2) / U(z^2), highest power first
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+
+# AS241's rational approximations (Wichura, Applied Statistics 37(3), 1988),
+# highest power first, as in the standard library's statistics.NormalDist
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
+     1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
+     5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1, 1.2704582524523683826e0,
+     3.6478483247632046050e0, 5.7694972214606914055e0, 4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e0, 2.0531916266377588219e0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e0, 5.4637849111641143699e0, 6.6579046435011037772e0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850614853e-2, 1.3692988092273580531e-1, 5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(r: FloatArray, coefficients) -> FloatArray:
+    """The polynomial with these coefficients, highest power first, at ``r``."""
+    acc = coefficients[0] * r + coefficients[1]
+    for c in coefficients[2:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _rational(r: FloatArray, coefficients) -> FloatArray:
+    """The ratio of the (numerator, denominator) polynomials at ``r``."""
+    num, den = coefficients
+    return _horner(r, num) / _horner(r, den)
+
+
+def _ndtr(x: FloatArray) -> FloatArray:
+    """The standard normal CDF, with full relative precision in the lower tail.
+
+    Where |x| < sqrt 2 it is 0.5 + 0.5 erf(x / sqrt 2) by Cephes's rational
+    erf, in numpy's exactly rounded arithmetic; elsewhere it is
+    0.5 erfc(|x| / sqrt 2) from the C library, reflected above the mean.
+    """
+    z = x * math.sqrt(0.5)
+    zz = z * z
+    y = 0.5 + 0.5 * (z * _horner(zz, _ERF_T) / _horner(zz, _ERF_U))
+    tail = np.abs(z) >= 1.0
+    if np.count_nonzero(tail):
+        half = 0.5 * prefs._libm(math.erfc, np.abs(z[tail]))
+        y[tail] = np.where(z[tail] > 0.0, 1.0 - half, half)
+    return y
+
+
+def _ndtri(p: FloatArray) -> FloatArray:
+    """The standard normal quantile of each ``p`` in (0, 1) by AS241, with the bits of ``NormalDist().inv_cdf``."""
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = q * _horner(r, _AS241_CENTRAL[0]) / _horner(r, _AS241_CENTRAL[1])
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        lower = q[tail] <= 0.0
+        r = np.sqrt(-prefs._libm(math.log, np.where(lower, p[tail], 1.0 - p[tail])))
+        z = np.where(r <= 5.0, _rational(r - 1.6, _AS241_NEAR), _rational(r - 5.0, _AS241_FAR))
+        x[tail] = np.where(lower, -z, z)
+    return x
+
+
 def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_first) -> FloatArray:
     """Price rates from the angle prior conditioned on the open intervals (lo, hi), one per row.
 
@@ -283,9 +357,11 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     is drawn again, up to ``REJECTION_CAP`` times.  ``UniformArc`` draws the
     angle uniformly; ``ArctanNormal`` draws it from the normal law of mean
     ``atan(center_rate)`` and deviation ``sigma_angle``, read in its lower
-    tail (an interval above the mean is mirrored below it), where ``ndtr``
-    keeps full relative precision.  Rows that cannot be drawn are passed to
-    ``fail(rows, why)``, where ``why(row)`` is the reason, and come back NaN.
+    tail (an interval above the mean is mirrored below it), where the CDF
+    :func:`_ndtr` (a rational ``erf``, the C library's ``erfc`` in the tails)
+    keeps full relative precision; :func:`_ndtri` (AS241) inverts it.  Rows
+    that cannot be drawn are passed to ``fail(rows, why)``, where
+    ``why(row)`` is the reason, and come back NaN.
     """
     a, b = np.arctan(lo), np.arctan(hi)
     todo = slice(None)
@@ -293,12 +369,11 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     if not normal:
         base, width = a, b - a  # the angle, uniform on (a, b)
     else:
-        from scipy.special import ndtr, ndtri
-
         mu, sd = math.atan(q_prior.center_rate), q_prior.sigma_angle
         mirror = a >= mu
-        base = ndtr((np.where(mirror, 2.0 * mu - b, a) - mu) / sd)  # the CDF, uniform on (base, top)
-        width = ndtr((np.where(mirror, 2.0 * mu - a, b) - mu) / sd) - base
+        ends = np.where(mirror, [2.0 * mu - b, 2.0 * mu - a], [a, b])
+        base, top = _ndtr((ends - mu) / sd)  # the CDF, uniform on (base, top)
+        width = top - base
         empty = width < 1e-300
         if np.count_nonzero(empty):
             fail(np.flatnonzero(empty), lambda r: (
@@ -310,7 +385,7 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     for _ in range(REJECTION_CAP):
         theta = base[todo] + width[todo] * draw(todo)
         if normal:
-            theta = mu + sd * ndtri(np.clip(theta, sys.float_info.min, 1.0 - 1e-16))
+            theta = mu + sd * _ndtri(np.clip(theta, sys.float_info.min, 1.0 - 1e-16))
             theta = np.clip(np.where(mirror[todo], 2.0 * mu - theta, theta), a[todo], b[todo])
         rate = np.tan(theta)
         ok = (lo[todo] < rate) & (rate < hi[todo])

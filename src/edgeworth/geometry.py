@@ -212,12 +212,14 @@ def jacobian_psi(u: UtilitySpec, anchor, p) -> FloatArray:
 def omega_contains(u: UtilitySpec, anchor, p, slack: float = 1e-12) -> bool:
     """Membership in the convex normalized-domain set below the anchor's level."""
     anchor = as_bundle(anchor, u.dimension)
+    slack = prefs._check_real(slack, "slack", 0, math.inf, closed=True)
     return prefs.indirect_utility_normalized(u, p) <= prefs.utility(u, anchor) + slack
 
 
 def gamma_contains(u: UtilitySpec, anchor, fp: FlatPoint, slack: float = 1e-12) -> bool:
     """Membership in the flat-domain epigraph bounded by the offer surface."""
     anchor = as_bundle(anchor, u.dimension)
+    slack = prefs._check_real(slack, "slack", 0, math.inf, closed=True)
     p = np.append(fp.q, 1.0)
     return float(p @ anchor) <= prefs.expenditure(u, p, fp.u) + slack
 

@@ -139,11 +139,15 @@ def _check_int(value, what: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def _check_real(value, what: str, lo: float, hi: float) -> float:
-    """``value`` as a float: a Python or numpy real number that a float holds, not a bool, strictly inside (lo, hi)."""
+def _check_real(value, what: str, lo: float, hi: float, closed: bool = False) -> float:
+    """``value`` as a float: a Python or numpy real number that a float holds, not a bool, in (lo, hi).
+
+    ``closed`` admits ``lo`` itself, the interval [lo, hi).
+    """
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and lo < value < hi and -sys.float_info.max <= value <= sys.float_info.max):
-        raise SpecificationError(f"{what} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    if not (real and (lo <= value if closed else lo < value) and value < hi
+            and -sys.float_info.max <= value <= sys.float_info.max):
+        raise SpecificationError(f"{what} must be a number in {'[' if closed else '('}{lo:g}, {hi:g}), got {value!r}")
     return float(value)
 
 
@@ -223,7 +227,7 @@ def _eta(u: UtilitySpec) -> float:
 
 
 def _libm(fn, x) -> FloatArray:
-    """``fn`` (``math.exp`` or ``math.log``) entry by entry, with the C library's bits."""
+    """``fn`` (``math.exp``, ``math.log`` or ``math.erfc``) entry by entry, with the C library's bits."""
     return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=np.float64)
 
 
@@ -372,6 +376,7 @@ def utility_in_range(u: UtilitySpec, level: float) -> bool:
 def hicksian_demand(u: UtilitySpec, p, target_u: float) -> FloatArray:
     """Cheapest bundle reaching utility ``target_u`` at prices ``p``."""
     p = as_price(p, u.dimension)
+    target_u = _check_real(target_u, "utility level", -math.inf, math.inf)
     _check_level(u, target_u)
     return _guard(_hicksian(u, p, target_u), "hicksian demand")
 

@@ -794,13 +794,27 @@ class TestWriters:
             assert (tmp_path / "manifold.csv").read_bytes() == (tmp_path / "ref_manifold.csv").read_bytes()
 
 
-def test_cli_import_leaves_scipy_solvers_and_the_process_pool_out():
-    # simulate's 2x2 kernel imports scipy.special itself, and only for the
-    # ArctanNormal prior; the root finders load with the functions using them,
-    # and the process pool only for workers > 1
-    lazy = ("scipy.optimize", "scipy.special", "concurrent.futures.process")
-    code = f"import sys, edgeworth.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
+def _run_python(code: str) -> str:
+    """Standard output of ``python -c code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_solvers_and_the_process_pool_out():
+    # scipy serves only geometry's root finders, which load with the functions
+    # using them; the process pool loads only for workers > 1
+    lazy = ("scipy.optimize", "scipy.special", "concurrent.futures.process")
+    code = f"import sys, edgeworth.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_traced_sticky_simulation_loads_no_scipy(tmp_path):
+    # the arctan-normal draw takes the normal law from the C library and AS241
+    args = ["simulate", "--scenario", "example4_sticky", "--trace", "--runs", "200", "--out", str(tmp_path)]
+    code = (
+        f"import sys; from edgeworth.cli import main; assert main({args!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "trajectories.csv").stat().st_size > 0

@@ -5,6 +5,8 @@ import copy
 import dataclasses
 import hashlib
 import math
+import statistics
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import kstest, truncnorm
 
 from edgeworth import _hitrun, _simplex, engine, prefs, trade
@@ -362,6 +365,34 @@ class TestDrawPrice:
         prior = PriorSpec(UniformArc(), SpeedPrior.UNIFORM_CUBE)
         with pytest.raises(SpecificationError):
             engine.draw_price(e, y, prior, engine.run_rng(1, 0))
+
+
+class TestNormalLaw:
+    """The arctan-normal draw's CDF and quantile; scipy serves only as an oracle here."""
+
+    def test_quantile_has_the_standard_library_bits(self):
+        # 10**5 probabilities over the draw's clip range, both tails log-spaced,
+        # and the AS241 branch edges with their neighbours
+        lower = np.geomspace(sys.float_info.min, 0.5, 49_994)
+        upper = 1.0 - np.geomspace(1e-16, 0.5, 50_000)
+        edges = [np.nextafter(e, d) for e in (0.075, 0.925) for d in (0.0, e, 1.0)]
+        p = np.concatenate([lower, upper, edges])
+        want = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in p])
+        assert p.size == 10**5 and p.min() == sys.float_info.min and p.max() == 1.0 - 1e-16
+        assert np.array_equal(engine._ndtri(p).view(np.int64), want.view(np.int64))
+
+    def test_cdf_keeps_relative_precision_down_the_tail(self):
+        x = np.concatenate([np.linspace(-38.5, 9.0, 100_001), -np.geomspace(1e-300, 1.0, 1_000)])
+        want = ndtr(x)
+        kept = want >= 1e-300
+        assert kept.sum() > 95_000
+        np.testing.assert_allclose(engine._ndtr(x[kept]), want[kept], rtol=1e-12, atol=0.0)
+        central = np.abs(x) < math.sqrt(2.0)  # the rational erf, exactly rounded arithmetic on both sides
+        np.testing.assert_allclose(engine._ndtr(x[central]), want[central], rtol=1e-15, atol=0.0)
+
+    def test_cdf_underflows_where_scipy_does(self):
+        # the far-tail sampling failures name "no prior mass" from this zero
+        assert engine._ndtr(np.array([-38.5]))[0] == 0.0 == ndtr(-38.5)
 
 
 class TestStep:

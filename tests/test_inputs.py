@@ -107,6 +107,23 @@ REALS = {
     "FlatPoint.u": (
         lambda v: geometry.FlatPoint([1.0], v), "utility coordinate", "(-inf, inf)", (math.nan,), np.float64(-3.0), "u"
     ),
+    # the level is read as a real before the family's range (UnreachableUtilityError) is tested
+    "hicksian_demand.target_u": (
+        lambda v: prefs.hicksian_demand(CD, [1.0, 1.0], v), "utility level", "(-inf, inf)", (math.nan,),
+        np.float64(0.5), None,
+    ),
+    "expenditure.target_u": (
+        lambda v: prefs.expenditure(CD, [1.0, 1.0], v), "utility level", "(-inf, inf)", (math.inf,),
+        np.float64(-0.5), None,
+    ),
+    "omega_contains.slack": (
+        lambda v: geometry.omega_contains(CD, [1.0, 1.0], [1.0, 1.0], v), "slack", "[0, inf)", (-5.0, -0.5),
+        np.float64(0.0), None,  # zero slack is exact membership
+    ),
+    "gamma_contains.slack": (
+        lambda v: geometry.gamma_contains(CD, [1.0, 1.0], geometry.FlatPoint([1.0], 0.0), v), "slack", "[0, inf)",
+        (-5.0, math.nan), 0, None,
+    ),
 }
 
 # SimConfig's rows hold runs=2.5, max_steps=2.5, runs=True and pareto_tol="x": each
