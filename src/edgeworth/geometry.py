@@ -18,7 +18,8 @@ normalized domains have cores on ``(..., L)`` stacks (``_jacobian_phi``,
 ``_jacobian_psi``, ``_d_map``, ``_d_inverse``) that check nothing; the
 public functions validate one vector, call the core on it and guard.  The
 manifold sampler and the 2x2 root finders also validate once, then run on
-the ``prefs`` cores.
+the ``prefs`` cores; both root finders bisect on numpy (``_bisect``), the
+contract curve all of its grid points in one stack.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ class ParetoPoint:
     allocation: tuple[FloatArray, ...]
 
 
+def _as_rates(q, goods: int) -> FloatArray:
+    """Rates against good L: a vector of ``goods - 1`` finite positive entries, or a scalar when L = 2."""
+    try:  # ragged entries or strings fail to convert
+        r = np.array(q, dtype=np.float64, ndmin=1)
+    except (ValueError, TypeError):
+        r = np.array([])
+    if not (r.shape == (goods - 1,) and np.all((r > 0.0) & (r < math.inf))):
+        raise SpecificationError(f"q must be a vector of L - 1 = {goods - 1} finite positive rates, got {q!r}")
+    return r
+
+
 def flatten(u: UtilitySpec, c) -> FlatPoint:
     """Map a bundle to (substitution rates against good L, utility level)."""
     c = as_bundle(c, u.dimension)
@@ -90,9 +102,7 @@ def flatten(u: UtilitySpec, c) -> FlatPoint:
 
 def unflatten(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Inverse of :func:`flatten`: the Hicksian bundle at prices (q, 1)."""
-    if fp.q.size != u.dimension - 1:
-        raise SpecificationError("flat point dimension does not match the utility")
-    return prefs.hicksian_demand(u, np.append(fp.q, 1.0), fp.u)
+    return prefs.hicksian_demand(u, np.append(_as_rates(fp.q, u.dimension), 1.0), fp.u)
 
 
 def _d_map(u: UtilitySpec, q: FloatArray, level) -> FloatArray:
@@ -220,26 +230,23 @@ def gamma_contains(u: UtilitySpec, anchor, fp: FlatPoint, slack: float = 1e-12) 
     """Membership in the flat-domain epigraph bounded by the offer surface."""
     anchor = as_bundle(anchor, u.dimension)
     slack = prefs._check_real(slack, "slack", 0, math.inf, closed=True)
-    p = np.append(fp.q, 1.0)
+    p = np.append(_as_rates(fp.q, u.dimension), 1.0)
     return float(p @ anchor) <= prefs.expenditure(u, p, fp.u) + slack
 
 
 def k_c(u: UtilitySpec, anchor, q) -> float:
     """Indirect utility along the offer chart: v_n((q, 1) / (q, 1).anchor)."""
     anchor = as_bundle(anchor, u.dimension)
-    q = np.atleast_1d(np.asarray(q, dtype=np.float64))
-    if np.any(q <= 0.0):
-        raise SpecificationError("rates must be strictly positive")
-    p = np.append(q, 1.0)
+    p = np.append(_as_rates(q, u.dimension), 1.0)
     return prefs.indirect_utility_normalized(u, p / float(p @ anchor))
 
 
 def sample_pareto(specs, q, levels) -> ParetoPoint:
     """Pareto-optimal allocation with common rates ``q`` and given levels."""
-    q = np.atleast_1d(np.asarray(q, dtype=np.float64))
     levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if len(specs) != levels.size:
+    if not specs or len(specs) != levels.size:
         raise SpecificationError("one utility level per household is required")
+    q = _as_rates(q, specs[0].dimension)
     p = np.append(q, 1.0)
     bundles = tuple(prefs.hicksian_demand(s, p, float(l)) for s, l in zip(specs, levels))
     for s, b in zip(specs, bundles):
@@ -248,72 +255,73 @@ def sample_pareto(specs, q, levels) -> ParetoPoint:
     return ParetoPoint(q, levels, bundles)
 
 
+def _bisect(f, lo: FloatArray, hi: FloatArray, what) -> FloatArray:
+    """Roots of ``f``, which maps a vector of points to their values, on the brackets ``[lo[i], hi[i]]``.
+
+    Each bracket keeps the half whose ends differ in sign until its midpoint
+    equals an end; a bracket that does not change sign raises ``what(i)``.
+    """
+    side = np.sign(f(lo))
+    flat = np.flatnonzero(~(side * np.sign(f(hi)) <= 0.0))  # a NaN end fails too
+    if flat.size:
+        raise ConvergenceError(what(int(flat[0])))
+    mid = lo + 0.5 * (hi - lo)
+    while np.any((mid != lo) & (mid != hi)):
+        up = np.sign(f(mid)) * side > 0.0  # the root lies above mid
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        mid = lo + 0.5 * (hi - lo)
+    return mid
+
+
 def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     """Equal-rates locus inside the 2x2 Edgeworth box.
 
     Sweeps household 1's first coordinate across the box and solves the
-    second coordinate from rate equality; each output allocation splits the
-    aggregate exactly.
+    second coordinate from rate equality, at every grid point in one
+    bisection; each output allocation splits the aggregate exactly.
     """
     if len(specs) != 2 or any(s.dimension != 2 for s in specs):
         raise SpecificationError("contract_curve_2x2 requires two households over two goods")
     aggregate = as_bundle(aggregate, 2)
     grid_size = prefs._check_int(grid_size, "grid_size", 1)
-    from scipy.optimize import brentq
+    y11 = aggregate[0] * np.arange(1, grid_size + 1) / (grid_size + 1)
 
-    def rate_mismatch(y11: float, y12: float) -> float:
-        first = np.array([y11, y12])
-        rates = prefs._guard(_each(prefs._rates, specs, np.stack([first, aggregate - first])), "substitution rates")
-        return np.log(rates[0, 0]) - np.log(rates[1, 0])
+    def split(y12: FloatArray) -> FloatArray:
+        first = np.stack([y11, y12], axis=-1)
+        return np.stack([first, aggregate - first], axis=-2)
 
-    out: list[Allocation] = []
-    eps = 1e-12 * float(aggregate[1])
-    for k in range(1, grid_size + 1):
-        y11 = aggregate[0] * k / (grid_size + 1)
-        y12 = brentq(
-            lambda v: rate_mismatch(y11, v),
-            eps,
-            float(aggregate[1]) - eps,
-            xtol=1e-15,
-            rtol=8.9e-16,
-            maxiter=200,
-        )
-        first = np.array([y11, y12])
-        out.append(Allocation(np.stack([first, aggregate - first])))
-    return out
+    def rate_mismatch(y12: FloatArray) -> FloatArray:
+        rates = np.log(prefs._guard(_each(prefs._rates, specs, split(y12)), "substitution rates"))
+        return rates[:, 0, 0] - rates[:, 1, 0]
+
+    eps = np.full(grid_size, 1e-12 * aggregate[1])
+    y12 = _bisect(rate_mismatch, eps, aggregate[1] - eps, lambda i: f"rates do not cross at y11 = {float(y11[i])!r}")
+    return [Allocation(y) for y in split(y12)]
 
 
 def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Allocation]:
     """Market-clearing rate and allocation for a 2-household, 2-good economy.
 
     Brackets the clearing rate with the households' extreme substitution
-    rates and finds the root of aggregate excess demand for the first good
-    with Brent's method; Walras' law clears the second good along with it.
+    rates and bisects aggregate excess demand for the first good on it;
+    Walras' law clears the second good along with it.
     """
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")
-    rates = household_rates(Economy.of(specs), endowments)[:, 0]
-    lo, hi = float(rates.min()), float(rates.max())
+    rates = household_rates(Economy.of(specs), endowments)  # (2, 1)
+    if _rates_agree(rates.min(), rates.max(), PARETO_TOL):
+        return float(rates.min()), endowments  # already Pareto optimal: no-trade equilibrium
     aggregate = endowments.aggregate
 
-    def demands(q: float) -> FloatArray:
-        return prefs._guard(_each(_path_end, specs, endowments.bundles, np.array([q, 1.0])), "demand")
+    def demands(q) -> FloatArray:
+        p = np.stack([q, np.ones_like(q)], axis=-1)
+        return prefs._guard(_each(_path_end, specs, endowments.bundles, p), "demand")
 
-    if _rates_agree(lo, hi, PARETO_TOL):
-        return lo, endowments  # already Pareto optimal: no-trade equilibrium
-    from scipy.optimize import brentq
-
-    def excess(q: float) -> float:
-        return float(demands(q)[:, 0].sum() - aggregate[0])
-
-    try:
-        q = float(brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    except ValueError as exc:
-        raise ConvergenceError(
-            "excess demand does not change sign on the rate interval; "
-            "the economy is mis-specified"
-        ) from exc
+    q = _bisect(
+        lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], rates.min(axis=0), rates.max(axis=0),
+        lambda i: "excess demand does not change sign on the rate interval; the economy is mis-specified",
+    )[0]
     allocation = Allocation(demands(q))
     if float(np.max(np.abs(allocation.aggregate - aggregate))) > 1e-10:
         raise ConvergenceError("market clearing residual exceeds 1e-10")
-    return q, allocation
+    return float(q), allocation

@@ -403,21 +403,15 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
     return CheckReport("welfare", cfg.runs + 1000, failures, worst, seed)
 
 
-def _bundled_configs() -> dict[str, SimConfig]:
-    from .engine import PriorSpec, UniformArc
-
-    cd = UtilitySpec.cobb_douglas_log([0.5, 0.5])
-    ces = UtilitySpec.ces([0.5, 0.5], 0.5)
-    ces2 = UtilitySpec.ces([0.7, 0.3], 0.5)
+def _bundled_configs(seed: int = 0) -> dict[str, SimConfig]:
+    """The welfare suites' economies, whose trajectories read master seed ``seed``."""
+    cd, ces = UtilitySpec.cobb_douglas_log([0.5, 0.5]), UtilitySpec.ces([0.5, 0.5], 0.5)
+    pairs = {"cobb_douglas": [cd, cd], "ces": [ces, UtilitySpec.ces([0.7, 0.3], 0.5)]}
     start = Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
+    prior = engine.PriorSpec(engine.UniformArc(), SpeedPrior.MAX_SPEED)
     return {
-        "cobb_douglas": SimConfig(
-            Economy.of([cd, cd]), start, prior, master_seed=0, runs=1000, max_steps=200
-        ),
-        "ces": SimConfig(
-            Economy.of([ces, ces2]), start, prior, master_seed=0, runs=1000, max_steps=200
-        ),
+        name: SimConfig(Economy.of(specs), start, prior, master_seed=seed, runs=1000, max_steps=200)
+        for name, specs in pairs.items()
     }
 
 
@@ -428,7 +422,7 @@ def run_all(seed: int = 0, name_filter: str | None = None, inject_fault: bool = 
     ces3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
     ces3b = UtilitySpec.ces([0.4, 0.3, 0.3], 0.5)
     scale = 1.01 if inject_fault else 1.0
-    configs = _bundled_configs()
+    configs = _bundled_configs(seed)
     # built per call: each suite is read from the module when run_all runs
     jobs = [
         ("identity[cobb_douglas]", identity_suite, (cd, 1000, seed, scale)),

@@ -24,6 +24,8 @@ them must give the same bytes as through the package.
 on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
 ``exact_volume_l2`` is the largest traded volume of the exact speed polytope
 at L = 2, summed household by household, with no LP and no slack.
+``reference_contract_curve_y12`` and ``reference_walras_rate`` find the 2x2
+roots one at a time by Brent's method through the public functions.
 """
 
 from __future__ import annotations
@@ -198,6 +200,53 @@ def clearing_price(economy, allocation, weights=None) -> np.ndarray:
     if not sol.success or float(np.max(np.abs(excess(sol.x)))) > 1e-10:
         raise RuntimeError(f"clearing-price oracle failed: {sol.message}")
     return np.exp(sol.x)
+
+
+def _brent(f, lo: float, hi: float) -> float:
+    """Brent's root of ``f`` on ``[lo, hi]``, stopped at scipy's finest relative tolerance, 4 eps."""
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(np.float64).eps, maxiter=500)
+
+
+def log_rates_2x2(specs, aggregate, y11: float, y12: float) -> tuple[float, float]:
+    """Both households' log substitution rates when household 1 holds (y11, y12) of the aggregate."""
+    first = np.array([y11, y12])
+    r1 = prefs.substitution_rates(specs[0], first)[0]
+    r2 = prefs.substitution_rates(specs[1], np.asarray(aggregate, dtype=np.float64) - first)[0]
+    return math.log(r1), math.log(r2)
+
+
+def reference_contract_curve_y12(specs, aggregate, grid_size: int) -> np.ndarray:
+    """Household 1's second coordinate at each of ``contract_curve_2x2``'s grid points, by Brent's method.
+
+    One root per point of the log rate mismatch, through the public
+    one-vector ``substitution_rates``, on the same box-wide bracket.
+    """
+    aggregate = np.asarray(aggregate, dtype=np.float64)
+    eps = 1e-12 * float(aggregate[1])
+    roots = []
+    for k in range(1, grid_size + 1):
+        y11 = aggregate[0] * k / (grid_size + 1)
+
+        def mismatch(y12: float) -> float:
+            return np.subtract(*log_rates_2x2(specs, aggregate, y11, y12))
+
+        roots.append(_brent(mismatch, eps, aggregate[1] - eps))
+    return np.array(roots)
+
+
+def excess_demand_2x2(specs, endowments, q: float) -> float:
+    """Aggregate excess demand for good 1 at rates ``(q, 1)``, through the public ``normalized_demand``."""
+    p = np.array([q, 1.0])
+    total = sum(prefs.normalized_demand(u, p / float(p @ b))[0] for u, b in zip(specs, endowments.bundles))
+    return float(total - endowments.aggregate[0])
+
+
+def reference_walras_rate(specs, endowments) -> float:
+    """``walras_equilibrium_2x2``'s clearing rate by Brent's method on the extreme-rate bracket."""
+    rates = [prefs.substitution_rates(u, b)[0] for u, b in zip(specs, endowments.bundles)]
+    return _brent(lambda q: excess_demand_2x2(specs, endowments, q), min(rates), max(rates))
 
 
 def lp_trade(economy, allocation, p) -> bool:

@@ -801,20 +801,39 @@ def _run_python(code: str) -> str:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
-def test_cli_import_leaves_scipy_solvers_and_the_process_pool_out():
-    # scipy serves only geometry's root finders, which load with the functions
-    # using them; the process pool loads only for workers > 1
-    lazy = ("scipy.optimize", "scipy.special", "concurrent.futures.process")
-    code = f"import sys, edgeworth.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
-    assert _run_python(code).strip() == "[]"
+def test_cli_import_leaves_the_process_pool_out():
+    # the process pool loads only for workers > 1
+    code = "import sys, edgeworth.cli; print('concurrent.futures.process' in sys.modules)"
+    assert _run_python(code).strip() == "False"
 
 
-def test_traced_sticky_simulation_loads_no_scipy(tmp_path):
-    # the arctan-normal draw takes the normal law from the C library and AS241
-    args = ["simulate", "--scenario", "example4_sticky", "--trace", "--runs", "200", "--out", str(tmp_path)]
+def test_runtime_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: every command and both 2x2 root finders run with it blocked
+    commands = [
+        *(["simulate", "--scenario", name, "--runs", "200", "--out", str(tmp_path / name)]
+          for name in ("example5_uniform", "example5_maxspeed")),
+        ["simulate", "--scenario", "example4_sticky", "--trace", "--runs", "200", "--out", str(tmp_path / "sticky")],
+        ["manifold", "--family", "ces", "--weights", "0.3,0.7", "--sigma", "0.4", "--anchor", "1,2", "--kind", "offer",
+         "--out", str(tmp_path / "manifold")],
+        ["verify"],
+        ["example3", "--runs", "1000", "--out", str(tmp_path / "ex3")],
+    ]
     code = (
-        f"import sys; from edgeworth.cli import main; assert main({args!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from edgeworth import geometry\n"
+        "from edgeworth.cli import main\n"
+        "from edgeworth.prefs import UtilitySpec\n"
+        "from edgeworth.trade import Allocation\n"
+        f"assert [main(args) for args in {commands!r}] == [0] * {len(commands)}\n"
+        "specs = [UtilitySpec.cobb_douglas_log([0.5, 0.5]), UtilitySpec.ces([0.7, 0.3], 0.5)]\n"
+        "assert len(geometry.contract_curve_2x2(specs, [3.0, 3.0], 9)) == 9\n"
+        "q, _ = geometry.walras_equilibrium_2x2(specs, Allocation(np.array([[2.0, 1.0], [1.0, 2.0]])))\n"
+        "print(q)"
     )
-    assert _run_python(code).splitlines()[-1] == "[]"
-    assert (tmp_path / "trajectories.csv").stat().st_size > 0
+    assert float(_run_python(code).splitlines()[-1]) > 0.0
+    for out in ("example5_uniform", "example5_maxspeed", "sticky"):
+        assert (tmp_path / out / "outcomes.csv").stat().st_size > 0
+    assert (tmp_path / "sticky" / "trajectories.csv").stat().st_size > 0
+    assert (tmp_path / "manifold" / "manifold.csv").stat().st_size > 0
+    assert (tmp_path / "ex3" / "example3.csv").stat().st_size > 0

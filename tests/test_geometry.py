@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeworth import geometry, prefs, trade
-from edgeworth.errors import SpecificationError
+from edgeworth.errors import ConvergenceError, SpecificationError
 from edgeworth.geometry import FlatPoint, ManifoldKind
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy
@@ -377,12 +380,60 @@ class TestContractCurve:
             r2 = prefs.substitution_rates(ces73, alloc.bundle(1))[0]
             assert r1 == pytest.approx(r2, rel=1e-9)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_rates_that_never_cross_raise(self, order):
+        # nearly linear CES households whose rates stay apart across the whole box
+        specs = [UtilitySpec.ces([0.99, 0.01], 0.999), UtilitySpec.ces([0.01, 0.99], 0.999)][::order]
+        with pytest.raises(ConvergenceError, match=r"^rates do not cross at y11 = 0\.5$"):
+            geometry.contract_curve_2x2(specs, [1.0, 1.0], 1)
+
     def test_no_trade_from_curve_points(self, cd):
         economy = Economy.of([cd, cd])
         for alloc in geometry.contract_curve_2x2([cd, cd], [3.0, 3.0], 5):
             assert trade.trade_interval_2x2(economy, alloc) is None
             for q in (0.7, 1.0, 1.4):
                 assert not trade.has_trade(economy, alloc, [q, 1.0])
+
+
+_SPEC_2 = st.one_of(
+    st.builds(lambda a: UtilitySpec.cobb_douglas_log([a, 1.0 - a]), st.floats(0.2, 0.8)),
+    st.builds(lambda a, sigma: UtilitySpec.ces([a, 1.0 - a], sigma), st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+)
+
+
+def _assert_root_near(root: float, reference: float, f, ends, ulp: float, noise: float) -> None:
+    """``root`` within four units of ``reference``'s resolution: an ulp of the solved
+    coordinate, plus the rounding of ``f``'s terms near the root over ``f``'s slope there,
+    a central difference that stays inside ``ends``."""
+    h = 1e-6 * min(reference - ends[0], ends[1] - reference)
+    slope = abs(f(reference + h) - f(reference - h)) / (2 * h)
+    assert abs(root - reference) <= 4 * (ulp + noise / slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.tuples(_SPEC_2, _SPEC_2), bundles=st.lists(st.floats(0.3, 3.0), min_size=4, max_size=4))
+def test_roots_match_the_brent_oracle(pair, bundles):
+    endowments = Allocation(np.reshape(bundles, (2, 2)))
+    a1, a2 = endowments.aggregate
+    curve = geometry.contract_curve_2x2(pair, [a1, a2], 5)
+    for k, (alloc, reference) in enumerate(zip(curve, oracles.reference_contract_curve_y12(pair, [a1, a2], 5))):
+        y11 = alloc.bundle(0)[0]
+        assert y11 == a1 * (k + 1) / 6
+        logs = oracles.log_rates_2x2(pair, [a1, a2], y11, reference)
+        # y12 and a2 - y12 both round at the ulp of a2; the log rates at theirs
+        _assert_root_near(
+            alloc.bundle(0)[1], reference, lambda y12: np.subtract(*oracles.log_rates_2x2(pair, [a1, a2], y11, y12)),
+            (0.0, a2), np.spacing(a2), np.spacing(max(1.0, *map(abs, logs))),
+        )
+    if trade.is_pareto_optimal(Economy.of(pair), endowments):
+        return  # no bracket: the endowment is its own equilibrium
+    q, _ = geometry.walras_equilibrium_2x2(pair, endowments)
+    rates = trade.household_rates(Economy.of(pair), endowments)[:, 0]
+    # the aggregate demand rounds at the ulp of a1
+    _assert_root_near(
+        q, oracles.reference_walras_rate(pair, endowments), lambda r: oracles.excess_demand_2x2(pair, endowments, r),
+        (rates.min(), rates.max()), np.spacing(q), np.spacing(a1),
+    )
 
 
 class TestWalrasEquilibrium:
@@ -456,6 +507,35 @@ class TestValidationErrors:
     def test_manifold_grid_dimension(self, cd):
         with pytest.raises(SpecificationError):
             geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], [np.array([1.0, 2.0])])
+
+    @pytest.mark.parametrize(
+        "q", [[1.0, 2.0], [math.inf], [math.nan], [[1.0]], [0.0], [-1.0], [], "x"],
+        ids=["too_long", "inf", "nan", "matrix", "zero", "negative", "empty", "string"],
+    )
+    def test_rate_vector_has_one_rule(self, cd, q):
+        # k_c once leaked numpy's matmul error, warned on inf and called NaN a price; both took [[1.0]]
+        form = rf"^q must be a vector of L - 1 = 1 finite positive rates, got {re.escape(repr(q))}$"
+        with pytest.raises(SpecificationError, match=form):
+            geometry.k_c(cd, [1.0, 2.0], q)
+        with pytest.raises(SpecificationError, match=form):
+            geometry.sample_pareto([cd, cd], q, [0.1, 0.2])
+
+    def test_rate_vector_may_be_a_scalar_at_two_goods_only(self, cd):
+        assert geometry.k_c(cd, [1.0, 2.0], 1.5) == geometry.k_c(cd, [1.0, 2.0], [1.5])
+        assert geometry.sample_pareto([cd, cd], np.float64(1.5), [0.1, 0.2]).q.tolist() == [1.5]
+        ces3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
+        assert geometry.k_c(ces3, [1.0, 2.0, 3.0], [1.0, 2.0]) > 0.0
+        with pytest.raises(SpecificationError, match=r"^q must be a vector of L - 1 = 2 finite positive rates, got 1\.0$"):
+            geometry.k_c(ces3, [1.0, 2.0, 3.0], 1.0)
+
+    def test_flat_point_of_the_wrong_length_has_the_rate_rule(self, cd):
+        # gamma_contains once leaked numpy's matmul error here
+        fp = FlatPoint([1.0, 2.0], 0.0)
+        form = r"^q must be a vector of L - 1 = 1 finite positive rates, got array\(\[1\., 2\.\]\)$"
+        with pytest.raises(SpecificationError, match=form):
+            geometry.unflatten(cd, fp)
+        with pytest.raises(SpecificationError, match=form):
+            geometry.gamma_contains(cd, [1.0, 2.0], fp)
 
     def test_contract_curve_needs_two_specs(self, cd):
         with pytest.raises(SpecificationError):

@@ -199,6 +199,18 @@ class TestWelfareSuite:
         report = verify.welfare_suite(cfg, seed=0)
         assert report.passed
 
+    def test_run_all_runs_the_trajectories_on_its_seed(self, monkeypatch):
+        # the welfare lines print seed=N; their trajectories once read master seed 0 for every N
+        seen = []
+
+        def record(cfg, seed=0):
+            seen.append((cfg.master_seed, seed))
+            return verify.CheckReport("welfare", 1, 0, 0.0, seed)
+
+        monkeypatch.setattr(verify, "welfare_suite", record)
+        verify.run_all(seed=2, name_filter="welfare")
+        assert seen == [(2, 2), (2, 2)]
+
     def test_worst_is_the_missed_share_over_one_percent(self, monkeypatch):
         # three steps are too few for most runs: worst is 100x the missed share
         cfg = dataclasses.replace(verify._bundled_configs()["ces"], runs=200, max_steps=3)
