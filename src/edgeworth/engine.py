@@ -409,8 +409,8 @@ def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.
     ``trade._screen`` call (in closed form at L = 2; certificates and the LP
     beyond), and the draw is taken over the survivors, so a prior with no
     mass on the trade-compatible set fails at once, naming the box and the
-    atoms.  The state was checked by the epoch's ``household_rates`` and the
-    atoms by ``Tabulated``, so neither is checked again here.
+    atoms.  Both public calls check again, at every step: ``msr_extremes``
+    the state (``trade._check_state``), ``box_contains`` the grid (the rate rule).
     """
     box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)

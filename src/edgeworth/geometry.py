@@ -83,17 +83,6 @@ class ParetoPoint:
     allocation: tuple[FloatArray, ...]
 
 
-def _as_rates(q, goods: int) -> FloatArray:
-    """Rates against good L: a vector of ``goods - 1`` finite positive entries, or a scalar when L = 2."""
-    try:  # ragged entries or strings fail to convert
-        r = np.array(q, dtype=np.float64, ndmin=1)
-    except (ValueError, TypeError):
-        r = np.array([])
-    if not (r.shape == (goods - 1,) and np.all((r > 0.0) & (r < math.inf))):
-        raise SpecificationError(f"q must be a vector of L - 1 = {goods - 1} finite positive rates, got {q!r}")
-    return r
-
-
 def flatten(u: UtilitySpec, c) -> FlatPoint:
     """Map a bundle to (substitution rates against good L, utility level)."""
     c = as_bundle(c, u.dimension)
@@ -102,7 +91,7 @@ def flatten(u: UtilitySpec, c) -> FlatPoint:
 
 def unflatten(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Inverse of :func:`flatten`: the Hicksian bundle at prices (q, 1)."""
-    return prefs.hicksian_demand(u, np.append(_as_rates(fp.q, u.dimension), 1.0), fp.u)
+    return prefs.hicksian_demand(u, np.append(prefs._as_rates(fp.q, u.dimension), 1.0), fp.u)
 
 
 def _d_map(u: UtilitySpec, q: FloatArray, level) -> FloatArray:
@@ -118,9 +107,9 @@ def _d_inverse(u: UtilitySpec, p: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 def d_map(u: UtilitySpec, fp: FlatPoint) -> FloatArray:
     """Flat point to normalized prices: (q, 1) scaled by 1 / e((q, 1), u)."""
-    as_price(np.append(fp.q, 1.0), u.dimension)
+    q = prefs._guard(prefs._as_rates(fp.q, u.dimension), "rates")  # a price's floor, which the core needs
     prefs._check_level(u, fp.u)
-    return prefs._guard(_d_map(u, fp.q, fp.u), "normalized prices")
+    return prefs._guard(_d_map(u, q, fp.u), "normalized prices")
 
 
 def d_inverse(u: UtilitySpec, p) -> FlatPoint:
@@ -160,13 +149,7 @@ def sample_manifold(u: UtilitySpec, kind: ManifoldKind, anchor, q_grid) -> Manif
     """
     kind = ManifoldKind(kind)
     anchor = as_bundle(anchor, u.dimension)
-    try:  # ragged or misshapen entries fail to convert or reshape
-        g = np.asarray(q_grid, dtype=np.float64)
-        g = g.reshape(g.shape[0], u.dimension - 1)
-        if not np.all((g > 0.0) & (g < math.inf)):
-            raise ValueError
-    except (ValueError, IndexError) as exc:
-        raise SpecificationError("grid entries must be finite positive vectors of length L - 1") from exc
+    g = prefs._as_rates(q_grid, u.dimension, stack=True)
     p = np.concatenate([g, np.ones((g.shape[0], 1))], axis=1)
     if kind is ManifoldKind.INDIFFERENCE:
         level = float(prefs._utility(u, anchor))
@@ -230,14 +213,14 @@ def gamma_contains(u: UtilitySpec, anchor, fp: FlatPoint, slack: float = 1e-12) 
     """Membership in the flat-domain epigraph bounded by the offer surface."""
     anchor = as_bundle(anchor, u.dimension)
     slack = prefs._check_real(slack, "slack", 0, math.inf, closed=True)
-    p = np.append(_as_rates(fp.q, u.dimension), 1.0)
+    p = np.append(prefs._as_rates(fp.q, u.dimension), 1.0)
     return float(p @ anchor) <= prefs.expenditure(u, p, fp.u) + slack
 
 
 def k_c(u: UtilitySpec, anchor, q) -> float:
     """Indirect utility along the offer chart: v_n((q, 1) / (q, 1).anchor)."""
     anchor = as_bundle(anchor, u.dimension)
-    p = np.append(_as_rates(q, u.dimension), 1.0)
+    p = np.append(prefs._as_rates(q, u.dimension), 1.0)
     return prefs.indirect_utility_normalized(u, p / float(p @ anchor))
 
 
@@ -246,7 +229,7 @@ def sample_pareto(specs, q, levels) -> ParetoPoint:
     levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
     if not specs or len(specs) != levels.size:
         raise SpecificationError("one utility level per household is required")
-    q = _as_rates(q, specs[0].dimension)
+    q = prefs._as_rates(q, specs[0].dimension)
     p = np.append(q, 1.0)
     bundles = tuple(prefs.hicksian_demand(s, p, float(l)) for s, l in zip(specs, levels))
     for s, b in zip(specs, bundles):

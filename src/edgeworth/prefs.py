@@ -203,6 +203,26 @@ def as_price(values, dimension: int | None = None) -> FloatArray:
         raise SpecificationError(str(exc).replace("bundle", "price")) from None
 
 
+def _as_rates(q, goods: int, stack: bool | None = False) -> FloatArray:
+    """Rates against good L: a vector of ``goods - 1`` finite positive entries, a scalar too when L = 2.
+
+    ``stack=True`` reads a (G, goods - 1) stack, a flat list of rates too when
+    L = 2 and an empty one at any L; ``stack=None`` reads a one-axis ``q`` as
+    a vector and any other as a stack, neither in shorthand.
+    """
+    try:  # ragged entries or strings fail to convert
+        r = np.asarray(q, dtype=np.float64)
+    except (ValueError, TypeError):
+        r = np.empty((0, 0, 0))  # of no accepted shape
+    stack = r.ndim != 1 if stack is None else stack
+    if r.ndim == stack and (goods == 2 or r.size == 0):  # a shorthand, one axis short; never when stack was None
+        r = r.reshape((-1, goods - 1) if stack else 1)
+    if not (r.ndim == 1 + stack and r.shape[-1] == goods - 1 and np.all((r > 0.0) & (r < math.inf))):
+        form, got = "a stack of vectors" if stack else "a vector", " ".join(repr(q).split())  # on one line
+        raise SpecificationError(f"q must be {form} of L - 1 = {goods - 1} finite positive rates, got {got}")
+    return r
+
+
 def _guard(values: FloatArray, what: str, floor: float = POSITIVE_FLOOR) -> FloatArray:
     """Return a computed output unchanged if every entry is finite and off the floor.
 

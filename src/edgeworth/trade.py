@@ -357,14 +357,10 @@ def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
     """Whether p = (q, 1) satisfies the min/max rate sandwich for every good.
 
     ``q`` is one rate vector of length L - 1, answered with a bool, or a
-    (G, L - 1) stack of them, answered with one bool per row.
+    (G, L - 1) stack of them, answered with one bool per row (the rate rule).
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim not in (1, 2) or not np.all(q > 0.0):  # a NaN fails too
-        raise SpecificationError("q must be a strictly positive vector")
     n = b.lower_rates.shape[0]
-    if q.shape[-1] != n - 1:
-        raise SpecificationError(f"q must have length {n - 1}")
+    q = prefs._as_rates(q, n, stack=None)
     p = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
     others = ~np.eye(n, dtype=bool)
     cross = p[..., None, :]  # cross[..., i, j] pairs good i's row with p_j

@@ -177,7 +177,8 @@ class TestManifolds:
 
     def test_grid_is_checked_once_for_shape_and_finite_positive_entries(self, cd):
         for grid in ([np.array([1.0, 2.0])], [[1.0], [1.0, 2.0]], [0.5, math.nan], [0.5, math.inf], [0.5, -1.0]):
-            with pytest.raises(SpecificationError, match="^grid entries must be finite positive vectors of length L - 1$"):
+            form = f"q must be a stack of vectors of L - 1 = 1 finite positive rates, got {' '.join(repr(grid).split())}"
+            with pytest.raises(SpecificationError, match=f"^{re.escape(form)}$"):
                 geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], grid)
         assert geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], []).points == ()
 

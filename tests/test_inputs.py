@@ -1,21 +1,26 @@
-"""The scalar input rule: every count and every real that a public door takes.
+"""The input rules: every count, every real and every rate vector that a public door takes.
 
 A count is a Python or numpy integer, never a bool, in its closed range; a
 real is a Python or numpy int or float, never a bool or a string, strictly
 inside its open interval.  Each door refuses anything else with one
 :class:`SpecificationError` message form, and stores the converted value.
+Rates against the last good come as a vector of L - 1 finite positive
+entries or as a stack of such vectors, and each rate door refuses anything
+else in the one form of ``prefs._as_rates``.
 """
 
 from __future__ import annotations
 
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
 
-from edgeworth import engine, geometry, prefs, verify
+from edgeworth import engine, geometry, prefs, trade, verify
 from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Terminal, UniformArc
-from edgeworth.errors import SpecificationError
+from edgeworth.errors import DomainDegeneracyError, SpecificationError
 from edgeworth.prefs import Family, UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
@@ -146,3 +151,71 @@ def test_scalar_door_has_one_rule(kind, row):
     if field is not None:
         stored = getattr(result, field)
         assert type(stored) is kind and stored == accepted
+
+
+# a duck-typed flat point: its q skips FlatPoint's own check, so the door's rule answers
+def _flat(q):
+    return types.SimpleNamespace(q=q, u=0.0)
+
+
+BOX = trade.msr_extremes(ECONOMY, SHOCK)
+
+#: case: (a refused vector, a refused stack), at L = 2
+RATE_CASES = {
+    "wrong_length": ([1.0, 2.0], [[1.0, 2.0]]),
+    "three_axes": (np.ones((1, 1, 1)), np.ones((2, 1, 1))),
+    "nan": ([math.nan], [[1.0], [math.nan]]),
+    "inf": ([math.inf], [[math.inf]]),
+    "minus_inf": ([-math.inf], [[1.0], [-math.inf]]),
+    "zero": ([0.0], [[0.0]]),
+    "negative": ([-1.0], [[2.0], [-1.0]]),
+    "ragged": ([1.0, [2.0]], [[1.0], [1.0, 2.0]]),
+    "string": ("x", "x"),
+}
+ONE_AXIS = ("wrong_length", "nan", "inf", "minus_inf", "zero", "negative")
+
+#: door: (call on q, whether it reads a stack, the cases it refuses in that form)
+RATES = {
+    "k_c": (lambda q: geometry.k_c(CD, [1.0, 2.0], q), False, RATE_CASES),
+    "sample_pareto": (lambda q: geometry.sample_pareto([CD, CD], q, [0.1, 0.2]), False, RATE_CASES),
+    "unflatten": (lambda q: geometry.unflatten(CD, _flat(q)), False, RATE_CASES),
+    "gamma_contains": (lambda q: geometry.gamma_contains(CD, [1.0, 1.0], _flat(q)), False, RATE_CASES),
+    "d_map": (lambda q: geometry.d_map(CD, _flat(q)), False, RATE_CASES),
+    "sample_manifold": (
+        lambda q: geometry.sample_manifold(CD, geometry.ManifoldKind.OFFER, [1.0, 1.0], q), True, RATE_CASES
+    ),
+    # box_contains reads a q of one axis as a vector and any other as a stack
+    "box_contains.vector": (lambda q: trade.box_contains(BOX, q), False, ONE_AXIS),
+    "box_contains.stack": (lambda q: trade.box_contains(BOX, q), True, RATE_CASES),
+}
+
+
+@pytest.mark.parametrize("call, stack, cases", RATES.values(), ids=RATES.keys())
+def test_rate_door_has_one_rule(call, stack, cases):
+    form = "a stack of vectors" if stack else "a vector"
+    for case in cases:
+        value = RATE_CASES[case][stack]
+        with pytest.raises(SpecificationError) as info:
+            call(value)
+        got = " ".join(repr(value).split())  # the message's one line
+        assert str(info.value) == f"q must be {form} of L - 1 = 1 finite positive rates, got {got}"
+    for value in (np.empty((0, 1)), np.array([[1.5], [0.5]])) if stack else (np.array([1.5]),):
+        call(value)
+
+
+def test_rate_doors_read_the_whole_shape():
+    # sample_manifold once reshaped these grids into two points; d_map said "expected 2 goods, got 3"
+    with pytest.raises(SpecificationError) as info:
+        geometry.sample_manifold(CES3, geometry.ManifoldKind.OFFER, [1.0, 1.0, 1.0], np.ones((2, 2, 1)))
+    form = "q must be a stack of vectors of L - 1 = 2 finite positive rates, got array([[[1.], [1.]], [[1.], [1.]]])"
+    assert str(info.value) == form
+    with pytest.raises(SpecificationError) as info:
+        geometry.d_map(CD, geometry.FlatPoint([1.0, 2.0], 0.0))
+    assert str(info.value) == "q must be a vector of L - 1 = 1 finite positive rates, got array([1., 2.])"
+
+
+def test_d_map_refuses_a_rate_below_the_floor_before_the_core():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the core overflows on such a rate
+        with pytest.raises(DomainDegeneracyError, match="^rates degenerated below the positive floor$"):
+            geometry.d_map(CD, geometry.FlatPoint([1e-310], 0.0))

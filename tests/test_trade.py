@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,8 +448,9 @@ class TestIntervalAndBox:
 
     def test_box_contains_rejects_a_nan_rate(self, cd_economy, shock):
         box = trade.msr_extremes(cd_economy, shock)
-        for q in ([np.nan], [[1.0], [np.nan]]):
-            with pytest.raises(SpecificationError, match="^q must be a strictly positive vector$"):
+        for q, form in (([np.nan], "a vector"), ([[1.0], [np.nan]], "a stack of vectors")):
+            message = f"q must be {form} of L - 1 = 1 finite positive rates, got {q!r}"
+            with pytest.raises(SpecificationError, match=f"^{re.escape(message)}$"):
                 trade.box_contains(box, q)
 
     def test_own_rate_always_inside(self, ces_economy, rng, ces):
@@ -520,12 +523,14 @@ class TestIntervalAndBox:
 
     def test_stack_is_checked_like_one_vector(self, cd_economy, shock):
         box = trade.msr_extremes(cd_economy, shock)
-        for bad in ([0.0], [[1.0], [0.0], [2.0]], [[1.0], [-2.0]], 1.0, [[[1.0]]]):
-            with pytest.raises(SpecificationError, match="^q must be a strictly positive vector$"):
-                trade.box_contains(box, bad)
-        for bad in ([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]]):
-            with pytest.raises(SpecificationError, match="^q must have length 1$"):
-                trade.box_contains(box, bad)
+        # a q of one axis is one vector and any other a stack; neither takes an L = 2 shorthand
+        vectors = ([0.0], [1.0, 1.0])
+        stacks = ([[1.0], [0.0], [2.0]], [[1.0], [-2.0]], 1.0, [[[1.0]]], [[1.0, 1.0], [2.0, 2.0]])
+        for form, bads in (("a vector", vectors), ("a stack of vectors", stacks)):
+            for bad in bads:
+                message = f"q must be {form} of L - 1 = 1 finite positive rates, got {bad!r}"
+                with pytest.raises(SpecificationError, match=f"^{re.escape(message)}$"):
+                    trade.box_contains(box, bad)
 
 
 class TestSampleSpeed:
