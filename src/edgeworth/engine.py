@@ -136,16 +136,7 @@ class SimConfig:
         object.__setattr__(self, "runs", prefs._check_int(self.runs, "runs", 1))
         object.__setattr__(self, "max_steps", prefs._check_int(self.max_steps, "max_steps", 1, 2**53))  # float-exact
         object.__setattr__(self, "pareto_tol", _check_pareto_tol(self.pareto_tol, _supports_fast_path(self)))
-        n_rates = self.economy.n_goods - 1
-        q_prior = self.prior.q_prior
-        if isinstance(q_prior, Tabulated):
-            if q_prior.grid.shape[1] != n_rates:
-                raise SpecificationError(
-                    f"tabulated price grid rows must have L - 1 = {n_rates} rates, "
-                    f"got {q_prior.grid.shape[1]}"
-                )
-        elif n_rates != 1:
-            raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
+        _check_prior(self.economy, self.prior)
         object.__setattr__(self, "master_seed", prefs._check_int(self.master_seed, "master seed", 0, _MAX_KEY))
 
 
@@ -265,6 +256,17 @@ def _check_pareto_tol(tol, closed_form: bool) -> float:
             "(two households, two goods and an angle price prior)"
         )
     return tol
+
+
+def _check_prior(e: Economy, prior: PriorSpec) -> None:
+    """A tabulated prior's grid rows hold L - 1 rates; an angle prior needs L = 2."""
+    n_rates = e.n_goods - 1
+    if isinstance(prior.q_prior, Tabulated):
+        width = prior.q_prior.grid.shape[1]
+        if width != n_rates:
+            raise SpecificationError(f"tabulated price grid rows must have L - 1 = {n_rates} rates, got {width}")
+    elif n_rates != 1:
+        raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -463,6 +465,7 @@ def draw_price(
     households' extreme substitution rates; its draw is accepted by that
     interval, without an LP.
     """
+    _check_prior(e, prior)
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, trade.PARETO_TOL):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
@@ -472,12 +475,10 @@ def draw_price(
 def _draw_price(
     e: Economy, y: Allocation, rates: FloatArray, prior: PriorSpec, rng: np.random.Generator
 ) -> FloatArray:
-    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates."""
+    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates and a checked prior."""
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
         return _draw_tabulated(e, y, q_prior, rng)
-    if e.n_goods != 2:
-        raise SpecificationError(_ANGLE_PRIOR_NEEDS_L2)
     lo, hi = rates.min(axis=0), rates.max(axis=0)
     return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1))  # one row
 
@@ -497,6 +498,7 @@ def sntp_step(
     for the speed draw and the move.
     """
     pareto_tol = _check_pareto_tol(pareto_tol, closed_form=False)
+    _check_prior(e, prior)
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, pareto_tol):
         return None
@@ -526,14 +528,14 @@ class _Streams:
     """
 
     def __init__(self, master_seed: int, indices: NDArray[np.int64]):
-        self._gen = run_rng(master_seed, 0)
+        # a master seed that SimConfig has checked
+        self._gen = np.random.Generator(np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64)))
         # the state set before each refill: key[0] is the master seed,
         # key[1] the run, counter[0] the Philox blocks the run has read, and
         # the spent buffer makes the next draw start a block there; lists,
         # which the state setter reads faster than arrays
-        key = self._gen.bit_generator.state["state"]["key"].tolist()
         self._state = {
-            "bit_generator": "Philox", "state": {"key": key, "counter": [0, 0, 0, 0]},
+            "bit_generator": "Philox", "state": {"key": [master_seed, 0], "counter": [0, 0, 0, 0]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         self._runs = np.zeros((indices.size, 2), dtype=np.uint64)  # each run's key[1] and counter[0]
@@ -559,22 +561,31 @@ class _Streams:
         return self._buf[rows, pos]
 
 
+def _households(live: FloatArray) -> FloatArray:
+    """The bundles of the 2x2 kernel's ``live`` rows as a (2, runs, 2) view: household h's
+    (runs, 2) stack keeps goods apart, so passes run along runs."""
+    return live[3:].reshape(2, 2, -1).transpose(0, 2, 1)
+
+
 def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     """Advance the runs ``indices`` of a 2x2 angle-prior config in lockstep.
 
     The live runs are the columns of one array; a run leaves once its rates
     agree or it fails, and the others go on.  Rates and demands come from
-    the ``prefs`` closed-form core on each household's ``(runs, 2)`` stack.
-    Each run reads its own stream in the order a lone run would (price
-    attempts, then the speed draw), so its path does not depend on the runs
-    beside it.  A run fails when its price or speed draw fails, or when a
-    path end is not finite or falls below the positive floor.  Failures are
-    raised once the batch is done, for the lowest failing run index, each
-    with its own error class and the step's rate interval and input state.
+    one call of the ``prefs`` closed-form core per household group on a
+    ``(2, runs, 2)`` view of the bundles, so a pair that shares a family and
+    elasticity is one call.  Each run reads its own stream in the order a
+    lone run would (price attempts, then the speed draw), so its path does
+    not depend on the runs beside it.  A run fails when its price or speed
+    draw fails, or when a path end is not finite or falls below the positive
+    floor.  Failures are raised once the batch is done, for the lowest
+    failing run index, each with its own error class and the step's rate
+    interval and input state.
     """
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
-    u1, u2 = cfg.economy.specs
+    # the view's households lie on axis 0, so each group's weights are (k, 1, 2)
+    groups = tuple(trade._Group(g.family, g.weights[:, None], g.elasticity, g.members) for g in cfg.economy.groups)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     rows = np.arange(n)
     live = np.empty((7, n))  # q, s1, s2 of the last epoch, then y11, y12, y21, y22
@@ -585,9 +596,9 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     pareto = np.zeros(n, dtype=bool)
     errors: dict[int, tuple[type[Exception], str]] = {}
     for k in range(1, cfg.max_steps + 1):
-        # live[3:5].T, household 1's stack, keeps goods apart: passes run along runs
-        m1, m2 = prefs._rates(u1, live[3:5].T)[:, 0], prefs._rates(u2, live[5:].T)[:, 0]
-        lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
+        y = _households(live)
+        m = trade._grouped(prefs._rates, groups, y)[..., 0]
+        lo, hi = np.minimum(m[0], m[1]), np.maximum(m[0], m[1])
         done = _rates_agree(lo, hi, cfg.pareto_tol)
         if np.count_nonzero(done):
             pareto[rows[done]], last[rows[done], 1] = True, k - 1
@@ -595,6 +606,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             rows, live, lo, hi = rows[~done], live[:, ~done], lo[~done], hi[~done]
             if not rows.size:
                 break
+            y = _households(live)
         bad = []
 
         def fail(failed, why, kind=SamplingError):
@@ -608,18 +620,18 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
 
         q = _draw_rate(cfg.prior.q_prior, lo, hi, draw, fail)
         p = np.array([q, np.ones_like(q)]).T
-        y1, y2 = live[3:5].T, live[5:].T
         with np.errstate(all="ignore"):  # a path end off the floor fails its run below
-            x1, x2 = trade._path_end(u1, y1, p), trade._path_end(u2, y2, p)
-        ends = np.concatenate([x1, x2], axis=1)
-        if not (ends.min() >= prefs.POSITIVE_FLOOR and ends.max() < math.inf):  # some run is live here
-            on = np.all((ends >= prefs.POSITIVE_FLOOR) & (ends < math.inf), axis=1)  # a NaN is off
+            x = trade._grouped(trade._path_end, groups, y, p)
+        if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some run is live here
+            on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(0, 2))  # a NaN is off
             why = "demand degenerated below the positive floor"  # the generic step's wording
             fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
-            x1, x2 = np.where(on[:, None], x1, y1), np.where(on[:, None], x2, y2)  # idle placeholders
-        d1, d2 = x1 - y1, x2 - y2
-        s1, s2 = _ray_speeds(np.hypot(*d1.T), np.hypot(*d2.T), max_speed, draw, fail)
-        live = np.concatenate([[q, s1, s2], (y1 + s1[:, None] * d1).T, (y2 + s2[:, None] * d2).T])
+            x = np.where(on[:, None], x, y)  # idle placeholders
+        d = x - y
+        s1, s2 = _ray_speeds(*np.hypot(d[..., 0], d[..., 1]), max_speed, draw, fail)
+        live = np.empty((7, rows.size))
+        live[0], live[1], live[2] = q, s1, s2
+        np.add(y, live[1:3, :, None] * d, out=_households(live))
         if record:
             log.append((rows, live))
         if bad:
@@ -741,17 +753,17 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
         while t < 64 and rng.random() >= 0.5:
             t += 1
         steps[r] = t
-    specs = (prefs.UtilitySpec.cobb_douglas_log([0.5, 0.5]),) * 2
+    groups = Economy.of((prefs.UtilitySpec.cobb_douglas_log([0.5, 0.5]),) * 2).groups
     y = np.array([[2.0, 1.0], [1.0, 2.0]])
-    outcomes = [trade._each(trade._path_end, specs, y, np.ones(2))]  # [j - 1]: stop time j
+    outcomes = [trade._grouped(trade._path_end, groups, y, np.ones(2))]  # [j - 1]: stop time j
     for t in range(1, int(steps.max())):
-        dirs = trade._each(trade._path_end, specs, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
+        dirs = trade._grouped(trade._path_end, groups, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
         norms = np.linalg.norm(dirs, axis=1)
         if norms.min() == 0.0:
             break
         speeds = _ray_speeds(*norms, max_speed=True, draw=None)
         y = y + np.array(speeds)[:, None] * dirs
-        outcomes.append(trade._each(trade._path_end, specs, y, np.ones(2)))
+        outcomes.append(trade._grouped(trade._path_end, groups, y, np.ones(2)))
     tags = [Terminal.PARETO_REACHED] * runs
     qs = np.ones((runs, 1))
     return summarize(np.stack(outcomes)[np.minimum(steps, len(outcomes)) - 1], qs, steps, tags)

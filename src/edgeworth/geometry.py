@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
 from .prefs import UtilitySpec, as_bundle, as_price
-from .trade import PARETO_TOL, Allocation, Economy, _each, _path_end, _rates_agree, household_rates
+from .trade import PARETO_TOL, Allocation, Economy, _grouped, _path_end, _rates_agree, household_rates
 
 FloatArray = NDArray[np.float64]
 
@@ -268,13 +268,14 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     aggregate = as_bundle(aggregate, 2)
     grid_size = prefs._check_int(grid_size, "grid_size", 1)
     y11 = aggregate[0] * np.arange(1, grid_size + 1) / (grid_size + 1)
+    groups = Economy.of(specs).groups
 
     def split(y12: FloatArray) -> FloatArray:
         first = np.stack([y11, y12], axis=-1)
         return np.stack([first, aggregate - first], axis=-2)
 
     def rate_mismatch(y12: FloatArray) -> FloatArray:
-        rates = np.log(prefs._guard(_each(prefs._rates, specs, split(y12)), "substitution rates"))
+        rates = np.log(prefs._guard(_grouped(prefs._rates, groups, split(y12)), "substitution rates"))
         return rates[:, 0, 0] - rates[:, 1, 0]
 
     eps = np.full(grid_size, 1e-12 * aggregate[1])
@@ -291,14 +292,15 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
     """
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")
-    rates = household_rates(Economy.of(specs), endowments)  # (2, 1)
+    economy = Economy.of(specs)
+    rates = household_rates(economy, endowments)  # (2, 1)
     if _rates_agree(rates.min(), rates.max(), PARETO_TOL):
         return float(rates.min()), endowments  # already Pareto optimal: no-trade equilibrium
     aggregate = endowments.aggregate
 
     def demands(q) -> FloatArray:
         p = np.stack([q, np.ones_like(q)], axis=-1)
-        return prefs._guard(_each(_path_end, specs, endowments.bundles, p), "demand")
+        return prefs._guard(_grouped(_path_end, economy.groups, endowments.bundles, p[..., None, :]), "demand")
 
     q = _bisect(
         lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], rates.min(axis=0), rates.max(axis=0),

@@ -13,7 +13,10 @@ validated at the boundary: by the constructors, and by the public functions,
 which check each argument once, with the utility's dimension, through
 ``as_bundle``/``as_price``, call the core on it and ``_guard`` the result.
 Callers holding validated state (trade, the engine's 2x2 kernel, verify)
-call the core on whole stacks and guard once per stack.  One row of every
+call the core on whole stacks and guard once per stack.  ``_rates``,
+``_demand`` and ``_inverse_demand`` also take a household group of
+``trade.Economy.groups`` where they take a spec: the group's stacked
+weights broadcast against its members' bundles.  One row of every
 core has the bits of its public function on that row: where a one-vector
 evaluation takes a power, exp or log of a scalar, the core uses the C
 library's (``np.float_power``, :func:`_libm`) on every row, since numpy's

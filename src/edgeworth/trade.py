@@ -21,13 +21,14 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import _hitrun, _simplex, prefs
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
-from .prefs import UtilitySpec, as_price
+from .prefs import Family, UtilitySpec, as_price
 
 FloatArray = NDArray[np.float64]
 
@@ -54,6 +55,23 @@ class SpeedPrior(str, enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
+class _Group:
+    """The households of one family and CES elasticity: their indices and their weights, stacked ``(k, L)``.
+
+    The ``prefs`` demand and rate cores (``_rates``, ``_demand`` through
+    ``_path_end``, ``_inverse_demand``) take a group where they take a spec:
+    its weights broadcast against the members' ``(..., k, L)`` bundles, so one
+    call serves them all.  None of those cores reads a level exponent, so a
+    group has none.
+    """
+
+    family: Family
+    weights: FloatArray
+    elasticity: float | None
+    members: NDArray[np.intp]
+
+
+@dataclass(frozen=True, eq=False)
 class Economy:
     """A pure-exchange economy: two or more households' utilities over the same goods."""
 
@@ -77,6 +95,17 @@ class Economy:
     @property
     def n_goods(self) -> int:
         return self.specs[0].dimension
+
+    @cached_property
+    def groups(self) -> tuple[_Group, ...]:
+        """The households by family and CES elasticity, in the order of each group's first member."""
+        members: dict[tuple[Family, float | None], list[int]] = {}
+        for h, u in enumerate(self.specs):
+            members.setdefault((u.family, u.elasticity), []).append(h)
+        return tuple(
+            _Group(family, np.stack([self.specs[h].weights for h in m]), sigma, np.array(m))
+            for (family, sigma), m in members.items()
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,20 +181,34 @@ def _check_state(e: Economy, y: Allocation) -> None:
         raise DomainDegeneracyError("bundle coordinate below 1e-300")
 
 
-def _each(core, specs, bundles: FloatArray, *args) -> FloatArray:
-    """``core(u_h, b_h, *args)`` for each household h of an ``(..., H, L)`` stack, on axis -2."""
-    rows = [core(u, bundles[..., h, :], *args)[..., None, :] for h, u in enumerate(specs)]
-    return np.concatenate(rows, axis=-2)
+def _grouped(core, groups, bundles: FloatArray, *args) -> FloatArray:
+    """``core(g, members' bundles, *args)`` for each household group ``g``, its rows in household order.
+
+    The households lie on the axis that a group's weights put first: -2 for
+    ``(k, L)`` weights and an ``(..., H, L)`` stack.  ``args`` broadcast
+    against every group's stack.  One group takes the whole stack.
+    """
+    if len(groups) == 1:
+        return core(groups[0], bundles, *args)
+    axis = -groups[0].weights.ndim
+    at = [(Ellipsis, g.members) + (slice(None),) * (-axis - 1) for g in groups]
+    parts = [core(g, bundles[i], *args) for g, i in zip(groups, at)]
+    shape = list(parts[0].shape)
+    shape[axis] = bundles.shape[axis]
+    out = np.empty(shape)
+    for i, part in zip(at, parts):
+        out[i] = part
+    return out
 
 
-def _path_end(u: UtilitySpec, b: FloatArray, p: FloatArray) -> FloatArray:
-    """x_n(p / p.b), where the linear path from ``b`` at prices ``p`` ends; no checks."""
+def _path_end(u: UtilitySpec | _Group, b: FloatArray, p: FloatArray) -> FloatArray:
+    """x_n(p / p.b), where the linear path from ``b`` at prices ``p`` (broadcast against ``b``) ends; no checks."""
     return prefs._demand(u, p / np.vecdot(p, b)[..., None])
 
 
 def _directions(e: Economy, bundles: FloatArray, p: FloatArray) -> FloatArray:
     """``all_trade_directions`` of ``(..., H, L)`` bundles at ``(..., L)`` prices; only the demand is guarded."""
-    return prefs._guard(_each(_path_end, e.specs, bundles, p), "demand") - bundles
+    return prefs._guard(_grouped(_path_end, e.groups, bundles, p[..., None, :]), "demand") - bundles
 
 
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
@@ -319,7 +362,7 @@ def _rates_agree(lo, hi, tol):
 def household_rates(e: Economy, y: Allocation) -> FloatArray:
     """(H, L - 1) substitution rates, one row per household."""
     _check_state(e, y)
-    return prefs._guard(_each(prefs._rates, e.specs, y.bundles), "substitution rates")
+    return prefs._guard(_grouped(prefs._rates, e.groups, y.bundles), "substitution rates")
 
 
 def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
@@ -335,7 +378,7 @@ def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
 def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
     """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
     whether the interval between them is open; only the rates are guarded."""
-    r = prefs._guard(_each(prefs._rates, e.specs, bundles), "substitution rates")[..., 0]
+    r = prefs._guard(_grouped(prefs._rates, e.groups, bundles), "substitution rates")[..., 0]
     lo, hi = r.min(axis=-1), r.max(axis=-1)
     return lo, hi, ~_rates_agree(lo, hi, PARETO_TOL)
 
@@ -343,7 +386,7 @@ def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray,
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
     """Elementwise min/max of households' substitution-rate ratios."""
     _check_state(e, y)
-    inv = prefs._guard(_each(prefs._inverse_demand, e.specs, y.bundles), "inverse demand")
+    inv = prefs._guard(_grouped(prefs._inverse_demand, e.groups, y.bundles), "inverse demand")
     ratios = inv[:, :, None] / inv[:, None, :]  # (H, L, L), ratios[h, i, j]
     lower = ratios.min(axis=0)
     upper = ratios.max(axis=0)

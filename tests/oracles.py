@@ -26,6 +26,8 @@ on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
 at L = 2, summed household by household, with no LP and no slack.
 ``reference_contract_curve_y12`` and ``reference_walras_rate`` find the 2x2
 roots one at a time by Brent's method through the public functions.
+``reference_each`` calls a ``prefs`` core once per household, the loop that
+``trade._grouped`` replaced by one call per household group.
 """
 
 from __future__ import annotations
@@ -128,6 +130,12 @@ def reference_substitution_rates(u, c) -> np.ndarray:
     """Per-vector substitution rates against the last good."""
     g = reference_gradient(u, c)
     return g[:-1] / g[-1]
+
+
+def reference_each(core, specs, bundles: np.ndarray, *args) -> np.ndarray:
+    """``core(u_h, b_h, *args)`` for each household h of an ``(..., H, L)`` stack, on axis -2."""
+    rows = [core(u, bundles[..., h, :], *args)[..., None, :] for h, u in enumerate(specs)]
+    return np.concatenate(rows, axis=-2)
 
 
 def fd_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -545,7 +553,7 @@ def reference_attraction_suite(e, draws: int, seed: int) -> tuple[int, float]:
         p = np.append(q, 1.0)
         dirs = trade.all_trade_directions(e, y, p)
         paths = y.bundles + sigma[:, None] * ts[:, None, None] * dirs
-        inv = trade._each(prefs._inverse_demand, e.specs, paths)
+        inv = reference_each(prefs._inverse_demand, e.specs, paths)
         ratios = inv[:, :, :, None] / inv[:, :, None, :]
         price_ratio = p[:, None] / p[None, :]
         increases = [np.max(np.diff((ratios - price_ratio) ** 2, axis=0))]

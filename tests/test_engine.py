@@ -749,6 +749,39 @@ class TestLockstepKernel:
                 engine.run_trajectory(replay, i)
             assert str(again.value) == f"run {i}: step 1: {reason}; state {state}"
 
+    @pytest.mark.parametrize(
+        "pair, groups",
+        [
+            ((UtilitySpec.cobb_douglas_log([0.4, 0.6]), UtilitySpec.ces([0.7, 0.3], 0.5)), 2),
+            ((UtilitySpec.ces([0.5, 0.5], 0.3), UtilitySpec.ces([0.7, 0.3], 0.6)), 2),
+            ((UtilitySpec.cobb_douglas_log([0.4, 0.6]), UtilitySpec.multiplicative([1.0, 3.0])), 1),
+            ((UtilitySpec.ces([0.5, 0.5], 0.5), UtilitySpec.ces([0.7, 0.3], 0.5)), 1),
+        ],
+        ids=["cd_ces", "ces3_ces6", "cd_exponent", "ces_ces"],
+    )
+    def test_groups_are_invisible_in_the_tables(self, monkeypatch, shock, pair, groups):
+        # the kernel makes one core call per household group: per household, the tables keep their bytes
+        priors = [(ArctanNormal(1.0, 0.2), SpeedPrior.UNIFORM_CUBE), (UniformArc(), SpeedPrior.MAX_SPEED)]
+        configs = [make_config(Economy.of(pair), shock, *prior, runs=64, max_steps=120) for prior in priors]
+        assert len(configs[0].economy.groups) == groups
+
+        def tables():
+            return [engine.run_monte_carlo(cfg, trace=True).trace for cfg in configs] + [
+                engine.run_trajectory(cfg, i).table for cfg in configs for i in range(8)
+            ]
+
+        grouped = tables()
+
+        def singletons(e):
+            return tuple(
+                trade._Group(u.family, u.weights[None], u.elasticity, np.array([h])) for h, u in enumerate(e.specs)
+            )
+
+        monkeypatch.setattr(Economy, "groups", property(singletons))
+        assert len(configs[0].economy.groups) == 2
+        for got, want in zip(tables(), grouped, strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestGenericPathThreeGoods:
     @pytest.fixture

@@ -219,3 +219,35 @@ def test_d_map_refuses_a_rate_below_the_floor_before_the_core():
         warnings.simplefilter("error")  # the core overflows on such a rate
         with pytest.raises(DomainDegeneracyError, match="^rates degenerated below the positive floor$"):
             geometry.d_map(CD, geometry.FlatPoint([1e-310], 0.0))
+
+
+CES3B = UtilitySpec.ces([0.4, 0.3, 0.3], 0.5)
+STATE3 = Allocation(np.array([[1.1, 0.9, 1.3], [0.8, 1.4, 0.7]]))
+
+
+def _tabulated(grid) -> PriorSpec:
+    grid = np.asarray(grid, dtype=np.float64)
+    return PriorSpec(engine.Tabulated(grid, np.ones(len(grid))), SpeedPrior.UNIFORM_CUBE)
+
+
+#: door: a call on (economy, state, prior)
+GRID_DOORS = {
+    "SimConfig": lambda e, y, prior: SimConfig(e, y, prior, master_seed=1),
+    "draw_price": lambda e, y, prior: engine.draw_price(e, y, prior, engine.run_rng(1, 0)),
+    "sntp_step": lambda e, y, prior: engine.sntp_step(e, y, prior, engine.run_rng(1, 0)),
+}
+
+
+@pytest.mark.parametrize("call", GRID_DOORS.values(), ids=GRID_DOORS.keys())
+def test_grid_width_door_has_one_rule(call):
+    # draw_price and sntp_step once passed a one-rate grid on three goods to
+    # box_contains, which refused it as "q must be a stack of vectors ..."
+    refused = {
+        "L - 1 = 2 rates, got 1": (Economy.of([CES3, CES3B]), STATE3, _tabulated([[1.0], [2.0]])),
+        "L - 1 = 1 rates, got 2": (ECONOMY, SHOCK, _tabulated([[1.0, 1.0], [0.8, 1.2]])),
+    }
+    for rule, args in refused.items():
+        with pytest.raises(SpecificationError) as info:
+            call(*args)
+        assert str(info.value) == f"tabulated price grid rows must have {rule}"
+    call(ECONOMY, SHOCK, _tabulated(np.geomspace(0.25, 4.0, 200)[:, None]))

@@ -14,7 +14,7 @@ from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 from oracles import box_contains as box_contains_reference
-from oracles import clearing_price, exact_volume_l2, log_uniform, lp_trade, reference_polygon_sample
+from oracles import clearing_price, exact_volume_l2, log_uniform, lp_trade, reference_each, reference_polygon_sample
 
 
 def _random_state(draw: np.random.Generator, goods: int, households: int):
@@ -839,3 +839,51 @@ class TestPareto:
             y = Allocation(log_uniform(rng, (2, 2)))
             empty = trade.trade_interval_2x2(ces_economy, y) is None
             assert trade.is_pareto_optimal(ces_economy, y) == empty
+
+
+def _mixed_specs(draw: np.random.Generator, kinds, goods: int) -> list[UtilitySpec]:
+    """One household per kind: log, log at a level exponent, or CES at elasticity 0.3 or 0.6."""
+    specs = []
+    for kind in kinds:
+        w = draw.uniform(0.2, 1.0, goods)
+        if kind == "log":
+            specs.append(UtilitySpec.cobb_douglas_log(w / w.sum()))
+        elif kind == "exponent":
+            specs.append(UtilitySpec.multiplicative(3.0 * w))
+        else:
+            specs.append(UtilitySpec.ces(w / w.sum(), {"ces3": 0.3, "ces6": 0.6}[kind]))
+    return specs
+
+
+class TestGroups:
+    """One core call per household group gives the bytes of one call per household."""
+
+    def test_groups_share_family_and_elasticity(self):
+        draw = np.random.default_rng(3)
+        specs = _mixed_specs(draw, ["log", "ces3", "exponent", "ces6", "ces3"], 3)
+        groups = Economy.of(specs).groups
+        assert [g.members.tolist() for g in groups] == [[0, 2], [1, 4], [3]]
+        assert [g.elasticity for g in groups] == [None, 0.3, 0.6]
+        for g in groups:
+            np.testing.assert_array_equal(g.weights, [specs[h].weights for h in g.members])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        goods=st.sampled_from([2, 3]),
+        kinds=st.lists(st.sampled_from(["log", "exponent", "ces3", "ces6"]), min_size=2, max_size=4),
+        stack=st.sampled_from([(), (1,), (5,)]),
+    )
+    def test_grouped_cores_give_the_per_household_bytes(self, seed, goods, kinds, stack):
+        draw = np.random.default_rng(seed)
+        specs = _mixed_specs(draw, kinds, goods)
+        e = Economy.of(specs)
+        bundles = log_uniform(draw, stack + (len(specs), goods), 0.2, 5.0)
+        p = log_uniform(draw, stack + (goods,), 0.2, 5.0)
+        want = prefs._guard(reference_each(trade._path_end, specs, bundles, p), "demand") - bundles
+        got = trade._directions(e, bundles, p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for core in (prefs._rates, prefs._inverse_demand):
+            want = reference_each(core, specs, bundles)
+            got = trade._grouped(core, e.groups, bundles)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -91,7 +91,7 @@ class TestClearingSolver:
         specs = [UtilitySpec.ces([0.2, 0.3, 0.5], 0.5), UtilitySpec.ces([0.5, 0.3, 0.2], 0.4)]
         e = Economy.of(specs)
         bundles = log_uniform(rng, (3, 2, 3))
-        rates = trade._each(prefs._rates, specs, bundles)
+        rates = oracles.reference_each(prefs._rates, specs, bundles)
         real = geometry._jacobian_psi
 
         def singular_second_row(u, anchor, p):
