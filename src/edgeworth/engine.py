@@ -562,9 +562,9 @@ class _Streams:
 
 
 def _households(live: FloatArray) -> FloatArray:
-    """The bundles of the 2x2 kernel's ``live`` rows as a (2, runs, 2) view: household h's
-    (runs, 2) stack keeps goods apart, so passes run along runs."""
-    return live[3:].reshape(2, 2, -1).transpose(0, 2, 1)
+    """The bundles of the 2x2 kernel's ``live`` rows as a (runs, 2, 2) view: in memory
+    goods stay apart, so passes run along runs."""
+    return live[3:].reshape(2, 2, -1).transpose(2, 0, 1)
 
 
 def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
@@ -573,7 +573,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     The live runs are the columns of one array; a run leaves once its rates
     agree or it fails, and the others go on.  Rates and demands come from
     one call of the ``prefs`` closed-form core per household group on a
-    ``(2, runs, 2)`` view of the bundles, so a pair that shares a family and
+    ``(runs, 2, 2)`` view of the bundles, so a pair that shares a family and
     elasticity is one call.  Each run reads its own stream in the order a
     lone run would (price attempts, then the speed draw), so its path does
     not depend on the runs beside it.  A run fails when its price or speed
@@ -584,8 +584,6 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     """
     n = indices.size
     streams = _Streams(cfg.master_seed, indices)
-    # the view's households lie on axis 0, so each group's weights are (k, 1, 2)
-    groups = tuple(trade._Group(g.family, g.weights[:, None], g.elasticity, g.members) for g in cfg.economy.groups)
     max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     rows = np.arange(n)
     live = np.empty((7, n))  # q, s1, s2 of the last epoch, then y11, y12, y21, y22
@@ -595,10 +593,11 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     log = [(rows, live)]
     pareto = np.zeros(n, dtype=bool)
     errors: dict[int, tuple[type[Exception], str]] = {}
+    y = _households(live)
     for k in range(1, cfg.max_steps + 1):
-        y = _households(live)
-        m = trade._grouped(prefs._rates, groups, y)[..., 0]
-        lo, hi = np.minimum(m[0], m[1]), np.maximum(m[0], m[1])
+        m = trade._grouped(prefs._rates, cfg.economy, y)
+        m1, m2 = m[:, 0, 0], m[:, 1, 0]
+        lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
         done = _rates_agree(lo, hi, cfg.pareto_tol)
         if np.count_nonzero(done):
             pareto[rows[done]], last[rows[done], 1] = True, k - 1
@@ -619,19 +618,20 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             return streams.take(rows[sub])
 
         q = _draw_rate(cfg.prior.q_prior, lo, hi, draw, fail)
-        p = np.array([q, np.ones_like(q)]).T
+        p = np.array([q, np.ones_like(q)]).T[:, None]  # one price row for both households
         with np.errstate(all="ignore"):  # a path end off the floor fails its run below
-            x = trade._grouped(trade._path_end, groups, y, p)
+            x = trade._grouped(trade._path_end, cfg.economy, y, p)
         if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some run is live here
-            on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(0, 2))  # a NaN is off
+            on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(1, 2))  # a NaN is off
             why = "demand degenerated below the positive floor"  # the generic step's wording
             fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
-            x = np.where(on[:, None], x, y)  # idle placeholders
+            x = np.where(on[:, None, None], x, y)  # idle placeholders
         d = x - y
-        s1, s2 = _ray_speeds(*np.hypot(d[..., 0], d[..., 1]), max_speed, draw, fail)
+        norms = np.hypot(d[..., 0], d[..., 1])
+        s1, s2 = _ray_speeds(norms[:, 0], norms[:, 1], max_speed, draw, fail)
         live = np.empty((7, rows.size))
         live[0], live[1], live[2] = q, s1, s2
-        np.add(y, live[1:3, :, None] * d, out=_households(live))
+        y = np.add(y, live[1:3].T[..., None] * d, out=_households(live))
         if record:
             log.append((rows, live))
         if bad:
@@ -640,6 +640,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             rows, live = rows[keep], live[:, keep]
             if not rows.size:  # every run failed: the error is raised below
                 break
+            y = _households(live)
     last[rows, 2:] = live.T
     if errors:
         first = min(errors)
@@ -753,17 +754,17 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
         while t < 64 and rng.random() >= 0.5:
             t += 1
         steps[r] = t
-    groups = Economy.of((prefs.UtilitySpec.cobb_douglas_log([0.5, 0.5]),) * 2).groups
+    e = Economy.of((prefs.UtilitySpec.cobb_douglas_log([0.5, 0.5]),) * 2)
     y = np.array([[2.0, 1.0], [1.0, 2.0]])
-    outcomes = [trade._grouped(trade._path_end, groups, y, np.ones(2))]  # [j - 1]: stop time j
+    outcomes = [trade._grouped(trade._path_end, e, y, np.ones(2))]  # [j - 1]: stop time j
     for t in range(1, int(steps.max())):
-        dirs = trade._grouped(trade._path_end, groups, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
+        dirs = trade._grouped(trade._path_end, e, y, np.array([1.0 - 2.0 ** -(t + 1), 1.0])) - y
         norms = np.linalg.norm(dirs, axis=1)
         if norms.min() == 0.0:
             break
         speeds = _ray_speeds(*norms, max_speed=True, draw=None)
         y = y + np.array(speeds)[:, None] * dirs
-        outcomes.append(trade._grouped(trade._path_end, groups, y, np.ones(2)))
+        outcomes.append(trade._grouped(trade._path_end, e, y, np.ones(2)))
     tags = [Terminal.PARETO_REACHED] * runs
     qs = np.ones((runs, 1))
     return summarize(np.stack(outcomes)[np.minimum(steps, len(outcomes)) - 1], qs, steps, tags)

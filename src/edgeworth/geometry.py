@@ -268,14 +268,14 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
     aggregate = as_bundle(aggregate, 2)
     grid_size = prefs._check_int(grid_size, "grid_size", 1)
     y11 = aggregate[0] * np.arange(1, grid_size + 1) / (grid_size + 1)
-    groups = Economy.of(specs).groups
+    economy = Economy.of(specs)
 
     def split(y12: FloatArray) -> FloatArray:
         first = np.stack([y11, y12], axis=-1)
         return np.stack([first, aggregate - first], axis=-2)
 
     def rate_mismatch(y12: FloatArray) -> FloatArray:
-        rates = np.log(prefs._guard(_grouped(prefs._rates, groups, split(y12)), "substitution rates"))
+        rates = np.log(prefs._guard(_grouped(prefs._rates, economy, split(y12)), "substitution rates"))
         return rates[:, 0, 0] - rates[:, 1, 0]
 
     eps = np.full(grid_size, 1e-12 * aggregate[1])
@@ -300,7 +300,7 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
 
     def demands(q) -> FloatArray:
         p = np.stack([q, np.ones_like(q)], axis=-1)
-        return prefs._guard(_grouped(_path_end, economy.groups, endowments.bundles, p[..., None, :]), "demand")
+        return prefs._guard(_grouped(_path_end, economy, endowments.bundles, p[..., None, :]), "demand")
 
     q = _bisect(
         lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], rates.min(axis=0), rates.max(axis=0),

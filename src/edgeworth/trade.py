@@ -62,13 +62,14 @@ class _Group:
     ``_path_end``, ``_inverse_demand``) take a group where they take a spec:
     its weights broadcast against the members' ``(..., k, L)`` bundles, so one
     call serves them all.  None of those cores reads a level exponent, so a
-    group has none.
+    group has none.  Consecutive members are a slice, so their bundles are a
+    view of the stack and keep its memory layout.
     """
 
     family: Family
     weights: FloatArray
     elasticity: float | None
-    members: NDArray[np.intp]
+    members: slice | NDArray[np.intp]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +104,18 @@ class Economy:
         for h, u in enumerate(self.specs):
             members.setdefault((u.family, u.elasticity), []).append(h)
         return tuple(
-            _Group(family, np.stack([self.specs[h].weights for h in m]), sigma, np.array(m))
+            _Group(
+                family, np.stack([self.specs[h].weights for h in m]), sigma,
+                slice(m[0], m[-1] + 1) if m[-1] - m[0] == len(m) - 1 else np.array(m),
+            )
             for (family, sigma), m in members.items()
         )
+
+    @cached_property
+    def _unsort(self) -> NDArray[np.intp] | None:
+        """Each household's row in the groups' rows laid end to end; None where that is household order."""
+        laid = np.concatenate([np.arange(self.size)[g.members] for g in self.groups])
+        return None if np.array_equal(laid, np.arange(self.size)) else np.argsort(laid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,24 +191,19 @@ def _check_state(e: Economy, y: Allocation) -> None:
         raise DomainDegeneracyError("bundle coordinate below 1e-300")
 
 
-def _grouped(core, groups, bundles: FloatArray, *args) -> FloatArray:
-    """``core(g, members' bundles, *args)`` for each household group ``g``, its rows in household order.
+def _grouped(core, e: Economy, bundles: FloatArray, *args) -> FloatArray:
+    """``core(g, members' bundles, *args)`` for each household group ``g`` of ``e`` on an ``(..., H, L)``
+    stack, its rows in household order; ``args`` broadcast against every group's ``(..., k, L)`` stack.
 
-    The households lie on the axis that a group's weights put first: -2 for
-    ``(k, L)`` weights and an ``(..., H, L)`` stack.  ``args`` broadcast
-    against every group's stack.  One group takes the whole stack.
+    One group takes the whole stack.
     """
-    if len(groups) == 1:
-        return core(groups[0], bundles, *args)
-    axis = -groups[0].weights.ndim
-    at = [(Ellipsis, g.members) + (slice(None),) * (-axis - 1) for g in groups]
-    parts = [core(g, bundles[i], *args) for g, i in zip(groups, at)]
-    shape = list(parts[0].shape)
-    shape[axis] = bundles.shape[axis]
-    out = np.empty(shape)
-    for i, part in zip(at, parts):
-        out[i] = part
-    return out
+    if len(e.groups) == 1:
+        return core(e.groups[0], bundles, *args)
+    parts = [core(g, bundles[..., g.members, :], *args) for g in e.groups]
+    # laid out as the bundles are, which the 2x2 kernel keeps goods apart
+    out = np.empty_like(bundles, shape=parts[0].shape[:-2] + bundles.shape[-2:-1] + parts[0].shape[-1:])
+    np.concatenate(parts, axis=-2, out=out)
+    return out if e._unsort is None else out[..., e._unsort, :]
 
 
 def _path_end(u: UtilitySpec | _Group, b: FloatArray, p: FloatArray) -> FloatArray:
@@ -208,7 +213,7 @@ def _path_end(u: UtilitySpec | _Group, b: FloatArray, p: FloatArray) -> FloatArr
 
 def _directions(e: Economy, bundles: FloatArray, p: FloatArray) -> FloatArray:
     """``all_trade_directions`` of ``(..., H, L)`` bundles at ``(..., L)`` prices; only the demand is guarded."""
-    return prefs._guard(_grouped(_path_end, e.groups, bundles, p[..., None, :]), "demand") - bundles
+    return prefs._guard(_grouped(_path_end, e, bundles, p[..., None, :]), "demand") - bundles
 
 
 def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
@@ -362,7 +367,7 @@ def _rates_agree(lo, hi, tol):
 def household_rates(e: Economy, y: Allocation) -> FloatArray:
     """(H, L - 1) substitution rates, one row per household."""
     _check_state(e, y)
-    return prefs._guard(_grouped(prefs._rates, e.groups, y.bundles), "substitution rates")
+    return prefs._guard(_grouped(prefs._rates, e, y.bundles), "substitution rates")
 
 
 def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
@@ -378,7 +383,7 @@ def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
 def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
     """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
     whether the interval between them is open; only the rates are guarded."""
-    r = prefs._guard(_grouped(prefs._rates, e.groups, bundles), "substitution rates")[..., 0]
+    r = prefs._guard(_grouped(prefs._rates, e, bundles), "substitution rates")[..., 0]
     lo, hi = r.min(axis=-1), r.max(axis=-1)
     return lo, hi, ~_rates_agree(lo, hi, PARETO_TOL)
 
@@ -386,7 +391,7 @@ def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray,
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
     """Elementwise min/max of households' substitution-rate ratios."""
     _check_state(e, y)
-    inv = prefs._guard(_grouped(prefs._inverse_demand, e.groups, y.bundles), "inverse demand")
+    inv = prefs._guard(_grouped(prefs._inverse_demand, e, y.bundles), "inverse demand")
     ratios = inv[:, :, None] / inv[:, None, :]  # (H, L, L), ratios[h, i, j]
     lower = ratios.min(axis=0)
     upper = ratios.max(axis=0)

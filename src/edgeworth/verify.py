@@ -270,7 +270,7 @@ def _path_violations(
     n = e.n_goods
     # household substitution-rate matrices along the paths: (draws, T, H, L, L)
     paths = bundles[:, None] + sigma[:, None, :, None] * ts[None, :, None, None] * dirs[:, None]
-    inv = prefs._guard(trade._grouped(prefs._inverse_demand, e.groups, paths), "inverse demand")
+    inv = prefs._guard(trade._grouped(prefs._inverse_demand, e, paths), "inverse demand")
     ratios = inv[..., :, None] / inv[..., None, :]  # [k, t, h, i, j]
     price_ratio = (p[:, :, None] / p[:, None, :])[:, None, None]
 

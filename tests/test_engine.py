@@ -33,7 +33,7 @@ from edgeworth.errors import DomainDegeneracyError, LPError, SamplingError, Spec
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
-from oracles import log_uniform, reference_hitrun_sample, reference_maximize
+from oracles import log_uniform, reference_each, reference_hitrun_sample, reference_maximize
 
 
 @pytest.fixture
@@ -760,7 +760,7 @@ class TestLockstepKernel:
         ids=["cd_ces", "ces3_ces6", "cd_exponent", "ces_ces"],
     )
     def test_groups_are_invisible_in_the_tables(self, monkeypatch, shock, pair, groups):
-        # the kernel makes one core call per household group: per household, the tables keep their bytes
+        # the kernel makes one core call per household group: one call per household keeps the tables' bytes
         priors = [(ArctanNormal(1.0, 0.2), SpeedPrior.UNIFORM_CUBE), (UniformArc(), SpeedPrior.MAX_SPEED)]
         configs = [make_config(Economy.of(pair), shock, *prior, runs=64, max_steps=120) for prior in priors]
         assert len(configs[0].economy.groups) == groups
@@ -772,13 +772,11 @@ class TestLockstepKernel:
 
         grouped = tables()
 
-        def singletons(e):
-            return tuple(
-                trade._Group(u.family, u.weights[None], u.elasticity, np.array([h])) for h, u in enumerate(e.specs)
-            )
+        def per_household(core, e, bundles, *args):
+            # the kernel's prices carry a households axis of one
+            return reference_each(core, e.specs, bundles, *(a[..., 0, :] for a in args))
 
-        monkeypatch.setattr(Economy, "groups", property(singletons))
-        assert len(configs[0].economy.groups) == 2
+        monkeypatch.setattr(trade, "_grouped", per_household)
         for got, want in zip(tables(), grouped, strict=True):
             assert got.tobytes() == want.tobytes()
 

@@ -861,11 +861,15 @@ class TestGroups:
     def test_groups_share_family_and_elasticity(self):
         draw = np.random.default_rng(3)
         specs = _mixed_specs(draw, ["log", "ces3", "exponent", "ces6", "ces3"], 3)
-        groups = Economy.of(specs).groups
-        assert [g.members.tolist() for g in groups] == [[0, 2], [1, 4], [3]]
-        assert [g.elasticity for g in groups] == [None, 0.3, 0.6]
-        for g in groups:
-            np.testing.assert_array_equal(g.weights, [specs[h].weights for h in g.members])
+        e = Economy.of(specs)
+        members = [np.arange(e.size)[g.members].tolist() for g in e.groups]
+        assert members == [[0, 2], [1, 4], [3]]
+        assert e.groups[2].members == slice(3, 4)  # consecutive members gather as a view
+        assert [g.elasticity for g in e.groups] == [None, 0.3, 0.6]
+        for g, m in zip(e.groups, members):
+            np.testing.assert_array_equal(g.weights, [specs[h].weights for h in m])
+        assert e._unsort.tolist() == [0, 2, 1, 4, 3]
+        assert Economy.of(specs[:2])._unsort is None
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -885,5 +889,5 @@ class TestGroups:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         for core in (prefs._rates, prefs._inverse_demand):
             want = reference_each(core, specs, bundles)
-            got = trade._grouped(core, e.groups, bundles)
+            got = trade._grouped(core, e, bundles)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
