@@ -16,7 +16,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -147,33 +146,15 @@ class Terminal(str, enum.Enum):
 
 @dataclass(eq=False)
 class Trajectory:
-    """One realized path: states plus the price and speed draws between them.
-
-    ``table`` holds one row per state, laid out as ``OutcomeDistribution.trace``
-    for an economy of ``shape`` (H, L); the objects are built on first use.
-    """
+    """One realized path: its table holds one row per state, laid out as
+    ``OutcomeDistribution.trace`` (the columns of ``trajectories.csv``)."""
 
     table: FloatArray
-    shape: tuple[int, int]
     terminal: Terminal
 
     @property
     def steps(self) -> int:
         return self.table.shape[0] - 1
-
-    @cached_property
-    def states(self) -> list[Allocation]:
-        h, l = self.shape
-        return [Allocation(b.reshape(h, l)) for b in self.table[:, l + 1 + h :]]
-
-    @cached_property
-    def prices(self) -> list[FloatArray]:
-        return list(self.table[1:, 2 : self.shape[1] + 1])
-
-    @cached_property
-    def speeds(self) -> list[SpeedVector]:
-        h, l = self.shape
-        return [SpeedVector(s) for s in self.table[1:, l + 1 : l + 1 + h]]
 
 
 @dataclass(eq=False)
@@ -695,7 +676,7 @@ def run_trajectory(cfg: SimConfig, run_index: int) -> Trajectory:
     """The full recorded path for one run index (as ``run_rng`` takes it); bit-identical on repeats."""
     _, pareto, table = _run_batch(cfg, np.array([prefs._check_int(run_index, "run index", 0, _MAX_KEY)]), record=True)
     terminal = Terminal.PARETO_REACHED if pareto[0] else Terminal.STEP_CAP
-    return Trajectory(table, (cfg.economy.size, cfg.economy.n_goods), terminal)
+    return Trajectory(table, terminal)
 
 
 def run_monte_carlo(

@@ -111,12 +111,6 @@ class Economy:
             for (family, sigma), m in members.items()
         )
 
-    @cached_property
-    def _unsort(self) -> NDArray[np.intp] | None:
-        """Each household's row in the groups' rows laid end to end; None where that is household order."""
-        laid = np.concatenate([np.arange(self.size)[g.members] for g in self.groups])
-        return None if np.array_equal(laid, np.arange(self.size)) else np.argsort(laid)
-
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
@@ -202,8 +196,9 @@ def _grouped(core, e: Economy, bundles: FloatArray, *args) -> FloatArray:
     parts = [core(g, bundles[..., g.members, :], *args) for g in e.groups]
     # laid out as the bundles are, which the 2x2 kernel keeps goods apart
     out = np.empty_like(bundles, shape=parts[0].shape[:-2] + bundles.shape[-2:-1] + parts[0].shape[-1:])
-    np.concatenate(parts, axis=-2, out=out)
-    return out if e._unsort is None else out[..., e._unsort, :]
+    for g, part in zip(e.groups, parts):
+        out[..., g.members, :] = part
+    return out
 
 
 def _path_end(u: UtilitySpec | _Group, b: FloatArray, p: FloatArray) -> FloatArray:
@@ -236,14 +231,10 @@ def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray)
     return f"residual {residual!r} (bound {bound!r}), volume {volume!r} (floor 1e-12)"
 
 
-def _check_speeds(e: Economy, sigma: SpeedVector) -> None:
-    if sigma.sigma.size != e.size:
-        raise SpecificationError("speed vector length must equal the household count")
-
-
 def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
     """Whether ``sigma`` cancels aggregate trade while moving someone."""
-    _check_speeds(e, sigma)
+    if sigma.sigma.size != e.size:
+        raise SpecificationError("speed vector length must equal the household count")
     dirs = all_trade_directions(e, y, p)
     return _cancel_and_move_failure(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma) is None
 
@@ -548,14 +539,9 @@ def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generato
     return SpeedVector(sigma)
 
 
-def advance(e: Economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
-    """End state of the joint linear path: household h moves t = sigma_h."""
-    _check_speeds(e, sigma)
-    return _advance(y, all_trade_directions(e, y, p), sigma)
-
-
 def _advance(y: Allocation, dirs: FloatArray, sigma: SpeedVector) -> Allocation:
-    """``advance`` along directions already built; only the new bundles are guarded."""
+    """End state of the joint linear path along ``dirs``: household h moves t = sigma_h;
+    only the new bundles are guarded."""
     return Allocation(prefs._guard(y.bundles + sigma.sigma[:, None] * dirs, "bundles"))
 
 

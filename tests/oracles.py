@@ -28,6 +28,9 @@ at L = 2, summed household by household, with no LP and no slack.
 roots one at a time by Brent's method through the public functions.
 ``reference_each`` calls a ``prefs`` core once per household, the loop that
 ``trade._grouped`` replaced by one call per household group.
+``table_objects`` reads a run's table back as the states, price rates and
+speeds it records, and ``reference_advance`` takes one joint linear step
+through the public trade directions, so a recorded path can be replayed.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from edgeworth import _hitrun, _simplex, engine, geometry, prefs, trade, verify
 from edgeworth.errors import ConvergenceError, LPError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
-from edgeworth.trade import Allocation, SpeedPrior
+from edgeworth.trade import Allocation, SpeedPrior, SpeedVector
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -136,6 +139,24 @@ def reference_each(core, specs, bundles: np.ndarray, *args) -> np.ndarray:
     """``core(u_h, b_h, *args)`` for each household h of an ``(..., H, L)`` stack, on axis -2."""
     rows = [core(u, bundles[..., h, :], *args)[..., None, :] for h, u in enumerate(specs)]
     return np.concatenate(rows, axis=-2)
+
+
+def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np.ndarray], list[SpeedVector]]:
+    """A run table's states, and the price rates (L - 1) and speeds drawn between them.
+
+    Rows are laid out as ``OutcomeDistribution.trace``: run, step, q, sigma
+    and the bundles; the start row's rates and speeds are NaN and are skipped.
+    """
+    h, l = economy.size, economy.n_goods
+    states = [Allocation(b.reshape(h, l)) for b in table[:, l + 1 + h :]]
+    prices = list(table[1:, 2 : l + 1])
+    speeds = [SpeedVector(s) for s in table[1:, l + 1 : l + 1 + h]]
+    return states, prices, speeds
+
+
+def reference_advance(economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
+    """End state of the joint linear path at prices ``p``: household h moves t = sigma_h."""
+    return trade._advance(y, trade.all_trade_directions(economy, y, p), sigma)
 
 
 def fd_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -336,11 +357,11 @@ def write_trajectories_csv(path, cfg) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in range(cfg.runs):
-            t = engine.run_trajectory(cfg, r)
-            for k, state in enumerate(t.states):
+            states, prices, speeds = table_objects(engine.run_trajectory(cfg, r).table, cfg.economy)
+            for k, state in enumerate(states):
                 row = [str(r), str(k)]
-                row += [_fmt(v) for v in t.prices[k - 1]] if k else [""] * (l - 1)
-                row += [_fmt(v) for v in t.speeds[k - 1].sigma] if k else [""] * h
+                row += [_fmt(v) for v in prices[k - 1]] if k else [""] * (l - 1)
+                row += [_fmt(v) for v in speeds[k - 1].sigma] if k else [""] * h
                 row += [_fmt(v) for v in state.bundles.reshape(-1)]
                 writer.writerow(row)
 

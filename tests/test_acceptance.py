@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from edgeworth import engine, prefs, trade, verify
@@ -24,6 +25,8 @@ from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
 from oracles import clearing_price, log_uniform
+
+pytestmark = pytest.mark.dispatch
 
 
 def report(num: int, ok: bool, detail: str) -> None:

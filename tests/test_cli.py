@@ -659,6 +659,7 @@ def _fingerprint(path: Path) -> tuple[str, float]:
     return hashlib.sha256(skeleton.encode()).hexdigest(), math.fsum((k + 1) * x for k, x in enumerate(floats))
 
 
+@pytest.mark.dispatch
 def test_simulate_outputs_match_the_golden_fingerprints(tmp_path):
     """The bundled scenarios' outputs at 500 runs, seed 1, pinned by ``_fingerprint``.
 

@@ -33,7 +33,14 @@ from edgeworth.errors import DomainDegeneracyError, LPError, SamplingError, Spec
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
-from oracles import log_uniform, reference_each, reference_hitrun_sample, reference_maximize
+from oracles import (
+    log_uniform,
+    reference_advance,
+    reference_each,
+    reference_hitrun_sample,
+    reference_maximize,
+    table_objects,
+)
 
 
 @pytest.fixture
@@ -153,7 +160,8 @@ class TestPriorTypes:
         )
         t = engine.run_trajectory(cfg, 0)
         assert t.terminal is Terminal.PARETO_REACHED
-        rates = trade.household_rates(cd_economy, t.states[-1])[:, 0]
+        states, _, _ = table_objects(t.table, cd_economy)
+        rates = trade.household_rates(cd_economy, states[-1])[:, 0]
         assert rates.max() - rates.min() <= 1e-12 * rates.min()
 
     def test_tabulated_grid_must_match_the_goods(self, cd_economy, shock):
@@ -353,6 +361,22 @@ class TestDrawPrice:
             "atoms in the box: 0, rejected by the trade screen: 0"
         )
 
+    @pytest.mark.parametrize("q_prior", [UniformArc(), ArctanNormal(1.0, 0.2)], ids=["uniform_arc", "arctan_normal"])
+    def test_angle_draw_stops_at_the_rejection_cap(self, monkeypatch, cd_economy, q_prior):
+        # every rate strictly inside a one-ulp interval rounds onto an end,
+        # so each attempt is rejected; the loop reads the cap at call time
+        monkeypatch.setattr(engine, "REJECTION_CAP", 50)
+        y = Allocation(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+        cfg = make_config(cd_economy, y, q_prior, SpeedPrior.UNIFORM_CUBE, pareto_tol=1e-300)
+        want = (
+            "run 0: step 1: no trade-compatible price within 50 draws; rate interval "
+            "(1.0, 1.0000000000000002); state [[1.0, 1.0], [1.0, 1.0000000000000002]]"
+        )
+        for run in (lambda: engine.run_monte_carlo(cfg), lambda: engine.run_trajectory(cfg, 0)):
+            with pytest.raises(SamplingError) as info:
+                run()
+            assert str(info.value) == want
+
     def test_three_goods_requires_tabulated(self, rng):
         specs = [
             UtilitySpec.ces([0.2, 0.3, 0.5], 0.5),
@@ -367,6 +391,7 @@ class TestDrawPrice:
             engine.draw_price(e, y, prior, engine.run_rng(1, 0))
 
 
+@pytest.mark.dispatch
 class TestNormalLaw:
     """The arctan-normal draw's CDF and quantile; scipy serves only as an oracle here."""
 
@@ -447,16 +472,12 @@ class TestTrajectory:
         t2 = engine.run_trajectory(cfg, 3)
         assert t1.terminal == t2.terminal
         assert t1.steps == t2.steps
-        for a, b in zip(t1.states, t2.states):
-            np.testing.assert_array_equal(a.bundles, b.bundles)
-        for a, b in zip(t1.prices, t2.prices):
-            np.testing.assert_array_equal(a, b)
+        assert t1.table.tobytes() == t2.table.tobytes()
 
     def test_distinct_runs_differ(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE)
-        t1 = engine.run_trajectory(cfg, 0)
-        t2 = engine.run_trajectory(cfg, 1)
-        assert t1.prices[0][0] != t2.prices[0][0]
+        (_, p0, _), (_, p1, _) = (table_objects(engine.run_trajectory(cfg, i).table, cd_economy) for i in (0, 1))
+        assert p0[0][0] != p1[0][0]
 
     def test_frozen_at_pareto_start(self, cd_economy):
         flat = Allocation(np.array([[1.5, 1.5], [1.5, 1.5]]))
@@ -464,24 +485,23 @@ class TestTrajectory:
         t = engine.run_trajectory(cfg, 0)
         assert t.terminal is Terminal.PARETO_REACHED
         assert t.steps == 0
-        assert len(t.states) == 1
-        np.testing.assert_array_equal(t.states[0].bundles, flat.bundles)
+        states, _, _ = table_objects(t.table, cd_economy)
+        assert len(states) == 1
+        np.testing.assert_array_equal(states[0].bundles, flat.bundles)
         np.testing.assert_allclose(engine.run_monte_carlo(cfg).terminal_qs, [[1.0]])
 
     def test_aggregate_conserved_along_path(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE)
         t = engine.run_trajectory(cfg, 0)
-        for state in t.states:
+        for state in table_objects(t.table, cd_economy)[0]:
             np.testing.assert_allclose(state.aggregate, [3.0, 3.0], atol=1e-8)
 
     def test_states_replay_through_advance(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, max_steps=40)
-        t = engine.run_trajectory(cfg, 5)
-        for k in range(t.steps):
-            replayed = trade.advance(
-                cd_economy, t.states[k], np.append(t.prices[k], 1.0), t.speeds[k]
-            )
-            np.testing.assert_allclose(replayed.bundles, t.states[k + 1].bundles, atol=1e-12)
+        states, prices, speeds = table_objects(engine.run_trajectory(cfg, 5).table, cd_economy)
+        for k in range(len(speeds)):
+            replayed = reference_advance(cd_economy, states[k], np.append(prices[k], 1.0), speeds[k])
+            np.testing.assert_allclose(replayed.bundles, states[k + 1].bundles, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -516,9 +536,9 @@ class TestTrajectory:
 
     def test_monotone_utilities_along_path(self, cd_economy, shock, cd):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.UNIFORM_CUBE, max_steps=80)
-        t = engine.run_trajectory(cfg, 9)
+        states, _, _ = table_objects(engine.run_trajectory(cfg, 9).table, cd_economy)
         for h in range(2):
-            vals = [prefs.utility(cd, s.bundle(h)) for s in t.states]
+            vals = [prefs.utility(cd, s.bundle(h)) for s in states]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -591,6 +611,7 @@ def assert_same_outcomes(a, b) -> None:
 FAR_TAIL = ArctanNormal(math.tan(math.atan(0.5) - 36.9 * 0.005), 0.005)
 
 
+@pytest.mark.dispatch
 class TestStreams:
     """``_Streams`` reads run ``i``'s uniforms exactly as ``run_rng(seed, i).random()``."""
 
@@ -686,12 +707,13 @@ class TestLockstepKernel:
             t = engine.run_trajectory(cfg64, i)
             assert t.steps == dist.steps[i]
             assert t.terminal is dist.terminal_tags[i]
-            np.testing.assert_array_equal(t.states[0].bundles, cfg64.initial.bundles)
-            np.testing.assert_array_equal(t.states[-1].bundles, dist.samples[i])
-            np.testing.assert_array_equal(t.prices[-1], dist.terminal_qs[i])
+            states, prices, _ = table_objects(t.table, cfg64.economy)
+            np.testing.assert_array_equal(states[0].bundles, cfg64.initial.bundles)
+            np.testing.assert_array_equal(states[-1].bundles, dist.samples[i])
+            np.testing.assert_array_equal(prices[-1], dist.terminal_qs[i])
             mine = dist.trace[dist.trace[:, 0] == i]
             np.testing.assert_array_equal(mine[:, 1], np.arange(t.steps + 1))
-            np.testing.assert_array_equal(mine[:, 5:], [s.bundles.ravel() for s in t.states])
+            np.testing.assert_array_equal(mine[:, 5:], [s.bundles.ravel() for s in states])
 
     def test_failed_run_is_the_lowest_index_whatever_the_chunk(self, monkeypatch, cd_economy, shock):
         cfg = make_config(
@@ -749,6 +771,7 @@ class TestLockstepKernel:
                 engine.run_trajectory(replay, i)
             assert str(again.value) == f"run {i}: step 1: {reason}; state {state}"
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize(
         "pair, groups",
         [
@@ -811,24 +834,24 @@ class TestGenericPathThreeGoods:
         cfg = self.make_cfg(economy3, state3, SpeedPrior.UNIFORM_CUBE)
         t = engine.run_trajectory(cfg, 0)
         assert t.steps >= 1
+        states, prices, speeds = table_objects(t.table, economy3)
         total = state3.aggregate
-        for state in t.states:
+        for state in states:
             np.testing.assert_allclose(state.aggregate, total, atol=1e-8)
         for k in range(t.steps):
-            replayed = trade.advance(
-                economy3, t.states[k], np.append(t.prices[k], 1.0), t.speeds[k]
-            )
-            np.testing.assert_allclose(replayed.bundles, t.states[k + 1].bundles, atol=1e-10)
+            replayed = reference_advance(economy3, states[k], np.append(prices[k], 1.0), speeds[k])
+            np.testing.assert_allclose(replayed.bundles, states[k + 1].bundles, atol=1e-10)
 
     def test_utilities_monotone_and_prices_from_grid(self, economy3, state3):
         cfg = self.make_cfg(economy3, state3, SpeedPrior.MAX_SPEED, max_steps=1)
         t = engine.run_trajectory(cfg, 1)
         assert t.steps == 1
+        states, prices, _ = table_objects(t.table, economy3)
         for h, spec in enumerate(economy3.specs):
-            vals = [prefs.utility(spec, s.bundle(h)) for s in t.states]
+            vals = [prefs.utility(spec, s.bundle(h)) for s in states]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         grid = cfg.prior.q_prior.grid
-        for q in t.prices:
+        for q in prices:
             assert any(np.allclose(q, atom) for atom in grid)
 
     def test_exhausted_discrete_prior_fails_fast(self, economy3, state3):

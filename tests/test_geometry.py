@@ -17,6 +17,8 @@ from edgeworth.trade import Allocation, Economy
 import oracles
 from oracles import fd_jacobian, log_uniform
 
+pytestmark = pytest.mark.dispatch
+
 
 class TestFlatten:
     def test_worked_example(self, mult_c1c2):

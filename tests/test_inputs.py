@@ -238,6 +238,7 @@ GRID_DOORS = {
 }
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("call", GRID_DOORS.values(), ids=GRID_DOORS.keys())
 def test_grid_width_door_has_one_rule(call):
     # draw_price and sntp_step once passed a one-rate grid on three goods to

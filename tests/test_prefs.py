@@ -21,6 +21,8 @@ from edgeworth.trade import Allocation, Economy
 import oracles
 from oracles import fd_gradient, fd_hessian, fd_jacobian, log_uniform, numeric_demand, numeric_hicksian
 
+pytestmark = pytest.mark.dispatch
+
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):
@@ -608,6 +610,17 @@ class TestSharp:
         for _ in range(300):
             assert prefs.check_sharp(spec, log_uniform(rng, 3), log_uniform(rng, 3))
 
+    @pytest.mark.parametrize(
+        "scale, p", [(1.5, [2.0, 1.0]), (0.5, [1.0, 2.0])], ids=["overpriced_demanded", "underpriced_offered"]
+    )
+    def test_fails_under_a_scaled_demand(self, monkeypatch, cd, scale, p):
+        # the sweeps find no violation; a demand scaled as verify's injected
+        # fault scales it turns good 0's trade direction the wrong way
+        assert prefs.check_sharp(cd, [1.0, 1.0], p)
+        demand = prefs._demand
+        monkeypatch.setattr(prefs, "_demand", lambda u, q: scale * demand(u, q))
+        assert not prefs.check_sharp(cd, [1.0, 1.0], p)
+
 
 class TestAttractive:
     def test_zero_factor_at_supporting_prices(self, cd):
@@ -617,6 +630,13 @@ class TestAttractive:
 
     def test_worked_example(self, cd):
         assert prefs.check_attractive(cd, [2.0, 1.0], [1.0, 1.0], 0, 1)
+
+    def test_fails_under_a_negated_hessian(self, monkeypatch, cd):
+        # the worked example's form is negative; a convex utility's Hessian flips its sign
+        hessian = prefs.hessian
+        monkeypatch.setattr(prefs, "hessian", lambda u, c: -hessian(u, c))
+        for i, j in ((0, 1), (1, 0)):
+            assert not prefs.check_attractive(cd, [2.0, 1.0], [1.0, 1.0], i, j)
 
     @pytest.mark.parametrize(
         "i, j, message",

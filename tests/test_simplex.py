@@ -9,6 +9,8 @@ from edgeworth.errors import LPError
 
 import oracles
 
+pytestmark = pytest.mark.dispatch
+
 
 def test_matches_scipy_on_random_instances():
     rng = np.random.default_rng(7)

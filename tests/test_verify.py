@@ -14,6 +14,8 @@ from edgeworth.trade import Allocation, Economy, SpeedPrior
 import oracles
 from oracles import clearing_price, log_uniform
 
+pytestmark = pytest.mark.dispatch
+
 
 class TestIdentitySuite:
     @pytest.mark.parametrize("family,bound", [("cd", 1e-9), ("ces", 1e-8)])
