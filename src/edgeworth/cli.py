@@ -336,12 +336,9 @@ def cmd_example3(args: argparse.Namespace) -> int:
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
     try:
-        vec = np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
     except ValueError as exc:
         raise ScenarioError(f"{name} must be comma-separated numbers") from exc
-    if vec.size == 0:
-        raise ScenarioError(f"{name} must not be empty")
-    return vec
 
 
 #: The most points ``manifold`` meshes.
@@ -383,7 +380,7 @@ def cmd_manifold(args: argparse.Namespace) -> int:
         + ["u"]
     )
     # one row of each core has the bits of inverse_normalized_demand and flatten
-    y = np.reshape(sample.points, (-1, l))
+    y = sample.points
     p = prefs._guard(prefs._inverse_demand(spec, y), "inverse demand")
     q = prefs._guard(prefs._rates(spec, y), "substitution rates")
     level = prefs._guard(prefs._utility(spec, y), "utility", floor=0.0)

@@ -67,11 +67,11 @@ class ManifoldKind(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ManifoldSample:
-    """Grid sample of one canonical manifold through ``anchor``."""
+    """Grid sample of one canonical manifold through ``anchor``: an (N, L) read-only stack of points."""
 
     kind: ManifoldKind
     anchor: FloatArray
-    points: tuple[FloatArray, ...]
+    points: FloatArray
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +166,8 @@ def sample_manifold(u: UtilitySpec, kind: ManifoldKind, anchor, q_grid) -> Manif
         residual = np.abs(np.vecdot(y, star) - 1.0)
     if not np.all(residual <= 1e-8):  # a NaN fails too
         raise ConvergenceError("sampled point violates the manifold equation")
-    return ManifoldSample(kind, anchor, tuple(y))
+    y.setflags(write=False)
+    return ManifoldSample(kind, anchor, y)
 
 
 def _jacobian_psi(u: UtilitySpec, anchor: FloatArray, p: FloatArray) -> FloatArray:

@@ -3,15 +3,14 @@
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
 linear trade directions while moving at least one household.  The
-definition is a small dense LP (``_lp_trade``).  ``_screen`` answers
-it for a whole stack of prices, and ``has_trade`` for one: in closed form
-at L = 2; at L = 3 certificates bound the LP's optimum, and only the prices
-they leave open, and every price at L >= 4, go to the LP.  A speed draw
-takes one candidate and raises if it fails: two active traders move on a
-ray, three at L = 2 on a polygon, both drawn in closed form, and every other
-case goes through hit-and-run (``_hitrun``).  The box set built from extreme
-marginal substitution rates gives the cheap superset used for tabulated
-price draws.
+definition is a small dense LP, which ``_screen`` decides for a whole stack
+of prices and ``has_trade`` for one: in closed form at L = 2; at L = 3
+certificates bound the LP's optimum, and only the prices they leave open,
+and every price at L >= 4, go to the simplex.  A speed draw takes one
+candidate and raises if it fails: two active traders move on a ray, three
+at L = 2 on a polygon, both drawn in closed form, and every other case goes
+through hit-and-run (``_hitrun``).  The box set built from extreme marginal
+substitution rates gives the cheap superset used for tabulated price draws.
 """
 
 from __future__ import annotations
@@ -218,14 +217,10 @@ def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
     return _directions(e, y.bundles, as_price(p, e.n_goods))
 
 
-def _direction_scale(norms: FloatArray) -> float:
-    return max(1.0, float(norms.max(initial=0.0)))
-
-
 def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray) -> str | None:
     """Why ``s`` fails to cancel aggregate trade while moving someone, or None."""
     residual, volume = float(np.linalg.norm(s @ dirs)), float(s @ norms)
-    bound = 1e-9 * _direction_scale(norms)
+    bound = 1e-9 * max(1.0, float(norms.max(initial=0.0)))
     if residual <= bound and volume > 1e-12:
         return None
     return f"residual {residual!r} (bound {bound!r}), volume {volume!r} (floor 1e-12)"
@@ -245,37 +240,26 @@ def has_trade(e: Economy, y: Allocation, p) -> bool:
     return bool(_screen(e, y.bundles, as_price(p, e.n_goods)[None, :])[0])
 
 
-def _lp_trade(dirs: FloatArray, norms: FloatArray) -> bool:
-    """The LP that defines trade, on one price's (H, L) directions and their norms.
-
-    Maximizes total traded volume subject to aggregate cancellation and the
-    unit cube; trade exists iff the optimum clears a small threshold.  The
-    cancellation slack is relative to the longest direction, and so is the
-    volume it alone can buy, so the threshold scales with it too.
-    """
-    active = norms >= DEGENERATE_DIRECTION
-    if np.count_nonzero(active) < 2:
-        return False
-    n_act = norms[active]
-    scale = _direction_scale(n_act)
-    _, value = _simplex.maximize(n_act, *_hitrun.polytope(dirs[active] / scale))
-    return value > _LP_DECISION * scale
-
-
 def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
     """Whether trade exists at each row of ``(G, L)`` prices, one bool per row,
     each row at its own ``(G, H, L)`` bundles or all at one ``(H, L)`` state;
     only the demand is guarded.
 
-    The directions of every row come from one pass of the ``prefs`` core,
-    and a row admits trade when cancelling speeds can move a volume above
-    ``_LP_DECISION`` times its longest active direction (at least 1).  At
-    L = 2 Walras' law puts the directions on the line orthogonal to the
-    prices, each on the side its first coordinate's sign names (as for the
-    speed draw), and the largest volume is exactly 2 min(P, N) for P and N
-    the active norms summed on each side.  At L = 3 a row is decided when
-    ``_plane_bracket`` clears the threshold by ``_SCREEN_MARGIN``; rows it
-    leaves open, and every row at L >= 4, go to the LP (``_lp_trade``).
+    The directions of every row come from one pass of the ``prefs`` core.
+    Trade is an LP on a row's active directions, those at least
+    ``DEGENERATE_DIRECTION`` long: maximize the volume ``s . |d|`` over
+    speeds ``s`` in the unit cube whose aggregate ``s . d`` cancels within
+    ``_hitrun._EQ_TOL`` on each coordinate, the directions divided by the
+    longest (at least 1); trade exists iff the optimum exceeds
+    ``_LP_DECISION`` times that scale.  Rounding in the directions grows with
+    the longest one, so the slack is relative to it; the volume the slack
+    alone can buy grows with it too, so the threshold does.  At L = 2 Walras'
+    law puts the directions on the line orthogonal to the prices, each on
+    the side its first coordinate's sign names (as for the speed draw), and
+    the largest volume is exactly 2 min(P, N) for P and N the active norms
+    summed on each side.  At L = 3 a row is decided when ``_plane_bracket``
+    clears the threshold by ``_SCREEN_MARGIN``; the rows it leaves open, and
+    every row at L >= 4, go to the simplex.
     """
     dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
@@ -297,7 +281,9 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]
         verdict = lo - count * _simplex._ENTER_TOL > threshold * (1.0 + _SCREEN_MARGIN)
         open_rows &= ~verdict & ~(hi < threshold * (1.0 - _SCREEN_MARGIN))
     for g in np.flatnonzero(open_rows):
-        verdict[g] = _lp_trade(dirs[g], norms[g])
+        act = active[g]
+        _, value = _simplex.maximize(n_act[g, act], *_hitrun.polytope(dirs[g, act] / scale[g]))
+        verdict[g] = value > threshold[g]
     return verdict
 
 

@@ -22,6 +22,8 @@ one tableau per objective with array ratio tests, and per step one
 them must give the same bytes as through the package.
 ``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
 on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
+``lp_trade`` writes the LP that defines trade out in full and solves it
+with ``reference_maximize``, so the screen is held to the definition.
 ``exact_volume_l2`` is the largest traded volume of the exact speed polytope
 at L = 2, summed household by household, with no LP and no slack.
 ``reference_contract_curve_y12`` and ``reference_walras_rate`` find the 2x2
@@ -279,9 +281,25 @@ def reference_walras_rate(specs, endowments) -> float:
 
 
 def lp_trade(economy, allocation, p) -> bool:
-    """The trade LP itself on the directions at ``p``, with no screen in front of it."""
+    """The trade LP itself on the directions at ``p``, with no screen in front of it.
+
+    Over the households whose direction is at least 1e-12 long, maximize the
+    traded volume s . |d| for speeds s in the unit cube whose aggregate
+    s . d / scale lies within 1e-11 of zero on each coordinate, where scale
+    is the longest direction (at least 1); trade exists iff the optimum
+    exceeds 1e-9 times the scale.
+    """
     dirs = trade.all_trade_directions(economy, allocation, p)
-    return trade._lp_trade(dirs, np.linalg.norm(dirs, axis=1))
+    norms = np.linalg.norm(dirs, axis=1)
+    active = norms >= 1e-12
+    if np.count_nonzero(active) < 2:
+        return False
+    scale = max(1.0, float(norms[active].max()))
+    cancel = dirs[active].T / scale
+    G = np.vstack([cancel, -cancel, np.eye(cancel.shape[1])])
+    h = np.concatenate([np.full(2 * cancel.shape[0], 1e-11), np.ones(cancel.shape[1])])
+    _, value = reference_maximize(norms[active], G, h)
+    return value > 1e-9 * scale
 
 
 def exact_volume_l2(economy, allocation, p) -> tuple[float, float]:

@@ -730,6 +730,40 @@ def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, argv):
     assert captured.out == "" and not out.exists()
 
 
+_MANIFOLD = {"--family": "cobb_douglas_log", "--weights": "0.5,0.5", "--anchor": "1,1", "--kind": "offer"}
+
+
+@pytest.mark.parametrize(
+    "edit, flags, message",
+    [
+        (lambda d: _household(d).__delitem__("endowment"), None, "missing keys in household 0: ['endowment']"),
+        (
+            lambda d: d["prior"]["s_prior"].update(kind="fast"), None,
+            "prior.s_prior.kind must be one of ['max_speed', 'uniform_cube'], got \"fast\"",
+        ),
+        (lambda d: d["prior"].update(q_prior=[1.0]), None, "prior.q_prior must be an object, got a list"),
+        (
+            lambda d: d["economy"]["households"].__delitem__(1), None,
+            "economy.households must list at least two households",
+        ),
+        (None, {"--anchor": ""}, "anchor must be comma-separated numbers"),
+        (None, {"--grid": "1:2"}, "grid must look like lo:hi:count"),
+    ],
+    ids=["missing_endowment", "unknown_speed_prior", "list_price_prior", "one_household", "empty_anchor", "two_part_grid"],
+)
+def test_refusal_is_one_line_exit_2(tmp_path, capsys, edit, flags, message):
+    out = tmp_path / "out"
+    if edit is not None:
+        argv = ["simulate", "--scenario", str(write_scenario(tmp_path, _sticky_with(edit))), "--runs", "5"]
+    else:
+        argv = ["manifold", *(token for flag in {**_MANIFOLD, **flags}.items() for token in flag)]
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 class TestVerifyCommand:
     def test_full_run_exits_zero(self, capsys):
         rc = main(["verify", "--seed", "0"])

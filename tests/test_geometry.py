@@ -182,7 +182,7 @@ class TestManifolds:
             form = f"q must be a stack of vectors of L - 1 = 1 finite positive rates, got {' '.join(repr(grid).split())}"
             with pytest.raises(SpecificationError, match=f"^{re.escape(form)}$"):
                 geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], grid)
-        assert geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], []).points == ()
+        assert geometry.sample_manifold(cd, ManifoldKind.OFFER, [1.0, 1.0], []).points.shape == (0, 2)
 
     def test_three_goods_grids(self):
         spec = UtilitySpec.ces([0.2, 0.3, 0.5], 0.5)

@@ -6,7 +6,9 @@ inside its open interval.  Each door refuses anything else with one
 :class:`SpecificationError` message form, and stores the converted value.
 Rates against the last good come as a vector of L - 1 finite positive
 entries or as a stack of such vectors, and each rate door refuses anything
-else in the one form of ``prefs._as_rates``.
+else in the one form of ``prefs._as_rates``.  Every other refusal of a
+shape, a household count or a state raises its own class with one whole
+message.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import pytest
 
 from edgeworth import engine, geometry, prefs, trade, verify
 from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Terminal, UniformArc
-from edgeworth.errors import DomainDegeneracyError, SpecificationError
+from edgeworth.errors import DomainDegeneracyError, EdgeworthError, SamplingError, SpecificationError
 from edgeworth.prefs import Family, UtilitySpec
-from edgeworth.trade import Allocation, Economy, SpeedPrior
+from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 
 CD = UtilitySpec.cobb_douglas_log([0.5, 0.5])
 CES3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
@@ -252,3 +254,74 @@ def test_grid_width_door_has_one_rule(call):
             call(*args)
         assert str(info.value) == f"tabulated price grid rows must have {rule}"
     call(ECONOMY, SHOCK, _tabulated(np.geomspace(0.25, 4.0, 200)[:, None]))
+
+
+#: both households sit at their supporting prices (1, 1): rates agree, no one trades
+FLAT = Allocation(np.array([[1.0, 1.0], [2.0, 2.0]]))
+THREE = Economy.of([CD, CD, CD])
+THREE_STATE = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]]))
+
+#: refusal: (call, error class, the whole message)
+REFUSALS = {
+    "Tabulated.empty_grid": (
+        lambda: engine.Tabulated([], []), SpecificationError,
+        "tabulated grid must be a nonempty sequence of rate vectors",
+    ),
+    "Tabulated.densities_per_point": (
+        lambda: engine.Tabulated([1.0, 2.0], [1.0]), SpecificationError, "one density per grid point is required"
+    ),
+    "PriorSpec.q_prior": (
+        lambda: PriorSpec("uniform_arc", SpeedPrior.MAX_SPEED), SpecificationError, "unsupported price prior"
+    ),
+    "SimConfig.initial_shape": (
+        lambda: SimConfig(ECONOMY, THREE_STATE, PRIOR, master_seed=1), SpecificationError,
+        "initial allocation does not match the economy",
+    ),
+    "draw_price.pareto_state": (
+        lambda: engine.draw_price(ECONOMY, FLAT, PRIOR, engine.run_rng(1, 0)), SpecificationError,
+        "cannot draw trade prices at a Pareto-optimal state",
+    ),
+    "Allocation.vector": (
+        lambda: Allocation(np.ones(3)), SpecificationError, "an allocation is an H x L matrix, H, L >= 2"
+    ),
+    "SpeedVector.matrix": (lambda: SpeedVector(np.ones((2, 2))), SpecificationError, "speeds must form a vector"),
+    "BoxSet.shapes": (
+        lambda: BoxSet(np.ones((2, 2)), np.ones((3, 3))), SpecificationError,
+        "rate bounds must be square matrices of equal shape",
+    ),
+    "BoxSet.order": (
+        lambda: BoxSet(np.array([[1.0, 2.0], [0.5, 1.0]]), np.ones((2, 2))), SpecificationError,
+        "lower rate bound exceeds upper bound",
+    ),
+    "trade_interval_2x2.households": (
+        lambda: trade.trade_interval_2x2(THREE, THREE_STATE), SpecificationError,
+        "trade_interval_2x2 requires H = L = 2",
+    ),
+    "sample_speed.no_trader": (
+        lambda: trade.sample_speed(ECONOMY, FLAT, [1.0, 1.0], SpeedPrior.UNIFORM_CUBE, engine.run_rng(1, 0)),
+        SamplingError, "fewer than two households can trade at these prices",
+    ),
+    "sample_pareto.levels": (
+        lambda: geometry.sample_pareto((CD, CD), 1.0, [0.0]), SpecificationError,
+        "one utility level per household is required",
+    ),
+    "walras_equilibrium_2x2.households": (
+        lambda: geometry.walras_equilibrium_2x2((CD, CD, CD), THREE_STATE), SpecificationError,
+        "walras_equilibrium_2x2 requires H = L = 2",
+    ),
+    "UtilitySpec.one_weight": (
+        lambda: UtilitySpec.cobb_douglas_log([1.0]), SpecificationError, "weights must be a vector of length >= 2"
+    ),
+    "welfare_suite.households": (
+        lambda: verify.welfare_suite(SimConfig(THREE, THREE_STATE, PRIOR, master_seed=1)), SpecificationError,
+        "welfare suite is specified for 2x2 economies",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_has_one_class_and_message(call, error, message):
+    with pytest.raises(EdgeworthError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

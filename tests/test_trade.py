@@ -348,7 +348,7 @@ class TestScreenTrade:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        goods=st.sampled_from([2, 3]),
+        goods=st.sampled_from([2, 3, 4]),
         households=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -356,7 +356,7 @@ class TestScreenTrade:
         # atoms in the box, on each household's own rate and on the box's
         # edges, each also 1-4 ulps off, where the LP's optimum sits nearest
         # its threshold; the screen must answer as the exact polytope at
-        # L = 2 and as the LP itself at L = 3
+        # L = 2 and as the LP itself at L >= 3
         draw = np.random.default_rng(seed)
         e = Economy.of([self._household(draw, goods) for _ in range(households)])
         y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
