@@ -1,43 +1,33 @@
-"""Hit-and-run sampling over the relative trade-speed polytope.
+"""Speed draws over a polytope given by its vertices.
 
-The polytope is ``P = {s in [0,1]^H : D^T s = 0}`` for the matrix ``D`` of
-per-household trade directions.  ``trade`` draws the two-trader ray and the
-three-trader polygon at L = 2 in closed form; the walk serves every other
-case: L >= 3, or four or more active traders at L = 2.  The equality
-constraint is homogeneous, so ``P`` lives inside the null space of ``D^T``;
-cube faces can pin it to a lower-dimensional set still, so the walk runs in
-the affine hull recovered from LP-probed vertices.  Degenerate (numerically
-point-like) polytopes return their single point and read nothing from the
-stream.  Otherwise the walk reads all its draws first, in the order a
-step-by-step walk would, and then steps through them; a chord thinner than
-the clearance raises, after every step's draws have been read.
-``polytope`` writes the tolerance-relaxed polytope as the LP constraints
-that ``trade``'s feasibility test solves too.
+The speed polytope ``P = {s in [0,1]^H : A s = 0}`` holds the origin among
+its vertices, which ``trade._vertices`` enumerates.  ``trade`` draws the
+two-trader ray and the three-trader polygon at L = 2 in closed form;
+``sample`` serves every other case from the vertices, by the dimension of
+their span: a point raises and reads nothing from the stream, a segment
+from the origin is scaled by one uniform, a polygon is fanned into
+triangles from the origin (``fan``, the same draw as the closed-form
+polygon), and a polytope of three or more dimensions takes hit-and-run
+(Smith, Oper. Res. 32, 1984) in the vertices' affine hull, from their mean.
+The walk reads all its draws first, in the order a step-by-step walk
+would, and then steps through them; a chord thinner than the clearance
+raises, after every step's draws have been read.
 """
 
 from __future__ import annotations
 
-from functools import cache
+import bisect
+import math
 
 import numpy as np
 
-from . import _simplex
 from .errors import SamplingError
 
-_RANK_CUTOFF = 1e-12
 _BURN_IN = 64
 _CLEARANCE = 1e-12  # chord margin kept off the cube faces
-_EQ_TOL = 1e-11  # slack on each coordinate of D^T s = 0
 
 #: Polytope extent below this (in speed units) counts as a single point.
 _POINT_EXTENT = 1e-9
-
-
-def _null_space(A: np.ndarray, max_rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of A, of rank <= max_rank."""
-    _, sv, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(sv > (sv[0] if sv.size else 0.0) * _RANK_CUTOFF))
-    return vt[min(rank, max_rank):].T
 
 
 def _chord(x: list[float], u: list[float]) -> tuple[float, float]:
@@ -57,73 +47,75 @@ def _chord(x: list[float], u: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def polytope(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``G s <= h``: |D^T s| <= ``_EQ_TOL`` coordinatewise and s <= 1, for s >= 0."""
-    A = directions.T
-    n = directions.shape[0]
-    G = np.vstack([A, -A, np.eye(n)])
-    h = np.concatenate([np.full(2 * A.shape[0], _EQ_TOL), np.ones(n)])
-    return G, h
+def fan(others: list[list[float]], chart: list[tuple[float, float]], rng: np.random.Generator) -> np.ndarray:
+    """A uniform point of a polygon with the origin as a vertex, from ``rng.random(3)``.
 
-
-@cache
-def _probe_normals(k: int) -> np.ndarray:
-    """k + 1 fixed standard-normal probe coordinates in k dimensions; not part of the stream."""
-    normals = np.random.default_rng(0).standard_normal((k + 1, k))
-    normals.flags.writeable = False
-    return normals
-
-
-def _probe_vertices(directions: np.ndarray, norms: np.ndarray, null_basis: np.ndarray) -> np.ndarray:
-    """Vertices of the tolerance-relaxed polytope under 2k + 3 probe objectives:
-    ``norms``, then each probe direction in the k-dimensional null space and
-    its negation."""
-    # one gemv per probe, the bits of null_basis @ normal (a gemm may round differently)
-    probes = np.matmul(null_basis, _probe_normals(null_basis.shape[1])[:, :, None])[..., 0]
-    objectives = np.empty((2 * len(probes) + 1, len(norms)))
-    objectives[0] = norms
-    objectives[1::2] = probes
-    objectives[2::2] = -probes
-    return _simplex.maximize(objectives, *polytope(directions))[0]
-
-
-def sample(directions: np.ndarray, norms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the polytope's relative interior, deterministic given ``rng``.
-
-    A point-like polytope returns its point without touching ``rng``.
-    Otherwise the walk reads ``_BURN_IN`` steps' draws (per step, the
-    direction's standard normals, then one uniform) before its first step,
-    so a walk that stalls has read them all when it raises.
+    ``others`` are the other vertices in order around the polygon, starting
+    next to the origin, and ``chart`` their coordinates in a linear chart of
+    its plane; they fan into triangles (0, v, w) of consecutive vertices.
+    The first uniform picks a triangle by its chart area, the other two a
+    uniform point in it (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. XI).
     """
-    # Walras' law puts every direction orthogonal to the prices: rank <= L - 1,
-    # so a rounding-level singular value cannot cut a dimension off the polytope
-    null_basis = _null_space(directions.T, directions.shape[1] - 1)
-    if null_basis.shape[1] == 0:
-        raise SamplingError("trade-speed polytope has empty interior")
-    vertices = _probe_vertices(directions, norms, null_basis)
-    x = np.mean(vertices, axis=0)
-    x = null_basis @ (null_basis.T @ x)  # exact equality (subspace is homogeneous)
-    x = np.clip(x, 0.0, 1.0)
+    cum, total = [], 0.0
+    for (vx, vy), (wx, wy) in zip(chart, chart[1:]):
+        total += abs(vx * wy - wx * vy)  # twice the chart area of (0, v, w)
+        cum.append(total)
+    u = rng.random(3).tolist()
+    t = min(bisect.bisect_right(cum, u[0] * total), len(cum) - 1)
+    r, f = math.sqrt(u[1]), u[2]  # a uniform point of the triangle (0, v, w)
+    v, w = others[t], others[t + 1]
+    return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
 
-    # affine hull of the polytope, from the probed vertex spread
-    coords = (vertices - x) @ null_basis
-    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
-    keep = sv > _POINT_EXTENT
-    if not np.any(keep):
-        return x  # numerically a single point; the conditional law is that point
-    hull = null_basis @ vt[keep].T  # orthonormal columns spanning the hull
-    dim = hull.shape[1]
+
+def _polygon(vertices: np.ndarray, plane: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``fan`` over the vertices of a polygon spanned by the two orthonormal rows of ``plane``.
+
+    The vertices other than the origin go in order of angle around their
+    centroid, from the origin's angle on.  The turn is the one that makes
+    the plane's largest 2 x 2 minor positive, so it moves continuously with
+    the plane, as the triangles do.
+    """
+    others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
+    (x, y) = plane.tolist()
+    minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
+    if max(minors, key=abs) < 0.0:
+        plane = plane[::-1]
+    chart = others @ plane.T
+    c = chart.mean(axis=0)
+    angle = np.mod(np.arctan2(chart[:, 1] - c[1], chart[:, 0] - c[0]) - math.atan2(-c[1], -c[0]), 2.0 * math.pi)
+    order = np.argsort(angle, kind="stable")
+    return fan(others[order].tolist(), chart[order].tolist(), rng)
+
+
+def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the convex hull of ``vertices`` (the origin among them), deterministic given ``rng``.
+
+    A polytope of three or more dimensions reads ``_BURN_IN`` steps' draws
+    (per step, the direction's standard normals, then one uniform) before
+    its first step, so a walk that stalls has read them all when it raises.
+    """
+    x = vertices.mean(axis=0)
+    _, sv, vt = np.linalg.svd(vertices - x, full_matrices=False)
+    hull = vt[sv > _POINT_EXTENT]  # orthonormal rows spanning the affine hull
+    dim = hull.shape[0]
+    if dim == 0:
+        raise SamplingError("trade-speed polytope is the single point 0")
+    if dim == 1:  # a segment from the origin
+        return (1.0 - rng.random()) * vertices[np.argmax(np.abs(vertices).max(axis=1))]
+    if dim == 2:
+        return _polygon(vertices, hull, rng)
 
     normals = np.empty((_BURN_IN, dim))
     uniforms = []
     for row in normals:
         rng.standard_normal(out=row)  # reads the stream as standard_normal(dim) does
         uniforms.append(rng.random())
-    steps = np.matmul(hull, normals[:, :, None])[..., 0]  # per row the gemv of hull @ g
-    steps /= np.sqrt(np.vecdot(steps, steps))[:, None]  # unit rows: hull's columns are orthonormal
+    steps = normals @ hull  # per row the walk's direction in the hull
+    steps /= np.sqrt(np.vecdot(steps, steps))[:, None]  # unit rows: hull's rows are orthonormal
 
     # Python floats from here: the same IEEE operations as numpy's, without its dispatch
-    point = x.tolist()
+    point = np.clip(x, 0.0, 1.0).tolist()
     for u, r in zip(steps.tolist(), uniforms):
         lo, hi = _chord(point, u)
         if not hi - lo > 2.0 * _CLEARANCE:

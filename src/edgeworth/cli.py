@@ -32,7 +32,6 @@ from .errors import (
     ConvergenceError,
     DomainDegeneracyError,
     EdgeworthError,
-    LPError,
     SamplingError,
     ScenarioError,
     SpecificationError,
@@ -458,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, SpecificationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SamplingError, LPError, ConvergenceError) as exc:
+    except (SamplingError, ConvergenceError) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
     except DomainDegeneracyError as exc:

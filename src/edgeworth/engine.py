@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import prefs, trade
-from .errors import DomainDegeneracyError, LPError, SamplingError, SpecificationError
+from .errors import DomainDegeneracyError, SamplingError, SpecificationError
 from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
@@ -123,6 +123,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.initial.bundles.shape != (self.economy.size, self.economy.n_goods):
             raise SpecificationError("initial allocation does not match the economy")
+        trade._check_size(self.economy)
         if self.initial.bundles.min() < prefs.POSITIVE_FLOOR:
             raise SpecificationError("initial allocation has a coordinate below 1e-300")
         try:  # the 2x2 kernel checks no rates after this: its rate interval only shrinks along a path
@@ -384,30 +385,36 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     return q
 
 
-def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator) -> FloatArray:
-    """Atom draw from the prior conditioned on trade compatibility.
+def _draw_tabulated(
+    e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator
+) -> tuple[FloatArray, FloatArray | None]:
+    """Atom draw from the prior conditioned on trade compatibility, and the
+    vertices of the drawn atom's speed polytope at L >= 3 (else None).
 
     Discrete support makes the conditioning exact: the atoms in the
     ``trade.msr_extremes`` box with prior mass are screened once, in one
-    ``trade._screen`` call (in closed form at L = 2; certificates and the LP
-    beyond), and the draw is taken over the survivors, so a prior with no
-    mass on the trade-compatible set fails at once, naming the box and the
-    atoms.  Both public calls check again, at every step: ``msr_extremes``
-    the state (``trade._check_state``), ``box_contains`` the grid (the rate rule).
+    ``trade._screen`` call (in closed form at L = 2; by the speed polytope's
+    vertices beyond), and the draw is taken over the survivors, so a prior
+    with no mass on the trade-compatible set fails at once, naming the box
+    and the atoms.  Both public calls check again, at every step:
+    ``msr_extremes`` the state (``trade._check_state``), ``box_contains`` the
+    grid (the rate rule).
     """
     box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)
     weights = np.where(in_box, prior.densities, 0.0)
     candidates = np.flatnonzero(weights > 0.0)
+    found: list = []
     if candidates.size:
         prices = np.concatenate([prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
-        weights[candidates[~trade._screen(e, y.bundles, prices)]] = 0.0
+        weights[candidates[~trade._screen(e, y.bundles, prices, found)]] = 0.0
     total = float(weights.sum())
     if total <= 0.0:
         raise SamplingError(_exhausted(prior, box, int(np.count_nonzero(in_box)), candidates.size))
     cdf = np.cumsum(weights) / total
-    idx = int(np.searchsorted(cdf, float(rng.random()), side="right"))
-    return np.array(prior.grid[min(idx, prior.grid.shape[0] - 1)], dtype=np.float64)
+    idx = min(int(np.searchsorted(cdf, float(rng.random()), side="right")), prior.grid.shape[0] - 1)
+    row = int(np.searchsorted(candidates, idx))
+    return np.array(prior.grid[idx], dtype=np.float64), trade._row_vertices(found, row)
 
 
 def _exhausted(prior: Tabulated, box: trade.BoxSet, in_box: int, rejected: int) -> str:
@@ -440,28 +447,29 @@ def draw_price(
     """One rate vector from the prior conditioned on trade compatibility.
 
     A tabulated prior keeps the atoms in the box superset at which
-    ``trade._screen`` finds trade (in closed form at L = 2; certificates
-    and the LP beyond).  An angle prior needs L = 2, where the
+    ``trade._screen`` finds trade (in closed form at L = 2; by the speed
+    polytope's vertices beyond).  An angle prior needs L = 2, where the
     trade-compatible rates are exactly the open interval between the
     households' extreme substitution rates; its draw is accepted by that
-    interval, without an LP.
+    interval, with no vertex enumeration.
     """
     _check_prior(e, prior)
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, trade.PARETO_TOL):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
-    return _draw_price(e, y, rates, prior, rng)
+    return _draw_price(e, y, rates, prior, rng)[0]
 
 
 def _draw_price(
     e: Economy, y: Allocation, rates: FloatArray, prior: PriorSpec, rng: np.random.Generator
-) -> FloatArray:
-    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates and a checked prior."""
+) -> tuple[FloatArray, FloatArray | None]:
+    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates and a
+    checked prior, and the vertices of its speed polytope where the trade screen found them."""
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
         return _draw_tabulated(e, y, q_prior, rng)
     lo, hi = rates.min(axis=0), rates.max(axis=0)
-    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1))  # one row
+    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1)), None  # one row
 
 
 def sntp_step(
@@ -483,9 +491,10 @@ def sntp_step(
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, pareto_tol):
         return None
-    q = _draw_price(e, y, rates, prior, rng)
-    dirs = trade.all_trade_directions(e, y, np.append(q, 1.0))
-    sigma = trade._sample_speed(dirs, prior.s_prior, rng)
+    q, vertices = _draw_price(e, y, rates, prior, rng)
+    p = np.append(q, 1.0)
+    dirs = trade.all_trade_directions(e, y, p)
+    sigma = trade._sample_speed(dirs, p, prior.s_prior, rng, vertices)
     return trade._advance(y, dirs, sigma), q, sigma
 
 
@@ -649,7 +658,7 @@ def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
         for k in range(1, cfg.max_steps + 1):
             try:
                 step = sntp_step(cfg.economy, state, cfg.prior, rng, cfg.pareto_tol)
-            except (SamplingError, LPError, DomainDegeneracyError) as exc:
+            except (SamplingError, DomainDegeneracyError) as exc:
                 raise type(exc)(f"run {i}: step {k}: {exc}; state {state.bundles.tolist()}") from exc
             if step is None:
                 done = True

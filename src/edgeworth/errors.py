@@ -24,7 +24,7 @@ class ConvergenceError(EdgeworthError, RuntimeError):
 
 
 class LPError(EdgeworthError, RuntimeError):
-    """The dense simplex routine failed numerically (never silently false)."""
+    """A linear program failed numerically; no routine of the package solves one, so none raises it."""
 
 
 class SamplingError(EdgeworthError, RuntimeError):

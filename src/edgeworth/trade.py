@@ -2,30 +2,37 @@
 
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
-linear trade directions while moving at least one household.  The
-definition is a small dense LP, which ``_screen`` decides for a whole stack
-of prices and ``has_trade`` for one: in closed form at L = 2; at L = 3
-certificates bound the LP's optimum, and only the prices they leave open,
-and every price at L >= 4, go to the simplex.  A speed draw takes one
-candidate and raises if it fails: two active traders move on a ray, three
-at L = 2 on a polygon, both drawn in closed form, and every other case goes
-through hit-and-run (``_hitrun``).  The box set built from extreme marginal
-substitution rates gives the cheap superset used for tabulated price draws.
+linear trade directions while moving at least one household.  The speeds
+that cancel form the polytope {s in [0, 1]^H : A s = 0}, for A the
+directions written in an orthonormal basis of the plane orthogonal to ``p``
+(a Householder reflection of ``p``, so the basis moves continuously with
+it).  ``_vertices`` enumerates that polytope's vertices exactly: it fixes all
+but rank(A) speeds at 0 or 1 and solves for the rest, C(H, r) 2^(H - r)
+candidates for r = rank(A) <= L - 1, stacked over price rows.
+``_MAX_CANDIDATES`` caps that count, and the doors (``SimConfig``,
+``has_trade``, ``sample_speed``) refuse a larger economy.  ``_screen``
+decides trade for a stack of prices and ``has_trade`` for one: in closed
+form at L = 2, and by the largest vertex volume beyond.  A speed draw takes
+one candidate and raises if it fails: two active traders move on a ray,
+three at L = 2 on a polygon, both in closed form; every other case draws
+from the same vertices (``_hitrun``), which the engine's tabulated draw
+takes from its screen (``_row_vertices``) rather than enumerating them
+again.  The box set built from extreme marginal substitution rates gives
+the cheap superset used for tabulated price draws.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _hitrun, _simplex, prefs
+from . import _hitrun, prefs
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
 from .prefs import Family, UtilitySpec, as_price
 
@@ -41,9 +48,17 @@ DEGENERATE_DIRECTION = 1e-12
 
 _LP_DECISION = 1e-9
 
-#: At L = 3 ``_screen`` leaves a price to the LP when its bounds on the
-#: LP's optimum come within this relative distance of the decision threshold.
-_SCREEN_MARGIN = 1e-3
+#: A candidate vertex's solved speeds may round this far outside [0, 1],
+#: and its aggregate miss zero by this much times the longest direction
+#: (at least 1); within that it counts, clipped to the cube.
+_VERTEX_TOL = 1e-12
+
+#: Singular values of the projected directions below this fraction of the
+#: largest count as zero: such a row's polytope is enumerated at its rank.
+_RANK_CUTOFF = 1e-12
+
+#: The most candidate vertices ``_vertices`` solves per price row.
+_MAX_CANDIDATES = 256
 
 
 class SpeedPrior(str, enum.Enum):
@@ -236,104 +251,178 @@ def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
     """Whether trade exists at prices p: one row of ``_screen``."""
+    _check_size(e)
     _check_state(e, y)
     return bool(_screen(e, y.bundles, as_price(p, e.n_goods)[None, :])[0])
 
 
-def _screen(e: Economy, bundles: FloatArray, p: FloatArray) -> NDArray[np.bool_]:
+def _candidates(households: int, goods: int) -> int:
+    """The most candidate vertices one price row can need: C(H, r) 2^(H - r) at its worst rank r <= L - 1."""
+    top = min(goods - 1, households)
+    return max(math.comb(households, r) * 2 ** (households - r) for r in range(1, top + 1))
+
+
+def _check_size(e: Economy) -> None:
+    n = _candidates(e.size, e.n_goods)
+    if n > _MAX_CANDIDATES:
+        raise SpecificationError(
+            f"{e.size} households over {e.n_goods} goods need {n} candidate speed vertices per price, "
+            f"more than {_MAX_CANDIDATES}"
+        )
+
+
+def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None = None) -> NDArray[np.bool_]:
     """Whether trade exists at each row of ``(G, L)`` prices, one bool per row,
     each row at its own ``(G, H, L)`` bundles or all at one ``(H, L)`` state;
     only the demand is guarded.
 
     The directions of every row come from one pass of the ``prefs`` core.
-    Trade is an LP on a row's active directions, those at least
-    ``DEGENERATE_DIRECTION`` long: maximize the volume ``s . |d|`` over
-    speeds ``s`` in the unit cube whose aggregate ``s . d`` cancels within
-    ``_hitrun._EQ_TOL`` on each coordinate, the directions divided by the
-    longest (at least 1); trade exists iff the optimum exceeds
-    ``_LP_DECISION`` times that scale.  Rounding in the directions grows with
-    the longest one, so the slack is relative to it; the volume the slack
-    alone can buy grows with it too, so the threshold does.  At L = 2 Walras'
-    law puts the directions on the line orthogonal to the prices, each on
-    the side its first coordinate's sign names (as for the speed draw), and
-    the largest volume is exactly 2 min(P, N) for P and N the active norms
-    summed on each side.  At L = 3 a row is decided when ``_plane_bracket``
-    clears the threshold by ``_SCREEN_MARGIN``; the rows it leaves open, and
-    every row at L >= 4, go to the simplex.
+    A row's active directions are those at least ``DEGENERATE_DIRECTION``
+    long.  Trade exists iff the largest volume ``s . |d|`` over the exact
+    speed polytope of the active directions exceeds ``_LP_DECISION`` times
+    the longest of them (at least 1): rounding in the directions grows with
+    the longest one, so the threshold does.  At L = 2 Walras' law puts the
+    directions on the line orthogonal to the prices, each on the side its
+    first coordinate's sign names (as for the speed draw), and the largest
+    volume is exactly 2 min(P, N) for P and N the active norms summed on each
+    side.  Beyond, a linear volume is largest at a vertex, so the rows with
+    two or more active directions enumerate their polytope's vertices
+    (``_vertices``, at most ``_MAX_CANDIDATES`` per row) and take the best.
+    Given a list ``found``, the screen appends what ``_row_vertices`` reads
+    those vertices back from, so a speed draw at one of the prices need not
+    enumerate them again.
     """
     dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
-    scale = np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)  # the LP's, row by row
-    threshold = _LP_DECISION * scale
+    threshold = _LP_DECISION * np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)
     if e.n_goods == 2:
         signed = np.copysign(n_act, dirs[..., 0])
         up, down = np.maximum(signed, 0.0).sum(axis=-1), np.maximum(-signed, 0.0).sum(axis=-1)
         return 2.0 * np.minimum(up, down) > threshold
-    count = np.count_nonzero(active, axis=-1)
-    verdict = np.zeros(p.shape[0], dtype=bool)
-    open_rows = count >= 2
-    if e.n_goods == 3:
-        lo, hi = _plane_bracket(dirs, n_act, p, scale)
-        # the simplex stops once no reduced cost exceeds its entering
-        # tolerance, so it may fall short of the optimum by that much per speed
-        verdict = lo - count * _simplex._ENTER_TOL > threshold * (1.0 + _SCREEN_MARGIN)
-        open_rows &= ~verdict & ~(hi < threshold * (1.0 - _SCREEN_MARGIN))
-    for g in np.flatnonzero(open_rows):
-        act = active[g]
-        _, value = _simplex.maximize(n_act[g, act], *_hitrun.polytope(dirs[g, act] / scale[g]))
-        verdict[g] = value > threshold[g]
-    return verdict
+    volume = np.zeros(p.shape[0])
+    rows = np.flatnonzero(np.count_nonzero(active, axis=-1) >= 2)
+    A = _projected(np.where(active[rows, :, None], dirs[rows], 0.0), p[rows])
+    for group, vertices, ok in _vertices(A):  # a candidate that is no vertex is 0, of volume 0
+        g = rows[group]
+        volume[g] = np.einsum("hkg,gh->kg", vertices, n_act[g]).max(axis=0)
+        if found is not None:  # an idle household's speed is free at a vertex; the draw's is 0
+            found.append((g, vertices, ok & ~np.any(vertices * ~active[g].T[:, None, :], axis=0)))
+    return volume > threshold
 
 
-def _plane_bracket(
-    dirs: FloatArray, n_act: FloatArray, p: FloatArray, scale: FloatArray
-) -> tuple[FloatArray, FloatArray]:
-    """Bounds lo <= V <= hi on the LP's optimum V at each price row, L = 3.
+def _row_vertices(found: list, row: int) -> FloatArray | None:
+    """The ``(n, H)`` vertices ``_screen`` found at one of its price rows, idle speeds at 0, or None."""
+    for g, vertices, ok in found:
+        at = np.flatnonzero(g == row)
+        if at.size:
+            return vertices[:, ok[:, at[0]], at[0]].T
+    return None
 
-    ``dirs`` is the (G, H, 3) stack of directions and ``n_act`` their norms,
-    zero for inactive households.  The LP keeps each coordinate of the
-    cancellation residual within ``slack``.  An angular gap g > pi between
-    neighbouring active directions in the plane leaves a unit w with
-    w . d >= sin((g - pi) / 2) |d| for each of them, so V <= sqrt(3) slack /
-    sin((g - pi) / 2); hi adds what the directions' parts along p (rounding,
-    by Walras' law) can buy, and never exceeds the summed norms.  lo is the
-    largest volume of a witness that cancels within half the slack, or 0:
-    every triple of active directions whose 2-D cross products c share a
-    sign, at speeds proportional to (c_jk, c_ki, c_ij), the largest at 1.
+
+def _projected(dirs: FloatArray, p: FloatArray) -> FloatArray:
+    """The ``(..., H, L)`` directions in an orthonormal basis of the plane orthogonal to ``(..., L)`` prices, as ``(..., L - 1, H)``.
+
+    The basis is the first L - 1 rows of the Householder reflection that
+    takes u = p / |p| to -e_L, I - v v^T / (1 + u_L) for v = u + e_L.  The
+    prices are positive, so it moves continuously with them.
     """
-    slack = _hitrun._EQ_TOL * scale
-    unit = p / np.linalg.norm(p, axis=-1, keepdims=True)
-    active = n_act > 0.0
-    leak = np.where(active, np.abs(np.vecdot(dirs, unit[:, None, :])), 0.0).sum(axis=-1)
-    e1 = np.stack([p[:, 1], -p[:, 0], np.zeros(p.shape[0])], axis=-1)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    x, z = np.vecdot(dirs, e1[:, None, :]), np.vecdot(dirs, np.cross(unit, e1)[:, None, :])
-    theta = np.arctan2(z, x)
-    # ahead[g, h, k]: how far direction k lies ahead of h, counterclockwise;
-    # a direction at h's own angle does not close h's gap
-    ahead = np.mod(theta[:, None, :] - theta[:, :, None], 2.0 * math.pi)
-    ahead = np.where(active[:, None, :] & (ahead > 0.0), ahead, 2.0 * math.pi)
-    gap = np.where(active, ahead.min(axis=-1), 0.0).max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no witness give NaN speeds
-        bound = np.where(gap > math.pi, math.sqrt(3.0) * slack / np.sin((gap - math.pi) / 2.0), math.inf)
-        triples = np.array(list(itertools.combinations(range(dirs.shape[1]), 3)), dtype=np.intp)
-        i, j, k = triples.reshape(-1, 3).T
-        # c_jk d_i + c_ki d_j + c_ij d_k = 0 for any three vectors of the plane
-        c = np.stack([x[:, j] * z[:, k] - x[:, k] * z[:, j],
-                      x[:, k] * z[:, i] - x[:, i] * z[:, k],
-                      x[:, i] * z[:, j] - x[:, j] * z[:, i]], axis=-1)  # (G, T, 3)
-        same = np.all(c > 0.0, axis=-1) | np.all(c < 0.0, axis=-1)
-        same &= active[:, i] & active[:, j] & active[:, k]
-        w = np.where(same[..., None], np.abs(c) / np.abs(c).max(axis=-1, keepdims=True), 0.0)
-        speeds = np.zeros(w.shape[:2] + (dirs.shape[1],))
-        for m, h in enumerate((i, j, k)):
-            speeds[:, np.arange(h.size), h] = w[..., m]
-        volume = (speeds @ n_act[:, :, None])[..., 0]
-        cancels = np.abs(speeds @ dirs).max(axis=-1) <= 0.5 * slack[:, None]
-    lo = np.where(cancels, volume, 0.0).max(axis=-1, initial=0.0)
-    return lo, np.minimum(bound + leak, n_act.sum(axis=-1))
+    u = p / np.linalg.norm(p, axis=-1, keepdims=True)
+    along = np.vecdot(dirs, u[..., None, :]) + dirs[..., -1]  # v . d, one per direction
+    along /= 1.0 + u[..., -1:]
+    return np.swapaxes(dirs[..., :-1], -1, -2) - u[..., :-1, None] * along[..., None, :]
+
+
+@cache
+def _bases(households: int, rank: int) -> tuple[NDArray[np.intp], FloatArray]:
+    """The candidates of ``_vertices`` at one rank: each one's ``rank`` solved
+    speeds, ``(K, rank)``, and its other speeds at the bounds they are fixed
+    at, ``(K, H)`` with 0 at the solved ones."""
+    solved, fixed = [], []
+    for s in itertools.combinations(range(households), rank):
+        rest = [h for h in range(households) if h not in s]
+        for b in itertools.product((0.0, 1.0), repeat=len(rest)):
+            solved.append(s)
+            speeds = [0.0] * households
+            for h, v in zip(rest, b):
+                speeds[h] = v
+            fixed.append(speeds)
+    return np.array(solved, dtype=np.intp).reshape(len(solved), rank), np.array(fixed)
+
+
+def _cramer(m: FloatArray, b: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Cramer's rule on r x r systems m s = b laid out ``(r, r, ...)`` and ``(r, ...)``:
+    each determinant, and each solution times it; in closed form for r <= 2."""
+    r = m.shape[0]
+    if r == 1:
+        return m[0, 0], b
+    if r == 2:
+        a, c, d, e = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+        num = np.empty_like(b)
+        np.subtract(b[0] * e, c * b[1], out=num[0])
+        np.subtract(a * b[1], b[0] * d, out=num[1])
+        return a * e - c * d, num
+    last, col = np.moveaxis(m, (0, 1), (-2, -1)), np.moveaxis(b, 0, -1)[..., None]
+    cols = [np.linalg.det(np.concatenate([last[..., :i], col, last[..., i + 1 :]], axis=-1)) for i in range(r)]
+    return np.linalg.det(last), np.stack(cols)
+
+
+def _enumerate(M: FloatArray, scale: FloatArray) -> tuple[FloatArray, NDArray[np.bool_], FloatArray]:
+    """The candidates of ``_vertices`` for a ``(g, r, H)`` stack of r independent
+    constraint rows: the ``(H, K, g)`` candidates, 0 where one is no vertex,
+    and the ``(K, g)`` mask of vertices and determinants.  The stack runs
+    along the last axis, so every pass over speeds is a pass over slabs."""
+    rank, households = M.shape[-2:]
+    solved, fixed = _bases(households, rank)
+    cols = np.ascontiguousarray(M.transpose(1, 2, 0))  # (r, H, g)
+    basis = cols[:, solved.T]  # (r, r, K, g): the solved speeds' columns
+    rhs = -(fixed @ cols)  # (r, K, g)
+    det, s = _cramer(basis, rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a singular choice gives no vertex
+        s = s / det
+        miss = np.abs((basis * s).sum(axis=1) - rhs).max(axis=0, initial=0.0)
+        ok = np.all((s >= -_VERTEX_TOL) & (s <= 1.0 + _VERTEX_TOL), axis=0) & (miss <= _VERTEX_TOL * scale)
+    cand = np.repeat(fixed.T[..., None], ok.shape[-1], axis=-1)
+    cand[solved.T, np.arange(solved.shape[0])] = np.clip(s, 0.0, 1.0)
+    return np.where(ok, cand, 0.0), ok, det
+
+
+def _vertices(A: FloatArray):
+    """The vertices of {s in [0, 1]^H : A s = 0} for each matrix of a ``(G, m, H)`` stack.
+
+    A row of rank r has its vertices among C(H, r) 2^(H - r) candidates: fix
+    H - r speeds at 0 or 1 and solve for the other r by Cramer's rule on r
+    independent rows of A.  A candidate is a vertex when its solved speeds
+    lie in [0, 1] and those rows vanish at it, each within ``_VERTEX_TOL``;
+    it is then clipped to the cube.  Every row is first taken at full rank
+    m, on A itself, unless it has fewer columns than rows.  By Cauchy-Binet
+    its squared m x m minors sum to the product of its squared singular
+    values, so a row whose minors nearly vanish (as for collinear
+    directions) is rank-deficient or close to it: its rank is read from its
+    singular values, and a row of lower rank r is enumerated again on its
+    top r right singular vectors.  Yields, per rank present, the rows of
+    that rank, their ``(H, K, g)`` candidates (0 where one is no vertex) and
+    the ``(K, g)`` mask of vertices.
+    """
+    m, households = A.shape[-2:]
+    squares = (A * A).sum(axis=-2)
+    scale = np.sqrt(np.maximum(squares.max(axis=-1, initial=0.0), 1.0))  # the longest column, at least 1
+    low = np.ones(A.shape[0], dtype=bool)  # fewer speeds than rows: no row has full rank
+    if m <= households:
+        cand, ok, det = _enumerate(A, scale)
+        # each m-subset's minor is solved 2^(H - m) times; squares sum to the Frobenius norm's square
+        low = (det * det).sum(axis=0) / 2 ** (households - m) <= _RANK_CUTOFF**2 * squares.sum(axis=-1) ** m
+        if not np.count_nonzero(low):
+            yield np.arange(A.shape[0]), cand, ok
+            return
+        yield np.flatnonzero(~low), cand[..., ~low], ok[:, ~low]
+    low = np.flatnonzero(low)
+    _, sv, vt = np.linalg.svd(A[low])
+    rank = np.count_nonzero(sv > _RANK_CUTOFF * sv[:, :1], axis=-1)
+    for r in np.unique(rank).tolist():
+        rows = low[rank == r]
+        yield rows, *_enumerate(vt[rank == r, :r], scale[rows])[:2]
 
 
 def _rates_agree(lo, hi, tol):
@@ -386,14 +475,15 @@ def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
     """
     n = b.lower_rates.shape[0]
     q = prefs._as_rates(q, n, stack=None)
-    p = np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1)
-    others = ~np.eye(n, dtype=bool)
-    cross = p[..., None, :]  # cross[..., i, j] pairs good i's row with p_j
-    lo = np.where(others, cross * b.lower_rates, np.inf).min(axis=-1)
-    hi = np.where(others, cross * b.upper_rates, -np.inf).max(axis=-1)
+    p = np.ones((n, q.size // (n - 1)))  # goods first, so each pass runs along the rows
+    p[:-1] = q.reshape(-1, n - 1).T
+    others = ~np.eye(n, dtype=bool)[..., None]
+    cross = p[None]  # cross[i, j] pairs good i's row with p_j
+    lo = np.where(others, b.lower_rates[..., None] * cross, np.inf).min(axis=1)
+    hi = np.where(others, b.upper_rates[..., None] * cross, -np.inf).max(axis=1)
     # closed sandwich; relative slack so attained extremes survive rounding
-    inside = np.all((lo * (1.0 - 1e-12) <= p) & (p <= hi * (1.0 + 1e-12)), axis=-1)
-    return bool(inside) if q.ndim == 1 else inside
+    inside = np.all((lo * (1.0 - 1e-12) <= p) & (p <= hi * (1.0 + 1e-12)), axis=0)
+    return bool(inside[0]) if q.ndim == 1 else inside
 
 
 def _raise_first(failed, why) -> None:
@@ -435,10 +525,9 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
     edges, where two speeds sit at 0 or 1 and the third balances them.  The
     two traders on the same side of the line chart the polygon at a constant
     area factor; ordered by angle around their centroid in that chart, the
-    other vertices fan into triangles from the origin.  The first uniform
-    picks a triangle by area, the other two a uniform point in it.  The chart
-    depends only on the signs of a and the order changes only where vertices
-    meet, so the draw moves continuously with a.
+    other vertices fan into triangles from the origin (``_hitrun.fan``).
+    The chart depends only on the signs of a and the order changes only
+    where vertices meet, so the draw moves continuously with a.
     """
     a = lengths.tolist()
     up = [h for h in range(3) if a[h] > 0.0]
@@ -459,15 +548,7 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
     cx = sum(v[j] for v in others) / len(others)
     cy = sum(v[k] for v in others) / len(others)
     others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
-    cum, total = [], 0.0
-    for v, w in zip(others, others[1:]):
-        total += abs(v[j] * w[k] - w[j] * v[k])  # twice the area of (0, v, w)
-        cum.append(total)
-    u = rng.random(3).tolist()
-    t = min(bisect.bisect_right(cum, u[0] * total), len(cum) - 1)
-    r, f = math.sqrt(u[1]), u[2]  # a uniform point of the triangle (0, v, w)
-    v, w = others[t], others[t + 1]
-    return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
+    return _hitrun.fan(others, [(v[j], v[k]) for v in others], rng)
 
 
 def sample_speed(
@@ -480,17 +561,26 @@ def sample_speed(
     """Draw relative speeds from the polytope under the given prior.
 
     Two active traders pin the polytope down to a ray, and three at L = 2
-    to a polygon; both are sampled in closed form.  Every other case goes
-    through hit-and-run over the polytope after an LP-found interior start.
-    The prior is read on the polytope's intrinsic measure (the ray parameter
+    to a polygon; both are sampled in closed form.  Every other case draws
+    from the polytope's enumerated vertices (``_vertices``): a segment, a
+    polygon fanned from the origin, or hit-and-run from the vertex mean once
+    the polytope has three or more dimensions (``_hitrun.sample``).  The
+    prior is read on the polytope's intrinsic measure (the ray parameter
     when H = 2, the area on a polygon).  A candidate that fails a check
     raises ``SamplingError``; there is no second attempt.
     """
-    return _sample_speed(all_trade_directions(e, y, p), SpeedPrior(s_prior), rng)
+    _check_size(e)
+    _check_state(e, y)
+    p = as_price(p, e.n_goods)
+    return _sample_speed(_directions(e, y.bundles, p), p, SpeedPrior(s_prior), rng)
 
 
-def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator) -> SpeedVector:
-    """``sample_speed`` on directions already built, under a ``SpeedPrior`` member."""
+def _sample_speed(
+    dirs: FloatArray, p: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator, vertices: FloatArray | None = None
+) -> SpeedVector:
+    """``sample_speed`` on directions already built at prices ``p``, under a
+    ``SpeedPrior`` member; ``vertices``, if given, are the polytope's, as
+    ``_row_vertices`` reads them from the screen at these prices."""
     norms = np.linalg.norm(dirs, axis=1)
     idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
     if idx.size < 2:
@@ -512,7 +602,12 @@ def _sample_speed(dirs: FloatArray, s_prior: SpeedPrior, rng: np.random.Generato
         # prices, whose unit with a positive first coordinate signs the lengths
         point = _polygon_speeds(np.copysign(norms[idx], dirs[idx, 0]), rng)
     else:
-        point = _hitrun.sample(dirs[idx], norms[idx], rng)
+        if vertices is None:
+            ((_, vertices, ok),) = _vertices(_projected(dirs[idx], p)[None])
+            vertices = vertices[:, ok[:, 0], 0].T
+        else:
+            vertices = vertices[:, idx]
+        point = _hitrun.sample(vertices, rng)
     if s_prior is SpeedPrior.MAX_SPEED:
         peak = float(point.max())
         if peak < 1e-6:  # rescaling would amplify the equality residual

@@ -15,15 +15,14 @@ at a time through the public one-vector functions: the stacked suites must
 report the same failures and the same worst violation, bit for bit.
 ``reference_sample_manifold`` is the manifold sampler as it ran before it
 was stacked, one grid point at a time through the public functions.
-``reference_maximize`` and ``reference_hitrun_sample`` are the probe LP and
-the hit-and-run walk as they ran before the walk read its draws in one pass:
-one tableau per objective with array ratio tests, and per step one
-``standard_normal`` and one ``uniform`` call.  Generic-path runs through
-them must give the same bytes as through the package.
 ``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
-on the polygon's bounding box, which ``scipy.optimize.linprog`` finds.
-``lp_trade`` writes the LP that defines trade out in full and solves it
-with ``reference_maximize``, so the screen is held to the definition.
+on the polygon's bounding box, which ``scipy.optimize.linprog`` finds, and
+``reference_polytope_sample`` draws speeds at any L the same way in an
+orthonormal chart of the null space.
+``exact_speed_vertices`` enumerates the speed polytope's vertices in
+``fractions.Fraction`` on the float directions, and ``exact_trade_volume``
+takes the largest traded volume over them, so the screen is held to the
+definition with no rounding of its own.
 ``exact_volume_l2`` is the largest traded volume of the exact speed polytope
 at L = 2, summed household by household, with no LP and no slack.
 ``reference_contract_curve_y12`` and ``reference_walras_rate`` find the 2x2
@@ -38,12 +37,14 @@ through the public trade directions, so a recorded path can be replayed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from edgeworth import _hitrun, _simplex, engine, geometry, prefs, trade, verify
-from edgeworth.errors import ConvergenceError, LPError, SamplingError, SpecificationError
+from edgeworth import engine, geometry, prefs, trade, verify
+from edgeworth.errors import ConvergenceError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior, SpeedVector
 
@@ -280,26 +281,89 @@ def reference_walras_rate(specs, endowments) -> float:
     return _brent(lambda q: excess_demand_2x2(specs, endowments, q), min(rates), max(rates))
 
 
-def lp_trade(economy, allocation, p) -> bool:
-    """The trade LP itself on the directions at ``p``, with no screen in front of it.
+def _int_det(m: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by Laplace expansion along its first row."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum((-1) ** j * a * _int_det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, a in enumerate(m[0]) if a)
 
-    Over the households whose direction is at least 1e-12 long, maximize the
-    traded volume s . |d| for speeds s in the unit cube whose aggregate
-    s . d / scale lies within 1e-11 of zero on each coordinate, where scale
-    is the longest direction (at least 1); trade exists iff the optimum
-    exceeds 1e-9 times the scale.
+
+def _independent_rows(rows: list[list[int]]) -> list[list[int]]:
+    """A maximal set of linearly independent integer rows, by exact elimination."""
+    kept, echelon = [], []
+    for row in rows:
+        r = [Fraction(a) for a in row]
+        for e, c in echelon:
+            if r[c]:
+                f = r[c] / e[c]
+                r = [a - f * b for a, b in zip(r, e)]
+        c = next((j for j, a in enumerate(r) if a), None)
+        if c is not None:
+            echelon.append((r, c))
+            kept.append(row)
+    return kept
+
+
+def exact_speed_vertices(dirs, p) -> list[list[Fraction]]:
+    """The vertices of {s in [0, 1]^H : sum_h s_h d_h = 0} in exact arithmetic on the float directions.
+
+    Each direction loses its part along the float prices exactly, which
+    Walras' law makes a rounding: (p . p) d - (p . d) p, in integers once
+    every float is scaled by the largest power of two among their
+    denominators.  Then all but r = rank speeds sit at 0 or 1 and the other
+    r solve r independent rows by Cramer's rule in integers.  A vertex can
+    come from several such choices and is listed once.
+    """
+    d = [[Fraction(float(x)) for x in row] for row in dirs]
+    pf = [Fraction(float(x)) for x in p]
+    scale = max(x.denominator for x in [*pf, *(x for row in d for x in row)])
+    d = [[int(x * scale) for x in row] for row in d]
+    pf = [int(x * scale) for x in pf]
+    pp = sum(x * x for x in pf)
+    cols = [[pp * a - sum(u * v for u, v in zip(row, pf)) * b for a, b in zip(row, pf)] for row in d]
+    h = len(cols)
+    rows = _independent_rows([[c[i] for c in cols] for i in range(len(pf))])
+    r = len(rows)
+    found = []
+    for solved in itertools.combinations(range(h), r):
+        rest = [k for k in range(h) if k not in solved]
+        m = [[row[k] for k in solved] for row in rows]
+        det = _int_det(m)
+        if not det:
+            continue
+        for bounds in itertools.product((0, 1), repeat=len(rest)):
+            rhs = [-sum(row[k] * b for k, b in zip(rest, bounds)) for row in rows]
+            num = [_int_det([row[:i] + [b] + row[i + 1 :] for row, b in zip(m, rhs)]) for i in range(r)]
+            if not all(0 <= x * det <= det * det for x in num):  # each num / det in [0, 1]
+                continue
+            v = [Fraction(0)] * h
+            for k, x in zip(solved, num):
+                v[k] = Fraction(x, det)
+            for k, b in zip(rest, bounds):
+                v[k] = Fraction(b)
+            if v not in found:
+                found.append(v)
+    return found
+
+
+def exact_trade_volume(economy, allocation, p) -> tuple[float, float]:
+    """The largest volume s . |d| over the exact speed polytope of the active directions, and the decision threshold.
+
+    The active directions are those at least 1e-12 long; the threshold is
+    1e-9 times the longest of them (at least 1).  Trade exists iff the volume
+    exceeds it.
     """
     dirs = trade.all_trade_directions(economy, allocation, p)
-    norms = np.linalg.norm(dirs, axis=1)
-    active = norms >= 1e-12
-    if np.count_nonzero(active) < 2:
-        return False
-    scale = max(1.0, float(norms[active].max()))
-    cancel = dirs[active].T / scale
-    G = np.vstack([cancel, -cancel, np.eye(cancel.shape[1])])
-    h = np.concatenate([np.full(2 * cancel.shape[0], 1e-11), np.ones(cancel.shape[1])])
-    _, value = reference_maximize(norms[active], G, h)
-    return value > 1e-9 * scale
+    norms = [math.sqrt(math.fsum(float(x) * float(x) for x in d)) for d in dirs]
+    active = [h for h, n in enumerate(norms) if n >= 1e-12]
+    threshold = 1e-9 * max([1.0] + [norms[h] for h in active])
+    if len(active) < 2:
+        return 0.0, threshold
+    vertices = exact_speed_vertices(dirs[active], p)
+    volume = max(sum(x * Fraction(norms[h]) for x, h in zip(v, active)) for v in vertices)
+    return float(volume), threshold
 
 
 def exact_volume_l2(economy, allocation, p) -> tuple[float, float]:
@@ -617,65 +681,36 @@ def reference_attraction_suite(e, draws: int, seed: int) -> tuple[int, float]:
     return failures, worst
 
 
-def reference_maximize(c, G, h) -> tuple[np.ndarray, float]:
-    """``_simplex.maximize`` for one objective, its ratio test on arrays."""
-    c, G, h = (np.asarray(a, dtype=np.float64) for a in (c, np.atleast_2d(G), h))
-    m, n = G.shape
-    if c.size != n or h.size != m:
-        raise LPError("inconsistent LP dimensions")
-    if np.any(h < 0):
-        raise LPError("rhs must be nonnegative (origin must be feasible)")
-    T = np.hstack([G, np.eye(m), h[:, None]])
-    z = np.concatenate([c, np.zeros(m)])
-    basis = np.arange(n, n + m)
-    for _ in range(_simplex._MAX_ITER):
-        candidates = np.nonzero(z - z[basis] @ T[:, : n + m] > _simplex._ENTER_TOL)[0]
-        if candidates.size == 0:
-            x = np.zeros(n + m)
-            x[basis] = np.maximum(T[:, -1], 0.0)
-            return x[:n], float(c @ x[:n])
-        enter = int(candidates[0])
-        rows = np.nonzero(T[:, enter] > _simplex._PIVOT_TOL)[0]
-        if rows.size == 0:
-            raise LPError("LP unbounded; the trade polytope should be boxed")
-        ratios = T[rows, -1] / T[rows, enter]
-        ties = rows[ratios <= ratios.min() + 1e-15]
-        leave = int(ties[np.argmin(basis[ties])])
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
-        basis[leave] = enter
-    raise LPError(f"simplex did not terminate within {_simplex._MAX_ITER} pivots")
+def reference_polytope_sample(dirs, p, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` speed draws from {s in [0, 1]^H : sum_h s_h d_h = 0}, by rejection in its null space.
 
+    The directions lose their parts along the prices; ``scipy.linalg.null_space``
+    gives an orthonormal basis of the speeds that cancel them, in which a
+    uniform point is uniform on the polytope's area or volume.  Proposals are
+    uniform on the bounding box of the polytope's coordinates, each range an
+    LP, and are kept where the speeds land in the unit cube.  The max-speed
+    prior divides each draw by its largest speed.
+    """
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog
 
-def reference_hitrun_sample(directions, norms, rng) -> np.ndarray:
-    """``_hitrun.sample`` one probe LP and one walk step at a time."""
-    null_basis = _hitrun._null_space(directions.T, directions.shape[1] - 1)
-    if null_basis.shape[1] == 0:
-        raise SamplingError("trade-speed polytope has empty interior")
-    G, h = _hitrun.polytope(directions)
-    vertices = [reference_maximize(norms, G, h)[0]]
-    probe = np.random.default_rng(0)
-    for _ in range(null_basis.shape[1] + 1):
-        obj = null_basis @ probe.standard_normal(null_basis.shape[1])
-        vertices += [reference_maximize(obj, G, h)[0], reference_maximize(-obj, G, h)[0]]
-    x = np.mean(vertices, axis=0)
-    x = np.clip(null_basis @ (null_basis.T @ x), 0.0, 1.0)
-    _, sv, vt = np.linalg.svd((np.stack(vertices) - x) @ null_basis, full_matrices=False)
-    keep = sv > _hitrun._POINT_EXTENT
-    if not np.any(keep):
-        return x
-    hull = null_basis @ vt[keep].T
-    for _ in range(_hitrun._BURN_IN):
-        u = hull @ rng.standard_normal(hull.shape[1])
-        u /= float(np.linalg.norm(u))
-        lo, hi = _hitrun._chord(x.tolist(), u.tolist())
-        if not hi - lo > 2.0 * _hitrun._CLEARANCE:
-            raise SamplingError(f"hit-and-run stalled: chord {hi - lo!r} within the clearance")
-        t = rng.uniform(lo + _hitrun._CLEARANCE, hi - _hitrun._CLEARANCE)
-        x = np.minimum(np.maximum(x + t * u, 0.0), 1.0)
-    return x
+    d = np.asarray(dirs, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    d = d - np.outer(d @ p / (p @ p), p)
+    basis = null_space(d.T)  # (H, k)
+    span = []
+    for c in (*basis.T, *-basis.T):
+        span.append(-linprog(-c, A_eq=d.T, b_eq=np.zeros(d.shape[1]), bounds=[(0.0, 1.0)] * d.shape[0]).fun)
+    k = basis.shape[1]
+    hi, lo = np.array(span[:k]), -np.array(span[k:])
+    kept = np.empty((0, d.shape[0]))
+    while len(kept) < n:
+        s = rng.uniform(lo, hi, (8 * n, k)) @ basis.T
+        kept = np.concatenate([kept, s[np.all((s >= 0.0) & (s <= 1.0), axis=1)]])
+    kept = kept[:n]
+    if SpeedPrior(s_prior) is SpeedPrior.MAX_SPEED:
+        kept /= kept.max(axis=1, keepdims=True)
+    return kept
 
 
 def reference_polygon_sample(lengths, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest, truncnorm
 
-from edgeworth import _hitrun, _simplex, engine, prefs, trade
+from edgeworth import engine, prefs, trade
 from edgeworth.engine import (
     ArctanNormal,
     PriorSpec,
@@ -29,7 +29,7 @@ from edgeworth.engine import (
     example3_ladder_value,
     example3_process,
 )
-from edgeworth.errors import DomainDegeneracyError, LPError, SamplingError, SpecificationError
+from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
@@ -37,8 +37,6 @@ from oracles import (
     log_uniform,
     reference_advance,
     reference_each,
-    reference_hitrun_sample,
-    reference_maximize,
     table_objects,
 )
 
@@ -79,7 +77,8 @@ THREE_TRADERS = (
 
 
 # four CES traders over three goods under a 196-atom tabulated prior
-# log-spaced on [0.25, 4]^2: every step screens atoms, probes LPs and walks
+# log-spaced on [0.25, 4]^2: every step screens atoms by their speed
+# polytopes' vertices and draws speeds from the drawn atom's vertices
 _AXIS = 0.25 * 16.0 ** (np.arange(14) / 13)
 _GRID = np.array([[a, b] for a in _AXIS for b in _AXIS])
 _WEIGHTS_4X3 = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4])
@@ -208,16 +207,16 @@ class TestDrawPrice:
     )
     def test_angle_draw_asks_no_lp(self, monkeypatch, q_prior):
         # with two goods the open rate interval between the households' rates
-        # is the trade-compatible set: no LP and no box
+        # is the trade-compatible set: no trade LP (no vertex enumeration) and no box
         def no_lp(*args):
-            raise AssertionError("the angle draw solved an LP")
+            raise AssertionError("the angle draw enumerated speed vertices")
 
         def no_box(*args):
             raise AssertionError("the angle draw built the rate box")
 
         e, y = THREE_TRADERS
         lo, hi = rate_bounds(e, y)
-        monkeypatch.setattr(_simplex, "maximize", no_lp)
+        monkeypatch.setattr(trade, "_vertices", no_lp)
         monkeypatch.setattr(trade, "msr_extremes", no_box)
         rng = engine.run_rng(17, 0)
         prior = PriorSpec(q_prior, SpeedPrior.UNIFORM_CUBE)
@@ -226,17 +225,19 @@ class TestDrawPrice:
 
     @pytest.mark.parametrize("goods", [2, 3])
     def test_clear_cut_tabulated_draw_asks_no_lp(self, monkeypatch, goods):
-        # every in-box atom is well inside or well outside the trade set, so
-        # the closed-form certificates decide them all
-        from oracles import clearing_price, lp_trade
+        # every in-box atom is well inside or well outside the trade set: the
+        # draw keeps exactly the atoms the exact polytope admits, at L = 2 in
+        # closed form, with no trade LP (no vertex enumeration)
+        from oracles import clearing_price, exact_trade_volume
 
         def no_lp(*args):
-            raise AssertionError("the tabulated draw solved an LP")
+            raise AssertionError("the tabulated draw enumerated speed vertices")
 
         if goods == 2:
             e, y = THREE_TRADERS
             lo, hi = rate_bounds(e, y)
             atoms = np.array([lo / 1.5, lo * 1.1, (lo + hi) / 2.0, hi * 0.9, hi * 1.5])[:, None]
+            monkeypatch.setattr(trade, "_vertices", no_lp)
         else:
             weights = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3])
             e = Economy.of([UtilitySpec.ces(w, 0.5) for w in weights])
@@ -245,15 +246,18 @@ class TestDrawPrice:
             atoms = clearing_price(e, y) * np.exp(np.array(shifts))
         screened = trade.box_contains(trade.msr_extremes(e, y), atoms)
         assert screened.sum() >= 3
-        want = [lp_trade(e, y, np.append(q, 1.0)) for q in atoms[screened]]
+        volumes = [exact_trade_volume(e, y, np.append(q, 1.0)) for q in atoms[screened]]
+        assert all(abs(v - t) > 0.01 * t for v, t in volumes)
+        want = [v > t for v, t in volumes]
         assert any(want) and (goods == 2 or not all(want))
-        monkeypatch.setattr(_simplex, "maximize", no_lp)
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
         rng = engine.run_rng(17, 0)
         drawn = {tuple(engine.draw_price(e, y, prior, rng)) for _ in range(200)}
         assert drawn == {tuple(q) for q, ok in zip(atoms[screened], want) if ok}
 
     def test_four_goods_grid_goes_through_the_lp(self, monkeypatch):
+        # the trade LP at L = 4, solved by enumerating the vertices of every
+        # in-box atom's speed polytope in one stack
         from oracles import clearing_price
 
         weights = ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25])
@@ -263,11 +267,11 @@ class TestDrawPrice:
         atoms = clearing_price(e, y) * np.exp(np.array(shifts))
         in_box = trade.box_contains(trade.msr_extremes(e, y), atoms)
         calls = []
-        lp = _simplex.maximize
-        monkeypatch.setattr(_simplex, "maximize", lambda *args: calls.append(args) or lp(*args))
+        vertices = trade._vertices
+        monkeypatch.setattr(trade, "_vertices", lambda A: calls.append(A.shape) or vertices(A))
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
         q = engine.draw_price(e, y, prior, engine.run_rng(3, 0))
-        assert len(calls) == int(in_box.sum()) >= 3
+        assert calls == [(int(in_box.sum()), 3, 3)] and in_box.sum() >= 3
         assert any(np.array_equal(q, a) for a in atoms[in_box])
 
     def test_sticky_prior_concentrates(self, cd_economy, shock):
@@ -572,19 +576,6 @@ class TestMonteCarlo:
         assert dist.bin_counts.sum() == 200
         assert len(dist.terminal_tags) == 200
 
-    def test_lp_failure_names_the_run_and_step(self, monkeypatch):
-        def fail(*args):
-            raise LPError("pivot broke down")
-
-        monkeypatch.setattr(_simplex, "maximize", fail)
-        cfg = make_config(*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE, runs=3)
-        with pytest.raises(LPError) as info:
-            engine.run_monte_carlo(cfg)
-        assert str(info.value) == (
-            "run 0: step 1: pivot broke down; "
-            "state [[1.5, 1.5, 1.0], [0.75, 0.5, 0.85], [0.9, 0.5, 0.5], [2.0, 1.25, 0.7]]"
-        )
-
     def test_degenerate_step_names_the_run_and_step(self, monkeypatch):
         def fail(*args):
             raise DomainDegeneracyError("demand degenerated below the positive floor")
@@ -863,6 +854,7 @@ class TestGenericPathThreeGoods:
             engine.run_trajectory(cfg, 1)
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.dispatch
     def test_monte_carlo_summarizes_over_rates(self, economy3, state3):
         cfg = self.make_cfg(economy3, state3, SpeedPrior.UNIFORM_CUBE, runs=4, max_steps=6)
         dist = engine.run_monte_carlo(cfg)
@@ -872,74 +864,54 @@ class TestGenericPathThreeGoods:
         np.testing.assert_array_equal(dist.coords, dist.terminal_qs[:, 0])
 
 
-def _generic_runs() -> list[tuple]:
-    """Per run: the case, the run index and either the run's table bytes and
-    terminal tag or its error type and text."""
-    cases = {
-        "4x3_tabulated_cube": (*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE),
-        "4x3_tabulated_max": (*FOUR_BY_THREE, SpeedPrior.MAX_SPEED),
-    }
-    runs = []
-    for name, (e, y, q_prior, s_prior) in cases.items():
-        cfg = make_config(e, y, q_prior, s_prior, runs=5, max_steps=30)
-        for i in range(cfg.runs):
-            try:
-                t = engine.run_trajectory(cfg, i)
-            except (SamplingError, LPError, DomainDegeneracyError) as exc:
-                runs.append((name, i, type(exc).__name__, str(exc)))
-            else:
-                runs.append((name, i, t.table.tobytes(), t.terminal))
-    return runs
-
-
-def test_generic_runs_match_the_step_by_step_walk(monkeypatch):
-    """L = 3 runs under both speed priors give the same bytes through the
-    package's walk and probe LPs as through ``reference_hitrun_sample`` and
-    ``reference_maximize``, which read the stream one step and one objective
-    at a time: the price draw, the screens, the probe LPs and the walk all
-    feed the tables, and some runs end in the exhausted price prior.  (At
-    L = 2 three traders draw from the closed-form polygon, which neither
-    walks nor solves an LP.)
-
-    Both sides run on the same host.  A committed golden could not pin these
-    runs across hosts: the walk's null-space basis comes from an SVD with a
-    repeated zero singular value, so one ulp of difference in a kernel can
-    rotate the basis and move a draw by O(1).
-    """
-    mine = _generic_runs()
-    monkeypatch.setattr(_simplex, "maximize", reference_maximize)
-    monkeypatch.setattr(_hitrun, "sample", reference_hitrun_sample)
-    assert mine == _generic_runs()
-
-
-def test_three_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
-    """Every speed draw of the 3x2 uniform-arc runs at seed 1, redrawn under
-    either prior from the same stream with one entry of its directions moved
-    one ulp either way, moves by at most 1e-9: the polygon draw has no basis
-    or ordering that a rounding difference can flip."""
+def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
+    """Every speed draw of the config's runs, redrawn under either prior from
+    the same stream with one entry of its directions moved one ulp either way,
+    moves by at most 1e-9.  A run that ends in an exhausted tabulated prior
+    keeps the draws it made.  Where the step drew from the vertices its trade
+    screen found, enumerating them again gives the same draw."""
     recorded = []
     sample_speed = trade._sample_speed
 
-    def record(dirs, s_prior, rng):
-        recorded.append((dirs, copy.deepcopy(rng)))
-        return sample_speed(dirs, s_prior, rng)
+    def record(dirs, p, s_prior, rng, vertices=None):
+        recorded.append((dirs, p, copy.deepcopy(rng)))
+        sigma = sample_speed(dirs, p, s_prior, rng, vertices)
+        if vertices is not None:
+            again = sample_speed(dirs, p, s_prior, copy.deepcopy(recorded[-1][2]))
+            np.testing.assert_allclose(again.sigma, sigma.sigma, rtol=0.0, atol=1e-12)
+        return sigma
 
     monkeypatch.setattr(trade, "_sample_speed", record)
-    cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=15)
     for i in range(cfg.runs):
-        engine.run_trajectory(cfg, i)
-    assert len(recorded) > 600
+        try:
+            engine.run_trajectory(cfg, i)
+        except SamplingError:
+            assert isinstance(cfg.prior.q_prior, Tabulated)
+    assert len(recorded) > draws
     worst = 0.0
-    for dirs, rng in recorded:
+    for dirs, p, rng in recorded:
         for s_prior in SpeedPrior:
-            base = sample_speed(dirs, s_prior, copy.deepcopy(rng)).sigma
+            base = sample_speed(dirs, p, s_prior, copy.deepcopy(rng)).sigma
             for index in np.ndindex(dirs.shape):
                 for toward in (-np.inf, np.inf):
                     moved = dirs.copy()
                     moved[index] = np.nextafter(moved[index], toward)
-                    sigma = sample_speed(moved, s_prior, copy.deepcopy(rng)).sigma
+                    sigma = sample_speed(moved, p, s_prior, copy.deepcopy(rng)).sigma
                     worst = max(worst, float(np.abs(sigma - base).max()))
     assert worst <= 1e-9
+
+
+def test_three_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
+    """The seed-1 3x2 uniform-arc runs: the polygon draw has no basis or
+    ordering that a rounding difference can flip."""
+    _assert_draws_continuous(monkeypatch, make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=15), 600)
+
+
+def test_four_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
+    """The seed-1 4x3 tabulated runs: the polygon of the enumerated vertices
+    is fanned in an order and a turn that move continuously with the
+    directions, as the closed-form polygon's do."""
+    _assert_draws_continuous(monkeypatch, make_config(*FOUR_BY_THREE, SpeedPrior.UNIFORM_CUBE, runs=8), 100)
 
 
 class TestExample3:

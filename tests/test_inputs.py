@@ -267,6 +267,10 @@ REFUSALS = {
         lambda: engine.Tabulated([], []), SpecificationError,
         "tabulated grid must be a nonempty sequence of rate vectors",
     ),
+    "Tabulated.zero_rate": (
+        lambda: engine.Tabulated([[0.0], [1.0]], [1.0, 1.0]), SpecificationError,
+        "tabulated grid points must be finite and strictly positive",
+    ),
     "Tabulated.densities_per_point": (
         lambda: engine.Tabulated([1.0, 2.0], [1.0]), SpecificationError, "one density per grid point is required"
     ),
@@ -325,3 +329,17 @@ def test_refusal_has_one_class_and_message(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_zero_density_atom_is_accepted_and_never_drawn():
+    # a zero density is allowed (only all-zero densities are refused), and its
+    # atom holds no prior mass: the draw never returns it, although it admits
+    # trade, and an exhausted prior does not name it among the nearest atoms
+    rates = [0.3, 0.45, 1.0, 1.2, 2.5]
+    prior = PriorSpec(engine.Tabulated(rates, [1.0, 0.0, 0.0, 1.0, 1.0]), SpeedPrior.UNIFORM_CUBE)
+    rng = engine.run_rng(1, 0)
+    assert {float(engine.draw_price(ECONOMY, SHOCK, prior, rng)[0]) for _ in range(100)} == {1.2}
+    prior = PriorSpec(engine.Tabulated([0.3, 0.45, 2.5], [1.0, 0.0, 1.0]), SpeedPrior.UNIFORM_CUBE)
+    with pytest.raises(SamplingError) as info:
+        engine.draw_price(ECONOMY, SHOCK, prior, rng)
+    assert str(info.value).endswith("nearest atoms with prior mass: 0.3 on the low side, 2.5 on the high side")

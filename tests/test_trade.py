@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from edgeworth import _hitrun, _simplex, engine, prefs, trade
+from edgeworth import _hitrun, engine, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
@@ -16,12 +16,14 @@ from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
 from oracles import box_contains as box_contains_reference
 from oracles import (
     clearing_price,
+    exact_speed_vertices,
+    exact_trade_volume,
     exact_volume_l2,
     log_uniform,
-    lp_trade,
     reference_advance,
     reference_each,
     reference_polygon_sample,
+    reference_polytope_sample,
 )
 
 pytestmark = pytest.mark.dispatch
@@ -66,7 +68,7 @@ def _edge_atoms(box: BoxSet, base: np.ndarray, offsets=range(-4, 5)) -> list[np.
 
 
 # four traders over three goods at p = (1, 1, 1), every direction shorter
-# than 1: a speed draw probes LPs and walks
+# than 1: the speed polytope is a triangle, drawn from its enumerated vertices
 FOUR_BY_THREE = (
     Economy.of(
         [
@@ -78,6 +80,32 @@ FOUR_BY_THREE = (
     ),
     Allocation(np.array([[0.6, 0.4, 0.45], [0.4, 0.6, 0.55], [0.55, 0.4, 0.45], [0.4, 0.55, 0.6]])),
 )
+
+# the bench's 4x3 households (CES, elasticity 0.5), and the state the
+# seed-1 4x3_tabulated run 3 reached at step 100 under the relaxed LP
+_WEIGHTS_4X3 = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4])
+STALLED_4X3 = [
+    [0.8897606802378132, 1.3314231496393105, 1.6370548502524944],
+    [1.5979074640078608, 0.5905640127362574, 0.19018493871546935],
+    [0.6075076508378165, 1.0800136014877482, 0.32038923065335995],
+    [2.0527242050322765, 0.8368992356573141, 0.9516709806445564],
+]
+
+# the four households of test_hit_and_run_four_households_three_goods at a
+# state and its clearing rates where probe LPs found only the vertices 0 and
+# (1, 1, 1, 1) of a quadrilateral speed polytope
+FOUND_51 = (
+    Economy.of(
+        [
+            UtilitySpec.ces(np.array([0.2, 0.3, 0.5]), 0.5),
+            UtilitySpec.ces(np.array([0.5, 0.3, 0.2]), 0.5),
+            UtilitySpec.cobb_douglas_log(np.array([0.3, 0.4, 0.3])),
+            UtilitySpec.cobb_douglas_log(np.array([0.4, 0.2, 0.4])),
+        ]
+    ),
+    Allocation(np.array([[1.06, 0.71, 0.74], [0.73, 1.52, 1.65], [2.0, 1.43, 0.57], [0.6, 1.54, 1.15]])),
+)
+FOUND_51_RATES = np.array([1.0547057581221055, 0.7438921218404685])
 
 # three Cobb-Douglas traders over two goods at p = (1, 1): the speed
 # polytope is a polygon in R^3, drawn in closed form
@@ -208,25 +236,28 @@ class TestSpeedSet:
             use(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([0.5])))
 
 
-def _reference_trade(e: Economy, y: Allocation, p) -> bool:
-    """The exact polytope's answer at L = 2, and the LP's at L >= 3.
+#: Within this relative distance of the threshold the exact optimum leaves
+#: the screen free: its rounding can move the largest volume that far.
+_BAND = 1e-6
 
-    At L = 2 the LP must agree wherever 2 min(P, N) lies outside 2% of its
-    threshold: within it, the LP's cancellation slack alone can buy the
-    missing volume.
+
+def _reference_trade(e: Economy, y: Allocation, p) -> bool | None:
+    """The exact polytope's answer, or None where its optimum lies within ``_BAND`` of the threshold.
+
+    At L = 2 the closed form 2 min(P, N), summed household by household,
+    decides every price; beyond, the ``Fraction`` vertices do.
     """
-    if e.n_goods != 2:
-        return lp_trade(e, y, p)
-    volume, threshold = exact_volume_l2(e, y, p)
-    if not 0.98 <= volume / threshold <= 1.02:
-        assert lp_trade(e, y, p) == (volume > threshold)
-    return volume > threshold
+    if e.n_goods == 2:
+        volume, threshold = exact_volume_l2(e, y, p)
+        return volume > threshold
+    volume, threshold = exact_trade_volume(e, y, p)
+    return None if abs(volume - threshold) <= _BAND * threshold else volume > threshold
 
 
 def _has_trade(e: Economy, y: Allocation, p) -> bool:
     """``has_trade``, checked against the decision it answers for."""
     got = trade.has_trade(e, y, p)
-    assert got == _reference_trade(e, y, p)
+    assert _reference_trade(e, y, p) in (None, got)
     return got
 
 
@@ -291,14 +322,25 @@ class TestHasTrade:
 
     def test_lp_sliver_is_no_trade(self):
         # a bench atom (generic seed 3, run 2) where the largest exact volume
-        # 2 min(P, N) is 0.99897 of the threshold and the LP's 1e-11
-        # cancellation slack alone lifts its optimum over it
+        # 2 min(P, N) is 0.99897 of the threshold: the LP's former 1e-11
+        # cancellation slack alone lifted its optimum over it
         e = Economy.of([UtilitySpec.ces([0.5, 0.5], 0.5), UtilitySpec.ces([0.7, 0.3], 0.5)])
         y = Allocation(np.array([[1.1513410004144027, 2.3089701583740565], [1.8486589995855987, 0.691029841625944]]))
         p = [1.4265821370411313, 1.0]
         volume, threshold = exact_volume_l2(e, y, p)
         assert volume / threshold == pytest.approx(0.99897, abs=1e-5)
-        assert lp_trade(e, y, p)
+        assert exact_trade_volume(e, y, p)[0] / threshold == pytest.approx(0.99897, abs=1e-5)
+        assert not trade.has_trade(e, y, p)
+
+    def test_three_good_sliver_is_no_trade(self):
+        # the seed-1 4x3_tabulated run 3 at step 100 under the relaxed LP: the
+        # atom (0.726, 0.726) is in the box, the LP's slack admitted it at
+        # every step, and the exact polytope is the point 0
+        e = Economy.of([UtilitySpec.ces(w, 0.5) for w in _WEIGHTS_4X3])
+        y = Allocation(np.array(STALLED_4X3))
+        p = [0.7262114280571625, 0.7262114280571625, 1.0]
+        assert trade.box_contains(trade.msr_extremes(e, y), p[:2])
+        assert exact_trade_volume(e, y, p)[0] == 0.0
         assert not trade.has_trade(e, y, p)
 
     def test_many_households_three_goods(self, rng):
@@ -355,8 +397,8 @@ class TestScreenTrade:
     def test_decisions_match_the_lp(self, goods, households, seed):
         # atoms in the box, on each household's own rate and on the box's
         # edges, each also 1-4 ulps off, where the LP's optimum sits nearest
-        # its threshold; the screen must answer as the exact polytope at
-        # L = 2 and as the LP itself at L >= 3
+        # its threshold; the screen must answer as the exact polytope, whose
+        # vertices solve that LP, wherever its optimum clears the rounding band
         draw = np.random.default_rng(seed)
         e = Economy.of([self._household(draw, goods) for _ in range(households)])
         y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
@@ -374,9 +416,36 @@ class TestScreenTrade:
                     atoms.append(q)
         prices = np.concatenate([np.array(atoms), np.ones((len(atoms), 1))], axis=1)
         got = trade._screen(e, y.bundles, prices)
-        want = np.array([_reference_trade(e, y, p) for p in prices])
+        want = [_reference_trade(e, y, p) for p in prices]
         assert got.dtype == bool and got.shape == (len(atoms),)
-        np.testing.assert_array_equal(got, want)
+        assert all(w is None or w == g for g, w in zip(got.tolist(), want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        goods=st.sampled_from([2, 3, 4]),
+        households=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_oracle_decides_and_admitted_prices_move(self, goods, households, seed):
+        # in-box atoms and the households' own rates: wherever the exact
+        # optimum (``fractions.Fraction`` vertices of the float directions)
+        # lies more than _BAND from the threshold, the screen answers as it
+        # does; at every admitted price a speed draw under either prior
+        # cancels aggregate trade while moving someone
+        draw = np.random.default_rng(seed)
+        e = Economy.of([self._household(draw, goods) for _ in range(households)])
+        y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
+        box = trade.msr_extremes(e, y)
+        lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
+        atoms = np.vstack([np.exp(draw.uniform(np.log(lo), np.log(hi), (12, goods - 1))), trade.household_rates(e, y)])
+        prices = np.concatenate([atoms, np.ones((len(atoms), 1))], axis=1)
+        got = trade._screen(e, y.bundles, prices)
+        for admitted, p in zip(got.tolist(), prices):
+            volume, threshold = exact_trade_volume(e, y, p)
+            assert abs(volume - threshold) <= _BAND * threshold or admitted == (volume > threshold)
+            if admitted:
+                for s_prior in SpeedPrior:
+                    assert trade.speed_contains(e, y, p, trade.sample_speed(e, y, p, s_prior, draw))
 
     @pytest.mark.parametrize("goods", [2, 3])
     def test_paired_bundles_decide_as_one_state_each(self, goods):
@@ -398,12 +467,12 @@ class TestScreenTrade:
     def test_no_lp_runs_at_two_goods(self, monkeypatch):
         # three households on a tabulated prior, with atoms near the extreme
         # rates where the exact volume 2 min(P, N) lies within 0.5% of the
-        # threshold: the screen decides every atom in closed form, and the
-        # speed draw is the ray or the polygon
+        # threshold: the screen decides every atom in closed form, enumerating
+        # no vertices, and the speed draw is the ray or the polygon
         def refuse(*args, **kwargs):
-            raise AssertionError("an LP ran at L = 2")
+            raise AssertionError("vertices were enumerated at L = 2")
 
-        monkeypatch.setattr(_simplex, "maximize", refuse)
+        monkeypatch.setattr(trade, "_vertices", refuse)
         e = Economy.of([UtilitySpec.ces(w, 0.5) for w in ([0.3, 0.7], [0.6, 0.4], [0.5, 0.5])])
         y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]]))
         rates = trade.household_rates(e, y)[:, 0]
@@ -421,6 +490,38 @@ class TestScreenTrade:
         prior = engine.PriorSpec(engine.Tabulated(np.array(atoms), np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
         traj = engine.run_trajectory(engine.SimConfig(e, y, prior, master_seed=3, max_steps=20), 0)
         assert traj.steps > 0
+
+    def test_direction_of_the_degenerate_length_is_active(self, monkeypatch, rng):
+        # a direction exactly DEGENERATE_DIRECTION long trades: with it, the
+        # longer side sums to 5e-10 + 0.5e-12 and 2 min(P, N) clears the 1e-9
+        # threshold; without it, it falls short
+        tie = trade.DEGENERATE_DIRECTION
+        dirs = np.array([[[tie, 0.0], [5e-10 - 0.5e-12, 0.0], [-1.0, 0.0]]])
+        monkeypatch.setattr(trade, "_directions", lambda e, bundles, p: dirs)
+        e = Economy.of([UtilitySpec.cobb_douglas_log([0.5, 0.5])] * 3)
+        assert trade._screen(e, np.ones((3, 2)), np.ones((1, 2))).tolist() == [True]
+        # the draw counts it too: with two actives it rides the ray, not "fewer than two"
+        sigma = trade._sample_speed(np.array([[tie, 0.0], [-1.0, 0.0]]), np.ones(2), SpeedPrior.MAX_SPEED, rng)
+        np.testing.assert_array_equal(sigma.sigma, [1.0, tie])
+
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_economies_over_the_vertex_cap_are_refused(self, goods, rng):
+        # seven households: C(7, 1) 2^6 = 448 candidates per price at rank 1,
+        # and C(7, 2) 2^5 = 672 at rank 2
+        e = Economy.of([UtilitySpec.cobb_douglas_log(np.full(goods, 1.0 / goods))] * 7)
+        y = Allocation(log_uniform(rng, (7, goods), 0.5, 2.0))
+        p = np.ones(goods)
+        count = {2: 448, 3: 672}[goods]
+        message = f"7 households over {goods} goods need {count} candidate speed vertices per price, more than 256"
+        for call in (lambda: trade.has_trade(e, y, p), lambda: trade.sample_speed(e, y, p, SpeedPrior.UNIFORM_CUBE, rng)):
+            with pytest.raises(SpecificationError, match=f"^{re.escape(message)}$"):
+                call()
+        prior = engine.PriorSpec(engine.Tabulated(np.ones((1, goods - 1)), [1.0]), SpeedPrior.UNIFORM_CUBE)
+        with pytest.raises(SpecificationError, match=f"^{re.escape(message)}$"):
+            engine.SimConfig(e, y, prior, master_seed=1)
+        six = Economy.of(e.specs[:6])
+        assert trade._candidates(6, goods) <= trade._MAX_CANDIDATES
+        assert trade.has_trade(six, Allocation(y.bundles[:6]), p) in (True, False)
 
     def test_empty_stack(self, cd_economy, shock):
         assert trade._screen(cd_economy, shock.bundles, np.empty((0, 2))).shape == (0,)
@@ -591,6 +692,18 @@ class TestSampleSpeed:
             sv = trade.sample_speed(e, y, p, SpeedPrior.UNIFORM_CUBE, rng)
             assert trade.speed_contains(e, y, p, sv)
 
+    def test_vertices_the_probes_missed(self, rng):
+        # at these clearing rates the probe LPs found only 0 and (1, 1, 1, 1);
+        # the enumeration finds the polytope's other two vertices, and the
+        # draws fill its two dimensions
+        e, y = FOUND_51
+        p = np.append(FOUND_51_RATES, 1.0)
+        vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
+        assert [0.0, 0.44, 1.0, 0.73] in np.round(vertices, 2).tolist()
+        assert [1.0, 1.0, 1.0, 1.0] in np.round(vertices, 2).tolist()
+        draws = np.stack([trade.sample_speed(e, y, p, SpeedPrior.UNIFORM_CUBE, rng).sigma for _ in range(50)])
+        assert np.linalg.matrix_rank(draws - draws.mean(axis=0), tol=1e-6) == 2
+
     def test_lower_dimensional_polytope_segment(self, rng):
         # households 1-2 balance along one line; 3-4 are identical and can
         # never cancel anyone, so the polytope is a segment with s3 = s4 = 0
@@ -614,10 +727,11 @@ class TestSampleSpeed:
                 if prior is SpeedPrior.MAX_SPEED:
                     assert sv.sigma[1] == pytest.approx(1.0)
 
-    def test_walras_rank_cap_keeps_polytope_dimension(self, rng):
+    def test_walras_rank_cap_keeps_polytope_dimension(self, monkeypatch, rng):
         # a 3x2 uniform-arc state where D^T's second singular value is
         # rounding noise (2.7e-16 against 2.4e-4) but clears the relative rank
         # cutoff; counted as rank, it cut the 2-D polytope down to a line
+        fan = _hitrun.fan
         e = Economy.of(
             [
                 UtilitySpec.ces([0.3, 0.7], 0.5),
@@ -639,11 +753,14 @@ class TestSampleSpeed:
             for _ in range(5):
                 sv = trade.sample_speed(e, y, p, prior, rng)
                 assert trade.speed_contains(e, y, p, sv)
-        # three traders at L = 2 draw from the closed-form polygon; the walk
-        # still has to keep the dimension on these directions
-        dirs = trade.all_trade_directions(e, y, p)
-        point = _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
-        assert trade.speed_contains(e, y, p, SpeedVector(point))
+        # three traders at L = 2 draw from the closed-form polygon; the
+        # enumerated vertices still span it, and their draw is a polygon's
+        vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
+        assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=_hitrun._POINT_EXTENT) == 2
+        calls = []
+        monkeypatch.setattr(_hitrun, "fan", lambda *args: calls.append(args) or fan(*args))
+        assert trade.speed_contains(e, y, p, SpeedVector(_hitrun.sample(vertices, rng)))
+        assert len(calls) == 1
 
     def test_deterministic_given_stream(self, cd_economy, shock):
         a = trade.sample_speed(
@@ -681,10 +798,11 @@ class TestSampleSpeed:
         assert len(calls) == 1
 
     def test_short_chord_raises_at_once(self, monkeypatch, rng):
+        # four traders at L = 2: the polytope has three dimensions, so the draw walks
         calls = []
         monkeypatch.setattr(_hitrun, "_chord", lambda *args: calls.append(args) or (0.0, 1e-12))
         with pytest.raises(SamplingError, match=r"hit-and-run stalled: chord 1e-12 within the clearance"):
-            trade.sample_speed(*FOUR_BY_THREE, [1.0, 1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
+            trade._sample_speed(TestHitRunStream.DIRS, [1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
         assert len(calls) == 1
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
@@ -700,37 +818,49 @@ class TestSampleSpeed:
             trade._ray_speeds(*norms, max_speed, lambda sub: rng.random(1))
 
 
+def _speed_vertices(dirs, p) -> np.ndarray:
+    """The enumerated vertices of the speed polytope of ``dirs`` at prices ``p``, with repeats."""
+    ((_, vertices, ok),) = trade._vertices(trade._projected(dirs, np.asarray(p, dtype=np.float64))[None])
+    return vertices[:, ok[:, 0], 0].T
+
+
 class TestHitRunDegenerate:
     def test_no_null_space_is_an_empty_interior(self, rng):
         # three independent directions in four goods: D^T s = 0 only at s = 0
         dirs = np.random.default_rng(0).standard_normal((3, 4))
-        with pytest.raises(SamplingError, match="^trade-speed polytope has empty interior$"):
-            _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
+        p = np.ones(4)
+        dirs -= np.outer(dirs @ p / 4.0, p)  # orthogonal to the prices, as Walras' law puts them
+        vertices = _speed_vertices(dirs, p)
+        assert not np.any(vertices)
+        with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
+            _hitrun.sample(vertices, rng)
 
-    def test_point_polytope_returns_its_point(self):
+    def test_point_polytope_raises_and_reads_nothing(self):
         # e1, e2 and e1 + e2 in the plane orthogonal to p = (1, 1, 1): the
         # null space is the line (1, 1, -1), which meets the cube only at 0
         e1, e2 = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
         dirs = np.stack([e1, e2, e1 + e2])
+        vertices = _speed_vertices(dirs, [1.0, 1.0, 1.0])
+        assert vertices.shape[1] == 3 and not np.any(vertices)
+        assert all(not any(v) for v in exact_speed_vertices(dirs, [1.0, 1.0, 1.0]))
         rng = np.random.default_rng(5)
-        point = _hitrun.sample(dirs, np.linalg.norm(dirs, axis=1), rng)
-        assert point.shape == (3,) and point.min() >= 0.0 and point.max() < _hitrun._POINT_EXTENT
-        assert np.abs(point @ dirs).max() <= _hitrun._EQ_TOL  # within the LP's slack
-        assert rng.random() == np.random.default_rng(5).random()  # no walk: the stream is untouched
+        with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
+            _hitrun.sample(vertices, rng)
+        assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
     def test_point_polytope_has_no_speed_draw(self):
-        # the same point polytope {0}: the relaxed LP's slack lets the walk
-        # return (2.7e-12, 2.7e-12, 0), and cancel-and-move accepts it
+        # the same point polytope {0}: the relaxed LP's slack let the walk
+        # return (2.7e-12, 2.7e-12, 0), and cancel-and-move accepted it
         e1, e2 = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
         dirs = np.stack([e1, e2, e1 + e2])
         with pytest.raises(SamplingError):
-            trade._sample_speed(dirs, SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5))
+            trade._sample_speed(dirs, np.ones(3), SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5))
 
 
 class TestHitRunStream:
-    # at p = (1, 1) the plane sum_h a_h s_h = 0 cuts the unit cube in a polygon: d = 2
-    DIRS = np.array([[1.0, -1.0], [-0.5, 0.5], [-0.7, 0.7]])
+    # at p = (1, 1) four traders, two on each side of the price line: the
+    # polytope {s in [0, 1]^4 : sum_h a_h s_h = 0} has three dimensions
+    DIRS = np.array([[1.0, -1.0], [0.5, -0.5], [-0.7, 0.7], [-0.4, 0.4]])
 
     @pytest.mark.parametrize("stall", [False, True], ids=["walk", "stall"])
     def test_walk_reads_every_steps_draws(self, monkeypatch, stall):
@@ -740,13 +870,13 @@ class TestHitRunStream:
             monkeypatch.setattr(_hitrun, "_chord", lambda x, u: (0.0, 1e-12))
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
         try:
-            point = _hitrun.sample(self.DIRS, np.linalg.norm(self.DIRS, axis=1), rng)
+            point = _hitrun.sample(_speed_vertices(self.DIRS, [1.0, 1.0]), rng)
         except SamplingError:
             assert stall
         else:
             assert not stall and np.abs(point @ self.DIRS).max() <= 1e-15
         for _ in range(_hitrun._BURN_IN):
-            reference.standard_normal(2)
+            reference.standard_normal(3)
             reference.random()
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -770,7 +900,7 @@ class TestPolygonDraw:
 
     def test_draw_reads_three_uniforms(self):
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        trade._sample_speed(_line_directions([1.0, -0.5, -0.7]), SpeedPrior.UNIFORM_CUBE, rng)
+        trade._sample_speed(_line_directions([1.0, -0.5, -0.7]), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
         reference.random(3)
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -778,7 +908,7 @@ class TestPolygonDraw:
     def test_one_sided_directions_have_no_speeds(self, lengths, rng):
         # every trader on one side: the polytope is {0}
         with pytest.raises(SamplingError, match="^three-trader directions all point one way"):
-            trade._sample_speed(_line_directions(lengths), SpeedPrior.UNIFORM_CUBE, rng)
+            trade._sample_speed(_line_directions(lengths), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
 
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
     @pytest.mark.parametrize(
@@ -793,10 +923,28 @@ class TestPolygonDraw:
         # cube vertex (1, 1, 0) on the plane, where two edge crossings meet
         n, rng = 3000, np.random.default_rng(17)
         dirs = _line_directions(lengths, q)
-        mine = np.stack([trade._sample_speed(dirs, s_prior, rng).sigma for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, np.array([q, 1.0]), s_prior, rng).sigma for _ in range(n)])
         reference = reference_polygon_sample(lengths, s_prior, n, rng)
         assert np.abs(mine @ np.asarray(lengths)).max() <= 1e-12
         for h in range(3):
+            assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
+
+
+    @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
+    @pytest.mark.parametrize("case", ["triangle", "quadrilateral"])
+    def test_three_good_polygon_follows_the_rejection_oracle(self, case, s_prior):
+        # L = 3, four traders: the polygon of the enumerated vertices, fanned
+        # from the origin; per-coordinate two-sample KS at about the 0.1% level
+        if case == "triangle":
+            (e, y), p = FOUR_BY_THREE, np.ones(3)
+        else:
+            (e, y), p = FOUND_51, np.append(FOUND_51_RATES, 1.0)
+        dirs = trade.all_trade_directions(e, y, p)
+        n, rng = 3000, np.random.default_rng(23)
+        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng).sigma for _ in range(n)])
+        reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
+        assert np.abs(mine @ dirs).max() <= 1e-12
+        for h in range(4):
             assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
 
 
