@@ -385,9 +385,7 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     return q
 
 
-def _draw_tabulated(
-    e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator
-) -> tuple[FloatArray, FloatArray | None]:
+def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator) -> tuple[FloatArray, FloatArray | None]:
     """Atom draw from the prior conditioned on trade compatibility, and the
     vertices of the drawn atom's speed polytope at L >= 3 (else None).
 

@@ -2,24 +2,18 @@
 
 An allocation admits trade at common prices ``p`` when some vector of
 relative speeds in the unit cube cancels the aggregate of the households'
-linear trade directions while moving at least one household.  The speeds
-that cancel form the polytope {s in [0, 1]^H : A s = 0}, for A the
-directions written in an orthonormal basis of the plane orthogonal to ``p``
-(a Householder reflection of ``p``, so the basis moves continuously with
-it).  ``_vertices`` enumerates that polytope's vertices exactly: it fixes all
-but rank(A) speeds at 0 or 1 and solves for the rest, C(H, r) 2^(H - r)
-candidates for r = rank(A) <= L - 1, stacked over price rows.
-``_MAX_CANDIDATES`` caps that count, and the doors (``SimConfig``,
-``has_trade``, ``sample_speed``) refuse a larger economy.  ``_screen``
-decides trade for a stack of prices and ``has_trade`` for one: in closed
-form at L = 2, and by the largest vertex volume beyond.  A speed draw takes
-one candidate and raises if it fails: two active traders move on a ray,
-three at L = 2 on a polygon, both in closed form; every other case draws
-from the same vertices (``_hitrun``), which the engine's tabulated draw
-takes from its screen (``_row_vertices``) rather than enumerating them
-again.  The box set built from extreme marginal substitution rates gives
-the cheap superset used for tabulated price draws.
-"""
+linear trade directions while moving at least one household.  Those speeds
+form the polytope {s in [0, 1]^H : A s = 0}, for A the directions in an
+orthonormal basis of the plane orthogonal to ``p`` (``_projected``), whose
+vertices ``_vertices`` enumerates exactly, stacked over price rows; the
+doors refuse an economy that needs more than ``_MAX_CANDIDATES`` of them per
+row.  ``_screen`` decides trade for a stack of prices and ``has_trade`` for
+one: in closed form at L = 2, by the largest vertex volume beyond.  A speed
+draw takes one candidate and raises if it fails: two active traders move on
+a ray, three at L = 2 on a polygon, both in closed form; every other case
+draws from the vertices (``_hitrun``), which the engine's tabulated step
+takes from its screen.  The box set built from extreme marginal
+substitution rates gives the cheap superset used for tabulated price draws."""
 
 from __future__ import annotations
 
@@ -256,18 +250,14 @@ def has_trade(e: Economy, y: Allocation, p) -> bool:
     return bool(_screen(e, y.bundles, as_price(p, e.n_goods)[None, :])[0])
 
 
-def _candidates(households: int, goods: int) -> int:
-    """The most candidate vertices one price row can need: C(H, r) 2^(H - r) at its worst rank r <= L - 1."""
-    top = min(goods - 1, households)
-    return max(math.comb(households, r) * 2 ** (households - r) for r in range(1, top + 1))
-
-
 def _check_size(e: Economy) -> None:
-    n = _candidates(e.size, e.n_goods)
+    """Refuse an economy whose price rows can need more than ``_MAX_CANDIDATES`` candidate vertices:
+    C(H, r) 2^(H - r) at their worst rank r <= L - 1."""
+    h = e.size
+    n = max(math.comb(h, r) * 2 ** (h - r) for r in range(1, min(e.n_goods - 1, h) + 1))
     if n > _MAX_CANDIDATES:
         raise SpecificationError(
-            f"{e.size} households over {e.n_goods} goods need {n} candidate speed vertices per price, "
-            f"more than {_MAX_CANDIDATES}"
+            f"{h} households over {e.n_goods} goods need {n} candidate speed vertices per price, more than {_MAX_CANDIDATES}"
         )
 
 
@@ -285,12 +275,9 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None =
     directions on the line orthogonal to the prices, each on the side its
     first coordinate's sign names (as for the speed draw), and the largest
     volume is exactly 2 min(P, N) for P and N the active norms summed on each
-    side.  Beyond, a linear volume is largest at a vertex, so the rows with
-    two or more active directions enumerate their polytope's vertices
-    (``_vertices``, at most ``_MAX_CANDIDATES`` per row) and take the best.
-    Given a list ``found``, the screen appends what ``_row_vertices`` reads
-    those vertices back from, so a speed draw at one of the prices need not
-    enumerate them again.
+    side.  Beyond, a linear volume is largest at a vertex (``_vertices``).
+    Given a list ``found``, the screen keeps the vertices there for
+    ``_row_vertices``, so a speed draw at one of the prices can reuse them.
     """
     dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
@@ -348,7 +335,10 @@ def _bases(households: int, rank: int) -> tuple[NDArray[np.intp], FloatArray]:
             for h, v in zip(rest, b):
                 speeds[h] = v
             fixed.append(speeds)
-    return np.array(solved, dtype=np.intp).reshape(len(solved), rank), np.array(fixed)
+    tables = np.array(solved, dtype=np.intp).reshape(len(solved), rank), np.array(fixed)
+    for t in tables:
+        t.setflags(write=False)  # every caller shares them
+    return tables
 
 
 def _cramer(m: FloatArray, b: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -416,7 +406,8 @@ def _vertices(A: FloatArray):
         if not np.count_nonzero(low):
             yield np.arange(A.shape[0]), cand, ok
             return
-        yield np.flatnonzero(~low), cand[..., ~low], ok[:, ~low]
+        if not np.all(low):
+            yield np.flatnonzero(~low), cand[..., ~low], ok[:, ~low]
     low = np.flatnonzero(low)
     _, sv, vt = np.linalg.svd(A[low])
     rank = np.count_nonzero(sv > _RANK_CUTOFF * sv[:, :1], axis=-1)

@@ -267,8 +267,8 @@ class TestHasTrade:
         assert not trade.has_trade(cd_economy, shock, [3.0, 1.0])
 
     def test_long_directions_need_opposition(self, cd_economy):
-        # rates 1 and 2; direction norms near 100 must not let the LP's
-        # cancellation slack alone pass for trade
+        # rates 1 and 2; direction norms near 100 must not let their
+        # rounding alone pass for trade
         y = Allocation(np.array([[100.0, 100.0], [100.0, 200.0]]))
         assert _has_trade(cd_economy, y, [1.5, 1.0])
         for q in (0.5, 3.0, 30.0):
@@ -519,9 +519,7 @@ class TestScreenTrade:
         prior = engine.PriorSpec(engine.Tabulated(np.ones((1, goods - 1)), [1.0]), SpeedPrior.UNIFORM_CUBE)
         with pytest.raises(SpecificationError, match=f"^{re.escape(message)}$"):
             engine.SimConfig(e, y, prior, master_seed=1)
-        six = Economy.of(e.specs[:6])
-        assert trade._candidates(6, goods) <= trade._MAX_CANDIDATES
-        assert trade.has_trade(six, Allocation(y.bundles[:6]), p) in (True, False)
+        trade.has_trade(Economy.of(e.specs[:6]), Allocation(y.bundles[:6]), p)  # six fit: at most 240
 
     def test_empty_stack(self, cd_economy, shock):
         assert trade._screen(cd_economy, shock.bundles, np.empty((0, 2))).shape == (0,)
@@ -847,6 +845,19 @@ class TestHitRunDegenerate:
         with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
             _hitrun.sample(vertices, rng)
         assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
+
+    def test_collinear_directions_are_enumerated_at_their_rank(self, rng):
+        # three directions on one line of the plane orthogonal to p = (1, 1, 1):
+        # A has rank 1, no 2 x 2 minor is solvable, and the polygon
+        # {s_1 + s_3 = 2 s_2} is found from one solved speed per candidate
+        w = np.array([1.0, -1.0, 0.0])
+        dirs = np.stack([w, -2.0 * w, w])
+        vertices = {tuple(v) for v in np.round(_speed_vertices(dirs, np.ones(3)), 12).tolist()}
+        assert vertices == {tuple(float(x) for x in v) for v in exact_speed_vertices(dirs, np.ones(3))}
+        assert vertices == {(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.0, 0.5, 1.0), (1.0, 1.0, 1.0)}
+        for s_prior in SpeedPrior:
+            sigma = trade._sample_speed(dirs, np.ones(3), s_prior, rng).sigma
+            assert sigma[0] + sigma[2] == pytest.approx(2.0 * sigma[1], abs=1e-12)
 
     def test_point_polytope_has_no_speed_draw(self):
         # the same point polytope {0}: the relaxed LP's slack let the walk
