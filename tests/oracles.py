@@ -22,7 +22,8 @@ orthonormal chart of the null space.
 ``exact_speed_vertices`` enumerates the speed polytope's vertices in
 ``fractions.Fraction`` on the float directions, and ``exact_trade_volume``
 takes the largest traded volume over them, so the screen is held to the
-definition with no rounding of its own.
+definition with no rounding of its own; ``rank_within_rounding`` marks the
+prices where rounding decides that definition's rank.
 ``exact_volume_l2`` is the largest traded volume of the exact speed polytope
 at L = 2, summed household by household, with no LP and no slack.
 ``reference_contract_curve_y12`` and ``reference_walras_rate`` find the 2x2
@@ -346,6 +347,21 @@ def exact_speed_vertices(dirs, p) -> list[list[Fraction]]:
             if v not in found:
                 found.append(v)
     return found
+
+
+def rank_within_rounding(economy, allocation, p, band: float = 1e-9) -> bool:
+    """Whether the active directions at ``p``, less their parts along it, lie within ``band`` of a lower rank.
+
+    There rounding decides the exact polytope of the float directions: at
+    clearing prices, say, two directions at L = 3 cancel in exact arithmetic
+    but not in floats, and ``exact_speed_vertices`` finds only 0.
+    """
+    dirs = trade.all_trade_directions(economy, allocation, p)
+    d = dirs[np.linalg.norm(dirs, axis=1) >= 1e-12]
+    p = np.asarray(p, dtype=np.float64)
+    sv = np.linalg.svd(d - np.outer(d @ p / (p @ p), p), compute_uv=False)
+    rank = min(d.shape[0], p.size - 1)
+    return rank > 0 and sv[rank - 1] <= band * sv[0]
 
 
 def exact_trade_volume(economy, allocation, p) -> tuple[float, float]:

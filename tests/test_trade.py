@@ -20,6 +20,7 @@ from oracles import (
     exact_trade_volume,
     exact_volume_l2,
     log_uniform,
+    rank_within_rounding,
     reference_advance,
     reference_each,
     reference_polygon_sample,
@@ -242,16 +243,20 @@ _BAND = 1e-6
 
 
 def _reference_trade(e: Economy, y: Allocation, p) -> bool | None:
-    """The exact polytope's answer, or None where its optimum lies within ``_BAND`` of the threshold.
+    """The exact polytope's answer, or None where rounding decides it.
 
     At L = 2 the closed form 2 min(P, N), summed household by household,
-    decides every price; beyond, the ``Fraction`` vertices do.
+    decides every price; beyond, the ``Fraction`` vertices do, except where
+    their optimum lies within ``_BAND`` of the threshold or the directions
+    within ``_BAND`` of a lower rank (``rank_within_rounding``).
     """
     if e.n_goods == 2:
         volume, threshold = exact_volume_l2(e, y, p)
         return volume > threshold
     volume, threshold = exact_trade_volume(e, y, p)
-    return None if abs(volume - threshold) <= _BAND * threshold else volume > threshold
+    if abs(volume - threshold) <= _BAND * threshold or rank_within_rounding(e, y, p, _BAND):
+        return None
+    return volume > threshold
 
 
 def _has_trade(e: Economy, y: Allocation, p) -> bool:
@@ -355,6 +360,22 @@ class TestHasTrade:
         q = clearing_price(e, y)
         assert trade.has_trade(e, y, np.append(q, 1.0))
 
+    @pytest.mark.parametrize("goods", [3, 4])
+    def test_clearing_prices_admit_trade_with_fewer_households_than_rates(self, goods, rng):
+        # H <= L - 1 directions that cancel at the clearing prices span a
+        # lower rank only up to rounding: the screen reads that rank, so
+        # everyone can trade to demand, where the exact vertices of the
+        # float directions find only 0
+        e = Economy.of([UtilitySpec.ces(w / w.sum(), 0.5) for w in rng.uniform(0.2, 1.0, (goods - 1, goods))])
+        y = Allocation(log_uniform(rng, (goods - 1, goods), 0.5, 2.0))
+        p = np.append(clearing_price(e, y), 1.0)
+        assert rank_within_rounding(e, y, p, _BAND)
+        assert trade.has_trade(e, y, p)
+        for s_prior in SpeedPrior:
+            sigma = trade.sample_speed(e, y, p, s_prior, rng).sigma
+            assert trade.speed_contains(e, y, p, SpeedVector(sigma))
+            np.testing.assert_allclose(sigma, sigma.max(), rtol=1e-9)  # the segment from 0 to (1, ..., 1)
+
     def test_state_is_checked_once(self, cd_economy, shock, monkeypatch):
         calls = []
         check_state = trade._check_state
@@ -429,9 +450,10 @@ class TestScreenTrade:
     def test_exact_oracle_decides_and_admitted_prices_move(self, goods, households, seed):
         # in-box atoms and the households' own rates: wherever the exact
         # optimum (``fractions.Fraction`` vertices of the float directions)
-        # lies more than _BAND from the threshold, the screen answers as it
-        # does; at every admitted price a speed draw under either prior
-        # cancels aggregate trade while moving someone
+        # lies more than _BAND from the threshold, and the directions more
+        # than _BAND from a lower rank, the screen answers as it does; at
+        # every admitted price a speed draw under either prior cancels
+        # aggregate trade while moving someone
         draw = np.random.default_rng(seed)
         e = Economy.of([self._household(draw, goods) for _ in range(households)])
         y = Allocation(log_uniform(draw, (households, goods), 0.2, 5.0))
@@ -442,7 +464,8 @@ class TestScreenTrade:
         got = trade._screen(e, y.bundles, prices)
         for admitted, p in zip(got.tolist(), prices):
             volume, threshold = exact_trade_volume(e, y, p)
-            assert abs(volume - threshold) <= _BAND * threshold or admitted == (volume > threshold)
+            if abs(volume - threshold) > _BAND * threshold and not rank_within_rounding(e, y, p, _BAND):
+                assert admitted == (volume > threshold)
             if admitted:
                 for s_prior in SpeedPrior:
                     assert trade.speed_contains(e, y, p, trade.sample_speed(e, y, p, s_prior, draw))
