@@ -95,7 +95,7 @@ STALLED_4X3 = [
 # the four households of test_hit_and_run_four_households_three_goods at a
 # state and its clearing rates where probe LPs found only the vertices 0 and
 # (1, 1, 1, 1) of a quadrilateral speed polytope
-FOUND_51 = (
+QUADRILATERAL = (
     Economy.of(
         [
             UtilitySpec.ces(np.array([0.2, 0.3, 0.5]), 0.5),
@@ -106,7 +106,7 @@ FOUND_51 = (
     ),
     Allocation(np.array([[1.06, 0.71, 0.74], [0.73, 1.52, 1.65], [2.0, 1.43, 0.57], [0.6, 1.54, 1.15]])),
 )
-FOUND_51_RATES = np.array([1.0547057581221055, 0.7438921218404685])
+QUADRILATERAL_RATES = np.array([1.0547057581221055, 0.7438921218404685])
 
 # three Cobb-Douglas traders over two goods at p = (1, 1): the speed
 # polytope is a polygon in R^3, drawn in closed form
@@ -717,8 +717,8 @@ class TestSampleSpeed:
         # at these clearing rates the probe LPs found only 0 and (1, 1, 1, 1);
         # the enumeration finds the polytope's other two vertices, and the
         # draws fill its two dimensions
-        e, y = FOUND_51
-        p = np.append(FOUND_51_RATES, 1.0)
+        e, y = QUADRILATERAL
+        p = np.append(QUADRILATERAL_RATES, 1.0)
         vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
         assert [0.0, 0.44, 1.0, 0.73] in np.round(vertices, 2).tolist()
         assert [1.0, 1.0, 1.0, 1.0] in np.round(vertices, 2).tolist()
@@ -972,7 +972,7 @@ class TestPolygonDraw:
         if case == "triangle":
             (e, y), p = FOUR_BY_THREE, np.ones(3)
         else:
-            (e, y), p = FOUND_51, np.append(FOUND_51_RATES, 1.0)
+            (e, y), p = QUADRILATERAL, np.append(QUADRILATERAL_RATES, 1.0)
         dirs = trade.all_trade_directions(e, y, p)
         n, rng = 3000, np.random.default_rng(23)
         mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng).sigma for _ in range(n)])
