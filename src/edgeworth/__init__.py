@@ -42,7 +42,7 @@ from .errors import (
 )
 from .geometry import FlatPoint, ManifoldKind, ManifoldSample, ParetoPoint
 from .prefs import Family, UtilitySpec
-from .trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
+from .trade import Allocation, BoxSet, Economy, SpeedPrior
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "SimConfig",
     "SpecificationError",
     "SpeedPrior",
-    "SpeedVector",
     "Tabulated",
     "Terminal",
     "Trajectory",

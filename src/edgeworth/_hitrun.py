@@ -2,13 +2,14 @@
 
 The speed polytope ``P = {s in [0,1]^H : A s = 0}`` holds the origin among
 its vertices, which ``trade._vertices`` enumerates.  ``trade`` draws the
-two-trader ray and the three-trader polygon at L = 2 in closed form;
-``sample`` serves every other case from the vertices, by the dimension of
-their span: a point raises and reads nothing from the stream, a segment
-from the origin is scaled by one uniform, a polygon is fanned into
-triangles from the origin (``fan``, the same draw as the closed-form
-polygon), and a polytope of three or more dimensions takes hit-and-run
-(Smith, Oper. Res. 32, 1984) in the vertices' affine hull, from their mean.
+two-trader ray in closed form, and lists the three-trader polygon's
+vertices at L = 2 in closed form for ``_polygon``; ``sample`` serves every
+other case from the vertices, by the dimension of their span: a point
+raises and reads nothing from the stream, a segment from the origin is
+scaled by one uniform, a polygon is fanned into triangles from the origin
+(``_polygon``, the closed-form polygon's draw too), and a polytope of three
+or more dimensions takes hit-and-run (Smith, Oper. Res. 32, 1984) in the
+vertices' affine hull, from their mean.
 The walk reads all its draws first, in the order a step-by-step walk
 would, and then steps through them; a chord thinner than the clearance
 raises, after every step's draws have been read.
@@ -68,24 +69,27 @@ def fan(others: list[list[float]], chart: list[tuple[float, float]], rng: np.ran
     return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
 
 
-def _polygon(vertices: np.ndarray, plane: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``fan`` over the vertices of a polygon spanned by the two orthonormal rows of ``plane``.
+def _polygon(others: list[list[float]], chart: list[list[float]], rng: np.random.Generator) -> np.ndarray:
+    """``fan`` over a polygon with the origin as a vertex, given its other
+    vertices ``others`` and their coordinates ``chart`` in a linear chart of
+    its plane, in any order.
 
-    The vertices other than the origin go in order of angle around their
-    centroid, from the origin's angle on.  The turn is the one that makes
-    the plane's largest 2 x 2 minor positive, so it moves continuously with
-    the plane, as the triangles do.
+    They go in order of angle around their centroid, counterclockwise in the
+    chart from the origin's angle on, each angle read against the origin's
+    direction: no rounding carries a vertex across a 2 pi wrap, even in a
+    sliver chart.  A polygon has a handful of vertices, so the order is
+    taken on Python floats.
     """
-    others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
-    (x, y) = plane.tolist()
-    minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
-    if max(minors, key=abs) < 0.0:
-        plane = plane[::-1]
-    chart = others @ plane.T
-    c = chart.mean(axis=0)
-    angle = np.mod(np.arctan2(chart[:, 1] - c[1], chart[:, 0] - c[0]) - math.atan2(-c[1], -c[0]), 2.0 * math.pi)
-    order = np.argsort(angle, kind="stable")
-    return fan(others[order].tolist(), chart[order].tolist(), rng)
+    ux = -sum(c[0] for c in chart) / len(chart)  # from the vertices' centroid to the origin
+    uy = -sum(c[1] for c in chart) / len(chart)
+
+    def turn(i: int) -> tuple[bool, float]:
+        wx, wy = chart[i][0] + ux, chart[i][1] + uy  # from the centroid to vertex i
+        angle = math.atan2(ux * wy - uy * wx, wx * ux + wy * uy)  # from the origin's side, in (-pi, pi]
+        return angle < 0.0, angle
+
+    order = sorted(range(len(chart)), key=turn)
+    return fan([others[i] for i in order], [chart[i] for i in order], rng)
 
 
 def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +108,13 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if dim == 1:  # a segment from the origin
         return (1.0 - rng.random()) * vertices[np.argmax(np.abs(vertices).max(axis=1))]
     if dim == 2:
-        return _polygon(vertices, hull, rng)
+        # charted on the hull's rows in the turn that makes their largest 2 x 2
+        # minor positive, so the chart moves continuously with the hull, as the triangles do
+        (x, y) = hull.tolist()
+        minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
+        plane = hull[::-1] if max(minors, key=abs) < 0.0 else hull
+        others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
+        return _polygon(others.tolist(), (others @ plane.T).tolist(), rng)
 
     normals = np.empty((_BURN_IN, dim))
     uniforms = []

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from . import prefs, trade
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
-from .trade import Allocation, Economy, SpeedPrior, SpeedVector, _raise_first, _rates_agree, _ray_speeds
+from .trade import Allocation, Economy, SpeedPrior, _raise_first, _rates_agree, _ray_speeds
 
 FloatArray = NDArray[np.float64]
 
@@ -74,14 +74,8 @@ class Tabulated:
     densities: FloatArray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.float64)
-        d = np.asarray(self.densities, dtype=np.float64)
-        if g.ndim == 1:
-            g = g[:, None]
-        if g.ndim != 2 or g.size == 0:
-            raise SpecificationError("tabulated grid must be a nonempty sequence of rate vectors")
-        if not (g.min() > 0.0 and g.max() < math.inf):  # a NaN fails both
-            raise SpecificationError("tabulated grid points must be finite and strictly positive")
+        g = prefs._as_rates(self.grid, None, stack=True, name="grid").copy()  # its width is checked against L later
+        d = np.array(self.densities, dtype=np.float64)  # a copy
         if d.shape != (g.shape[0],):
             raise SpecificationError("one density per grid point is required")
         if not (d.min() >= 0.0 and 0.0 < d.max() < math.inf):  # a NaN fails too
@@ -476,8 +470,8 @@ def sntp_step(
     prior: PriorSpec,
     rng: np.random.Generator,
     pareto_tol: float = trade.PARETO_TOL,
-) -> tuple[Allocation, FloatArray, SpeedVector] | None:
-    """One trade epoch, or None once no common-price trade remains.
+) -> tuple[Allocation, FloatArray, FloatArray] | None:
+    """One trade epoch, as (new state, price rates q, speeds), or None once no common-price trade remains.
 
     ``pareto_tol`` follows ``SimConfig``'s rule for the generic path, so a
     state it does not stop at admits trade.  The rates are built once, for
@@ -662,7 +656,7 @@ def _run_generic(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
                 done = True
                 break
             state, q, sigma = step
-            row = np.concatenate([[i, k], q, sigma.sigma, state.bundles.ravel()])
+            row = np.concatenate([[i, k], q, sigma, state.bundles.ravel()])
             log += [row] if record else []
         last.append(row)
         pareto.append(done)

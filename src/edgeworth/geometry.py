@@ -49,11 +49,7 @@ class FlatPoint:
     u: float
 
     def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=np.float64)  # a copy
-        if q.ndim != 1 or q.size < 1:
-            raise SpecificationError("flat coordinates must form a nonempty vector")
-        if not (q.min() > 0.0 and q.max() < math.inf):  # a NaN fails both
-            raise SpecificationError("substitution rates must be strictly positive")
+        q = prefs._as_rates(self.q, None).copy()  # its length is checked against L where it is used
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "u", prefs._check_real(self.u, "utility coordinate", -math.inf, math.inf))
@@ -257,12 +253,12 @@ def _bisect(f, lo: FloatArray, hi: FloatArray, what) -> FloatArray:
     return mid
 
 
-def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
-    """Equal-rates locus inside the 2x2 Edgeworth box.
+def contract_curve_2x2(specs, aggregate, grid_size: int) -> FloatArray:
+    """Equal-rates locus inside the 2x2 Edgeworth box, as a read-only ``(grid_size, 2, 2)`` stack of allocations.
 
     Sweeps household 1's first coordinate across the box and solves the
     second coordinate from rate equality, at every grid point in one
-    bisection; each output allocation splits the aggregate exactly.
+    bisection; each allocation splits the aggregate exactly.
     """
     if len(specs) != 2 or any(s.dimension != 2 for s in specs):
         raise SpecificationError("contract_curve_2x2 requires two households over two goods")
@@ -281,22 +277,26 @@ def contract_curve_2x2(specs, aggregate, grid_size: int) -> list[Allocation]:
 
     eps = np.full(grid_size, 1e-12 * aggregate[1])
     y12 = _bisect(rate_mismatch, eps, aggregate[1] - eps, lambda i: f"rates do not cross at y11 = {float(y11[i])!r}")
-    return [Allocation(y) for y in split(y12)]
+    curve = split(y12)
+    curve.setflags(write=False)
+    return curve
 
 
-def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Allocation]:
-    """Market-clearing rate and allocation for a 2-household, 2-good economy.
+def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, FloatArray]:
+    """Market-clearing rate and allocation for a 2-household, 2-good economy,
+    the allocation a read-only ``(2, 2)`` array.
 
     Brackets the clearing rate with the households' extreme substitution
     rates and bisects aggregate excess demand for the first good on it;
-    Walras' law clears the second good along with it.
+    Walras' law clears the second good along with it.  An endowment whose
+    rates already agree is its own equilibrium: its bundles come back.
     """
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")
     economy = Economy.of(specs)
     rates = household_rates(economy, endowments)  # (2, 1)
     if _rates_agree(rates.min(), rates.max(), PARETO_TOL):
-        return float(rates.min()), endowments  # already Pareto optimal: no-trade equilibrium
+        return float(rates.min()), endowments.bundles  # already Pareto optimal: no-trade equilibrium
     aggregate = endowments.aggregate
 
     def demands(q) -> FloatArray:
@@ -307,7 +307,8 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, Alloca
         lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], rates.min(axis=0), rates.max(axis=0),
         lambda i: "excess demand does not change sign on the rate interval; the economy is mis-specified",
     )[0]
-    allocation = Allocation(demands(q))
-    if float(np.max(np.abs(allocation.aggregate - aggregate))) > 1e-10:
+    allocation = demands(q)
+    if float(np.max(np.abs(allocation.sum(axis=0) - aggregate))) > 1e-10:
         raise ConvergenceError("market clearing residual exceeds 1e-10")
+    allocation.setflags(write=False)
     return float(q), allocation

@@ -206,23 +206,29 @@ def as_price(values, dimension: int | None = None) -> FloatArray:
         raise SpecificationError(str(exc).replace("bundle", "price")) from None
 
 
-def _as_rates(q, goods: int, stack: bool | None = False) -> FloatArray:
+def _as_rates(q, goods: int | None, stack: bool | None = False, name: str = "q") -> FloatArray:
     """Rates against good L: a vector of ``goods - 1`` finite positive entries, a scalar too when L = 2.
 
     ``stack=True`` reads a (G, goods - 1) stack, a flat list of rates too when
     L = 2 and an empty one at any L; ``stack=None`` reads a one-axis ``q`` as
-    a vector and any other as a stack, neither in shorthand.
+    a vector and any other as a stack, neither in shorthand.  ``goods=None``
+    leaves the length open: a nonempty vector, or a nonempty stack of equal
+    vectors, a flat list as one rate per row.  The message names ``q`` as
+    ``name``.
     """
     try:  # ragged entries or strings fail to convert
         r = np.asarray(q, dtype=np.float64)
     except (ValueError, TypeError):
         r = np.empty((0, 0, 0))  # of no accepted shape
     stack = r.ndim != 1 if stack is None else stack
-    if r.ndim == stack and (goods == 2 or r.size == 0):  # a shorthand, one axis short; never when stack was None
-        r = r.reshape((-1, goods - 1) if stack else 1)
-    if not (r.ndim == 1 + stack and r.shape[-1] == goods - 1 and np.all((r > 0.0) & (r < math.inf))):
+    flat = stack and goods is None  # an open-length stack reads a flat list as one rate per row
+    if r.ndim == stack and (goods == 2 or flat or r.size == 0):  # one axis short; never when stack was None
+        r = r.reshape((-1, (goods or 2) - 1) if stack else 1)
+    fits = r.ndim == 1 + stack and (r.shape[-1] == goods - 1 if goods else r.size > 0)
+    if not (fits and np.all((r > 0.0) & (r < math.inf))):
         form, got = "a stack of vectors" if stack else "a vector", " ".join(repr(q).split())  # on one line
-        raise SpecificationError(f"q must be {form} of L - 1 = {goods - 1} finite positive rates, got {got}")
+        rule = f"{form} of L - 1 = {goods - 1}" if goods else f"a nonempty {form[2:]} of"
+        raise SpecificationError(f"{name} must be {rule} finite positive rates, got {got}")
     return r
 
 

@@ -10,10 +10,13 @@ doors refuse an economy that needs more than ``_MAX_CANDIDATES`` of them per
 row.  ``_screen`` decides trade for a stack of prices and ``has_trade`` for
 one: in closed form at L = 2, by the largest vertex volume beyond.  A speed
 draw takes one candidate and raises if it fails: two active traders move on
-a ray, three at L = 2 on a polygon, both in closed form; every other case
-draws from the vertices (``_hitrun``), which the engine's tabulated step
-takes from its screen.  The box set built from extreme marginal
-substitution rates gives the cheap superset used for tabulated price draws."""
+a ray in closed form; three at L = 2 list their polygon's vertices in
+closed form, and ``_hitrun`` fans it as it fans every polygon; every other
+case draws from the enumerated vertices (``_hitrun``), which the engine's
+tabulated step takes from its screen.  A speed vector is a plain float
+array, checked only where it comes in, by ``speed_contains``.  The box set
+built from extreme marginal substitution rates gives the cheap superset
+used for tabulated price draws."""
 
 from __future__ import annotations
 
@@ -145,23 +148,6 @@ class Allocation:
 
 
 @dataclass(frozen=True, eq=False)
-class SpeedVector:
-    """Relative trade speeds, one per household, each in [0, 1]."""
-
-    sigma: FloatArray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.sigma, dtype=np.float64)
-        if s.ndim != 1:
-            raise SpecificationError("speeds must form a vector")
-        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):  # a NaN fails both
-            raise SpecificationError("speeds must lie in [0, 1]")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
-
-
-@dataclass(frozen=True, eq=False)
 class BoxSet:
     """Extreme substitution-rate bounds: lower_rates[i, j] = m_ij, upper = M_ij."""
 
@@ -235,12 +221,14 @@ def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray)
     return f"residual {residual!r} (bound {bound!r}), volume {volume!r} (floor 1e-12)"
 
 
-def speed_contains(e: Economy, y: Allocation, p, sigma: SpeedVector) -> bool:
-    """Whether ``sigma`` cancels aggregate trade while moving someone."""
-    if sigma.sigma.size != e.size:
-        raise SpecificationError("speed vector length must equal the household count")
+def speed_contains(e: Economy, y: Allocation, p, sigma) -> bool:
+    """Whether ``sigma``, one speed in [0, 1] per household, cancels aggregate trade while moving someone."""
+    s = np.asarray(sigma, dtype=np.float64)
+    if not (s.shape == (e.size,) and np.all((s >= 0.0) & (s <= 1.0))):  # a NaN fails too
+        got = " ".join(repr(sigma).split())  # on one line
+        raise SpecificationError(f"sigma must be a vector of H = {e.size} speeds in [0, 1], got {got}")
     dirs = all_trade_directions(e, y, p)
-    return _cancel_and_move_failure(dirs, np.linalg.norm(dirs, axis=1), sigma.sigma) is None
+    return _cancel_and_move_failure(dirs, np.linalg.norm(dirs, axis=1), s) is None
 
 
 def has_trade(e: Economy, y: Allocation, p) -> bool:
@@ -515,10 +503,10 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
     The vertices are the origin and the plane's crossings of the cube's
     edges, where two speeds sit at 0 or 1 and the third balances them.  The
     two traders on the same side of the line chart the polygon at a constant
-    area factor; ordered by angle around their centroid in that chart, the
-    other vertices fan into triangles from the origin (``_hitrun.fan``).
-    The chart depends only on the signs of a and the order changes only
-    where vertices meet, so the draw moves continuously with a.
+    area factor, and ``_hitrun._polygon`` fans it from the origin in that
+    chart, as it fans every polygon the vertex enumeration finds.  The chart
+    depends only on the signs of a and the order changes only where
+    vertices meet, so the draw moves continuously with a.
     """
     a = lengths.tolist()
     up = [h for h in range(3) if a[h] > 0.0]
@@ -536,10 +524,7 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
                 v = [0.0, 0.0, 0.0]
                 v[i], v[m], v[n] = s, b_m, b_n
                 others.append(v)
-    cx = sum(v[j] for v in others) / len(others)
-    cy = sum(v[k] for v in others) / len(others)
-    others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
-    return _hitrun.fan(others, [(v[j], v[k]) for v in others], rng)
+    return _hitrun._polygon(others, [(v[j], v[k]) for v in others], rng)
 
 
 def sample_speed(
@@ -548,8 +533,8 @@ def sample_speed(
     p,
     s_prior: SpeedPrior,
     rng: np.random.Generator,
-) -> SpeedVector:
-    """Draw relative speeds from the polytope under the given prior.
+) -> FloatArray:
+    """Draw relative speeds, one per household, from the polytope under the given prior.
 
     Two active traders pin the polytope down to a ray, and three at L = 2
     to a polygon; both are sampled in closed form.  Every other case draws
@@ -568,7 +553,7 @@ def sample_speed(
 
 def _sample_speed(
     dirs: FloatArray, p: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator, vertices: FloatArray | None = None
-) -> SpeedVector:
+) -> FloatArray:
     """``sample_speed`` on directions already built at prices ``p``, under a
     ``SpeedPrior`` member; ``vertices``, if given, are the polytope's, as
     ``_row_vertices`` reads them from the screen at these prices."""
@@ -586,7 +571,7 @@ def _sample_speed(
         max_speed = s_prior is SpeedPrior.MAX_SPEED
         speeds = _ray_speeds(norms[[i]], norms[[j]], max_speed, lambda sub: rng.random(1))  # one row
         sigma[[i, j]] = np.concatenate(speeds)
-        return SpeedVector(sigma)
+        return sigma
 
     if dirs.shape[1] == 2 and idx.size == 3:
         # Walras' law puts every direction on the line orthogonal to the
@@ -608,13 +593,13 @@ def _sample_speed(
     why = _cancel_and_move_failure(dirs, norms, sigma)
     if why is not None:
         raise SamplingError(f"speed draw fails cancel-and-move: {why}")
-    return SpeedVector(sigma)
+    return sigma
 
 
-def _advance(y: Allocation, dirs: FloatArray, sigma: SpeedVector) -> Allocation:
+def _advance(y: Allocation, dirs: FloatArray, sigma: FloatArray) -> Allocation:
     """End state of the joint linear path along ``dirs``: household h moves t = sigma_h;
     only the new bundles are guarded."""
-    return Allocation(prefs._guard(y.bundles + sigma.sigma[:, None] * dirs, "bundles"))
+    return Allocation(prefs._guard(y.bundles + sigma[:, None] * dirs, "bundles"))
 
 
 def is_pareto_optimal(e: Economy, y: Allocation) -> bool:

@@ -340,7 +340,7 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
             lo, hi = math.atan(rates[k].min()), math.atan(rates[k].max())
             q[k] = math.tan(lo + (hi - lo) * float(rng.uniform(0.05, 0.95)))
             try:
-                sigma[k] = trade.sample_speed(e, y, np.append(q[k], 1.0), SpeedPrior.UNIFORM_CUBE, rng).sigma
+                sigma[k] = trade.sample_speed(e, y, np.append(q[k], 1.0), SpeedPrior.UNIFORM_CUBE, rng)
             except SamplingError as exc:
                 raise _failure(SamplingError, str(exc), k, bundles) from exc
         else:

@@ -15,6 +15,9 @@ at a time through the public one-vector functions: the stacked suites must
 report the same failures and the same worst violation, bit for bit.
 ``reference_sample_manifold`` is the manifold sampler as it ran before it
 was stacked, one grid point at a time through the public functions.
+``reference_polygon_speeds`` is the three-trader polygon draw at L = 2 with
+its vertices sorted around their centroid, as it ran before it shared
+``_hitrun._polygon``: the shared draw must reproduce it bit for bit.
 ``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
 on the polygon's bounding box, which ``scipy.optimize.linprog`` finds, and
 ``reference_polytope_sample`` draws speeds at any L the same way in an
@@ -44,10 +47,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgeworth import engine, geometry, prefs, trade, verify
+from edgeworth import _hitrun, engine, geometry, prefs, trade, verify
 from edgeworth.errors import ConvergenceError, SpecificationError
 from edgeworth.prefs import Family
-from edgeworth.trade import Allocation, SpeedPrior, SpeedVector
+from edgeworth.trade import Allocation, SpeedPrior
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -145,7 +148,7 @@ def reference_each(core, specs, bundles: np.ndarray, *args) -> np.ndarray:
     return np.concatenate(rows, axis=-2)
 
 
-def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np.ndarray], list[SpeedVector]]:
+def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np.ndarray], list[np.ndarray]]:
     """A run table's states, and the price rates (L - 1) and speeds drawn between them.
 
     Rows are laid out as ``OutcomeDistribution.trace``: run, step, q, sigma
@@ -154,11 +157,11 @@ def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np
     h, l = economy.size, economy.n_goods
     states = [Allocation(b.reshape(h, l)) for b in table[:, l + 1 + h :]]
     prices = list(table[1:, 2 : l + 1])
-    speeds = [SpeedVector(s) for s in table[1:, l + 1 : l + 1 + h]]
+    speeds = list(table[1:, l + 1 : l + 1 + h])
     return states, prices, speeds
 
 
-def reference_advance(economy, y: Allocation, p, sigma: SpeedVector) -> Allocation:
+def reference_advance(economy, y: Allocation, p, sigma: np.ndarray) -> Allocation:
     """End state of the joint linear path at prices ``p``: household h moves t = sigma_h."""
     return trade._advance(y, trade.all_trade_directions(economy, y, p), sigma)
 
@@ -459,7 +462,7 @@ def write_trajectories_csv(path, cfg) -> None:
             for k, state in enumerate(states):
                 row = [str(r), str(k)]
                 row += [_fmt(v) for v in prices[k - 1]] if k else [""] * (l - 1)
-                row += [_fmt(v) for v in speeds[k - 1].sigma] if k else [""] * h
+                row += [_fmt(v) for v in speeds[k - 1]] if k else [""] * h
                 row += [_fmt(v) for v in state.bundles.reshape(-1)]
                 writer.writerow(row)
 
@@ -662,7 +665,7 @@ def reference_attraction_suite(e, draws: int, seed: int) -> tuple[int, float]:
             rates = trade.household_rates(e, y)[:, 0]
             lo, hi = math.atan(rates.min()), math.atan(rates.max())
             q = np.array([math.tan(lo + (hi - lo) * float(rng.uniform(0.05, 0.95)))])
-            sigma = trade.sample_speed(e, y, np.append(q, 1.0), SpeedPrior.UNIFORM_CUBE, rng).sigma
+            sigma = trade.sample_speed(e, y, np.append(q, 1.0), SpeedPrior.UNIFORM_CUBE, rng)
         else:
             weights = rng.uniform(0.2, 1.0, e.size)
             q = reference_clearing_rates(e, y, weights)
@@ -727,6 +730,31 @@ def reference_polytope_sample(dirs, p, s_prior, n: int, rng: np.random.Generator
     if SpeedPrior(s_prior) is SpeedPrior.MAX_SPEED:
         kept /= kept.max(axis=1, keepdims=True)
     return kept
+
+
+def reference_polygon_speeds(lengths, rng: np.random.Generator) -> np.ndarray:
+    """``trade._polygon_speeds`` as it ordered the vertices before it shared ``_hitrun._polygon``.
+
+    The same closed-form vertex list, sorted by angle from -pi around its
+    centroid in the chart of the two traders on one side of the price line,
+    then fanned from the origin by ``_hitrun.fan``.
+    """
+    a = [float(v) for v in lengths]
+    up = [h for h in range(3) if a[h] > 0.0]
+    j, k = up if len(up) == 2 else [h for h in range(3) if h not in up]
+    others = []
+    for i in range(3):
+        m, n = (h for h in range(3) if h != i)
+        for b_m, b_n in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            s = -(a[m] * b_m + a[n] * b_n) / a[i]
+            if 0.0 <= s <= 1.0:
+                v = [0.0, 0.0, 0.0]
+                v[i], v[m], v[n] = s, b_m, b_n
+                others.append(v)
+    cx = sum(v[j] for v in others) / len(others)
+    cy = sum(v[k] for v in others) / len(others)
+    others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
+    return _hitrun.fan(others, [(v[j], v[k]) for v in others], rng)
 
 
 def reference_polygon_sample(lengths, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:

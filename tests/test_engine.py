@@ -453,7 +453,7 @@ class TestStep:
         out, q, sigma = engine.sntp_step(cd_economy, shock, prior, engine.run_rng(1, 0))
         np.testing.assert_allclose(out.bundles, [[1.5, 1.5], [1.5, 1.5]], atol=1e-12)
         assert q[0] == 1.0
-        np.testing.assert_allclose(sigma.sigma, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sigma, [1.0, 1.0], atol=1e-12)
 
     def test_utilities_never_decrease(self, cd_economy, shock, cd):
         prior = PriorSpec(UniformArc(), SpeedPrior.UNIFORM_CUBE)
@@ -878,7 +878,7 @@ def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
         sigma = sample_speed(dirs, p, s_prior, rng, vertices)
         if vertices is not None:
             again = sample_speed(dirs, p, s_prior, copy.deepcopy(recorded[-1][2]))
-            np.testing.assert_allclose(again.sigma, sigma.sigma, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(again, sigma, rtol=0.0, atol=1e-12)
         return sigma
 
     monkeypatch.setattr(trade, "_sample_speed", record)
@@ -891,12 +891,12 @@ def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
     worst = 0.0
     for dirs, p, rng in recorded:
         for s_prior in SpeedPrior:
-            base = sample_speed(dirs, p, s_prior, copy.deepcopy(rng)).sigma
+            base = sample_speed(dirs, p, s_prior, copy.deepcopy(rng))
             for index in np.ndindex(dirs.shape):
                 for toward in (-np.inf, np.inf):
                     moved = dirs.copy()
                     moved[index] = np.nextafter(moved[index], toward)
-                    sigma = sample_speed(moved, p, s_prior, copy.deepcopy(rng)).sigma
+                    sigma = sample_speed(moved, p, s_prior, copy.deepcopy(rng))
                     worst = max(worst, float(np.abs(sigma - base).max()))
     assert worst <= 1e-9
 

@@ -368,19 +368,20 @@ class TestContractCurve:
     def test_symmetric_cd_is_the_diagonal(self, mult_c1c2):
         allocations = geometry.contract_curve_2x2([mult_c1c2, mult_c1c2], [3.0, 3.0], 11)
         for alloc in allocations:
-            y1 = alloc.bundle(0)
+            y1 = alloc[0]
             assert y1[0] == pytest.approx(y1[1], rel=1e-9)
-            np.testing.assert_allclose(alloc.aggregate, [3.0, 3.0], atol=1e-12)
+            np.testing.assert_allclose(alloc.sum(axis=0), [3.0, 3.0], atol=1e-12)
 
     def test_symmetric_point_on_curve(self, mult_c1c2):
         allocations = geometry.contract_curve_2x2([mult_c1c2, mult_c1c2], [3.0, 3.0], 1)
-        np.testing.assert_allclose(allocations[0].bundles, [[1.5, 1.5], [1.5, 1.5]], rtol=1e-9)
+        assert allocations.shape == (1, 2, 2) and not allocations.flags.writeable
+        np.testing.assert_allclose(allocations[0], [[1.5, 1.5], [1.5, 1.5]], rtol=1e-9)
 
     def test_rate_equality_everywhere(self, cd, ces73):
         allocations = geometry.contract_curve_2x2([cd, ces73], [2.5, 3.5], 15)
         for alloc in allocations:
-            r1 = prefs.substitution_rates(cd, alloc.bundle(0))[0]
-            r2 = prefs.substitution_rates(ces73, alloc.bundle(1))[0]
+            r1 = prefs.substitution_rates(cd, alloc[0])[0]
+            r2 = prefs.substitution_rates(ces73, alloc[1])[0]
             assert r1 == pytest.approx(r2, rel=1e-9)
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -393,9 +394,9 @@ class TestContractCurve:
     def test_no_trade_from_curve_points(self, cd):
         economy = Economy.of([cd, cd])
         for alloc in geometry.contract_curve_2x2([cd, cd], [3.0, 3.0], 5):
-            assert trade.trade_interval_2x2(economy, alloc) is None
+            assert trade.trade_interval_2x2(economy, Allocation(alloc)) is None
             for q in (0.7, 1.0, 1.4):
-                assert not trade.has_trade(economy, alloc, [q, 1.0])
+                assert not trade.has_trade(economy, Allocation(alloc), [q, 1.0])
 
 
 _SPEC_2 = st.one_of(
@@ -420,12 +421,12 @@ def test_roots_match_the_brent_oracle(pair, bundles):
     a1, a2 = endowments.aggregate
     curve = geometry.contract_curve_2x2(pair, [a1, a2], 5)
     for k, (alloc, reference) in enumerate(zip(curve, oracles.reference_contract_curve_y12(pair, [a1, a2], 5))):
-        y11 = alloc.bundle(0)[0]
+        y11 = alloc[0, 0]
         assert y11 == a1 * (k + 1) / 6
         logs = oracles.log_rates_2x2(pair, [a1, a2], y11, reference)
         # y12 and a2 - y12 both round at the ulp of a2; the log rates at theirs
         _assert_root_near(
-            alloc.bundle(0)[1], reference, lambda y12: np.subtract(*oracles.log_rates_2x2(pair, [a1, a2], y11, y12)),
+            alloc[0, 1], reference, lambda y12: np.subtract(*oracles.log_rates_2x2(pair, [a1, a2], y11, y12)),
             (0.0, a2), np.spacing(a2), np.spacing(max(1.0, *map(abs, logs))),
         )
     if trade.is_pareto_optimal(Economy.of(pair), endowments):
@@ -444,13 +445,14 @@ class TestWalrasEquilibrium:
         endow = Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
         q, alloc = geometry.walras_equilibrium_2x2([cd, cd], endow)
         assert q == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(alloc.bundles, [[1.5, 1.5], [1.5, 1.5]], rtol=1e-12)
+        np.testing.assert_allclose(alloc, [[1.5, 1.5], [1.5, 1.5]], rtol=1e-12)
 
     def test_no_trade_when_already_optimal(self, cd):
         endow = Allocation(np.array([[1.0, 1.0], [2.0, 2.0]]))
         q, alloc = geometry.walras_equilibrium_2x2([cd, cd], endow)
         assert q == pytest.approx(1.0)
-        np.testing.assert_array_equal(alloc.bundles, endow.bundles)
+        np.testing.assert_array_equal(alloc, endow.bundles)
+        assert not alloc.flags.writeable
 
     def test_mixed_ces_residual(self, ces, ces73):
         endow = Allocation(np.array([[2.0, 0.5], [0.7, 2.2]]))
@@ -461,7 +463,7 @@ class TestWalrasEquilibrium:
             total += prefs.normalized_demand(spec, p / float(p @ b))
         np.testing.assert_allclose(total, endow.aggregate, atol=1e-10)
         # the cleared allocation is what each household demands at q
-        np.testing.assert_allclose(alloc.aggregate, endow.aggregate, atol=1e-10)
+        np.testing.assert_allclose(alloc.sum(axis=0), endow.aggregate, atol=1e-10)
 
     def test_random_mixed_economies(self, cd, ces, ces73, rng):
         specs_pool = [cd, ces, ces73]
@@ -471,11 +473,11 @@ class TestWalrasEquilibrium:
             q, alloc = geometry.walras_equilibrium_2x2(pair, endow)
             rates = [float(prefs.substitution_rates(s, b)[0]) for s, b in zip(pair, endow.bundles)]
             assert min(rates) <= q <= max(rates)
-            np.testing.assert_allclose(alloc.aggregate, endow.aggregate, atol=1e-10)
+            np.testing.assert_allclose(alloc.sum(axis=0), endow.aggregate, atol=1e-10)
             if trade.is_pareto_optimal(Economy.of(pair), endow):
                 continue
             # the cleared allocation sits on the equal-rates locus
-            for s, b in zip(pair, alloc.bundles):
+            for s, b in zip(pair, alloc):
                 assert prefs.substitution_rates(s, b)[0] == pytest.approx(q, rel=1e-9)
 
 
@@ -488,13 +490,15 @@ class TestValidationErrors:
         "q", [[math.nan], [1.0, math.inf], [-math.inf, 1.0], [0.0], [2.0, -1.0], [-0.0]]
     )
     def test_flat_point_rate_messages(self, q):
-        with pytest.raises(SpecificationError, match="^substitution rates must be strictly positive$"):
+        got = re.escape(repr(q))
+        with pytest.raises(SpecificationError, match=f"^q must be a nonempty vector of finite positive rates, got {got}$"):
             FlatPoint(q, 1.0)
 
     def test_flat_point_shape_and_level_messages(self):
-        with pytest.raises(SpecificationError, match="^flat coordinates must form a nonempty vector$"):
+        form = "^q must be a nonempty vector of finite positive rates, got "
+        with pytest.raises(SpecificationError, match=rf"{form}\[\]$"):
             FlatPoint([], 1.0)
-        with pytest.raises(SpecificationError, match="^flat coordinates must form a nonempty vector$"):
+        with pytest.raises(SpecificationError, match=rf"{form}\[\[1\.0\]\]$"):
             FlatPoint([[1.0]], 1.0)
         for u in (math.nan, math.inf, -math.inf):
             with pytest.raises(SpecificationError, match=rf"^utility coordinate must be a number in \(-inf, inf\), got {u!r}$"):

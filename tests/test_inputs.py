@@ -24,7 +24,7 @@ from edgeworth import engine, geometry, prefs, trade, verify
 from edgeworth.engine import ArctanNormal, PriorSpec, SimConfig, Terminal, UniformArc
 from edgeworth.errors import DomainDegeneracyError, EdgeworthError, SamplingError, SpecificationError
 from edgeworth.prefs import Family, UtilitySpec
-from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
+from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior
 
 CD = UtilitySpec.cobb_douglas_log([0.5, 0.5])
 CES3 = UtilitySpec.ces([0.2, 0.5, 0.3], 0.5)
@@ -205,6 +205,27 @@ def test_rate_door_has_one_rule(call, stack, cases):
         call(value)
 
 
+#: door whose rate length is open: (call on q, whether it reads a stack)
+OPEN_RATES = {
+    "FlatPoint": (lambda q: geometry.FlatPoint(q, 0.0), False),
+    "Tabulated": (lambda q: engine.Tabulated(q, [1.0]), True),
+}
+
+
+@pytest.mark.parametrize("call, stack", OPEN_RATES.values(), ids=OPEN_RATES.keys())
+def test_open_length_rate_door_has_one_rule(call, stack):
+    form = "a nonempty stack of vectors" if stack else "a nonempty vector"
+    cases = {**RATE_CASES, "empty": ([], [])}
+    del cases["wrong_length"]  # no length is wrong here
+    for case in cases.values():
+        with pytest.raises(SpecificationError) as info:
+            call(case[stack])
+        got = " ".join(repr(case[stack]).split())
+        assert str(info.value) == f"{'grid' if stack else 'q'} must be {form} of finite positive rates, got {got}"
+    for value in ([1.5], [[1.5, 0.5]]) if stack else ([1.5], [1.5, 0.5]):  # a flat grid is one rate per row
+        call(value)
+
+
 def test_rate_doors_read_the_whole_shape():
     # sample_manifold once reshaped these grids into two points; d_map said "expected 2 goods, got 3"
     with pytest.raises(SpecificationError) as info:
@@ -265,11 +286,11 @@ THREE_STATE = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]]))
 REFUSALS = {
     "Tabulated.empty_grid": (
         lambda: engine.Tabulated([], []), SpecificationError,
-        "tabulated grid must be a nonempty sequence of rate vectors",
+        "grid must be a nonempty stack of vectors of finite positive rates, got []",
     ),
     "Tabulated.zero_rate": (
         lambda: engine.Tabulated([[0.0], [1.0]], [1.0, 1.0]), SpecificationError,
-        "tabulated grid points must be finite and strictly positive",
+        "grid must be a nonempty stack of vectors of finite positive rates, got [[0.0], [1.0]]",
     ),
     "Tabulated.densities_per_point": (
         lambda: engine.Tabulated([1.0, 2.0], [1.0]), SpecificationError, "one density per grid point is required"
@@ -288,7 +309,26 @@ REFUSALS = {
     "Allocation.vector": (
         lambda: Allocation(np.ones(3)), SpecificationError, "an allocation is an H x L matrix, H, L >= 2"
     ),
-    "SpeedVector.matrix": (lambda: SpeedVector(np.ones((2, 2))), SpecificationError, "speeds must form a vector"),
+    "speed_contains.matrix": (
+        lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], np.ones((2, 2))), SpecificationError,
+        "sigma must be a vector of H = 2 speeds in [0, 1], got array([[1., 1.], [1., 1.]])",
+    ),
+    "speed_contains.length": (
+        lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], [0.5, 0.5, 0.5]), SpecificationError,
+        "sigma must be a vector of H = 2 speeds in [0, 1], got [0.5, 0.5, 0.5]",
+    ),
+    "speed_contains.nan": (
+        lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], [math.nan, 0.5]), SpecificationError,
+        "sigma must be a vector of H = 2 speeds in [0, 1], got [nan, 0.5]",
+    ),
+    "speed_contains.above_one": (
+        lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], [0.5, 1.5]), SpecificationError,
+        "sigma must be a vector of H = 2 speeds in [0, 1], got [0.5, 1.5]",
+    ),
+    "speed_contains.below_zero": (
+        lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], [-0.5, 0.5]), SpecificationError,
+        "sigma must be a vector of H = 2 speeds in [0, 1], got [-0.5, 0.5]",
+    ),
     "BoxSet.shapes": (
         lambda: BoxSet(np.ones((2, 2)), np.ones((3, 3))), SpecificationError,
         "rate bounds must be square matrices of equal shape",
@@ -329,6 +369,16 @@ def test_refusal_has_one_class_and_message(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_tabulated_keeps_read_only_copies():
+    # it once froze the caller's own float arrays in place
+    grid, densities = np.array([[0.5], [2.0]]), np.array([1.0, 3.0])
+    prior = engine.Tabulated(grid, densities)
+    grid[0, 0], densities[0] = 0.7, 2.0
+    np.testing.assert_array_equal(prior.grid, [[0.5], [2.0]])
+    np.testing.assert_array_equal(prior.densities, [1.0, 3.0])
+    assert not (prior.grid.flags.writeable or prior.densities.flags.writeable)
 
 
 def test_zero_density_atom_is_accepted_and_never_drawn():

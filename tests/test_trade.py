@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 from edgeworth import _hitrun, engine, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
-from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior, SpeedVector
+from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior
 
 from oracles import box_contains as box_contains_reference
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     reference_advance,
     reference_each,
     reference_polygon_sample,
+    reference_polygon_speeds,
     reference_polytope_sample,
 )
 
@@ -146,14 +147,15 @@ class TestTypes:
         with pytest.raises(SpecificationError):
             Allocation(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
-    def test_speed_bounds(self):
+    def test_speed_bounds(self, cd_economy, shock):
         with pytest.raises(SpecificationError):
-            SpeedVector(np.array([0.5, 1.2]))
+            trade.speed_contains(cd_economy, shock, [1.0, 1.0], np.array([0.5, 1.2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_speed_bounds_reject_non_finite(self, bad):
-        with pytest.raises(SpecificationError, match=r"^speeds must lie in \[0, 1\]$"):
-            SpeedVector(np.array([bad, 0.5]))
+    def test_speed_bounds_reject_non_finite(self, cd_economy, shock, bad):
+        got = re.escape(" ".join(repr(np.array([bad, 0.5])).split()))  # the message's one line
+        with pytest.raises(SpecificationError, match=rf"^sigma must be a vector of H = 2 speeds in \[0, 1\], got {got}$"):
+            trade.speed_contains(cd_economy, shock, [1.0, 1.0], np.array([bad, 0.5]))
 
     def test_state_below_the_floor_is_domain_degenerate(self, cd_economy):
         y = Allocation(np.array([[1e-305, 1.0], [1.0, 1.0]]))
@@ -163,12 +165,11 @@ class TestTypes:
         with pytest.raises(DomainDegeneracyError, match="^bundle coordinate below 1e-300$"):
             trade.all_trade_directions(cd_economy, y, [1.0, 1.0])
 
-    def test_speed_vector_is_a_read_only_copy(self):
-        raw = np.array([0.0, 1.0])
-        sv = SpeedVector(raw)
-        raw[0] = 0.5
-        assert sv.sigma[0] == 0.0 and not sv.sigma.flags.writeable
-        assert SpeedVector(np.array([])).sigma.size == 0
+    def test_speed_draw_is_a_float_vector(self, cd_economy, shock, rng):
+        for prior in SpeedPrior:
+            sigma = trade.sample_speed(cd_economy, shock, [1.0, 1.0], prior, rng)
+            assert type(sigma) is np.ndarray and sigma.dtype == np.float64 and sigma.shape == (2,)
+        assert trade.speed_contains(cd_economy, shock, [1.0, 1.0], [1.0, 1.0])  # any sequence comes in
 
     def test_boxset_reciprocity_enforced(self):
         with pytest.raises(SpecificationError):
@@ -214,27 +215,27 @@ class TestLinearPath:
 
 class TestSpeedSet:
     def test_example3_membership(self, cd_economy, shock):
-        assert trade.speed_contains(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([1.0, 1.0])))
+        assert trade.speed_contains(cd_economy, shock, [1.0, 1.0], np.array([1.0, 1.0]))
 
     def test_no_trade_speed_rejected(self, cd_economy, shock):
         assert not trade.speed_contains(
-            cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([0.0, 0.0]))
+            cd_economy, shock, [1.0, 1.0], np.array([0.0, 0.0])
         )
 
     def test_example3_offspeed_ray(self, cd_economy, shock):
         # q = 0.75: the balancing partner speed is 0.4
         assert trade.speed_contains(
-            cd_economy, shock, [0.75, 1.0], SpeedVector(np.array([1.0, 0.4]))
+            cd_economy, shock, [0.75, 1.0], np.array([1.0, 0.4])
         )
         assert not trade.speed_contains(
-            cd_economy, shock, [0.75, 1.0], SpeedVector(np.array([1.0, 0.8]))
+            cd_economy, shock, [0.75, 1.0], np.array([1.0, 0.8])
         )
 
     @pytest.mark.parametrize("use", [trade.speed_contains], ids=["speed_contains"])
     def test_speed_length_must_match_the_households(self, cd_economy, shock, use):
         # a one-speed vector would broadcast over both households
-        with pytest.raises(SpecificationError, match="^speed vector length must equal the household count$"):
-            use(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([0.5])))
+        with pytest.raises(SpecificationError, match=r"^sigma must be a vector of H = 2 speeds in \[0, 1\], got array\(\[0\.5\]\)$"):
+            use(cd_economy, shock, [1.0, 1.0], np.array([0.5]))
 
 
 #: Within this relative distance of the threshold the exact optimum leaves
@@ -372,8 +373,8 @@ class TestHasTrade:
         assert rank_within_rounding(e, y, p, _BAND)
         assert trade.has_trade(e, y, p)
         for s_prior in SpeedPrior:
-            sigma = trade.sample_speed(e, y, p, s_prior, rng).sigma
-            assert trade.speed_contains(e, y, p, SpeedVector(sigma))
+            sigma = trade.sample_speed(e, y, p, s_prior, rng)
+            assert trade.speed_contains(e, y, p, sigma)
             np.testing.assert_allclose(sigma, sigma.max(), rtol=1e-9)  # the segment from 0 to (1, ..., 1)
 
     def test_state_is_checked_once(self, cd_economy, shock, monkeypatch):
@@ -525,7 +526,7 @@ class TestScreenTrade:
         assert trade._screen(e, np.ones((3, 2)), np.ones((1, 2))).tolist() == [True]
         # the draw counts it too: with two actives it rides the ray, not "fewer than two"
         sigma = trade._sample_speed(np.array([[tie, 0.0], [-1.0, 0.0]]), np.ones(2), SpeedPrior.MAX_SPEED, rng)
-        np.testing.assert_array_equal(sigma.sigma, [1.0, tie])
+        np.testing.assert_array_equal(sigma, [1.0, tie])
 
     @pytest.mark.parametrize("goods", [2, 3])
     def test_economies_over_the_vertex_cap_are_refused(self, goods, rng):
@@ -668,13 +669,13 @@ class TestIntervalAndBox:
 class TestSampleSpeed:
     def test_max_speed_is_the_ray_top(self, cd_economy, shock, rng):
         sv = trade.sample_speed(cd_economy, shock, [0.75, 1.0], SpeedPrior.MAX_SPEED, rng)
-        np.testing.assert_allclose(sv.sigma, [1.0, 0.4], atol=1e-12)
+        np.testing.assert_allclose(sv, [1.0, 0.4], atol=1e-12)
 
     def test_uniform_cube_scales_the_ray(self, cd_economy, shock):
         rng = np.random.default_rng(3)
         draws = np.stack(
             [
-                trade.sample_speed(cd_economy, shock, [0.75, 1.0], SpeedPrior.UNIFORM_CUBE, rng).sigma
+                trade.sample_speed(cd_economy, shock, [0.75, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
                 for _ in range(200)
             ]
         )
@@ -697,7 +698,7 @@ class TestSampleSpeed:
                 sv = trade.sample_speed(e, y, p, prior, rng)
                 assert trade.speed_contains(e, y, p, sv)
                 if prior is SpeedPrior.MAX_SPEED:
-                    assert sv.sigma.max() == pytest.approx(1.0)
+                    assert sv.max() == pytest.approx(1.0)
 
     def test_hit_and_run_four_households_three_goods(self, rng):
         specs = [
@@ -722,7 +723,7 @@ class TestSampleSpeed:
         vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
         assert [0.0, 0.44, 1.0, 0.73] in np.round(vertices, 2).tolist()
         assert [1.0, 1.0, 1.0, 1.0] in np.round(vertices, 2).tolist()
-        draws = np.stack([trade.sample_speed(e, y, p, SpeedPrior.UNIFORM_CUBE, rng).sigma for _ in range(50)])
+        draws = np.stack([trade.sample_speed(e, y, p, SpeedPrior.UNIFORM_CUBE, rng) for _ in range(50)])
         assert np.linalg.matrix_rank(draws - draws.mean(axis=0), tol=1e-6) == 2
 
     def test_lower_dimensional_polytope_segment(self, rng):
@@ -743,10 +744,10 @@ class TestSampleSpeed:
             for _ in range(10):
                 sv = trade.sample_speed(e, y, p, prior, rng)
                 assert trade.speed_contains(e, y, p, sv)
-                assert sv.sigma[2] <= 1e-9 and sv.sigma[3] <= 1e-9
-                assert sv.sigma[0] == pytest.approx(0.2 * sv.sigma[1], abs=1e-9)
+                assert sv[2] <= 1e-9 and sv[3] <= 1e-9
+                assert sv[0] == pytest.approx(0.2 * sv[1], abs=1e-9)
                 if prior is SpeedPrior.MAX_SPEED:
-                    assert sv.sigma[1] == pytest.approx(1.0)
+                    assert sv[1] == pytest.approx(1.0)
 
     def test_walras_rank_cap_keeps_polytope_dimension(self, monkeypatch, rng):
         # a 3x2 uniform-arc state where D^T's second singular value is
@@ -780,7 +781,7 @@ class TestSampleSpeed:
         assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=_hitrun._POINT_EXTENT) == 2
         calls = []
         monkeypatch.setattr(_hitrun, "fan", lambda *args: calls.append(args) or fan(*args))
-        assert trade.speed_contains(e, y, p, SpeedVector(_hitrun.sample(vertices, rng)))
+        assert trade.speed_contains(e, y, p, _hitrun.sample(vertices, rng))
         assert len(calls) == 1
 
     def test_deterministic_given_stream(self, cd_economy, shock):
@@ -790,7 +791,7 @@ class TestSampleSpeed:
         b = trade.sample_speed(
             cd_economy, shock, [0.8, 1.0], SpeedPrior.UNIFORM_CUBE, np.random.default_rng(11)
         )
-        np.testing.assert_array_equal(a.sigma, b.sigma)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "state,p,draw,s_prior,point,why",
@@ -879,7 +880,7 @@ class TestHitRunDegenerate:
         assert vertices == {tuple(float(x) for x in v) for v in exact_speed_vertices(dirs, np.ones(3))}
         assert vertices == {(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.0, 0.5, 1.0), (1.0, 1.0, 1.0)}
         for s_prior in SpeedPrior:
-            sigma = trade._sample_speed(dirs, np.ones(3), s_prior, rng).sigma
+            sigma = trade._sample_speed(dirs, np.ones(3), s_prior, rng)
             assert sigma[0] + sigma[2] == pytest.approx(2.0 * sigma[1], abs=1e-12)
 
     def test_point_polytope_has_no_speed_draw(self):
@@ -957,12 +958,33 @@ class TestPolygonDraw:
         # cube vertex (1, 1, 0) on the plane, where two edge crossings meet
         n, rng = 3000, np.random.default_rng(17)
         dirs = _line_directions(lengths, q)
-        mine = np.stack([trade._sample_speed(dirs, np.array([q, 1.0]), s_prior, rng).sigma for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, np.array([q, 1.0]), s_prior, rng) for _ in range(n)])
         reference = reference_polygon_sample(lengths, s_prior, n, rng)
         assert np.abs(mine @ np.asarray(lengths)).max() <= 1e-12
         for h in range(3):
             assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
 
+
+    def test_shared_polygon_draw_matches_the_centroid_order_bitwise(self):
+        # _polygon starts the fan at the origin's angle around the centroid; the
+        # old sort started at -pi, and the vertex after the origin came first there too.
+        # Lengths 16 orders of magnitude apart make the chart a sliver, where an
+        # angle taken mod 2 pi once put the last vertex first
+        rng = np.random.default_rng(31)
+        lengths = rng.uniform(-1.0, 1.0, (3000, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, (3000, 3))
+        fixed = [
+            [1.0, -1.0, 0.5], [1.0, 1.0, -2.0], [-1.0, 0.5, 0.5], [1.0, 0.5, -1.5e-6], [2.0, -1.0, -1.0],
+            [-7.158744965298773e-09, -41797997.43055512, 2.0909561814801443e-08],
+            [1.112435106373208e-09, 97743973.87229463, -1.853733749790417e-08],
+        ]
+        for a in [*fixed, *lengths]:
+            a = np.asarray(a)
+            if np.count_nonzero(a > 0.0) in (0, 3):
+                continue
+            seed = int(rng.integers(2**32))
+            mine = trade._polygon_speeds(a, np.random.default_rng(seed))
+            reference = reference_polygon_speeds(a, np.random.default_rng(seed))
+            assert mine.tobytes() == reference.tobytes(), a.tolist()
 
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
     @pytest.mark.parametrize("case", ["triangle", "quadrilateral"])
@@ -975,7 +997,7 @@ class TestPolygonDraw:
             (e, y), p = QUADRILATERAL, np.append(QUADRILATERAL_RATES, 1.0)
         dirs = trade.all_trade_directions(e, y, p)
         n, rng = 3000, np.random.default_rng(23)
-        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng).sigma for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng) for _ in range(n)])
         reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
         assert np.abs(mine @ dirs).max() <= 1e-12
         for h in range(4):
@@ -984,15 +1006,15 @@ class TestPolygonDraw:
 
 class TestAdvance:
     def test_full_speed_reaches_equilibrium(self, cd_economy, shock):
-        out = reference_advance(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([1.0, 1.0])))
+        out = reference_advance(cd_economy, shock, [1.0, 1.0], np.array([1.0, 1.0]))
         np.testing.assert_allclose(out.bundles, [[1.5, 1.5], [1.5, 1.5]])
 
     def test_conservation(self, cd_economy, shock):
-        out = reference_advance(cd_economy, shock, [1.0, 1.0], SpeedVector(np.array([0.5, 0.5])))
+        out = reference_advance(cd_economy, shock, [1.0, 1.0], np.array([0.5, 0.5]))
         np.testing.assert_allclose(out.aggregate, [3.0, 3.0], atol=1e-12)
 
     def test_example3_partial_landing(self, cd_economy, shock):
-        out = reference_advance(cd_economy, shock, [0.75, 1.0], SpeedVector(np.array([1.0, 0.4])))
+        out = reference_advance(cd_economy, shock, [0.75, 1.0], np.array([1.0, 0.4]))
         np.testing.assert_allclose(out.bundle(0), [5.0 / 3.0, 5.0 / 4.0], rtol=1e-14)
         np.testing.assert_allclose(out.aggregate, [3.0, 3.0], atol=1e-12)
 
@@ -1016,7 +1038,7 @@ class TestAdvance:
                 continue
             q = float(rng.uniform(*interval))
             sv = trade.sample_speed(ces_economy, y, [q, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
-            capped = SpeedVector(np.minimum(sv.sigma, 0.9))
+            capped = np.minimum(sv, 0.9)
             out = reference_advance(ces_economy, y, [q, 1.0], capped)
             assert trade.has_trade(ces_economy, out, [q, 1.0])
 

@@ -51,6 +51,24 @@ class TestJacobianSuite:
         # worst is scaled so 1.0 is the failure bar
         assert report.worst_violation < 1.0
 
+    def test_a_psi_only_fault_fails_every_draw(self, ces, monkeypatch):
+        # scale the suite's direct psi call alone: the phi term, whose chart calls
+        # psi inside geometry, and the tangency term see the true Jacobians and
+        # pass on their own, as the clean suite shows
+        assert verify.jacobian_suite(ces, draws=200, seed=7).passed
+        real, calls = geometry._jacobian_psi, []
+
+        def scale_the_direct_call(*args):
+            calls.append(None)
+            return real(*args) * (1.0 + 1e-3) if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(geometry, "_jacobian_psi", scale_the_direct_call)
+        report = verify.jacobian_suite(ces, draws=200, seed=7)
+        assert len(calls) == 4  # phi's, the direct one, then the tangency's phi and psi
+        assert report.failures == 200
+        # the psi error over its bound: a relative error of 1e-3 against 1e-5
+        assert report.worst_violation == pytest.approx(1e-3 / verify._JACOBIAN_RTOL, rel=0.01)
+
 
 class TestClearingSolver:
     def test_matches_scipy_oracle(self, rng):
@@ -75,7 +93,7 @@ class TestClearingSolver:
             y = Allocation(log_uniform(rng, (2, 3)))
             w = rng.uniform(0.2, 1.0, 2)
             q = verify.weighted_clearing_rates(e, y, w)
-            sigma = trade.SpeedVector(w / w.max())
+            sigma = w / w.max()
             assert trade.speed_contains(e, y, np.append(q, 1.0), sigma)
 
     def test_lockstep_rows_match_the_one_state_reference_bitwise(self, rng):
