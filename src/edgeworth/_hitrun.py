@@ -3,7 +3,8 @@
 The speed polytope ``P = {s in [0,1]^H : A s = 0}`` holds the origin among
 its vertices, which ``trade._vertices`` enumerates.  ``trade`` draws the
 two-trader ray in closed form, and lists the three-trader polygon's
-vertices at L = 2 in closed form for ``_polygon``; ``sample`` serves every
+vertices at L = 2 in closed form for ``_polygon``, which reads three given
+uniforms; ``sample`` serves every
 other case from the vertices, by the dimension of their span: a point
 raises and reads nothing from the stream, a segment from the origin is
 scaled by one uniform, a polygon is fanned into triangles from the origin
@@ -48,8 +49,8 @@ def _chord(x: list[float], u: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def fan(others: list[list[float]], chart: list[tuple[float, float]], rng: np.random.Generator) -> np.ndarray:
-    """A uniform point of a polygon with the origin as a vertex, from ``rng.random(3)``.
+def fan(others: list[list[float]], chart: list[tuple[float, float]], u) -> np.ndarray:
+    """A uniform point of a polygon with the origin as a vertex, from three uniforms ``u``.
 
     ``others`` are the other vertices in order around the polygon, starting
     next to the origin, and ``chart`` their coordinates in a linear chart of
@@ -62,17 +63,17 @@ def fan(others: list[list[float]], chart: list[tuple[float, float]], rng: np.ran
     for (vx, vy), (wx, wy) in zip(chart, chart[1:]):
         total += abs(vx * wy - wx * vy)  # twice the chart area of (0, v, w)
         cum.append(total)
-    u = rng.random(3).tolist()
-    t = min(bisect.bisect_right(cum, u[0] * total), len(cum) - 1)
-    r, f = math.sqrt(u[1]), u[2]  # a uniform point of the triangle (0, v, w)
+    pick, radius, f = (float(v) for v in u)
+    t = min(bisect.bisect_right(cum, pick * total), len(cum) - 1)
+    r = math.sqrt(radius)  # a uniform point of the triangle (0, v, w)
     v, w = others[t], others[t + 1]
     return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
 
 
-def _polygon(others: list[list[float]], chart: list[list[float]], rng: np.random.Generator) -> np.ndarray:
+def _polygon(others: list[list[float]], chart: list[list[float]], u) -> np.ndarray:
     """``fan`` over a polygon with the origin as a vertex, given its other
     vertices ``others`` and their coordinates ``chart`` in a linear chart of
-    its plane, in any order.
+    its plane, in any order, from three uniforms ``u``.
 
     They go in order of angle around their centroid, counterclockwise in the
     chart from the origin's angle on, each angle read against the origin's
@@ -89,7 +90,7 @@ def _polygon(others: list[list[float]], chart: list[list[float]], rng: np.random
         return angle < 0.0, angle
 
     order = sorted(range(len(chart)), key=turn)
-    return fan([others[i] for i in order], [chart[i] for i in order], rng)
+    return fan([others[i] for i in order], [chart[i] for i in order], u)
 
 
 def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -114,7 +115,7 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
         plane = hull[::-1] if max(minors, key=abs) < 0.0 else hull
         others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
-        return _polygon(others.tolist(), (others @ plane.T).tolist(), rng)
+        return _polygon(others.tolist(), (others @ plane.T).tolist(), rng.random(3))
 
     normals = np.empty((_BURN_IN, dim))
     uniforms = []

@@ -3,10 +3,12 @@
 Each trajectory is a sequence of joint linear trade steps: draw prices from
 a prior conditioned on the current trade-compatible set (an angle prior by
 its inverse CDF on the open interval between the households' extreme
-substitution rates; a tabulated prior by the extreme-rate box test, then
-the trade screen on the atoms in the box), draw relative speeds from
-the speed polytope, advance, and stop once substitution rates agree or the
-step cap fires.  Runs are reproducible under any parallelism: the stream for run
+substitution rates; a tabulated prior by that interval at L = 2 or the
+extreme-rate box beyond, then the trade screen on the atoms inside), draw
+relative speeds from the speed polytope, advance, and stop once
+substitution rates agree or the step cap fires.  At L = 2 one epoch,
+``_epoch``, does this on rows: the 2x2 kernel's batch and ``sntp_step``'s
+one row.  Runs are reproducible under any parallelism: the stream for run
 ``i`` comes from a counter-based generator keyed by (master_seed, i).
 """
 
@@ -23,7 +25,7 @@ from numpy.typing import NDArray
 
 from . import prefs, trade
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
-from .trade import Allocation, Economy, SpeedPrior, _raise_first, _rates_agree, _ray_speeds
+from .trade import Allocation, Economy, SpeedPrior, _raise_first, _rates_agree
 
 FloatArray = NDArray[np.float64]
 
@@ -342,7 +344,7 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
     ``why(row)`` is the reason, and come back NaN.
     """
     a, b = np.arctan(lo), np.arctan(hi)
-    todo = slice(None)
+    q, rows = None, slice(None)  # the rows still to draw; the arrays below hold only theirs
     normal = isinstance(q_prior, ArctanNormal)
     if not normal:
         base, width = a, b - a  # the angle, uniform on (a, b)
@@ -354,43 +356,94 @@ def _draw_rate(q_prior: ArctanNormal | UniformArc, lo, hi, draw, fail=_raise_fir
         width = top - base
         empty = width < 1e-300
         if np.count_nonzero(empty):
-            fail(np.flatnonzero(empty), lambda r: (
+            fail(np.flatnonzero(empty), lambda r, a=a, b=b: (
                 f"no prior mass on price angles ({float(a[r])!r}, {float(b[r])!r}): "
                 f"mean {mu!r}, sigma {sd!r}"
             ))
-            todo = np.flatnonzero(~empty)
-    q = None
+            q, rows = np.full(a.size, np.nan), np.flatnonzero(~empty)
+            lo, hi, a, b, mirror, base, width = (v[rows] for v in (lo, hi, a, b, mirror, base, width))
     for _ in range(REJECTION_CAP):
-        theta = base[todo] + width[todo] * draw(todo)
+        theta = base + width * draw(rows)
         if normal:
             theta = mu + sd * _ndtri(np.clip(theta, sys.float_info.min, 1.0 - 1e-16))
-            theta = np.clip(np.where(mirror[todo], 2.0 * mu - theta, theta), a[todo], b[todo])
+            theta = np.clip(np.where(mirror, 2.0 * mu - theta, theta), a, b)
         rate = np.tan(theta)
-        ok = (lo[todo] < rate) & (rate < hi[todo])
+        ok = (lo < rate) & (rate < hi)
         if q is None:
-            if np.count_nonzero(ok) == a.size:
+            if np.count_nonzero(ok) == ok.size:
                 return rate  # every row accepted at its first attempt
-            q, todo = np.full(a.size, np.nan), np.arange(a.size)[todo]
-        q[todo[ok]] = rate[ok]
-        todo = todo[~ok]
-        if not todo.size:
+            q, rows = np.full(ok.size, np.nan), np.arange(ok.size)
+        q[rows[ok]] = rate[ok]
+        again = ~ok
+        rows, lo, hi, base, width = rows[again], lo[again], hi[again], base[again], width[again]
+        if not rows.size:
             return q
-    fail(todo, lambda r: f"no trade-compatible price within {REJECTION_CAP} draws")
+        if normal:
+            a, b, mirror = a[again], b[again], mirror[again]
+    fail(rows, lambda r: f"no trade-compatible price within {REJECTION_CAP} draws")
     return q
 
 
+def _pick(weights: FloatArray, u: FloatArray) -> NDArray[np.intp]:
+    """The atom each row's uniform ``u`` picks by the inverse CDF of its ``(rows, atoms)`` weights, some positive:
+    the first whose CDF exceeds u, or where rounding leaves none, the first at the CDF's last value."""
+    cdf = np.cumsum(weights, axis=1) / weights.sum(axis=1)[:, None]
+    over = cdf > u[:, None]
+    pick = over.argmax(axis=1)
+    short = ~over[:, -1]
+    if np.count_nonzero(short):
+        pick[short] = (cdf[short] == cdf[short, -1:]).argmax(axis=1)
+    return pick
+
+
+def _draw_atom(e: Economy, prior: Tabulated, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first):
+    """Atoms of a tabulated prior conditioned on trade at L = 2, one per row of ``(rows, H, 2)``
+    bundles with rate interval (lo, hi), and the ``(rows, H, 2)`` path ends at each.
+
+    The atoms with mass in [lo (1 - 1e-12), hi (1 + 1e-12)] get their path
+    ends in one ``trade._path_end`` pass, which the step reuses, and are
+    screened by ``trade._screen``'s rule at L = 2 (``trade._line_admits``).
+    One uniform per row from ``draw(rows)`` picks among the survivors
+    (``_pick``).  A row with none goes to ``fail(rows, why)`` and comes back NaN.
+    """
+    grid, mass = prior.grid[:, 0], prior.densities
+    in_box = (lo[:, None] * (1.0 - 1e-12) <= grid) & (grid <= hi[:, None] * (1.0 + 1e-12))
+    r, a = np.nonzero(in_box & (mass > 0.0))
+    p = np.ones((a.size, 1, 2))
+    p[:, 0, 0] = grid[a]
+    b = y[r]
+    with np.errstate(all="ignore"):  # the epoch guards the drawn atom's path ends
+        x = trade._grouped(trade._path_end, e, b, p)
+        d = x - b
+        keep = trade._line_admits(d, np.hypot(d[..., 0], d[..., 1]))
+    weights = np.zeros(in_box.shape)
+    weights[r[keep], a[keep]] = mass[a[keep]]
+    empty = ~(weights.max(axis=1) > 0.0)
+    if np.count_nonzero(empty):
+        fail(np.flatnonzero(empty), lambda k: _exhausted(
+            prior, lo[k : k + 1], hi[k : k + 1], int(np.count_nonzero(in_box[k])), int(np.count_nonzero(r == k))
+        ))
+        weights[empty, 0] = 1.0  # placeholders
+    pick = _pick(weights, draw(slice(None)))
+    at = np.zeros(in_box.shape, dtype=np.intp)  # each candidate's row of x
+    at[r, a] = np.arange(a.size)
+    q, x = grid[pick], x[at[np.arange(pick.size), pick]] if a.size else np.full(y.shape, np.nan)
+    if np.count_nonzero(empty):
+        q[empty], x[empty] = np.nan, np.nan  # the failed rows' placeholders
+    return q, x
+
+
 def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator) -> tuple[FloatArray, FloatArray | None]:
-    """Atom draw from the prior conditioned on trade compatibility, and the
-    vertices of the drawn atom's speed polytope at L >= 3 (else None).
+    """Atom draw at L >= 3 from the prior conditioned on trade compatibility,
+    and the vertices of the drawn atom's speed polytope.
 
     Discrete support makes the conditioning exact: the atoms in the
-    ``trade.msr_extremes`` box with prior mass are screened once, in one
-    ``trade._screen`` call (in closed form at L = 2; by the speed polytope's
-    vertices beyond), and the draw is taken over the survivors, so a prior
-    with no mass on the trade-compatible set fails at once, naming the box
-    and the atoms.  Both public calls check again, at every step:
-    ``msr_extremes`` the state (``trade._check_state``), ``box_contains`` the
-    grid (the rate rule).
+    ``trade.msr_extremes`` box with prior mass are screened once, by the
+    speed polytope's vertices in one ``trade._screen`` call, and the draw is
+    taken over the survivors (``_pick``), so a prior with no mass on the
+    trade-compatible set fails at once, naming the box and the atoms.  Both
+    public calls check again, at every step: ``msr_extremes`` the state
+    (``trade._check_state``), ``box_contains`` the grid (the rate rule).
     """
     box = trade.msr_extremes(e, y)
     in_box = trade.box_contains(box, prior.grid)
@@ -400,21 +453,20 @@ def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.
     if candidates.size:
         prices = np.concatenate([prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
         weights[candidates[~trade._screen(e, y.bundles, prices, found)]] = 0.0
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise SamplingError(_exhausted(prior, box, int(np.count_nonzero(in_box)), candidates.size))
-    cdf = np.cumsum(weights) / total
-    idx = min(int(np.searchsorted(cdf, float(rng.random()), side="right")), prior.grid.shape[0] - 1)
+    if not weights.max() > 0.0:
+        lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
+        raise SamplingError(_exhausted(prior, lo, hi, int(np.count_nonzero(in_box)), candidates.size))
+    idx = int(_pick(weights[None], rng.random(1))[0])
     row = int(np.searchsorted(candidates, idx))
     return np.array(prior.grid[idx], dtype=np.float64), trade._row_vertices(found, row)
 
 
-def _exhausted(prior: Tabulated, box: trade.BoxSet, in_box: int, rejected: int) -> str:
-    """Why a tabulated prior has no trade-compatible atom: the box, the counts
-    and, at L = 2, the atoms with prior mass nearest to the open rate interval
-    on its low and high side (split at its midpoint, since the atoms the
-    screen rejects at an end may lie a rounding inside it)."""
-    lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
+def _exhausted(prior: Tabulated, lo: FloatArray, hi: FloatArray, in_box: int, rejected: int) -> str:
+    """Why a tabulated prior has no trade-compatible atom: the rate box from
+    ``lo`` to ``hi``, the counts and, at L = 2, the atoms with prior mass
+    nearest to the open rate interval on its low and high side (split at its
+    midpoint, since the atoms the screen rejects at an end may lie a rounding
+    inside it)."""
     why = "the price prior assigns zero mass to the trade-compatible set"
     counts = f"atoms in the box: {in_box}, rejected by the trade screen: {rejected}"
     if lo.size > 1:
@@ -438,30 +490,63 @@ def draw_price(
 ) -> FloatArray:
     """One rate vector from the prior conditioned on trade compatibility.
 
-    A tabulated prior keeps the atoms in the box superset at which
-    ``trade._screen`` finds trade (in closed form at L = 2; by the speed
-    polytope's vertices beyond).  An angle prior needs L = 2, where the
+    A tabulated prior keeps the atoms in the rate box at which trade exists
+    (at L = 2 in closed form, as the step's own draw ``_draw_atom`` does; by
+    the speed polytope's vertices beyond).  An angle prior needs L = 2, where the
     trade-compatible rates are exactly the open interval between the
     households' extreme substitution rates; its draw is accepted by that
     interval, with no vertex enumeration.
     """
     _check_prior(e, prior)
     rates = trade.household_rates(e, y)
-    if trade._pareto(rates, trade.PARETO_TOL):
+    lo, hi = rates.min(axis=0), rates.max(axis=0)
+    if np.all(_rates_agree(lo, hi, trade.PARETO_TOL)):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
-    return _draw_price(e, y, rates, prior, rng)[0]
+    return _draw_price(e, y, lo, hi, prior, rng)[0]
 
 
 def _draw_price(
-    e: Economy, y: Allocation, rates: FloatArray, prior: PriorSpec, rng: np.random.Generator
+    e: Economy, y: Allocation, lo: FloatArray, hi: FloatArray, prior: PriorSpec, rng: np.random.Generator
 ) -> tuple[FloatArray, FloatArray | None]:
-    """``draw_price`` at a state already known to admit trade, with its (H, L - 1) rates and a
-    checked prior, and the vertices of its speed polytope where the trade screen found them."""
+    """``draw_price`` at a state already known to admit trade, whose L - 1 rates span (lo, hi),
+    under a checked prior, and the vertices of its speed polytope where the trade screen found them."""
+    q_prior = prior.q_prior
+    if e.n_goods > 2:
+        return _draw_tabulated(e, y, q_prior, rng)
+    if isinstance(q_prior, Tabulated):
+        return _draw_atom(e, q_prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))[0], None  # one row
+    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1)), None
+
+
+def _epoch(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first, out=None):
+    """One trade epoch at L = 2 on rows of ``(rows, H, 2)`` bundles, H in {2, 3}, whose rates
+    span (lo, hi): the price rates ``(rows,)``, the speeds ``(rows, H)`` and the new bundles
+    (in ``out`` if given).
+
+    The price is ``_draw_rate``'s or ``_draw_atom``'s, the path ends are
+    guarded against the floor, and the speeds are ``trade._line_speeds``'.
+    Each row reads ``draw(rows)`` in the order of a lone row: the price
+    attempts, then the speeds.  A failed row goes to ``fail(rows, why,
+    kind)`` and carries placeholders to the end of the epoch.
+    """
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
-        return _draw_tabulated(e, y, q_prior, rng)
-    lo, hi = rates.min(axis=0), rates.max(axis=0)
-    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1)), None  # one row
+        q, x = _draw_atom(e, q_prior, y, lo, hi, draw, fail)
+    else:
+        q = _draw_rate(q_prior, lo, hi, draw, fail)
+        p = np.empty((2, q.size))  # goods apart, as the kernel lays out its bundles
+        p[0], p[1] = q, 1.0
+        p = p.T[:, None]  # one price row for every household
+        with np.errstate(all="ignore"):  # a path end off the floor fails its row below
+            x = trade._grouped(trade._path_end, e, y, p)
+    if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some row is live here
+        on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(1, 2))  # a NaN is off
+        why = "demand degenerated below the positive floor"  # the guard's wording
+        fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
+        x = np.where(on[:, None, None], x, y)  # idle placeholders
+    d = x - y
+    sigma = trade._line_speeds(d, prior.s_prior is SpeedPrior.MAX_SPEED, draw, fail)
+    return q, sigma, np.add(y, sigma[..., None] * d, out=out)
 
 
 def sntp_step(
@@ -475,15 +560,21 @@ def sntp_step(
 
     ``pareto_tol`` follows ``SimConfig``'s rule for the generic path, so a
     state it does not stop at admits trade.  The rates are built once, for
-    the stop test and the angle draw's interval, and the directions once,
-    for the speed draw and the move.
+    the stop test and the price draw's interval.  Two goods and at most three
+    households take the 2x2 kernel's ``_epoch`` on one row, under either
+    price prior; the new state is then guarded.  Otherwise the directions
+    are built once, for the speed draw and the move.
     """
     pareto_tol = _check_pareto_tol(pareto_tol, closed_form=False)
     _check_prior(e, prior)
     rates = trade.household_rates(e, y)
-    if trade._pareto(rates, pareto_tol):
+    lo, hi = rates.min(axis=0), rates.max(axis=0)
+    if np.all(_rates_agree(lo, hi, pareto_tol)):
         return None
-    q, vertices = _draw_price(e, y, rates, prior, rng)
+    if e.n_goods == 2 and e.size <= 3:
+        q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))
+        return Allocation(prefs._guard(x[0], "bundles")), q, sigma[0].copy()  # a kept result holds no epoch array
+    q, vertices = _draw_price(e, y, lo, hi, prior, rng)
     p = np.append(q, 1.0)
     dirs = trade.all_trade_directions(e, y, p)
     sigma = trade._sample_speed(dirs, p, prior.s_prior, rng, vertices)
@@ -553,20 +644,20 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     """Advance the runs ``indices`` of a 2x2 angle-prior config in lockstep.
 
     The live runs are the columns of one array; a run leaves once its rates
-    agree or it fails, and the others go on.  Rates and demands come from
-    one call of the ``prefs`` closed-form core per household group on a
-    ``(runs, 2, 2)`` view of the bundles, so a pair that shares a family and
-    elasticity is one call.  Each run reads its own stream in the order a
-    lone run would (price attempts, then the speed draw), so its path does
-    not depend on the runs beside it.  A run fails when its price or speed
-    draw fails, or when a path end is not finite or falls below the positive
-    floor.  Failures are raised once the batch is done, for the lowest
-    failing run index, each with its own error class and the step's rate
-    interval and input state.
+    agree or it fails, and the others go on.  Rates come from one call of
+    the ``prefs`` closed-form core per household group on a ``(runs, 2, 2)``
+    view of the bundles, so a pair that shares a family and elasticity is
+    one call; each step is one ``_epoch`` on that view, which ``sntp_step``
+    runs on one row.  Each run reads its own stream in the order a lone run
+    would (price attempts, then the speed draw), so its path does not depend
+    on the runs beside it.  A run fails when its epoch fails it.  Failures
+    are raised once the batch is done, for the lowest failing run index,
+    each with its own error class and the step's rate interval and input
+    state.
     """
     n = indices.size
+    e, prior, tol = cfg.economy, cfg.prior, cfg.pareto_tol
     streams = _Streams(cfg.master_seed, indices)
-    max_speed = cfg.prior.s_prior is SpeedPrior.MAX_SPEED
     rows = np.arange(n)
     live = np.empty((7, n))  # q, s1, s2 of the last epoch, then y11, y12, y21, y22
     live[:3], live[3:] = np.nan, cfg.initial.bundles.reshape(4, 1)
@@ -575,12 +666,23 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
     log = [(rows, live)]
     pareto = np.zeros(n, dtype=bool)
     errors: dict[int, tuple[type[Exception], str]] = {}
+    bad: list = []
+
+    def fail(failed, why, kind=SamplingError):
+        bad.extend(failed)
+        for r in failed:  # live still holds the state before step k
+            ctx = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r}); state {live[3:, r].reshape(2, 2).tolist()}"
+            errors.setdefault(int(rows[r]), (kind, f"step {k}: {why(r)}; {ctx}"))
+
+    def draw(sub):
+        return streams.take(rows[sub])
+
     y = _households(live)
     for k in range(1, cfg.max_steps + 1):
-        m = trade._grouped(prefs._rates, cfg.economy, y)
+        m = trade._grouped(prefs._rates, e, y)
         m1, m2 = m[:, 0, 0], m[:, 1, 0]
         lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
-        done = _rates_agree(lo, hi, cfg.pareto_tol)
+        done = _rates_agree(lo, hi, tol)
         if np.count_nonzero(done):
             pareto[rows[done]], last[rows[done], 1] = True, k - 1
             last[rows[done], 2:] = live[:, done].T
@@ -588,32 +690,11 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
             if not rows.size:
                 break
             y = _households(live)
-        bad = []
-
-        def fail(failed, why, kind=SamplingError):
-            bad.extend(failed)
-            for r in failed:  # live still holds the state before step k
-                ctx = f"rate interval ({float(lo[r])!r}, {float(hi[r])!r}); state {live[3:, r].reshape(2, 2).tolist()}"
-                errors.setdefault(int(rows[r]), (kind, f"step {k}: {why(r)}; {ctx}"))
-
-        def draw(sub):
-            return streams.take(rows[sub])
-
-        q = _draw_rate(cfg.prior.q_prior, lo, hi, draw, fail)
-        p = np.array([q, np.ones_like(q)]).T[:, None]  # one price row for both households
-        with np.errstate(all="ignore"):  # a path end off the floor fails its run below
-            x = trade._grouped(trade._path_end, cfg.economy, y, p)
-        if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some run is live here
-            on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(1, 2))  # a NaN is off
-            why = "demand degenerated below the positive floor"  # the generic step's wording
-            fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
-            x = np.where(on[:, None, None], x, y)  # idle placeholders
-        d = x - y
-        norms = np.hypot(d[..., 0], d[..., 1])
-        s1, s2 = _ray_speeds(norms[:, 0], norms[:, 1], max_speed, draw, fail)
-        live = np.empty((7, rows.size))
-        live[0], live[1], live[2] = q, s1, s2
-        y = np.add(y, live[1:3].T[..., None] * d, out=_households(live))
+        bad.clear()
+        nxt = np.empty((7, rows.size))
+        nxt[0], s, y = _epoch(e, prior, y, lo, hi, draw, fail, out=_households(nxt))
+        nxt[1:3] = s.T
+        live = nxt
         if record:
             log.append((rows, live))
         if bad:
@@ -744,8 +825,7 @@ def example3_process(rng: np.random.Generator, runs: int) -> OutcomeDistribution
         norms = np.linalg.norm(dirs, axis=1)
         if norms.min() == 0.0:
             break
-        speeds = _ray_speeds(*norms, max_speed=True, draw=None)
-        y = y + np.array(speeds)[:, None] * dirs
+        y = y + trade._ray_speeds(norms[:1], norms[1:])[0][:, None] * dirs
         outcomes.append(trade._grouped(trade._path_end, e, y, np.ones(2)))
     tags = [Terminal.PARETO_REACHED] * runs
     qs = np.ones((runs, 1))

@@ -8,15 +8,18 @@ orthonormal basis of the plane orthogonal to ``p`` (``_projected``), whose
 vertices ``_vertices`` enumerates exactly, stacked over price rows; the
 doors refuse an economy that needs more than ``_MAX_CANDIDATES`` of them per
 row.  ``_screen`` decides trade for a stack of prices and ``has_trade`` for
-one: in closed form at L = 2, by the largest vertex volume beyond.  A speed
-draw takes one candidate and raises if it fails: two active traders move on
-a ray in closed form; three at L = 2 list their polygon's vertices in
-closed form, and ``_hitrun`` fans it as it fans every polygon; every other
-case draws from the enumerated vertices (``_hitrun``), which the engine's
-tabulated step takes from its screen.  A speed vector is a plain float
+one: in closed form at L = 2 (``_line_admits``), by the largest vertex
+volume beyond.  A speed draw takes one candidate and raises if it fails.
+At L = 2 with at most three households, ``_line_speeds`` draws on rows of
+directions for the engine's epoch: only a zero direction is idle, two
+active traders move on a ray in closed form, and three list their polygon's
+vertices in closed form, which ``_hitrun`` fans as it fans every polygon.
+Beyond, two active traders ride the same ray, and every other case draws
+from the enumerated vertices (``_hitrun``), which the engine's tabulated
+step at L >= 3 takes from its screen.  A speed vector is a plain float
 array, checked only where it comes in, by ``speed_contains``.  The box set
 built from extreme marginal substitution rates gives the cheap superset
-used for tabulated price draws."""
+used for tabulated price draws at L >= 3."""
 
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ FloatArray = NDArray[np.float64]
 #: Pareto optimal; separates converged states from one-ulp noise.
 PARETO_TOL = 1e-8
 
-#: Households whose trade direction is shorter than this are treated as
-#: non-trading at the current prices.
+#: Trade directions shorter than this count for nothing in the trade
+#: decision (``_screen``); the speed draws leave only a zero direction idle.
 DEGENERATE_DIRECTION = 1e-12
 
 _LP_DECISION = 1e-9
@@ -133,7 +136,7 @@ class Allocation:
         b = np.asarray(self.bundles, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] < 2 or b.shape[1] < 2:
             raise SpecificationError("an allocation is an H x L matrix, H, L >= 2")
-        if not (np.all(np.isfinite(b)) and np.all(b > 0.0)):
+        if not (b.min() > 0.0 and b.max() < math.inf):  # a NaN fails too
             raise SpecificationError("allocation coordinates must be strictly positive")
         b = b.copy()
         b.setflags(write=False)
@@ -214,7 +217,8 @@ def all_trade_directions(e: Economy, y: Allocation, p) -> FloatArray:
 
 def _cancel_and_move_failure(dirs: FloatArray, norms: FloatArray, s: FloatArray) -> str | None:
     """Why ``s`` fails to cancel aggregate trade while moving someone, or None."""
-    residual, volume = float(np.linalg.norm(s @ dirs)), float(s @ norms)
+    miss = s @ dirs
+    residual, volume = math.sqrt(float(miss @ miss)), float(s @ norms)  # the residual's norm, as np.linalg.norm takes it
     bound = 1e-9 * max(1.0, float(norms.max(initial=0.0)))
     if residual <= bound and volume > 1e-12:
         return None
@@ -269,13 +273,10 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None =
     """
     dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
+    if e.n_goods == 2:
+        return _line_admits(dirs, norms)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
-    threshold = _LP_DECISION * np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)
-    if e.n_goods == 2:
-        signed = np.copysign(n_act, dirs[..., 0])
-        up, down = np.maximum(signed, 0.0).sum(axis=-1), np.maximum(-signed, 0.0).sum(axis=-1)
-        return 2.0 * np.minimum(up, down) > threshold
     volume = np.zeros(p.shape[0])
     rows = np.flatnonzero(np.count_nonzero(active, axis=-1) >= 2)
     A = _projected(np.where(active[rows, :, None], dirs[rows], 0.0), p[rows])
@@ -284,7 +285,27 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None =
         volume[g] = np.einsum("hkg,gh->kg", vertices, n_act[g]).max(axis=0)
         if found is not None:  # an idle household's speed is free at a vertex; the draw's is 0
             found.append((g, vertices, ok & ~np.any(vertices * ~active[g].T[:, None, :], axis=0)))
-    return volume > threshold
+    return volume > _threshold(n_act)
+
+
+def _threshold(n_act: FloatArray) -> FloatArray:
+    """The trade decision's volume threshold: ``_LP_DECISION`` times the longest active direction, at least 1."""
+    return _LP_DECISION * np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)
+
+
+def _line_admits(dirs: FloatArray, norms: FloatArray) -> NDArray[np.bool_]:
+    """The trade decision at L = 2 for ``(..., H, 2)`` directions of lengths ``norms``: the largest
+    volume over the speed polytope, 2 min(P, N) for P and N the active lengths summed on each side
+    of the price line, clears ``_threshold``.
+
+    Walras' law puts every direction on the line orthogonal to the prices;
+    its unit with a positive first coordinate signs the lengths, as for the
+    speed draw.
+    """
+    n_act = np.where(norms >= DEGENERATE_DIRECTION, norms, 0.0)
+    signed = np.copysign(n_act, dirs[..., 0])
+    up, down = np.maximum(signed, 0.0).sum(axis=-1), np.maximum(-signed, 0.0).sum(axis=-1)
+    return 2.0 * np.minimum(up, down) > _threshold(n_act)
 
 
 def _row_vertices(found: list, row: int) -> FloatArray | None:
@@ -465,39 +486,72 @@ def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
     return bool(inside[0]) if q.ndim == 1 else inside
 
 
-def _raise_first(failed, why) -> None:
-    """Default ``fail`` of the row-wise draws: raise for the first failing row."""
-    raise SamplingError(why(int(failed[0])))
+def _raise_first(failed, why, kind: type[Exception] = SamplingError) -> None:
+    """Default ``fail`` of the row-wise draws: raise ``kind`` for the first failing row."""
+    raise kind(why(int(failed[0])))
 
 
 _NO_RAY = "fewer than two households can trade at these prices"
+_NOT_OPPOSED = "two-trader directions are not opposed; no feasible speeds"
+_ONE_WAY = "three-trader directions all point one way along the price line; no feasible speeds"
 
 
-def _ray_speeds(
-    n_i, n_j, max_speed: bool, draw, fail=_raise_first
-) -> tuple[FloatArray, FloatArray]:
-    """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j, per row.
+def _ray_speeds(n_i: FloatArray, n_j: FloatArray, u: FloatArray | None = None) -> FloatArray:
+    """Speeds of two opposed traders on the balance ray sigma_i n_i = sigma_j n_j,
+    as ``(rows, 2)`` for rows of positive direction lengths n_i and n_j.
 
-    The faster one moves at 1 under the max-speed prior; otherwise both are
-    scaled by one uniform on (0, 1] per row, from ``draw(slice(None))``.  A
-    zero direction leaves no ray: at least one trader is idle, and
-    ``fail(rows, why)`` hears of those rows.
+    The faster one moves at 1 (the max-speed prior); given one uniform ``u``
+    per row, both are scaled by 1 - u, in (0, 1].
     """
-    n_i, n_j = np.asarray(n_i, dtype=np.float64), np.asarray(n_j, dtype=np.float64)
-    idle = np.minimum(n_i, n_j) == 0.0
-    if np.count_nonzero(idle):
-        fail(np.flatnonzero(idle), lambda r: _NO_RAY)
-        n_i, n_j = np.where(idle, 1.0, n_i), np.where(idle, 1.0, n_j)  # placeholders
     ratio = n_i / n_j  # sigma_j / sigma_i on the balance ray
-    s_i, s_j = np.minimum(1.0 / ratio, 1.0), np.minimum(ratio, 1.0)
-    if max_speed:
-        return s_i, s_j
-    lam = 1.0 - draw(slice(None))
-    return lam * s_i, lam * s_j
+    s = np.empty((2, ratio.size))  # traders apart, so each pass runs along the rows
+    np.minimum(1.0 / ratio, 1.0, out=s[0])
+    np.minimum(ratio, 1.0, out=s[1])
+    if u is not None:
+        s *= 1.0 - u
+    return s.T
 
 
-def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray:
-    """A uniform point of the polygon {s in [0, 1]^3 : a . s = 0}, from ``rng.random(3)``.
+def _line_speeds(dirs: FloatArray, max_speed: bool, draw, fail=_raise_first) -> FloatArray:
+    """Speeds for rows of ``(rows, H, 2)`` directions at L = 2, H in {2, 3}, as ``(rows, H)``.
+
+    The idle rule: a trader whose direction is zero does not move.  The
+    others are signed along the price line as by ``_line_admits``.  Two
+    active traders on opposite sides of the price line move on the balance ray
+    (``_ray_speeds``, scaled by one uniform per row from ``draw(rows)`` under
+    the uniform prior); three, split between the sides, take a uniform point
+    of their polygon (``_polygon_speeds``, three uniforms), rescaled and
+    checked as every polytope draw is (``_settle``).  Rows with fewer than
+    two active traders, or with every one on one side, go to ``fail(rows,
+    why)`` and keep placeholder speeds.
+    """
+    norms = np.hypot(dirs[..., 0], dirs[..., 1])
+    a = np.copysign(norms, dirs[..., 0])  # signed lengths; an idle trader's is 0
+    if a.shape[1] == 2:
+        ok = a[:, 0] * a[:, 1] < 0.0  # both move, on opposite sides (a NaN fails)
+        if np.count_nonzero(ok) < ok.size:
+            fail(np.flatnonzero(~ok), lambda r: _NO_RAY if norms[r].min() == 0.0 else _NOT_OPPOSED)
+            norms = np.where(ok[:, None], norms, 1.0)  # placeholders
+        return _ray_speeds(norms[:, 0], norms[:, 1], None if max_speed else draw(slice(None)))
+    sigma = np.zeros(a.shape)
+    for r, lengths in enumerate(a.tolist()):  # a Python loop: a polygon is drawn one row at a time
+        up, down = sum(v > 0.0 for v in lengths), sum(v < 0.0 for v in lengths)
+        if not (up and down):
+            fail([r], lambda _, n=up + down: (_NO_RAY, _NO_RAY, _NOT_OPPOSED, _ONE_WAY)[n])
+        elif up + down == 2:
+            i, j = (h for h, v in enumerate(lengths) if v != 0.0)
+            sigma[r, [i, j]] = _ray_speeds(norms[r, i : i + 1], norms[r, j : j + 1], None if max_speed else draw([r]))[0]
+        else:
+            u = [float(draw([r])[0]) for _ in range(3)]
+            try:
+                sigma[r] = _settle(dirs[r], norms[r], slice(None), _polygon_speeds(lengths, u), max_speed)
+            except SamplingError as exc:
+                fail([r], lambda _, why=str(exc): why)
+    return sigma
+
+
+def _polygon_speeds(lengths: FloatArray, u) -> FloatArray:
+    """A uniform point of the polygon {s in [0, 1]^3 : a . s = 0}, from three uniforms ``u``.
 
     ``lengths`` are the three traders' signed lengths a along the price line.
     The vertices are the origin and the plane's crossings of the cube's
@@ -508,12 +562,10 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
     depends only on the signs of a and the order changes only where
     vertices meet, so the draw moves continuously with a.
     """
-    a = lengths.tolist()
+    a = [float(v) for v in lengths]
     up = [h for h in range(3) if a[h] > 0.0]
     if len(up) not in (1, 2):
-        raise SamplingError(
-            "three-trader directions all point one way along the price line; no feasible speeds"
-        )
+        raise SamplingError(_ONE_WAY)
     j, k = up if len(up) == 2 else [h for h in range(3) if h not in up]  # the chart's traders
     others = []
     for i in range(3):
@@ -524,7 +576,7 @@ def _polygon_speeds(lengths: FloatArray, rng: np.random.Generator) -> FloatArray
                 v = [0.0, 0.0, 0.0]
                 v[i], v[m], v[n] = s, b_m, b_n
                 others.append(v)
-    return _hitrun._polygon(others, [(v[j], v[k]) for v in others], rng)
+    return _hitrun._polygon(others, [(v[j], v[k]) for v in others], u)
 
 
 def sample_speed(
@@ -536,14 +588,16 @@ def sample_speed(
 ) -> FloatArray:
     """Draw relative speeds, one per household, from the polytope under the given prior.
 
-    Two active traders pin the polytope down to a ray, and three at L = 2
-    to a polygon; both are sampled in closed form.  Every other case draws
-    from the polytope's enumerated vertices (``_vertices``): a segment, a
-    polygon fanned from the origin, or hit-and-run from the vertex mean once
-    the polytope has three or more dimensions (``_hitrun.sample``).  The
-    prior is read on the polytope's intrinsic measure (the ray parameter
-    when H = 2, the area on a polygon).  A candidate that fails a check
-    raises ``SamplingError``; there is no second attempt.
+    At L = 2 with at most three households the draw is the engine step's
+    own (``_line_speeds``): the ray or the polygon, in closed form.  Beyond,
+    two active traders pin the polytope down to a ray, and every other case
+    draws from the polytope's enumerated vertices (``_vertices``): a
+    segment, a polygon fanned from the origin, or hit-and-run from the
+    vertex mean once the polytope has three or more dimensions
+    (``_hitrun.sample``).  The prior is read on the polytope's intrinsic
+    measure (the ray parameter when H = 2, the area on a polygon).  A
+    candidate that fails a check raises ``SamplingError``; there is no
+    second attempt.
     """
     _check_size(e)
     _check_state(e, y)
@@ -557,38 +611,40 @@ def _sample_speed(
     """``sample_speed`` on directions already built at prices ``p``, under a
     ``SpeedPrior`` member; ``vertices``, if given, are the polytope's, as
     ``_row_vertices`` reads them from the screen at these prices."""
+    max_speed = s_prior is SpeedPrior.MAX_SPEED
+    if dirs.shape[1] == 2 and dirs.shape[0] <= 3:  # the engine's epoch draws these
+        return _line_speeds(dirs[None], max_speed, lambda sub: rng.random(1))[0]  # one row
     norms = np.linalg.norm(dirs, axis=1)
-    idx = np.nonzero(norms >= DEGENERATE_DIRECTION)[0]
+    idx = np.flatnonzero(norms > 0.0)  # the idle rule: a zero direction does not move
     if idx.size < 2:
         raise SamplingError(_NO_RAY)
-    sigma = np.zeros(dirs.shape[0])
 
     if idx.size == 2:
         i, j = idx
         cosine = float(dirs[i] @ dirs[j]) / (norms[i] * norms[j])
         if cosine > -1.0 + 1e-9:
-            raise SamplingError("two-trader directions are not opposed; no feasible speeds")
-        max_speed = s_prior is SpeedPrior.MAX_SPEED
-        speeds = _ray_speeds(norms[[i]], norms[[j]], max_speed, lambda sub: rng.random(1))  # one row
-        sigma[[i, j]] = np.concatenate(speeds)
+            raise SamplingError(_NOT_OPPOSED)
+        sigma = np.zeros(dirs.shape[0])
+        sigma[[i, j]] = _ray_speeds(norms[i : i + 1], norms[j : j + 1], None if max_speed else rng.random(1))[0]
         return sigma
 
-    if dirs.shape[1] == 2 and idx.size == 3:
-        # Walras' law puts every direction on the line orthogonal to the
-        # prices, whose unit with a positive first coordinate signs the lengths
-        point = _polygon_speeds(np.copysign(norms[idx], dirs[idx, 0]), rng)
+    if vertices is None:
+        ((_, vertices, ok),) = _vertices(_projected(dirs[idx], p)[None])
+        vertices = vertices[:, ok[:, 0], 0].T
     else:
-        if vertices is None:
-            ((_, vertices, ok),) = _vertices(_projected(dirs[idx], p)[None])
-            vertices = vertices[:, ok[:, 0], 0].T
-        else:
-            vertices = vertices[:, idx]
-        point = _hitrun.sample(vertices, rng)
-    if s_prior is SpeedPrior.MAX_SPEED:
+        vertices = vertices[:, idx]
+    return _settle(dirs, norms, idx, _hitrun.sample(vertices, rng), max_speed)
+
+
+def _settle(dirs: FloatArray, norms: FloatArray, idx, point: FloatArray, max_speed: bool) -> FloatArray:
+    """The speeds of a polytope draw ``point`` of the active traders ``idx``, the idle ones at 0:
+    rescaled to peak at 1 under the max-speed prior, and checked to cancel aggregate trade while moving someone."""
+    if max_speed:
         peak = float(point.max())
         if peak < 1e-6:  # rescaling would amplify the equality residual
             raise SamplingError(f"max-speed draw peaks at {peak!r}, below 1e-06")
         point = point / peak
+    sigma = np.zeros(dirs.shape[0])
     sigma[idx] = point
     why = _cancel_and_move_failure(dirs, norms, sigma)
     if why is not None:

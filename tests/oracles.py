@@ -36,6 +36,12 @@ roots one at a time by Brent's method through the public functions.
 ``table_objects`` reads a run's table back as the states, price rates and
 speeds it records, and ``reference_advance`` takes one joint linear step
 through the public trade directions, so a recorded path can be replayed.
+``reference_sntp_step`` is the generic step at L = 2 as it ran before it
+shared the 2x2 kernel's epoch: the tabulated atom screened in the public rate
+box by ``trade._screen``, the directions rebuilt through the public
+``all_trade_directions``, traders idle below ``DEGENERATE_DIRECTION`` (or
+by the rule ``active`` it is given), the opposition of two traders read from
+their cosine, and the ray by hand.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from edgeworth import _hitrun, engine, geometry, prefs, trade, verify
-from edgeworth.errors import ConvergenceError, SpecificationError
+from edgeworth.errors import ConvergenceError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
 
@@ -164,6 +170,51 @@ def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np
 def reference_advance(economy, y: Allocation, p, sigma: np.ndarray) -> Allocation:
     """End state of the joint linear path at prices ``p``: household h moves t = sigma_h."""
     return trade._advance(y, trade.all_trade_directions(economy, y, p), sigma)
+
+
+def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator, active=None):
+    """``engine.sntp_step`` at L = 2 and H <= 3, at the default stop tolerance, before the epoch;
+    ``active(norms)`` marks the trading households (default: at least ``DEGENERATE_DIRECTION`` long)."""
+    rates = trade.household_rates(e, y)
+    if trade._pareto(rates, trade.PARETO_TOL):
+        return None
+    q_prior = prior.q_prior
+    if isinstance(q_prior, engine.Tabulated):
+        in_box = trade.box_contains(trade.msr_extremes(e, y), q_prior.grid)
+        weights = np.where(in_box, q_prior.densities, 0.0)
+        candidates = np.flatnonzero(weights > 0.0)
+        if candidates.size:
+            prices = np.stack([q_prior.grid[candidates, 0], np.ones(candidates.size)], axis=1)
+            weights[candidates[~trade._screen(e, y.bundles, prices)]] = 0.0
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise SamplingError("the price prior assigns zero mass to the trade-compatible set")
+        cdf = np.cumsum(weights) / total
+        idx = min(int(np.searchsorted(cdf, float(rng.random()), side="right")), cdf.size - 1)
+        q = np.array(q_prior.grid[idx])
+    else:
+        q = engine._draw_rate(q_prior, rates.min(axis=0), rates.max(axis=0), lambda sub: rng.random(1))
+    p = np.append(q, 1.0)
+    dirs = trade.all_trade_directions(e, y, p)
+    norms = np.linalg.norm(dirs, axis=1)
+    idx = np.flatnonzero(norms >= trade.DEGENERATE_DIRECTION if active is None else active(norms))
+    if idx.size < 2:
+        raise SamplingError("fewer than two households can trade at these prices")
+    sigma = np.zeros(e.size)
+    max_speed = prior.s_prior is SpeedPrior.MAX_SPEED
+    if idx.size == 2:
+        i, j = idx
+        if float(dirs[i] @ dirs[j]) / (norms[i] * norms[j]) > -1.0 + 1e-9:
+            raise SamplingError("two-trader directions are not opposed; no feasible speeds")
+        ratio = norms[i] / norms[j]
+        scale = 1.0 if max_speed else 1.0 - rng.random()
+        sigma[i], sigma[j] = scale * min(1.0 / ratio, 1.0), scale * min(ratio, 1.0)
+    else:
+        point = trade._polygon_speeds(np.copysign(norms, dirs[:, 0]), rng.random(3))
+        sigma[:] = point / point.max() if max_speed else point
+    if not np.abs(sigma @ dirs).max() <= 1e-9 * max(1.0, norms.max()):
+        raise SamplingError("speed draw fails cancel-and-move")
+    return trade._advance(y, dirs, sigma), q, sigma
 
 
 def fd_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -732,12 +783,12 @@ def reference_polytope_sample(dirs, p, s_prior, n: int, rng: np.random.Generator
     return kept
 
 
-def reference_polygon_speeds(lengths, rng: np.random.Generator) -> np.ndarray:
+def reference_polygon_speeds(lengths, u) -> np.ndarray:
     """``trade._polygon_speeds`` as it ordered the vertices before it shared ``_hitrun._polygon``.
 
     The same closed-form vertex list, sorted by angle from -pi around its
     centroid in the chart of the two traders on one side of the price line,
-    then fanned from the origin by ``_hitrun.fan``.
+    then fanned from the origin by ``_hitrun.fan`` with the three uniforms ``u``.
     """
     a = [float(v) for v in lengths]
     up = [h for h in range(3) if a[h] > 0.0]
@@ -754,7 +805,7 @@ def reference_polygon_speeds(lengths, rng: np.random.Generator) -> np.ndarray:
     cx = sum(v[j] for v in others) / len(others)
     cy = sum(v[k] for v in others) / len(others)
     others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
-    return _hitrun.fan(others, [(v[j], v[k]) for v in others], rng)
+    return _hitrun.fan(others, [(v[j], v[k]) for v in others], u)
 
 
 def reference_polygon_sample(lengths, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:

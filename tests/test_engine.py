@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import math
 import statistics
@@ -37,6 +38,7 @@ from oracles import (
     log_uniform,
     reference_advance,
     reference_each,
+    reference_sntp_step,
     table_objects,
 )
 
@@ -65,6 +67,13 @@ _SPEC_2 = st.one_of(
 _ANGLE_PRIOR = st.one_of(
     st.just(UniformArc()),
     st.builds(ArctanNormal, st.floats(0.3, 3.0), st.floats(0.05, 1.0)),
+)
+_PRICE_PRIOR = st.one_of(
+    _ANGLE_PRIOR,
+    st.builds(
+        lambda seed: Tabulated(np.geomspace(0.01, 100.0, 300), np.random.default_rng(seed).uniform(0.5, 1.5, 300)),
+        st.integers(0, 2**32 - 1),
+    ),
 )
 
 
@@ -207,7 +216,8 @@ class TestDrawPrice:
     )
     def test_angle_draw_asks_no_lp(self, monkeypatch, q_prior):
         # with two goods the open rate interval between the households' rates
-        # is the trade-compatible set: no trade LP (no vertex enumeration) and no box
+        # is the trade-compatible set: no trade LP (no vertex enumeration), no
+        # trade screen and no box, in the public draw and in every step of a run
         def no_lp(*args):
             raise AssertionError("the angle draw enumerated speed vertices")
 
@@ -217,21 +227,28 @@ class TestDrawPrice:
         e, y = THREE_TRADERS
         lo, hi = rate_bounds(e, y)
         monkeypatch.setattr(trade, "_vertices", no_lp)
+        monkeypatch.setattr(trade, "_screen", no_lp)
         monkeypatch.setattr(trade, "msr_extremes", no_box)
+        monkeypatch.setattr(trade, "box_contains", no_box)
         rng = engine.run_rng(17, 0)
         prior = PriorSpec(q_prior, SpeedPrior.UNIFORM_CUBE)
         draws = np.array([float(engine.draw_price(e, y, prior, rng)[0]) for _ in range(1_000)])
         assert draws.min() > lo and draws.max() < hi
+        assert engine.run_trajectory(make_config(e, y, q_prior, SpeedPrior.UNIFORM_CUBE, max_steps=40), 0).steps > 0
 
     @pytest.mark.parametrize("goods", [2, 3])
     def test_clear_cut_tabulated_draw_asks_no_lp(self, monkeypatch, goods):
         # every in-box atom is well inside or well outside the trade set: the
         # draw keeps exactly the atoms the exact polytope admits, at L = 2 in
-        # closed form, with no trade LP (no vertex enumeration)
+        # closed form on the rate interval, with no trade LP (no vertex
+        # enumeration) and neither public box call
         from oracles import clearing_price, exact_trade_volume
 
         def no_lp(*args):
             raise AssertionError("the tabulated draw enumerated speed vertices")
+
+        def no_box(*args):
+            raise AssertionError("the tabulated draw at L = 2 built the rate box")
 
         if goods == 2:
             e, y = THREE_TRADERS
@@ -251,6 +268,9 @@ class TestDrawPrice:
         want = [v > t for v, t in volumes]
         assert any(want) and (goods == 2 or not all(want))
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
+        if goods == 2:
+            monkeypatch.setattr(trade, "msr_extremes", no_box)
+            monkeypatch.setattr(trade, "box_contains", no_box)
         rng = engine.run_rng(17, 0)
         drawn = {tuple(engine.draw_price(e, y, prior, rng)) for _ in range(200)}
         assert drawn == {tuple(q) for q, ok in zip(atoms[screened], want) if ok}
@@ -455,6 +475,61 @@ class TestStep:
         assert q[0] == 1.0
         np.testing.assert_allclose(sigma, [1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.dispatch
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(_SPEC_2, min_size=3, max_size=3),
+        bundles=st.lists(st.floats(0.3, 3.0), min_size=6, max_size=6),
+        households=st.sampled_from([2, 3]),
+        q_prior=_PRICE_PRIOR,
+        s_prior=st.sampled_from(SpeedPrior),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_row_epoch_follows_the_reference_step(self, specs, bundles, households, q_prior, s_prior, seed):
+        # sntp_step at L = 2 runs the 2x2 kernel's epoch on one row; four steps
+        # from the same stream hold it to the generic step it replaced, under
+        # the kernel's idle rule (only a zero direction is idle): the same
+        # prices and stream position, speeds and states within rounding
+        reference = functools.partial(reference_sntp_step, active=lambda norms: norms > 0.0)
+        e = Economy.of(specs[:households])
+        y = Allocation(np.reshape(bundles[: 2 * households], (households, 2)))
+        prior = PriorSpec(q_prior, s_prior)
+        rng, ref_rng = engine.run_rng(seed, 0), engine.run_rng(seed, 0)
+        for _ in range(4):
+            outcomes = []
+            for step, stream in ((engine.sntp_step, rng), (reference, ref_rng)):
+                try:
+                    outcomes.append(step(e, y, prior, stream))
+                except (SamplingError, DomainDegeneracyError) as exc:
+                    outcomes.append(type(exc))
+            mine, ref = outcomes
+            if not isinstance(mine, tuple):  # no trade left, or a failed draw: both agree
+                assert mine is ref
+                return
+            (state, q, sigma), (want_state, want_q, want_sigma) = mine, ref
+            np.testing.assert_array_equal(q, want_q)
+            assert copy.deepcopy(rng).random(4).tolist() == copy.deepcopy(ref_rng).random(4).tolist()  # same position
+            np.testing.assert_allclose(sigma, want_sigma, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(state.bundles, want_state.bundles, rtol=1e-9, atol=0.0)
+            y = state
+
+    def test_a_path_end_on_the_floor_trades(self, monkeypatch, cd_economy):
+        # the epoch's floor test is closed: path ends exactly at 1e-300 trade,
+        # while the row beside them, whose path ends are NaN, fails alone
+        ends = np.array([[[math.nan, math.nan], [math.nan, math.nan]], [[1e-300, 3.0], [3.0, 1e-300]]])
+        monkeypatch.setattr(trade, "_path_end", lambda u, b, p: ends)
+        y = np.array([[[2.0, 1.0], [1.0, 2.0]]] * 2)
+        failed = []
+        prior = PriorSpec(UniformArc(), SpeedPrior.MAX_SPEED)
+        lo, hi = np.array([0.5, 0.5]), np.array([2.0, 2.0])
+        _, sigma, _ = engine._epoch(
+            cd_economy, prior, y, lo, hi, lambda sub: np.full(2, 0.5), lambda rows, why, kind=SamplingError: failed.extend(
+                (int(r), kind) for r in rows
+            )
+        )
+        assert failed[0] == (0, DomainDegeneracyError) and {r for r, _ in failed} == {0}
+        np.testing.assert_array_equal(sigma[1], [1.0, 1.0])
+
     def test_utilities_never_decrease(self, cd_economy, shock, cd):
         prior = PriorSpec(UniformArc(), SpeedPrior.UNIFORM_CUBE)
         rng = engine.run_rng(2, 0)
@@ -507,6 +582,7 @@ class TestTrajectory:
             replayed = reference_advance(cd_economy, states[k], np.append(prices[k], 1.0), speeds[k])
             np.testing.assert_allclose(replayed.bundles, states[k + 1].bundles, atol=1e-12)
 
+    @pytest.mark.dispatch
     @settings(max_examples=40, deadline=None)
     @given(
         specs=st.lists(_SPEC_2, min_size=2, max_size=2),
@@ -516,18 +592,24 @@ class TestTrajectory:
         run_index=st.integers(0, 10_000),
     )
     def test_fast_and_generic_paths_agree(self, specs, bundles, q_prior, s_prior, run_index):
-        # coarse pareto_tol keeps direction norms far above the LP decision
-        # floor, where the two acceptance tests provably coincide
+        # at the default pareto_tol both paths run one _epoch per step from the
+        # same stream (sntp_step on one row), so their tables agree bit for bit
         initial = Allocation(np.reshape(bundles, (2, 2)))
-        cfg = make_config(
-            Economy.of(specs), initial, q_prior, s_prior, max_steps=60, pareto_tol=1e-3
-        )
-        fast_last, fast_pareto, fast_states = engine._run_2x2(cfg, np.array([run_index]), record=True)
-        slow_last, slow_pareto, slow_states = engine._run_generic(cfg, np.array([run_index]), record=True)
-        assert fast_pareto[0] == slow_pareto[0]
-        assert fast_last[0, 1] == slow_last[0, 1]  # steps
-        for a, b in zip(fast_states[:, 5:], slow_states[:, 5:]):  # bundles
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        cfg = make_config(Economy.of(specs), initial, q_prior, s_prior, max_steps=60)
+        assert cfg.pareto_tol == trade.PARETO_TOL
+        outcomes = []
+        for kernel in (engine._run_2x2, engine._run_generic):
+            try:
+                outcomes.append(kernel(cfg, np.array([run_index]), record=True))
+            except (SamplingError, DomainDegeneracyError) as exc:
+                outcomes.append(type(exc))
+        if not all(isinstance(out, tuple) for out in outcomes):  # a failed run fails both ways
+            assert outcomes[0] is outcomes[1]
+            return
+        (fast_last, fast_pareto, fast_table), (slow_last, slow_pareto, slow_table) = outcomes
+        assert fast_pareto.tolist() == slow_pareto.tolist()
+        assert fast_last.tobytes() == slow_last.tobytes()
+        assert fast_table.tobytes() == slow_table.tobytes()
 
     def test_max_speed_converges_fast(self, cd_economy, shock):
         cfg = make_config(cd_economy, shock, UniformArc(), SpeedPrior.MAX_SPEED, max_steps=200, pareto_tol=1e-3)
@@ -577,10 +659,8 @@ class TestMonteCarlo:
         assert len(dist.terminal_tags) == 200
 
     def test_degenerate_step_names_the_run_and_step(self, monkeypatch):
-        def fail(*args):
-            raise DomainDegeneracyError("demand degenerated below the positive floor")
-
-        monkeypatch.setattr(trade, "all_trade_directions", fail)
+        # every path end at 0: the epoch's guard fails the step
+        monkeypatch.setattr(trade, "_path_end", lambda u, b, p: 0.0 * b)
         cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=3)
         with pytest.raises(DomainDegeneracyError) as info:
             engine.run_monte_carlo(cfg)
@@ -864,6 +944,19 @@ class TestGenericPathThreeGoods:
         np.testing.assert_array_equal(dist.coords, dist.terminal_qs[:, 0])
 
 
+def _worst_ulp_move(dirs: np.ndarray, redraw) -> float:
+    """The largest move of ``redraw(dirs, s_prior)`` under either prior when one entry of ``dirs`` moves one ulp either way."""
+    worst = 0.0
+    for s_prior in SpeedPrior:
+        base = redraw(dirs, s_prior)
+        for index in np.ndindex(dirs.shape):
+            for toward in (-np.inf, np.inf):
+                moved = dirs.copy()
+                moved[index] = np.nextafter(moved[index], toward)
+                worst = max(worst, float(np.abs(redraw(moved, s_prior) - base).max()))
+    return worst
+
+
 def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
     """Every speed draw of the config's runs, redrawn under either prior from
     the same stream with one entry of its directions moved one ulp either way,
@@ -888,23 +981,40 @@ def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
         except SamplingError:
             assert isinstance(cfg.prior.q_prior, Tabulated)
     assert len(recorded) > draws
-    worst = 0.0
-    for dirs, p, rng in recorded:
-        for s_prior in SpeedPrior:
-            base = sample_speed(dirs, p, s_prior, copy.deepcopy(rng))
-            for index in np.ndindex(dirs.shape):
-                for toward in (-np.inf, np.inf):
-                    moved = dirs.copy()
-                    moved[index] = np.nextafter(moved[index], toward)
-                    sigma = sample_speed(moved, p, s_prior, copy.deepcopy(rng))
-                    worst = max(worst, float(np.abs(sigma - base).max()))
+    worst = max(
+        _worst_ulp_move(dirs, lambda d, s_prior: sample_speed(d, p, s_prior, copy.deepcopy(rng))) for dirs, p, rng in recorded
+    )
     assert worst <= 1e-9
 
 
 def test_three_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
     """The seed-1 3x2 uniform-arc runs: the polygon draw has no basis or
-    ordering that a rounding difference can flip."""
-    _assert_draws_continuous(monkeypatch, make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=15), 600)
+    ordering that a rounding difference can flip.  Their steps draw speeds in
+    the epoch's ``trade._line_speeds``, whose uniforms are recorded and replayed."""
+    recorded = []
+    line_speeds = trade._line_speeds
+
+    def record(dirs, max_speed, draw, fail=trade._raise_first):
+        used = []
+        sigma = line_speeds(dirs, max_speed, lambda sub: used.append(draw(sub)) or used[-1], fail)
+        recorded.append((dirs.copy(), used))
+        return sigma
+
+    def replay(used):
+        uniforms = iter(used)
+        return lambda sub: next(uniforms)
+
+    monkeypatch.setattr(trade, "_line_speeds", record)
+    cfg = make_config(*THREE_TRADERS, UniformArc(), SpeedPrior.UNIFORM_CUBE, runs=15)
+    for i in range(cfg.runs):
+        engine.run_trajectory(cfg, i)
+    assert len(recorded) > 600
+    assert sum(len(used) == 3 for _, used in recorded) > 500  # polygons, not only rays
+    worst = max(
+        _worst_ulp_move(dirs, lambda d, s_prior: line_speeds(d, s_prior is SpeedPrior.MAX_SPEED, replay(used)))
+        for dirs, used in recorded
+    )
+    assert worst <= 1e-9
 
 
 def test_four_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
@@ -934,6 +1044,20 @@ class TestExample3:
         dist = example3_process(engine.run_rng(9, 0), 1)
         assert dist.runs == 1
         assert dist.bin_counts.sum() == 1
+
+    def test_a_coin_of_one_half_continues(self):
+        # the coin lands "continue" on a uniform of at least 0.5: exactly 0.5
+        # climbs one rung, and 0.25 then stops, at time 2
+        class Coin:
+            def __init__(self):
+                self.flips = [0.5, 0.25]
+
+            def random(self):
+                return self.flips.pop(0)
+
+        coin = Coin()
+        assert example3_process(coin, 1).steps.tolist() == [2]
+        assert coin.flips == []
 
     def test_long_ladder_freezes_once_no_trade_remains(self):
         class Coin:

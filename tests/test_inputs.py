@@ -309,6 +309,24 @@ REFUSALS = {
     "Allocation.vector": (
         lambda: Allocation(np.ones(3)), SpecificationError, "an allocation is an H x L matrix, H, L >= 2"
     ),
+    "Allocation.nan": (
+        lambda: Allocation([[1.0, 2.0], [math.nan, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
+    "Allocation.inf": (
+        lambda: Allocation([[1.0, 2.0], [math.inf, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
+    "Allocation.minus_inf": (
+        lambda: Allocation([[1.0, 2.0], [-math.inf, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
+    "Allocation.zero": (
+        lambda: Allocation([[1.0, 2.0], [0.0, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
+    "Allocation.minus_zero": (
+        lambda: Allocation([[1.0, 2.0], [-0.0, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
+    "Allocation.negative": (
+        lambda: Allocation([[1.0, 2.0], [-1.0, 1.0]]), SpecificationError, "allocation coordinates must be strictly positive"
+    ),
     "speed_contains.matrix": (
         lambda: trade.speed_contains(ECONOMY, SHOCK, [1.0, 1.0], np.ones((2, 2))), SpecificationError,
         "sigma must be a vector of H = 2 speeds in [0, 1], got array([[1., 1.], [1., 1.]])",

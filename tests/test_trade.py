@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import re
 
 import numpy as np
@@ -492,7 +493,8 @@ class TestScreenTrade:
         # three households on a tabulated prior, with atoms near the extreme
         # rates where the exact volume 2 min(P, N) lies within 0.5% of the
         # threshold: the screen decides every atom in closed form, enumerating
-        # no vertices, and the speed draw is the ray or the polygon
+        # no vertices, and so does the step's own draw; every step's speeds
+        # are the ray or the polygon of the epoch's line draw
         def refuse(*args, **kwargs):
             raise AssertionError("vertices were enumerated at L = 2")
 
@@ -512,8 +514,16 @@ class TestScreenTrade:
         np.testing.assert_array_equal(got, want)
         assert 0 < np.count_nonzero(got[200:]) < 22
         prior = engine.PriorSpec(engine.Tabulated(np.array(atoms), np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
+        admits, line_speeds = trade._line_admits, trade._line_speeds
+        decided, drawn = [], []
+        monkeypatch.setattr(trade, "_line_admits", lambda d, n: decided.append(admits(d, n)) or decided[-1])
+        monkeypatch.setattr(trade, "_line_speeds", lambda *args: drawn.append(args) or line_speeds(*args))
         traj = engine.run_trajectory(engine.SimConfig(e, y, prior, master_seed=3, max_steps=20), 0)
-        assert traj.steps > 0
+        assert traj.steps > 0 and len(drawn) == traj.steps
+        # the first step screens the atoms in the start's rate interval as the exact volume does
+        inside = (rates.min() * (1.0 - 1e-12) <= prices[:, 0]) & (prices[:, 0] <= rates.max() * (1.0 + 1e-12))
+        assert np.count_nonzero(inside) > 22  # the 22 atoms at the threshold among them
+        np.testing.assert_array_equal(decided[0], np.array(want)[inside])
 
     def test_direction_of_the_degenerate_length_is_active(self, monkeypatch, rng):
         # a direction exactly DEGENERATE_DIRECTION long trades: with it, the
@@ -834,10 +844,39 @@ class TestSampleSpeed:
     @pytest.mark.parametrize("max_speed", [False, True])
     @pytest.mark.parametrize("norms", [(0.0, 0.4), (0.4, 0.0)])
     def test_zero_direction_has_no_ray(self, norms, max_speed, rng):
-        # the 2x2 kernel hands in exact hypot norms; one is 0 at a price that
-        # rounds onto a household's own rate, where only one trader can move
-        with pytest.raises(SamplingError, match="fewer than two households can trade"):
-            trade._ray_speeds(*norms, max_speed, lambda sub: rng.random(1))
+        # one direction is exactly 0 at a price that rounds onto a household's
+        # own rate, where only one trader can move
+        dirs = _line_directions([norms[0], -norms[1]])[None]
+        with pytest.raises(SamplingError, match="^fewer than two households can trade at these prices$"):
+            trade._line_speeds(dirs, max_speed, lambda sub: rng.random(1))
+
+    @pytest.mark.parametrize(
+        "lengths,why",
+        [
+            ([0.0, 0.0, 0.4], "fewer than two households can trade at these prices"),
+            ([1.0, 0.5], "two-trader directions are not opposed; no feasible speeds"),
+            ([0.0, -1.0, -0.5], "two-trader directions are not opposed; no feasible speeds"),
+            ([1.0, 0.5, 0.7], "three-trader directions all point one way along the price line; no feasible speeds"),
+        ],
+        ids=["one_active", "two_one_way", "two_one_way_beside_an_idle", "three_one_way"],
+    )
+    def test_one_sided_line_speeds_fail_by_their_count(self, lengths, why, rng):
+        # the epoch's draw at L = 2 names why no speeds exist, and reads nothing
+        before = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(SamplingError, match=f"^{re.escape(why)}$"):
+            trade._line_speeds(_line_directions(lengths)[None], False, lambda sub: rng.random(1))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("households", [2, 3])
+    def test_idle_rule_is_a_zero_direction(self, households, rng):
+        # a direction shorter than DEGENERATE_DIRECTION still moves on the ray, as the 2x2 kernel
+        # always let it; the generic step once dropped it and failed with "fewer than two"
+        lengths = [1e-13, -0.4, 0.0][:households]
+        for max_speed in (False, True):
+            sigma = trade._line_speeds(_line_directions(lengths)[None], max_speed, lambda sub: rng.random(1))[0]
+            assert sigma[0] > 0.0 and sigma[1] > 0.0 and not sigma[2:].any()
+            assert sigma[0] * 1e-13 == pytest.approx(sigma[1] * 0.4, rel=1e-12)
+            assert sigma[0] == 1.0 or not max_speed
 
 
 def _speed_vertices(dirs, p) -> np.ndarray:
@@ -981,9 +1020,9 @@ class TestPolygonDraw:
             a = np.asarray(a)
             if np.count_nonzero(a > 0.0) in (0, 3):
                 continue
-            seed = int(rng.integers(2**32))
-            mine = trade._polygon_speeds(a, np.random.default_rng(seed))
-            reference = reference_polygon_speeds(a, np.random.default_rng(seed))
+            u = rng.random(3)
+            mine = trade._polygon_speeds(a, u)
+            reference = reference_polygon_speeds(a, u)
             assert mine.tobytes() == reference.tobytes(), a.tolist()
 
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
