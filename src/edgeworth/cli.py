@@ -209,7 +209,7 @@ def _out_dir(arg: str | None) -> Path:
 
 
 #: Rows the CSV writers format and write at a time.
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 1024
 
 
 def _write_csv(path: Path, header: list[str], rows: int, lines) -> None:
@@ -238,12 +238,11 @@ def _write_outcomes(path: Path, dist: OutcomeDistribution, economy: Economy) -> 
         + [f"h{i + 1}_g{j + 1}" for i in range(h) for j in range(l)]
         + ["steps", "terminal"]
     )
-    values = np.hstack([dist.terminal_qs, dist.samples.reshape(dist.runs, -1)])
-    ends = [f"{n},{t.value}\r\n" for n, t in zip(dist.steps.tolist(), dist.terminal_tags)]
 
     def lines(start, stop):
-        cells = zip(range(start, stop), _floats(values[start:stop]), ends[start:stop])
-        return [f"{r},{v},{end}" for r, v, end in cells]
+        values = np.hstack([dist.terminal_qs[start:stop], dist.samples[start:stop].reshape(stop - start, -1)])
+        cells = zip(range(start, stop), _floats(values), dist.steps[start:stop].tolist(), dist.terminal_tags[start:stop])
+        return [f"{r},{v},{n},{t.value}\r\n" for r, v, n, t in cells]
 
     _write_csv(path, header, dist.runs, lines)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -792,13 +794,22 @@ class TestVerifyCommand:
 
 
 class TestWriters:
-    @pytest.mark.parametrize("goods", [2, 3])
-    def test_csv_bytes_match_the_reference_writer(self, tmp_path, goods):
+    # block None is the module's own size; 2100 two-good outcome rows (two chunks) and
+    # 40 traced runs (about 2100 rows) span several blocks at every size
+    @pytest.mark.parametrize(
+        "goods, block",
+        [(2, None), (3, None), (2, 1), (3, 1), (2, 7), (3, 7)],
+        ids=["2", "3", "2-block1", "3-block1", "2-block7", "3-block7"],
+    )
+    def test_csv_bytes_match_the_reference_writer(self, tmp_path, monkeypatch, goods, block):
+        if block is not None:
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         if goods == 2:
             specs = [UtilitySpec.cobb_douglas_log([0.5, 0.5]), UtilitySpec.ces([0.7, 0.3], 0.5)]
             start = Allocation(np.array([[2.0, 1.0], [1.0, 2.0]]))
             prior = PriorSpec(ArctanNormal(1.0, 0.2), SpeedPrior.UNIFORM_CUBE)
             cfg = SimConfig(Economy.of(specs), start, prior, master_seed=4, runs=40, max_steps=60)
+            runs = 2100  # rows of outcomes.csv
         else:
             specs = [
                 UtilitySpec.ces([0.2, 0.3, 0.5], 0.5),
@@ -809,10 +820,12 @@ class TestWriters:
             grid = np.array([[0.95, 1.0], [1.0, 1.05], [1.05, 0.95], [1.0, 1.0]])
             prior = PriorSpec(Tabulated(grid, np.ones(4)), SpeedPrior.UNIFORM_CUBE)
             cfg = SimConfig(Economy.of(specs), start, prior, master_seed=2, runs=3, max_steps=4)
+            runs = 3
         dist = engine.run_monte_carlo(cfg, trace=True)
-        cli._write_outcomes(tmp_path / "outcomes.csv", dist, cfg.economy)
+        outcomes = engine.run_monte_carlo(dataclasses.replace(cfg, runs=runs))
+        cli._write_outcomes(tmp_path / "outcomes.csv", outcomes, cfg.economy)
         cli._write_trajectories(tmp_path / "trajectories.csv", dist.trace, cfg.economy)
-        oracles.write_outcomes_csv(tmp_path / "ref_outcomes.csv", dist, cfg.economy)
+        oracles.write_outcomes_csv(tmp_path / "ref_outcomes.csv", outcomes, cfg.economy)
         oracles.write_trajectories_csv(tmp_path / "ref_trajectories.csv", cfg)
         assert main(["example3", "--runs", "500", "--seed", str(goods), "--out", str(tmp_path)]) == 0
         oracles.write_example3_csv(tmp_path / "ref_example3.csv", 500, goods)
@@ -829,6 +842,46 @@ class TestWriters:
             assert (tmp_path / "manifold.csv").read_bytes() == (tmp_path / "ref_manifold.csv").read_bytes()
 
 
+def _peak_bytes(fn):
+    """The result of ``fn()`` and the most bytes Python's allocators held at once while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeldOnce:
+    """Simulate holds its recorded table once, and the writers hold one block of cells."""
+
+    @pytest.fixture(scope="class")
+    def sticky(self) -> SimConfig:
+        return cli.load_scenario(cli.resolve_scenario("example4_sticky"))[0]
+
+    def test_one_chunk_trace_is_built_in_place_and_not_copied(self, sticky, monkeypatch):
+        cfg = dataclasses.replace(sticky, runs=500)
+        engine.run_monte_carlo(dataclasses.replace(cfg, runs=2), trace=True)  # lazy imports outside the peak
+        batches = []
+
+        def run_batch(*args, run=engine._run_batch):
+            batches.append(run(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(engine, "_run_batch", run_batch)
+        dist, peak = _peak_bytes(lambda: engine.run_monte_carlo(cfg, trace=True))
+        assert peak <= 2.6 * dist.trace.nbytes
+        assert len(batches) == 1 and dist.trace is batches[0][2]  # the chunk's own table
+
+    def test_writers_hold_one_block_of_cells(self, sticky, tmp_path):
+        traced = engine.run_monte_carlo(dataclasses.replace(sticky, runs=500), trace=True)
+        many = engine.run_monte_carlo(dataclasses.replace(sticky, runs=5000))
+        assert traced.trace.shape[0] > 25_000
+        _, peak = _peak_bytes(lambda: cli._write_trajectories(tmp_path / "t.csv", traced.trace, sticky.economy))
+        assert peak <= 1_000_000
+        _, peak = _peak_bytes(lambda: cli._write_outcomes(tmp_path / "o.csv", many, sticky.economy))
+        assert peak <= 1_000_000
+
+
 def _run_python(code: str) -> str:
     """Standard output of ``python -c code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -840,6 +893,13 @@ def test_cli_import_leaves_the_process_pool_out():
     # the process pool loads only for workers > 1
     code = "import sys, edgeworth.cli; print('concurrent.futures.process' in sys.modules)"
     assert _run_python(code).strip() == "False"
+
+
+def test_simulate_leaves_numpy_ma_out(tmp_path):
+    # np.quantile's np.unique imports numpy.ma (about 1.3 MB); summarize's bands do not call it
+    argv = ["simulate", "--scenario", "example4_sticky", "--runs", "300", "--trace", "--out", str(tmp_path)]
+    code = f"import sys; from edgeworth.cli import main; assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
+    assert _run_python(code).splitlines()[-1] == "False"
 
 
 def test_runtime_runs_without_scipy(tmp_path):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest, truncnorm
@@ -658,6 +658,30 @@ class TestMonteCarlo:
         assert dist.bin_counts.sum() == 200
         assert len(dist.terminal_tags) == 200
 
+    @settings(max_examples=150, deadline=None)
+    @example(n=3, kind="spread", scale=0, seed=3)  # the 25% quantile lies halfway: numpy lerps from the upper value
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(1, 30_000)),  # few values leave wide gaps
+        kind=st.sampled_from(["spread", "ties", "constant"]),
+        scale=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bands_are_numpys_linear_quantiles_bit_for_bit(self, n, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "spread":
+            x = rng.lognormal(sigma=2.0, size=n)
+        elif kind == "ties":
+            x = rng.choice(rng.lognormal(sigma=2.0, size=int(rng.integers(1, 6))), size=n)
+        else:
+            x = np.full(n, rng.lognormal())
+        x *= 10.0**scale
+        samples = np.ones((n, 2, 2))
+        samples[:, 0, 0] = x
+        dist = engine.summarize(samples, np.ones((n, 1)), np.zeros(n, dtype=np.int64), [Terminal.STEP_CAP] * n)
+        q05, q25, q75, q95 = (float(q).hex() for q in np.quantile(x, [0.05, 0.25, 0.75, 0.95]))
+        bands = {name: tuple(float(v).hex() for v in band) for name, band in dist.bands.items()}
+        assert bands == {"5-95": (q05, q95), "25-75": (q25, q75)}
+
     def test_degenerate_step_names_the_run_and_step(self, monkeypatch):
         # every path end at 0: the epoch's guard fails the step
         monkeypatch.setattr(trade, "_path_end", lambda u, b, p: 0.0 * b)
@@ -674,6 +698,8 @@ def assert_same_outcomes(a, b) -> None:
     np.testing.assert_array_equal(a.steps, b.steps)
     np.testing.assert_array_equal(a.terminal_qs, b.terminal_qs)
     assert a.terminal_tags == b.terminal_tags
+    assert (a.trace is None) is (b.trace is None)
+    assert a.trace is None or (a.trace.shape, a.trace.tobytes()) == (b.trace.shape, b.trace.tobytes())
 
 
 # the (0.5, 2) trade interval of the shock starts 36.9 sigmas out in the
@@ -765,12 +791,18 @@ class TestLockstepKernel:
         return make_config(Economy.of([cd, ces73]), shock, q_prior, s_prior, runs=64, max_steps=120)
 
     def test_chunk_size_and_workers_are_invisible(self, monkeypatch, cfg64):
-        base = engine.run_monte_carlo(cfg64)
-        assert_same_outcomes(base, engine.run_monte_carlo(cfg64, workers=2))
+        # the recorded tables too: each chunk's is assembled in place, then joined in run order
+        base = {trace: engine.run_monte_carlo(cfg64, trace=trace) for trace in (False, True)}
+
+        def same(**kw):
+            for trace, dist in base.items():
+                assert_same_outcomes(dist, engine.run_monte_carlo(cfg64, trace=trace, **kw))
+
+        same(workers=2)
         for chunk in (1, 7):
             monkeypatch.setattr(engine, "_CHUNK", chunk)
-            assert_same_outcomes(base, engine.run_monte_carlo(cfg64))
-        assert_same_outcomes(base, engine.run_monte_carlo(cfg64, workers=2))
+            same()
+        same(workers=2)
 
     def test_trajectory_is_its_monte_carlo_run(self, cfg64):
         dist = engine.run_monte_carlo(cfg64, trace=True)
