@@ -1,85 +1,55 @@
-"""Speed draws over a polytope given by its vertices.
+"""Exact speed draws over a polytope given by its vertices.
 
 The speed polytope ``P = {s in [0,1]^H : A s = 0}`` holds the origin among
-its vertices, which ``trade._vertices`` enumerates.  ``trade`` draws the
-two-trader ray in closed form, and lists the three-trader polygon's
-vertices at L = 2 in closed form for ``_polygon``, which reads three given
-uniforms; ``sample`` serves every
-other case from the vertices, by the dimension of their span: a point
-raises and reads nothing from the stream, a segment from the origin is
-scaled by one uniform, a polygon is fanned into triangles from the origin
-(``_polygon``, the closed-form polygon's draw too), and a polytope of three
-or more dimensions takes hit-and-run (Smith, Oper. Res. 32, 1984) in the
-vertices' affine hull, from their mean.
-The walk reads all its draws first, in the order a step-by-step walk
-would, and then steps through them; a chord thinner than the clearance
-raises, after every step's draws have been read.
+its vertices (``trade._vertices``).  Besides the three-trader polygon at L =
+2 (``_polygon``), ``sample`` serves every case by the dimension d of their
+span: a point raises and reads nothing, a segment from the origin is scaled
+by one uniform, and every d >= 2 reads d + 1 uniforms for a point of a cone
+from the origin over a simplex (``_cone``): a polygon's triangles, or
+beyond, a pulling triangulation's.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
 
 from .errors import SamplingError
 
-_BURN_IN = 64
-_CLEARANCE = 1e-12  # chord margin kept off the cube faces
-
 #: Polytope extent below this (in speed units) counts as a single point.
 _POINT_EXTENT = 1e-9
 
-
-def _chord(x: list[float], u: list[float]) -> tuple[float, float]:
-    """Range of t with 0 <= x + t*u <= 1; contains t = 0 for x in the cube."""
-    lo, hi = -np.inf, np.inf
-    for xi, ui in zip(x, u):
-        if -1e-15 < ui < 1e-15:
-            continue
-        a = -xi / ui
-        b = (1.0 - xi) / ui
-        if a > b:
-            a, b = b, a
-        if a > lo:  # max(lo, a)
-            lo = a
-        if b < hi:  # min(hi, b)
-            hi = b
-    return lo, hi
+#: A speed this near 0 or 1 is at it, as ``trade._vertices`` lets one round outside [0, 1].
+_AT_BOUND = 1e-12
 
 
-def fan(others: list[list[float]], chart: list[tuple[float, float]], u) -> np.ndarray:
-    """A uniform point of a polygon with the origin as a vertex, from three uniforms ``u``.
-
-    ``others`` are the other vertices in order around the polygon, starting
-    next to the origin, and ``chart`` their coordinates in a linear chart of
-    its plane; they fan into triangles (0, v, w) of consecutive vertices.
-    The first uniform picks a triangle by its chart area, the other two a
-    uniform point in it (Devroye, *Non-Uniform Random Variate Generation*,
-    1986, ch. XI).
-    """
-    cum, total = [], 0.0
-    for (vx, vy), (wx, wy) in zip(chart, chart[1:]):
-        total += abs(vx * wy - wx * vy)  # twice the chart area of (0, v, w)
-        cum.append(total)
-    pick, radius, f = (float(v) for v in u)
-    t = min(bisect.bisect_right(cum, pick * total), len(cum) - 1)
-    r = math.sqrt(radius)  # a uniform point of the triangle (0, v, w)
-    v, w = others[t], others[t + 1]
-    return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
+def _cone(vertices, simplices, volumes: list[float], u) -> np.ndarray:
+    """A uniform point of the cones from the origin over the bases ``simplices``, d of ``vertices``
+    each, of ``volumes`` up to a common factor, from d + 1 uniforms ``u``: one picks a cone by its
+    volume, one its radius u^(1/d), and d - 1, sorted, a uniform point of its base (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. XI)."""
+    cum = list(itertools.accumulate(volumes))
+    pick, radius, *cuts = (float(v) for v in u)
+    t = bisect.bisect_right(cum, pick * cum[-1])  # below len(cum): pick < 1 puts pick * total below total
+    r = math.sqrt(radius) if len(cuts) == 1 else radius ** (1.0 / (len(cuts) + 1))
+    weights = [b - a for a, b in itertools.pairwise([0.0, *sorted(cuts), 1.0])][::-1]  # an edge's (1 - f, f)
+    point = [weights[0] * c for c in vertices[simplices[t][0]]]  # on Python floats: a polygon's are few
+    for w, i in zip(weights[1:], simplices[t][1:]):
+        point = [p + w * c for p, c in zip(point, vertices[i])]
+    return np.array([r * p for p in point])
 
 
 def _polygon(others: list[list[float]], chart: list[list[float]], u) -> np.ndarray:
-    """``fan`` over a polygon with the origin as a vertex, given its other
-    vertices ``others`` and their coordinates ``chart`` in a linear chart of
-    its plane, in any order, from three uniforms ``u``.
+    """A uniform point of the polygon of the origin and ``others``, given in any order with
+    their coordinates ``chart`` in a linear chart of its plane, from three uniforms ``u``.
 
-    They go in order of angle around their centroid, counterclockwise in the
-    chart from the origin's angle on, each angle read against the origin's
-    direction: no rounding carries a vertex across a 2 pi wrap, even in a
-    sliver chart.  A polygon has a handful of vertices, so the order is
-    taken on Python floats.
+    They go in order of angle around their centroid, counterclockwise from the
+    origin's, each read against the origin's direction: no rounding carries a
+    vertex across a 2 pi wrap, even in a sliver chart.  Consecutive ones v, w
+    fan into triangles (0, v, w), weighed by chart area, on Python floats.
     """
     ux = -sum(c[0] for c in chart) / len(chart)  # from the vertices' centroid to the origin
     uy = -sum(c[1] for c in chart) / len(chart)
@@ -90,20 +60,53 @@ def _polygon(others: list[list[float]], chart: list[list[float]], u) -> np.ndarr
         return angle < 0.0, angle
 
     order = sorted(range(len(chart)), key=turn)
-    return fan([others[i] for i in order], [chart[i] for i in order], u)
+    areas = [abs(chart[v][0] * chart[w][1] - chart[w][0] * chart[v][1]) for v, w in zip(order, order[1:])]  # twice (0, v, w)'s
+    return _cone([others[i] for i in order], [(i, i + 1) for i in range(len(areas))], areas, u)
+
+
+def _pulling(vertices: np.ndarray) -> list[tuple[int, ...]]:
+    """A pulling triangulation of the polytope of ``_sort``'s ``vertices``, as tuples of their indices.
+
+    A face is a bit set of the vertices at some bounds, and its facets are the largest proper
+    faces that one more bound cuts from it.  Each face pulls its first vertex over the triangulated
+    facets that miss it (De Loera, Rambau and Santos, *Triangulations*, 2010, 4.3.2), so P's
+    simplices are cones from the origin over the facets where some speed is 1.
+    """
+    at = np.concatenate([vertices == 0.0, vertices == 1.0], axis=1).T  # a row per bound
+    bounds = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in at]
+    done = {}
+
+    def pulled(face: int) -> list[tuple[int, ...]]:
+        if face not in done:
+            first = face & -face  # the lowest bit: the face's first vertex
+            apex, rest = first.bit_length() - 1, face ^ first
+            if face.bit_count() <= 3:  # a vertex, an edge or a triangle is a simplex
+                return done.setdefault(face, [(apex, (rest & -rest).bit_length() - 1, rest.bit_length() - 1)[: face.bit_count()]])
+            cut = sorted({face & b for b in bounds} - {0, face}, key=int.bit_count, reverse=True)
+            facets = [g for i, g in enumerate(cut) if all(g & c != g for c in cut[:i])]  # in no larger cut
+            done[face] = [(apex, *s) for g in sorted(facets) if not g & first for s in pulled(g)]
+        return done[face]
+
+    return pulled((1 << len(vertices)) - 1)
+
+
+def _sort(vertices: np.ndarray) -> np.ndarray:
+    """The distinct ``vertices`` by the speeds they hold at 0 and at 1 (``_AT_BOUND``), set there
+    exactly, in that order: the origin first, however the enumeration listed them."""
+    zero, one = np.abs(vertices) <= _AT_BOUND, np.abs(vertices - 1.0) <= _AT_BOUND
+    at = 1 + one.astype(np.int64) - zero  # 0, 1 or 2 per speed, read as a base-3 key
+    _, first = np.unique(at @ 3 ** np.arange(at.shape[1])[::-1], return_index=True)
+    return np.where(zero, 0.0, np.where(one, 1.0, vertices))[first]
 
 
 def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the convex hull of ``vertices`` (the origin among them), deterministic given ``rng``.
+    """One uniform draw from the convex hull of ``vertices`` (the origin among them), deterministic given ``rng``.
 
-    A polytope of three or more dimensions reads ``_BURN_IN`` steps' draws
-    (per step, the direction's standard normals, then one uniform) before
-    its first step, so a walk that stalls has read them all when it raises.
+    From three dimensions on, each cone weighs its base's volume in the chart of the top d singular
+    vectors; simplices of unequal size, which only bounds rounding left inconsistent give, raise.
     """
-    x = vertices.mean(axis=0)
-    _, sv, vt = np.linalg.svd(vertices - x, full_matrices=False)
-    hull = vt[sv > _POINT_EXTENT]  # orthonormal rows spanning the affine hull
-    dim = hull.shape[0]
+    _, sv, vt = np.linalg.svd(vertices - vertices.mean(axis=0), full_matrices=False)
+    dim = np.count_nonzero(sv > _POINT_EXTENT)  # vt's first dim rows span the affine hull
     if dim == 0:
         raise SamplingError("trade-speed polytope is the single point 0")
     if dim == 1:  # a segment from the origin
@@ -111,30 +114,17 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if dim == 2:
         # charted on the hull's rows in the turn that makes their largest 2 x 2
         # minor positive, so the chart moves continuously with the hull, as the triangles do
-        (x, y) = hull.tolist()
+        (x, y) = vt[:2].tolist()
         minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
-        plane = hull[::-1] if max(minors, key=abs) < 0.0 else hull
+        plane = vt[1::-1] if max(minors, key=abs) < 0.0 else vt[:2]
         others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
         return _polygon(others.tolist(), (others @ plane.T).tolist(), rng.random(3))
-
-    normals = np.empty((_BURN_IN, dim))
-    uniforms = []
-    for row in normals:
-        rng.standard_normal(out=row)  # reads the stream as standard_normal(dim) does
-        uniforms.append(rng.random())
-    steps = normals @ hull  # per row the walk's direction in the hull
-    steps /= np.sqrt(np.vecdot(steps, steps))[:, None]  # unit rows: hull's rows are orthonormal
-
-    # Python floats from here: the same IEEE operations as numpy's, without its dispatch
-    point = np.clip(x, 0.0, 1.0).tolist()
-    for u, r in zip(steps.tolist(), uniforms):
-        lo, hi = _chord(point, u)
-        if not hi - lo > 2.0 * _CLEARANCE:
-            raise SamplingError(f"hit-and-run stalled: chord {hi - lo!r} within the clearance")
-        a, b = lo + _CLEARANCE, hi - _CLEARANCE
-        t = a + (b - a) * r  # Generator.uniform(a, b) reading the uniform r
-        for i, ui in enumerate(u):
-            v = point[i] + t * ui
-            # np.minimum(np.maximum(v, 0.0), 1.0), which also maps -0.0 to 0.0
-            point[i] = 0.0 if v <= 0.0 else (1.0 if v >= 1.0 else v)
-    return np.array(point)
+    rows = _sort(vertices)
+    simplices = _pulling(rows)
+    sizes = {len(s) for s in simplices}  # d + 1: the origin and a base of d vertices
+    if len(sizes) != 1 or min(sizes) <= dim:
+        raise SamplingError(f"trade-speed polytope's bounds do not triangulate it: simplices of {sorted(sizes)} vertices")
+    (size,) = sizes
+    bases = np.fromiter(itertools.chain.from_iterable(simplices), np.intp).reshape(-1, size)[:, 1:]
+    volumes = np.abs(np.linalg.det((rows @ vt[: size - 1].T)[bases]))
+    return _cone(rows.tolist(), bases, volumes.tolist(), rng.random(size))

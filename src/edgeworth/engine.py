@@ -814,8 +814,15 @@ def run_monte_carlo(
     qs[steps == 0] = prefs.substitution_rates(cfg.economy.specs[0], cfg.initial.bundle(0))  # never moved
     tags = [Terminal.PARETO_REACHED if p else Terminal.STEP_CAP for p in pareto]
     dist = summarize(last[:, l + 1 + h :].reshape(-1, h, l), qs, steps, tags, bins=bins)
-    if trace:  # a lone chunk's table is handed over, not copied
-        dist.trace = batches[0][2] if len(batches) == 1 else np.concatenate([batch[2] for batch in batches])
+    if trace:  # a lone chunk's table is handed over; more are copied into one, each dropped once copied
+        tables = [batch[2] for batch in batches]
+        del batches
+        dist.trace = tables.pop() if len(tables) == 1 else np.empty((sum(map(len, tables)), tables[0].shape[1]))
+        end = 0
+        while tables:
+            table = tables.pop(0)
+            dist.trace[end : end + len(table)] = table
+            end += len(table)
     return dist
 
 

@@ -15,10 +15,10 @@ directions for the engine's epoch: only a zero direction is idle, two
 active traders move on a ray in closed form, and three list their polygon's
 vertices in closed form, which ``_hitrun`` fans as it fans every polygon.
 Beyond, two active traders ride the same ray, and every other case draws
-from the enumerated vertices (``_hitrun``), which the engine's tabulated
-step at L >= 3 takes from its screen.  A speed vector is a plain float
-array, checked only where it comes in, by ``speed_contains``.  The box set
-built from extreme marginal substitution rates gives the cheap superset
+exactly from the enumerated vertices (``_hitrun``), which the engine's
+tabulated step at L >= 3 takes from its screen.  A speed vector is a plain
+float array, checked only where it comes in, by ``speed_contains``.  The box
+set built from extreme marginal substitution rates gives the cheap superset
 used for tabulated price draws at L >= 3."""
 
 from __future__ import annotations
@@ -285,12 +285,12 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None =
         volume[g] = np.einsum("hkg,gh->kg", vertices, n_act[g]).max(axis=0)
         if found is not None:  # an idle household's speed is free at a vertex; the draw's is 0
             found.append((g, vertices, ok & ~np.any(vertices * ~active[g].T[:, None, :], axis=0)))
-    return volume > _threshold(n_act)
+    return volume > _threshold(n_act.max(axis=-1, initial=0.0))
 
 
-def _threshold(n_act: FloatArray) -> FloatArray:
+def _threshold(longest: FloatArray) -> FloatArray:
     """The trade decision's volume threshold: ``_LP_DECISION`` times the longest active direction, at least 1."""
-    return _LP_DECISION * np.maximum(n_act.max(axis=-1, initial=0.0), 1.0)
+    return _LP_DECISION * np.maximum(longest, 1.0)
 
 
 def _line_admits(dirs: FloatArray, norms: FloatArray) -> NDArray[np.bool_]:
@@ -300,12 +300,15 @@ def _line_admits(dirs: FloatArray, norms: FloatArray) -> NDArray[np.bool_]:
 
     Walras' law puts every direction on the line orthogonal to the prices;
     its unit with a positive first coordinate signs the lengths, as for the
-    speed draw.
+    speed draw.  The sums go household by household, the rows being many.
     """
     n_act = np.where(norms >= DEGENERATE_DIRECTION, norms, 0.0)
     signed = np.copysign(n_act, dirs[..., 0])
-    up, down = np.maximum(signed, 0.0).sum(axis=-1), np.maximum(-signed, 0.0).sum(axis=-1)
-    return 2.0 * np.minimum(up, down) > _threshold(n_act)
+    up = down = longest = 0.0
+    for h in range(signed.shape[-1]):
+        up, down = up + np.maximum(signed[..., h], 0.0), down + np.maximum(-signed[..., h], 0.0)
+        longest = np.maximum(longest, n_act[..., h])
+    return 2.0 * np.minimum(up, down) > _threshold(longest)
 
 
 def _row_vertices(found: list, row: int) -> FloatArray | None:
@@ -592,12 +595,12 @@ def sample_speed(
     own (``_line_speeds``): the ray or the polygon, in closed form.  Beyond,
     two active traders pin the polytope down to a ray, and every other case
     draws from the polytope's enumerated vertices (``_vertices``): a
-    segment, a polygon fanned from the origin, or hit-and-run from the
-    vertex mean once the polytope has three or more dimensions
-    (``_hitrun.sample``).  The prior is read on the polytope's intrinsic
-    measure (the ray parameter when H = 2, the area on a polygon).  A
-    candidate that fails a check raises ``SamplingError``; there is no
-    second attempt.
+    segment, a polygon fanned from the origin, or, once the polytope has
+    three or more dimensions, the cones from the origin over a pulling
+    triangulation (``_hitrun.sample``), exactly, from d + 1 uniforms on d
+    >= 2 dimensions.  The prior is read on the polytope's intrinsic measure
+    (the ray parameter when H = 2, the area on a polygon, the volume
+    beyond).  A failed check raises ``SamplingError``, with no second try.
     """
     _check_size(e)
     _check_state(e, y)

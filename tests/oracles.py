@@ -16,8 +16,9 @@ report the same failures and the same worst violation, bit for bit.
 ``reference_sample_manifold`` is the manifold sampler as it ran before it
 was stacked, one grid point at a time through the public functions.
 ``reference_polygon_speeds`` is the three-trader polygon draw at L = 2 with
-its vertices sorted around their centroid, as it ran before it shared
-``_hitrun._polygon``: the shared draw must reproduce it bit for bit.
+its vertices sorted around their centroid and fanned by the formula of its
+own (``reference_fan``), as it ran before it shared ``_hitrun._polygon`` and
+the cone draw of every dimension: the shared draw must reproduce it bit for bit.
 ``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
 on the polygon's bounding box, which ``scipy.optimize.linprog`` finds, and
 ``reference_polytope_sample`` draws speeds at any L the same way in an
@@ -46,6 +47,7 @@ their cosine, and the ray by hand.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgeworth import _hitrun, engine, geometry, prefs, trade, verify
+from edgeworth import engine, geometry, prefs, trade, verify
 from edgeworth.errors import ConvergenceError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
@@ -788,7 +790,7 @@ def reference_polygon_speeds(lengths, u) -> np.ndarray:
 
     The same closed-form vertex list, sorted by angle from -pi around its
     centroid in the chart of the two traders on one side of the price line,
-    then fanned from the origin by ``_hitrun.fan`` with the three uniforms ``u``.
+    then fanned from the origin by ``reference_fan`` with the three uniforms ``u``.
     """
     a = [float(v) for v in lengths]
     up = [h for h in range(3) if a[h] > 0.0]
@@ -805,7 +807,23 @@ def reference_polygon_speeds(lengths, u) -> np.ndarray:
     cx = sum(v[j] for v in others) / len(others)
     cy = sum(v[k] for v in others) / len(others)
     others.sort(key=lambda v: math.atan2(v[k] - cy, v[j] - cx))
-    return _hitrun.fan(others, [(v[j], v[k]) for v in others], u)
+    return reference_fan(others, [(v[j], v[k]) for v in others], u)
+
+
+def reference_fan(others, chart, u) -> np.ndarray:
+    """A uniform point of a polygon with the origin as a vertex, from three uniforms ``u``, on
+    Python floats: ``others`` in order around it from the origin fan into triangles (0, v, w), and
+    the first uniform picks one by its area in ``chart``, the square root of the second scales a
+    point of its edge vw, and the third places that point, at (1 - f) v + f w."""
+    cum, total = [], 0.0
+    for (vx, vy), (wx, wy) in zip(chart, chart[1:]):
+        total += abs(vx * wy - wx * vy)
+        cum.append(total)
+    pick, radius, f = (float(v) for v in u)
+    t = min(bisect.bisect_right(cum, pick * total), len(cum) - 1)
+    r = math.sqrt(radius)
+    v, w = others[t], others[t + 1]
+    return np.array([r * ((1.0 - f) * v_h + f * w_h) for v_h, w_h in zip(v, w)])
 
 
 def reference_polygon_sample(lengths, s_prior, n: int, rng: np.random.Generator) -> np.ndarray:

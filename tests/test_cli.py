@@ -872,6 +872,24 @@ class TestHeldOnce:
         assert peak <= 2.6 * dist.trace.nbytes
         assert len(batches) == 1 and dist.trace is batches[0][2]  # the chunk's own table
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux gives it")
+    def test_chunk_tables_are_dropped_as_they_are_joined(self):
+        # 10k sticky runs make five chunks: each chunk's table is copied into the
+        # joined one and dropped, so the resident peak rises by about 1.5 tables,
+        # where a concatenation of the chunks held two (2.23 x the trace)
+        code = (
+            "import dataclasses, resource\n"
+            "from edgeworth import cli, engine\n"
+            "cfg = cli.load_scenario(cli.resolve_scenario('example4_sticky'))[0]\n"
+            "engine.run_monte_carlo(dataclasses.replace(cfg, runs=2), trace=True)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "dist = engine.run_monte_carlo(cfg, trace=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, dist.trace.nbytes, cfg.runs)\n"
+        )
+        rise_kib, nbytes, runs = map(int, _run_python(code).split())
+        assert runs > 4 * engine._CHUNK
+        assert 1024 * rise_kib <= 1.7 * nbytes
+
     def test_writers_hold_one_block_of_cells(self, sticky, tmp_path):
         traced = engine.run_monte_carlo(dataclasses.replace(sticky, runs=500), trace=True)
         many = engine.run_monte_carlo(dataclasses.replace(sticky, runs=5000))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 from scipy.stats import ks_2samp
 
 from edgeworth import _hitrun, engine, prefs, trade
@@ -763,7 +764,7 @@ class TestSampleSpeed:
         # a 3x2 uniform-arc state where D^T's second singular value is
         # rounding noise (2.7e-16 against 2.4e-4) but clears the relative rank
         # cutoff; counted as rank, it cut the 2-D polytope down to a line
-        fan = _hitrun.fan
+        polygon = _hitrun._polygon
         e = Economy.of(
             [
                 UtilitySpec.ces([0.3, 0.7], 0.5),
@@ -790,7 +791,7 @@ class TestSampleSpeed:
         vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
         assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=_hitrun._POINT_EXTENT) == 2
         calls = []
-        monkeypatch.setattr(_hitrun, "fan", lambda *args: calls.append(args) or fan(*args))
+        monkeypatch.setattr(_hitrun, "_polygon", lambda *args: calls.append(args) or polygon(*args))
         assert trade.speed_contains(e, y, p, _hitrun.sample(vertices, rng))
         assert len(calls) == 1
 
@@ -829,13 +830,26 @@ class TestSampleSpeed:
             trade.sample_speed(*state, p, s_prior, rng)
         assert len(calls) == 1
 
-    def test_short_chord_raises_at_once(self, monkeypatch, rng):
-        # four traders at L = 2: the polytope has three dimensions, so the draw walks
-        calls = []
-        monkeypatch.setattr(_hitrun, "_chord", lambda *args: calls.append(args) or (0.0, 1e-12))
-        with pytest.raises(SamplingError, match=r"hit-and-run stalled: chord 1e-12 within the clearance"):
-            trade._sample_speed(TestHitRunStream.DIRS, [1.0, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
-        assert len(calls) == 1
+    def test_inconsistent_bounds_raise_at_once(self, monkeypatch):
+        # four traders at L = 2 whose lengths cancel in decimals (0.1 - 0.1, 0.1 + 0.2 - 0.3):
+        # rounding leaves some copies of a degenerate vertex a few ulps off a bound.  Read
+        # exactly, the bounds do not make a face lattice, and the draw raises and reads nothing
+        dirs = _line_directions(TestPolytopeDraw.MIRRORED)
+        monkeypatch.setattr(_hitrun, "_AT_BOUND", 0.0)
+        rng = np.random.default_rng(5)
+        why = r"^trade-speed polytope's bounds do not triangulate it: simplices of \[4, 5\] vertices$"
+        with pytest.raises(SamplingError, match=why):
+            trade._sample_speed(dirs, np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
+        assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
+
+    def test_bounds_short_of_the_span_raise(self, rng):
+        # one speed moved 0.001 off its bound takes a vertex off the polytope's
+        # hyperplane: the vertices span four dimensions, their bounds triangulate three
+        vertices = _hitrun._sort(_speed_vertices(TestHitRunStream.DIRS, [1.0, 1.0]))
+        assert vertices[2].tolist()[::3] == [0.0, 0.0]
+        vertices[2, 3] = 0.001
+        with pytest.raises(SamplingError, match=r"simplices of \[4\] vertices$"):
+            _hitrun.sample(vertices, rng)
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
         with pytest.raises(SamplingError):
@@ -936,23 +950,58 @@ class TestHitRunStream:
     # polytope {s in [0, 1]^4 : sum_h a_h s_h = 0} has three dimensions
     DIRS = np.array([[1.0, -1.0], [0.5, -0.5], [-0.7, 0.7], [-0.4, 0.4]])
 
-    @pytest.mark.parametrize("stall", [False, True], ids=["walk", "stall"])
-    def test_walk_reads_every_steps_draws(self, monkeypatch, stall):
-        # per step, d standard normals and then one uniform; a stalled walk
-        # has read all of them too, since the draws come before the steps
-        if stall:
-            monkeypatch.setattr(_hitrun, "_chord", lambda x, u: (0.0, 1e-12))
+    @pytest.mark.parametrize("extra", [[], [[0.3, -0.3]]], ids=["d3", "d4"])
+    def test_draw_reads_d_plus_one_uniforms(self, extra):
+        # one uniform picks a cone from the origin, one its radius, and d - 1 a point of its base
+        dirs = np.array([*self.DIRS, *extra])
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        try:
-            point = _hitrun.sample(_speed_vertices(self.DIRS, [1.0, 1.0]), rng)
-        except SamplingError:
-            assert stall
-        else:
-            assert not stall and np.abs(point @ self.DIRS).max() <= 1e-15
-        for _ in range(_hitrun._BURN_IN):
-            reference.standard_normal(3)
-            reference.random()
+        point = _hitrun.sample(_speed_vertices(dirs, [1.0, 1.0]), rng)
+        assert np.abs(point @ dirs).max() <= 1e-15
+        reference.random(len(dirs))  # d + 1 = H at L = 2
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestPolytopeDraw:
+    """Three or more dimensions: cones from the origin over a pulling triangulation."""
+
+    #: four traders at L = 2 whose lengths cancel in decimals, so some vertices are degenerate
+    MIRRORED = [0.1, -0.1, 0.2, -0.3]
+
+    @staticmethod
+    def directions(case: str) -> tuple[np.ndarray, np.ndarray]:
+        if case == "three_goods":  # five households, rank 2: d = 3
+            p = np.array([0.8, 1.2, 1.0])
+            dirs = np.random.default_rng(4).standard_normal((5, 3))
+            return dirs - np.outer(dirs @ p / (p @ p), p), p
+        lengths = {"four_traders": [1.0, 0.5, -0.7, -0.4], "five_traders": [1.0, -0.3, 0.5, -0.7, -0.4]}
+        return _line_directions(lengths.get(case, TestPolytopeDraw.MIRRORED), 0.8), np.array([0.8, 1.0])
+
+    @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
+    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods"])
+    def test_coordinates_follow_the_rejection_oracle(self, case, s_prior):
+        # per-coordinate two-sample KS at about the 0.1% level, as for the polygons
+        dirs, p = self.directions(case)
+        vertices = _speed_vertices(dirs, p)
+        assert np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == len(dirs) - len(p) + 1
+        n, rng = 3000, np.random.default_rng(29)
+        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng, vertices) for _ in range(n)])
+        reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
+        assert np.abs(mine @ dirs).max() <= 1e-12
+        for h in range(len(dirs)):
+            assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
+
+    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods"])
+    def test_cones_tile_the_polytope(self, case):
+        # each of the oracle's points lies in exactly one cone: the nonnegative
+        # weights on its base's vertices that make it sum to at most 1
+        dirs, p = self.directions(case)
+        rows = _hitrun._sort(_speed_vertices(dirs, p))
+        simplices = np.array(_hitrun._pulling(rows))
+        assert not rows[0].any() and not simplices[:, 0].any()  # the origin is every cone's apex
+        points = reference_polytope_sample(dirs, p, SpeedPrior.UNIFORM_CUBE, 2000, np.random.default_rng(3))
+        weights = points @ np.linalg.pinv(rows[simplices[:, 1:]])  # (cones, points, d)
+        inside = np.all(weights >= -1e-9, axis=-1) & (weights.sum(axis=-1) <= 1.0 + 1e-9)
+        assert np.count_nonzero(inside, axis=0).tolist() == [1] * len(points)
 
 
 def _line_directions(lengths, q: float = 1.0) -> np.ndarray:
@@ -1024,6 +1073,42 @@ class TestPolygonDraw:
             mine = trade._polygon_speeds(a, u)
             reference = reference_polygon_speeds(a, u)
             assert mine.tobytes() == reference.tobytes(), a.tolist()
+
+    def test_polygon_fans_around_its_boundary(self, monkeypatch):
+        # any convex polygon with the origin as a vertex, its other vertices given
+        # shuffled: the fan takes them counterclockwise from the origin, in the
+        # order of the convex hull, whatever the chart's turn
+        fans = []
+        monkeypatch.setattr(_hitrun, "_cone", lambda vertices, *rest: fans.append(vertices))
+        draw, seen = np.random.default_rng(8), 0
+        while seen < 300:
+            points = np.vstack([[0.0, 0.0], draw.standard_normal((int(draw.integers(2, 7)), 2))])
+            ring = ConvexHull(points).vertices.tolist()  # counterclockwise
+            if 0 not in ring:
+                continue
+            seen += 1
+            start = ring.index(0)
+            ring = ring[start + 1 :] + ring[:start]
+            others = points[draw.permutation(ring)].tolist()
+            _hitrun._polygon(others, others, draw.random(3))
+            assert fans[-1] == points[ring].tolist()
+
+    def test_enumerated_polygon_is_charted_in_the_turn_of_its_largest_minor(self, monkeypatch):
+        # L = 3, four traders: the chart's rows span the polygon's plane, turned so that
+        # their largest 2 x 2 minor is positive, which keeps the turn continuous in the hull
+        charts = []
+        polygon = _hitrun._polygon
+        monkeypatch.setattr(_hitrun, "_polygon", lambda *args: charts.append(args[:2]) or polygon(*args))
+        draw = np.random.default_rng(6)
+        while len(charts) < 200:
+            dirs, p = draw.standard_normal((4, 3)), np.exp(draw.standard_normal(3))
+            vertices = _speed_vertices(dirs - np.outer(dirs @ p / (p @ p), p), p)
+            if len(vertices) and np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == 2:
+                _hitrun.sample(vertices, draw)
+        for others, chart in charts:
+            x, y = np.linalg.lstsq(np.array(others), np.array(chart), rcond=None)[0].T  # the chart's rows
+            minors = [x[i] * y[j] - x[j] * y[i] for i in range(4) for j in range(i + 1, 4)]
+            assert max(minors, key=abs) > 0.0
 
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
     @pytest.mark.parametrize("case", ["triangle", "quadrilateral"])
