@@ -34,7 +34,6 @@ from .errors import (
     ConvergenceError,
     DomainDegeneracyError,
     EdgeworthError,
-    LPError,
     SamplingError,
     ScenarioError,
     SpecificationError,
@@ -56,7 +55,6 @@ __all__ = [
     "EdgeworthError",
     "Family",
     "FlatPoint",
-    "LPError",
     "ManifoldKind",
     "ManifoldSample",
     "OutcomeDistribution",

@@ -99,8 +99,9 @@ def _sort(vertices: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.0, np.where(one, 1.0, vertices))[first]
 
 
-def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw from the convex hull of ``vertices`` (the origin among them), deterministic given ``rng``.
+def sample(vertices: np.ndarray, uniforms) -> np.ndarray:
+    """One uniform draw from the convex hull of ``vertices`` (the origin among them), from the uniforms
+    ``uniforms(k)`` returns k at a time (``Generator.random`` reads a stream so).
 
     From three dimensions on, each cone weighs its base's volume in the chart of the top d singular
     vectors; simplices of unequal size, which only bounds rounding left inconsistent give, raise.
@@ -110,7 +111,7 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if dim == 0:
         raise SamplingError("trade-speed polytope is the single point 0")
     if dim == 1:  # a segment from the origin
-        return (1.0 - rng.random()) * vertices[np.argmax(np.abs(vertices).max(axis=1))]
+        return (1.0 - uniforms(1)[0]) * vertices[np.argmax(np.abs(vertices).max(axis=1))]
     if dim == 2:
         # charted on the hull's rows in the turn that makes their largest 2 x 2
         # minor positive, so the chart moves continuously with the hull, as the triangles do
@@ -118,7 +119,7 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
         plane = vt[1::-1] if max(minors, key=abs) < 0.0 else vt[:2]
         others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
-        return _polygon(others.tolist(), (others @ plane.T).tolist(), rng.random(3))
+        return _polygon(others.tolist(), (others @ plane.T).tolist(), uniforms(3))
     rows = _sort(vertices)
     simplices = _pulling(rows)
     sizes = {len(s) for s in simplices}  # d + 1: the origin and a base of d vertices
@@ -127,4 +128,4 @@ def sample(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (size,) = sizes
     bases = np.fromiter(itertools.chain.from_iterable(simplices), np.intp).reshape(-1, size)[:, 1:]
     volumes = np.abs(np.linalg.det((rows @ vt[: size - 1].T)[bases]))
-    return _cone(rows.tolist(), bases, volumes.tolist(), rng.random(size))
+    return _cone(rows.tolist(), bases, volumes.tolist(), uniforms(size))

@@ -4,12 +4,13 @@ Each trajectory is a sequence of joint linear trade steps: draw prices from
 a prior conditioned on the current trade-compatible set (an angle prior by
 its inverse CDF on the open interval between the households' extreme
 substitution rates; a tabulated prior by that interval at L = 2 or the
-extreme-rate box beyond, then the trade screen on the atoms inside), draw
-relative speeds from the speed polytope, advance, and stop once
-substitution rates agree or the step cap fires.  At L = 2 one epoch,
-``_epoch``, does this on rows: the 2x2 kernel's batch and ``sntp_step``'s
-one row.  Runs are reproducible under any parallelism: the stream for run
-``i`` comes from a counter-based generator keyed by (master_seed, i).
+extreme-rate box beyond, both built on rows, then the trade decision on the
+atoms inside), draw relative speeds from the speed polytope, advance, and
+stop once substitution rates agree or the step cap fires.  One epoch,
+``_epoch``, does this on rows for every economy: the 2x2 kernel's batch and
+``sntp_step``'s one row.  Runs are reproducible under any parallelism: the
+stream for run ``i`` comes from a counter-based generator keyed by
+(master_seed, i).
 """
 
 from __future__ import annotations
@@ -418,68 +419,50 @@ def _pick(weights: FloatArray, u: FloatArray) -> NDArray[np.intp]:
 
 
 def _draw_atom(e: Economy, prior: Tabulated, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first):
-    """Atoms of a tabulated prior conditioned on trade at L = 2, one per row of ``(rows, H, 2)``
-    bundles with rate interval (lo, hi), and the ``(rows, H, 2)`` path ends at each.
+    """Atoms of a tabulated prior conditioned on trade, one per row of ``(rows, H, L)`` bundles, as ``_draw_price`` returns them.
 
-    The atoms with mass in [lo (1 - 1e-12), hi (1 + 1e-12)] get their path
-    ends in one ``trade._path_end`` pass, which the step reuses, and are
-    screened by ``trade._screen``'s rule at L = 2 (``trade._line_admits``).
+    A row's rate box is at L = 2 the interval [lo (1 - 1e-12), hi (1 + 1e-12)]
+    of its rates, and beyond ``trade._box``'s, tested by ``trade._in_box``.
+    The atoms with mass in it get their path ends in one ``trade._path_end``
+    pass, which the epoch reuses and guards for the drawn atom only, and are
+    screened in one ``trade._decide`` call, which keeps the vertices it finds.
     One uniform per row from ``draw(rows)`` picks among the survivors
     (``_pick``).  A row with none goes to ``fail(rows, why)`` and comes back NaN.
     """
-    grid, mass = prior.grid[:, 0], prior.densities
-    in_box = (lo[:, None] * (1.0 - 1e-12) <= grid) & (grid <= hi[:, None] * (1.0 + 1e-12))
+    grid, mass = prior.grid, prior.densities
+    line = grid.shape[1] == 1
+    if line:
+        in_box = (lo[:, None] * (1.0 - 1e-12) <= grid[:, 0]) & (grid[:, 0] <= hi[:, None] * (1.0 + 1e-12))
+        lo, hi = lo[:, None], hi[:, None]  # each row's box, as the failure names it
+    else:
+        lower, upper = trade._box(e, y)
+        in_box = trade._in_box(lower, upper, grid)
+        lo, hi = lower[:, :-1, -1], upper[:, :-1, -1]
     r, a = np.nonzero(in_box & (mass > 0.0))
-    p = np.ones((a.size, 1, 2))
-    p[:, 0, 0] = grid[a]
+    p = np.ones((a.size, 1, grid.shape[1] + 1))
+    p[:, 0, :-1] = grid[a]
     b = y[r]
+    found: list = []
     with np.errstate(all="ignore"):  # the epoch guards the drawn atom's path ends
         x = trade._grouped(trade._path_end, e, b, p)
-        d = x - b
-        keep = trade._line_admits(d, np.hypot(d[..., 0], d[..., 1]))
+        keep = trade._decide(x - b, p[:, 0], found)
     weights = np.zeros(in_box.shape)
     weights[r[keep], a[keep]] = mass[a[keep]]
     empty = ~(weights.max(axis=1) > 0.0)
     if np.count_nonzero(empty):
         fail(np.flatnonzero(empty), lambda k: _exhausted(
-            prior, lo[k : k + 1], hi[k : k + 1], int(np.count_nonzero(in_box[k])), int(np.count_nonzero(r == k))
+            prior, lo[k], hi[k], int(np.count_nonzero(in_box[k])), int(np.count_nonzero(r == k))
         ))
         weights[empty, 0] = 1.0  # placeholders
     pick = _pick(weights, draw(slice(None)))
     at = np.zeros(in_box.shape, dtype=np.intp)  # each candidate's row of x
     at[r, a] = np.arange(a.size)
-    q, x = grid[pick], x[at[np.arange(pick.size), pick]] if a.size else np.full(y.shape, np.nan)
+    chosen = at[np.arange(pick.size), pick]
+    q, x = grid[pick], x[chosen] if a.size else np.full(y.shape, np.nan)
     if np.count_nonzero(empty):
         q[empty], x[empty] = np.nan, np.nan  # the failed rows' placeholders
-    return q, x
-
-
-def _draw_tabulated(e: Economy, y: Allocation, prior: Tabulated, rng: np.random.Generator) -> tuple[FloatArray, FloatArray | None]:
-    """Atom draw at L >= 3 from the prior conditioned on trade compatibility,
-    and the vertices of the drawn atom's speed polytope.
-
-    Discrete support makes the conditioning exact: the atoms in the
-    ``trade.msr_extremes`` box with prior mass are screened once, by the
-    speed polytope's vertices in one ``trade._screen`` call, and the draw is
-    taken over the survivors (``_pick``), so a prior with no mass on the
-    trade-compatible set fails at once, naming the box and the atoms.  Both
-    public calls check again, at every step: ``msr_extremes`` the state
-    (``trade._check_state``), ``box_contains`` the grid (the rate rule).
-    """
-    box = trade.msr_extremes(e, y)
-    in_box = trade.box_contains(box, prior.grid)
-    weights = np.where(in_box, prior.densities, 0.0)
-    candidates = np.flatnonzero(weights > 0.0)
-    found: list = []
-    if candidates.size:
-        prices = np.concatenate([prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
-        weights[candidates[~trade._screen(e, y.bundles, prices, found)]] = 0.0
-    if not weights.max() > 0.0:
-        lo, hi = box.lower_rates[:-1, -1], box.upper_rates[:-1, -1]
-        raise SamplingError(_exhausted(prior, lo, hi, int(np.count_nonzero(in_box)), candidates.size))
-    idx = int(_pick(weights[None], rng.random(1))[0])
-    row = int(np.searchsorted(candidates, idx))
-    return np.array(prior.grid[idx], dtype=np.float64), trade._row_vertices(found, row)
+    vertices = [trade._row_vertices(found, c) for c in chosen.tolist()] if found else None
+    return q[:, 0] if line else q, x, vertices
 
 
 def _exhausted(prior: Tabulated, lo: FloatArray, hi: FloatArray, in_box: int, rejected: int) -> str:
@@ -503,103 +486,100 @@ def _exhausted(prior: Tabulated, lo: FloatArray, hi: FloatArray, in_box: int, re
     )
 
 
-def draw_price(
-    e: Economy,
-    y: Allocation,
-    prior: PriorSpec,
-    rng: np.random.Generator,
-) -> FloatArray:
-    """One rate vector from the prior conditioned on trade compatibility.
+def draw_price(e: Economy, y: Allocation, prior: PriorSpec, rng: np.random.Generator) -> FloatArray:
+    """One rate vector from the prior conditioned on trade compatibility: one row of the epoch's ``_draw_price``.
 
     A tabulated prior keeps the atoms in the rate box at which trade exists
-    (at L = 2 in closed form, as the step's own draw ``_draw_atom`` does; by
-    the speed polytope's vertices beyond).  An angle prior needs L = 2, where the
-    trade-compatible rates are exactly the open interval between the
-    households' extreme substitution rates; its draw is accepted by that
-    interval, with no vertex enumeration.
+    (at L = 2 in closed form; by the speed polytope's vertices beyond).  An
+    angle prior needs L = 2, where the trade-compatible rates are exactly the
+    open interval between the households' extreme substitution rates; its
+    draw is accepted by that interval, with no vertex enumeration.
     """
     _check_prior(e, prior)
     rates = trade.household_rates(e, y)
     lo, hi = rates.min(axis=0), rates.max(axis=0)
     if np.all(_rates_agree(lo, hi, trade.PARETO_TOL)):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
-    return _draw_price(e, y, lo, hi, prior, rng)[0]
+    return _draw_price(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))[0].reshape(e.n_goods - 1)
 
 
-def _draw_price(
-    e: Economy, y: Allocation, lo: FloatArray, hi: FloatArray, prior: PriorSpec, rng: np.random.Generator
-) -> tuple[FloatArray, FloatArray | None]:
-    """``draw_price`` at a state already known to admit trade, whose L - 1 rates span (lo, hi),
-    under a checked prior, and the vertices of its speed polytope where the trade screen found them."""
-    q_prior = prior.q_prior
-    if e.n_goods > 2:
-        return _draw_tabulated(e, y, q_prior, rng)
-    if isinstance(q_prior, Tabulated):
-        return _draw_atom(e, q_prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))[0], None  # one row
-    return _draw_rate(q_prior, lo, hi, lambda sub: rng.random(1)), None
+def _draw_price(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first):
+    """Prices from a checked prior conditioned on trade, one per row of ``(rows, H, L)`` bundles
+    that admit trade, whose rates span (lo, hi) at L = 2.
 
-
-def _epoch(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first, out=None):
-    """One trade epoch at L = 2 on rows of ``(rows, H, 2)`` bundles, H in {2, 3}, whose rates
-    span (lo, hi): the price rates ``(rows,)``, the speeds ``(rows, H)`` and the new bundles
-    (in ``out`` if given).
-
-    The price is ``_draw_rate``'s or ``_draw_atom``'s, the path ends are
-    guarded against the floor, and the speeds are ``trade._line_speeds``'.
-    Each row reads ``draw(rows)`` in the order of a lone row: the price
-    attempts, then the speeds.  A failed row goes to ``fail(rows, why,
-    kind)`` and carries placeholders to the end of the epoch.
+    Returns the price rates, ``(rows,)`` at L = 2 and ``(rows, L - 1)``
+    beyond; the ``(rows, H, L)`` path ends at them, unguarded; and, where the
+    trade decision enumerated them, each row's speed vertices
+    (``trade._row_vertices``), else None.  A tabulated prior draws an atom
+    (``_draw_atom``), an angle prior a rate (``_draw_rate``).
     """
     q_prior = prior.q_prior
     if isinstance(q_prior, Tabulated):
-        q, x = _draw_atom(e, q_prior, y, lo, hi, draw, fail)
-    else:
-        q = _draw_rate(q_prior, lo, hi, draw, fail)
-        p = np.empty((2, q.size))  # goods apart, as the kernel lays out its bundles
-        p[0], p[1] = q, 1.0
-        p = p.T[:, None]  # one price row for every household
-        with np.errstate(all="ignore"):  # a path end off the floor fails its row below
-            x = trade._grouped(trade._path_end, e, y, p)
+        return _draw_atom(e, q_prior, y, lo, hi, draw, fail)
+    q = _draw_rate(q_prior, lo, hi, draw, fail)
+    p = np.empty((2, q.size))  # goods apart, as the kernel lays out its bundles
+    p[0], p[1] = q, 1.0
+    with np.errstate(all="ignore"):  # a path end off the floor fails its row in the epoch
+        return q, trade._grouped(trade._path_end, e, y, p.T[:, None]), None  # one price row for every household
+
+
+def _epoch(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: FloatArray, draw, fail=_raise_first, out=None):
+    """One trade epoch on rows of ``(rows, H, L)`` bundles that admit trade, whose rates span
+    (lo, hi) at L = 2: the price rates (as ``_draw_price`` returns them), the speeds
+    ``(rows, H)`` and the new bundles (in ``out`` if given).
+
+    The price and the path ends are ``_draw_price``'s, and the path ends are
+    guarded against the floor.  At L = 2 with at most three households the
+    speeds are ``trade._line_speeds``'; otherwise each row takes the ray or
+    the vertex draw of ``trade._sample_speed``, from the vertices the trade
+    decision found at its price where it found them.  Each row reads
+    ``draw(rows)`` in the order of a lone row: the price attempts, then the
+    speeds.  A failed row goes to ``fail(rows, why, kind)`` and carries
+    placeholders to the end of the epoch.
+    """
+    q, x, vertices = _draw_price(e, prior, y, lo, hi, draw, fail)
     if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some row is live here
         on = np.all((x >= prefs.POSITIVE_FLOOR) & (x < math.inf), axis=(1, 2))  # a NaN is off
         why = "demand degenerated below the positive floor"  # the guard's wording
         fail(np.flatnonzero(~on), lambda r: why, DomainDegeneracyError)
         x = np.where(on[:, None, None], x, y)  # idle placeholders
     d = x - y
-    sigma = trade._line_speeds(d, prior.s_prior is SpeedPrior.MAX_SPEED, draw, fail)
+    if d.shape[-1] == 2 and d.shape[-2] <= 3:
+        sigma = trade._line_speeds(d, prior.s_prior is SpeedPrior.MAX_SPEED, draw, fail)
+    else:  # a row at a time: a polytope is drawn from its own vertices
+        sigma = np.zeros(d.shape[:-1])
+        for r in range(sigma.shape[0]):
+            try:
+                sigma[r] = trade._sample_speed(
+                    d[r], np.append(q[r], 1.0), prior.s_prior,
+                    lambda k, r=r: np.concatenate([draw([r]) for _ in range(k)]),
+                    None if vertices is None else vertices[r],
+                )
+            except SamplingError as exc:
+                fail([r], lambda _, why=str(exc): why)
     return q, sigma, np.add(y, sigma[..., None] * d, out=out)
 
 
 def sntp_step(
-    e: Economy,
-    y: Allocation,
-    prior: PriorSpec,
-    rng: np.random.Generator,
-    pareto_tol: float = trade.PARETO_TOL,
+    e: Economy, y: Allocation, prior: PriorSpec, rng: np.random.Generator, pareto_tol: float = trade.PARETO_TOL
 ) -> tuple[Allocation, FloatArray, FloatArray] | None:
     """One trade epoch, as (new state, price rates q, speeds), or None once no common-price trade remains.
 
     ``pareto_tol`` follows ``SimConfig``'s rule for the generic path, so a
     state it does not stop at admits trade.  The rates are built once, for
-    the stop test and the price draw's interval.  Two goods and at most three
-    households take the 2x2 kernel's ``_epoch`` on one row, under either
-    price prior; the new state is then guarded.  Otherwise the directions
-    are built once, for the speed draw and the move.
+    the stop test and the price draw's interval; the epoch is ``_epoch`` on
+    one row, the 2x2 kernel's, for every economy and either price prior, and
+    the new state is then guarded.
     """
     pareto_tol = _check_pareto_tol(pareto_tol, closed_form=False)
     _check_prior(e, prior)
-    rates = trade.household_rates(e, y)
+    trade._check_state(e, y)
+    rates = trade._household_rates(e, y.bundles)
     lo, hi = rates.min(axis=0), rates.max(axis=0)
     if np.all(_rates_agree(lo, hi, pareto_tol)):
         return None
-    if e.n_goods == 2 and e.size <= 3:
-        q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))
-        return Allocation(prefs._guard(x[0], "bundles")), q, sigma[0].copy()  # a kept result holds no epoch array
-    q, vertices = _draw_price(e, y, lo, hi, prior, rng)
-    p = np.append(q, 1.0)
-    dirs = trade.all_trade_directions(e, y, p)
-    sigma = trade._sample_speed(dirs, p, prior.s_prior, rng, vertices)
-    return trade._advance(y, dirs, sigma), q, sigma
+    q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))
+    return Allocation(prefs._guard(x[0], "bundles")), q.reshape(e.n_goods - 1), sigma[0].copy()  # no epoch array kept
 
 
 def _supports_fast_path(cfg: SimConfig) -> bool:

@@ -23,10 +23,6 @@ class ConvergenceError(EdgeworthError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class LPError(EdgeworthError, RuntimeError):
-    """A linear program failed numerically; no routine of the package solves one, so none raises it."""
-
-
 class SamplingError(EdgeworthError, RuntimeError):
     """A price or speed draw failed: no prior mass, the rejection cap, or a failed speed check."""
 

@@ -7,19 +7,21 @@ form the polytope {s in [0, 1]^H : A s = 0}, for A the directions in an
 orthonormal basis of the plane orthogonal to ``p`` (``_projected``), whose
 vertices ``_vertices`` enumerates exactly, stacked over price rows; the
 doors refuse an economy that needs more than ``_MAX_CANDIDATES`` of them per
-row.  ``_screen`` decides trade for a stack of prices and ``has_trade`` for
-one: in closed form at L = 2 (``_line_admits``), by the largest vertex
-volume beyond.  A speed draw takes one candidate and raises if it fails.
-At L = 2 with at most three households, ``_line_speeds`` draws on rows of
-directions for the engine's epoch: only a zero direction is idle, two
-active traders move on a ray in closed form, and three list their polygon's
-vertices in closed form, which ``_hitrun`` fans as it fans every polygon.
-Beyond, two active traders ride the same ray, and every other case draws
-exactly from the enumerated vertices (``_hitrun``), which the engine's
-tabulated step at L >= 3 takes from its screen.  A speed vector is a plain
-float array, checked only where it comes in, by ``speed_contains``.  The box
-set built from extreme marginal substitution rates gives the cheap superset
-used for tabulated price draws at L >= 3."""
+row.  ``_decide`` decides trade for a stack of directions, in closed form
+at L = 2 (``_line_admits``), by the largest vertex volume beyond;
+``_screen`` builds the directions of a stack of prices for it, and
+``has_trade`` of one.  A speed draw takes one candidate and raises if it
+fails.  At L = 2 with at most three households, ``_line_speeds`` draws on
+rows of directions for the engine's epoch: only a zero direction is idle,
+two active traders move on a ray in closed form, and three list their
+polygon's vertices in closed form, which ``_hitrun`` fans as it fans every
+polygon.  Beyond, two active traders ride the same ray, and every other case
+draws exactly from the enumerated vertices (``_hitrun``), which the engine's
+tabulated epoch at L >= 3 takes from its decision.  A speed vector is a
+plain float array, checked only where it comes in, by ``speed_contains``.
+The box set built from extreme marginal substitution rates (``_box``, tested
+by ``_in_box``, on rows; ``msr_extremes`` and ``box_contains`` for one) gives
+the cheap superset used for tabulated price draws at L >= 3."""
 
 from __future__ import annotations
 
@@ -255,10 +257,15 @@ def _check_size(e: Economy) -> None:
 
 def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None = None) -> NDArray[np.bool_]:
     """Whether trade exists at each row of ``(G, L)`` prices, one bool per row,
-    each row at its own ``(G, H, L)`` bundles or all at one ``(H, L)`` state;
-    only the demand is guarded.
+    each row at its own ``(G, H, L)`` bundles or all at one ``(H, L)`` state:
+    ``_decide`` on the directions of every row, which come from one pass of
+    the ``prefs`` core; only the demand is guarded."""
+    return _decide(_directions(e, bundles, p), p, found)
 
-    The directions of every row come from one pass of the ``prefs`` core.
+
+def _decide(dirs: FloatArray, p: FloatArray, found: list | None = None) -> NDArray[np.bool_]:
+    """The trade decision for ``(G, H, L)`` directions at ``(G, L)`` prices, one bool per row.
+
     A row's active directions are those at least ``DEGENERATE_DIRECTION``
     long.  Trade exists iff the largest volume ``s . |d|`` over the exact
     speed polytope of the active directions exceeds ``_LP_DECISION`` times
@@ -268,24 +275,26 @@ def _screen(e: Economy, bundles: FloatArray, p: FloatArray, found: list | None =
     first coordinate's sign names (as for the speed draw), and the largest
     volume is exactly 2 min(P, N) for P and N the active norms summed on each
     side.  Beyond, a linear volume is largest at a vertex (``_vertices``).
-    Given a list ``found``, the screen keeps the vertices there for
+    Directions that are not finite, as an unguarded demand's may be, make a
+    NaN length idle and an infinite one admit nothing, at every L.  Given a
+    list ``found``, the decision keeps the vertices there for
     ``_row_vertices``, so a speed draw at one of the prices can reuse them.
     """
-    dirs = _directions(e, bundles, p)
     norms = np.linalg.norm(dirs, axis=-1)
-    if e.n_goods == 2:
+    if dirs.shape[-1] == 2:
         return _line_admits(dirs, norms)
     active = norms >= DEGENERATE_DIRECTION
     n_act = np.where(active, norms, 0.0)
+    longest = n_act.max(axis=-1, initial=0.0)
     volume = np.zeros(p.shape[0])
-    rows = np.flatnonzero(np.count_nonzero(active, axis=-1) >= 2)
+    rows = np.flatnonzero((np.count_nonzero(active, axis=-1) >= 2) & (longest < math.inf))
     A = _projected(np.where(active[rows, :, None], dirs[rows], 0.0), p[rows])
     for group, vertices, ok in _vertices(A):  # a candidate that is no vertex is 0, of volume 0
         g = rows[group]
         volume[g] = np.einsum("hkg,gh->kg", vertices, n_act[g]).max(axis=0)
         if found is not None:  # an idle household's speed is free at a vertex; the draw's is 0
             found.append((g, vertices, ok & ~np.any(vertices * ~active[g].T[:, None, :], axis=0)))
-    return volume > _threshold(n_act.max(axis=-1, initial=0.0))
+    return volume > _threshold(longest)
 
 
 def _threshold(longest: FloatArray) -> FloatArray:
@@ -312,7 +321,7 @@ def _line_admits(dirs: FloatArray, norms: FloatArray) -> NDArray[np.bool_]:
 
 
 def _row_vertices(found: list, row: int) -> FloatArray | None:
-    """The ``(n, H)`` vertices ``_screen`` found at one of its price rows, idle speeds at 0, or None."""
+    """The ``(n, H)`` vertices ``_decide`` found at one of its price rows, idle speeds at 0, or None."""
     for g, vertices, ok in found:
         at = np.flatnonzero(g == row)
         if at.size:
@@ -436,7 +445,12 @@ def _rates_agree(lo, hi, tol):
 def household_rates(e: Economy, y: Allocation) -> FloatArray:
     """(H, L - 1) substitution rates, one row per household."""
     _check_state(e, y)
-    return prefs._guard(_grouped(prefs._rates, e, y.bundles), "substitution rates")
+    return _household_rates(e, y.bundles)
+
+
+def _household_rates(e: Economy, bundles: FloatArray) -> FloatArray:
+    """``household_rates`` of ``(..., H, L)`` bundles; only the rates are guarded."""
+    return prefs._guard(_grouped(prefs._rates, e, bundles), "substitution rates")
 
 
 def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
@@ -452,41 +466,49 @@ def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
 def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
     """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
     whether the interval between them is open; only the rates are guarded."""
-    r = prefs._guard(_grouped(prefs._rates, e, bundles), "substitution rates")[..., 0]
+    r = _household_rates(e, bundles)[..., 0]
     lo, hi = r.min(axis=-1), r.max(axis=-1)
     return lo, hi, ~_rates_agree(lo, hi, PARETO_TOL)
 
 
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
-    """Elementwise min/max of households' substitution-rate ratios."""
+    """Elementwise min/max of households' substitution-rate ratios: one row of ``_box``."""
     _check_state(e, y)
-    inv = prefs._guard(_grouped(prefs._inverse_demand, e, y.bundles), "inverse demand")
-    ratios = inv[:, :, None] / inv[:, None, :]  # (H, L, L), ratios[h, i, j]
-    lower = ratios.min(axis=0)
-    upper = ratios.max(axis=0)
+    return BoxSet(*_box(e, y.bundles))
+
+
+def _box(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """``msr_extremes`` of ``(..., H, L)`` bundles: the lower and upper rate bounds, each ``(..., L, L)``;
+    only the inverse demand is guarded."""
+    inv = prefs._guard(_grouped(prefs._inverse_demand, e, bundles), "inverse demand")
+    ratios = inv[..., :, None] / inv[..., None, :]  # (..., H, L, L), ratios[..., h, i, j]
     # enforce exact reciprocity against rounding: m_ij = 1 / M_ji
-    lower = np.minimum(lower, 1.0 / upper.T)
-    upper = 1.0 / lower.T
-    return BoxSet(lower, upper)
+    lower = np.minimum(ratios.min(axis=-3), 1.0 / np.swapaxes(ratios.max(axis=-3), -1, -2))
+    return lower, 1.0 / np.swapaxes(lower, -1, -2)
 
 
 def box_contains(b: BoxSet, q) -> bool | NDArray[np.bool_]:
-    """Whether p = (q, 1) satisfies the min/max rate sandwich for every good.
+    """Whether p = (q, 1) satisfies the min/max rate sandwich for every good: one box of ``_in_box``.
 
     ``q`` is one rate vector of length L - 1, answered with a bool, or a
     (G, L - 1) stack of them, answered with one bool per row (the rate rule).
     """
     n = b.lower_rates.shape[0]
     q = prefs._as_rates(q, n, stack=None)
-    p = np.ones((n, q.size // (n - 1)))  # goods first, so each pass runs along the rows
-    p[:-1] = q.reshape(-1, n - 1).T
-    others = ~np.eye(n, dtype=bool)[..., None]
-    cross = p[None]  # cross[i, j] pairs good i's row with p_j
-    lo = np.where(others, b.lower_rates[..., None] * cross, np.inf).min(axis=1)
-    hi = np.where(others, b.upper_rates[..., None] * cross, -np.inf).max(axis=1)
-    # closed sandwich; relative slack so attained extremes survive rounding
-    inside = np.all((lo * (1.0 - 1e-12) <= p) & (p <= hi * (1.0 + 1e-12)), axis=0)
+    inside = _in_box(b.lower_rates, b.upper_rates, q.reshape(-1, n - 1))
     return bool(inside[0]) if q.ndim == 1 else inside
+
+
+def _in_box(lower: FloatArray, upper: FloatArray, q: FloatArray) -> NDArray[np.bool_]:
+    """``box_contains`` of ``(G, L - 1)`` rates in each box of ``(..., L, L)`` bounds, as ``(..., G)``."""
+    n = lower.shape[-1]
+    p = np.ones((n, q.shape[0]))  # goods first, so each pass runs along the rates
+    p[:-1] = q.T
+    others = ~np.eye(n, dtype=bool)[..., None]  # bounds[..., i, j] * p[j] pairs good i with p_j
+    lo = np.where(others, lower[..., None] * p, np.inf).min(axis=-2)
+    hi = np.where(others, upper[..., None] * p, -np.inf).max(axis=-2)
+    # closed sandwich; relative slack so attained extremes survive rounding
+    return np.all((lo * (1.0 - 1e-12) <= p) & (p <= hi * (1.0 + 1e-12)), axis=-2)
 
 
 def _raise_first(failed, why, kind: type[Exception] = SamplingError) -> None:
@@ -605,18 +627,17 @@ def sample_speed(
     _check_size(e)
     _check_state(e, y)
     p = as_price(p, e.n_goods)
-    return _sample_speed(_directions(e, y.bundles, p), p, SpeedPrior(s_prior), rng)
+    return _sample_speed(_directions(e, y.bundles, p), p, SpeedPrior(s_prior), rng.random)
 
 
-def _sample_speed(
-    dirs: FloatArray, p: FloatArray, s_prior: SpeedPrior, rng: np.random.Generator, vertices: FloatArray | None = None
-) -> FloatArray:
+def _sample_speed(dirs: FloatArray, p: FloatArray, s_prior: SpeedPrior, uniforms, vertices: FloatArray | None = None) -> FloatArray:
     """``sample_speed`` on directions already built at prices ``p``, under a
-    ``SpeedPrior`` member; ``vertices``, if given, are the polytope's, as
-    ``_row_vertices`` reads them from the screen at these prices."""
+    ``SpeedPrior`` member, from the uniforms ``uniforms(k)`` returns k at a
+    time; ``vertices``, if given, are the polytope's, as ``_row_vertices``
+    reads them from the trade decision at these prices."""
     max_speed = s_prior is SpeedPrior.MAX_SPEED
-    if dirs.shape[1] == 2 and dirs.shape[0] <= 3:  # the engine's epoch draws these
-        return _line_speeds(dirs[None], max_speed, lambda sub: rng.random(1))[0]  # one row
+    if dirs.shape[1] == 2 and dirs.shape[0] <= 3:  # the engine's epoch draws these on rows
+        return _line_speeds(dirs[None], max_speed, lambda sub: uniforms(1))[0]  # one row
     norms = np.linalg.norm(dirs, axis=1)
     idx = np.flatnonzero(norms > 0.0)  # the idle rule: a zero direction does not move
     if idx.size < 2:
@@ -628,7 +649,7 @@ def _sample_speed(
         if cosine > -1.0 + 1e-9:
             raise SamplingError(_NOT_OPPOSED)
         sigma = np.zeros(dirs.shape[0])
-        sigma[[i, j]] = _ray_speeds(norms[i : i + 1], norms[j : j + 1], None if max_speed else rng.random(1))[0]
+        sigma[[i, j]] = _ray_speeds(norms[i : i + 1], norms[j : j + 1], None if max_speed else uniforms(1))[0]
         return sigma
 
     if vertices is None:
@@ -636,7 +657,7 @@ def _sample_speed(
         vertices = vertices[:, ok[:, 0], 0].T
     else:
         vertices = vertices[:, idx]
-    return _settle(dirs, norms, idx, _hitrun.sample(vertices, rng), max_speed)
+    return _settle(dirs, norms, idx, _hitrun.sample(vertices, uniforms), max_speed)
 
 
 def _settle(dirs: FloatArray, norms: FloatArray, idx, point: FloatArray, max_speed: bool) -> FloatArray:
@@ -653,12 +674,6 @@ def _settle(dirs: FloatArray, norms: FloatArray, idx, point: FloatArray, max_spe
     if why is not None:
         raise SamplingError(f"speed draw fails cancel-and-move: {why}")
     return sigma
-
-
-def _advance(y: Allocation, dirs: FloatArray, sigma: FloatArray) -> Allocation:
-    """End state of the joint linear path along ``dirs``: household h moves t = sigma_h;
-    only the new bundles are guarded."""
-    return Allocation(prefs._guard(y.bundles + sigma[:, None] * dirs, "bundles"))
 
 
 def is_pareto_optimal(e: Economy, y: Allocation) -> bool:

@@ -37,12 +37,15 @@ roots one at a time by Brent's method through the public functions.
 ``table_objects`` reads a run's table back as the states, price rates and
 speeds it records, and ``reference_advance`` takes one joint linear step
 through the public trade directions, so a recorded path can be replayed.
-``reference_sntp_step`` is the generic step at L = 2 as it ran before it
-shared the 2x2 kernel's epoch: the tabulated atom screened in the public rate
-box by ``trade._screen``, the directions rebuilt through the public
-``all_trade_directions``, traders idle below ``DEGENERATE_DIRECTION`` (or
-by the rule ``active`` it is given), the opposition of two traders read from
-their cosine, and the ray by hand.
+``reference_sntp_step`` is the generic step as it ran before every economy
+shared one epoch: the tabulated atom in the public rate box
+(``box_contains`` of ``msr_extremes``) screened by ``trade._screen``, which
+keeps the vertices it finds, and picked by the inverse CDF; the directions
+rebuilt through the public ``all_trade_directions``, with only a zero
+direction idle; the opposition of two traders read from their cosine and the
+ray by hand; the closed-form polygon of three traders at L = 2, and
+``_hitrun.sample`` on every other polytope, from the screen's vertices where
+it found them.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgeworth import engine, geometry, prefs, trade, verify
+from edgeworth import _hitrun, engine, geometry, prefs, trade, verify
 from edgeworth.errors import ConvergenceError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
@@ -171,35 +174,44 @@ def table_objects(table: np.ndarray, economy) -> tuple[list[Allocation], list[np
 
 def reference_advance(economy, y: Allocation, p, sigma: np.ndarray) -> Allocation:
     """End state of the joint linear path at prices ``p``: household h moves t = sigma_h."""
-    return trade._advance(y, trade.all_trade_directions(economy, y, p), sigma)
+    return _advance(y, trade.all_trade_directions(economy, y, p), sigma)
 
 
-def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator, active=None):
-    """``engine.sntp_step`` at L = 2 and H <= 3, at the default stop tolerance, before the epoch;
-    ``active(norms)`` marks the trading households (default: at least ``DEGENERATE_DIRECTION`` long)."""
+def _advance(y: Allocation, dirs: np.ndarray, sigma: np.ndarray) -> Allocation:
+    """End state of the joint linear path along ``dirs``, its new bundles guarded as the step guards them."""
+    return Allocation(prefs._guard(y.bundles + sigma[:, None] * dirs, "bundles"))
+
+
+def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator):
+    """``engine.sntp_step`` at the default stop tolerance, composed of the public pieces it took
+    before every economy shared one epoch; only a zero direction is idle."""
     rates = trade.household_rates(e, y)
     if trade._pareto(rates, trade.PARETO_TOL):
         return None
-    q_prior = prior.q_prior
+    q_prior, vertices = prior.q_prior, None
     if isinstance(q_prior, engine.Tabulated):
         in_box = trade.box_contains(trade.msr_extremes(e, y), q_prior.grid)
         weights = np.where(in_box, q_prior.densities, 0.0)
         candidates = np.flatnonzero(weights > 0.0)
+        found = []
         if candidates.size:
-            prices = np.stack([q_prior.grid[candidates, 0], np.ones(candidates.size)], axis=1)
-            weights[candidates[~trade._screen(e, y.bundles, prices)]] = 0.0
+            prices = np.concatenate([q_prior.grid[candidates], np.ones((candidates.size, 1))], axis=1)
+            weights[candidates[~trade._screen(e, y.bundles, prices, found)]] = 0.0
         total = float(weights.sum())
         if total <= 0.0:
             raise SamplingError("the price prior assigns zero mass to the trade-compatible set")
         cdf = np.cumsum(weights) / total
-        idx = min(int(np.searchsorted(cdf, float(rng.random()), side="right")), cdf.size - 1)
+        idx = int(np.searchsorted(cdf, float(rng.random()), side="right"))
+        if idx == cdf.size:  # rounding left the uniform above the CDF: the atom of its last rise
+            idx = int(np.searchsorted(cdf, cdf[-1]))
         q = np.array(q_prior.grid[idx])
+        vertices = trade._row_vertices(found, int(np.searchsorted(candidates, idx)))
     else:
         q = engine._draw_rate(q_prior, rates.min(axis=0), rates.max(axis=0), lambda sub: rng.random(1))
     p = np.append(q, 1.0)
     dirs = trade.all_trade_directions(e, y, p)
     norms = np.linalg.norm(dirs, axis=1)
-    idx = np.flatnonzero(norms >= trade.DEGENERATE_DIRECTION if active is None else active(norms))
+    idx = np.flatnonzero(norms > 0.0)
     if idx.size < 2:
         raise SamplingError("fewer than two households can trade at these prices")
     sigma = np.zeros(e.size)
@@ -212,11 +224,23 @@ def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator, activ
         scale = 1.0 if max_speed else 1.0 - rng.random()
         sigma[i], sigma[j] = scale * min(1.0 / ratio, 1.0), scale * min(ratio, 1.0)
     else:
-        point = trade._polygon_speeds(np.copysign(norms, dirs[:, 0]), rng.random(3))
-        sigma[:] = point / point.max() if max_speed else point
-    if not np.abs(sigma @ dirs).max() <= 1e-9 * max(1.0, norms.max()):
+        if e.size == 3 and e.n_goods == 2:
+            point = trade._polygon_speeds(np.copysign(norms, dirs[:, 0]), rng.random(3))
+        else:  # the polytope of the active traders, by the vertices the screen found or by its own
+            if vertices is None:
+                ((_, vertices, ok),) = trade._vertices(trade._projected(dirs[idx], p)[None])
+                vertices = vertices[:, ok[:, 0], 0].T
+            else:
+                vertices = vertices[:, idx]
+            point = _hitrun.sample(vertices, rng.random)
+        if max_speed:
+            if point.max() < 1e-6:
+                raise SamplingError("max-speed draw peaks below 1e-06")
+            point = point / point.max()
+        sigma[idx] = point
+    if not (np.linalg.norm(sigma @ dirs) <= 1e-9 * max(1.0, norms.max()) and sigma @ norms > 1e-12):
         raise SamplingError("speed draw fails cancel-and-move")
-    return trade._advance(y, dirs, sigma), q, sigma
+    return _advance(y, dirs, sigma), q, sigma
 
 
 def fd_gradient(f, x, rel_step: float = 1e-6) -> np.ndarray:

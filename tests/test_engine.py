@@ -3,14 +3,16 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
-import functools
 import hashlib
+import itertools
 import math
+import random
 import statistics
 import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,11 @@ _ANGLE_PRIOR = st.one_of(
     st.just(UniformArc()),
     st.builds(ArctanNormal, st.floats(0.3, 3.0), st.floats(0.05, 1.0)),
 )
+_CES_3 = st.builds(
+    lambda w, sigma: UtilitySpec.ces(np.array(w) / sum(w), sigma),
+    st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    st.floats(0.2, 0.8),
+)
 _PRICE_PRIOR = st.one_of(
     _ANGLE_PRIOR,
     st.builds(
@@ -107,6 +114,33 @@ def make_config(economy, initial, q_prior, s_prior, **kw) -> SimConfig:
     defaults = dict(master_seed=1, runs=1, max_steps=500, pareto_tol=1e-8)
     defaults.update(kw)
     return SimConfig(economy, initial, PriorSpec(q_prior, s_prior), **defaults)
+
+
+def assert_steps_follow_the_reference(e: Economy, y: Allocation, prior: PriorSpec, seed: int, exact: bool) -> None:
+    """Four ``sntp_step`` epochs from ``run_rng(seed, 0)`` against ``reference_sntp_step`` from a
+    stream of its own: the same prices and stream position and, bit for bit if ``exact`` or
+    else within 1e-9 relative, the same speeds and states; or the same failure, or both stop."""
+    rng, ref_rng = engine.run_rng(seed, 0), engine.run_rng(seed, 0)
+    for _ in range(4):
+        outcomes = []
+        for step, stream in ((engine.sntp_step, rng), (reference_sntp_step, ref_rng)):
+            try:
+                outcomes.append(step(e, y, prior, stream))
+            except (SamplingError, DomainDegeneracyError) as exc:
+                outcomes.append(type(exc))
+        mine, ref = outcomes
+        if not isinstance(mine, tuple):  # no trade left, or a failed draw: both agree
+            assert mine is ref
+            return
+        (state, q, sigma), (want_state, want_q, want_sigma) = mine, ref
+        np.testing.assert_array_equal(q, want_q)
+        assert copy.deepcopy(rng).random(4).tolist() == copy.deepcopy(ref_rng).random(4).tolist()  # same position
+        if exact:
+            assert sigma.tobytes() == want_sigma.tobytes() and state.bundles.tobytes() == want_state.bundles.tobytes()
+        else:
+            np.testing.assert_allclose(sigma, want_sigma, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(state.bundles, want_state.bundles, rtol=1e-9, atol=0.0)
+        y = state
 
 
 class TestPriorTypes:
@@ -241,14 +275,15 @@ class TestDrawPrice:
         # every in-box atom is well inside or well outside the trade set: the
         # draw keeps exactly the atoms the exact polytope admits, at L = 2 in
         # closed form on the rate interval, with no trade LP (no vertex
-        # enumeration) and neither public box call
+        # enumeration); at every L it builds the box and the directions on
+        # rows, with no call of the public, checking box and direction functions
         from oracles import clearing_price, exact_trade_volume
 
         def no_lp(*args):
             raise AssertionError("the tabulated draw enumerated speed vertices")
 
-        def no_box(*args):
-            raise AssertionError("the tabulated draw at L = 2 built the rate box")
+        def no_public(*args):
+            raise AssertionError("the tabulated draw called a public, checking trade function")
 
         if goods == 2:
             e, y = THREE_TRADERS
@@ -268,9 +303,8 @@ class TestDrawPrice:
         want = [v > t for v, t in volumes]
         assert any(want) and (goods == 2 or not all(want))
         prior = PriorSpec(Tabulated(atoms, np.ones(len(atoms))), SpeedPrior.UNIFORM_CUBE)
-        if goods == 2:
-            monkeypatch.setattr(trade, "msr_extremes", no_box)
-            monkeypatch.setattr(trade, "box_contains", no_box)
+        for name in ("msr_extremes", "box_contains", "all_trade_directions"):
+            monkeypatch.setattr(trade, name, no_public)
         rng = engine.run_rng(17, 0)
         drawn = {tuple(engine.draw_price(e, y, prior, rng)) for _ in range(200)}
         assert drawn == {tuple(q) for q, ok in zip(atoms[screened], want) if ok}
@@ -486,32 +520,53 @@ class TestStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_row_epoch_follows_the_reference_step(self, specs, bundles, households, q_prior, s_prior, seed):
-        # sntp_step at L = 2 runs the 2x2 kernel's epoch on one row; four steps
-        # from the same stream hold it to the generic step it replaced, under
-        # the kernel's idle rule (only a zero direction is idle): the same
-        # prices and stream position, speeds and states within rounding
-        reference = functools.partial(reference_sntp_step, active=lambda norms: norms > 0.0)
+        # sntp_step at L = 2 runs the 2x2 kernel's epoch on one row, whose
+        # closed-form speeds read the directions' lengths by hypot: the same
+        # prices and stream position as the generic step it replaced, speeds
+        # and states within rounding
         e = Economy.of(specs[:households])
         y = Allocation(np.reshape(bundles[: 2 * households], (households, 2)))
-        prior = PriorSpec(q_prior, s_prior)
-        rng, ref_rng = engine.run_rng(seed, 0), engine.run_rng(seed, 0)
-        for _ in range(4):
-            outcomes = []
-            for step, stream in ((engine.sntp_step, rng), (reference, ref_rng)):
-                try:
-                    outcomes.append(step(e, y, prior, stream))
-                except (SamplingError, DomainDegeneracyError) as exc:
-                    outcomes.append(type(exc))
-            mine, ref = outcomes
-            if not isinstance(mine, tuple):  # no trade left, or a failed draw: both agree
-                assert mine is ref
-                return
-            (state, q, sigma), (want_state, want_q, want_sigma) = mine, ref
-            np.testing.assert_array_equal(q, want_q)
-            assert copy.deepcopy(rng).random(4).tolist() == copy.deepcopy(ref_rng).random(4).tolist()  # same position
-            np.testing.assert_allclose(sigma, want_sigma, rtol=1e-9, atol=0.0)
-            np.testing.assert_allclose(state.bundles, want_state.bundles, rtol=1e-9, atol=0.0)
-            y = state
+        assert_steps_follow_the_reference(e, y, PriorSpec(q_prior, s_prior), seed, exact=False)
+
+    @pytest.mark.dispatch
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        goods=st.sampled_from([2, 3]),
+        s_prior=st.sampled_from(SpeedPrior),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_row_epoch_is_the_composed_step_bit_for_bit(self, data, goods, s_prior, seed):
+        # beyond the closed-form speeds (CES households at L = 3 under a
+        # tabulated prior, four households at L = 2 under an angle prior) the
+        # one-row epoch's box, screen, pick, path ends and ray or vertex draw
+        # are the public pieces the step composed before it, bit for bit
+        if goods == 3:
+            households = data.draw(st.integers(3, 4))  # two households at L = 3 trade only when exactly opposed
+            specs = data.draw(st.lists(_CES_3, min_size=households, max_size=households))
+            q_prior = Tabulated(_GRID, np.random.default_rng(seed).uniform(0.5, 1.5, len(_GRID)))
+        else:
+            households = 4
+            specs = data.draw(st.lists(_SPEC_2, min_size=households, max_size=households))
+            q_prior = data.draw(_ANGLE_PRIOR)
+        size = households * goods
+        y = Allocation(np.reshape(data.draw(st.lists(st.floats(0.3, 3.0), min_size=size, max_size=size)), (households, goods)))
+        assert_steps_follow_the_reference(Economy.of(specs), y, PriorSpec(q_prior, s_prior), seed, exact=True)
+
+    def test_a_polytope_draw_reads_the_decisions_vertices(self, monkeypatch):
+        # at L = 3 a step enumerates vertices once, in its trade decision, and
+        # the drawn atom's speed draw reads them from there
+        e, y, q_prior = FOUR_BY_THREE
+        prior = PriorSpec(q_prior, SpeedPrior.UNIFORM_CUBE)
+        calls, given = [], []
+        vertices, sample_speed = trade._vertices, trade._sample_speed
+        monkeypatch.setattr(trade, "_vertices", lambda A: calls.append(A.shape) or vertices(A))
+        monkeypatch.setattr(trade, "_sample_speed", lambda *args: given.append(args[4] is not None) or sample_speed(*args))
+        rng = engine.run_rng(1, 0)
+        for step in range(1, 11):
+            y = engine.sntp_step(e, y, prior, rng)[0]
+            assert len(calls) == step
+        assert given == [True] * 10
 
     def test_a_path_end_on_the_floor_trades(self, monkeypatch, cd_economy):
         # the epoch's floor test is closed: path ends exactly at 1e-300 trade,
@@ -976,6 +1031,68 @@ class TestGenericPathThreeGoods:
         np.testing.assert_array_equal(dist.coords, dist.terminal_qs[:, 0])
 
 
+def generic_configs(seed: int) -> dict[str, SimConfig]:
+    """The benchmark's three generic-path scenarios at ``seed``, built here rather than read from it.
+
+    CES households of elasticity 0.5 under the uniform-cube speed prior, 500
+    steps and ``pareto_tol`` 1e-8: 2x2 under a 200-atom tabulated prior and
+    3x2 under the uniform arc (L = 2), and 4x3 under a 14 x 14 tabulated
+    prior (L = 3), the atoms log-spaced on [0.25, 4] and their densities
+    uniform on [0.5, 1.5] from ``random.Random(f"generic/{seed}")``.
+    """
+    draw = random.Random(f"generic/{seed}")
+
+    def log_grid(lo: float, hi: float, n: int) -> list[float]:
+        return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
+
+    def tabulated(grid) -> Tabulated:
+        return Tabulated(np.array(grid), np.array([draw.uniform(0.5, 1.5) for _ in grid]))
+
+    tab_l2 = tabulated(log_grid(0.25, 4.0, 200))
+    axis = log_grid(0.25, 4.0, 14)
+    tab_l3 = tabulated([[a, b] for a in axis for b in axis])
+    economies = {
+        "2x2_tabulated": ([[0.5, 0.5], [0.7, 0.3]], [[2.0, 1.0], [1.0, 2.0]], tab_l2, 15),
+        "3x2_arc": ([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]], [[2.0, 1.0], [1.0, 2.0], [1.5, 0.5]], UniformArc(), 15),
+        "4x3_tabulated": (
+            [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.4, 0.2, 0.4]],
+            [[1.5263, 1.5325, 1.0215], [0.7431, 0.5388, 0.8507], [0.8808, 0.5324, 0.5350], [1.9977, 1.2352, 0.6921]],
+            tab_l3,
+            8,
+        ),
+    }
+    return {
+        name: make_config(
+            Economy.of([UtilitySpec.ces(w, 0.5) for w in weights]), Allocation(np.array(endowments)),
+            q_prior, SpeedPrior.UNIFORM_CUBE, master_seed=seed, runs=runs,
+        )
+        for name, (weights, endowments, q_prior, runs) in economies.items()
+    }
+
+
+def generic_golden_lines(seed: int) -> list[str]:
+    """One line per run of ``generic_configs(seed)``: its name and index, then the sha256 of its
+    ``run_trajectory`` table and its terminal, or ``-`` and its error class and message."""
+    lines = []
+    for name, cfg in generic_configs(seed).items():
+        for i in range(cfg.runs):
+            try:
+                t = engine.run_trajectory(cfg, i)
+                lines.append(f"{name}/{i} {hashlib.sha256(t.table.tobytes()).hexdigest()} {t.terminal.value}")
+            except (SamplingError, DomainDegeneracyError) as exc:
+                lines.append(f"{name}/{i} - {type(exc).__name__}: {exc}")
+    return lines
+
+
+def test_generic_runs_match_the_golden():
+    """Every run of the benchmark's generic scenarios at seed 1, pinned by its table's bytes or its
+    error: the one-row epoch at L = 2 and L = 3, the exhausted priors' messages and the step they
+    fail at.  The tables are exact bits, so the golden holds on hosts whose numpy dispatches as
+    the one that wrote it; it is not among the dispatch tests."""
+    golden = (Path(__file__).parent / "data" / "generic_seed1.txt").read_text().splitlines()
+    assert generic_golden_lines(1) == [line for line in golden if not line.startswith("#")]
+
+
 def _worst_ulp_move(dirs: np.ndarray, redraw) -> float:
     """The largest move of ``redraw(dirs, s_prior)`` under either prior when one entry of ``dirs`` moves one ulp either way."""
     worst = 0.0
@@ -989,20 +1106,27 @@ def _worst_ulp_move(dirs: np.ndarray, redraw) -> float:
     return worst
 
 
+def _replay(used: list) -> object:
+    """A ``uniforms(k)`` that returns the recorded uniforms ``used`` again, then a fixed stream."""
+    stream = itertools.chain(used, np.random.default_rng(0).random(16))
+    return lambda k: np.array([next(stream) for _ in range(k)])
+
+
 def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
     """Every speed draw of the config's runs, redrawn under either prior from
-    the same stream with one entry of its directions moved one ulp either way,
-    moves by at most 1e-9.  A run that ends in an exhausted tabulated prior
+    the uniforms it read with one entry of its directions moved one ulp either
+    way, moves by at most 1e-9.  A run that ends in an exhausted tabulated prior
     keeps the draws it made.  Where the step drew from the vertices its trade
     screen found, enumerating them again gives the same draw."""
     recorded = []
     sample_speed = trade._sample_speed
 
-    def record(dirs, p, s_prior, rng, vertices=None):
-        recorded.append((dirs, p, copy.deepcopy(rng)))
-        sigma = sample_speed(dirs, p, s_prior, rng, vertices)
+    def record(dirs, p, s_prior, uniforms, vertices=None):
+        used = []
+        sigma = sample_speed(dirs, p, s_prior, lambda k: used.extend(uniforms(k)) or np.array(used[-k:]), vertices)
+        recorded.append((dirs, p, used))
         if vertices is not None:
-            again = sample_speed(dirs, p, s_prior, copy.deepcopy(recorded[-1][2]))
+            again = sample_speed(dirs, p, s_prior, _replay(used))
             np.testing.assert_allclose(again, sigma, rtol=0.0, atol=1e-12)
         return sigma
 
@@ -1014,7 +1138,7 @@ def _assert_draws_continuous(monkeypatch, cfg: SimConfig, draws: int) -> None:
             assert isinstance(cfg.prior.q_prior, Tabulated)
     assert len(recorded) > draws
     worst = max(
-        _worst_ulp_move(dirs, lambda d, s_prior: sample_speed(d, p, s_prior, copy.deepcopy(rng))) for dirs, p, rng in recorded
+        _worst_ulp_move(dirs, lambda d, s_prior: sample_speed(d, p, s_prior, _replay(used))) for dirs, p, used in recorded
     )
     assert worst <= 1e-9
 
@@ -1076,7 +1200,7 @@ def test_polytope_speed_draws_are_continuous_in_the_directions():
             continue
         seen += 1
         rng = np.random.default_rng(seen)
-        assert _worst_ulp_move(dirs, lambda d, s_prior: trade._sample_speed(d, p, s_prior, copy.deepcopy(rng))) <= 1e-12
+        assert _worst_ulp_move(dirs, lambda d, s_prior: trade._sample_speed(d, p, s_prior, copy.deepcopy(rng).random)) <= 1e-12
 
 
 class TestExample3:

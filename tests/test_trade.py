@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import re
 
 import numpy as np
@@ -536,7 +537,7 @@ class TestScreenTrade:
         e = Economy.of([UtilitySpec.cobb_douglas_log([0.5, 0.5])] * 3)
         assert trade._screen(e, np.ones((3, 2)), np.ones((1, 2))).tolist() == [True]
         # the draw counts it too: with two actives it rides the ray, not "fewer than two"
-        sigma = trade._sample_speed(np.array([[tie, 0.0], [-1.0, 0.0]]), np.ones(2), SpeedPrior.MAX_SPEED, rng)
+        sigma = trade._sample_speed(np.array([[tie, 0.0], [-1.0, 0.0]]), np.ones(2), SpeedPrior.MAX_SPEED, rng.random)
         np.testing.assert_array_equal(sigma, [1.0, tie])
 
     @pytest.mark.parametrize("goods", [2, 3])
@@ -558,6 +559,20 @@ class TestScreenTrade:
 
     def test_empty_stack(self, cd_economy, shock):
         assert trade._screen(cd_economy, shock.bundles, np.empty((0, 2))).shape == (0,)
+
+    def test_directions_that_are_not_finite(self, monkeypatch):
+        # the engine's atom draw decides unguarded path ends: a NaN direction
+        # is idle, so two opposed traders beside it trade, and a row with an
+        # infinite direction admits nothing, at L = 3 without enumerating it
+        dirs = np.array([
+            [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [math.nan] * 3],
+            [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [math.inf, -math.inf, 0.0]],
+        ])
+        shapes, vertices = [], trade._vertices
+        monkeypatch.setattr(trade, "_vertices", lambda A: shapes.append(A.shape) or vertices(A))
+        assert trade._decide(dirs, np.ones((2, 3))).tolist() == [True, False]
+        assert shapes == [(1, 2, 3)]
+        assert trade._decide(dirs[..., :2], np.ones((2, 2))).tolist() == [True, False]
 
 
 class TestIntervalAndBox:
@@ -792,7 +807,7 @@ class TestSampleSpeed:
         assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=_hitrun._POINT_EXTENT) == 2
         calls = []
         monkeypatch.setattr(_hitrun, "_polygon", lambda *args: calls.append(args) or polygon(*args))
-        assert trade.speed_contains(e, y, p, _hitrun.sample(vertices, rng))
+        assert trade.speed_contains(e, y, p, _hitrun.sample(vertices, rng.random))
         assert len(calls) == 1
 
     def test_deterministic_given_stream(self, cd_economy, shock):
@@ -839,7 +854,7 @@ class TestSampleSpeed:
         rng = np.random.default_rng(5)
         why = r"^trade-speed polytope's bounds do not triangulate it: simplices of \[4, 5\] vertices$"
         with pytest.raises(SamplingError, match=why):
-            trade._sample_speed(dirs, np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
+            trade._sample_speed(dirs, np.ones(2), SpeedPrior.UNIFORM_CUBE, rng.random)
         assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
 
     def test_bounds_short_of_the_span_raise(self, rng):
@@ -849,7 +864,7 @@ class TestSampleSpeed:
         assert vertices[2].tolist()[::3] == [0.0, 0.0]
         vertices[2, 3] = 0.001
         with pytest.raises(SamplingError, match=r"simplices of \[4\] vertices$"):
-            _hitrun.sample(vertices, rng)
+            _hitrun.sample(vertices, rng.random)
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
         with pytest.raises(SamplingError):
@@ -908,7 +923,7 @@ class TestHitRunDegenerate:
         vertices = _speed_vertices(dirs, p)
         assert not np.any(vertices)
         with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
-            _hitrun.sample(vertices, rng)
+            _hitrun.sample(vertices, rng.random)
 
     def test_point_polytope_raises_and_reads_nothing(self):
         # e1, e2 and e1 + e2 in the plane orthogonal to p = (1, 1, 1): the
@@ -920,7 +935,7 @@ class TestHitRunDegenerate:
         assert all(not any(v) for v in exact_speed_vertices(dirs, [1.0, 1.0, 1.0]))
         rng = np.random.default_rng(5)
         with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
-            _hitrun.sample(vertices, rng)
+            _hitrun.sample(vertices, rng.random)
         assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
 
     def test_collinear_directions_are_enumerated_at_their_rank(self, rng):
@@ -933,7 +948,7 @@ class TestHitRunDegenerate:
         assert vertices == {tuple(float(x) for x in v) for v in exact_speed_vertices(dirs, np.ones(3))}
         assert vertices == {(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.0, 0.5, 1.0), (1.0, 1.0, 1.0)}
         for s_prior in SpeedPrior:
-            sigma = trade._sample_speed(dirs, np.ones(3), s_prior, rng)
+            sigma = trade._sample_speed(dirs, np.ones(3), s_prior, rng.random)
             assert sigma[0] + sigma[2] == pytest.approx(2.0 * sigma[1], abs=1e-12)
 
     def test_point_polytope_has_no_speed_draw(self):
@@ -942,7 +957,7 @@ class TestHitRunDegenerate:
         e1, e2 = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
         dirs = np.stack([e1, e2, e1 + e2])
         with pytest.raises(SamplingError):
-            trade._sample_speed(dirs, np.ones(3), SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5))
+            trade._sample_speed(dirs, np.ones(3), SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5).random)
 
 
 class TestHitRunStream:
@@ -955,7 +970,7 @@ class TestHitRunStream:
         # one uniform picks a cone from the origin, one its radius, and d - 1 a point of its base
         dirs = np.array([*self.DIRS, *extra])
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        point = _hitrun.sample(_speed_vertices(dirs, [1.0, 1.0]), rng)
+        point = _hitrun.sample(_speed_vertices(dirs, [1.0, 1.0]), rng.random)
         assert np.abs(point @ dirs).max() <= 1e-15
         reference.random(len(dirs))  # d + 1 = H at L = 2
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -984,7 +999,7 @@ class TestPolytopeDraw:
         vertices = _speed_vertices(dirs, p)
         assert np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == len(dirs) - len(p) + 1
         n, rng = 3000, np.random.default_rng(29)
-        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng, vertices) for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng.random, vertices) for _ in range(n)])
         reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
         assert np.abs(mine @ dirs).max() <= 1e-12
         for h in range(len(dirs)):
@@ -1023,7 +1038,7 @@ class TestPolygonDraw:
 
     def test_draw_reads_three_uniforms(self):
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        trade._sample_speed(_line_directions([1.0, -0.5, -0.7]), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
+        trade._sample_speed(_line_directions([1.0, -0.5, -0.7]), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng.random)
         reference.random(3)
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -1031,7 +1046,7 @@ class TestPolygonDraw:
     def test_one_sided_directions_have_no_speeds(self, lengths, rng):
         # every trader on one side: the polytope is {0}
         with pytest.raises(SamplingError, match="^three-trader directions all point one way"):
-            trade._sample_speed(_line_directions(lengths), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng)
+            trade._sample_speed(_line_directions(lengths), np.ones(2), SpeedPrior.UNIFORM_CUBE, rng.random)
 
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
     @pytest.mark.parametrize(
@@ -1046,7 +1061,7 @@ class TestPolygonDraw:
         # cube vertex (1, 1, 0) on the plane, where two edge crossings meet
         n, rng = 3000, np.random.default_rng(17)
         dirs = _line_directions(lengths, q)
-        mine = np.stack([trade._sample_speed(dirs, np.array([q, 1.0]), s_prior, rng) for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, np.array([q, 1.0]), s_prior, rng.random) for _ in range(n)])
         reference = reference_polygon_sample(lengths, s_prior, n, rng)
         assert np.abs(mine @ np.asarray(lengths)).max() <= 1e-12
         for h in range(3):
@@ -1104,7 +1119,7 @@ class TestPolygonDraw:
             dirs, p = draw.standard_normal((4, 3)), np.exp(draw.standard_normal(3))
             vertices = _speed_vertices(dirs - np.outer(dirs @ p / (p @ p), p), p)
             if len(vertices) and np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == 2:
-                _hitrun.sample(vertices, draw)
+                _hitrun.sample(vertices, draw.random)
         for others, chart in charts:
             x, y = np.linalg.lstsq(np.array(others), np.array(chart), rcond=None)[0].T  # the chart's rows
             minors = [x[i] * y[j] - x[j] * y[i] for i in range(4) for j in range(i + 1, 4)]
@@ -1121,7 +1136,7 @@ class TestPolygonDraw:
             (e, y), p = QUADRILATERAL, np.append(QUADRILATERAL_RATES, 1.0)
         dirs = trade.all_trade_directions(e, y, p)
         n, rng = 3000, np.random.default_rng(23)
-        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng) for _ in range(n)])
+        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng.random) for _ in range(n)])
         reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
         assert np.abs(mine @ dirs).max() <= 1e-12
         for h in range(4):
