@@ -534,8 +534,10 @@ def _epoch(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: Floa
     the vertex draw of ``trade._sample_speed``, from the vertices the trade
     decision found at its price where it found them.  Each row reads
     ``draw(rows)`` in the order of a lone row: the price attempts, then the
-    speeds.  A failed row goes to ``fail(rows, why, kind)`` and carries
-    placeholders to the end of the epoch.
+    speeds, where a polytope row reads its next k uniforms as ``draw([r],
+    k)`` (only a one-row caller draws a polytope).  A failed row goes to
+    ``fail(rows, why, kind)`` and carries placeholders to the end of the
+    epoch.
     """
     q, x, vertices = _draw_price(e, prior, y, lo, hi, draw, fail)
     if not (x.min() >= prefs.POSITIVE_FLOOR and x.max() < math.inf):  # some row is live here
@@ -552,7 +554,7 @@ def _epoch(e: Economy, prior: PriorSpec, y: FloatArray, lo: FloatArray, hi: Floa
             try:
                 sigma[r] = trade._sample_speed(
                     d[r], np.append(q[r], 1.0), prior.s_prior,
-                    lambda k, r=r: np.concatenate([draw([r]) for _ in range(k)]),
+                    lambda k, r=r: draw([r], k),
                     None if vertices is None else vertices[r],
                 )
             except SamplingError as exc:
@@ -578,7 +580,7 @@ def sntp_step(
     lo, hi = rates.min(axis=0), rates.max(axis=0)
     if np.all(_rates_agree(lo, hi, pareto_tol)):
         return None
-    q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))
+    q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub, k=1: rng.random(k))
     return Allocation(prefs._guard(x[0], "bundles")), q.reshape(e.n_goods - 1), sigma[0].copy()  # no epoch array kept
 
 

@@ -14,10 +14,13 @@ at L = 2 (``_line_admits``), by the largest vertex volume beyond;
 fails.  At L = 2 with at most three households, ``_line_speeds`` draws on
 rows of directions for the engine's epoch: only a zero direction is idle,
 two active traders move on a ray in closed form, and three list their
-polygon's vertices in closed form, which ``_hitrun`` fans as it fans every
-polygon.  Beyond, two active traders ride the same ray, and every other case
-draws exactly from the enumerated vertices (``_hitrun``), which the engine's
-tabulated epoch at L >= 3 takes from its decision.  A speed vector is a
+polygon's vertices in closed form, which ``_polygon`` fans from the origin
+as it fans every polygon.  Beyond, two active traders ride the same ray, and
+every other case draws exactly from the enumerated vertices
+(``_polytope_speeds``), which the engine's tabulated epoch at L >= 3 takes
+from its decision: a segment, a fanned polygon, or from three dimensions on
+a rejection draw in a chart of free speeds, which reads a variable number of
+uniforms and fails after ``_MAX_PROPOSALS`` proposals.  A speed vector is a
 plain float array, checked only where it comes in, by ``speed_contains``.
 The box set built from extreme marginal substitution rates (``_box``, tested
 by ``_in_box``, on rows; ``msr_extremes`` and ``box_contains`` for one) gives
@@ -25,6 +28,7 @@ the cheap superset used for tabulated price draws at L >= 3."""
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -34,7 +38,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _hitrun, prefs
+from . import prefs
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
 from .prefs import Family, UtilitySpec, as_price
 
@@ -61,6 +65,13 @@ _RANK_CUTOFF = 1e-12
 
 #: The most candidate vertices ``_vertices`` solves per price row.
 _MAX_CANDIDATES = 256
+
+#: Polytope extent below this (in speed units) counts as a single point.
+_POINT_EXTENT = 1e-9
+
+#: Proposals a rejection draw makes per block of uniforms, and in all before it fails.
+_PROPOSALS = 100
+_MAX_PROPOSALS = 10_000
 
 
 class SpeedPrior(str, enum.Enum):
@@ -582,7 +593,7 @@ def _polygon_speeds(lengths: FloatArray, u) -> FloatArray:
     The vertices are the origin and the plane's crossings of the cube's
     edges, where two speeds sit at 0 or 1 and the third balances them.  The
     two traders on the same side of the line chart the polygon at a constant
-    area factor, and ``_hitrun._polygon`` fans it from the origin in that
+    area factor, and ``_polygon`` fans it from the origin in that
     chart, as it fans every polygon the vertex enumeration finds.  The chart
     depends only on the signs of a and the order changes only where
     vertices meet, so the draw moves continuously with a.
@@ -601,7 +612,85 @@ def _polygon_speeds(lengths: FloatArray, u) -> FloatArray:
                 v = [0.0, 0.0, 0.0]
                 v[i], v[m], v[n] = s, b_m, b_n
                 others.append(v)
-    return _hitrun._polygon(others, [(v[j], v[k]) for v in others], u)
+    return _polygon(others, [(v[j], v[k]) for v in others], u)
+
+
+def _polygon(others: list[list[float]], chart: list[list[float]], u) -> FloatArray:
+    """A uniform point of the polygon of the origin and ``others``, given in any order with
+    their coordinates ``chart`` in a linear chart of its plane, from three uniforms ``u``.
+
+    They go in order of angle around their centroid, counterclockwise from the
+    origin's, each read against the origin's direction: no rounding carries a
+    vertex across a 2 pi wrap, even in a sliver chart.  Consecutive ones v, w
+    fan into triangles (0, v, w), on Python floats: one uniform picks one by
+    its chart area, the square root of one scales a point of its edge vw, and
+    one places that point, at (1 - f) v + f w (Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, ch. XI).
+    """
+    ux = -sum(c[0] for c in chart) / len(chart)  # from the vertices' centroid to the origin
+    uy = -sum(c[1] for c in chart) / len(chart)
+
+    def turn(i: int) -> tuple[bool, float]:
+        wx, wy = chart[i][0] + ux, chart[i][1] + uy  # from the centroid to vertex i
+        angle = math.atan2(ux * wy - uy * wx, wx * ux + wy * uy)  # from the origin's side, in (-pi, pi]
+        return angle < 0.0, angle
+
+    order = sorted(range(len(chart)), key=turn)
+    areas = [abs(chart[v][0] * chart[w][1] - chart[w][0] * chart[v][1]) for v, w in zip(order, order[1:])]  # twice (0, v, w)'s
+    cum = list(itertools.accumulate(areas))
+    pick, radius, f = (float(v) for v in u)
+    t = bisect.bisect_right(cum, pick * cum[-1])  # below len(cum): pick < 1 puts pick * total below total
+    r = math.sqrt(radius)
+    return np.array([r * ((1.0 - f) * a + f * b) for a, b in zip(others[order[t]], others[order[t + 1]])])
+
+
+def _polytope_speeds(vertices: FloatArray, uniforms) -> FloatArray:
+    """One uniform draw from the convex hull of ``vertices`` (the origin among them), from the
+    uniforms ``uniforms(k)`` returns k at a time (``Generator.random`` reads a stream so).
+
+    The hull's dimension d is the number of its centred singular values above
+    ``_POINT_EXTENT``.  A point raises and reads nothing; a segment from the
+    origin is scaled by one uniform; a polygon is fanned (``_polygon``) from
+    three, in the chart of its top two singular vectors turned to make their
+    largest 2 x 2 minor positive, which moves continuously with the hull.
+    From three dimensions on the draw is by rejection (Devroye, ch. II.3) in
+    a chart of d free speeds: those of the first d columns, in lexicographic
+    order, whose |d x d| minor of the singular vectors is the largest within
+    a factor 1 - 1e-6, which fix the others by a map that depends only on
+    the hull and the columns.  Proposals are uniform on the
+    box from the origin to the vertices' largest free speeds, which holds
+    the hull's projection, ``_PROPOSALS`` at a time from d uniforms each;
+    the first whose speeds all lie in [0, 1] is the draw.  After
+    ``_MAX_PROPOSALS`` it raises, naming the polytope.
+    """
+    _, sv, vt = np.linalg.svd(vertices - vertices.mean(axis=0), full_matrices=False)
+    dim = np.count_nonzero(sv > _POINT_EXTENT)  # vt's first dim rows span the hull
+    if dim == 0:
+        raise SamplingError("trade-speed polytope is the single point 0")
+    if dim == 1:  # a segment from the origin
+        return (1.0 - uniforms(1)[0]) * vertices[np.argmax(np.abs(vertices).max(axis=1))]
+    if dim == 2:
+        (x, y) = vt[:2].tolist()
+        minors = [x[i] * y[j] - x[j] * y[i] for i in range(len(x)) for j in range(i + 1, len(x))]
+        plane = vt[1::-1] if max(minors, key=abs) < 0.0 else vt[:2]
+        others = vertices[np.abs(vertices).max(axis=1) > _POINT_EXTENT]
+        return _polygon(others.tolist(), (others @ plane.T).tolist(), uniforms(3))
+    basis = vt[:dim]
+    subsets = list(itertools.combinations(range(basis.shape[1]), dim))
+    minors = np.abs(np.linalg.det(np.swapaxes(basis[:, subsets], 0, 1)))
+    # the first of the near-largest: symmetric traders tie, and rounding must not choose the chart
+    free = list(subsets[np.argmax(minors >= (1.0 - 1e-6) * minors.max())])
+    chart = np.linalg.solve(basis[:, free], basis)  # (d, H): free speeds to the point
+    top = vertices[:, free].max(axis=0)  # the box's far corner; the origin is its near one
+    for _ in range(_MAX_PROPOSALS // _PROPOSALS):
+        points = (top * uniforms(_PROPOSALS * dim).reshape(_PROPOSALS, dim)) @ chart
+        inside = np.flatnonzero(np.all((points >= 0.0) & (points <= 1.0), axis=1))
+        if inside.size:
+            return points[inside[0]]
+    raise SamplingError(
+        f"trade-speed polytope of {dim} dimensions and {len(np.unique(vertices, axis=0))} vertices "
+        f"accepted none of {_MAX_PROPOSALS} proposals"
+    )
 
 
 def sample_speed(
@@ -616,13 +705,15 @@ def sample_speed(
     At L = 2 with at most three households the draw is the engine step's
     own (``_line_speeds``): the ray or the polygon, in closed form.  Beyond,
     two active traders pin the polytope down to a ray, and every other case
-    draws from the polytope's enumerated vertices (``_vertices``): a
-    segment, a polygon fanned from the origin, or, once the polytope has
-    three or more dimensions, the cones from the origin over a pulling
-    triangulation (``_hitrun.sample``), exactly, from d + 1 uniforms on d
-    >= 2 dimensions.  The prior is read on the polytope's intrinsic measure
-    (the ray parameter when H = 2, the area on a polygon, the volume
-    beyond).  A failed check raises ``SamplingError``, with no second try.
+    draws from the polytope's enumerated vertices (``_vertices``), exactly
+    (``_polytope_speeds``): a segment from one uniform, a polygon fanned from
+    the origin from three, or, once the polytope has d >= 3 dimensions, the
+    first proposal inside it of blocks of ``_PROPOSALS`` uniform in a box of
+    d free speeds, which reads a variable number of uniforms and raises
+    ``SamplingError`` after ``_MAX_PROPOSALS``.  The prior is read on the
+    polytope's intrinsic measure (the ray parameter when H = 2, the area on
+    a polygon, the volume beyond).  A failed check raises ``SamplingError``,
+    with no second try.
     """
     _check_size(e)
     _check_state(e, y)
@@ -657,7 +748,7 @@ def _sample_speed(dirs: FloatArray, p: FloatArray, s_prior: SpeedPrior, uniforms
         vertices = vertices[:, ok[:, 0], 0].T
     else:
         vertices = vertices[:, idx]
-    return _settle(dirs, norms, idx, _hitrun.sample(vertices, uniforms), max_speed)
+    return _settle(dirs, norms, idx, _polytope_speeds(vertices, uniforms), max_speed)
 
 
 def _settle(dirs: FloatArray, norms: FloatArray, idx, point: FloatArray, max_speed: bool) -> FloatArray:

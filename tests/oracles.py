@@ -17,12 +17,15 @@ report the same failures and the same worst violation, bit for bit.
 was stacked, one grid point at a time through the public functions.
 ``reference_polygon_speeds`` is the three-trader polygon draw at L = 2 with
 its vertices sorted around their centroid and fanned by the formula of its
-own (``reference_fan``), as it ran before it shared ``_hitrun._polygon`` and
-the cone draw of every dimension: the shared draw must reproduce it bit for bit.
-``reference_polygon_sample`` draws three-trader speeds at L = 2 by rejection
-on the polygon's bounding box, which ``scipy.optimize.linprog`` finds, and
-``reference_polytope_sample`` draws speeds at any L the same way in an
-orthonormal chart of the null space.
+own (``reference_fan``), as it ran before it shared ``trade._polygon`` with
+every polygon the vertex enumeration finds: the shared draw must reproduce it
+bit for bit.  ``reference_polygon_sample`` draws three-trader speeds at L = 2
+by rejection on the polygon's bounding box, which ``scipy.optimize.linprog``
+finds, and ``reference_polytope_sample`` draws speeds at any L the same way
+in an orthonormal chart of the null space.  ``reference_rejection_draw``
+rebuilds the package's own rejection draw from three dimensions on, its chart
+from ``scipy.linalg.null_space`` and its box from ``exact_speed_vertices``,
+and returns the first of given proposals that lands in the polytope.
 ``exact_speed_vertices`` enumerates the speed polytope's vertices in
 ``fractions.Fraction`` on the float directions, and ``exact_trade_volume``
 takes the largest traded volume over them, so the screen is held to the
@@ -34,6 +37,8 @@ at L = 2, summed household by household, with no LP and no slack.
 roots one at a time by Brent's method through the public functions.
 ``reference_each`` calls a ``prefs`` core once per household, the loop that
 ``trade._grouped`` replaced by one call per household group.
+``golden`` names the golden file of exact bits for the SIMD target numpy
+dispatches to on this host.
 ``table_objects`` reads a run's table back as the states, price rates and
 speeds it records, and ``reference_advance`` takes one joint linear step
 through the public trade directions, so a recorded path can be replayed.
@@ -43,9 +48,10 @@ shared one epoch: the tabulated atom in the public rate box
 keeps the vertices it finds, and picked by the inverse CDF; the directions
 rebuilt through the public ``all_trade_directions``, with only a zero
 direction idle; the opposition of two traders read from their cosine and the
-ray by hand; the closed-form polygon of three traders at L = 2, and
-``_hitrun.sample`` on every other polytope, from the screen's vertices where
-it found them.
+ray by hand; the closed-form polygon of three traders at L = 2, and the
+package's vertex draw ``trade._polytope_speeds`` on every other polytope, from
+the screen's vertices where it found them, reading the stream as the step
+does.
 """
 
 from __future__ import annotations
@@ -55,13 +61,23 @@ import csv
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from edgeworth import _hitrun, engine, geometry, prefs, trade, verify
+from edgeworth import engine, geometry, prefs, trade, verify
 from edgeworth.errors import ConvergenceError, SamplingError, SpecificationError
 from edgeworth.prefs import Family
 from edgeworth.trade import Allocation, SpeedPrior
+
+
+def golden(name: str) -> Path:
+    """The golden file ``data/<name>.txt`` where numpy dispatches to AVX-512 (its ``AVX512_SKX``
+    target), else ``data/<name>_avx2.txt``: the two targets' SIMD loops round some
+    transcendental functions differently, so a golden of exact bits holds on one of them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return Path(__file__).parent / "data" / f"{name}{'' if __cpu_features__['AVX512_SKX'] else '_avx2'}.txt"
 
 
 def numeric_demand(u, p, iters: int = 20000, tol: float = 1e-12) -> np.ndarray:
@@ -232,7 +248,7 @@ def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator):
                 vertices = vertices[:, ok[:, 0], 0].T
             else:
                 vertices = vertices[:, idx]
-            point = _hitrun.sample(vertices, rng.random)
+            point = trade._polytope_speeds(vertices, rng.random)
         if max_speed:
             if point.max() < 1e-6:
                 raise SamplingError("max-speed draw peaks below 1e-06")
@@ -809,8 +825,37 @@ def reference_polytope_sample(dirs, p, s_prior, n: int, rng: np.random.Generator
     return kept
 
 
+def reference_rejection_draw(dirs, p, proposals: np.ndarray) -> tuple[np.ndarray, int]:
+    """The first of the uniform ``proposals``, one row of d per proposal, that lands in the speed
+    polytope of d >= 3 dimensions, and its index, built apart from ``trade._polytope_speeds``.
+
+    The free speeds are the first d rows, in lexicographic order, of an
+    orthonormal basis of the speeds that cancel the directions
+    (``scipy.linalg.null_space``) whose |determinant| is the largest within a
+    factor 1 - 1e-6, a choice that no other basis of that space changes,
+    since it scales every such minor by one factor.  The box is the range of the
+    exact vertices' free speeds (``exact_speed_vertices``), and a proposal is
+    in when every speed it fixes lies in [0, 1], within 1e-12 for the
+    rounding of the null space (a speed held at 0 comes out near, not at, 0).
+    """
+    from scipy.linalg import null_space
+
+    d, p = np.asarray(dirs, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    basis = null_space((d - np.outer(d @ p / (p @ p), p)).T)  # (H, d)
+    subsets = [list(c) for c in itertools.combinations(range(len(d)), basis.shape[1])]
+    minors = [abs(np.linalg.det(basis[c])) for c in subsets]
+    free = next(c for c, m in zip(subsets, minors) if m >= (1.0 - 1e-6) * max(minors))
+    vertices = np.array(exact_speed_vertices(dirs, p), dtype=np.float64)
+    lo, hi = vertices[:, free].min(axis=0), vertices[:, free].max(axis=0)
+    for i, u in enumerate(proposals):
+        s = basis @ np.linalg.solve(basis[free], lo + (hi - lo) * u)
+        if np.all((s >= -1e-12) & (s <= 1.0 + 1e-12)):
+            return s, i
+    raise AssertionError("no proposal lands in the polytope")
+
+
 def reference_polygon_speeds(lengths, u) -> np.ndarray:
-    """``trade._polygon_speeds`` as it ordered the vertices before it shared ``_hitrun._polygon``.
+    """``trade._polygon_speeds`` as it ordered the vertices before it shared ``trade._polygon``.
 
     The same closed-form vertex list, sorted by angle from -pi around its
     centroid in the chart of the two traders on one side of the price line,

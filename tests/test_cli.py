@@ -767,6 +767,7 @@ def test_refusal_is_one_line_exit_2(tmp_path, capsys, edit, flags, message):
 
 
 class TestVerifyCommand:
+    @pytest.mark.dispatch
     def test_full_run_exits_zero(self, capsys):
         rc = main(["verify", "--seed", "0"])
         assert rc == 0
@@ -774,8 +775,9 @@ class TestVerifyCommand:
         assert out.count("PASS") == 8
         for name in ("identity", "jacobian", "attraction", "welfare"):
             assert name in out
-        # the report, byte for byte, as the suites gave it when they ran one draw at a time
-        assert out == (Path(__file__).parent / "data" / "verify_seed0.txt").read_text()
+        # the report, byte for byte, as the suites gave it when they ran one draw at a time,
+        # on this host's numpy dispatch target (the worst identity error rounds differently)
+        assert out == oracles.golden("verify_seed0").read_text()
 
     def test_filtered_run_passes(self, capsys):
         rc = main(["verify", "--filter", "identity", "--seed", "0"])

@@ -12,7 +12,6 @@ import sys
 import time
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, Economy, SpeedPrior
 
 from oracles import (
+    golden,
     log_uniform,
     reference_advance,
     reference_each,
@@ -568,6 +568,23 @@ class TestStep:
             assert len(calls) == step
         assert given == [True] * 10
 
+    def test_a_polytope_row_reads_a_block_in_one_call(self):
+        # four traders at L = 2 whose rates all differ: after the price attempts, one
+        # uniform each, the three-dimensional speed draw reads its block of 100
+        # proposals of three uniforms from the step's stream in one call
+        e = Economy.of([UtilitySpec.cobb_douglas_log(w) for w in ([0.3, 0.7], [0.6, 0.4], [0.5, 0.5], [0.2, 0.8])])
+        y = Allocation(np.array([[2.0, 1.0], [1.0, 2.0], [1.5, 0.5], [0.5, 1.5]]))
+        rng, calls = engine.run_rng(1, 0), []
+
+        class Stream:
+            def random(self, k=None):
+                calls.append(k)
+                return rng.random(k)
+
+        sigma = engine.sntp_step(e, y, PriorSpec(UniformArc(), SpeedPrior.UNIFORM_CUBE), Stream())[2]
+        assert np.count_nonzero(sigma) == 4
+        assert calls[-1] == 300 and set(calls[:-1]) == {1}
+
     def test_a_path_end_on_the_floor_trades(self, monkeypatch, cd_economy):
         # the epoch's floor test is closed: path ends exactly at 1e-300 trade,
         # while the row beside them, whose path ends are NaN, fails alone
@@ -1084,13 +1101,13 @@ def generic_golden_lines(seed: int) -> list[str]:
     return lines
 
 
+@pytest.mark.dispatch
 def test_generic_runs_match_the_golden():
     """Every run of the benchmark's generic scenarios at seed 1, pinned by its table's bytes or its
     error: the one-row epoch at L = 2 and L = 3, the exhausted priors' messages and the step they
-    fail at.  The tables are exact bits, so the golden holds on hosts whose numpy dispatches as
-    the one that wrote it; it is not among the dispatch tests."""
-    golden = (Path(__file__).parent / "data" / "generic_seed1.txt").read_text().splitlines()
-    assert generic_golden_lines(1) == [line for line in golden if not line.startswith("#")]
+    fail at.  The tables are exact bits, so there is one golden per numpy dispatch target."""
+    lines = golden("generic_seed1").read_text().splitlines()
+    assert generic_golden_lines(1) == [line for line in lines if not line.startswith("#")]
 
 
 def _worst_ulp_move(dirs: np.ndarray, redraw) -> float:
@@ -1183,9 +1200,9 @@ def test_four_trader_speed_draws_are_continuous_in_the_directions(monkeypatch):
 def test_polytope_speed_draws_are_continuous_in_the_directions():
     """A hundred random four-trader economies at L = 2, each at a price rate
     between its households' rates where all four trade: the three-dimensional
-    draw has no basis or walk that a rounding difference can move, so one ulp
-    on one direction entry moves it by at most 1e-12.  The 64-step
-    hit-and-run it replaced moved by up to 0.23 on two of these economies."""
+    draw's chart and box move continuously with the directions, so one ulp on
+    one direction entry moves it by at most 1e-12.  The 64-step random walk
+    an earlier draw took moved by up to 0.23 on two of these economies."""
     draw, seen = np.random.default_rng(1), 0
     while seen < 100:
         specs = [

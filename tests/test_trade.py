@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.stats import ks_2samp
 
-from edgeworth import _hitrun, engine, prefs, trade
+from edgeworth import engine, prefs, trade
 from edgeworth.errors import DomainDegeneracyError, SamplingError, SpecificationError
 from edgeworth.prefs import UtilitySpec
 from edgeworth.trade import Allocation, BoxSet, Economy, SpeedPrior
@@ -26,9 +26,11 @@ from oracles import (
     rank_within_rounding,
     reference_advance,
     reference_each,
+    reference_fan,
     reference_polygon_sample,
     reference_polygon_speeds,
     reference_polytope_sample,
+    reference_rejection_draw,
 )
 
 pytestmark = pytest.mark.dispatch
@@ -96,7 +98,7 @@ STALLED_4X3 = [
     [2.0527242050322765, 0.8368992356573141, 0.9516709806445564],
 ]
 
-# the four households of test_hit_and_run_four_households_three_goods at a
+# the four households of test_enumerated_polytope_four_households_three_goods at a
 # state and its clearing rates where probe LPs found only the vertices 0 and
 # (1, 1, 1, 1) of a quadrilateral speed polytope
 QUADRILATERAL = (
@@ -715,7 +717,7 @@ class TestSampleSpeed:
             sv = trade.sample_speed(ces_economy, shock, [1.1, 1.0], SpeedPrior.UNIFORM_CUBE, rng)
             assert trade.speed_contains(ces_economy, shock, [1.1, 1.0], sv)
 
-    def test_postcondition_hit_and_run(self, rng):
+    def test_postcondition_enumerated_polytope(self, rng):
         e, y = FOUR_BY_THREE
         p = [1.0, 1.0, 1.0]
         assert trade.has_trade(e, y, p)
@@ -726,7 +728,7 @@ class TestSampleSpeed:
                 if prior is SpeedPrior.MAX_SPEED:
                     assert sv.max() == pytest.approx(1.0)
 
-    def test_hit_and_run_four_households_three_goods(self, rng):
+    def test_enumerated_polytope_four_households_three_goods(self, rng):
         specs = [
             UtilitySpec.ces(np.array([0.2, 0.3, 0.5]), 0.5),
             UtilitySpec.ces(np.array([0.5, 0.3, 0.2]), 0.5),
@@ -779,7 +781,7 @@ class TestSampleSpeed:
         # a 3x2 uniform-arc state where D^T's second singular value is
         # rounding noise (2.7e-16 against 2.4e-4) but clears the relative rank
         # cutoff; counted as rank, it cut the 2-D polytope down to a line
-        polygon = _hitrun._polygon
+        polygon = trade._polygon
         e = Economy.of(
             [
                 UtilitySpec.ces([0.3, 0.7], 0.5),
@@ -804,10 +806,10 @@ class TestSampleSpeed:
         # three traders at L = 2 draw from the closed-form polygon; the
         # enumerated vertices still span it, and their draw is a polygon's
         vertices = _speed_vertices(trade.all_trade_directions(e, y, p), p)
-        assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=_hitrun._POINT_EXTENT) == 2
+        assert np.linalg.matrix_rank(vertices - vertices.mean(axis=0), tol=trade._POINT_EXTENT) == 2
         calls = []
-        monkeypatch.setattr(_hitrun, "_polygon", lambda *args: calls.append(args) or polygon(*args))
-        assert trade.speed_contains(e, y, p, _hitrun.sample(vertices, rng.random))
+        monkeypatch.setattr(trade, "_polygon", lambda *args: calls.append(args) or polygon(*args))
+        assert trade.speed_contains(e, y, p, trade._polytope_speeds(vertices, rng.random))
         assert len(calls) == 1
 
     def test_deterministic_given_stream(self, cd_economy, shock):
@@ -822,11 +824,11 @@ class TestSampleSpeed:
     @pytest.mark.parametrize(
         "state,p,draw,s_prior,point,why",
         [
-            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.UNIFORM_CUBE,
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (trade, "_polytope_speeds"), SpeedPrior.UNIFORM_CUBE,
              [1.0, 0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.67\d* \(bound 1e-09\)"),
-            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.UNIFORM_CUBE,
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (trade, "_polytope_speeds"), SpeedPrior.UNIFORM_CUBE,
              [0.0, 0.0, 0.0, 0.0], r"cancel-and-move: residual 0\.0 .*, volume 0\.0 \(floor 1e-12\)"),
-            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (_hitrun, "sample"), SpeedPrior.MAX_SPEED,
+            (FOUR_BY_THREE, [1.0, 1.0, 1.0], (trade, "_polytope_speeds"), SpeedPrior.MAX_SPEED,
              [1e-7, 0.0, 1e-7, 0.0], r"max-speed draw peaks at 1e-07, below 1e-06"),
             (THREE_BY_TWO, [1.0, 1.0], (trade, "_polygon_speeds"), SpeedPrior.UNIFORM_CUBE,
              [1.0, 0.0, 0.0], r"cancel-and-move: residual 0\.7\d* \(bound 1e-09\)"),
@@ -838,33 +840,24 @@ class TestSampleSpeed:
         ids=["residual", "volume", "peak", "polygon_residual", "polygon_volume", "polygon_peak"],
     )
     def test_failed_candidate_raises_at_once(self, monkeypatch, rng, state, p, draw, s_prior, point, why):
-        # one candidate per draw, from hit-and-run or the polygon: a failed check is not retried
+        # one candidate per draw, from the vertex draw or the polygon: a failed check is not retried
         calls = []
         monkeypatch.setattr(*draw, lambda *args: calls.append(args) or np.array(point))
         with pytest.raises(SamplingError, match=why):
             trade.sample_speed(*state, p, s_prior, rng)
         assert len(calls) == 1
 
-    def test_inconsistent_bounds_raise_at_once(self, monkeypatch):
-        # four traders at L = 2 whose lengths cancel in decimals (0.1 - 0.1, 0.1 + 0.2 - 0.3):
-        # rounding leaves some copies of a degenerate vertex a few ulps off a bound.  Read
-        # exactly, the bounds do not make a face lattice, and the draw raises and reads nothing
-        dirs = _line_directions(TestPolytopeDraw.MIRRORED)
-        monkeypatch.setattr(_hitrun, "_AT_BOUND", 0.0)
-        rng = np.random.default_rng(5)
-        why = r"^trade-speed polytope's bounds do not triangulate it: simplices of \[4, 5\] vertices$"
-        with pytest.raises(SamplingError, match=why):
-            trade._sample_speed(dirs, np.ones(2), SpeedPrior.UNIFORM_CUBE, rng.random)
-        assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
-
-    def test_bounds_short_of_the_span_raise(self, rng):
-        # one speed moved 0.001 off its bound takes a vertex off the polytope's
-        # hyperplane: the vertices span four dimensions, their bounds triangulate three
-        vertices = _hitrun._sort(_speed_vertices(TestHitRunStream.DIRS, [1.0, 1.0]))
-        assert vertices[2].tolist()[::3] == [0.0, 0.0]
-        vertices[2, 3] = 0.001
-        with pytest.raises(SamplingError, match=r"simplices of \[4\] vertices$"):
-            _hitrun.sample(vertices, rng.random)
+    def test_bounds_short_of_the_span_raise(self):
+        # one speed moved 0.001 off its bound takes a vertex off the polytope's hyperplane: the
+        # vertices span four dimensions, the chart draws from their span in the cube, and the
+        # draw fails cancel-and-move at once
+        dirs = TestPolytopeStream.DIRS
+        vertices = _speed_vertices(dirs, [1.0, 1.0])
+        at = np.flatnonzero((vertices[:, 0] == 0.0) & (vertices[:, 3] == 0.0) & vertices.any(axis=1))[0]
+        vertices[at, 3] = 0.001
+        assert np.linalg.matrix_rank(vertices, tol=trade._POINT_EXTENT) == 4
+        with pytest.raises(SamplingError, match="^speed draw fails cancel-and-move: residual"):
+            trade._sample_speed(dirs, np.ones(2), SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5).random, vertices)
 
     def test_infeasible_prices_raise(self, cd_economy, shock, rng):
         with pytest.raises(SamplingError):
@@ -914,7 +907,7 @@ def _speed_vertices(dirs, p) -> np.ndarray:
     return vertices[:, ok[:, 0], 0].T
 
 
-class TestHitRunDegenerate:
+class TestDegeneratePolytope:
     def test_no_null_space_is_an_empty_interior(self, rng):
         # three independent directions in four goods: D^T s = 0 only at s = 0
         dirs = np.random.default_rng(0).standard_normal((3, 4))
@@ -923,7 +916,7 @@ class TestHitRunDegenerate:
         vertices = _speed_vertices(dirs, p)
         assert not np.any(vertices)
         with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
-            _hitrun.sample(vertices, rng.random)
+            trade._polytope_speeds(vertices, rng.random)
 
     def test_point_polytope_raises_and_reads_nothing(self):
         # e1, e2 and e1 + e2 in the plane orthogonal to p = (1, 1, 1): the
@@ -935,7 +928,7 @@ class TestHitRunDegenerate:
         assert all(not any(v) for v in exact_speed_vertices(dirs, [1.0, 1.0, 1.0]))
         rng = np.random.default_rng(5)
         with pytest.raises(SamplingError, match="^trade-speed polytope is the single point 0$"):
-            _hitrun.sample(vertices, rng.random)
+            trade._polytope_speeds(vertices, rng.random)
         assert rng.random() == np.random.default_rng(5).random()  # the stream is untouched
 
     def test_collinear_directions_are_enumerated_at_their_rank(self, rng):
@@ -960,27 +953,31 @@ class TestHitRunDegenerate:
             trade._sample_speed(dirs, np.ones(3), SpeedPrior.UNIFORM_CUBE, np.random.default_rng(5).random)
 
 
-class TestHitRunStream:
+class TestPolytopeStream:
     # at p = (1, 1) four traders, two on each side of the price line: the
     # polytope {s in [0, 1]^4 : sum_h a_h s_h = 0} has three dimensions
     DIRS = np.array([[1.0, -1.0], [0.5, -0.5], [-0.7, 0.7], [-0.4, 0.4]])
 
     @pytest.mark.parametrize("extra", [[], [[0.3, -0.3]]], ids=["d3", "d4"])
-    def test_draw_reads_d_plus_one_uniforms(self, extra):
-        # one uniform picks a cone from the origin, one its radius, and d - 1 a point of its base
+    def test_draw_reads_whole_blocks_of_proposals(self, extra):
+        # each block reads d uniforms for each of 100 proposals; at these
+        # acceptance rates the first block holds the draw
         dirs = np.array([*self.DIRS, *extra])
         rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        point = _hitrun.sample(_speed_vertices(dirs, [1.0, 1.0]), rng.random)
+        point = trade._polytope_speeds(_speed_vertices(dirs, [1.0, 1.0]), rng.random)
         assert np.abs(point @ dirs).max() <= 1e-15
-        reference.random(len(dirs))  # d + 1 = H at L = 2
+        reference.random(100 * (len(dirs) - 1))  # d = H - 1 at L = 2
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestPolytopeDraw:
-    """Three or more dimensions: cones from the origin over a pulling triangulation."""
+    """Three or more dimensions: a rejection draw in a chart of free speeds."""
 
     #: four traders at L = 2 whose lengths cancel in decimals, so some vertices are degenerate
     MIRRORED = [0.1, -0.1, 0.2, -0.3]
+    #: the mirrored lengths with N(0, sigma) noise, where the pulling triangulation once read
+    #: copies of a degenerate vertex on both sides of its bounds' tolerance
+    NOISY = ["noisy_1e-13", "noisy_3e-13", "noisy_1e-12", "noisy_3e-12", "noisy_1e-11"]
 
     @staticmethod
     def directions(case: str) -> tuple[np.ndarray, np.ndarray]:
@@ -988,35 +985,91 @@ class TestPolytopeDraw:
             p = np.array([0.8, 1.2, 1.0])
             dirs = np.random.default_rng(4).standard_normal((5, 3))
             return dirs - np.outer(dirs @ p / (p @ p), p), p
-        lengths = {"four_traders": [1.0, 0.5, -0.7, -0.4], "five_traders": [1.0, -0.3, 0.5, -0.7, -0.4]}
+        if case == "held_at_zero":  # four traders on one line and a fifth off it, held at 0: d = 3
+            w, v = np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, -2.0])
+            return np.stack([0.9 * w, -0.4 * w, 0.6 * w, -0.8 * w, 0.5 * v]), np.ones(3)
+        lengths = {
+            "four_traders": [1.0, 0.5, -0.7, -0.4],
+            "five_traders": [1.0, -0.3, 0.5, -0.7, -0.4],
+            "short_box": [1.0, -0.2, -0.1, 0.4],  # the fourth trader's free speed reaches only 0.75
+            "tie": [0.3, -0.3, 0.1, -0.2],  # two traders tie for the largest minor
+        }
         return _line_directions(lengths.get(case, TestPolytopeDraw.MIRRORED), 0.8), np.array([0.8, 1.0])
 
+    @staticmethod
+    def noisy(case: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The mirrored polytopes with the noise of ``case`` on their lengths, from seeds 0-199."""
+        sigma = float(case.removeprefix("noisy_"))
+        lengths = [np.add(TestPolytopeDraw.MIRRORED, np.random.default_rng(s).normal(0.0, sigma, 4)) for s in range(200)]
+        return [(_line_directions(a, 0.8), np.array([0.8, 1.0])) for a in lengths]
+
     @pytest.mark.parametrize("s_prior", list(SpeedPrior), ids=lambda s: s.value)
-    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods"])
+    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods", *NOISY])
     def test_coordinates_follow_the_rejection_oracle(self, case, s_prior):
-        # per-coordinate two-sample KS at about the 0.1% level, as for the polygons
-        dirs, p = self.directions(case)
-        vertices = _speed_vertices(dirs, p)
-        assert np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == len(dirs) - len(p) + 1
+        # per-coordinate two-sample KS at about the 0.1% level, as for the polygons; a noisy
+        # case draws 15 times from each of its 200 polytopes, none of which may raise, and
+        # their laws are the mirrored one's within far less than the test resolves
+        polytopes = self.noisy(case) if case in self.NOISY else [self.directions(case)]
         n, rng = 3000, np.random.default_rng(29)
-        mine = np.stack([trade._sample_speed(dirs, p, s_prior, rng.random, vertices) for _ in range(n)])
-        reference = reference_polytope_sample(dirs, p, s_prior, n, rng)
-        assert np.abs(mine @ dirs).max() <= 1e-12
-        for h in range(len(dirs)):
+        mine = []
+        for dirs, p in polytopes:
+            vertices = _speed_vertices(dirs, p)
+            assert np.linalg.matrix_rank(vertices, tol=trade._POINT_EXTENT) == len(dirs) - len(p) + 1
+            draws = np.stack([trade._sample_speed(dirs, p, s_prior, rng.random, vertices) for _ in range(n // len(polytopes))])
+            assert np.abs(draws @ dirs).max() <= 1e-12
+            mine.append(draws)
+        mine = np.concatenate(mine)
+        reference = reference_polytope_sample(*self.directions("mirrored" if case in self.NOISY else case), s_prior, n, rng)
+        for h in range(mine.shape[1]):
             assert ks_2samp(mine[:, h], reference[:, h]).statistic < 1.95 * np.sqrt(2.0 / n), h
 
-    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods"])
-    def test_cones_tile_the_polytope(self, case):
-        # each of the oracle's points lies in exactly one cone: the nonnegative
-        # weights on its base's vertices that make it sum to at most 1
+    @pytest.mark.parametrize("case", ["four_traders", "five_traders", "mirrored", "three_goods", "held_at_zero", "short_box", "tie"])
+    def test_draw_is_the_first_proposal_inside(self, case):
+        # the draw is the first proposal, d uniforms each, that lands in the polytope, in a chart
+        # and box rebuilt from an orthonormal null space and the exact vertices; it reads whole
+        # blocks of _PROPOSALS.  A speed held at 0 is never free: its minors vanish; and a
+        # free speed that cannot reach 1 bounds the box short of the cube
         dirs, p = self.directions(case)
-        rows = _hitrun._sort(_speed_vertices(dirs, p))
-        simplices = np.array(_hitrun._pulling(rows))
-        assert not rows[0].any() and not simplices[:, 0].any()  # the origin is every cone's apex
-        points = reference_polytope_sample(dirs, p, SpeedPrior.UNIFORM_CUBE, 2000, np.random.default_rng(3))
-        weights = points @ np.linalg.pinv(rows[simplices[:, 1:]])  # (cones, points, d)
-        inside = np.all(weights >= -1e-9, axis=-1) & (weights.sum(axis=-1) <= 1.0 + 1e-9)
-        assert np.count_nonzero(inside, axis=0).tolist() == [1] * len(points)
+        d = len(dirs) - np.linalg.matrix_rank(dirs)
+        vertices = _speed_vertices(dirs, p)
+        for seed in range(20):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            point = trade._polytope_speeds(vertices, rng.random)
+            want, i = reference_rejection_draw(dirs, p, np.random.default_rng(seed).random((trade._MAX_PROPOSALS, d)))
+            np.testing.assert_allclose(point, want, rtol=0.0, atol=1e-12)
+            reference.random((i // trade._PROPOSALS + 1) * trade._PROPOSALS * d)
+            assert rng.bit_generator.state == reference.bit_generator.state, (seed, i)
+
+    def test_a_tie_of_largest_minors_moves_no_draw(self):
+        # two traders of equal length tie for the chart, and one ulp on any direction entry
+        # would pick between them if the largest minor alone chose it; the first of the
+        # near-largest keeps every draw within 1e-12
+        dirs, p = self.directions("tie")
+        for seed in range(10):
+            base = trade._sample_speed(dirs, p, SpeedPrior.UNIFORM_CUBE, np.random.default_rng(seed).random)
+            for index in np.ndindex(dirs.shape):
+                for toward in (-np.inf, np.inf):
+                    moved = dirs.copy()
+                    moved[index] = np.nextafter(moved[index], toward)
+                    sigma = trade._sample_speed(moved, p, SpeedPrior.UNIFORM_CUBE, np.random.default_rng(seed).random)
+                    assert np.abs(sigma - base).max() <= 1e-12, (seed, index, toward)
+
+    def test_cap_names_the_polytope(self):
+        # proposals that never land inside: the four traders' free speeds are the last three,
+        # and the first near the top of its range with the others at 0 leaves the first trader's
+        # speed negative; after 10^4 proposals the draw raises, naming the polytope
+        dirs, p = self.directions("four_traders")
+        read = []
+
+        def uniforms(k):
+            read.append(k)
+            return np.tile([0.9999, 0.0, 0.0], k // 3)
+
+        count = len(exact_speed_vertices(dirs, p))
+        why = f"^trade-speed polytope of 3 dimensions and {count} vertices accepted none of 10000 proposals$"
+        with pytest.raises(SamplingError, match=why):
+            trade._polytope_speeds(_speed_vertices(dirs, p), uniforms)
+        assert read == [3 * trade._PROPOSALS] * (10_000 // trade._PROPOSALS)
 
 
 def _line_directions(lengths, q: float = 1.0) -> np.ndarray:
@@ -1089,12 +1142,11 @@ class TestPolygonDraw:
             reference = reference_polygon_speeds(a, u)
             assert mine.tobytes() == reference.tobytes(), a.tolist()
 
-    def test_polygon_fans_around_its_boundary(self, monkeypatch):
+    def test_polygon_fans_around_its_boundary(self):
         # any convex polygon with the origin as a vertex, its other vertices given
         # shuffled: the fan takes them counterclockwise from the origin, in the
-        # order of the convex hull, whatever the chart's turn
-        fans = []
-        monkeypatch.setattr(_hitrun, "_cone", lambda vertices, *rest: fans.append(vertices))
+        # order of the convex hull, whatever the chart's turn, bit for bit as
+        # the reference fan does given them in that order
         draw, seen = np.random.default_rng(8), 0
         while seen < 300:
             points = np.vstack([[0.0, 0.0], draw.standard_normal((int(draw.integers(2, 7)), 2))])
@@ -1104,22 +1156,21 @@ class TestPolygonDraw:
             seen += 1
             start = ring.index(0)
             ring = ring[start + 1 :] + ring[:start]
-            others = points[draw.permutation(ring)].tolist()
-            _hitrun._polygon(others, others, draw.random(3))
-            assert fans[-1] == points[ring].tolist()
+            others, hull, u = points[draw.permutation(ring)].tolist(), points[ring].tolist(), draw.random(3)
+            assert trade._polygon(others, others, u).tobytes() == reference_fan(hull, hull, u).tobytes()
 
     def test_enumerated_polygon_is_charted_in_the_turn_of_its_largest_minor(self, monkeypatch):
         # L = 3, four traders: the chart's rows span the polygon's plane, turned so that
         # their largest 2 x 2 minor is positive, which keeps the turn continuous in the hull
         charts = []
-        polygon = _hitrun._polygon
-        monkeypatch.setattr(_hitrun, "_polygon", lambda *args: charts.append(args[:2]) or polygon(*args))
+        polygon = trade._polygon
+        monkeypatch.setattr(trade, "_polygon", lambda *args: charts.append(args[:2]) or polygon(*args))
         draw = np.random.default_rng(6)
         while len(charts) < 200:
             dirs, p = draw.standard_normal((4, 3)), np.exp(draw.standard_normal(3))
             vertices = _speed_vertices(dirs - np.outer(dirs @ p / (p @ p), p), p)
-            if len(vertices) and np.linalg.matrix_rank(vertices, tol=_hitrun._POINT_EXTENT) == 2:
-                _hitrun.sample(vertices, draw.random)
+            if len(vertices) and np.linalg.matrix_rank(vertices, tol=trade._POINT_EXTENT) == 2:
+                trade._polytope_speeds(vertices, draw.random)
         for others, chart in charts:
             x, y = np.linalg.lstsq(np.array(others), np.array(chart), rcond=None)[0].T  # the chart's rows
             minors = [x[i] * y[j] - x[j] * y[i] for i in range(4) for j in range(i + 1, 4)]
