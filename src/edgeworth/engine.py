@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from . import prefs, trade
 from .errors import DomainDegeneracyError, SamplingError, SpecificationError
-from .trade import Allocation, Economy, SpeedPrior, _raise_first, _rates_agree
+from .trade import Allocation, Economy, SpeedPrior, _raise_first
 
 FloatArray = NDArray[np.float64]
 
@@ -496,9 +496,8 @@ def draw_price(e: Economy, y: Allocation, prior: PriorSpec, rng: np.random.Gener
     draw is accepted by that interval, with no vertex enumeration.
     """
     _check_prior(e, prior)
-    rates = trade.household_rates(e, y)
-    lo, hi = rates.min(axis=0), rates.max(axis=0)
-    if np.all(_rates_agree(lo, hi, trade.PARETO_TOL)):
+    lo, hi, agree = trade._extremes(trade.household_rates(e, y), trade.PARETO_TOL)
+    if np.all(agree):
         raise SpecificationError("cannot draw trade prices at a Pareto-optimal state")
     return _draw_price(e, prior, y.bundles[None], lo, hi, lambda sub: rng.random(1))[0].reshape(e.n_goods - 1)
 
@@ -576,9 +575,8 @@ def sntp_step(
     pareto_tol = _check_pareto_tol(pareto_tol, closed_form=False)
     _check_prior(e, prior)
     trade._check_state(e, y)
-    rates = trade._household_rates(e, y.bundles)
-    lo, hi = rates.min(axis=0), rates.max(axis=0)
-    if np.all(_rates_agree(lo, hi, pareto_tol)):
+    lo, hi, agree = trade._extremes(trade._household_rates(e, y.bundles), pareto_tol)
+    if np.all(agree):
         return None
     q, sigma, x = _epoch(e, prior, y.bundles[None], lo, hi, lambda sub, k=1: rng.random(k))
     return Allocation(prefs._guard(x[0], "bundles")), q.reshape(e.n_goods - 1), sigma[0].copy()  # no epoch array kept
@@ -630,11 +628,11 @@ class _Streams:
             for r, (run_key, blocks) in zip(refill.tolist(), self._runs[refill].tolist()):
                 key[1], counter[0] = run_key, blocks
                 philox.state = self._state
-                self._buf[r] = self._gen.random(_BLOCK)
+                self._gen.random(out=self._buf[r])
             self._runs[refill, 1] += _BLOCK // 4  # each Philox block holds four draws
             pos[spent] = 0
         self._pos[rows] = pos + 1
-        return self._buf[rows, pos]
+        return self._buf.take(rows * _BLOCK + pos)  # one flat index: cheaper than a 2-D fancy index
 
 
 def _households(live: FloatArray) -> FloatArray:
@@ -682,10 +680,7 @@ def _run_2x2(cfg: SimConfig, indices: NDArray[np.int64], record: bool):
 
     y = _households(live)
     for k in range(1, cfg.max_steps + 1):
-        m = trade._grouped(prefs._rates, e, y)
-        m1, m2 = m[:, 0, 0], m[:, 1, 0]
-        lo, hi = np.minimum(m1, m2), np.maximum(m1, m2)
-        done = _rates_agree(lo, hi, tol)
+        lo, hi, done = (v[:, 0] for v in trade._extremes(trade._grouped(prefs._rates, e, y), tol))
         if np.count_nonzero(done):
             pareto[rows[done]], last[rows[done], 1] = True, k - 1
             last[rows[done], 2:] = live[:, done].T

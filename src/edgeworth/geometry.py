@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 from . import prefs
 from .errors import ConvergenceError, SpecificationError
 from .prefs import UtilitySpec, as_bundle, as_price
-from .trade import PARETO_TOL, Allocation, Economy, _grouped, _path_end, _rates_agree, household_rates
+from .trade import PARETO_TOL, Allocation, Economy, _extremes, _grouped, _path_end, household_rates
 
 FloatArray = NDArray[np.float64]
 
@@ -294,9 +294,9 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, FloatA
     if len(specs) != 2 or endowments.bundles.shape != (2, 2):
         raise SpecificationError("walras_equilibrium_2x2 requires H = L = 2")
     economy = Economy.of(specs)
-    rates = household_rates(economy, endowments)  # (2, 1)
-    if _rates_agree(rates.min(), rates.max(), PARETO_TOL):
-        return float(rates.min()), endowments.bundles  # already Pareto optimal: no-trade equilibrium
+    lo, hi, agree = _extremes(household_rates(economy, endowments), PARETO_TOL)  # each (1,)
+    if agree[0]:
+        return float(lo[0]), endowments.bundles  # already Pareto optimal: no-trade equilibrium
     aggregate = endowments.aggregate
 
     def demands(q) -> FloatArray:
@@ -304,7 +304,7 @@ def walras_equilibrium_2x2(specs, endowments: Allocation) -> tuple[float, FloatA
         return prefs._guard(_grouped(_path_end, economy, endowments.bundles, p[..., None, :]), "demand")
 
     q = _bisect(
-        lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], rates.min(axis=0), rates.max(axis=0),
+        lambda q: demands(q)[..., 0].sum(axis=-1) - aggregate[0], lo, hi,
         lambda i: "excess demand does not change sign on the rate interval; the economy is mis-specified",
     )[0]
     allocation = demands(q)

@@ -22,9 +22,11 @@ from its decision: a segment, a fanned polygon, or from three dimensions on
 a rejection draw in a chart of free speeds, which reads a variable number of
 uniforms and fails after ``_MAX_PROPOSALS`` proposals.  A speed vector is a
 plain float array, checked only where it comes in, by ``speed_contains``.
-The box set built from extreme marginal substitution rates (``_box``, tested
-by ``_in_box``, on rows; ``msr_extremes`` and ``box_contains`` for one) gives
-the cheap superset used for tabulated price draws at L >= 3."""
+``_extremes`` gives the households' extreme substitution rates, the ends of
+the trade interval at L = 2, and the Pareto test.  The box set built from
+extreme marginal substitution rates (``_box``, tested by ``_in_box``, on rows;
+``msr_extremes`` and ``box_contains`` for one) gives the cheap superset used
+for tabulated price draws at L >= 3."""
 
 from __future__ import annotations
 
@@ -52,7 +54,8 @@ PARETO_TOL = 1e-8
 #: decision (``_screen``); the speed draws leave only a zero direction idle.
 DEGENERATE_DIRECTION = 1e-12
 
-_LP_DECISION = 1e-9
+#: The trade decision's volume threshold per unit of the longest active direction (``_threshold``).
+_VOLUME_FACTOR = 1e-9
 
 #: A candidate vertex's solved speeds may round this far outside [0, 1],
 #: and its aggregate miss zero by this much times the longest direction
@@ -279,13 +282,14 @@ def _decide(dirs: FloatArray, p: FloatArray, found: list | None = None) -> NDArr
 
     A row's active directions are those at least ``DEGENERATE_DIRECTION``
     long.  Trade exists iff the largest volume ``s . |d|`` over the exact
-    speed polytope of the active directions exceeds ``_LP_DECISION`` times
-    the longest of them (at least 1): rounding in the directions grows with
-    the longest one, so the threshold does.  At L = 2 Walras' law puts the
-    directions on the line orthogonal to the prices, each on the side its
-    first coordinate's sign names (as for the speed draw), and the largest
-    volume is exactly 2 min(P, N) for P and N the active norms summed on each
-    side.  Beyond, a linear volume is largest at a vertex (``_vertices``).
+    speed polytope of the active directions exceeds ``_threshold``,
+    ``_VOLUME_FACTOR`` times the longest of them (at least 1): rounding in
+    the directions grows with the longest one, so the threshold does.  At
+    L = 2 Walras' law puts the directions on the line orthogonal to the
+    prices, each on the side its first coordinate's sign names (as for the
+    speed draw), and the largest volume is exactly 2 min(P, N) for P and N
+    the active norms summed on each side.  Beyond, a linear volume is
+    largest at a vertex (``_vertices``).
     Directions that are not finite, as an unguarded demand's may be, make a
     NaN length idle and an infinite one admit nothing, at every L.  Given a
     list ``found``, the decision keeps the vertices there for
@@ -309,8 +313,8 @@ def _decide(dirs: FloatArray, p: FloatArray, found: list | None = None) -> NDArr
 
 
 def _threshold(longest: FloatArray) -> FloatArray:
-    """The trade decision's volume threshold: ``_LP_DECISION`` times the longest active direction, at least 1."""
-    return _LP_DECISION * np.maximum(longest, 1.0)
+    """The trade decision's volume threshold: ``_VOLUME_FACTOR`` times the longest active direction, at least 1."""
+    return _VOLUME_FACTOR * np.maximum(longest, 1.0)
 
 
 def _line_admits(dirs: FloatArray, norms: FloatArray) -> NDArray[np.bool_]:
@@ -448,11 +452,6 @@ def _vertices(A: FloatArray):
         yield rows, *_enumerate(vt[rank == r, :r], scale[rows])[:2]
 
 
-def _rates_agree(lo, hi, tol):
-    """The Pareto test: extreme rates agree within relative tol (scalars or arrays)."""
-    return hi - lo <= tol * lo
-
-
 def household_rates(e: Economy, y: Allocation) -> FloatArray:
     """(H, L - 1) substitution rates, one row per household."""
     _check_state(e, y)
@@ -464,22 +463,26 @@ def _household_rates(e: Economy, bundles: FloatArray) -> FloatArray:
     return prefs._guard(_grouped(prefs._rates, e, bundles), "substitution rates")
 
 
+def _extremes(rates: FloatArray, tol: float) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
+    """The extremes over the households of ``(..., H, L - 1)`` substitution rates, each ``(..., L - 1)``,
+    and where they agree within relative ``tol`` (the Pareto test); at L = 2 the trade interval lies between them.
+
+    Folded in household by household, as ``_line_admits`` sums, the rows being many; min and max are exact.
+    """
+    lo = hi = rates[..., 0, :]
+    for h in range(1, rates.shape[-2]):
+        lo, hi = np.minimum(lo, rates[..., h, :]), np.maximum(hi, rates[..., h, :])
+    return lo, hi, hi - lo <= tol * lo
+
+
 def trade_interval_2x2(e: Economy, y: Allocation) -> tuple[float, float] | None:
     """Open interval of trade-compatible price rates for a 2-household,
     2-good economy, or None when the substitution rates already agree."""
     if e.size != 2 or e.n_goods != 2:
         raise SpecificationError("trade_interval_2x2 requires H = L = 2")
     _check_state(e, y)
-    lo, hi, open_ = _intervals(e, y.bundles)
-    return (float(lo), float(hi)) if open_ else None
-
-
-def _intervals(e: Economy, bundles: FloatArray) -> tuple[FloatArray, FloatArray, NDArray[np.bool_]]:
-    """``trade_interval_2x2`` of an ``(..., 2, 2)`` stack: the extreme rates and
-    whether the interval between them is open; only the rates are guarded."""
-    r = _household_rates(e, bundles)[..., 0]
-    lo, hi = r.min(axis=-1), r.max(axis=-1)
-    return lo, hi, ~_rates_agree(lo, hi, PARETO_TOL)
+    (lo,), (hi,), (agree,) = _extremes(_household_rates(e, y.bundles), PARETO_TOL)
+    return None if agree else (float(lo), float(hi))
 
 
 def msr_extremes(e: Economy, y: Allocation) -> BoxSet:
@@ -769,9 +772,4 @@ def _settle(dirs: FloatArray, norms: FloatArray, idx, point: FloatArray, max_spe
 
 def is_pareto_optimal(e: Economy, y: Allocation) -> bool:
     """No common-price trade remains: all substitution rates agree within ``PARETO_TOL``."""
-    return _pareto(household_rates(e, y), PARETO_TOL)
-
-
-def _pareto(rates: FloatArray, tol: float) -> bool:
-    """``is_pareto_optimal`` on (H, L - 1) rates already built, at a tolerance its caller checked."""
-    return bool(np.all(_rates_agree(rates.min(axis=0), rates.max(axis=0), tol)))
+    return bool(np.all(_extremes(household_rates(e, y), PARETO_TOL)[2]))

@@ -313,7 +313,7 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
 
     Each draw is a non-Pareto allocation with a trade-compatible price and
     feasible speeds: with two goods a rate inside the households' interval
-    and a ``trade.sample_speed`` draw, drawn as the allocation is; otherwise
+    and a ``trade._sample_speed`` draw, drawn as the allocation is; otherwise
     a weighted clearing price, solved for all draws at once, with speeds
     proportional to the weights.  Checks, on a 100-point grid per path:
     squared rate gaps to the trading ratio never increase; the rate extremes
@@ -326,21 +326,24 @@ def attraction_suite(e: Economy, draws: int = 1000, seed: int = 0) -> CheckRepor
     draws = prefs._check_int(draws, "draws", 1)
     rng = _rng(seed)
     n = e.n_goods
+    if n == 2:
+        trade._check_size(e)
     bundles, rates = np.empty((draws, e.size, n)), np.empty((draws, e.size, n - 1))
     q, sigma = np.empty((draws, n - 1)), np.empty((draws, e.size))
     weights = np.empty((draws, e.size))  # clearing weights, when n > 2
     k = 0
     while k < draws:
-        y = Allocation(_draw_points(rng, (e.size, n)))
-        rates[k] = trade.household_rates(e, y)
-        if trade._pareto(rates[k], trade.PARETO_TOL):
+        bundles[k] = _draw_points(rng, (e.size, n))
+        rates[k] = trade._household_rates(e, bundles[k])
+        lo, hi, agree = trade._extremes(rates[k], trade.PARETO_TOL)
+        if np.all(agree):
             continue
-        bundles[k] = y.bundles
         if n == 2:
-            lo, hi = math.atan(rates[k].min()), math.atan(rates[k].max())
+            lo, hi = math.atan(lo[0]), math.atan(hi[0])
             q[k] = math.tan(lo + (hi - lo) * float(rng.uniform(0.05, 0.95)))
+            p = np.append(q[k], 1.0)
             try:
-                sigma[k] = trade.sample_speed(e, y, np.append(q[k], 1.0), SpeedPrior.UNIFORM_CUBE, rng)
+                sigma[k] = trade._sample_speed(trade._directions(e, bundles[k], p), p, SpeedPrior.UNIFORM_CUBE, rng.random)
             except SamplingError as exc:
                 raise _failure(SamplingError, str(exc), k, bundles) from exc
         else:
@@ -373,11 +376,11 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
 
     At least 99% of the configured trajectories must push the substitution
     rate gap below 1e-3 within the step budget, and on random allocations
-    with a nonempty closed-form trade interval (``trade_interval_2x2`` on the
-    stack) the trade screen, which decides two goods by the speed polytope's
-    largest volume, must find trade at the interval's angle midpoint.  The worst violation is the
-    non-converged share over its 1% bound, or infinite once the screen
-    misses an interval.
+    with a nonempty closed-form trade interval (``trade._extremes`` on the
+    stack, as for ``trade_interval_2x2``) the trade screen, which decides two
+    goods by the speed polytope's largest volume, must find trade at the
+    interval's angle midpoint.  The worst violation is the non-converged
+    share over its 1% bound, or infinite once the screen misses an interval.
     """
     if cfg.economy.size != 2 or cfg.economy.n_goods != 2:
         raise SpecificationError("welfare suite is specified for 2x2 economies")
@@ -394,7 +397,8 @@ def welfare_suite(cfg: SimConfig, seed: int = 0) -> CheckReport:
 
     # the interval's angle midpoint at every allocation whose rates differ
     y = _draw_points(_rng(seed), (1000, 2, 2))
-    lo, hi, open_ = trade._intervals(cfg.economy, y)
+    lo, hi, agree = (v[:, 0] for v in trade._extremes(trade._household_rates(cfg.economy, y), trade.PARETO_TOL))
+    open_ = ~agree
     mid = np.tan(0.5 * (np.arctan(lo[open_]) + np.arctan(hi[open_])))
     prices = np.stack([mid, np.ones_like(mid)], axis=-1)
     misses = np.count_nonzero(~trade._screen(cfg.economy, y[open_], prices))

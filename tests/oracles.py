@@ -202,7 +202,8 @@ def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator):
     """``engine.sntp_step`` at the default stop tolerance, composed of the public pieces it took
     before every economy shared one epoch; only a zero direction is idle."""
     rates = trade.household_rates(e, y)
-    if trade._pareto(rates, trade.PARETO_TOL):
+    lo, hi = rates.min(axis=0), rates.max(axis=0)
+    if np.all(hi - lo <= trade.PARETO_TOL * lo):  # the Pareto test
         return None
     q_prior, vertices = prior.q_prior, None
     if isinstance(q_prior, engine.Tabulated):
@@ -223,7 +224,7 @@ def reference_sntp_step(e, y: Allocation, prior, rng: np.random.Generator):
         q = np.array(q_prior.grid[idx])
         vertices = trade._row_vertices(found, int(np.searchsorted(candidates, idx)))
     else:
-        q = engine._draw_rate(q_prior, rates.min(axis=0), rates.max(axis=0), lambda sub: rng.random(1))
+        q = engine._draw_rate(q_prior, lo, hi, lambda sub: rng.random(1))
     p = np.append(q, 1.0)
     dirs = trade.all_trade_directions(e, y, p)
     norms = np.linalg.norm(dirs, axis=1)

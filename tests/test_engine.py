@@ -419,6 +419,34 @@ class TestDrawPrice:
             "atoms in the box: 0, rejected by the trade screen: 0"
         )
 
+    def test_pick_falls_back_to_the_last_rise_of_a_short_cdf(self):
+        # these weights' running sum ends below np.sum's, which adds them in
+        # another order, so the CDF's last value is below 1 and a uniform at it
+        # exceeds no entry: it takes the atom of the CDF's last rise, not the
+        # massless last atom
+        weights = np.array([[0.8, 0.6, 0.5, 0.3, 0.3, 0.1, 0.1, 0.1, 0.0]] * 2)
+        cdf = np.cumsum(weights[0]) / weights[0].sum()
+        assert cdf[-1] < 1.0
+        assert engine._pick(weights, np.array([cdf[-1], 0.25])).tolist() == [7, 0]
+
+    def test_an_exhausted_row_leaves_the_other_rows_draw_alone(self, cd_economy, shock):
+        # a failing row gets placeholders and comes back NaN; the row beside it,
+        # whose uniform would pick the atom 0.3 if a placeholder mass leaked
+        # into its row, draws the atom and path end it draws alone
+        prior = Tabulated(np.array([0.3, 1.5]), np.array([1.0, 2.0]))
+        y = np.stack([[[1.625, 1.3], [1.375, 1.7]], shock.bundles])  # rate intervals (0.8, 1.236...) and (0.5, 2)
+        lo, hi, _ = (v[:, 0] for v in trade._extremes(trade._household_rates(cd_economy, y), trade.PARETO_TOL))
+        u, failed = np.array([0.9, 0.2]), []
+        q, x, vertices = engine._draw_atom(
+            cd_economy, prior, y, lo, hi, lambda sub: u[sub], lambda rows, why: failed.extend((r, why(r)) for r in rows)
+        )
+        alone_q, alone_x, _ = engine._draw_atom(cd_economy, prior, y[1:], lo[1:], hi[1:], lambda sub: u[1:][sub])
+        assert [r for r, _ in failed] == [0]
+        assert failed[0][1].startswith("the price prior assigns zero mass to the trade-compatible set: rate interval (0.8")
+        assert np.isnan(q[0]) and np.isnan(x[0]).all() and vertices is None
+        assert q[1] == alone_q[0] == 1.5
+        assert x[1].tobytes() == alone_x[0].tobytes()
+
     @pytest.mark.parametrize("q_prior", [UniformArc(), ArctanNormal(1.0, 0.2)], ids=["uniform_arc", "arctan_normal"])
     def test_angle_draw_stops_at_the_rejection_cap(self, monkeypatch, cd_economy, q_prior):
         # every rate strictly inside a one-ulp interval rounds onto an end,

@@ -1244,6 +1244,15 @@ class TestPareto:
             empty = trade.trade_interval_2x2(ces_economy, y) is None
             assert trade.is_pareto_optimal(ces_economy, y) == empty
 
+    @pytest.mark.parametrize("households", [2, 3, 6])
+    def test_extremes_are_the_reductions_and_agreement_is_closed(self, households, rng):
+        rates = log_uniform(rng, (5, households, 2))
+        lo, hi, agree = trade._extremes(rates, 0.5)
+        assert lo.tobytes() == rates.min(axis=-2).tobytes() and hi.tobytes() == rates.max(axis=-2).tobytes()
+        assert agree.tolist() == (hi - lo <= 0.5 * lo).tolist()
+        # rates exactly tol apart, relative to the lower, agree
+        assert trade._extremes(np.array([[1.5], *[[1.0]] * (households - 1)]), 0.5)[2].tolist() == [True]
+
 
 def _mixed_specs(draw: np.random.Generator, kinds, goods: int) -> list[UtilitySpec]:
     """One household per kind: log, log at a level exponent, or CES at elasticity 0.3 or 0.6."""

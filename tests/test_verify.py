@@ -175,7 +175,7 @@ class TestAttractionSuite:
         assert 0.0 < report.worst_violation <= 1.0
 
     def test_failed_speed_draw_names_its_draw(self, cd, monkeypatch):
-        real, calls = trade.sample_speed, []
+        real, calls = trade._sample_speed, []
 
         def fail_third(*args):
             calls.append(None)
@@ -183,7 +183,7 @@ class TestAttractionSuite:
                 raise SamplingError("fewer than two households can trade at these prices")
             return real(*args)
 
-        monkeypatch.setattr(trade, "sample_speed", fail_third)
+        monkeypatch.setattr(trade, "_sample_speed", fail_third)
         with pytest.raises(SamplingError, match=r"^fewer than two households can trade at these prices at draw 2 \(bundles \[\["):
             verify.attraction_suite(Economy.of([cd, cd]), draws=10, seed=1)
 
